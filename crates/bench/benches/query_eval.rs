@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minidb::DbProfile;
 use sieve_bench::harness::{build_campus, pick_queriers, EnvConfig};
 use sieve_core::baselines::Baseline;
-use sieve_core::middleware::Enforcement;
+use sieve_core::Enforcement;
 use sieve_core::policy::QueryMetadata;
 use sieve_workload::query_gen::generate_query;
 use sieve_workload::{QueryClass, Selectivity, UserProfile};
@@ -17,7 +17,7 @@ fn bench_query_eval(c: &mut Criterion) {
         days: 60,
         timeout: Duration::from_secs(20),
     };
-    let mut campus = build_campus(DbProfile::MySqlLike, &env);
+    let campus = build_campus(DbProfile::MySqlLike, &env);
     let querier = pick_queriers(&campus, UserProfile::Faculty, "Analytics", 1)[0];
     let qm = QueryMetadata::new(querier, "Analytics");
 

@@ -89,7 +89,7 @@ fn main() {
         cfg.env.scale, cfg.env.days, cfg.quick
     );
 
-    let mut campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
+    let campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
     let querier = queriers_with_policies(&campus, purpose, 1)
         .first()
         .map(|&(q, _)| q)
@@ -105,7 +105,7 @@ fn main() {
     // ---- Cold prepare cost, verifier off vs on.
     let mut cold = [Vec::new(), Vec::new()];
     for (i, verify) in [false, true].into_iter().enumerate() {
-        campus.sieve.options_mut().verify_rewrites = verify;
+        campus.sieve.with_options_mut(|o| o.verify_rewrites = verify);
         for _ in 0..cfg.cold_reps {
             campus.sieve.invalidate_all();
             let t = Instant::now();
@@ -120,14 +120,14 @@ fn main() {
     // each configuration happened above; these loops never miss the
     // guard cache, so any delta is verifier work leaking onto the warm
     // path.
-    campus.sieve.options_mut().verify_rewrites = false;
+    campus.sieve.with_options_mut(|o| o.verify_rewrites = false);
     campus.sieve.invalidate_all();
     campus.sieve.rewrite(&q, &qm).expect("warm-up rewrite");
     let warm_off_ms = best_block_ms(cfg.warm_reps, cfg.blocks, || {
         campus.sieve.rewrite(&q, &qm).expect("warm rewrite");
     });
 
-    campus.sieve.options_mut().verify_rewrites = true;
+    campus.sieve.with_options_mut(|o| o.verify_rewrites = true);
     campus.sieve.invalidate_all();
     campus.sieve.rewrite(&q, &qm).expect("warm-up rewrite");
     let warm_on_ms = best_block_ms(cfg.warm_reps, cfg.blocks, || {

@@ -120,7 +120,7 @@ fn main() {
         },
     );
     let policies = campus.policies.len();
-    let service: SieveService = campus.sieve.into_service();
+    let service: SieveService = campus.sieve;
 
     // ---- 3 (measured first: it wants a cold cache). Batched prepare:
     // sequential per-querier phase vs parallel.

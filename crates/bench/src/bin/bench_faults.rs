@@ -29,7 +29,7 @@ use sieve_bench::harness::{build_campus, emit, queriers_with_policies, Campus, E
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
 use sieve_core::{
-    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, Sieve, SieveOptions, SieveService,
+    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, SieveOptions, SieveService,
     SqlBackend,
 };
 use std::fmt::Write as _;
@@ -80,8 +80,8 @@ fn ms(d: std::time::Duration) -> f64 {
 }
 
 /// Best block-mean over `blocks` blocks of `reps` calls, in ms/call
-/// (same estimator as `bench_backend`: transient stalls only ever slow
-/// a block down, so the minimum converges on the true cost).
+/// (transient stalls only ever slow a block down, so the minimum
+/// converges on the true cost).
 fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..blocks {
@@ -96,12 +96,13 @@ fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
 
 /// Stand up a service over `backend` with the campus policy corpus.
 fn service_over<B: SqlBackend>(backend: B, campus: &Campus) -> SieveService<B> {
-    let mut sieve = Sieve::with_backend(backend, SieveOptions::default()).expect("backend init");
-    *sieve.groups_mut() = campus.dataset.groups.clone();
-    sieve
+    let service =
+        SieveService::with_backend(backend, SieveOptions::default()).expect("backend init");
+    service.with_groups_mut(|g| *g = campus.dataset.groups.clone());
+    service
         .add_policies(campus.policies.iter().cloned())
         .expect("policies");
-    sieve.into_service()
+    service
 }
 
 struct DropNumbers {

@@ -236,7 +236,6 @@ fn main() {
 
     // ---- Table 7: |G| × ρ(G) buckets, measured query time (SELECT *).
     let _ = writeln!(out, "--- Table 7: eval time by #guards x cardinality ---");
-    let mut campus = campus;
     let med = |mut xs: Vec<f64>| -> f64 {
         xs.sort_by(f64::total_cmp);
         xs[xs.len() / 2]
@@ -258,8 +257,8 @@ fn main() {
             continue; // 12 queriers per bucket keeps the runtime sane
         }
         let t = sieve_bench::harness::time_enforcement(
-            &mut campus.sieve,
-            sieve_core::middleware::Enforcement::Sieve,
+            &campus.sieve,
+            sieve_core::Enforcement::Sieve,
             &q,
             &qm,
             2,

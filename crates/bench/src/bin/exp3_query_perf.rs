@@ -12,7 +12,7 @@ use minidb::DbProfile;
 use sieve_bench::harness::{build_campus, emit, pick_queriers, time_enforcement, EnvConfig};
 use sieve_bench::table::{mean, ms, render};
 use sieve_core::baselines::Baseline;
-use sieve_core::middleware::Enforcement;
+use sieve_core::Enforcement;
 use sieve_core::policy::QueryMetadata;
 use sieve_workload::query_gen::generate_query;
 use sieve_workload::{QueryClass, Selectivity, UserProfile};
@@ -46,7 +46,7 @@ fn main() {
         env.scale, env.timeout
     );
 
-    let mut campus = build_campus(DbProfile::MySqlLike, &env);
+    let campus = build_campus(DbProfile::MySqlLike, &env);
     let purpose = "Analytics";
 
     // (mech, class, sel, profile) → per-run simulated kilocosts.
@@ -66,7 +66,7 @@ fn main() {
                     for (name, mech) in MECHS {
                         let key = (name.to_string(), class, si, profile);
                         *attempts.entry(key.clone()).or_insert(0) += 1;
-                        let t = time_enforcement(&mut campus.sieve, mech, &query, &qm, 2);
+                        let t = time_enforcement(&campus.sieve, mech, &query, &qm, 2);
                         match (t.sim_kcost, t.wall_ms) {
                             (Some(s), Some(w)) => {
                                 sims.entry(key.clone()).or_default().push(s);

@@ -4,7 +4,7 @@
 use minidb::{Database, DbProfile};
 use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, QueryMetadata, UserId};
-use sieve_core::{Sieve, SieveOptions};
+use sieve_core::{SieveOptions, SieveService};
 use sieve_workload::profiles::UserProfile;
 use sieve_workload::tippers::{generate as generate_tippers, TippersConfig, TippersDataset};
 use sieve_workload::policy_gen::{generate_policies, PolicyGenConfig};
@@ -51,7 +51,7 @@ impl EnvConfig {
 /// Section 7.1 policy corpus registered and groups wired up.
 pub struct Campus {
     /// The middleware (owns the database).
-    pub sieve: Sieve,
+    pub sieve: SieveService,
     /// Device directory and dataset metadata.
     pub dataset: TippersDataset,
     /// The full policy corpus (also registered in `sieve`).
@@ -71,7 +71,7 @@ pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
     )
     .expect("tippers generation");
     let policies = generate_policies(&dataset, &PolicyGenConfig::default());
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             timeout: Some(env.timeout),
@@ -79,7 +79,7 @@ pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
         },
     )
     .expect("sieve init");
-    *sieve.groups_mut() = dataset.groups.clone();
+    sieve.with_groups_mut(|g| *g = dataset.groups.clone());
     sieve
         .add_policies(policies.iter().cloned())
         .expect("register policies");
@@ -157,8 +157,8 @@ pub struct Timing {
 /// over the execution backend so the same timing loop measures the
 /// in-process and wire-SQL paths (Experiment 4's backend comparison).
 pub fn time_enforcement<B: sieve_core::SqlBackend>(
-    sieve: &mut Sieve<B>,
-    enforcement: sieve_core::middleware::Enforcement,
+    sieve: &SieveService<B>,
+    enforcement: sieve_core::Enforcement,
     query: &minidb::SelectQuery,
     qm: &QueryMetadata,
     reps: usize,
@@ -235,13 +235,13 @@ mod tests {
 
     #[test]
     fn timing_produces_numbers() {
-        let mut campus = build_campus(DbProfile::MySqlLike, &tiny_env());
+        let campus = build_campus(DbProfile::MySqlLike, &tiny_env());
         let querier = pick_queriers(&campus, UserProfile::Grad, "Analytics", 1)[0];
         let qm = QueryMetadata::new(querier, "Analytics");
         let q = minidb::SelectQuery::star_from(sieve_workload::WIFI_TABLE);
         let t = time_enforcement(
-            &mut campus.sieve,
-            sieve_core::middleware::Enforcement::Sieve,
+            &campus.sieve,
+            sieve_core::Enforcement::Sieve,
             &q,
             &qm,
             2,

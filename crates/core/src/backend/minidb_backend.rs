@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// The hermetic default backend: SIEVE calling straight into the embedded
 /// engine, as the seed tree always did. Query ASTs are handed to the
 /// executor without a serialization round — the zero-overhead baseline
-/// the wire backend is measured against (`bench_backend`).
+/// the wire backend is measured against.
 #[derive(Debug, Clone)]
 pub struct MinidbBackend {
     db: Database,
@@ -31,9 +31,9 @@ impl MinidbBackend {
     }
 
     /// The wrapped engine (mutable — data loading, profile flips). Reach
-    /// this through [`crate::Sieve::db_mut`] when the backend is under a
-    /// middleware, so the out-of-band write bumps the backend epoch and
-    /// cached guards regenerate.
+    /// this through [`crate::SieveService::with_db_mut`] when the backend
+    /// is under a middleware, so the out-of-band write bumps the backend
+    /// epoch and cached guards regenerate.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }

@@ -23,16 +23,16 @@
 //! Two backends ship:
 //!
 //! * [`MinidbBackend`] — a thin wrapper over the in-process engine; the
-//!   hermetic default ([`crate::Sieve`]'s default type parameter).
+//!   hermetic default ([`crate::SieveService`]'s default type parameter).
 //! * [`WireSqlBackend`] (feature `wire-sql`, on by default) — accepts
 //!   only SQL **text**: every query is rendered with
 //!   [`minidb::sql::render_query`], crosses a simulated wire, and is
 //!   re-parsed before execution. This exercises exactly the path a
 //!   network backend uses, making render fidelity load-bearing.
 //!
-//! A documented [`postgres`]-feature stub records what a real
-//! `tokio-postgres` backend needs; network crates are unavailable in
-//! this build environment.
+//! What a real `tokio-postgres` backend needs is recorded in the README
+//! ("Execution backends"); network crates are unavailable in this build
+//! environment.
 //!
 //! Queries travel as SQL text; the administrative surface (catalog reads,
 //! DDL, UDF installation) uses the backend's native channel, as the
@@ -52,15 +52,11 @@ use std::sync::Arc;
 
 pub mod faulty;
 mod minidb_backend;
-#[cfg(feature = "postgres")]
-mod postgres;
 #[cfg(feature = "wire-sql")]
 mod wire;
 
 pub use faulty::{Fault, FaultConfig, FaultCounts, FaultInjectingBackend};
 pub use minidb_backend::MinidbBackend;
-#[cfg(feature = "postgres")]
-pub use postgres::PostgresBackend;
 #[cfg(feature = "wire-sql")]
 pub use wire::WireSqlBackend;
 
@@ -71,7 +67,7 @@ pub use wire::WireSqlBackend;
 ///
 /// * [`BackendError::is_retryable`] — the same call may succeed if simply
 ///   re-issued (possibly on a fresh connection). The service retries these
-///   under its [`crate::middleware::RetryPolicy`].
+///   under its [`crate::RetryPolicy`].
 /// * [`BackendError::needs_reprepare`] — server-side statement state was
 ///   lost; a [`crate::session::Prepared`] must rebuild its plan (prepare a
 ///   fresh statement id) before the query can run again.
@@ -179,8 +175,8 @@ pub struct PreparedStatement {
     pub params: Vec<Value>,
 }
 
-/// The execution engine behind the middleware, as seen by [`crate::Sieve`]
-/// and the concurrent [`crate::service::SieveService`].
+/// The execution engine behind the middleware, as seen by
+/// [`crate::service::SieveService`].
 ///
 /// Object-safe: the middleware holds a concrete `B: SqlBackend`, but the
 /// rewriting/costing free functions take `&dyn SqlBackend` so they need
@@ -335,8 +331,8 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
 /// A bare [`Database`] is itself a backend (the identity wiring): this is
 /// what lets every existing `&Database` call site — oracles, tests,
 /// experiment binaries — coerce straight into the trait surface. Under
-/// [`crate::Sieve`], prefer [`MinidbBackend`], which participates in the
-/// middleware's write-epoch staleness tracking.
+/// [`crate::SieveService`], prefer [`MinidbBackend`], which participates
+/// in the middleware's write-epoch staleness tracking.
 impl SqlBackend for Database {
     fn name(&self) -> &'static str {
         "minidb"
@@ -392,14 +388,14 @@ pub type DynBackend = Box<dyn SqlBackend>;
 #[allow(clippy::disallowed_macros)]
 pub fn for_each_backend<F>(db: &Database, options: &crate::SieveOptions, mut f: F)
 where
-    F: FnMut(&'static str, crate::middleware::Sieve<DynBackend>),
+    F: FnMut(&'static str, crate::SieveService<DynBackend>),
 {
     let mut backends: Vec<(&'static str, DynBackend)> = Vec::new();
     backends.push(("minidb", Box::new(MinidbBackend::new(db.clone()))));
     #[cfg(feature = "wire-sql")]
     backends.push(("wire-sql", Box::new(WireSqlBackend::new(db.clone()))));
     for (name, backend) in backends {
-        let sieve = crate::middleware::Sieve::with_backend(backend, options.clone())
+        let sieve = crate::SieveService::with_backend(backend, options.clone())
             .unwrap_or_else(|e| panic!("backend {name} failed to initialize: {e}"));
         f(name, sieve);
     }

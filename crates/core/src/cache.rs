@@ -183,8 +183,9 @@ struct StatCells {
 
 type Shard = HashMap<GuardCacheKey, CachedGuard>;
 
-/// One batched-insert entry: the key, its generated expression, and
-/// (on the batched-compile path) the pre-built rewrite fragment.
+/// One [`GuardCache::insert_generated`] entry: the key, its generated
+/// expression, and (on the batched-compile path) the pre-built rewrite
+/// fragment.
 pub type CompiledEntry = (GuardCacheKey, Arc<GuardedExpression>, Option<CachedFragment>);
 
 /// The cache proper: sharded keyed entries plus counters.
@@ -335,40 +336,19 @@ impl GuardCache {
         self.shard_of(key).read().contains_key(key)
     }
 
-    /// Insert (replacing) an entry for a freshly generated expression,
-    /// counting it as a miss (no prior entry) or a regeneration (an
-    /// outdated entry replaced), then LRU-evict the shard down to its cap
-    /// (the new entry is never the victim). Displaced fragments free
-    /// their ∆ partitions via their RAII handles.
-    pub fn insert_generated(&self, key: GuardCacheKey, base: Arc<GuardedExpression>, epoch: u64) {
-        self.insert_generated_bulk(vec![(key, base)], epoch)
-    }
-
-    /// Bulk variant of [`GuardCache::insert_generated`] for batched
-    /// multi-querier warm-population: counts each entry exactly once
-    /// (miss or regeneration, decided against the pre-insert state). The
-    /// whole batch always lands — a batch is populated for immediate use
-    /// and must never evict itself — so a shard may transiently exceed
-    /// its cap when a single batch is larger than it; the next capping
-    /// insert restores the bound.
-    pub fn insert_generated_bulk(
-        &self,
-        items: Vec<(GuardCacheKey, Arc<GuardedExpression>)>,
-        epoch: u64,
-    ) {
-        self.insert_generated_bulk_compiled(
-            items.into_iter().map(|(k, b)| (k, b, None)).collect(),
-            epoch,
-        )
-    }
-
-    /// [`GuardCache::insert_generated_bulk`] with each entry's rewrite
-    /// fragment already compiled (the batched compile path: fragments are
-    /// built group-at-a-time with cross-querier partition sharing, then
-    /// land here alongside their expressions so the first post-batch
-    /// rewrite is a pure fragment hit). Each supplied fragment counts as
-    /// one `fragment_builds` — identical accounting to the lazy path.
-    pub fn insert_generated_bulk_compiled(&self, items: Vec<CompiledEntry>, epoch: u64) {
+    /// Insert (replacing) entries for freshly generated expressions — one
+    /// on the single-key path, a whole batch on the multi-querier
+    /// warm-population path. Each key counts exactly once as a miss (no
+    /// prior entry) or a regeneration (an existing entry replaced),
+    /// decided against the pre-insert state; each supplied pre-compiled
+    /// fragment counts as one `fragment_builds` — identical accounting to
+    /// the lazy compile path. Every touched shard is then LRU-evicted down
+    /// to its cap without ever evicting a key of this call: a batch is
+    /// populated for immediate use and must never evict itself, so a
+    /// shard may transiently exceed its cap when a single batch is larger
+    /// than it, and the next capping insert restores the bound. Displaced
+    /// fragments free their ∆ partitions via their RAII handles.
+    pub fn insert_generated(&self, items: Vec<CompiledEntry>, epoch: u64) {
         // Dedup repeated keys (last write wins, as serial inserts would)
         // so each key is counted once.
         let mut index: HashMap<GuardCacheKey, usize> = HashMap::new();
@@ -499,10 +479,14 @@ mod tests {
         (querier, "Any".to_string(), relation.to_string())
     }
 
+    fn item(querier: i64, relation: &str) -> CompiledEntry {
+        (key(querier, relation), ge(relation), None)
+    }
+
     #[test]
     fn insert_and_hit_counting() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
         assert_eq!(c.stats().misses, 1);
         assert!(c.read(&key(1, "r"), |_| ()).is_some());
         c.record_hit();
@@ -512,9 +496,9 @@ mod tests {
     #[test]
     fn invalidate_where_marks_matching_entries() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 0);
-        c.insert_generated(key(2, "r"), ge("r"), 0);
-        c.insert_generated(key(1, "s"), ge("s"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
+        c.insert_generated(vec![item(2, "r")], 0);
+        c.insert_generated(vec![item(1, "s")], 0);
         let n = c.invalidate_where(42, |(_, _, rel)| rel == "r");
         assert_eq!(n, 2);
         assert!(c.read(&key(1, "r"), |e| e.outdated).unwrap());
@@ -530,7 +514,7 @@ mod tests {
         // shed the overflow as evictions, and keep every *recently used*
         // key resident.
         for i in 0..(GUARD_CACHE_CAP as i64 * 2) {
-            c.insert_generated(key(i, "r"), ge("r"), 0);
+            c.insert_generated(vec![item(i, "r")], 0);
         }
         assert!(c.len() <= GUARD_CACHE_CAP, "len {} > cap", c.len());
         let s = c.stats();
@@ -542,12 +526,12 @@ mod tests {
     fn lru_on_access_protects_hot_keys_from_churn() {
         let c = GuardCache::new();
         let hot = key(-1, "hot");
-        c.insert_generated(hot.clone(), ge("hot"), 0);
+        c.insert_generated(vec![item(-1, "hot")], 0);
         // Churn an order of magnitude more one-shot keys than the cache
         // holds, touching the hot key between insertions. FIFO or
         // LRU-on-*insert* would rotate it out; LRU-on-access must not.
         for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-            c.insert_generated(key(i, "churn"), ge("churn"), 0);
+            c.insert_generated(vec![item(i, "churn")], 0);
             assert!(
                 c.read(&hot, |_| ()).is_some(),
                 "hot key evicted after {i} churn insertions"
@@ -559,17 +543,10 @@ mod tests {
     #[test]
     fn bulk_insert_counts_each_entry_once() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
         // Bulk over one existing + two new keys: per-key miss/regeneration
         // accounting against the pre-insert state.
-        c.insert_generated_bulk(
-            vec![
-                (key(1, "r"), ge("r")),
-                (key(2, "r"), ge("r")),
-                (key(3, "r"), ge("r")),
-            ],
-            0,
-        );
+        c.insert_generated(vec![item(1, "r"), item(2, "r"), item(3, "r")], 0);
         let s = c.stats();
         assert_eq!(s.misses, 3, "1 cold insert + 2 new bulk keys");
         assert_eq!(s.regenerations, 1, "key 1 replaced in place");
@@ -583,17 +560,15 @@ mod tests {
         let c = GuardCache::new();
         // A batch bigger than the whole cache: every batch entry must land
         // (transient overflow) — a batch is populated for immediate use.
-        let batch: Vec<_> = (0..(GUARD_CACHE_CAP as i64 + 512))
-            .map(|i| (key(i, "r"), ge("r")))
-            .collect();
+        let batch: Vec<_> = (0..(GUARD_CACHE_CAP as i64 + 512)).map(|i| item(i, "r")).collect();
         let n = batch.len();
-        c.insert_generated_bulk(batch, 0);
+        c.insert_generated(batch, 0);
         assert_eq!(c.stats().misses, n as u64);
         for i in 0..(GUARD_CACHE_CAP as i64 + 512) {
             assert!(c.read(&key(i, "r"), |_| ()).is_some(), "batch key {i} missing");
         }
         // The next capping single insert restores its shard's bound.
-        c.insert_generated(key(-7, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(-7, "r")], 0);
         assert!(c.stats().evictions > 0);
     }
 
@@ -602,13 +577,8 @@ mod tests {
         let c = GuardCache::new();
         // The same key three times plus one distinct: two entries, two
         // misses, no phantom counts.
-        c.insert_generated_bulk(
-            vec![
-                (key(1, "r"), ge("r")),
-                (key(1, "r"), ge("r")),
-                (key(1, "r"), ge("r")),
-                (key(2, "r"), ge("r")),
-            ],
+        c.insert_generated(
+            vec![item(1, "r"), item(1, "r"), item(1, "r"), item(2, "r")],
             0,
         );
         assert_eq!(c.len(), 2);
@@ -621,9 +591,9 @@ mod tests {
     #[test]
     fn regeneration_of_existing_key_is_not_a_miss() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
         c.invalidate_where(9, |_| true);
-        c.insert_generated(key(1, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
         let s = c.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.regenerations, 1);
@@ -634,10 +604,10 @@ mod tests {
     #[test]
     fn entries_record_their_generation_epoch() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 3);
+        c.insert_generated(vec![item(1, "r")], 3);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 3);
         // Regeneration at a later epoch replaces the stamp.
-        c.insert_generated(key(1, "r"), ge("r"), 5);
+        c.insert_generated(vec![item(1, "r")], 5);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 5);
         assert_eq!(c.stats().regenerations, 1);
     }
@@ -645,7 +615,7 @@ mod tests {
     #[test]
     fn fragment_freshness_tracks_pending_and_mode() {
         let c = GuardCache::new();
-        c.insert_generated(key(1, "r"), ge("r"), 0);
+        c.insert_generated(vec![item(1, "r")], 0);
         c.write(&key(1, "r"), |e| {
             assert!(!e.fragment_fresh(DeltaMode::Auto), "no fragment yet");
             e.fragment = Some(CachedFragment {
@@ -676,7 +646,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.insert_generated(k.clone(), ge("r"), 0);
+                        c.insert_generated(vec![(k.clone(), ge("r"), None)], 0);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

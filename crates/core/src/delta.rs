@@ -11,7 +11,7 @@
 //! (Experiment 2.1: ≈120 policies in the paper's setup).
 //!
 //! Like the paper's implementation, partitions are resolved through an id
-//! passed as the UDF's first argument ("the implementation … retrieve[s]
+//! passed as the UDF's first argument ("the implementation … retrieve\[s\]
 //! the policies on the partition of the guard by using the id of the
 //! guard, passed as a parameter", Section 5.6). The remaining arguments
 //! are the tuple's attributes in schema order.

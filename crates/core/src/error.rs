@@ -6,8 +6,8 @@
 //! closed** posture structurally:
 //!
 //! * Every fallible public entry point ([`crate::service::SieveService`],
-//!   [`crate::session::Session`], [`crate::session::Prepared`],
-//!   [`crate::Sieve`]) returns [`SieveResult`]. A failure anywhere in the
+//!   [`crate::session::Session`], [`crate::session::Prepared`]) returns
+//!   [`SieveResult`]. A failure anywhere in the
 //!   rewrite → dispatch pipeline yields a typed [`SieveError`] — never the
 //!   unguarded query, never a partial row set.
 //! * Backend faults keep their classification
@@ -35,7 +35,7 @@ pub enum SieveError {
     /// disabled). Inspect the [`BackendError`] for the classification.
     Backend(BackendError),
     /// The backend kept failing retryably until the retry budget
-    /// ([`crate::middleware::RetryPolicy`]) ran out.
+    /// ([`crate::RetryPolicy`]) ran out.
     RetriesExhausted {
         /// Total attempts made (initial try + retries).
         attempts: u32,
@@ -50,7 +50,7 @@ pub enum SieveError {
     /// would otherwise be a panic; indicates a middleware bug.
     Internal(&'static str),
     /// The static soundness verifier
-    /// ([`crate::middleware::SieveOptions::verify_rewrites`]) *refuted*
+    /// ([`crate::SieveOptions::verify_rewrites`]) *refuted*
     /// a freshly generated guard: the rewritten predicate would admit a
     /// concrete row outside the querier's allowed policies. The
     /// generation is discarded and the query fails closed — this is the

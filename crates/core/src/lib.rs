@@ -13,19 +13,18 @@
 //!    ([`cost`]) via candidate merging (Theorem 1) and utility-greedy set
 //!    cover (Algorithm 1).
 //!
-//! The middleware surface comes in two shapes over one implementation:
+//! The middleware has one entry point: [`service::SieveService`], the
+//! **concurrent** middleware object (`Send + Sync`, cheap clones, the
+//! whole query path at `&self`) that a server shares across connection
+//! threads and that tests, examples and experiments drive directly.
+//! Per-querier [`session::Session`] handles capture the metadata once,
+//! and [`session::Prepared`] statements pin a compiled rewrite for
+//! repeated zero-middleware execution. Out-of-band mutation goes through
+//! the `with_db_mut` / `with_backend_mut` / `with_options_mut` /
+//! `with_groups_mut` closures, which bump the staleness counters cached
+//! guards and prepared plans are checked against.
 //!
-//! * [`service::SieveService`] — the **concurrent** middleware object
-//!   (`Send + Sync`, cheap clones, the whole query path at `&self`):
-//!   what a server shares across connection threads. Per-querier
-//!   [`session::Session`] handles capture the metadata once, and
-//!   [`session::Prepared`] statements pin a compiled rewrite for
-//!   repeated zero-middleware execution.
-//! * [`middleware::Sieve`] — the single-owner façade (a thin wrapper
-//!   over the service) with the classic `&mut self` API and direct
-//!   `&mut` backend access; experiments and tests use this.
-//!
-//! Either way, a query plus its metadata is rewritten ([`rewrite`]) with
+//! A query plus its metadata is rewritten ([`rewrite`]) with
 //! `WITH` clauses, index hints and inline-vs-∆ choices, and executed on a
 //! pluggable execution backend ([`backend::SqlBackend`] — the in-process
 //! [`backend::MinidbBackend`] by default, or the textual
@@ -62,7 +61,7 @@ pub mod error;
 pub mod filter;
 pub mod guard;
 pub mod lru;
-pub mod middleware;
+pub mod options;
 pub mod policy;
 pub mod rewrite;
 pub mod semantics;
@@ -84,10 +83,10 @@ pub use cache::{GuardCache, GuardCacheStats};
 pub use cost::{AccessStrategy, CostModel, StrategyCosts};
 pub use filter::{policy_applies, relevant_policies, GroupDirectory};
 pub use guard::{Guard, GuardSelectionStrategy, GuardedExpression};
-pub use middleware::{RetryPolicy, Sieve, SieveOptions};
+pub use options::{RetryPolicy, SieveOptions};
 pub use policy::{
     Action, CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata,
     UserId, OWNER_ATTR, PURPOSE_ANY,
 };
-pub use service::{RecoveryStats, SieveService};
+pub use service::{Enforcement, RecoveryStats, SieveService};
 pub use session::{Prepared, Session};

@@ -22,8 +22,8 @@
 //!   lock (see [`crate::cache`]);
 //! * the backend sits behind a `RwLock<B>`: queries execute under the
 //!   read lock (engines execute through `&self`), out-of-band mutation
-//!   takes the write lock and bumps the **backend epoch** exactly like
-//!   `Sieve::db_mut` always did;
+//!   takes the write lock and bumps the **backend epoch**, so guards
+//!   generated before the write are detectably stale;
 //! * ∆ partitions are reference-counted
 //!   ([`crate::delta::PartitionHandle`]) so invalidation can never free a
 //!   partition a concurrent query still references.
@@ -69,7 +69,9 @@ use crate::baselines::{
     rewrite_baseline_i, rewrite_baseline_p, rewrite_baseline_u, Baseline,
 };
 use crate::batch::{BatchGroupReport, BatchPrepareReport};
-use crate::cache::{CachedFragment, CachedGuard, GuardCache, GuardCacheKey, GuardCacheStats};
+use crate::cache::{
+    CachedFragment, CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats,
+};
 use crate::cost::CostModel;
 use crate::delta::{DeltaRegistry, PartitionHandle};
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
@@ -77,7 +79,7 @@ use crate::filter::{policy_applies, relevant_policies, GroupDirectory};
 use crate::guard::{
     generate_guarded_expression, owner_fallback_guards, GuardedExpression,
 };
-use crate::middleware::{Enforcement, SieveOptions};
+use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
     classify_protected_refs, collect_protected, compile_guard_fragment,
@@ -126,6 +128,18 @@ pub const BASELINE_PIN_SLOTS: usize = 16;
 struct PreparePins {
     fragments: Vec<Arc<crate::rewrite::GuardFragment>>,
     handles: Vec<PartitionHandle>,
+}
+
+/// Which enforcement mechanism [`SieveService::run_timed`] and
+/// [`SieveService::prepare`] run a query under (for experiments).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Enforcement {
+    /// Full SIEVE (guards + strategy selection + inline/∆).
+    Sieve,
+    /// One of the paper's baselines.
+    Baseline(Baseline),
+    /// No access control at all (measures raw query cost).
+    NoPolicies,
 }
 
 /// A read guard projected to a component of the locked value (e.g. the
@@ -206,8 +220,7 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
 }
 
 /// The concurrent SIEVE middleware handle. Clones share all state; see
-/// the [module docs](self) for the locking design. The single-owner
-/// [`crate::Sieve`] façade is a thin wrapper over this type.
+/// the [module docs](self) for the locking design.
 pub struct SieveService<B: SqlBackend = MinidbBackend> {
     pub(crate) inner: Arc<ServiceShared<B>>,
 }
@@ -292,9 +305,8 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Run `f` with mutable backend access. Takes the backend write lock
-    /// and bumps the backend epoch, exactly like [`crate::Sieve::db_mut`]:
-    /// any cached guard generated before this access is treated as stale
-    /// and regenerated on its next use.
+    /// and bumps the backend epoch: any cached guard generated before this
+    /// access is treated as stale and regenerated on its next use.
     pub fn with_backend_mut<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
         let mut backend = self.inner.backend.write();
         self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
@@ -343,24 +355,22 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.groups.read()
     }
 
-    /// Run `f` with mutable access to the group directory. Bumps the
-    /// revision; cached expressions are *not* invalidated (membership
-    /// changes have never retro-invalidated guards — parity with the
-    /// single-owner façade), but prepared statements re-prepare.
+    /// Run `f` with mutable access to the group directory, then drop
+    /// every cached guarded expression and bump the revision: a membership
+    /// change alters which group policies apply to a querier, so guards
+    /// generated under the old directory would keep narrowing (or
+    /// widening) what the querier sees. Generators hold the directory's
+    /// read lock across their cache publish, so every entry built from
+    /// the old membership is in the cache by the time the sweep runs.
     pub fn with_groups_mut<R>(&self, f: impl FnOnce(&mut GroupDirectory) -> R) -> R {
-        let mut groups = self.inner.groups.write();
-        self.inner.revision.fetch_add(1, Ordering::SeqCst);
-        f(&mut groups)
+        let out = f(&mut self.inner.groups.write());
+        self.invalidate_all();
+        out
     }
 
     /// Options in effect (clone).
     pub fn options(&self) -> SieveOptions {
         self.inner.options.read().clone()
-    }
-
-    /// Read access to the options (holds their read lock).
-    pub fn options_ref(&self) -> RwLockReadGuard<'_, SieveOptions> {
-        self.inner.options.read()
     }
 
     /// Run `f` with mutable access to the options (e.g. to force a
@@ -617,7 +627,7 @@ impl<B: SqlBackend> SieveService<B> {
                     }
                     self.inner
                         .cache
-                        .insert_generated(key.clone(), Arc::new(expr), epoch);
+                        .insert_generated(vec![(key.clone(), Arc::new(expr), None)], epoch);
                     return Ok(key);
                 }
                 Need::Fold(pending) => {
@@ -846,7 +856,7 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.recovery.reprepares.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Run a backend operation under the configured [`crate::middleware::RetryPolicy`]:
+    /// Run a backend operation under the configured [`crate::RetryPolicy`]:
     /// retryable errors ([`BackendError::is_retryable`]) are re-issued with
     /// deterministic exponential backoff until the attempt or time budget
     /// runs out; everything else fails closed on the first attempt.
@@ -1176,8 +1186,7 @@ impl<B: SqlBackend> SieveService<B> {
             crate::batch::group_requests(requests, &protected)
         };
         let mut report = BatchPrepareReport::default();
-        let mut to_insert: Vec<(GuardCacheKey, Arc<GuardedExpression>, Option<CachedFragment>)> =
-            Vec::new();
+        let mut to_insert: Vec<CompiledEntry> = Vec::new();
         // Hold the store lock across generation and publish, as the
         // single-key path does (see module docs).
         let store = self.inner.store.read();
@@ -1331,9 +1340,7 @@ impl<B: SqlBackend> SieveService<B> {
                 persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
             }
         }
-        self.inner
-            .cache
-            .insert_generated_bulk_compiled(to_insert, epoch);
+        self.inner.cache.insert_generated(to_insert, epoch);
         Ok(report)
     }
 
@@ -1353,6 +1360,9 @@ impl<B: SqlBackend> SieveService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{CondPredicate, ObjectCondition, QuerierSpec};
+    use minidb::value::DataType;
+    use minidb::{DbProfile, TableSchema, Value};
 
     // The service must be shareable across threads by construction.
     fn assert_send_sync<T: Send + Sync>() {}
@@ -1365,5 +1375,334 @@ mod tests {
         #[cfg(feature = "wire-sql")]
         assert_send_sync::<SieveService<crate::backend::WireSqlBackend>>();
         assert_send_sync::<SieveService<crate::backend::DynBackend>>();
+    }
+
+    fn loaded_service(profile: DbProfile) -> SieveService {
+        let mut db = Database::new(profile);
+        db.create_table(TableSchema::of(
+            "wifi_dataset",
+            &[
+                ("id", DataType::Int),
+                ("owner", DataType::Int),
+                ("wifi_ap", DataType::Int),
+                ("ts_time", DataType::Time),
+            ],
+        ))
+        .unwrap();
+        for i in 0..4000i64 {
+            db.insert(
+                "wifi_dataset",
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 80),
+                    Value::Int(1000 + i % 10),
+                    Value::Time(((i * 53) % 86400) as u32),
+                ],
+            )
+            .unwrap();
+        }
+        for col in ["owner", "wifi_ap", "ts_time"] {
+            db.create_index("wifi_dataset", col).unwrap();
+        }
+        db.analyze("wifi_dataset").unwrap();
+        let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+        // Owners 0..20 allow querier 500 to see their data at AP 1001.
+        for owner in 0..20i64 {
+            sieve
+                .add_policy(Policy::new(
+                    owner,
+                    "wifi_dataset",
+                    QuerierSpec::User(500),
+                    "Analytics",
+                    vec![ObjectCondition::new(
+                        "wifi_ap",
+                        CondPredicate::Eq(Value::Int(1001)),
+                    )],
+                ))
+                .unwrap();
+        }
+        sieve
+    }
+
+    fn oracle_rows(sieve: &SieveService, qm: &QueryMetadata) -> Vec<minidb::Row> {
+        let policies = sieve.policies();
+        let relevant: Vec<&Policy> =
+            relevant_policies(policies.iter(), "wifi_dataset", qm, &sieve.groups());
+        let mut rows =
+            crate::semantics::visible_rows(&*sieve.db(), "wifi_dataset", &relevant).unwrap();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn sieve_matches_oracle_end_to_end() {
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let sieve = loaded_service(profile);
+            let qm = QueryMetadata::new(500, "Analytics");
+            let q = SelectQuery::star_from("wifi_dataset");
+            let mut got = sieve.execute(&q, &qm).unwrap().rows;
+            got.sort();
+            let expect = oracle_rows(&sieve, &qm);
+            assert_eq!(got, expect, "profile {profile:?}");
+            assert!(!got.is_empty());
+        }
+    }
+
+    #[test]
+    fn unauthorized_querier_sees_nothing() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(501, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        assert!(sieve.execute(&q, &qm).unwrap().is_empty());
+    }
+
+    #[test]
+    fn wrong_purpose_sees_nothing() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Marketing");
+        let q = SelectQuery::star_from("wifi_dataset");
+        assert!(sieve.execute(&q, &qm).unwrap().is_empty());
+    }
+
+    #[test]
+    fn all_enforcement_mechanisms_agree() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let expect = oracle_rows(&sieve, &qm);
+        for e in [
+            Enforcement::Sieve,
+            Enforcement::Baseline(Baseline::P),
+            Enforcement::Baseline(Baseline::I),
+            Enforcement::Baseline(Baseline::U),
+        ] {
+            let (res, _) = sieve.run_timed(e, &q, &qm);
+            let mut rows = res.unwrap().rows;
+            rows.sort();
+            assert_eq!(rows, expect, "mechanism {e:?} diverged");
+        }
+    }
+
+    #[test]
+    fn cache_regenerates_on_policy_insert() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let n0 = sieve.execute(&q, &qm).unwrap().len();
+        let gens_before = sieve.generations();
+        // Re-running does not regenerate.
+        sieve.execute(&q, &qm).unwrap();
+        assert_eq!(sieve.generations(), gens_before);
+        // New policy for owner 71 at AP 1001 (owner 71 ⇒ i%10 == 1 ⇒
+        // wifi_ap 1001) → more rows visible.
+        sieve
+            .add_policy(Policy::new(
+                71,
+                "wifi_dataset",
+                QuerierSpec::User(500),
+                "Analytics",
+                vec![ObjectCondition::new(
+                    "wifi_ap",
+                    CondPredicate::Eq(Value::Int(1001)),
+                )],
+            ))
+            .unwrap();
+        let n1 = sieve.execute(&q, &qm).unwrap().len();
+        assert!(n1 > n0);
+        assert_eq!(sieve.generations(), gens_before + 1);
+    }
+
+    #[test]
+    fn manual_regeneration_still_enforces_pending() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let n0 = sieve.execute(&q, &qm).unwrap().len();
+        sieve
+            .add_policy(Policy::new(
+                71,
+                "wifi_dataset",
+                QuerierSpec::User(500),
+                "Analytics",
+                vec![ObjectCondition::new(
+                    "wifi_ap",
+                    CondPredicate::Eq(Value::Int(1001)),
+                )],
+            ))
+            .unwrap();
+        let gens = sieve.generations();
+        // No regeneration, but the pending policy must still be enforced
+        // (appended as an extra guard branch).
+        let n1 = sieve.execute(&q, &qm).unwrap().len();
+        assert_eq!(sieve.generations(), gens);
+        assert!(n1 > n0);
+    }
+
+    #[test]
+    fn group_policies_via_directory() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        sieve.with_groups_mut(|g| g.add_member(9, 777));
+        sieve
+            .add_policy(Policy::new(
+                42,
+                "wifi_dataset",
+                QuerierSpec::Group(9),
+                "Any",
+                vec![],
+            ))
+            .unwrap();
+        let qm = QueryMetadata::new(777, "Whatever");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let rows = sieve.execute(&q, &qm).unwrap().rows;
+        assert_eq!(rows.len(), 50); // owner 42 of 80 owners over 4000 rows
+        assert!(rows.iter().all(|r| r[1] == Value::Int(42)));
+    }
+
+    #[test]
+    fn protected_relation_with_no_policies_denies_all() {
+        let mut db = Database::new(DbProfile::MySqlLike);
+        db.create_table(minidb::TableSchema::of(
+            "t",
+            &[("id", DataType::Int), ("owner", DataType::Int)],
+        ))
+        .unwrap();
+        db.insert("t", vec![Value::Int(0), Value::Int(1)]).unwrap();
+        let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+        let qm = QueryMetadata::new(1, "Any");
+        let q = SelectQuery::star_from("t");
+        // Without protection the table is outside access control.
+        assert_eq!(sieve.execute(&q, &qm).unwrap().len(), 1);
+        // Once protected, the empty policy set denies everything.
+        sieve.protect("t");
+        assert!(sieve.execute(&q, &qm).unwrap().is_empty());
+    }
+
+    #[test]
+    fn out_of_band_insert_regenerates_stale_guards() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let n0 = sieve.execute(&q, &qm).unwrap().len();
+        let gens = sieve.generations();
+        // Re-running is a cache hit.
+        sieve.execute(&q, &qm).unwrap();
+        assert_eq!(sieve.generations(), gens);
+        // Out-of-band mutation through with_db_mut: new rows for owner 0 at
+        // the allowed AP. The cached guard (and its ∆/fragment state) was
+        // generated against the old data; the epoch bump must force lazy
+        // regeneration, and the new rows must be visible.
+        let epoch_before = sieve.backend_epoch();
+        sieve.with_db_mut(|db| {
+            for i in 0..5i64 {
+                db.insert(
+                    "wifi_dataset",
+                    vec![
+                        Value::Int(100_000 + i),
+                        Value::Int(0),
+                        Value::Int(1001),
+                        Value::Time(0),
+                    ],
+                )
+                .unwrap();
+            }
+        });
+        assert!(sieve.backend_epoch() > epoch_before);
+        let n1 = sieve.execute(&q, &qm).unwrap().len();
+        assert_eq!(n1, n0 + 5, "out-of-band rows must be enforced & visible");
+        assert_eq!(
+            sieve.generations(),
+            gens + 1,
+            "stale-epoch entry must regenerate exactly once"
+        );
+        // And only once: the regenerated entry is fresh again.
+        sieve.execute(&q, &qm).unwrap();
+        assert_eq!(sieve.generations(), gens + 1);
+    }
+
+    #[test]
+    fn backend_mut_bumps_epoch_like_db_mut() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let e0 = sieve.backend_epoch();
+        sieve.with_backend_mut(|_| ());
+        sieve.with_db_mut(|_| ());
+        assert_eq!(sieve.backend_epoch(), e0 + 2);
+    }
+
+    #[test]
+    fn sql_cache_evicts_one_entry_not_all() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        // Churn through more distinct texts than the cache holds: the
+        // cache must stay pinned at the cap (single-entry LRU eviction),
+        // never empty out the way a full clear() would.
+        let sql_for = |i: usize| {
+            format!("SELECT * FROM wifi_dataset WHERE wifi_ap = {}", 1000 + i as i64)
+        };
+        for i in 0..(SQL_CACHE_CAP + 50) {
+            sieve.execute_sql(&sql_for(i), &qm).unwrap();
+            let len = sieve.sql_cache_len();
+            assert!(len >= 1, "cache fully emptied at insertion {i}");
+            assert!(len <= SQL_CACHE_CAP, "cache exceeded cap at insertion {i}");
+            if i >= SQL_CACHE_CAP {
+                assert_eq!(
+                    len, SQL_CACHE_CAP,
+                    "churn past the cap must keep the cache full, not wipe it"
+                );
+            }
+        }
+        // No text was re-read after insertion, so recency order equals
+        // insertion order and LRU degenerates to FIFO: the survivors are
+        // exactly the most recent SQL_CACHE_CAP texts — a freshly cached
+        // query is never the next victim.
+        assert!(!sieve.sql_cache_contains(&sql_for(49)), "oldest must be evicted");
+        assert!(sieve.sql_cache_contains(&sql_for(50)), "cap-th newest must survive");
+        assert!(sieve.sql_cache_contains(&sql_for(SQL_CACHE_CAP + 49)));
+    }
+
+    #[test]
+    fn sql_cache_lru_keeps_reused_text_under_churn() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let hot = "SELECT * FROM wifi_dataset WHERE wifi_ap = 1001";
+        let cold_for =
+            |i: usize| format!("SELECT * FROM wifi_dataset WHERE id < {}", i as i64 + 1);
+        sieve.execute_sql(hot, &qm).unwrap();
+        // Interleave the hot text with SQL_CACHE_CAP + 50 one-shot texts.
+        // Under the old FIFO policy the hot entry would be evicted once
+        // SQL_CACHE_CAP distinct texts followed it, no matter how often it
+        // was re-executed; LRU-on-access must keep it and evict only the
+        // stalest one-shot instead.
+        for i in 0..(SQL_CACHE_CAP + 50) {
+            sieve.execute_sql(&cold_for(i), &qm).unwrap();
+            sieve.execute_sql(hot, &qm).unwrap();
+            assert!(
+                sieve.sql_cache_contains(hot),
+                "hot text evicted after {} one-shot texts",
+                i + 1
+            );
+        }
+        // The key that survives the churn is the re-accessed one; the
+        // oldest untouched one-shot is the victim.
+        assert!(sieve.sql_cache_contains(hot));
+        assert!(!sieve.sql_cache_contains(&cold_for(0)));
+        assert!(sieve.sql_cache_contains(&cold_for(SQL_CACHE_CAP + 49)));
+    }
+
+    #[test]
+    fn sql_entry_point() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let res = sieve
+            .execute_sql(
+                "SELECT COUNT(*) AS n FROM wifi_dataset WHERE wifi_ap = 1001",
+                &qm,
+            )
+            .unwrap();
+        let n = res.rows[0][0].as_int().unwrap();
+        assert!(n > 0);
+        // 20 owners × 50 rows at AP 1001 each... exactly the oracle count.
+        let expect = oracle_rows(&sieve, &qm).len() as i64;
+        assert_eq!(n, expect);
     }
 }

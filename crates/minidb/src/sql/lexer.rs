@@ -14,7 +14,7 @@ pub enum Token {
     /// Float literal.
     Float(f64),
     /// Single-quoted string literal. Strings shaped like times or dates
-    /// are promoted to typed values by [`promote_literal`].
+    /// are promoted to typed values by `promote_literal`.
     Str(String),
     /// `(`
     LParen,

@@ -1,7 +1,7 @@
 //! Multi-querier traffic generation: a deterministic batch of
 //! `(QueryMetadata, SelectQuery)` requests from many *distinct* queriers,
 //! the input shape of `sieve_core`'s batched evaluation
-//! (`Sieve::prepare_batch` / `Sieve::execute_batch`).
+//! (`SieveService::prepare_batch` / `SieveService::execute_batch`).
 //!
 //! Each querier poses one query drawn from the SmartBench templates
 //! ([`crate::query_gen`]), cycling through the Q1/Q2/Q3 classes and the

@@ -9,7 +9,7 @@ use sieve::core::dynamic::{
     empirical_best_interval, optimal_regeneration_interval, RegenerationPolicy,
 };
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve::core::{CostModel, Sieve, SieveOptions};
+use sieve::core::{CostModel, SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
 
@@ -52,10 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Defer regeneration per the Section 6 optimal rate: one query per
     // policy insertion.
-    let mut sieve = Sieve::new(db, SieveOptions::default())?;
-    sieve.options_mut().regeneration = RegenerationPolicy::OptimalRate {
-        queries_per_insertion: 1.0,
-    };
+    let sieve = SieveService::new(
+        db,
+        SieveOptions {
+            regeneration: RegenerationPolicy::OptimalRate {
+                queries_per_insertion: 1.0,
+            },
+            ..Default::default()
+        },
+    )?;
     for owner in 0..50 {
         sieve.add_policy(policy(owner))?;
     }

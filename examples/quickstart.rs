@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, TableSchema};
 
@@ -43,14 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.create_index("wifi_dataset", "ts_time")?;
     db.analyze("wifi_dataset")?;
 
-    // 2. Wrap the database in the SIEVE middleware.
-    let mut sieve = Sieve::new(db, SieveOptions::default())?;
+    // 2. Wrap the database in the SIEVE middleware: one shared service,
+    //    one `Session` per querier.
+    let service = SieveService::new(db, SieveOptions::default())?;
 
     // 3. Policies (paper Section 3.1's running example): John allows
     //    Prof. Smith (querier 500) to see his connectivity at AP 1200
     //    between 9 and 10 am, for attendance control. Mary allows the AP
     //    unconditionally.
-    sieve.add_policy(Policy::new(
+    service.add_policy(Policy::new(
         120,
         "wifi_dataset",
         QuerierSpec::User(500),
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1200))),
         ],
     ))?;
-    sieve.add_policy(Policy::new(
+    service.add_policy(Policy::new(
         121,
         "wifi_dataset",
         QuerierSpec::User(500),
@@ -76,18 +77,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Prof. Smith queries for attendance: sees John's 9-10 am rows and
     //    all of Mary's rows at AP 1200 — nothing else.
-    let smith = QueryMetadata::new(500, "Attendance");
-    let rewritten = sieve.rewrite(
-        &sieve::minidb::sql::parse("SELECT * FROM wifi_dataset")?,
-        &smith,
-    )?;
+    let smith = service.session(QueryMetadata::new(500, "Attendance"));
+    let rewritten = smith.rewrite(&sieve::minidb::sql::parse("SELECT * FROM wifi_dataset")?)?;
     println!("SIEVE rewrote the query to:\n  {}\n", sieve::minidb::sql::render_query(&rewritten.query));
     println!(
         "strategy: {:?}, guards: {}\n",
         rewritten.relations[0].strategy, rewritten.relations[0].guard_count
     );
 
-    let rows = sieve.execute_sql("SELECT * FROM wifi_dataset", &smith)?;
+    let rows = smith.execute_sql("SELECT * FROM wifi_dataset")?;
     println!("Prof. Smith (Attendance) sees {} rows:", rows.len());
     for r in &rows.rows {
         println!("  owner={} ap={} time={}", r[2], r[1], r[3]);
@@ -96,10 +94,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. The same querier with a different purpose is denied (purpose-based
     //    access control), and an unknown querier sees nothing at all
     //    (default deny).
-    let marketing = QueryMetadata::new(500, "Marketing");
-    assert!(sieve.execute_sql("SELECT * FROM wifi_dataset", &marketing)?.is_empty());
-    let stranger = QueryMetadata::new(999, "Attendance");
-    assert!(sieve.execute_sql("SELECT * FROM wifi_dataset", &stranger)?.is_empty());
+    let marketing = service.session(QueryMetadata::new(500, "Marketing"));
+    assert!(marketing.execute_sql("SELECT * FROM wifi_dataset")?.is_empty());
+    let stranger = service.session(QueryMetadata::new(999, "Attendance"));
+    assert!(stranger.execute_sql("SELECT * FROM wifi_dataset")?.is_empty());
     println!("\nwrong purpose → 0 rows; unknown querier → 0 rows (default deny). ✓");
     Ok(())
 }

@@ -6,9 +6,9 @@
 //! Run with: `cargo run --release --example smart_campus`
 
 use sieve::core::baselines::Baseline;
-use sieve::core::middleware::Enforcement;
+use sieve::core::Enforcement;
 use sieve::core::policy::QueryMetadata;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::query_gen::generate_query;
@@ -35,14 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policies.len()
     );
 
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             timeout: Some(Duration::from_secs(30)),
             ..Default::default()
         },
     )?;
-    *sieve.groups_mut() = dataset.groups.clone();
+    sieve.with_groups_mut(|g| *g = dataset.groups.clone());
     sieve.add_policies(policies)?;
 
     // A professor (faculty profile) asks the analytics question.

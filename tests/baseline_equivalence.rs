@@ -7,14 +7,14 @@
 //! and the `WireSqlBackend`, whose queries survive a render → parse
 //! round trip before execution.
 
+mod support;
+
 use sieve::core::backend::{for_each_backend, DynBackend};
 use sieve::core::baselines::Baseline;
-use sieve::core::middleware::{Enforcement, Sieve as GenericSieve};
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::semantics::visible_rows;
-use sieve::core::SieveOptions;
+use sieve::core::{Enforcement, SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, Value};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
@@ -39,13 +39,10 @@ fn campus(profile: DbProfile) -> (Database, Vec<Policy>, sieve::workload::Tipper
 }
 
 /// The full equivalence check against one ready (policies + groups
-/// registered) sieve. `db` is the oracle's database — identical content
-/// to the sieve's backend (policy persistence is off, so enforcement
-/// never mutates tables).
+/// registered) sieve.
 fn check_all_mechanisms(
     backend_name: &str,
-    sieve: &mut GenericSieve<DynBackend>,
-    db: &Database,
+    sieve: &SieveService<DynBackend>,
     queriers: &[i64],
     profile: DbProfile,
 ) {
@@ -53,15 +50,7 @@ fn check_all_mechanisms(
     for querier in queriers {
         for purpose in ["Analytics", "Safety"] {
             let qm = QueryMetadata::new(*querier, purpose);
-            let policies = sieve.policies();
-            let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-                policies.iter(),
-                WIFI_TABLE,
-                &qm,
-                &sieve.groups(),
-            );
-            let mut expect: Vec<Row> = visible_rows(db, WIFI_TABLE, &relevant).unwrap();
-            expect.sort();
+            let expect = support::oracle_rows(sieve, WIFI_TABLE, &qm);
             for e in [
                 Enforcement::Sieve,
                 Enforcement::Baseline(Baseline::I),
@@ -107,15 +96,7 @@ fn check_all_mechanisms(
             ))
             .unwrap();
         let qm = QueryMetadata::new(*querier, "Analytics");
-        let policies = sieve.policies();
-        let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-            policies.iter(),
-            WIFI_TABLE,
-            &qm,
-            &sieve.groups(),
-        );
-        let mut expect: Vec<Row> = visible_rows(db, WIFI_TABLE, &relevant).unwrap();
-        expect.sort();
+        let expect = support::oracle_rows(sieve, WIFI_TABLE, &qm);
         let mut warm = sieve.execute(&q, &qm).expect("warm post-insert").rows;
         warm.sort();
         assert_eq!(
@@ -205,20 +186,12 @@ fn deny_factored_policies_hold_across_mechanisms_and_backends() {
     let q = SelectQuery::star_from(WIFI_TABLE);
     let qm = QueryMetadata::new(querier, "Analytics");
     let mut backends = 0;
-    for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
+    for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
         backends += 1;
         sieve.add_policies(factored.iter().cloned()).unwrap();
         // The algebra oracle over the factored set must equal the manual
         // allow ∧ ¬deny set — pins `factor_deny` itself.
-        let policies = sieve.policies();
-        let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-            policies.iter(),
-            WIFI_TABLE,
-            &qm,
-            &sieve.groups(),
-        );
-        let mut oracle = visible_rows(&db, WIFI_TABLE, &relevant).unwrap();
-        oracle.sort();
+        let oracle = support::oracle_rows(&sieve, WIFI_TABLE, &qm);
         assert_eq!(oracle, expect, "factor_deny diverged from allow ∧ ¬deny on {name}");
         for e in [
             Enforcement::Sieve,
@@ -248,10 +221,10 @@ fn all_mechanisms_equal_oracle_on_seeded_campus_for_every_backend() {
         // Results must be identical across backends, not just oracle-equal
         // per backend: collect a fingerprint per backend and compare.
         let mut fingerprints: Vec<(&'static str, Vec<Row>)> = Vec::new();
-        for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
-            *sieve.groups_mut() = ds.groups.clone();
+        for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
+            sieve.with_groups_mut(|g| *g = ds.groups.clone());
             sieve.add_policies(policies.iter().cloned()).unwrap();
-            check_all_mechanisms(name, &mut sieve, &db, &queriers, profile);
+            check_all_mechanisms(name, &sieve, &queriers, profile);
             let qm = QueryMetadata::new(queriers[0], "Analytics");
             let mut rows = sieve
                 .execute(&SelectQuery::star_from(WIFI_TABLE), &qm)

@@ -7,102 +7,29 @@
 //! is not allowed to leak a row, drop a row, or serve a guard that
 //! predates a returned `add_policy`.
 
-use sieve::core::policy::{
-    CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
-};
-use sieve::core::semantics::visible_rows;
-use sieve::core::{
-    backend::for_each_backend, Session, Sieve, SieveOptions, SieveService,
-};
-use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
+mod support;
+
+use sieve::core::policy::QueryMetadata;
+use sieve::core::{backend::for_each_backend, Session, SieveOptions, SieveService};
+use sieve::minidb::{Database, Row, SelectQuery, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-const REL: &str = "wifi_dataset";
-/// Queriers covered by the policy corpus; each sees a distinct AP slice.
-const QUERIERS: [i64; 4] = [500, 501, 502, 503];
-
-fn policy(owner: i64, querier: i64, purpose: &str, ap: i64) -> Policy {
-    Policy::new(
-        owner,
-        REL,
-        QuerierSpec::User(querier),
-        purpose,
-        vec![ObjectCondition::new(
-            "wifi_ap",
-            CondPredicate::Eq(Value::Int(ap)),
-        )],
-    )
-}
+use support::{policy, register_corpus, sorted_rows, QUERIERS, REL};
 
 fn loaded_db() -> Database {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    db.create_table(TableSchema::of(
-        REL,
-        &[
-            ("id", DataType::Int),
-            ("owner", DataType::Int),
-            ("wifi_ap", DataType::Int),
-            ("ts_time", DataType::Time),
-        ],
-    ))
-    .unwrap();
-    for i in 0..4000i64 {
-        db.insert(
-            REL,
-            vec![
-                Value::Int(i),
-                Value::Int(i % 80),
-                Value::Int(1000 + i % 10),
-                Value::Time(((i * 53) % 86400) as u32),
-            ],
-        )
-        .unwrap();
-    }
-    for col in ["owner", "wifi_ap", "ts_time"] {
-        db.create_index(REL, col).unwrap();
-    }
-    db.analyze(REL).unwrap();
-    db
-}
-
-/// Register the corpus: querier 500+k reads owners 0..20 at AP 1001+k.
-fn register_corpus(add: &mut dyn FnMut(Policy)) {
-    for (k, &querier) in QUERIERS.iter().enumerate() {
-        for owner in 0..20i64 {
-            add(policy(owner, querier, "Analytics", 1001 + k as i64));
-        }
-    }
+    support::wifi_db(4000, 80, true)
 }
 
 fn loaded_service() -> SieveService {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
-    register_corpus(&mut |p| {
-        service.add_policy(p).unwrap();
-    });
+    register_corpus(&service);
     service
 }
 
 /// Single-threaded expected rows for a querier, straight from the policy
 /// algebra oracle (no middleware involved).
 fn oracle_for(service: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
-    let policies = service.policies();
-    let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-        policies.iter(),
-        REL,
-        qm,
-        &service.groups(),
-    );
-    let mut rows = visible_rows(&*service.db(), REL, &relevant).unwrap();
-    rows.sort();
-    rows
-}
-
-fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
-    let mut rows = res.rows;
-    rows.sort();
-    rows
+    support::oracle_rows(service, REL, qm)
 }
 
 /// N threads × M sessions hammering one service: every single result must
@@ -110,27 +37,14 @@ fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
 #[test]
 fn hammer_threads_and_sessions_match_single_threaded_oracle() {
     let options = SieveOptions::default();
-    for_each_backend(&loaded_db(), &options, |backend_name, sieve| {
-        let mut sieve = sieve;
-        register_corpus(&mut |p| {
-            sieve.add_policy(p).unwrap();
-        });
-        let service = sieve.into_service();
+    for_each_backend(&loaded_db(), &options, |backend_name, service| {
+        register_corpus(&service);
         // Oracles computed up front, single-threaded.
         let oracles: Vec<(QueryMetadata, Vec<Row>)> = QUERIERS
             .iter()
             .map(|&u| {
                 let qm = QueryMetadata::new(u, "Analytics");
-                let policies = service.policies();
-                let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-                    policies.iter(),
-                    REL,
-                    &qm,
-                    &service.groups(),
-                );
-                let backend = service.backend();
-                let mut rows = visible_rows(&*backend, REL, &relevant).unwrap();
-                rows.sort();
+                let rows = support::oracle_rows(&service, REL, &qm);
                 assert!(!rows.is_empty(), "oracle empty for querier {u}");
                 (qm, rows)
             })
@@ -304,13 +218,22 @@ fn prepared_statement_is_shareable_across_threads() {
 #[test]
 fn prepared_pins_and_recycles_wire_statements() {
     use sieve::core::backend::WireSqlBackend;
-    let mut sieve =
-        Sieve::with_backend(WireSqlBackend::new(loaded_db()), SieveOptions::default()).unwrap();
-    register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
-    });
-    let service = sieve.into_service();
+    let service =
+        SieveService::with_backend(WireSqlBackend::new(loaded_db()), SieveOptions::default())
+            .unwrap();
+    register_corpus(&service);
     let session = service.session(QueryMetadata::new(500, "Analytics"));
+    // The un-prepared path ships the rewritten query as SQL text: one
+    // wire round trip per execute.
+    let trips = service.backend().round_trips();
+    for _ in 0..5 {
+        session.execute(&SelectQuery::star_from(REL)).unwrap();
+    }
+    assert_eq!(
+        service.backend().round_trips(),
+        trips + 5,
+        "un-prepared executes must cross the wire as text"
+    );
     let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
     let id0 = prepared
         .statement_id()
@@ -404,21 +327,27 @@ fn concurrent_execute_sql_shares_the_parsed_ast() {
     assert!(service.sql_cache_contains(sql));
 }
 
-/// The single-owner façade escape hatches refuse to run while the
-/// service is shared (they need exclusive ownership), instead of
-/// silently mutating state other threads rely on.
+/// The `with_*_mut` closures are the only out-of-band mutation path and
+/// need no exclusive ownership: with clones and sessions alive they still
+/// run, the epoch bump is visible through every handle, and a session
+/// created before the write sees the rows it added.
 #[test]
-fn facade_mut_accessors_guard_against_live_clones() {
-    let mut sieve = Sieve::new(loaded_db(), SieveOptions::default()).unwrap();
-    // Exclusive: fine.
-    sieve.db_mut();
-    let clone = sieve.service().clone();
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = sieve.db_mut();
-    }))
-    .is_err();
-    assert!(panicked, "db_mut with a live service clone must refuse");
-    drop(clone);
-    // Exclusive again: fine.
-    sieve.db_mut();
+fn mut_closures_run_with_live_clones_and_sessions() {
+    let service = loaded_service();
+    let clone = service.clone();
+    let session = clone.session(QueryMetadata::new(500, "Analytics"));
+    let q = SelectQuery::star_from(REL);
+    let n0 = session.execute(&q).unwrap().len();
+    let epoch = clone.backend_epoch();
+    service.with_db_mut(|db| {
+        db.insert(
+            REL,
+            vec![Value::Int(100_000), Value::Int(0), Value::Int(1001), Value::Time(0)],
+        )
+        .unwrap();
+    });
+    assert_eq!(clone.backend_epoch(), epoch + 1);
+    let rows = sorted_rows(session.execute(&q).unwrap());
+    assert_eq!(rows.len(), n0 + 1);
+    assert_eq!(rows, oracle_for(&service, session.metadata()));
 }

@@ -14,87 +14,32 @@
 //! 3. **No leaks** — after the chaos stops, vended statements and ∆
 //!    partitions return to baseline.
 
+mod support;
+
 use sieve::core::backend::{
     Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, SqlBackend,
 };
-use sieve::core::policy::{
-    CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
-};
-use sieve::core::semantics::visible_rows;
-use sieve::core::{BackendError, Sieve, SieveError, SieveOptions, SieveService};
-use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
+use sieve::core::policy::QueryMetadata;
+use sieve::core::{BackendError, SieveError, SieveOptions, SieveService};
+use sieve::minidb::{Database, Row, SelectQuery};
 use std::sync::Arc;
-
-const REL: &str = "wifi_dataset";
-const QUERIERS: [i64; 4] = [500, 501, 502, 503];
-
-fn policy(owner: i64, querier: i64, purpose: &str, ap: i64) -> Policy {
-    Policy::new(
-        owner,
-        REL,
-        QuerierSpec::User(querier),
-        purpose,
-        vec![ObjectCondition::new(
-            "wifi_ap",
-            CondPredicate::Eq(Value::Int(ap)),
-        )],
-    )
-}
+use support::{register_corpus, sorted_rows, QUERIERS, REL};
 
 fn loaded_db() -> Database {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    db.create_table(TableSchema::of(
-        REL,
-        &[
-            ("id", DataType::Int),
-            ("owner", DataType::Int),
-            ("wifi_ap", DataType::Int),
-            ("ts_time", DataType::Time),
-        ],
-    ))
-    .unwrap();
-    for i in 0..2000i64 {
-        db.insert(
-            REL,
-            vec![
-                Value::Int(i),
-                Value::Int(i % 80),
-                Value::Int(1000 + i % 10),
-                Value::Time(((i * 53) % 86400) as u32),
-            ],
-        )
-        .unwrap();
-    }
-    for col in ["owner", "wifi_ap", "ts_time"] {
-        db.create_index(REL, col).unwrap();
-    }
-    db.analyze(REL).unwrap();
-    db
-}
-
-/// Querier 500+k reads owners 0..20 at AP 1001+k.
-fn register_corpus(add: &mut dyn FnMut(Policy)) {
-    for (k, &querier) in QUERIERS.iter().enumerate() {
-        for owner in 0..20i64 {
-            add(policy(owner, querier, "Analytics", 1001 + k as i64));
-        }
-    }
+    support::wifi_db(2000, 80, true)
 }
 
 fn faulty_service<B: SqlBackend>(
     inner: B,
     config: FaultConfig,
 ) -> SieveService<FaultInjectingBackend<B>> {
-    let mut sieve = Sieve::with_backend(
+    let service = SieveService::with_backend(
         FaultInjectingBackend::new(inner, config),
         SieveOptions::default(),
     )
     .unwrap();
-    register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
-    });
-    sieve.into_service()
+    register_corpus(&service);
+    service
 }
 
 /// Single-threaded visible-rows oracle for a querier, computed with
@@ -104,22 +49,8 @@ fn oracle_for<B: SqlBackend>(
     qm: &QueryMetadata,
 ) -> Vec<Row> {
     service.backend().set_enabled(false);
-    let policies = service.policies();
-    let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-        policies.iter(),
-        REL,
-        qm,
-        &service.groups(),
-    );
-    let mut rows = visible_rows(&*service.backend(), REL, &relevant).unwrap();
-    rows.sort();
+    let rows = support::oracle_rows(service, REL, qm);
     service.backend().set_enabled(true);
-    rows
-}
-
-fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
-    let mut rows = res.rows;
-    rows.sort();
     rows
 }
 

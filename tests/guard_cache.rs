@@ -8,60 +8,19 @@
 //! affected keys, and stale entries regenerate lazily per the configured
 //! RegenerationPolicy.
 
+mod support;
+
+use sieve::core::backend::for_each_backend;
 use sieve::core::dynamic::RegenerationPolicy;
-use sieve::core::policy::{
-    CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
-};
+use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::rewrite::DeltaMode;
-use sieve::core::semantics::visible_rows;
-use sieve::core::{Sieve, SieveOptions};
-use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
+use sieve::core::{SieveOptions, SieveService};
+use sieve::minidb::{Row, SelectQuery, Value};
+use support::{oracle_rows, policy, sorted_rows, REL};
 
-const REL: &str = "wifi_dataset";
-
-fn policy(owner: i64, querier: i64, purpose: &str, ap: i64) -> Policy {
-    Policy::new(
-        owner,
-        REL,
-        QuerierSpec::User(querier),
-        purpose,
-        vec![ObjectCondition::new(
-            "wifi_ap",
-            CondPredicate::Eq(Value::Int(ap)),
-        )],
-    )
-}
-
-fn loaded_sieve() -> Sieve {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    db.create_table(TableSchema::of(
-        REL,
-        &[
-            ("id", DataType::Int),
-            ("owner", DataType::Int),
-            ("wifi_ap", DataType::Int),
-            ("ts_time", DataType::Time),
-        ],
-    ))
-    .unwrap();
-    for i in 0..4000i64 {
-        db.insert(
-            REL,
-            vec![
-                Value::Int(i),
-                Value::Int(i % 80),
-                Value::Int(1000 + i % 10),
-                Value::Time(((i * 53) % 86400) as u32),
-            ],
-        )
-        .unwrap();
-    }
-    for col in ["owner", "wifi_ap", "ts_time"] {
-        db.create_index(REL, col).unwrap();
-    }
-    db.analyze(REL).unwrap();
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
+fn loaded_sieve() -> SieveService {
+    let sieve =
+        SieveService::new(support::wifi_db(4000, 80, true), SieveOptions::default()).unwrap();
     for owner in 0..20i64 {
         sieve.add_policy(policy(owner, 500, "Analytics", 1001)).unwrap();
     }
@@ -73,36 +32,24 @@ fn loaded_sieve() -> Sieve {
     sieve
 }
 
-fn oracle(sieve: &Sieve, qm: &QueryMetadata) -> Vec<Row> {
-    let policies = sieve.policies();
-    let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-        policies.iter(),
-        REL,
-        qm,
-        &sieve.groups(),
-    );
-    let mut rows = visible_rows(&*sieve.db(), REL, &relevant).unwrap();
-    rows.sort();
-    rows
+fn oracle(sieve: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
+    oracle_rows(sieve, REL, qm)
 }
 
-fn run_sorted(sieve: &mut Sieve, qm: &QueryMetadata) -> Vec<Row> {
-    let q = SelectQuery::star_from(REL);
-    let mut rows = sieve.execute(&q, qm).unwrap().rows;
-    rows.sort();
-    rows
+fn run_sorted(sieve: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
+    sorted_rows(sieve.execute(&SelectQuery::star_from(REL), qm).unwrap())
 }
 
 #[test]
 fn warm_queries_hit_both_cache_levels() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let qm = QueryMetadata::new(500, "Analytics");
-    run_sorted(&mut sieve, &qm);
+    run_sorted(&sieve, &qm);
     let s0 = sieve.cache_stats();
     assert_eq!(s0.misses, 1);
     assert_eq!(s0.fragment_builds, 1);
     for _ in 0..5 {
-        run_sorted(&mut sieve, &qm);
+        run_sorted(&sieve, &qm);
     }
     let s1 = sieve.cache_stats();
     assert_eq!(s1.misses, 1, "warm queries must not regenerate");
@@ -114,13 +61,13 @@ fn warm_queries_hit_both_cache_levels() {
 
 #[test]
 fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let qm_a = QueryMetadata::new(500, "Analytics");
     let qm_b = QueryMetadata::new(501, "Analytics");
     let qm_c = QueryMetadata::new(500, "Safety");
-    run_sorted(&mut sieve, &qm_a);
-    run_sorted(&mut sieve, &qm_b);
-    run_sorted(&mut sieve, &qm_c);
+    run_sorted(&sieve, &qm_a);
+    run_sorted(&sieve, &qm_b);
+    run_sorted(&sieve, &qm_c);
     assert_eq!(sieve.cache_stats().misses, 3);
 
     // New policy for querier 500 / Analytics only (owner 71 ⇒ i%10 == 1 ⇒
@@ -129,8 +76,8 @@ fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
 
     // Unaffected keys stay cached.
     let misses_before = sieve.cache_stats().misses;
-    run_sorted(&mut sieve, &qm_b);
-    run_sorted(&mut sieve, &qm_c);
+    run_sorted(&sieve, &qm_b);
+    run_sorted(&sieve, &qm_c);
     assert_eq!(
         sieve.cache_stats().misses,
         misses_before,
@@ -141,7 +88,7 @@ fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
     // the visible_rows oracle. Replacing an outdated entry is counted as a
     // regeneration, not a miss (the entry existed).
     let regens_before = sieve.cache_stats().regenerations;
-    let warm_after_invalidation = run_sorted(&mut sieve, &qm_a);
+    let warm_after_invalidation = run_sorted(&sieve, &qm_a);
     assert_eq!(sieve.cache_stats().misses, misses_before);
     assert_eq!(sieve.cache_stats().regenerations, regens_before + 1);
     let expect = oracle(&sieve, &qm_a);
@@ -151,44 +98,44 @@ fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
         .any(|r| r[1] == Value::Int(71)));
 
     sieve.invalidate_all();
-    let cold = run_sorted(&mut sieve, &qm_a);
+    let cold = run_sorted(&sieve, &qm_a);
     assert_eq!(cold, warm_after_invalidation, "cold == warm after regen");
 }
 
 #[test]
 fn manual_regeneration_serves_pending_from_cache_and_matches_oracle() {
-    let mut sieve = loaded_sieve();
-    sieve.options_mut().regeneration = RegenerationPolicy::Manual;
+    let sieve = loaded_sieve();
+    sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
     let qm = QueryMetadata::new(500, "Analytics");
-    let n0 = run_sorted(&mut sieve, &qm).len();
+    let n0 = run_sorted(&sieve, &qm).len();
     let gens = sieve.generations();
 
     sieve.add_policy(policy(61, 500, "Analytics", 1001)).unwrap();
     // No regeneration under Manual, but the pending policy is enforced via
     // a rebuilt effective expression + fragment.
-    let rows = run_sorted(&mut sieve, &qm);
+    let rows = run_sorted(&sieve, &qm);
     assert_eq!(sieve.generations(), gens);
     assert!(rows.len() > n0);
     assert_eq!(rows, oracle(&sieve, &qm));
 
     // The pending-augmented fragment is itself cached across repeats.
     let builds = sieve.cache_stats().fragment_builds;
-    run_sorted(&mut sieve, &qm);
-    run_sorted(&mut sieve, &qm);
+    run_sorted(&sieve, &qm);
+    run_sorted(&sieve, &qm);
     assert_eq!(sieve.cache_stats().fragment_builds, builds);
 }
 
 #[test]
 fn delta_partitions_do_not_leak_across_repeat_queries() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     // Force every partition through ∆ so fragments register partitions.
-    sieve.options_mut().rewrite.delta_mode = DeltaMode::Always;
+    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
     let qm = QueryMetadata::new(500, "Analytics");
-    let baseline_rows = run_sorted(&mut sieve, &qm);
+    let baseline_rows = run_sorted(&sieve, &qm);
     assert_eq!(baseline_rows, oracle(&sieve, &qm));
     let after_first = sieve.delta_len();
     for _ in 0..10 {
-        run_sorted(&mut sieve, &qm);
+        run_sorted(&sieve, &qm);
     }
     assert_eq!(
         sieve.delta_len(),
@@ -197,7 +144,7 @@ fn delta_partitions_do_not_leak_across_repeat_queries() {
     );
     // Invalidation regenerates the fragment but frees the old partitions.
     sieve.add_policy(policy(62, 500, "Analytics", 1001)).unwrap();
-    run_sorted(&mut sieve, &qm);
+    run_sorted(&sieve, &qm);
     assert_eq!(
         sieve.delta_len(),
         after_first,
@@ -210,12 +157,12 @@ fn delta_partitions_do_not_leak_across_repeat_queries() {
 
 #[test]
 fn delta_mode_flip_recompiles_fragment_and_stays_correct() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let qm = QueryMetadata::new(500, "Analytics");
-    let inline_rows = run_sorted(&mut sieve, &qm);
+    let inline_rows = run_sorted(&sieve, &qm);
     let builds = sieve.cache_stats().fragment_builds;
-    sieve.options_mut().rewrite.delta_mode = DeltaMode::Always;
-    let delta_rows = run_sorted(&mut sieve, &qm);
+    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+    let delta_rows = run_sorted(&sieve, &qm);
     assert_eq!(
         sieve.cache_stats().fragment_builds,
         builds + 1,
@@ -231,49 +178,49 @@ fn delta_mode_flip_recompiles_fragment_and_stays_correct() {
 /// trace. Catches double-counted misses, regenerations booked as misses,
 /// and generated-but-uncached skew: the invariants are
 /// `lookups = hits + misses + regenerations` and
-/// `Sieve::generations = misses + regenerations` — always.
+/// `SieveService::generations = misses + regenerations` — always.
 #[test]
 fn counters_match_ground_truth_trace() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let qm_a = QueryMetadata::new(500, "Analytics");
     let qm_b = QueryMetadata::new(501, "Analytics");
 
     // Trace model (expression-level): expected (hits, misses, regens).
     let mut expect = (0u64, 0u64, 0u64);
-    let check = |sieve: &Sieve, expect: &(u64, u64, u64), step: &str| {
+    let check = |sieve: &SieveService, expect: &(u64, u64, u64), step: &str| {
         let s = sieve.cache_stats();
         assert_eq!((s.hits, s.misses, s.regenerations), *expect, "at {step}");
         assert_eq!(s.generations(), sieve.generations(), "generations at {step}");
         assert_eq!(s.lookups(), s.hits + s.misses + s.regenerations, "lookups at {step}");
     };
 
-    run_sorted(&mut sieve, &qm_a); // cold → miss
+    run_sorted(&sieve, &qm_a); // cold → miss
     expect.1 += 1;
     check(&sieve, &expect, "cold A");
 
-    run_sorted(&mut sieve, &qm_a); // warm → hit
-    run_sorted(&mut sieve, &qm_a);
+    run_sorted(&sieve, &qm_a); // warm → hit
+    run_sorted(&sieve, &qm_a);
     expect.0 += 2;
     check(&sieve, &expect, "warm A x2");
 
-    run_sorted(&mut sieve, &qm_b); // cold for B → miss
+    run_sorted(&sieve, &qm_b); // cold for B → miss
     expect.1 += 1;
     check(&sieve, &expect, "cold B");
 
     // Policy touching only A's key: A regenerates (entry existed), B stays
     // warm.
     sieve.add_policy(policy(72, 500, "Analytics", 1001)).unwrap();
-    run_sorted(&mut sieve, &qm_a);
+    run_sorted(&sieve, &qm_a);
     expect.2 += 1;
-    run_sorted(&mut sieve, &qm_b);
+    run_sorted(&sieve, &qm_b);
     expect.0 += 1;
     check(&sieve, &expect, "regen A, warm B");
 
     // invalidate_all drops entries: the next queries are misses again
     // (fresh generations, not regenerations).
     sieve.invalidate_all();
-    run_sorted(&mut sieve, &qm_a);
-    run_sorted(&mut sieve, &qm_b);
+    run_sorted(&sieve, &qm_a);
+    run_sorted(&sieve, &qm_b);
     expect.1 += 2;
     check(&sieve, &expect, "cold after clear");
 
@@ -286,7 +233,7 @@ fn counters_match_ground_truth_trace() {
 /// per-query lookups are hits.
 #[test]
 fn batch_prepare_counters_match_trace() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let q = SelectQuery::star_from(REL);
     let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501]
         .iter()
@@ -333,13 +280,13 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
                 purpose: "Any".into(),
                 guards: vec![],
             }),
+            None,
         )
     };
-    let (hot_key, hot_expr) = entry(-1);
-    cache.insert_generated(hot_key.clone(), hot_expr, 0);
+    let hot_key = entry(-1).0;
+    cache.insert_generated(vec![entry(-1)], 0);
     for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-        let (k, e) = entry(i);
-        cache.insert_generated(k, e, 0);
+        cache.insert_generated(vec![entry(i)], 0);
         // The read IS the touch: this is what keeps the key alive.
         assert!(
             cache.read(&hot_key, |_| ()).is_some(),
@@ -360,16 +307,16 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
 /// with evicted keys.
 #[test]
 fn eviction_frees_delta_partitions_of_dropped_fragments() {
-    let mut sieve = loaded_sieve();
-    sieve.options_mut().rewrite.delta_mode = DeltaMode::Always;
+    let sieve = loaded_sieve();
+    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
     let qm = QueryMetadata::new(500, "Analytics");
-    run_sorted(&mut sieve, &qm);
+    run_sorted(&sieve, &qm);
     assert!(sieve.delta_len() > 0, "∆ partitions registered");
     let live = sieve.delta_len();
     // Invalidation + regeneration replaces the fragment; the superseded
     // partitions must be gone once no query pins them.
     sieve.add_policy(policy(63, 500, "Analytics", 1001)).unwrap();
-    run_sorted(&mut sieve, &qm);
+    run_sorted(&sieve, &qm);
     assert!(
         sieve.delta_len() <= live + 1,
         "superseded ∆ partitions leaked: {} -> {}",
@@ -381,9 +328,35 @@ fn eviction_frees_delta_partitions_of_dropped_fragments() {
     assert_eq!(sieve.delta_len(), 0);
 }
 
+/// No-narrowing under dynamic membership: a querier who joins a group
+/// *after* their first query must see what the group's policies allow —
+/// through a fresh `execute` and through a `Prepared` handle opened
+/// before the change — on every backend. The guard cached for the
+/// pre-membership (empty) policy set must not survive `with_groups_mut`.
+#[test]
+fn group_membership_change_invalidates_cached_guards() {
+    let db = support::wifi_db(4000, 80, true);
+    for_each_backend(&db, &SieveOptions::default(), |name, service| {
+        service
+            .add_policy(Policy::new(42, REL, QuerierSpec::Group(9), "Any", vec![]))
+            .unwrap();
+        let qm = QueryMetadata::new(777, "Analytics");
+        let q = SelectQuery::star_from(REL);
+        let prepared = service.session(qm.clone()).prepare(q.clone()).unwrap();
+        assert!(service.execute(&q, &qm).unwrap().is_empty(), "{name}: not a member yet");
+        assert!(prepared.execute().unwrap().is_empty(), "{name}: not a member yet");
+
+        service.with_groups_mut(|g| g.add_member(9, 777));
+        let expect = oracle_rows(&service, REL, &qm);
+        assert_eq!(expect.len(), 50, "owner 42 of 80 owners over 4000 rows");
+        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect, "{name}: execute");
+        assert_eq!(sorted_rows(prepared.execute().unwrap()), expect, "{name}: prepared");
+    });
+}
+
 #[test]
 fn repeated_sql_text_reuses_parsed_ast() {
-    let mut sieve = loaded_sieve();
+    let sieve = loaded_sieve();
     let qm = QueryMetadata::new(500, "Analytics");
     let sql = "SELECT COUNT(*) AS n FROM wifi_dataset WHERE wifi_ap = 1001";
     let a = sieve.execute_sql(sql, &qm).unwrap();

@@ -29,7 +29,7 @@ use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::{eval_policies, visible_rows};
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
 use std::collections::{BTreeSet, HashMap};
@@ -273,7 +273,7 @@ fn service_with_verification_matches_oracle() {
             )],
         ),
     ];
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             verify_rewrites: true,

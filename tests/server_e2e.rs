@@ -10,16 +10,15 @@
 //! service, and malformed frames kill the connection instead of being
 //! half-parsed.
 
+mod support;
+
 use sieve::client::{ClientError, RemoteConnection};
 use sieve::core::backend::{
     for_each_backend, FaultConfig, FaultInjectingBackend, MinidbBackend,
 };
-use sieve::core::policy::{
-    CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
-};
-use sieve::core::{Sieve, SieveOptions, SieveService};
-use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, TableSchema, Value};
+use sieve::core::policy::QueryMetadata;
+use sieve::core::{SieveOptions, SieveService};
+use sieve::minidb::{Database, Row};
 use sieve::protocol::frame::{read_frame, write_frame};
 use sieve::protocol::{
     ClientMessage, ErrorCode, ProtocolError, ServerMessage, PROTOCOL_VERSION,
@@ -27,62 +26,12 @@ use sieve::protocol::{
 use sieve::server::{loopback, SieveServer, TokenAuthenticator};
 use std::io::Write;
 use std::sync::Arc;
+use support::{policy, register_corpus, sorted_rows, QUERIERS};
 
-const REL: &str = "wifi_dataset";
-const QUERIERS: [i64; 4] = [500, 501, 502, 503];
 const QUERY: &str = "SELECT * FROM wifi_dataset";
 
-fn policy(owner: i64, querier: i64, purpose: &str, ap: i64) -> Policy {
-    Policy::new(
-        owner,
-        REL,
-        QuerierSpec::User(querier),
-        purpose,
-        vec![ObjectCondition::new(
-            "wifi_ap",
-            CondPredicate::Eq(Value::Int(ap)),
-        )],
-    )
-}
-
 fn loaded_db() -> Database {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    db.create_table(TableSchema::of(
-        REL,
-        &[
-            ("id", DataType::Int),
-            ("owner", DataType::Int),
-            ("wifi_ap", DataType::Int),
-            ("ts_time", DataType::Time),
-        ],
-    ))
-    .unwrap();
-    for i in 0..2000i64 {
-        db.insert(
-            REL,
-            vec![
-                Value::Int(i),
-                Value::Int(i % 80),
-                Value::Int(1000 + i % 10),
-                Value::Time(((i * 53) % 86400) as u32),
-            ],
-        )
-        .unwrap();
-    }
-    for col in ["owner", "wifi_ap", "ts_time"] {
-        db.create_index(REL, col).unwrap();
-    }
-    db.analyze(REL).unwrap();
-    db
-}
-
-/// Querier 500+k reads owners 0..20 at AP 1001+k.
-fn register_corpus(add: &mut dyn FnMut(Policy)) {
-    for (k, &querier) in QUERIERS.iter().enumerate() {
-        for owner in 0..20i64 {
-            add(policy(owner, querier, "Analytics", 1001 + k as i64));
-        }
-    }
+    support::wifi_db(2000, 80, true)
 }
 
 /// Token table covering the corpus queriers: "token-<id>" → id.
@@ -92,12 +41,6 @@ fn authenticator() -> TokenAuthenticator {
         auth.insert(format!("token-{q}"), q);
     }
     auth
-}
-
-fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
-    let mut rows = res.rows;
-    rows.sort();
-    rows
 }
 
 fn qm(querier: i64) -> QueryMetadata {
@@ -113,12 +56,8 @@ fn qm(querier: i64) -> QueryMetadata {
 /// connections, for both the one-shot and the prepared path.
 #[test]
 fn remote_sessions_row_identical_to_in_process_oracle() {
-    for_each_backend(&loaded_db(), &SieveOptions::default(), |name, sieve| {
-        let mut sieve = sieve;
-        register_corpus(&mut |p| {
-            sieve.add_policy(p).unwrap();
-        });
-        let service = sieve.into_service();
+    for_each_backend(&loaded_db(), &SieveOptions::default(), |name, service| {
+        register_corpus(&service);
 
         // In-process oracle rows, per querier, before the storm.
         let oracles: Vec<(i64, Vec<Row>)> = QUERIERS
@@ -183,7 +122,7 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
 /// error — never a protocol error, never raw rows.
 #[test]
 fn remote_results_row_identical_under_fault_injection() {
-    let mut sieve = Sieve::with_backend(
+    let service = SieveService::with_backend(
         FaultInjectingBackend::new(
             MinidbBackend::new(loaded_db()),
             FaultConfig::seeded(42, 0.3),
@@ -191,10 +130,7 @@ fn remote_results_row_identical_under_fault_injection() {
         SieveOptions::default(),
     )
     .unwrap();
-    register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
-    });
-    let service = sieve.into_service();
+    register_corpus(&service);
 
     // Oracle with injection off.
     service.backend().set_enabled(false);
@@ -266,9 +202,7 @@ fn remote_results_row_identical_under_fault_injection() {
 #[test]
 fn remote_prepared_follows_policy_changes() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
-    register_corpus(&mut |p| {
-        service.add_policy(p).unwrap();
-    });
+    register_corpus(&service);
     let server = SieveServer::new(service.clone(), authenticator());
     let (listener, connector) = loopback();
     let handle = server.serve(listener);
@@ -307,9 +241,7 @@ fn remote_prepared_follows_policy_changes() {
 #[test]
 fn embedded_querier_mismatch_is_rejected_fail_closed() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
-    register_corpus(&mut |p| {
-        service.add_policy(p).unwrap();
-    });
+    register_corpus(&service);
     let expect_own =
         sorted_rows(service.session(qm(500)).execute_sql(QUERY).unwrap());
     let server = SieveServer::new(service, authenticator());
@@ -439,9 +371,7 @@ fn protocol_perimeter_holds_on_raw_frames() {
 #[test]
 fn unknown_statement_handle_rejected() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
-    register_corpus(&mut |p| {
-        service.add_policy(p).unwrap();
-    });
+    register_corpus(&service);
     let server = SieveServer::new(service, authenticator());
     let (listener, connector) = loopback();
     let handle = server.serve(listener);

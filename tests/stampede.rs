@@ -7,68 +7,25 @@
 //! the single-threaded oracle. Distinct keys must NOT serialize behind
 //! one another's claims.
 
-use sieve::core::policy::{
-    CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
-};
+mod support;
+
+use sieve::core::policy::QueryMetadata;
 use sieve::core::{SieveOptions, SieveService};
-use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
+use sieve::minidb::SelectQuery;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-
-const REL: &str = "wifi_dataset";
-const QUERIERS: [i64; 4] = [500, 501, 502, 503];
-
-fn loaded_db() -> Database {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    db.create_table(TableSchema::of(
-        REL,
-        &[
-            ("id", DataType::Int),
-            ("owner", DataType::Int),
-            ("wifi_ap", DataType::Int),
-        ],
-    ))
-    .unwrap();
-    for i in 0..3000i64 {
-        db.insert(
-            REL,
-            vec![Value::Int(i), Value::Int(i % 80), Value::Int(1000 + i % 10)],
-        )
-        .unwrap();
-    }
-    for col in ["owner", "wifi_ap"] {
-        db.create_index(REL, col).unwrap();
-    }
-    db.analyze(REL).unwrap();
-    db
-}
+use support::{policy, sorted_rows, wifi_db, QUERIERS, REL};
 
 fn loaded_service() -> SieveService {
-    let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
+    let service = SieveService::new(wifi_db(3000, 80, false), SieveOptions::default()).unwrap();
     for (k, &querier) in QUERIERS.iter().enumerate() {
         for owner in 0..30i64 {
             service
-                .add_policy(Policy::new(
-                    owner,
-                    REL,
-                    QuerierSpec::User(querier),
-                    "Analytics",
-                    vec![ObjectCondition::new(
-                        "wifi_ap",
-                        CondPredicate::Eq(Value::Int(1001 + k as i64)),
-                    )],
-                ))
+                .add_policy(policy(owner, querier, "Analytics", 1001 + k as i64))
                 .unwrap();
         }
     }
     service
-}
-
-fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
-    let mut rows = res.rows;
-    rows.sort();
-    rows
 }
 
 /// K threads, one barrier, one cold key: exactly one generation fires,

@@ -1,0 +1,96 @@
+//! Shared fixtures and the reference oracle for the integration suites.
+//! Each `tests/*.rs` crate pulls this in with `mod support;` and uses the
+//! subset it needs (hence the blanket `dead_code` allow).
+#![allow(dead_code)]
+
+use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
+use sieve::core::semantics::visible_rows;
+use sieve::core::{SieveService, SqlBackend};
+use sieve::minidb::value::DataType;
+use sieve::minidb::{Database, DbProfile, QueryResult, Row, TableSchema, Value};
+
+/// The protected relation of the synthetic fixture.
+pub const REL: &str = "wifi_dataset";
+/// Queriers covered by [`register_corpus`]; each sees a distinct AP slice.
+pub const QUERIERS: [i64; 4] = [500, 501, 502, 503];
+
+/// The synthetic `wifi_dataset(id, owner, wifi_ap[, ts_time])` table on a
+/// MySQL-profile engine: row `i` belongs to owner `i % owners` at AP
+/// `1000 + i % 10`, every non-id column is indexed, histograms analyzed.
+pub fn wifi_db(rows: i64, owners: i64, ts_time: bool) -> Database {
+    let mut columns = vec![
+        ("id", DataType::Int),
+        ("owner", DataType::Int),
+        ("wifi_ap", DataType::Int),
+    ];
+    if ts_time {
+        columns.push(("ts_time", DataType::Time));
+    }
+    let mut db = Database::new(DbProfile::MySqlLike);
+    db.create_table(TableSchema::of(REL, &columns)).unwrap();
+    for i in 0..rows {
+        let mut row = vec![
+            Value::Int(i),
+            Value::Int(i % owners),
+            Value::Int(1000 + i % 10),
+        ];
+        if ts_time {
+            row.push(Value::Time(((i * 53) % 86400) as u32));
+        }
+        db.insert(REL, row).unwrap();
+    }
+    for (col, _) in &columns[1..] {
+        db.create_index(REL, col).unwrap();
+    }
+    db.analyze(REL).unwrap();
+    db
+}
+
+/// `owner` lets `querier` read their rows at access point `ap`.
+pub fn policy(owner: i64, querier: i64, purpose: &str, ap: i64) -> Policy {
+    Policy::new(
+        owner,
+        REL,
+        QuerierSpec::User(querier),
+        purpose,
+        vec![ObjectCondition::new(
+            "wifi_ap",
+            CondPredicate::Eq(Value::Int(ap)),
+        )],
+    )
+}
+
+/// Register the corpus: querier 500+k reads owners 0..20 at AP 1001+k.
+pub fn register_corpus<B: SqlBackend>(service: &SieveService<B>) {
+    for (k, &querier) in QUERIERS.iter().enumerate() {
+        for owner in 0..20i64 {
+            service
+                .add_policy(policy(owner, querier, "Analytics", 1001 + k as i64))
+                .unwrap();
+        }
+    }
+}
+
+/// A result's rows in canonical order, for order-insensitive comparison.
+pub fn sorted_rows(res: QueryResult) -> Vec<Row> {
+    let mut rows = res.rows;
+    rows.sort();
+    rows
+}
+
+/// The reference oracle: the rows of `relation` the policy algebra lets
+/// `qm` see, sorted — straight from `relevant_policies` + `visible_rows`
+/// over the service's own store, groups and data; no guard, rewrite or
+/// cache involved.
+pub fn oracle_rows<B: SqlBackend>(
+    service: &SieveService<B>,
+    relation: &str,
+    qm: &QueryMetadata,
+) -> Vec<Row> {
+    let policies = service.policies();
+    let relevant: Vec<&Policy> =
+        sieve::core::filter::relevant_policies(policies.iter(), relation, qm, &service.groups());
+    let mut rows = visible_rows(&*service.backend(), relation, &relevant).unwrap();
+    rows.sort();
+    rows
+}

@@ -2,11 +2,11 @@
 //! (TIPPERS data → policy corpus → Q1/Q2/Q3 queries → SIEVE + baselines)
 //! agrees with the oracle; the mall pipeline enforces shop policies.
 
+mod support;
+
 use sieve::core::baselines::Baseline;
-use sieve::core::middleware::Enforcement;
-use sieve::core::policy::{Policy, QueryMetadata};
-use sieve::core::semantics::visible_rows;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::policy::QueryMetadata;
+use sieve::core::{Enforcement, SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, Value};
 use sieve::workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
@@ -14,7 +14,7 @@ use sieve::workload::query_gen::generate_query;
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
 use sieve::workload::{QueryClass, Selectivity, UserProfile, MALL_TABLE, WIFI_TABLE};
 
-fn campus(profile: DbProfile) -> (Sieve, sieve::workload::TippersDataset) {
+fn campus(profile: DbProfile) -> (SieveService, sieve::workload::TippersDataset) {
     let mut db = Database::new(profile);
     let ds = generate_tippers(
         &mut db,
@@ -26,33 +26,18 @@ fn campus(profile: DbProfile) -> (Sieve, sieve::workload::TippersDataset) {
     )
     .unwrap();
     let policies = generate_policies(&ds, &PolicyGenConfig::default());
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
-    *sieve.groups_mut() = ds.groups.clone();
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    sieve.with_groups_mut(|g| *g = ds.groups.clone());
     sieve.add_policies(policies).unwrap();
     (sieve, ds)
 }
 
-fn oracle_for(
-    sieve: &Sieve,
-    table: &str,
-    qm: &QueryMetadata,
-) -> Vec<Row> {
-    let policies = sieve.policies();
-    let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
-        policies.iter(),
-        table,
-        qm,
-        &sieve.groups(),
-    );
-    visible_rows(&*sieve.db(), table, &relevant).unwrap()
-}
-
 #[test]
 fn campus_q1_q2_match_oracle_under_all_mechanisms() {
-    let (mut sieve, ds) = campus(DbProfile::MySqlLike);
+    let (sieve, ds) = campus(DbProfile::MySqlLike);
     let faculty = ds.devices_of(UserProfile::Faculty).next().unwrap().id;
     let qm = QueryMetadata::new(faculty, "Analytics");
-    let oracle = oracle_for(&sieve, WIFI_TABLE, &qm);
+    let oracle = support::oracle_rows(&sieve, WIFI_TABLE, &qm);
     assert!(!oracle.is_empty(), "faculty must see something");
 
     for class in [QueryClass::Q1, QueryClass::Q2] {
@@ -84,7 +69,7 @@ fn campus_q1_q2_match_oracle_under_all_mechanisms() {
 
 #[test]
 fn campus_q3_aggregate_consistent() {
-    let (mut sieve, ds) = campus(DbProfile::PostgresLike);
+    let (sieve, ds) = campus(DbProfile::PostgresLike);
     let grad = ds.devices_of(UserProfile::Grad).next().unwrap().id;
     let qm = QueryMetadata::new(grad, "Analytics");
     let q = generate_query(&ds, QueryClass::Q3, Selectivity::High, 3);
@@ -99,7 +84,7 @@ fn campus_q3_aggregate_consistent() {
 
 #[test]
 fn visitors_see_almost_nothing_faculty_see_more() {
-    let (mut sieve, ds) = campus(DbProfile::MySqlLike);
+    let (sieve, ds) = campus(DbProfile::MySqlLike);
     let q = SelectQuery::star_from(WIFI_TABLE);
     let faculty = ds.devices_of(UserProfile::Faculty).next().unwrap().id;
     let visitor = ds.devices_of(UserProfile::Visitor).next().unwrap().id;
@@ -130,8 +115,8 @@ fn mall_shops_see_only_granted_rows() {
         },
     )
     .unwrap();
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
-    *sieve.groups_mut() = ds.groups.clone();
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    sieve.with_groups_mut(|g| *g = ds.groups.clone());
     sieve.add_policies(ds.policies.iter().cloned()).unwrap();
 
     let q = SelectQuery::star_from(MALL_TABLE);
@@ -139,8 +124,7 @@ fn mall_shops_see_only_granted_rows() {
     let qm = QueryMetadata::new(MallDataset::shop_querier(shop), "Sales");
     let mut got = sieve.execute(&q, &qm).unwrap().rows;
     got.sort();
-    let mut expect = oracle_for(&sieve, MALL_TABLE, &qm);
-    expect.sort();
+    let expect = support::oracle_rows(&sieve, MALL_TABLE, &qm);
     assert_eq!(got, expect);
 
     // A random non-shop querier is denied.
@@ -162,7 +146,7 @@ fn persistence_mirrors_policies_into_relations() {
     .unwrap();
     let policies = generate_policies(&ds, &PolicyGenConfig::default());
     let n = policies.len();
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             persist: true,
@@ -170,7 +154,7 @@ fn persistence_mirrors_policies_into_relations() {
         },
     )
     .unwrap();
-    *sieve.groups_mut() = ds.groups.clone();
+    sieve.with_groups_mut(|g| *g = ds.groups.clone());
     sieve.add_policies(policies).unwrap();
 
     // The rP relation is queryable through plain SQL, as in the paper.
@@ -207,7 +191,7 @@ fn batched_execution_equals_sequential_over_campus_traffic() {
     // multi-querier traffic batch returns row-for-row what per-request
     // execute returns, while generating each (querier, purpose, relation)
     // expression exactly once through the shared phase.
-    let (mut sieve, ds) = campus(DbProfile::MySqlLike);
+    let (sieve, ds) = campus(DbProfile::MySqlLike);
     let requests = sieve::workload::traffic::multi_querier_traffic(
         &ds,
         &sieve::workload::TrafficConfig {
