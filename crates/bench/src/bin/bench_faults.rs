@@ -3,7 +3,7 @@
 //! Three questions, answered against the campus workload:
 //!
 //! 1. **What does the retry plumbing cost when nothing fails?** A warm
-//!    `Prepared` replay over a raw `MinidbBackend` vs the same backend
+//!    `Prepared` replay over a raw `Database` vs the same backend
 //!    wrapped in `FaultInjectingBackend` at fault rate 0 — a transparent
 //!    pass-through, so the delta is exactly the injection bookkeeping
 //!    plus the service retry loop. Gated in `--quick` CI runs: the warm
@@ -15,7 +15,7 @@
 //!    wire backend the wiped statement registry then surfaces
 //!    `UnknownStatement`, which the session re-prepares transparently.
 //!    Reported as mean/max time-to-recover next to the warm execute.
-//! 3. **Re-prepare latency under a 4-session storm** (wire-sql only):
+//! 3. **Re-prepare latency under a 4-session storm** (wire-sql backend):
 //!    four warm `Prepared` handles, one drop wipes every server-side
 //!    statement, four threads execute concurrently. Wall time until all
 //!    four recover; asserts exactly 4 re-prepares per round (one per
@@ -29,8 +29,7 @@ use sieve_bench::harness::{build_campus, emit, queriers_with_policies, Campus, E
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
 use sieve_core::{
-    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, SieveOptions, SieveService,
-    SqlBackend,
+    Fault, FaultConfig, FaultInjectingBackend, SieveOptions, SieveService, SqlBackend,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,7 +39,6 @@ struct Config {
     env: EnvConfig,
     warm_reps: usize,
     drop_rounds: usize,
-    #[cfg_attr(not(feature = "wire-sql"), allow(dead_code))]
     storm_rounds: usize,
 }
 
@@ -115,8 +113,7 @@ struct DropNumbers {
     reprepares: u64,
 }
 
-/// Time-to-recover after a scripted connection drop, on whichever
-/// backend the build has (wire-sql when available, else in-process).
+/// Time-to-recover after a scripted connection drop on `inner`.
 fn drop_recovery<B: SqlBackend>(
     inner: B,
     backend: &'static str,
@@ -154,7 +151,6 @@ fn drop_recovery<B: SqlBackend>(
     }
 }
 
-#[cfg(feature = "wire-sql")]
 struct StormNumbers {
     recover_mean_ms: f64,
     recover_max_ms: f64,
@@ -194,9 +190,9 @@ fn main() {
     let base_db: minidb::Database = campus.sieve.db().clone();
 
     // ---- 1. Warm no-fault overhead: raw backend vs rate-0 wrapper.
-    let raw_service = service_over(MinidbBackend::new(base_db.clone()), &campus);
+    let raw_service = service_over(base_db.clone(), &campus);
     let faulty_service = service_over(
-        FaultInjectingBackend::new(MinidbBackend::new(base_db.clone()), FaultConfig::default()),
+        FaultInjectingBackend::new(base_db.clone(), FaultConfig::default()),
         &campus,
     );
     let raw_prepared = raw_service
@@ -232,7 +228,6 @@ fn main() {
     assert_eq!((warm_stats.retries, warm_stats.exhausted), (0, 0));
 
     // ---- 2. Time-to-recover after a connection drop.
-    #[cfg(feature = "wire-sql")]
     let drop = drop_recovery(
         sieve_core::WireSqlBackend::new(base_db.clone()),
         "wire-sql",
@@ -242,19 +237,8 @@ fn main() {
         cfg.warm_reps,
         cfg.drop_rounds,
     );
-    #[cfg(not(feature = "wire-sql"))]
-    let drop = drop_recovery(
-        MinidbBackend::new(base_db.clone()),
-        "minidb",
-        &campus,
-        &qm,
-        &q,
-        cfg.warm_reps,
-        cfg.drop_rounds,
-    );
 
-    // ---- 3. Re-prepare under a 4-session storm (wire-sql only).
-    #[cfg(feature = "wire-sql")]
+    // ---- 3. Re-prepare under a 4-session storm.
     let storm = {
         let service = service_over(
             FaultInjectingBackend::new(
@@ -306,8 +290,7 @@ fn main() {
     };
 
     // ---- Report.
-    #[cfg_attr(not(feature = "wire-sql"), allow(unused_mut))]
-    let mut rows_out: Vec<Vec<String>> = vec![
+    let rows_out: Vec<Vec<String>> = vec![
         vec!["querier policies".into(), policy_count.to_string()],
         vec!["result rows".into(), raw_rows.to_string()],
         vec!["warm exec, raw backend".into(), format!("{raw_ms:.4} ms")],
@@ -335,21 +318,18 @@ fn main() {
             format!("[{}] re-prepares", drop.backend),
             drop.reprepares.to_string(),
         ],
-    ];
-    #[cfg(feature = "wire-sql")]
-    {
-        rows_out.push(vec![
+        vec![
             "[wire-sql] 4-session storm recover, mean/max".into(),
             format!(
                 "{:.3} / {:.3} ms",
                 storm.recover_mean_ms, storm.recover_max_ms
             ),
-        ]);
-        rows_out.push(vec![
+        ],
+        vec![
             "[wire-sql] storm re-prepares per round".into(),
             storm.reprepares_per_round.to_string(),
-        ]);
-    }
+        ],
+    ];
     let _ = writeln!(out, "{}", render(&["metric", "value"], &rows_out));
 
     let gate_pass =
@@ -370,14 +350,11 @@ fn main() {
     }
     emit("bench_faults", &out);
 
-    #[cfg(feature = "wire-sql")]
     let storm_json = format!(
         "{{\"recover_mean_ms\": {:.4}, \"recover_max_ms\": {:.4}, \
          \"rounds\": {}, \"reprepares_per_round\": {}}}",
         storm.recover_mean_ms, storm.recover_max_ms, storm.rounds, storm.reprepares_per_round
     );
-    #[cfg(not(feature = "wire-sql"))]
-    let storm_json = "null".to_string();
     let json = format!(
         "{{\n  \
            \"bench\": \"faults\",\n  \

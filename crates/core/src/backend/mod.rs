@@ -22,12 +22,12 @@
 //!
 //! Two backends ship:
 //!
-//! * [`MinidbBackend`] — a thin wrapper over the in-process engine; the
-//!   hermetic default ([`crate::SieveService`]'s default type parameter).
-//! * [`WireSqlBackend`] (feature `wire-sql`, on by default) — accepts
-//!   only SQL **text**: every query is rendered with
-//!   [`minidb::sql::render_query`], crosses a simulated wire, and is
-//!   re-parsed before execution. This exercises exactly the path a
+//! * [`minidb::Database`] itself — the in-process engine, handed query
+//!   ASTs without a serialization round; the hermetic default
+//!   ([`crate::SieveService`]'s default type parameter).
+//! * [`WireSqlBackend`] — accepts only SQL **text**: every query is
+//!   rendered with [`minidb::sql::render_query`], crosses a simulated
+//!   wire, and is re-parsed before execution. This exercises exactly the path a
 //!   network backend uses, making render fidelity load-bearing.
 //!
 //! What a real `tokio-postgres` backend needs is recorded in the README
@@ -51,13 +51,9 @@ use std::fmt;
 use std::sync::Arc;
 
 pub mod faulty;
-mod minidb_backend;
-#[cfg(feature = "wire-sql")]
 mod wire;
 
 pub use faulty::{Fault, FaultConfig, FaultCounts, FaultInjectingBackend};
-pub use minidb_backend::MinidbBackend;
-#[cfg(feature = "wire-sql")]
 pub use wire::WireSqlBackend;
 
 /// A typed backend failure, classified by what recovery it admits.
@@ -328,11 +324,10 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     }
 }
 
-/// A bare [`Database`] is itself a backend (the identity wiring): this is
-/// what lets every existing `&Database` call site — oracles, tests,
-/// experiment binaries — coerce straight into the trait surface. Under
-/// [`crate::SieveService`], prefer [`MinidbBackend`], which participates
-/// in the middleware's write-epoch staleness tracking.
+/// A bare [`Database`] is itself a backend (the identity wiring) — the
+/// default one under [`crate::SieveService`], and what lets every
+/// `&Database` call site — oracles, tests, experiment binaries — coerce
+/// straight into the trait surface.
 impl SqlBackend for Database {
     fn name(&self) -> &'static str {
         "minidb"
@@ -390,10 +385,10 @@ pub fn for_each_backend<F>(db: &Database, options: &crate::SieveOptions, mut f: 
 where
     F: FnMut(&'static str, crate::SieveService<DynBackend>),
 {
-    let mut backends: Vec<(&'static str, DynBackend)> = Vec::new();
-    backends.push(("minidb", Box::new(MinidbBackend::new(db.clone()))));
-    #[cfg(feature = "wire-sql")]
-    backends.push(("wire-sql", Box::new(WireSqlBackend::new(db.clone()))));
+    let backends: [(&'static str, DynBackend); 2] = [
+        ("minidb", Box::new(db.clone())),
+        ("wire-sql", Box::new(WireSqlBackend::new(db.clone()))),
+    ];
     for (name, backend) in backends {
         let sieve = crate::SieveService::with_backend(backend, options.clone())
             .unwrap_or_else(|e| panic!("backend {name} failed to initialize: {e}"));
@@ -435,7 +430,7 @@ mod tests {
 
     #[test]
     fn boxed_backend_delegates() {
-        let boxed: DynBackend = Box::new(MinidbBackend::new(tiny_db()));
+        let boxed: DynBackend = Box::new(tiny_db());
         assert_eq!(boxed.name(), "minidb");
         let (res, stats) =
             boxed.exec_timed(&SelectQuery::star_from("t"), &ExecOptions::default());
@@ -452,7 +447,6 @@ mod tests {
             seen.push(name);
         });
         assert!(seen.contains(&"minidb"));
-        #[cfg(feature = "wire-sql")]
         assert!(seen.contains(&"wire-sql"));
     }
 }

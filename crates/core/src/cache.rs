@@ -4,13 +4,17 @@
 //! rewrite-fragment compilation (policy DNF construction, ∆ partition
 //! registration) are the two expensive steps between a query arriving and
 //! the engine running it. Both depend only on `(querier, purpose,
-//! relation)` — not on the query — so [`GuardCache`] stores both per key
-//! and the middleware's hot path reduces to a hash lookup plus cheap
-//! per-query assembly. Entries are invalidated precisely through
+//! relation)` — not on the query — so [`GuardCache`] stores them per key
+//! as **one artefact**: an entry holds the expression queries run under
+//! and its compiled fragment as a single [`CompiledRelation`], published
+//! together, so a visible entry is always complete and the middleware's
+//! hot path is one hash lookup plus cheap per-query assembly. Entries are
+//! invalidated precisely through
 //! [`crate::service::SieveService::add_policy`]: a new policy marks
-//! exactly the keys it affects outdated, and stale entries regenerate
+//! exactly the keys it affects outdated, and stale entries are rebuilt
 //! lazily per the configured [`crate::dynamic::RegenerationPolicy`]
-//! (paper Section 6).
+//! (paper Section 6) by the service's one cold builder, under the
+//! single-flight claim [`GuardCache::begin_generation`] hands out.
 //!
 //! **Concurrency.** The map is split into [`SHARD_COUNT`] shards, each
 //! behind its own `RwLock`; a warm hit takes only its shard's *read*
@@ -18,7 +22,7 @@
 //! counters are relaxed atomics, and the LRU clock is a shared atomic
 //! bumped on every access — so the many-reader case the middleware
 //! serves ("millions of queriers, mostly warm") never serializes on a
-//! single lock. Writers (generation, invalidation, eviction) take one
+//! single lock. Writers (publish, invalidation, eviction) take one
 //! shard's write lock at a time; `add_policy`'s invalidation sweep walks
 //! the shards sequentially without ever holding two locks at once.
 //!
@@ -32,7 +36,7 @@
 
 use crate::guard::GuardedExpression;
 use crate::policy::{PolicyId, UserId};
-use crate::rewrite::{DeltaMode, GuardFragment};
+use crate::rewrite::{CompiledRelation, DeltaMode};
 use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -90,33 +94,19 @@ impl GuardCacheStats {
     }
 }
 
-/// A compiled rewrite fragment plus the state it was built against, so
-/// staleness is detectable without comparing expressions.
-#[derive(Debug)]
-pub struct CachedFragment {
-    /// The compiled fragment.
-    pub fragment: Arc<GuardFragment>,
-    /// `pending.len()` at compile time: a changed pending set means the
-    /// effective expression gained branches the fragment lacks.
-    pub pending_len: usize,
-    /// Inline-vs-∆ mode at compile time.
-    pub delta_mode: DeltaMode,
-}
-
-/// One cache entry: the generated expression, the effective expression
-/// queries actually run under (base + pending-policy fallback branches),
-/// and the compiled rewrite fragment.
+/// One cache entry: the expression as generated, and what queries
+/// actually run under — the effective expression (base + pending-policy
+/// fallback branches) with its compiled fragment, always present.
 #[derive(Debug)]
 pub struct CachedGuard {
     /// The expression as generated (no pending branches).
     pub base: Arc<GuardedExpression>,
-    /// Base plus per-owner branches for pending policies; equals `base`
-    /// while `pending` is empty.
-    pub effective: Arc<GuardedExpression>,
-    /// `pending.len()` reflected in `effective`.
-    pub effective_pending_len: usize,
-    /// Compiled fragment of `effective`, if built.
-    pub fragment: Option<CachedFragment>,
+    /// `base` plus per-owner branches for the first `folded` pending
+    /// policies, with its compiled rewrite fragment — one artefact,
+    /// replaced whole.
+    pub compiled: CompiledRelation,
+    /// How many of `pending` are reflected in `compiled`.
+    pub folded: usize,
     /// True once a relevant policy arrived after generation.
     pub outdated: bool,
     /// Policies inserted since generation that apply to this key.
@@ -134,13 +124,12 @@ pub struct CachedGuard {
 }
 
 impl CachedGuard {
-    /// Fresh entry for a newly generated expression.
-    pub fn new(base: Arc<GuardedExpression>, epoch: u64) -> Self {
+    /// Fresh entry for a newly generated and compiled expression.
+    pub fn new(compiled: CompiledRelation, epoch: u64) -> Self {
         CachedGuard {
-            effective: Arc::clone(&base),
-            base,
-            effective_pending_len: 0,
-            fragment: None,
+            base: Arc::clone(&compiled.expr),
+            compiled,
+            folded: 0,
             outdated: false,
             pending: Vec::new(),
             epoch,
@@ -148,12 +137,10 @@ impl CachedGuard {
         }
     }
 
-    /// True iff the compiled fragment (if any) matches the current
-    /// effective expression and delta mode.
-    pub fn fragment_fresh(&self, delta_mode: DeltaMode) -> bool {
-        self.fragment.as_ref().is_some_and(|f| {
-            f.pending_len == self.pending.len() && f.delta_mode == delta_mode
-        })
+    /// True iff `compiled` covers every pending policy and was compiled
+    /// under `delta_mode` — nothing to fold, nothing to recompile.
+    pub fn is_current(&self, delta_mode: DeltaMode) -> bool {
+        self.folded == self.pending.len() && self.compiled.fragment.delta_mode == delta_mode
     }
 }
 
@@ -183,10 +170,9 @@ struct StatCells {
 
 type Shard = HashMap<GuardCacheKey, CachedGuard>;
 
-/// One [`GuardCache::insert_generated`] entry: the key, its generated
-/// expression, and (on the batched-compile path) the pre-built rewrite
-/// fragment.
-pub type CompiledEntry = (GuardCacheKey, Arc<GuardedExpression>, Option<CachedFragment>);
+/// One [`GuardCache::insert_generated`] entry: the key and its freshly
+/// generated expression with the compiled rewrite fragment.
+pub type CompiledEntry = (GuardCacheKey, CompiledRelation);
 
 /// The cache proper: sharded keyed entries plus counters.
 #[derive(Debug)]
@@ -319,7 +305,8 @@ impl GuardCache {
     }
 
     /// Run `f` over the entry for `key` under the shard's write lock
-    /// (pending folds, fragment installs). Touches the LRU stamp.
+    /// (publishing a re-folded or recompiled `compiled`). Touches the LRU
+    /// stamp.
     pub fn write<R>(
         &self,
         key: &GuardCacheKey,
@@ -336,13 +323,12 @@ impl GuardCache {
         self.shard_of(key).read().contains_key(key)
     }
 
-    /// Insert (replacing) entries for freshly generated expressions — one
+    /// Publish (replacing) freshly generated and compiled entries — one
     /// on the single-key path, a whole batch on the multi-querier
     /// warm-population path. Each key counts exactly once as a miss (no
     /// prior entry) or a regeneration (an existing entry replaced),
-    /// decided against the pre-insert state; each supplied pre-compiled
-    /// fragment counts as one `fragment_builds` — identical accounting to
-    /// the lazy compile path. Every touched shard is then LRU-evicted down
+    /// decided against the pre-insert state, and as one
+    /// `fragment_builds`. Every touched shard is then LRU-evicted down
     /// to its cap without ever evicting a key of this call: a batch is
     /// populated for immediate use and must never evict itself, so a
     /// shard may transiently exceed its cap when a single batch is larger
@@ -353,37 +339,27 @@ impl GuardCache {
         // so each key is counted once.
         let mut index: HashMap<GuardCacheKey, usize> = HashMap::new();
         let mut deduped: Vec<CompiledEntry> = Vec::new();
-        for (key, base, fragment) in items {
+        for (key, compiled) in items {
             match index.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    deduped[*e.get()].1 = base;
-                    deduped[*e.get()].2 = fragment;
-                }
+                std::collections::hash_map::Entry::Occupied(e) => deduped[*e.get()].1 = compiled,
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(deduped.len());
-                    deduped.push((key, base, fragment));
+                    deduped.push((key, compiled));
                 }
             }
         }
         // Group by shard so each shard is locked exactly once.
         let mut by_shard: HashMap<usize, Vec<CompiledEntry>> = HashMap::new();
-        for (key, base, fragment) in deduped {
-            by_shard
-                .entry(Self::shard_index(&key))
-                .or_default()
-                .push((key, base, fragment));
+        for item in deduped {
+            by_shard.entry(Self::shard_index(&item.0)).or_default().push(item);
         }
         for (shard_idx, batch) in by_shard {
             let mut shard = self.shards[shard_idx].write();
-            let batch_keys: Vec<GuardCacheKey> =
-                batch.iter().map(|(k, _, _)| k.clone()).collect();
-            for (key, base, fragment) in batch {
-                let mut entry = CachedGuard::new(base, epoch);
+            let batch_keys: Vec<GuardCacheKey> = batch.iter().map(|(k, _)| k.clone()).collect();
+            for (key, compiled) in batch {
+                let mut entry = CachedGuard::new(compiled, epoch);
                 entry.last_used = AtomicU64::new(self.tick());
-                if fragment.is_some() {
-                    entry.fragment = fragment;
-                    self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
-                }
+                self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
                 let replaced = shard.insert(key, entry).is_some();
                 if replaced {
                     self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
@@ -479,8 +455,15 @@ mod tests {
         (querier, "Any".to_string(), relation.to_string())
     }
 
+    fn compiled(relation: &str) -> CompiledRelation {
+        CompiledRelation {
+            expr: ge(relation),
+            fragment: Arc::default(),
+        }
+    }
+
     fn item(querier: i64, relation: &str) -> CompiledEntry {
-        (key(querier, relation), ge(relation), None)
+        (key(querier, relation), compiled(relation))
     }
 
     #[test]
@@ -617,23 +600,10 @@ mod tests {
         let c = GuardCache::new();
         c.insert_generated(vec![item(1, "r")], 0);
         c.write(&key(1, "r"), |e| {
-            assert!(!e.fragment_fresh(DeltaMode::Auto), "no fragment yet");
-            e.fragment = Some(CachedFragment {
-                fragment: Arc::new(GuardFragment {
-                    branches: vec![],
-                    guard_attrs: vec![],
-                    est_guard_rows: 0.0,
-                    delta_guards: 0,
-                    partitions: vec![],
-                    delta_mode: DeltaMode::Auto,
-                }),
-                pending_len: 0,
-                delta_mode: DeltaMode::Auto,
-            });
-            assert!(e.fragment_fresh(DeltaMode::Auto));
-            assert!(!e.fragment_fresh(DeltaMode::Always), "mode change stales");
+            assert!(e.is_current(DeltaMode::Auto));
+            assert!(!e.is_current(DeltaMode::Always), "mode change stales");
             e.pending.push(7);
-            assert!(!e.fragment_fresh(DeltaMode::Auto), "pending change stales");
+            assert!(!e.is_current(DeltaMode::Auto), "pending change stales");
         });
     }
 
@@ -646,7 +616,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.insert_generated(vec![(k.clone(), ge("r"), None)], 0);
+                        c.insert_generated(vec![(k.clone(), compiled("r"))], 0);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

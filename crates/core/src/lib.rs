@@ -27,8 +27,8 @@
 //! A query plus its metadata is rewritten ([`rewrite`]) with
 //! `WITH` clauses, index hints and inline-vs-∆ choices, and executed on a
 //! pluggable execution backend ([`backend::SqlBackend`] — the in-process
-//! [`backend::MinidbBackend`] by default, or the textual
-//! `backend::WireSqlBackend` which ships rendered SQL across a simulated
+//! [`minidb::Database`] by default, or the textual
+//! [`backend::WireSqlBackend`] which ships rendered SQL across a simulated
 //! wire as the paper's middleware does against a real server).
 //! [`baselines`] implements the paper's comparison
 //! strategies and [`semantics`] the reference oracle both are tested
@@ -73,10 +73,8 @@ pub mod visitor;
 pub use analyze::{AnalysisReport, Finding, FindingKind, Verdict};
 pub use backend::{
     BackendError, BackendResult, Fault, FaultConfig, FaultCounts, FaultInjectingBackend,
-    MinidbBackend, SqlBackend,
+    SqlBackend, WireSqlBackend,
 };
-#[cfg(feature = "wire-sql")]
-pub use backend::WireSqlBackend;
 pub use batch::{BatchGroupReport, BatchPrepareReport};
 pub use error::{SieveError, SieveResult};
 pub use cache::{GuardCache, GuardCacheStats};

@@ -120,7 +120,7 @@ pub struct CompiledBranch {
 /// The cacheable rewrite fragment of one guarded expression: every guard
 /// branch rendered to bound-ready expressions, with its ∆ registrations.
 /// Building this is the per-query cost the guard cache eliminates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GuardFragment {
     /// Compiled branches, in guard order.
     pub branches: Vec<CompiledBranch>,
@@ -176,30 +176,11 @@ pub struct FragmentCompileCache {
 
 /// Compile a guarded expression into a reusable rewrite fragment: build
 /// each guard's partition expression (inlining the policy DNF or
-/// registering a ∆ partition per the cost model) exactly once.
+/// registering a ∆ partition per the cost model) exactly once — once per
+/// `memo`, so callers compiling many queriers' expressions share distinct
+/// partitions by passing the same [`FragmentCompileCache`], and one-shot
+/// callers pass a fresh one.
 pub fn compile_guard_fragment(
-    backend: &dyn SqlBackend,
-    delta: &Arc<DeltaRegistry>,
-    ge: &GuardedExpression,
-    by_id: &HashMap<PolicyId, &Policy>,
-    cost: &CostModel,
-    delta_mode: DeltaMode,
-) -> SieveResult<GuardFragment> {
-    compile_guard_fragment_memo(
-        backend,
-        delta,
-        ge,
-        by_id,
-        cost,
-        delta_mode,
-        &mut FragmentCompileCache::default(),
-    )
-}
-
-/// [`compile_guard_fragment`] with a [`FragmentCompileCache`] shared
-/// across the queriers of a batch group: each distinct partition policy
-/// set compiles once per group instead of once per querier.
-pub fn compile_guard_fragment_memo(
     backend: &dyn SqlBackend,
     delta: &Arc<DeltaRegistry>,
     ge: &GuardedExpression,
@@ -292,7 +273,9 @@ pub fn compile_relations(
 ) -> SieveResult<HashMap<String, CompiledRelation>> {
     let mut out = HashMap::new();
     for (rel, ge) in guarded {
-        let fragment = compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode)?;
+        let mut memo = FragmentCompileCache::default();
+        let fragment =
+            compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode, &mut memo)?;
         out.insert(
             rel.clone(),
             CompiledRelation {

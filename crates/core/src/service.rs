@@ -28,35 +28,50 @@
 //!   ([`crate::delta::PartitionHandle`]) so invalidation can never free a
 //!   partition a concurrent query still references.
 //!
-//! Lock order (outer → inner): `single-flight generation claim → store →
-//! groups → cost/options → protected → backend → cache shard → sql
-//! cache`, with the persist state, baseline pins and the ∆ registry as
-//! leaves. Cache closures never take other locks.
+//! Lock order (outer → inner): `build claim → store → groups → backend →
+//! cache shard`. Options, cost model and the protected set are
+//! snapshotted and released before any of those is taken; the persist
+//! state (inside the backend *write* lock), baseline pins, the ∆ registry
+//! and the sql cache are leaves. Cache closures never take other locks.
 //!
-//! # Single-flight generation
+//! # Single-flight build
 //!
-//! A cold `(querier, purpose, relation)` key hit by N sessions at once
-//! used to trigger N identical generations (each held the store *read*
-//! lock, so nothing serialized them). Generation is now **single-flight**:
-//! the first thread claims the key via
-//! [`GuardCache::begin_generation`], the rest park until the claim drops,
-//! re-check the cache, and reuse the published entry — exactly one
-//! generation per cold key, with the avoided duplicates counted in
-//! [`GuardCacheStats::coalesced`].
+//! A cache entry is one artefact — the expression queries run under plus
+//! its compiled fragment — and the service has exactly one way to bring
+//! a key current (`current_relation`): a warm shard read, else claim the
+//! key via [`GuardCache::begin_generation`], re-check, and decide what
+//! the entry lacks — a **generation** (no entry, a trailing backend
+//! epoch, or outdated and due per the regeneration policy) or a
+//! **re-fold** (pending owner branches to append under
+//! `Manual`/`OptimalRate`, or a `delta_mode` flip to recompile for) —
+//! then `finish` it: prove the expression, compile the fragment, prove
+//! the fragment. Everything cold runs under the claim, so N sessions
+//! missing the same `(querier, purpose, relation)` at once cost one
+//! generation, one compile, one set of ∆ registrations and one proof;
+//! the rest park until the claim drops, re-check, and leave by the warm
+//! path (counted in [`GuardCacheStats::coalesced`]).
+//! [`SieveService::prepare_batch`] ends every querier in the same
+//! `finish`, sharing one partition memo per group. It holds no claims
+//! (it would need one per key), so it can duplicate a racing single-key
+//! build but never tear one: both publish whole entries.
 //!
 //! # Consistency under concurrent `add_policy`
 //!
-//! Guard generation runs **while holding the store's read lock** and
-//! publishes into the cache before releasing it. `add_policy` appends
-//! under the store's *write* lock, then sweeps the cache marking affected
-//! keys outdated. The lock forces one of two orders: either the generator
-//! read the store after the append (its expression already covers the new
-//! policy), or the generator published before the append completed — in
-//! which case the sweep, which runs strictly after the append, finds the
-//! entry and marks it. A query that *starts* after `add_policy` returns
-//! can therefore never run under a guard that silently misses the policy;
-//! queries already in flight linearize before it, exactly like a query
-//! racing a policy insert on a single thread.
+//! A build has one publish point and holds the store's and the group
+//! directory's *read* locks from before it reads a policy until after
+//! that publish. `add_policy` appends under the store's *write* lock,
+//! then sweeps the cache marking affected keys outdated. The lock forces
+//! one of two orders: either the build read the store after the append
+//! (its expression already covers the new policy), or it published
+//! before the append completed — in which case the sweep, which runs
+//! strictly after the append, finds the entry and marks it. A generation
+//! publishes by replacing the entry; a re-fold publishes into the entry
+//! it read, and only if that entry still has the same base and the same
+//! pending set — swept, evicted or replaced meanwhile, it retries. A
+//! query that *starts* after `add_policy` returns can therefore never
+//! run under a guard that silently misses the policy; queries already in
+//! flight linearize before it, exactly like a query racing a policy
+//! insert on a single thread.
 //!
 //! Per-querier state lives in [`crate::session::Session`] handles (the
 //! object a wire server would hand each connection), and
@@ -64,14 +79,12 @@
 //! execution with zero cache traffic while fresh.
 
 use crate::analyze;
-use crate::backend::{BackendError, MinidbBackend, SqlBackend};
+use crate::backend::{BackendError, SqlBackend};
 use crate::baselines::{
     rewrite_baseline_i, rewrite_baseline_p, rewrite_baseline_u, Baseline,
 };
 use crate::batch::{BatchGroupReport, BatchPrepareReport};
-use crate::cache::{
-    CachedFragment, CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats,
-};
+use crate::cache::{CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
 use crate::delta::{DeltaRegistry, PartitionHandle};
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
@@ -82,9 +95,8 @@ use crate::guard::{
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
-    classify_protected_refs, collect_protected, compile_guard_fragment,
-    compile_guard_fragment_memo, rewrite_query, CompiledRelation, FragmentCompileCache,
-    RewriteOutput,
+    classify_protected_refs, collect_protected, compile_guard_fragment, rewrite_query,
+    CompiledRelation, FragmentCompileCache, RewriteOutput,
 };
 use crate::error::{SieveError, SieveResult};
 use crate::store::{
@@ -98,7 +110,6 @@ use minidb::stats::ExecStats;
 use minidb::{Database, QueryResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -142,21 +153,6 @@ pub enum Enforcement {
     NoPolicies,
 }
 
-/// A read guard projected to a component of the locked value (e.g. the
-/// `Database` inside a locked `MinidbBackend`). Derefs to the projection;
-/// holding it holds the underlying read lock.
-pub struct MappedReadGuard<'a, T: ?Sized, U: ?Sized> {
-    guard: RwLockReadGuard<'a, T>,
-    map: fn(&T) -> &U,
-}
-
-impl<T: ?Sized, U: ?Sized> Deref for MappedReadGuard<'_, T, U> {
-    type Target = U;
-    fn deref(&self) -> &U {
-        (self.map)(&self.guard)
-    }
-}
-
 pub(crate) struct PersistState {
     pub(crate) guard_ids: GuardTableIds,
     pub(crate) oc_id: i64,
@@ -189,6 +185,67 @@ pub struct RecoveryStats {
     pub exhausted: u64,
 }
 
+/// What a cold build reads: borrows of the locks its caller holds (taken
+/// store → groups → backend) and of the caller's config snapshot.
+struct ColdBuild<'a> {
+    store: &'a PolicyStore,
+    groups: &'a GroupDirectory,
+    backend: &'a dyn SqlBackend,
+    by_id: HashMap<PolicyId, &'a Policy>,
+    delta: &'a Arc<DeltaRegistry>,
+    opts: &'a SieveOptions,
+    cost: &'a CostModel,
+}
+
+impl ColdBuild<'_> {
+    /// The tail of every cold build — single-key or batched, generated,
+    /// re-folded or recompiled: prove the expression, compile its fragment
+    /// (sharing partitions through `memo`), prove the fragment. The only
+    /// producer of cache entries, so none is ever half-built, and with
+    /// `verify_rewrites` on none is unproven. Warm lookups never come
+    /// here, so steady-state verification overhead is zero. Refuted
+    /// hard-fails (the rewrite would widen); Unknown is audit-tooling
+    /// territory, not a query failure.
+    fn finish(
+        &self,
+        qm: &QueryMetadata,
+        expr: Arc<GuardedExpression>,
+        memo: &mut FragmentCompileCache,
+    ) -> SieveResult<CompiledRelation> {
+        let refuted = |verdict| match verdict {
+            analyze::Verdict::Refuted { witness } => Err(SieveError::SoundnessRefuted {
+                relation: expr.relation.clone(),
+                querier: qm.querier,
+                witness: analyze::render_witness(&witness),
+            }),
+            _ => Ok(()),
+        };
+        let allowed = self
+            .opts
+            .verify_rewrites
+            .then(|| relevant_policies(self.store.iter(), &expr.relation, qm, self.groups));
+        if let Some(allowed) = &allowed {
+            refuted(analyze::verify_guarded_expression(&expr, &self.by_id, allowed))?;
+        }
+        let fragment = compile_guard_fragment(
+            self.backend,
+            self.delta,
+            &expr,
+            &self.by_id,
+            self.cost,
+            self.opts.rewrite.delta_mode,
+            memo,
+        )?;
+        if let Some(allowed) = &allowed {
+            refuted(analyze::verify_fragment(&fragment, &expr, &self.by_id, allowed))?;
+        }
+        Ok(CompiledRelation {
+            expr,
+            fragment: Arc::new(fragment),
+        })
+    }
+}
+
 /// Everything one service instance shares across its clones, sessions and
 /// prepared statements.
 pub(crate) struct ServiceShared<B: SqlBackend> {
@@ -215,13 +272,12 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     /// hot path.
     baseline_pins: Mutex<VecDeque<PreparePins>>,
     sql_cache: RwLock<crate::lru::LruMap<Arc<SelectQuery>>>,
-    pub(crate) generations: AtomicU64,
     pub(crate) recovery: RecoveryCounters,
 }
 
 /// The concurrent SIEVE middleware handle. Clones share all state; see
 /// the [module docs](self) for the locking design.
-pub struct SieveService<B: SqlBackend = MinidbBackend> {
+pub struct SieveService<B: SqlBackend = Database> {
     pub(crate) inner: Arc<ServiceShared<B>>,
 }
 
@@ -233,30 +289,22 @@ impl<B: SqlBackend> Clone for SieveService<B> {
     }
 }
 
-impl SieveService<MinidbBackend> {
-    /// Wrap an in-process database behind the default backend. Installs
-    /// the ∆ UDF; creates the policy relations when persistence is on.
+impl SieveService<Database> {
+    /// [`SieveService::with_backend`] over an in-process database, the
+    /// default backend.
     pub fn new(db: Database, options: SieveOptions) -> SieveResult<Self> {
-        Self::with_backend(MinidbBackend::new(db), options)
+        Self::with_backend(db, options)
     }
 
-    /// Read access to the wrapped database (holds the backend read lock).
-    ///
-    /// Do not call back into the service while holding this guard: a
-    /// writer queued behind it would deadlock the re-entrant read.
-    pub fn db(&self) -> MappedReadGuard<'_, MinidbBackend, Database> {
-        MappedReadGuard {
-            guard: self.inner.backend.read(),
-            map: |b| b.db(),
-        }
+    /// [`SieveService::backend`] under the in-process backend's own name.
+    pub fn db(&self) -> RwLockReadGuard<'_, Database> {
+        self.backend()
     }
 
-    /// Run `f` with mutable access to the wrapped database (e.g. for
-    /// loading data). Takes the backend write lock — waits for in-flight
-    /// queries — and bumps the backend epoch: guards generated before
-    /// this access regenerate lazily on their next use.
+    /// [`SieveService::with_backend_mut`] under the in-process backend's
+    /// own name (e.g. for loading data).
     pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        self.with_backend_mut(|b| f(b.db_mut()))
+        self.with_backend_mut(f)
     }
 }
 
@@ -287,7 +335,6 @@ impl<B: SqlBackend> SieveService<B> {
                 }),
                 baseline_pins: Mutex::new(VecDeque::new()),
                 sql_cache: RwLock::new(crate::lru::LruMap::new(SQL_CACHE_CAP)),
-                generations: AtomicU64::new(0),
                 recovery: RecoveryCounters::default(),
             }),
         })
@@ -299,14 +346,16 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Read access to the execution backend (holds the backend read
-    /// lock). Do not call back into the service while holding the guard.
+    /// lock). Do not call back into the service while holding the guard: a
+    /// writer queued behind it would deadlock the re-entrant read.
     pub fn backend(&self) -> RwLockReadGuard<'_, B> {
         self.inner.backend.read()
     }
 
     /// Run `f` with mutable backend access. Takes the backend write lock
-    /// and bumps the backend epoch: any cached guard generated before this
-    /// access is treated as stale and regenerated on its next use.
+    /// — waits for in-flight queries — and bumps the backend epoch: any
+    /// cached guard generated before this access is treated as stale and
+    /// regenerated on its next use.
     pub fn with_backend_mut<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
         let mut backend = self.inner.backend.write();
         self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
@@ -457,9 +506,9 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.cache.stats()
     }
 
-    /// Guarded-expression generations performed (observability).
+    /// Guarded-expression generations published (observability).
     pub fn generations(&self) -> u64 {
-        self.inner.generations.load(Ordering::Relaxed)
+        self.cache_stats().generations()
     }
 
     /// Live ∆ partitions (observability: cached fragments keep theirs
@@ -515,291 +564,139 @@ impl<B: SqlBackend> SieveService<B> {
             }
     }
 
-    /// True iff the key requires a fresh generation: no cache entry, or an
-    /// outdated one past its regeneration threshold.
-    fn needs_generation(&self, key: &GuardCacheKey, opts: &SieveOptions, cost: &CostModel) -> bool {
-        self.inner
-            .cache
-            .read(key, |c| self.regeneration_due(c, opts, cost))
-            .unwrap_or(true)
-    }
-
-    /// Ensure the cache entry exists and is fresh per the regeneration
-    /// policy, with its effective expression (base + pending branches)
-    /// up to date. Returns the cache key. The warm path is a single shard
-    /// read lock. Retries on validation failure against concurrent
-    /// invalidation — each retry re-reads the world, so the loop
-    /// terminates once no writer interleaves.
-    fn refresh_entry(
+    /// Mirror freshly generated expressions into the guard relations
+    /// (Section 5.1). Takes the backend *write* lock: the caller must have
+    /// released its read guard.
+    fn persist_generated<'e>(
         &self,
-        qm: &QueryMetadata,
-        relation: &str,
-        opts: &SieveOptions,
-        cost: &CostModel,
-    ) -> SieveResult<GuardCacheKey> {
-        let key: GuardCacheKey = (qm.querier, qm.purpose.clone(), relation.to_string());
-        enum Need {
-            Fresh,
-            Generate,
-            Fold(Vec<PolicyId>),
+        exprs: impl IntoIterator<Item = &'e GuardedExpression>,
+    ) -> SieveResult<()> {
+        let mut backend = self.inner.backend.write();
+        let mut persist = self.inner.persist.lock();
+        for expr in exprs {
+            persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
         }
-        loop {
-            let need = self
-                .inner
-                .cache
-                .read(&key, |c| {
-                    if self.regeneration_due(c, opts, cost) {
-                        Need::Generate
-                    } else if c.effective_pending_len != c.pending.len() {
-                        Need::Fold(c.pending.clone())
-                    } else {
-                        Need::Fresh
-                    }
-                })
-                .unwrap_or(Need::Generate);
-            match need {
-                Need::Fresh => {
-                    self.inner.cache.record_hit();
-                    return Ok(key);
-                }
-                Need::Generate => {
-                    // Single-flight (the cold-key stampede fix): claim the
-                    // key before doing any generation work. Losers of the
-                    // race park inside `begin_generation` until the
-                    // winner's ticket drops — one generation per cold key,
-                    // not one per session.
-                    let _ticket = self.inner.cache.begin_generation(&key);
-                    if !self.needs_generation(&key, opts, cost) {
-                        // Another thread generated while we waited for the
-                        // claim; loop back to take the warm path.
-                        self.inner.cache.record_coalesced();
-                        continue;
-                    }
-                    // Hold the store read lock across generation AND the
-                    // cache publish — the consistency argument with
-                    // `add_policy` (module docs) depends on it.
-                    let store = self.inner.store.read();
-                    let groups = self.inner.groups.read();
-                    let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
-                    let expr = {
-                        let backend = self.inner.backend.read();
-                        let relevant =
-                            relevant_policies(store.iter(), relation, qm, &groups);
-                        let entry = backend.table_entry(relation)?;
-                        let expr = generate_guarded_expression(
-                            &relevant,
-                            entry,
-                            cost,
-                            opts.selection,
-                            qm.querier,
-                            &qm.purpose,
-                            relation,
-                        );
-                        // Cold generations only — the warm path above never
-                        // re-verifies, so steady-state overhead is zero.
-                        // Refuted hard-fails (the guard would widen);
-                        // Unknown is audit-tooling territory, not a query
-                        // failure.
-                        if opts.verify_rewrites {
-                            let by_id = store.by_id();
-                            if let analyze::Verdict::Refuted { witness } =
-                                analyze::verify_guarded_expression(&expr, &by_id, &relevant)
-                            {
-                                return Err(SieveError::SoundnessRefuted {
-                                    relation: relation.to_string(),
-                                    querier: qm.querier,
-                                    witness: analyze::render_witness(&witness),
-                                });
-                            }
-                        }
-                        expr
-                    };
-                    self.inner.generations.fetch_add(1, Ordering::Relaxed);
-                    if opts.persist {
-                        let mut backend = self.inner.backend.write();
-                        let mut persist = self.inner.persist.lock();
-                        persist_guarded_expression(
-                            &mut *backend,
-                            &expr,
-                            false,
-                            &mut persist.guard_ids,
-                        )?;
-                    }
-                    self.inner
-                        .cache
-                        .insert_generated(vec![(key.clone(), Arc::new(expr), None)], epoch);
-                    return Ok(key);
-                }
-                Need::Fold(pending) => {
-                    // Fold pending policies into the effective expression
-                    // as per-owner fallback branches (Section 6: queries
-                    // between regenerations use G plus the k new
-                    // policies). Rebuilt only when the pending set changed
-                    // since the last query.
-                    let store = self.inner.store.read();
-                    let base = match self.inner.cache.read(&key, |c| Arc::clone(&c.base)) {
-                        Some(b) => b,
-                        None => continue, // evicted meanwhile — regenerate
-                    };
-                    let mut expr = (*base).clone();
-                    {
-                        let backend = self.inner.backend.read();
-                        let entry = backend.table_entry(relation)?;
-                        expr.guards.extend(owner_fallback_guards(
-                            pending
-                                .iter()
-                                .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
-                            entry,
-                        ));
-                    }
-                    let effective = Arc::new(expr);
-                    let installed = self
-                        .inner
-                        .cache
-                        .write(&key, |c| {
-                            if c.pending == pending {
-                                c.effective = Arc::clone(&effective);
-                                c.effective_pending_len = pending.len();
-                                true
-                            } else {
-                                false
-                            }
-                        })
-                        .unwrap_or(false);
-                    if installed {
-                        self.inner.cache.record_hit();
-                        return Ok(key);
-                    }
-                    // Pending set moved under us — retry from the top.
-                }
-            }
-        }
+        Ok(())
     }
 
-    /// The compiled relation (effective expression + rewrite fragment) for
-    /// a protected relation, reusing the cached fragment when fresh and
-    /// recompiling it when not. Superseded fragments free their ∆
+    /// The one way a `(querier, purpose, relation)` key is brought current
+    /// and read: the compiled relation (effective expression + rewrite
+    /// fragment) queries run under. Warm, that is one shard read lock.
+    /// Cold, the whole build — generate or re-fold, then
+    /// [`ColdBuild::finish`] — runs under the key's single-flight claim and
+    /// publishes once (module docs). Superseded fragments free their ∆
     /// partitions once the last in-flight query drops its pin.
-    fn compiled_relation(
+    fn current_relation(
         &self,
         qm: &QueryMetadata,
         relation: &str,
         opts: &SieveOptions,
         cost: &CostModel,
     ) -> SieveResult<CompiledRelation> {
+        /// What a non-current entry lacks.
+        enum Build {
+            /// No usable entry: generate from the store.
+            Generate,
+            /// Entry below its regeneration threshold: rebuild the
+            /// effective expression as `base` + a per-owner branch per
+            /// pending policy (Section 6: queries between regenerations
+            /// use G plus the k new policies) and recompile — which is
+            /// also how a `delta_mode` flip recompiles without
+            /// regenerating.
+            Refold(Arc<GuardedExpression>, Vec<PolicyId>),
+        }
+        let key: GuardCacheKey = (qm.querier, qm.purpose.clone(), relation.to_string());
         let mode = opts.rewrite.delta_mode;
-        let key = self.refresh_entry(qm, relation, opts, cost)?;
         loop {
-            // Warm path: one shard read checks freshness and clones the
-            // Arcs out.
-            let fresh = self.inner.cache.read(&key, |c| {
-                if !c.fragment_fresh(mode) {
-                    return None;
-                }
-                // A fresh stamp with a missing fragment would break an
-                // invariant; treat it as stale and recompile rather than
-                // panic on the query path.
-                c.fragment.as_ref().map(|f| CompiledRelation {
-                    expr: Arc::clone(&c.effective),
-                    fragment: Arc::clone(&f.fragment),
-                })
+            let warm = self.inner.cache.read(&key, |c| {
+                (!self.regeneration_due(c, opts, cost) && c.is_current(mode))
+                    .then(|| c.compiled.clone())
             });
-            match fresh {
-                Some(Some(out)) => {
-                    self.inner.cache.record_fragment_hit();
-                    return Ok(out);
-                }
-                Some(None) => {}
-                None => {
-                    // Entry evicted — refresh and retry.
-                    self.refresh_entry(qm, relation, opts, cost)?;
-                    continue;
-                }
+            if let Some(Some(compiled)) = warm {
+                self.inner.cache.record_hit();
+                self.inner.cache.record_fragment_hit();
+                return Ok(compiled);
             }
-            // Compile outside the shard lock; the store lock keeps the
-            // policy view consistent with what we install.
+            // Single-flight: losers of the race park here until the
+            // winner's claim drops, then find its entry on the re-check.
+            let _claim = self.inner.cache.begin_generation(&key);
+            let build = self.inner.cache.read(&key, |c| {
+                if self.regeneration_due(c, opts, cost) {
+                    Some(Build::Generate)
+                } else if c.is_current(mode) {
+                    None
+                } else {
+                    Some(Build::Refold(Arc::clone(&c.base), c.pending.clone()))
+                }
+            });
+            let Some(build) = build.unwrap_or(Some(Build::Generate)) else {
+                self.inner.cache.record_coalesced();
+                continue;
+            };
+            // Store and groups stay read-locked across the build AND the
+            // publish — the consistency argument with `add_policy` and
+            // `with_groups_mut` (module docs) depends on it.
             let store = self.inner.store.read();
-            let (effective, pending_len) = match self
-                .inner
-                .cache
-                .read(&key, |c| (Arc::clone(&c.effective), c.pending.len()))
-            {
-                Some(t) => t,
-                None => {
-                    drop(store);
-                    self.refresh_entry(qm, relation, opts, cost)?;
-                    continue;
-                }
+            let groups = self.inner.groups.read();
+            let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
+            let backend = self.inner.backend.read();
+            let cold = ColdBuild {
+                store: &store,
+                groups: &groups,
+                backend: &*backend,
+                by_id: store.by_id(),
+                delta: &self.inner.delta,
+                opts,
+                cost,
             };
-            let fragment = {
-                let backend = self.inner.backend.read();
-                let by_id = store.by_id();
-                let fragment = compile_guard_fragment(
-                    &*backend,
-                    &self.inner.delta,
-                    &effective,
-                    &by_id,
-                    cost,
-                    mode,
-                )?;
-                // Cold compiles only (the fragment cache above skips this
-                // entirely): check the compiled branches — inline DNF and
-                // resolved ∆ partitions alike — against the querier's
-                // allowed policies.
-                if opts.verify_rewrites {
-                    let groups = self.inner.groups.read();
+            let entry = backend.table_entry(relation)?;
+            let mut memo = FragmentCompileCache::default();
+            match build {
+                Build::Generate => {
                     let relevant = relevant_policies(store.iter(), relation, qm, &groups);
-                    if let analyze::Verdict::Refuted { witness } =
-                        analyze::verify_fragment(&fragment, &effective, &by_id, &relevant)
-                    {
-                        return Err(SieveError::SoundnessRefuted {
-                            relation: relation.to_string(),
-                            querier: qm.querier,
-                            witness: analyze::render_witness(&witness),
-                        });
+                    let expr = generate_guarded_expression(
+                        &relevant,
+                        entry,
+                        cost,
+                        opts.selection,
+                        qm.querier,
+                        &qm.purpose,
+                        relation,
+                    );
+                    let compiled = cold.finish(qm, Arc::new(expr), &mut memo)?;
+                    drop(backend);
+                    if opts.persist {
+                        self.persist_generated([&*compiled.expr])?;
                     }
+                    self.inner
+                        .cache
+                        .insert_generated(vec![(key, compiled.clone())], epoch);
+                    return Ok(compiled);
                 }
-                Arc::new(fragment)
-            };
-            let installed = self
-                .inner
-                .cache
-                .write(&key, |c| {
-                    if c.fragment_fresh(mode) {
-                        // Another thread won the compile race; use theirs
-                        // (falling through to install ours if its fragment
-                        // is unexpectedly missing).
-                        if let Some(f) = c.fragment.as_ref() {
-                            return Some(CompiledRelation {
-                                expr: Arc::clone(&c.effective),
-                                fragment: Arc::clone(&f.fragment),
-                            });
+                Build::Refold(base, pending) => {
+                    let mut expr = (*base).clone();
+                    expr.guards.extend(owner_fallback_guards(
+                        pending
+                            .iter()
+                            .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
+                        entry,
+                    ));
+                    let compiled = cold.finish(qm, Arc::new(expr), &mut memo)?;
+                    let published = self.inner.cache.write(&key, |c| {
+                        let same = Arc::ptr_eq(&c.base, &base) && c.pending == pending;
+                        if same {
+                            c.compiled = compiled.clone();
+                            c.folded = pending.len();
                         }
+                        same
+                    });
+                    if published == Some(true) {
+                        self.inner.cache.record_hit();
+                        self.inner.cache.record_fragment_build();
+                        return Ok(compiled);
                     }
-                    if Arc::ptr_eq(&c.effective, &effective) {
-                        c.fragment = Some(CachedFragment {
-                            fragment: Arc::clone(&fragment),
-                            pending_len,
-                            delta_mode: mode,
-                        });
-                        return Some(CompiledRelation {
-                            expr: Arc::clone(&effective),
-                            fragment: Arc::clone(&fragment),
-                        });
-                    }
-                    None // effective moved under us — ours is stale
-                })
-                .flatten();
-            match installed {
-                Some(out) => {
-                    self.inner.cache.record_fragment_build();
-                    return Ok(out);
-                }
-                None => {
-                    // Entry evicted or regenerated mid-compile; our
-                    // fragment drops here, freeing its partitions.
-                    drop(store);
-                    self.refresh_entry(qm, relation, opts, cost)?;
+                    // Swept, evicted or replaced mid-build: our fragment
+                    // drops here, freeing its partitions — retry.
                 }
             }
         }
@@ -825,7 +722,7 @@ impl<B: SqlBackend> SieveService<B> {
         };
         let mut compiled: HashMap<String, CompiledRelation> = HashMap::new();
         for rel in rels {
-            let cr = self.compiled_relation(qm, &rel, &opts, &cost)?;
+            let cr = self.current_relation(qm, &rel, &opts, &cost)?;
             compiled.insert(rel, cr);
         }
         let backend = self.inner.backend.read();
@@ -1104,15 +1001,8 @@ impl<B: SqlBackend> SieveService<B> {
         relation: &str,
     ) -> SieveResult<GuardedExpression> {
         let (opts, cost) = self.snapshot_config();
-        loop {
-            let key = self.refresh_entry(qm, relation, &opts, &cost)?;
-            // A concurrent bulk insert can LRU-evict the entry between the
-            // refresh and this read; that's churn, not an error — refresh
-            // again (same recovery as compiled_relation).
-            if let Some(expr) = self.inner.cache.read(&key, |c| (*c.effective).clone()) {
-                return Ok(expr);
-            }
-        }
+        let compiled = self.current_relation(qm, relation, &opts, &cost)?;
+        Ok((*compiled.expr).clone())
     }
 
     /// Parse SQL, then [`SieveService::execute`]. Repeat textual queries
@@ -1187,25 +1077,31 @@ impl<B: SqlBackend> SieveService<B> {
         };
         let mut report = BatchPrepareReport::default();
         let mut to_insert: Vec<CompiledEntry> = Vec::new();
-        // Hold the store lock across generation and publish, as the
-        // single-key path does (see module docs).
+        // Hold the store and groups locks across generation and publish,
+        // as the single-key path does (see module docs).
         let store = self.inner.store.read();
         let groups = self.inner.groups.read();
         let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
-        let mode = opts.rewrite.delta_mode;
         {
             let backend = self.inner.backend.read();
-            let by_id = store.by_id();
+            let cold = ColdBuild {
+                store: &store,
+                groups: &groups,
+                backend: &*backend,
+                by_id: store.by_id(),
+                delta: &self.inner.delta,
+                opts: &opts,
+                cost: &cost,
+            };
             for ((purpose, relation), qms) in groups_map {
                 let pending: Vec<&QueryMetadata> = qms
                     .iter()
                     .copied()
                     .filter(|qm| {
-                        self.needs_generation(
-                            &(qm.querier, purpose.clone(), relation.clone()),
-                            &opts,
-                            &cost,
-                        )
+                        // No entry, or one past its regeneration threshold.
+                        let key = (qm.querier, purpose.clone(), relation.clone());
+                        let due = |c: &CachedGuard| self.regeneration_due(c, &opts, &cost);
+                        self.inner.cache.read(&key, due).unwrap_or(true)
                     })
                     .collect();
                 report.reused += qms.len() - pending.len();
@@ -1275,48 +1171,16 @@ impl<B: SqlBackend> SieveService<B> {
                             }
                         })?
                     };
-                self.inner
-                    .generations
-                    .fetch_add(exprs.len() as u64, Ordering::Relaxed);
-                // Compile each generated expression's rewrite fragment
-                // here too, sharing partition compilations (inline DNFs
-                // and ∆ registrations) across the group's queriers via the
-                // memo — fragment compilation is batched per group, not
-                // redone per querier on the first post-batch rewrite.
+                // Finish each expression here too, sharing partition
+                // compilations (inline DNFs and ∆ registrations) across the
+                // group's queriers via the memo — fragment compilation is
+                // batched per group, not redone per querier on the first
+                // post-batch rewrite.
                 let mut memo = FragmentCompileCache::default();
                 for (qm, expr) in pending.iter().zip(exprs) {
-                    // Batch generations are cold by definition — same
-                    // verification contract as `refresh_entry`.
-                    if opts.verify_rewrites {
-                        let relevant = relevant_policies(store.iter(), &relation, qm, &groups);
-                        if let analyze::Verdict::Refuted { witness } =
-                            analyze::verify_guarded_expression(&expr, &by_id, &relevant)
-                        {
-                            return Err(SieveError::SoundnessRefuted {
-                                relation: relation.clone(),
-                                querier: qm.querier,
-                                witness: analyze::render_witness(&witness),
-                            });
-                        }
-                    }
-                    let expr = Arc::new(expr);
-                    let fragment = compile_guard_fragment_memo(
-                        &*backend,
-                        &self.inner.delta,
-                        &expr,
-                        &by_id,
-                        &cost,
-                        mode,
-                        &mut memo,
-                    )?;
                     to_insert.push((
                         (qm.querier, purpose.clone(), relation.clone()),
-                        expr,
-                        Some(CachedFragment {
-                            fragment: Arc::new(fragment),
-                            pending_len: 0,
-                            delta_mode: mode,
-                        }),
+                        cold.finish(qm, Arc::new(expr), &mut memo)?,
                     ));
                 }
                 report.generated += pending.len();
@@ -1334,11 +1198,7 @@ impl<B: SqlBackend> SieveService<B> {
             }
         }
         if opts.persist {
-            let mut backend = self.inner.backend.write();
-            let mut persist = self.inner.persist.lock();
-            for (_, expr, _) in &to_insert {
-                persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
-            }
+            self.persist_generated(to_insert.iter().map(|(_, c)| &*c.expr))?;
         }
         self.inner.cache.insert_generated(to_insert, epoch);
         Ok(report)
@@ -1369,10 +1229,9 @@ mod tests {
 
     #[test]
     fn service_and_handles_are_send_sync() {
-        assert_send_sync::<SieveService<MinidbBackend>>();
-        assert_send_sync::<crate::session::Session<MinidbBackend>>();
-        assert_send_sync::<crate::session::Prepared<MinidbBackend>>();
-        #[cfg(feature = "wire-sql")]
+        assert_send_sync::<SieveService<Database>>();
+        assert_send_sync::<crate::session::Session<Database>>();
+        assert_send_sync::<crate::session::Prepared<Database>>();
         assert_send_sync::<SieveService<crate::backend::WireSqlBackend>>();
         assert_send_sync::<SieveService<crate::backend::DynBackend>>();
     }
@@ -1557,6 +1416,57 @@ mod tests {
         let rows = sieve.execute(&q, &qm).unwrap().rows;
         assert_eq!(rows.len(), 50); // owner 42 of 80 owners over 4000 rows
         assert!(rows.iter().all(|r| r[1] == Value::Int(42)));
+    }
+
+    /// Batch × verification × ∆: with `verify_rewrites` on, a batch whose
+    /// queriers share a group grant (so the memo shares partitions — as ∆
+    /// registrations under `Always`) goes through the same `finish` as a
+    /// single-key build and serves exactly the oracle's rows.
+    #[test]
+    fn batch_prepare_with_verification_matches_oracle_and_sequential() {
+        for mode in [crate::rewrite::DeltaMode::Auto, crate::rewrite::DeltaMode::Always] {
+            let sieve = loaded_service(DbProfile::MySqlLike);
+            sieve.with_options_mut(|o| {
+                o.verify_rewrites = true;
+                o.rewrite.delta_mode = mode;
+            });
+            let members = [600i64, 601, 602, 603];
+            sieve.with_groups_mut(|g| members.iter().for_each(|&u| g.add_member(9, u)));
+            for owner in 20..30i64 {
+                sieve
+                    .add_policy(Policy::new(
+                        owner,
+                        "wifi_dataset",
+                        QuerierSpec::Group(9),
+                        "Analytics",
+                        vec![ObjectCondition::new(
+                            "wifi_ap",
+                            CondPredicate::Eq(Value::Int(1001)),
+                        )],
+                    ))
+                    .unwrap();
+            }
+            let q = SelectQuery::star_from("wifi_dataset");
+            let requests: Vec<(QueryMetadata, SelectQuery)> = members
+                .iter()
+                .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
+                .collect();
+            let report = sieve.prepare_batch(&requests).unwrap();
+            assert_eq!(report.generated, members.len());
+            assert!(report.partition_reuses > 0, "{mode:?}: memo must share partitions");
+            let batch = sieve.execute_batch(&requests).unwrap();
+            assert_eq!(sieve.generations(), members.len() as u64, "{mode:?}: batch entries served");
+            sieve.invalidate_all();
+            for ((qm, q), res) in requests.iter().zip(batch) {
+                let mut got = res.rows;
+                got.sort();
+                assert!(!got.is_empty());
+                assert_eq!(got, oracle_rows(&sieve, qm), "{mode:?}: querier {} vs oracle", qm.querier);
+                let mut sequential = sieve.execute(q, qm).unwrap().rows;
+                sequential.sort();
+                assert_eq!(got, sequential, "{mode:?}: querier {} vs execute", qm.querier);
+            }
+        }
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! guard cache, so a re-prepare after an unrelated change is two warm
 //! lookups, not a regeneration.
 
-use crate::backend::{MinidbBackend, SqlBackend, StatementId};
+use crate::backend::{SqlBackend, StatementId};
 use crate::guard::GuardedExpression;
 use crate::policy::QueryMetadata;
 use crate::rewrite::{GuardFragment, RewriteOutput};
 use crate::service::SieveService;
 use crate::error::SieveResult;
 use minidb::plan::SelectQuery;
-use minidb::QueryResult;
+use minidb::{Database, QueryResult};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// A per-querier handle onto a [`SieveService`]: query metadata captured
 /// once, every read path at `&self`. Clone freely; clones share the
 /// service and copy the metadata.
-pub struct Session<B: SqlBackend = MinidbBackend> {
+pub struct Session<B: SqlBackend = Database> {
     service: SieveService<B>,
     qm: QueryMetadata,
 }
@@ -143,7 +143,7 @@ struct Plan<B: SqlBackend> {
 /// and re-executed without touching the guard cache. Stale plans (backend
 /// epoch or service revision moved) transparently re-prepare on the next
 /// [`Prepared::execute`]. Shareable across threads (`&self` API).
-pub struct Prepared<B: SqlBackend = MinidbBackend> {
+pub struct Prepared<B: SqlBackend = Database> {
     service: SieveService<B>,
     qm: QueryMetadata,
     source: SelectQuery,

@@ -28,7 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use sieve_core::backend::{MinidbBackend, SqlBackend};
+use minidb::Database;
+use sieve_core::backend::SqlBackend;
 use sieve_core::policy::{QueryMetadata, UserId};
 use sieve_core::service::SieveService;
 use sieve_core::session::{Prepared, Session};
@@ -66,7 +67,7 @@ impl ServerStats {
 
 /// A wire server fronting one [`SieveService`]. Transport-generic: hand
 /// [`SieveServer::serve`] any [`Listener`] implementation.
-pub struct SieveServer<B: SqlBackend = MinidbBackend> {
+pub struct SieveServer<B: SqlBackend = Database> {
     service: SieveService<B>,
     auth: Arc<dyn Authenticator>,
     stats: Arc<ServerStats>,

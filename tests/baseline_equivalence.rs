@@ -3,7 +3,7 @@
 //! paper (Baseline I/P/U) and SIEVE's guarded rewrite — returns exactly
 //! the row set of the `semantics::visible_rows` oracle, for several
 //! queriers and purposes on both database profiles, and (the trait-seam
-//! pin) on **every execution backend**: the in-process `MinidbBackend`
+//! pin) on **every execution backend**: the in-process `Database`
 //! and the `WireSqlBackend`, whose queries survive a render → parse
 //! round trip before execution.
 
@@ -205,7 +205,7 @@ fn deny_factored_policies_hold_across_mechanisms_and_backends() {
             assert_eq!(got, expect, "{e:?} leaked denied rows on backend {name}");
         }
     });
-    assert_eq!(backends, if cfg!(feature = "wire-sql") { 2 } else { 1 });
+    assert_eq!(backends, 2);
 }
 
 #[test]
@@ -233,12 +233,7 @@ fn all_mechanisms_equal_oracle_on_seeded_campus_for_every_backend() {
             rows.sort();
             fingerprints.push((name, rows));
         });
-        let expected_backends = if cfg!(feature = "wire-sql") { 2 } else { 1 };
-        assert_eq!(
-            fingerprints.len(),
-            expected_backends,
-            "suite must cover every available backend"
-        );
+        assert_eq!(fingerprints.len(), 2, "suite must cover every backend");
         for pair in fingerprints.windows(2) {
             assert_eq!(
                 pair[0].1, pair[1].1,

@@ -214,7 +214,6 @@ fn prepared_statement_is_shareable_across_threads() {
 /// warm executes ship no SQL text, a revision bump swaps in a fresh
 /// statement (closing the stale one once its plan drops), and dropping
 /// the handle closes its statement.
-#[cfg(feature = "wire-sql")]
 #[test]
 fn prepared_pins_and_recycles_wire_statements() {
     use sieve::core::backend::WireSqlBackend;

@@ -498,7 +498,7 @@ fn deny_policies_are_enforced_on_every_backend() {
             assert_eq!(got, expect, "deny bypass via {name} for query {q:?}");
         }
     });
-    assert_eq!(backends, if cfg!(feature = "wire-sql") { 2 } else { 1 });
+    assert_eq!(backends, 2);
 }
 
 #[test]

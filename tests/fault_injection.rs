@@ -16,9 +16,7 @@
 
 mod support;
 
-use sieve::core::backend::{
-    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, SqlBackend,
-};
+use sieve::core::backend::{Fault, FaultConfig, FaultInjectingBackend, SqlBackend};
 use sieve::core::policy::QueryMetadata;
 use sieve::core::{BackendError, SieveError, SieveOptions, SieveService};
 use sieve::minidb::{Database, Row, SelectQuery};
@@ -63,7 +61,7 @@ fn oracle_for<B: SqlBackend>(
 /// backend epoch moves so prepared plans re-prepare.
 #[test]
 fn connection_drop_is_retried_and_bumps_epoch() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let expect = oracle_for(&service, &qm);
     let q = SelectQuery::star_from(REL);
@@ -87,7 +85,7 @@ fn connection_drop_is_retried_and_bumps_epoch() {
 /// `RetriesExhausted` carrying the attempt count and last error.
 #[test]
 fn transient_storm_exhausts_retries() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
     service.execute(&q, &qm).unwrap(); // warm: guards generated fault-free
@@ -113,7 +111,7 @@ fn transient_storm_exhausts_retries() {
 /// A shorter transient streak is absorbed entirely.
 #[test]
 fn short_transient_streak_is_absorbed() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let expect = oracle_for(&service, &qm);
     let q = SelectQuery::star_from(REL);
@@ -130,7 +128,7 @@ fn short_transient_streak_is_absorbed() {
 /// `Backend(Timeout)`, never retried.
 #[test]
 fn timeout_is_not_retried() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
     service.execute(&q, &qm).unwrap();
@@ -149,7 +147,7 @@ fn timeout_is_not_retried() {
 /// fails closed with a typed error — the raw query is never dispatched.
 #[test]
 fn rewrite_failure_fails_closed() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     service.protect("shadow_records");
     let qm = QueryMetadata::new(500, "Analytics");
     let calls_before = service.backend().injectable_calls();
@@ -175,7 +173,7 @@ fn prepare_batch_fails_closed_mid_batch() {
         fault_catalog: true,
         ..FaultConfig::default()
     };
-    let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+    let service = faulty_service(loaded_db(), config);
     let q = SelectQuery::star_from(REL);
     let requests: Vec<(QueryMetadata, SelectQuery)> = QUERIERS
         .iter()
@@ -206,7 +204,6 @@ fn prepare_batch_fails_closed_mid_batch() {
 /// Server-side statement eviction surfaces as `UnknownStatement` and the
 /// `Prepared` handle re-prepares exactly once — also under a thread
 /// storm, where every thread observed the same dead plan (single-flight).
-#[cfg(feature = "wire-sql")]
 #[test]
 fn evicted_statement_reprepares_exactly_once() {
     use sieve::core::backend::WireSqlBackend;
@@ -252,7 +249,6 @@ fn evicted_statement_reprepares_exactly_once() {
 /// A connection drop wipes the whole statement registry; the prepared
 /// handle recovers through the epoch bump and the statement count returns
 /// to exactly one.
-#[cfg(feature = "wire-sql")]
 #[test]
 fn connection_drop_recovers_prepared_statements() {
     use sieve::core::backend::WireSqlBackend;
@@ -381,12 +377,11 @@ fn chaos_hammer<B: SqlBackend>(service: SieveService<FaultInjectingBackend<B>>, 
 fn chaos_hammer_minidb_backend() {
     for seed in chaos_seeds() {
         let config = FaultConfig::seeded(seed, 0.3);
-        let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+        let service = faulty_service(loaded_db(), config);
         chaos_hammer(service, &format!("minidb/seed {seed}"));
     }
 }
 
-#[cfg(feature = "wire-sql")]
 #[test]
 fn chaos_hammer_wire_backend() {
     use sieve::core::backend::WireSqlBackend;
@@ -419,7 +414,7 @@ mod props {
         ) {
             let rate = f64::from(rate_pct) / 100.0;
             let config = FaultConfig::seeded(seed, rate);
-            let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+            let service = faulty_service(loaded_db(), config);
             let qm = QueryMetadata::new(500, "Analytics");
             let expect = oracle_for(&service, &qm);
             let q = SelectQuery::star_from(REL);

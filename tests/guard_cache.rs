@@ -267,6 +267,7 @@ fn batch_prepare_counters_match_trace() {
 #[test]
 fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
     use sieve::core::cache::{GuardCache, GUARD_CACHE_CAP};
+    use sieve::core::rewrite::CompiledRelation;
     use sieve::core::GuardedExpression;
     use std::sync::Arc;
 
@@ -274,13 +275,15 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
     let entry = |q: i64| {
         (
             (q, "Any".to_string(), REL.to_string()),
-            Arc::new(GuardedExpression {
-                relation: REL.to_string(),
-                querier: q,
-                purpose: "Any".into(),
-                guards: vec![],
-            }),
-            None,
+            CompiledRelation {
+                expr: Arc::new(GuardedExpression {
+                    relation: REL.to_string(),
+                    querier: q,
+                    purpose: "Any".into(),
+                    guards: vec![],
+                }),
+                fragment: Arc::default(),
+            },
         )
     };
     let hot_key = entry(-1).0;

@@ -13,9 +13,7 @@
 mod support;
 
 use sieve::client::{ClientError, RemoteConnection};
-use sieve::core::backend::{
-    for_each_backend, FaultConfig, FaultInjectingBackend, MinidbBackend,
-};
+use sieve::core::backend::{for_each_backend, FaultConfig, FaultInjectingBackend};
 use sieve::core::policy::QueryMetadata;
 use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, Row};
@@ -124,7 +122,7 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
 fn remote_results_row_identical_under_fault_injection() {
     let service = SieveService::with_backend(
         FaultInjectingBackend::new(
-            MinidbBackend::new(loaded_db()),
+            loaded_db(),
             FaultConfig::seeded(42, 0.3),
         ),
         SieveOptions::default(),

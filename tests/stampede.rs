@@ -10,6 +10,7 @@
 mod support;
 
 use sieve::core::policy::QueryMetadata;
+use sieve::core::rewrite::DeltaMode;
 use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::SelectQuery;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,6 +85,37 @@ fn cold_miss_stampede_generates_exactly_once() {
         "coalesced {} exceeds possible waiters",
         stats.coalesced
     );
+}
+
+/// The claim covers the whole build, not just generation: under
+/// `DeltaMode::Always` (every guard registers a ∆ partition) the same
+/// 16-thread stampede, repeated over fresh services, compiles the
+/// fragment exactly once and leaves exactly one partition per guard.
+#[test]
+fn cold_miss_stampede_compiles_exactly_once() {
+    const K: usize = 16;
+    let qm = QueryMetadata::new(500, "Analytics");
+    let q = SelectQuery::star_from(REL);
+    for round in 0..10 {
+        let service = loaded_service();
+        service.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+        let barrier = Barrier::new(K);
+        std::thread::scope(|scope| {
+            for _ in 0..K {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service.execute(&q, &qm).unwrap();
+                });
+            }
+        });
+        let guards = service.guarded_expression(&qm, REL).unwrap().guards.len();
+        assert_eq!(
+            service.cache_stats().fragment_builds,
+            1,
+            "round {round}: the stampede must compile the fragment once"
+        );
+        assert_eq!(service.delta_len(), guards, "round {round}: leaked ∆ partitions");
+    }
 }
 
 /// Distinct keys do not serialize: stampedes on all four queriers at
