@@ -253,11 +253,7 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
 
     /// Decide whether this call faults, and with what. Scripted faults
     /// first; then a weighted random draw at `fault_rate`.
-    fn draw(&self) -> Option<Fault> {
-        if !self.enabled.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut st = self.state.lock();
+    fn draw(st: &mut FaultState) -> Option<Fault> {
         if let Some(f) = st.script.pop_front() {
             return Some(f);
         }
@@ -299,18 +295,19 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
 
     /// Apply a drawn fault at an injection point. `statement` carries the
     /// id in flight at `execute_prepared`, so evictions can target it.
-    fn fire(&self, fault: Fault, statement: Option<StatementId>) -> BackendError {
+    fn fire(
+        &self,
+        st: &mut FaultState,
+        fault: Fault,
+        statement: Option<StatementId>,
+    ) -> BackendError {
         match fault {
             Fault::ConnectionDrop => {
                 // The server forgets the session: every statement this
                 // wrapper vended is closed on the inner backend (so its
                 // open-statement count drops — leak checks see a clean
                 // slate) and the registry view is cleared.
-                let ids: Vec<StatementId> = {
-                    let mut st = self.state.lock();
-                    st.vended.drain().collect()
-                };
-                for id in ids {
+                for id in st.vended.drain() {
                     self.inner.close_prepared(id);
                 }
                 self.drops.fetch_add(1, Ordering::Relaxed);
@@ -319,7 +316,7 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
             Fault::EvictStatement => match statement {
                 Some(id) => {
                     self.inner.close_prepared(id);
-                    self.state.lock().vended.remove(&id);
+                    st.vended.remove(&id);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     BackendError::UnknownStatement(id)
                 }
@@ -341,11 +338,19 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
         }
     }
 
-    /// The common prologue of every injection point.
+    /// The common prologue of every injection point. Drawing a fault and
+    /// applying it are one critical section: a call that draws after a
+    /// connection drop finds its statement already closed, never still
+    /// open because the drop had been drawn but not yet carried out.
     fn inject(&self, statement: Option<StatementId>) -> Option<BackendError> {
         self.injectable_calls.fetch_add(1, Ordering::Relaxed);
         self.add_latency();
-        self.draw().map(|f| self.fire(f, statement))
+        if !self.enabled.load(Ordering::SeqCst) {
+            return None;
+        }
+        let mut st = self.state.lock();
+        let fault = Self::draw(&mut st)?;
+        Some(self.fire(&mut st, fault, statement))
     }
 }
 

@@ -132,17 +132,18 @@ impl CostModel {
     }
 
     /// Strategy costs of Section 5.5. `guard_rows_total = Σ ρ(G_i)`;
-    /// `query_rows` is the optimizer's estimate for the query predicate
-    /// (`None` when no index is usable — cost ∞). Assumes every guard is
-    /// index-backed; see [`CostModel::strategy_costs_split`] when some are
-    /// not.
+    /// `query_fetches` is the cost of the query predicate's own index path
+    /// in fetched-row equivalents, as the engine's planner estimates it
+    /// ([`minidb::planner::ConjunctivePath::est_cost`]; `None` when no
+    /// index is usable — cost ∞). Assumes every guard is index-backed; see
+    /// [`CostModel::strategy_costs_split`] when some are not.
     pub fn strategy_costs(
         &self,
         table_rows: f64,
         guard_rows_total: f64,
-        query_rows: Option<f64>,
+        query_fetches: Option<f64>,
     ) -> StrategyCosts {
-        self.strategy_costs_split(table_rows, guard_rows_total, 0.0, query_rows)
+        self.strategy_costs_split(table_rows, guard_rows_total, 0.0, query_fetches)
     }
 
     /// [`CostModel::strategy_costs`] with the guard cardinality split by
@@ -157,7 +158,7 @@ impl CostModel {
         table_rows: f64,
         guard_rows_indexed: f64,
         guard_rows_scanned: f64,
-        query_rows: Option<f64>,
+        query_fetches: Option<f64>,
     ) -> StrategyCosts {
         let index_guards = if guard_rows_scanned > 0.0 {
             table_rows * self.cr_seq
@@ -166,9 +167,22 @@ impl CostModel {
         };
         StrategyCosts {
             linear_scan: table_rows * self.cr_seq,
-            index_query: query_rows.map_or(f64::INFINITY, |r| r * self.cr),
+            index_query: query_fetches
+                .map_or(f64::INFINITY, |f| self.single_fetch_cost(f, table_rows)),
             index_guards,
         }
+    }
+
+    /// Cost of fetching `rows` tuples in one pass over a row-id set, which
+    /// is how the engine reads a query's index path: `rows · c_r`, but
+    /// never more than every page of the relation once at random. `c_r`
+    /// prices a random page per ~8 tuples; past `8 · pages` tuples that is
+    /// more pages than the relation has, and the engine's clock — which
+    /// charges distinct pages — stops following it.
+    fn single_fetch_cost(&self, rows: f64, table_rows: f64) -> f64 {
+        let w = CostWeights::default();
+        let pages = (table_rows / ROWS_PER_PAGE as f64).ceil();
+        (rows * self.cr).min(rows * w.tuple_read + pages * w.rand_page)
     }
 }
 

@@ -19,6 +19,21 @@
 //! the query's own selective predicate into the guard branches
 //! (Section 5.5).
 //!
+//! The access strategy is the engine's access plan, not a second opinion
+//! on it. IndexQuery asks the engine's planner
+//! ([`minidb::planner::conjunctive_path`]) which indexes it would read
+//! the query's conjuncts through — one, or an intersection of several —
+//! and takes `ρ(p)` and the strategy's cost from that answer; the WITH
+//! body is then `qpred AND (guard OR …)` under `FORCE INDEX (<that
+//! path's columns>)`, a hint under which the planner derives the same
+//! path again. IndexGuards forces the guards' columns, and every
+//! disjunct is probed; LinearScan says `USE INDEX ()`. Whichever drives
+//! the read, the engine checks a fetched row against the guard disjunction
+//! by key (`minidb::expr::BoundExpr::KeyedOr`): one lookup of the row's
+//! `owner` among the guard heads, then that guard's partition only — the
+//! per-tuple cost `α·|P_Gi|·c_e` of Equation 3, not `|G|` head
+//! comparisons first.
+//!
 //! Rewriting is split in two so the middleware's guard cache can amortize
 //! the expensive half: [`compile_guard_fragment`] turns a guarded
 //! expression into engine expressions once (policy DNF construction and ∆
@@ -43,7 +58,7 @@ use crate::policy::{Policy, PolicyId};
 use crate::error::{SieveError, SieveResult};
 use minidb::expr::Expr;
 use minidb::plan::{IndexHint, SelectQuery, TableRef, TableSource, WithClause};
-use minidb::planner::{best_sargable_probe, classify_predicate};
+use minidb::planner::{classify_predicate, conjunctive_path};
 use minidb::Value;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -508,11 +523,13 @@ impl Rewriter<'_> {
         let fragment = &cr.fragment;
         let entry = self.backend.table_entry(rel)?;
 
-        // Optimizer estimate for the query predicate (ρ(p), Section 5.5).
-        let query_probe = local_bare
+        // The engine's own index path for the query predicate: its
+        // estimate is ρ(p) (Section 5.5), its cost prices IndexQuery, and
+        // its columns are the hint under which the engine runs that path.
+        let query_path = local_bare
             .as_ref()
-            .and_then(|p| best_sargable_probe(entry, rel, p));
-        let est_query_rows = query_probe.as_ref().map(|p| p.estimate_rows(entry));
+            .and_then(|p| conjunctive_path(entry, rel, p, None));
+        let est_query_rows = query_path.as_ref().map(|p| p.est_rows);
 
         let est_guard_rows = fragment.est_guard_rows;
         let strategy = self.opts.forced_strategy.unwrap_or_else(|| {
@@ -527,7 +544,12 @@ impl Rewriter<'_> {
                 }
             });
             self.cost
-                .strategy_costs_split(entry.table.len() as f64, indexed, scanned, est_query_rows)
+                .strategy_costs_split(
+                    entry.table.len() as f64,
+                    indexed,
+                    scanned,
+                    query_path.as_ref().map(|p| p.est_cost),
+                )
                 .best()
         });
 
@@ -561,10 +583,9 @@ impl Rewriter<'_> {
                     Some(q) => Expr::and(q.clone(), guard_or),
                     None => guard_or,
                 };
-                let hint = query_probe
+                let hint = query_path
                     .as_ref()
-                    .map(|p| IndexHint::Force(vec![p.column().to_string()]))
-                    .unwrap_or(IndexHint::None);
+                    .map_or(IndexHint::None, |p| IndexHint::Force(p.columns()));
                 (pred, hint)
             }
             AccessStrategy::LinearScan => {
@@ -1037,5 +1058,69 @@ mod tests {
         let sql = minidb::sql::render_query(&out.query);
         let reparsed = minidb::sql::parse(&sql).unwrap();
         assert_eq!(reparsed, out.query);
+    }
+
+    /// IndexQuery is one decision, not two: the columns the rewriter puts
+    /// in `FORCE INDEX` are the probes the engine runs, and `ρ(p)` is what
+    /// the engine estimates for them — on the hint-honouring profile
+    /// because the hint binds, on the cost-based one because both sides
+    /// asked the same `conjunctive_path`.
+    #[test]
+    fn index_query_hint_names_the_executed_probes() {
+        use minidb::planner::AccessPlan;
+        let (mut db, policies) = setup();
+        db.create_table(TableSchema::of(
+            "membership",
+            &[("user_id", DataType::Int), ("grp", DataType::Int)],
+        ))
+        .unwrap();
+        for u in 0..60i64 {
+            db.insert("membership", vec![Value::Int(u), Value::Int(u % 4)]).unwrap();
+        }
+        let (guarded, cost) = guarded_for(&db, &policies);
+        let delta = DeltaRegistry::new();
+        let compiled =
+            compiled_for(&db, &delta, &guarded, &policies, &cost, DeltaMode::default());
+        let shapes = [
+            // Q1: access points × a time window — an intersection.
+            ("SELECT * FROM wifi_dataset AS w WHERE w.wifi_ap IN (1001, 1002) \
+              AND w.ts_time BETWEEN '09:00' AND '11:00'", vec!["ts_time", "wifi_ap"]),
+            // Q2: devices × a time window, one where the window is worth
+            // walking and one where it is not.
+            ("SELECT * FROM wifi_dataset AS w WHERE w.owner IN (1, 2, 3) \
+              AND w.ts_time BETWEEN '09:00' AND '11:00'", vec!["owner", "ts_time"]),
+            ("SELECT * FROM wifi_dataset AS w WHERE w.owner = 5 \
+              AND w.ts_time BETWEEN '06:00' AND '18:00'", vec!["owner"]),
+            // Q3: the join's local window.
+            ("SELECT COUNT(DISTINCT w.owner) AS devices FROM membership AS m, wifi_dataset AS w \
+              WHERE m.grp = 2 AND m.user_id = w.owner \
+              AND w.ts_time BETWEEN '09:00' AND '10:00'", vec!["ts_time"]),
+        ];
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            db.set_profile(profile);
+            for (sql, columns) in &shapes {
+                let q = minidb::sql::parse(sql).unwrap();
+                let out =
+                    rewrite_query(&db, &q, &compiled, &cost, &RewriteOptions::default()).unwrap();
+                let decision = &out.relations[0];
+                assert_eq!(decision.strategy, AccessStrategy::IndexQuery, "{sql}");
+                let body = &out.query.with[0].query;
+                assert_eq!(
+                    body.from[0].hint,
+                    IndexHint::Force(columns.iter().map(|c| c.to_string()).collect()),
+                    "{sql}"
+                );
+                let explained = db.explain(&out.query).unwrap();
+                let plan = &explained.ctes[0].1.relations[0];
+                let (AccessPlan::IndexOr { probes, .. } | AccessPlan::IndexIntersect { probes, .. }) =
+                    &plan.access
+                else {
+                    panic!("{profile:?} {sql}: {}", plan.access_desc);
+                };
+                let probed: Vec<&str> = probes.iter().map(|p| p.column()).collect();
+                assert_eq!(&probed, columns, "{profile:?} {sql}");
+                assert_eq!(Some(plan.est_rows), decision.est_query_rows, "{profile:?} {sql}");
+            }
+        }
     }
 }

@@ -10,10 +10,11 @@
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
 use crate::expr::{bind, ColumnRef, EvalContext, Expr, FilterProgram, Layout, QueryRunner};
+use crate::index::RowIdSet;
 use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource};
 use crate::planner::{
-    classify_predicate, plan_access_opts, AccessPlan, JoinCond, ScanOptions, MORSEL_ROWS,
-    PARALLEL_MIN_ROWS,
+    classify_predicate, plan_access_opts, AccessPlan, IndexProbe, JoinCond, ScanOptions,
+    MORSEL_ROWS, PARALLEL_MIN_ROWS,
 };
 use crate::schema::{Column, TableSchema};
 use crate::stats::StatsSink;
@@ -480,6 +481,43 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
+    /// The union of the row ids `probes` match.
+    fn probe_set(&self, entry: &TableEntry, probes: &[IndexProbe]) -> DbResult<RowIdSet> {
+        let mut set = RowIdSet::new(entry.table.len());
+        for p in probes {
+            self.check_deadline()?;
+            p.run_into(entry, self.stats(), &mut set);
+        }
+        Ok(set)
+    }
+
+    /// One heap fetch of a row-id set, in page order, then the residual
+    /// filter — or none when the probes were exact: every fetched row
+    /// satisfies the predicate, so it is not re-evaluated.
+    fn fetch_set(
+        &self,
+        entry: &TableEntry,
+        ids: &RowIdSet,
+        residual: bool,
+        program: &FilterProgram,
+        ctx: &EvalContext<'_>,
+    ) -> DbResult<Vec<Row>> {
+        self.check_deadline()?;
+        let fetched = entry.table.fetch(&ids.ids(), self.stats());
+        if !residual {
+            return Ok(fetched.into_iter().map(|(_, r)| r.clone()).collect());
+        }
+        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
+        let mut out = Vec::new();
+        for batch in fetched.chunks(FILTER_BATCH) {
+            self.check_deadline()?;
+            sel.clear();
+            program.select_into(batch, |(_, r)| r.as_slice(), ctx, &mut sel)?;
+            out.extend(sel.iter().map(|&i| batch[i as usize].1.clone()));
+        }
+        Ok(out)
+    }
+
     fn scan_base(
         &self,
         entry: &TableEntry,
@@ -487,9 +525,6 @@ impl<'a> Exec<'a> {
         program: &FilterProgram,
         ctx: &EvalContext<'_>,
     ) -> DbResult<Vec<Row>> {
-        // Filter a batch of fetched `(RowId, &Row)` pairs, cloning only
-        // selected rows.
-        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
         match plan {
             AccessPlan::SeqScan | AccessPlan::ParallelScan { .. } => {
                 // Same accounting as `Table::scan` (every page once,
@@ -504,6 +539,14 @@ impl<'a> Exec<'a> {
                 self.filter_batched(entry.table.rows(), program, ctx, &mut out)?;
                 Ok(out)
             }
+            AccessPlan::IndexIntersect { probes, residual } => {
+                // AND the probes' row-id sets, fetch the survivors once.
+                let mut ids = self.probe_set(entry, &probes[..1])?;
+                for p in &probes[1..] {
+                    ids.intersect(&self.probe_set(entry, std::slice::from_ref(p))?);
+                }
+                self.fetch_set(entry, &ids, *residual, program, ctx)
+            }
             AccessPlan::IndexOr {
                 probes,
                 bitmap,
@@ -512,33 +555,15 @@ impl<'a> Exec<'a> {
                 let stats = self.stats();
                 if *bitmap {
                     // PostgreSQL-style: OR the row-id bitmaps, fetch once.
-                    let mut ids: Vec<RowId> = Vec::new();
-                    for p in probes {
-                        ids.extend(p.run(entry, stats));
-                    }
-                    ids.sort_unstable();
-                    ids.dedup();
-                    self.check_deadline()?;
-                    let fetched = entry.table.fetch(&ids, stats);
-                    if !residual {
-                        // Exact probe union: every fetched row satisfies
-                        // the predicate; skip re-evaluating it.
-                        return Ok(fetched.into_iter().map(|(_, r)| r.clone()).collect());
-                    }
-                    let mut out = Vec::new();
-                    for batch in fetched.chunks(FILTER_BATCH) {
-                        self.check_deadline()?;
-                        sel.clear();
-                        program.select_into(batch, |(_, r)| r.as_slice(), ctx, &mut sel)?;
-                        out.extend(sel.iter().map(|&i| batch[i as usize].1.clone()));
-                    }
-                    Ok(out)
+                    let ids = self.probe_set(entry, probes)?;
+                    self.fetch_set(entry, &ids, *residual, program, ctx)
                 } else {
                     // MySQL-style UNION: each branch fetches independently
                     // (duplicated pages are re-read), dedup afterwards.
                     let mut seen: HashSet<RowId> = HashSet::new();
                     let mut out = Vec::new();
                     let mut batch: Vec<(RowId, &Row)> = Vec::with_capacity(FILTER_BATCH);
+                    let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
                     for p in probes {
                         self.check_deadline()?;
                         let ids = p.run(entry, stats);
@@ -1329,5 +1354,41 @@ mod tests {
         assert_eq!(res.len(), 40);
         // The probe union is exact: no per-row predicate re-evaluation.
         assert_eq!(db.stats().snapshot().predicate_evals, 0);
+    }
+
+    /// `Int(1) = Double(1.0)` in this engine (`Value`'s numeric order), so
+    /// every operator that matches values — hash join, index nested-loop
+    /// join, a join spelled as two inequalities, `COUNT(DISTINCT)`,
+    /// `GROUP BY` — has to treat them as one value.
+    #[test]
+    fn mixed_int_double_keys_match_in_every_operator() {
+        let mut db = Database::new(DbProfile::MySqlLike);
+        db.create_table(TableSchema::of("a", &[("x", DataType::Int)])).unwrap();
+        db.create_table(TableSchema::of("b", &[("y", DataType::Double)])).unwrap();
+        db.create_table(TableSchema::of("z", &[("v", DataType::Double)])).unwrap();
+        db.insert("a", vec![Value::Int(1)]).unwrap();
+        db.insert("a", vec![Value::Int(2)]).unwrap();
+        db.insert("b", vec![Value::Double(1.0)]).unwrap();
+        db.insert("b", vec![Value::Double(2.5)]).unwrap();
+        for v in [Value::Int(1), Value::Double(1.0), Value::Double(1.5), Value::Null] {
+            db.insert("z", vec![v]).unwrap();
+        }
+        let eq_join = "SELECT * FROM a, b WHERE a.x = b.y";
+        let matched = vec![vec![Value::Int(1), Value::Double(1.0)]];
+        // No index on either side: hash join.
+        assert_eq!(db.run_sql(eq_join).unwrap().rows, matched);
+        assert_eq!(
+            db.run_sql("SELECT * FROM a, b WHERE a.x <= b.y AND a.x >= b.y").unwrap().rows,
+            matched
+        );
+        // With an index on the inner side: index nested-loop join.
+        db.create_index("b", "y").unwrap();
+        assert_eq!(db.run_sql(eq_join).unwrap().rows, matched);
+
+        let distinct = db.run_sql("SELECT COUNT(DISTINCT v) AS n FROM z").unwrap();
+        assert_eq!(distinct.rows, vec![vec![Value::Int(2)]]);
+        let groups = db.run_sql("SELECT v, COUNT(*) AS n FROM z GROUP BY v").unwrap();
+        let counts: Vec<&Value> = groups.rows.iter().map(|r| &r[1]).collect();
+        assert_eq!(counts, [&Value::Int(1), &Value::Int(2), &Value::Int(1)]); // NULL, 1, 1.5
     }
 }

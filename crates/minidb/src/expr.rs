@@ -590,6 +590,23 @@ pub enum BoundExpr {
         /// Outer columns the subquery needs, as `(param name, outer slot)`.
         outer_refs: Vec<(String, usize)>,
     },
+    /// A wide disjunction compiled for keyed dispatch; never produced by
+    /// [`bind`], only by [`FilterProgram::new`] out of an [`BoundExpr::Or`].
+    /// A row is compared with the key table once and then checked against
+    /// the arms under its own key only — a tuple meets the partition of the
+    /// guard it satisfies, not every guard head in turn (the paper's
+    /// Equation 3 assumes as much).
+    KeyedOr {
+        /// The column every arm's head tested.
+        slot: usize,
+        /// One `(key, rest)` per branch that was `slot = key [AND rest…]`,
+        /// sorted by key in [`Value`]'s order — the order `=` and the
+        /// B-tree index use, so `Int(1)` and `Double(1.0)` share an arm —
+        /// and, among equal keys, in the disjunction's order.
+        arms: Vec<(Value, BoundExpr)>,
+        /// Branches of any other shape, checked linearly after the arms.
+        tail: Vec<BoundExpr>,
+    },
 }
 
 /// Bind an expression against a layout.
@@ -825,6 +842,7 @@ impl BoundExpr {
                     None => Value::Null,
                 })
             }
+            BoundExpr::KeyedOr { .. } => Cow::Owned(Value::Bool(self.eval_bool(row, ctx)?)),
         })
     }
 
@@ -863,7 +881,30 @@ impl BoundExpr {
                 }
                 Ok(false)
             }
+            BoundExpr::KeyedOr { slot, arms, tail } => {
+                // One search of the key table, charged as one evaluation.
+                // A NULL equals no key; two-valued like the `Or` it was
+                // (NULL → false), so arms first, tail after selects the
+                // same rows as the branches in their written order.
+                let v = &row[*slot];
+                ctx.stats.predicates(1);
+                if !v.is_null() {
+                    let first = arms.partition_point(|(k, _)| k < v);
+                    for (_, rest) in arms[first..].iter().take_while(|(k, _)| k == v) {
+                        if rest.eval_bool(row, ctx)? {
+                            return Ok(true);
+                        }
+                    }
+                }
+                for p in tail {
+                    if p.eval_bool(row, ctx)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
             BoundExpr::Not(e) => Ok(!e.eval_bool(row, ctx)?),
+            BoundExpr::Literal(Value::Bool(b)) => Ok(*b),
             BoundExpr::Cmp { op, lhs, rhs } => {
                 if let (Some(a), Some(b)) = (lhs.fast_ref(row), rhs.fast_ref(row)) {
                     ctx.stats.predicates(1);
@@ -932,6 +973,101 @@ impl BoundExpr {
     }
 }
 
+/// Fewest `slot = key` branches on one column for which an `Or` is worth a
+/// key table. The table is rebuilt on every execution (nothing pins a
+/// physical plan yet), so it has to pay for itself within one query.
+/// Measured on this engine: building it costs ≈ 100 ns a branch (0.85 µs
+/// at 8 branches, 8.7 µs at 90), a linear pass over the heads ≈ 20 ns a
+/// branch a row (0.19 µs at 8, 1.39 µs at 90), a dispatched row 40–50 ns
+/// at any width — from eight branches up the table is ahead by the seventh
+/// row that reaches the `Or`; below eight a row stands to gain under
+/// 100 ns.
+const DISPATCH_MIN_BRANCHES: usize = 8;
+
+/// `(slot, key)` when an `Or` branch — or, of a conjunction, its first
+/// conjunct — is `slot = key` for a literal key that has a place in
+/// [`Value`]'s order and can equal something: not NULL, not NaN.
+fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
+    let head = match branch {
+        BoundExpr::And(parts) => parts.first()?,
+        other => other,
+    };
+    let BoundExpr::Cmp {
+        op: CmpOp::Eq,
+        lhs,
+        rhs,
+    } = head
+    else {
+        return None;
+    };
+    match (&**lhs, &**rhs) {
+        (BoundExpr::Slot(s), BoundExpr::Literal(v)) | (BoundExpr::Literal(v), BoundExpr::Slot(s))
+            if !v.is_null() && !matches!(v, Value::Double(d) if d.is_nan()) =>
+        {
+            Some((*s, v))
+        }
+        _ => None,
+    }
+}
+
+/// Take the `slot = key` head off a branch [`dispatch_head`] accepted,
+/// leaving the rest of the branch where it was.
+fn split_head(branch: BoundExpr) -> (Value, BoundExpr) {
+    let (head, rest) = match branch {
+        BoundExpr::And(mut parts) => (parts.remove(0), BoundExpr::And(parts)),
+        head => (head, BoundExpr::Literal(Value::Bool(true))),
+    };
+    match head {
+        BoundExpr::Cmp { lhs, rhs, .. } => match (*lhs, *rhs) {
+            (BoundExpr::Literal(key), _) | (_, BoundExpr::Literal(key)) => (key, rest),
+            _ => unreachable!("dispatch_head accepted a comparison without a literal"),
+        },
+        _ => unreachable!("dispatch_head accepted a branch without a comparison head"),
+    }
+}
+
+impl BoundExpr {
+    /// Turn every wide enough `Or` under the boolean connectives into a
+    /// [`BoundExpr::KeyedOr`], in place: branches are moved, never copied,
+    /// and no `And`/`Or` that stays is rebuilt.
+    fn dispatch_wide_ors(&mut self) {
+        match self {
+            BoundExpr::And(parts) => parts.iter_mut().for_each(Self::dispatch_wide_ors),
+            BoundExpr::Not(e) => e.dispatch_wide_ors(),
+            BoundExpr::Or(parts) => {
+                parts.iter_mut().for_each(Self::dispatch_wide_ors);
+                // The column most branches are keyed on.
+                let mut counts: Vec<(usize, usize)> = Vec::new();
+                for (slot, _) in parts.iter().filter_map(dispatch_head) {
+                    match counts.iter_mut().find(|(s, _)| *s == slot) {
+                        Some((_, n)) => *n += 1,
+                        None => counts.push((slot, 1)),
+                    }
+                }
+                let Some(&(slot, n)) = counts.iter().max_by_key(|(_, n)| *n) else {
+                    return;
+                };
+                if n < DISPATCH_MIN_BRANCHES {
+                    return;
+                }
+                let mut arms = Vec::with_capacity(n);
+                let mut tail = Vec::with_capacity(parts.len() - n);
+                for branch in parts.drain(..) {
+                    if dispatch_head(&branch).is_some_and(|(s, _)| s == slot) {
+                        arms.push(split_head(branch));
+                    } else {
+                        tail.push(branch);
+                    }
+                }
+                // Stable: arms under one key keep the disjunction's order.
+                arms.sort_by(|a, b| a.0.cmp(&b.0));
+                *self = BoundExpr::KeyedOr { slot, arms, tail };
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A pre-bound predicate program for batched filtering: the executor binds
 /// a predicate once, then drives whole batches of rows through it, keeping
 /// a selection vector of survivors so only output rows are ever cloned.
@@ -949,13 +1085,18 @@ pub enum FilterProgram {
 }
 
 impl FilterProgram {
-    /// Compile from an optional bound predicate.
+    /// Compile from an optional bound predicate. Wide disjunctions of
+    /// `column = key AND …` branches — a guarded expression is one — are
+    /// compiled for keyed dispatch ([`BoundExpr::KeyedOr`]).
     pub fn new(bound: Option<BoundExpr>) -> Self {
         match bound {
             None => FilterProgram::KeepAll,
             Some(BoundExpr::Literal(Value::Bool(false))) => FilterProgram::DropAll,
             Some(BoundExpr::Literal(Value::Bool(true))) => FilterProgram::KeepAll,
-            Some(b) => FilterProgram::Eval(b),
+            Some(mut b) => {
+                b.dispatch_wide_ors();
+                FilterProgram::Eval(b)
+            }
         }
     }
 

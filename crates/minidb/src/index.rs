@@ -94,67 +94,130 @@ impl Index {
         self.entries.len() as u64
     }
 
-    /// Point lookup: rows with `col = key`. One probe charged.
-    pub fn lookup(&self, key: &Value, stats: &StatsSink) -> Vec<RowId> {
+    /// Posting list of `key` (empty when absent), borrowed. One probe
+    /// charged.
+    pub fn postings(&self, key: &Value, stats: &StatsSink) -> &[RowId] {
         stats.index_probes(1);
-        self.entries.get(key).cloned().unwrap_or_default()
+        self.entries.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Range scan between two bounds. One probe charged (a single B-tree
-    /// descent followed by a leaf walk).
-    pub fn range(&self, low: &RangeBound, high: &RangeBound, stats: &StatsSink) -> Vec<RowId> {
+    /// Posting lists of the keys between two bounds, in key order,
+    /// borrowed. One probe charged (a single B-tree descent followed by a
+    /// leaf walk).
+    pub fn range_postings<'a>(
+        &'a self,
+        low: &'a RangeBound,
+        high: &'a RangeBound,
+        stats: &StatsSink,
+    ) -> impl Iterator<Item = &'a [RowId]> + 'a {
         stats.index_probes(1);
+        self.entries_between(low, high)
+    }
+
+    fn entries_between<'a>(
+        &'a self,
+        low: &'a RangeBound,
+        high: &'a RangeBound,
+    ) -> impl Iterator<Item = &'a [RowId]> + 'a {
         // An (Excluded(x), Excluded(x)) std range panics; an empty interval
         // is a legal (if silly) policy predicate, so detect inverted /
         // empty intervals up front.
-        if let (RangeBound::Inclusive(a) | RangeBound::Exclusive(a), RangeBound::Inclusive(b) | RangeBound::Exclusive(b)) = (low, high) {
-            if a > b
-                || (a == b
-                    && (matches!(low, RangeBound::Exclusive(_))
-                        || matches!(high, RangeBound::Exclusive(_))))
-            {
-                return Vec::new();
+        let empty = match (low, high) {
+            (
+                RangeBound::Inclusive(a) | RangeBound::Exclusive(a),
+                RangeBound::Inclusive(b) | RangeBound::Exclusive(b),
+            ) => {
+                a > b
+                    || (a == b
+                        && (matches!(low, RangeBound::Exclusive(_))
+                            || matches!(high, RangeBound::Exclusive(_))))
             }
-        }
-        self.entries
-            .range::<Value, _>((low.as_std(), high.as_std()))
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect()
+            _ => false,
+        };
+        (!empty)
+            .then(|| self.entries.range::<Value, _>((low.as_std(), high.as_std())))
+            .into_iter()
+            .flatten()
+            .map(|(_, ids)| ids.as_slice())
+    }
+
+    /// Point lookup: rows with `col = key`. One probe charged.
+    pub fn lookup(&self, key: &Value, stats: &StatsSink) -> Vec<RowId> {
+        self.postings(key, stats).to_vec()
+    }
+
+    /// Range scan between two bounds. One probe charged.
+    pub fn range(&self, low: &RangeBound, high: &RangeBound, stats: &StatsSink) -> Vec<RowId> {
+        self.range_postings(low, high, stats).flatten().copied().collect()
     }
 
     /// IN-list lookup: one probe per list element.
     pub fn lookup_in(&self, keys: &[Value], stats: &StatsSink) -> Vec<RowId> {
-        stats.index_probes(keys.len() as u64);
         let mut out: Vec<RowId> = keys
             .iter()
-            .flat_map(|k| self.entries.get(k).into_iter().flatten().copied())
+            .flat_map(|k| self.postings(k, stats))
+            .copied()
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Exact number of rows matching a point key (used by EXPLAIN for
-    /// precise cardinalities where the engine has them).
+    /// Exact number of rows matching a point key (an index dive: the
+    /// planner's estimate for equality and IN-list probes).
     pub fn count_eq(&self, key: &Value) -> u64 {
         self.entries.get(key).map_or(0, |v| v.len() as u64)
     }
 
     /// Exact number of rows in a range.
     pub fn count_range(&self, low: &RangeBound, high: &RangeBound) -> u64 {
-        if let (RangeBound::Inclusive(a) | RangeBound::Exclusive(a), RangeBound::Inclusive(b) | RangeBound::Exclusive(b)) = (low, high) {
-            if a > b
-                || (a == b
-                    && (matches!(low, RangeBound::Exclusive(_))
-                        || matches!(high, RangeBound::Exclusive(_))))
-            {
-                return 0;
+        self.entries_between(low, high).map(|ids| ids.len() as u64).sum()
+    }
+}
+
+/// A set of row ids of one table, as a bitmap with one bit per row: what
+/// index probes are ORed (`BitmapOr`) and ANDed (index intersection) in
+/// before the single heap fetch. Ids come back out ascending, i.e. in page
+/// order.
+#[derive(Debug, Clone)]
+pub struct RowIdSet {
+    words: Vec<u64>,
+}
+
+impl RowIdSet {
+    /// The empty set over a table of `table_rows` rows.
+    pub fn new(table_rows: usize) -> Self {
+        RowIdSet {
+            words: vec![0; table_rows.div_ceil(64)],
+        }
+    }
+
+    /// Add a posting list. Ids must be below the `table_rows` the set was
+    /// made for (an index never holds any other).
+    pub fn insert_all(&mut self, ids: &[RowId]) {
+        for &id in ids {
+            self.words[(id / 64) as usize] |= 1 << (id % 64);
+        }
+    }
+
+    /// Keep only the ids also in `other` (a set over the same table).
+    pub fn intersect(&mut self, other: &RowIdSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= o;
+        }
+    }
+
+    /// The ids, ascending.
+    pub fn ids(&self) -> Vec<RowId> {
+        let mut out = Vec::with_capacity(self.words.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(i as RowId * 64 + RowId::from(w.trailing_zeros()));
+                w &= w - 1;
             }
         }
-        self.entries
-            .range::<Value, _>((low.as_std(), high.as_std()))
-            .map(|(_, ids)| ids.len() as u64)
-            .sum()
+        out
     }
 }
 
@@ -248,6 +311,19 @@ mod tests {
             50
         );
         assert_eq!(idx.distinct_keys(), 10);
+    }
+
+    #[test]
+    fn row_id_set_unions_intersects_and_sorts() {
+        let mut a = RowIdSet::new(200);
+        a.insert_all(&[199, 3, 64, 3, 128]);
+        a.insert_all(&[0, 65]);
+        assert_eq!(a.ids(), vec![0, 3, 64, 65, 128, 199]);
+        let mut b = RowIdSet::new(200);
+        b.insert_all(&[65, 199, 7]);
+        a.intersect(&b);
+        assert_eq!(a.ids(), vec![65, 199]);
+        assert!(RowIdSet::new(0).ids().is_empty());
     }
 
     #[test]

@@ -4,17 +4,26 @@
 //! experiments depend on (Sections 5.3, 7):
 //!
 //! * [`DbProfile::MySqlLike`] — honours `FORCE INDEX`/`USE INDEX()` hints
-//!   (the connector SIEVE uses on MySQL), uses *one* index per table scan
-//!   when unhinted, and falls back to a sequential scan for disjunctive
-//!   predicates without hints (the behaviour that makes BaselineP degrade).
+//!   (the connector SIEVE uses on MySQL) and falls back to a sequential
+//!   scan for disjunctive predicates without hints (the behaviour that
+//!   makes BaselineP degrade). A conjunctive predicate gets its
+//!   [`conjunctive_path`]: one index, or an index-merge intersection of
+//!   several when the extra posting-list walks pay for themselves.
 //! * [`DbProfile::PostgresLike`] — ignores hints, picks access paths by
 //!   cost, and can OR many index scans together through an in-memory bitmap
 //!   before a single heap fetch (the `BitmapOr` behaviour Experiment 4
-//!   credits for SIEVE's larger speedups on PostgreSQL).
+//!   credits for SIEVE's larger speedups on PostgreSQL) as well as AND them
+//!   (`BitmapAnd`, the same [`conjunctive_path`]).
+//!
+//! [`conjunctive_path`] is the one place that decides which indexes a
+//! conjunction is read through. The middleware's IndexQuery strategy
+//! (`sieve_core::rewrite`) calls it for `ρ(p)`, its cost and the
+//! `FORCE INDEX` column list, and under that hint [`plan_access_opts`]
+//! re-derives exactly the same path — the hint binds.
 
 use crate::catalog::TableEntry;
 use crate::expr::{CmpOp, ColumnRef, Expr};
-use crate::index::RangeBound;
+use crate::index::{RangeBound, RowIdSet};
 use crate::plan::IndexHint;
 use crate::schema::TableSchema;
 use crate::stats::StatsSink;
@@ -35,6 +44,24 @@ pub enum DbProfile {
 /// Fraction of the table below which an unhinted MySQL-like planner picks a
 /// single index scan over a sequential scan.
 pub const MYSQL_INDEX_FRACTION: f64 = 0.25;
+
+/// Cost of walking one posting-list entry into a row-id set, as a fraction
+/// of fetching one row through an index and running the residual filter on
+/// it: what [`conjunctive_path`] charges an additional probe against the
+/// fetches it saves. Measured on this engine over the TIPPERS table
+/// (200 k rows): a posting entry costs 1.1–1.6 ns out of the few long
+/// lists of `ts_date` and `wifi_ap`, 2.5–2.8 ns out of `owner`'s and
+/// 3.8–4.9 ns out of the many short ones of `ts_time` (a B-tree step every
+/// ~5 entries); a fetched and filtered row 36 ns when the rows are cache
+/// resident and 86–89 ns when they are not. The constant prices the
+/// dearest walk against the cheapest fetch (4.9 / 36 ≈ 1/7) and rounds up,
+/// so a probe is added only when it pays even then. It is not a knob to
+/// turn down casually: near 1/26 an `owner IN (8 devices)` probe (≈ 1 k
+/// rows) starts intersecting a 15 k-entry week of `ts_date` to save 950
+/// fetches — a second bitmap to fill, AND and re-read, for 270–284 µs
+/// against 282–360 µs a statement in process, which is nothing the
+/// end-to-end gate can tell from noise.
+pub const POSTING_WALK_FRACTION: f64 = 1.0 / 6.0;
 
 /// Fraction of the table below which the PostgreSQL-like planner ORs index
 /// scans through a bitmap rather than scanning sequentially.
@@ -109,29 +136,26 @@ impl IndexProbe {
         }
     }
 
-    /// Estimated matching rows, using the histogram when available and
-    /// falling back to exact index counts (a real optimizer's statistics
-    /// are also histogram-first).
+    /// Estimated matching rows. Equality and IN-list probes ask the index
+    /// itself for the exact count (an index dive, as MySQL does for short
+    /// equality lists — the histogram's answer for a value outside its
+    /// most-common list is the table-wide average, off by 10× for a
+    /// rarely-seen device); ranges use the histogram when there is one
+    /// and the index's exact count otherwise.
     pub fn estimate_rows(&self, entry: &TableEntry) -> f64 {
-        let hist = entry.histogram(self.column());
+        let Some(idx) = entry.index_on(self.column()) else {
+            return 0.0;
+        };
         match self {
-            IndexProbe::Point { key, .. } => match hist {
-                Some(h) => h.estimate_eq(key),
-                None => entry
-                    .index_on(self.column())
-                    .map_or(0.0, |i| i.count_eq(key) as f64),
-            },
-            IndexProbe::Range { low, high, .. } => match hist {
+            IndexProbe::Point { key, .. } => idx.count_eq(key) as f64,
+            IndexProbe::InList { keys, .. } => keys
+                .iter()
+                .map(|k| idx.count_eq(k) as f64)
+                .sum::<f64>()
+                .min(entry.table.len() as f64),
+            IndexProbe::Range { low, high, .. } => match entry.histogram(self.column()) {
                 Some(h) => h.estimate_range(low, high),
-                None => entry
-                    .index_on(self.column())
-                    .map_or(0.0, |i| i.count_range(low, high) as f64),
-            },
-            IndexProbe::InList { keys, .. } => match hist {
-                Some(h) => h.estimate_in(keys),
-                None => entry.index_on(self.column()).map_or(0.0, |i| {
-                    keys.iter().map(|k| i.count_eq(k) as f64).sum()
-                }),
+                None => idx.count_range(low, high) as f64,
             },
         }
     }
@@ -170,6 +194,27 @@ impl IndexProbe {
             IndexProbe::InList { keys, .. } => idx.lookup_in(keys, stats),
         }
     }
+
+    /// Run the probe into a row-id set, walking the posting lists in
+    /// place. Charges the same probes as [`IndexProbe::run`].
+    pub fn run_into(&self, entry: &TableEntry, stats: &StatsSink, set: &mut RowIdSet) {
+        let Some(idx) = entry.index_on(self.column()) else {
+            return;
+        };
+        match self {
+            IndexProbe::Point { key, .. } => set.insert_all(idx.postings(key, stats)),
+            IndexProbe::Range { low, high, .. } => {
+                for ids in idx.range_postings(low, high, stats) {
+                    set.insert_all(ids);
+                }
+            }
+            IndexProbe::InList { keys, .. } => {
+                for k in keys {
+                    set.insert_all(idx.postings(k, stats));
+                }
+            }
+        }
+    }
 }
 
 /// Chosen access path for one table.
@@ -196,6 +241,17 @@ pub enum AccessPlan {
         /// Whether the fetched rows still need the full predicate applied.
         /// `false` only when every disjunct is a single exact probe
         /// (see [`IndexProbe::is_exact`]), so probe ∪ ≡ predicate.
+        residual: bool,
+    },
+    /// One index probe per chosen conjunct of a conjunctive predicate
+    /// (MySQL's index-merge intersection, PostgreSQL's `BitmapAnd`): the
+    /// probes' row-id sets are ANDed and the survivors fetched once, in
+    /// page order. Always at least two probes; see [`conjunctive_path`].
+    IndexIntersect {
+        /// The probes, most selective first.
+        probes: Vec<IndexProbe>,
+        /// Whether the fetched rows still need the full predicate applied.
+        /// `false` only when every conjunct has its own exact probe.
         residual: bool,
     },
 }
@@ -234,6 +290,11 @@ impl AccessPlan {
                     format!("IndexScan({}{tail})", uniq.join(","))
                 }
             }
+            AccessPlan::IndexIntersect { probes, residual } => {
+                let cols: Vec<&str> = probes.iter().map(|p| p.column()).collect();
+                let tail = if *residual { "residual" } else { "exact" };
+                format!("IndexIntersect({}, {tail})", cols.join(" ∩ "))
+            }
         }
     }
 
@@ -246,8 +307,20 @@ impl AccessPlan {
                 .map(|p| p.estimate_rows(entry))
                 .sum::<f64>()
                 .min(entry.table.len() as f64),
+            AccessPlan::IndexIntersect { probes, .. } => {
+                let rows = entry.table.len() as f64;
+                probes
+                    .iter()
+                    .fold(rows, |est, p| narrowed(est, p.estimate_rows(entry), rows))
+            }
         }
     }
+}
+
+/// Independence estimate of index intersection: of `est` rows, those that
+/// also match a probe selecting `probe_rows` of the table's `table_rows`.
+fn narrowed(est: f64, probe_rows: f64, table_rows: f64) -> f64 {
+    est * (probe_rows / table_rows.max(1.0)).min(1.0)
 }
 
 /// Try to turn one expression into an index probe on `entry`, restricted to
@@ -349,22 +422,103 @@ fn probe_from_expr(
     }
 }
 
-/// Best (lowest-cardinality) probe among the conjuncts of `disjunct`.
-fn best_probe_in_conjuncts(
-    disjunct: &Expr,
+/// The index path of a conjunctive predicate: which probes to run and
+/// intersect, and what that is estimated to read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConjunctivePath {
+    /// The probes, most selective first; one per column at most. A single
+    /// probe is a plain index scan, several are intersected.
+    pub probes: Vec<IndexProbe>,
+    /// Estimated rows fetched from the heap: the first probe's rows,
+    /// narrowed by each further probe under independence
+    /// (`N · Π est_i / N`).
+    pub est_rows: f64,
+    /// Estimated cost in fetched-row equivalents: `est_rows` plus
+    /// [`POSTING_WALK_FRACTION`] per posting entry of every probe after
+    /// the first (a lone probe walks its list whichever way it is costed).
+    pub est_cost: f64,
+}
+
+impl ConjunctivePath {
+    /// The probed columns, in probe order — the `FORCE INDEX` list under
+    /// which [`plan_access_opts`] re-derives this path.
+    pub fn columns(&self) -> Vec<String> {
+        self.probes.iter().map(|p| p.column().to_string()).collect()
+    }
+
+    /// The plan that executes this path over a predicate of `conjuncts`
+    /// conjuncts.
+    fn into_plan(self, conjuncts: usize, bitmap: bool) -> AccessPlan {
+        let residual =
+            !(conjuncts == self.probes.len() && self.probes.iter().all(IndexProbe::is_exact));
+        if self.probes.len() == 1 {
+            AccessPlan::IndexOr {
+                probes: self.probes,
+                bitmap,
+                residual,
+            }
+        } else {
+            AccessPlan::IndexIntersect {
+                probes: self.probes,
+                residual,
+            }
+        }
+    }
+}
+
+/// Choose the index path for a conjunctive (single-disjunct) predicate
+/// over one table; `None` when no conjunct is sargable on an indexed
+/// column. Selectivity gates against the scan are the caller's.
+///
+/// Candidates are the most selective probe of each indexed column. The
+/// path starts from the most selective of them and, taking the rest in
+/// order of selectivity, adds a probe only while walking its posting list
+/// costs less than the fetches it saves. With `allowed` (a `FORCE INDEX`
+/// column list) there is no such choice to make: the path intersects
+/// exactly the named columns that have a sargable conjunct — which is how
+/// a path chosen here without `allowed` and handed back as a hint comes
+/// out the same.
+pub fn conjunctive_path(
     entry: &TableEntry,
     alias: &str,
+    pred: &Expr,
     allowed: Option<&[String]>,
-) -> Option<IndexProbe> {
-    disjunct
-        .conjuncts()
-        .iter()
-        .filter_map(|c| probe_from_expr(c, entry, alias, allowed))
-        .min_by(|a, b| {
-            a.estimate_rows(entry)
-                .partial_cmp(&b.estimate_rows(entry))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+) -> Option<ConjunctivePath> {
+    let mut candidates: Vec<(f64, IndexProbe)> = Vec::new();
+    for c in pred.conjuncts() {
+        let Some(p) = probe_from_expr(c, entry, alias, allowed) else {
+            continue;
+        };
+        let est = p.estimate_rows(entry);
+        match candidates.iter_mut().find(|(_, q)| q.column() == p.column()) {
+            Some(best) if est < best.0 => *best = (est, p),
+            Some(_) => {}
+            None => candidates.push((est, p)),
+        }
+    }
+    // Stable: equally selective probes keep the predicate's order.
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let table_rows = entry.table.len() as f64;
+    let mut candidates = candidates.into_iter();
+    let (first_rows, first) = candidates.next()?;
+    let first_rows = first_rows.min(table_rows);
+    let mut path = ConjunctivePath {
+        probes: vec![first],
+        est_rows: first_rows,
+        est_cost: first_rows,
+    };
+    for (probe_rows, p) in candidates {
+        let fewer = narrowed(path.est_rows, probe_rows, table_rows);
+        let walk = probe_rows * POSTING_WALK_FRACTION;
+        // Every later candidate walks more and saves less.
+        if allowed.is_none() && walk >= path.est_rows - fewer {
+            break;
+        }
+        path.est_cost += walk - (path.est_rows - fewer);
+        path.est_rows = fewer;
+        path.probes.push(p);
+    }
+    Some(path)
 }
 
 /// One probe per disjunct of `pred`; `None` if any disjunct has no probe
@@ -383,7 +537,8 @@ fn probes_per_disjunct(
     let mut probes = Vec::new();
     let mut exact = true;
     for d in pred.disjuncts() {
-        let p = best_probe_in_conjuncts(d, entry, alias, allowed)?;
+        // The most selective probe of the disjunct: its path's first.
+        let p = conjunctive_path(entry, alias, d, allowed)?.probes.swap_remove(0);
         exact = exact && d.conjuncts().len() == 1 && p.is_exact();
         probes.push(p);
     }
@@ -392,24 +547,22 @@ fn probes_per_disjunct(
 
 /// For an AND predicate, consider each conjunct that is itself an OR whose
 /// every branch is probe-able (PostgreSQL plans these as BitmapOr under the
-/// enclosing filter). Returns the cheapest such conjunct's probes.
+/// enclosing filter). Returns the cheapest such conjunct's probes and their
+/// estimated rows.
 fn probes_from_or_conjunct(
     pred: &Expr,
     entry: &TableEntry,
     alias: &str,
-) -> Option<Vec<IndexProbe>> {
-    let mut best: Option<(f64, Vec<IndexProbe>)> = None;
-    for conj in pred.conjuncts() {
-        if let Expr::Or(_) = conj {
-            if let Some((probes, _)) = probes_per_disjunct(conj, entry, alias, None) {
-                let est: f64 = probes.iter().map(|p| p.estimate_rows(entry)).sum();
-                if best.as_ref().is_none_or(|(b, _)| est < *b) {
-                    best = Some((est, probes));
-                }
-            }
-        }
-    }
-    best.map(|(_, p)| p)
+) -> Option<(f64, Vec<IndexProbe>)> {
+    pred.conjuncts()
+        .into_iter()
+        .filter(|conj| matches!(conj, Expr::Or(_)))
+        .filter_map(|conj| probes_per_disjunct(conj, entry, alias, None))
+        .map(|(probes, _)| {
+            let est: f64 = probes.iter().map(|p| p.estimate_rows(entry)).sum();
+            (est, probes)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
 }
 
 /// The scan-shaped fallback plan: morsel-parallel when the thread knob and
@@ -461,22 +614,31 @@ pub fn plan_access_opts(
     };
     let table_rows = entry.table.len().max(1) as f64;
 
+    // A conjunctive predicate has an index path of its own; a disjunctive
+    // one needs a probe per disjunct.
+    let conjunctive = !matches!(pred, Expr::Or(_));
+    let conjuncts = pred.conjuncts().len();
+
     // Hints are a MySQL-connector feature; the PostgreSQL-like profile
     // ignores them entirely (paper Section 5.3).
     if profile == DbProfile::MySqlLike {
         match hint {
             IndexHint::IgnoreAll => return scan_plan(entry, scan),
             IndexHint::Force(cols) => {
-                if let Some((probes, exact)) = probes_per_disjunct(pred, entry, alias, Some(cols))
-                {
-                    return AccessPlan::IndexOr {
-                        probes,
-                        bitmap: false,
-                        residual: !exact,
-                    };
-                }
+                let forced = if conjunctive {
+                    conjunctive_path(entry, alias, pred, Some(cols))
+                        .map(|path| path.into_plan(conjuncts, false))
+                } else {
+                    probes_per_disjunct(pred, entry, alias, Some(cols)).map(|(probes, exact)| {
+                        AccessPlan::IndexOr {
+                            probes,
+                            bitmap: false,
+                            residual: !exact,
+                        }
+                    })
+                };
                 // FORCE INDEX that cannot be applied degenerates to a scan.
-                return scan_plan(entry, scan);
+                return forced.unwrap_or_else(|| scan_plan(entry, scan));
             }
             IndexHint::None => {}
         }
@@ -484,62 +646,50 @@ pub fn plan_access_opts(
 
     match profile {
         DbProfile::MySqlLike => {
-            // No index-merge without hints: only a single-branch predicate
-            // can use an index, and only when selective enough.
-            let disjuncts = pred.disjuncts();
-            if disjuncts.len() == 1 {
-                if let Some(p) = best_probe_in_conjuncts(disjuncts[0], entry, alias, None) {
-                    if p.estimate_rows(entry) / table_rows <= MYSQL_INDEX_FRACTION {
-                        let exact = disjuncts[0].conjuncts().len() == 1 && p.is_exact();
-                        return AccessPlan::IndexOr {
-                            probes: vec![p],
-                            bitmap: false,
-                            residual: !exact,
-                        };
+            // No index-merge *union* without hints: only a conjunctive
+            // predicate can use indexes, and only when selective enough.
+            if conjunctive {
+                if let Some(path) = conjunctive_path(entry, alias, pred, None) {
+                    if path.est_cost / table_rows <= MYSQL_INDEX_FRACTION {
+                        return path.into_plan(conjuncts, false);
                     }
                 }
             }
             scan_plan(entry, scan)
         }
         DbProfile::PostgresLike => {
-            // Cost-based: try (a) one probe per top-level disjunct, and
-            // (b) BitmapOr over an OR-shaped conjunct inside an AND.
-            let candidates = [
-                probes_per_disjunct(pred, entry, alias, None),
-                probes_from_or_conjunct(pred, entry, alias).map(|p| (p, false)),
-            ];
-            let mut best: Option<(f64, Vec<IndexProbe>, bool)> = None;
-            for (cand, exact) in candidates.into_iter().flatten() {
-                let est: f64 = cand.iter().map(|p| p.estimate_rows(entry)).sum();
-                if best.as_ref().is_none_or(|(b, _, _)| est < *b) {
-                    best = Some((est, cand, exact));
-                }
-            }
+            // Cost-based: try (a) the conjunctive path, or one probe per
+            // top-level disjunct, and (b) BitmapOr over an OR-shaped
+            // conjunct inside an AND. Costs are fetched-row equivalents.
+            let bitmap_or = |probes, residual| AccessPlan::IndexOr {
+                probes,
+                bitmap: true,
+                residual,
+            };
+            let whole = if conjunctive {
+                conjunctive_path(entry, alias, pred, None)
+                    .map(|path| (path.est_cost, path.into_plan(conjuncts, true)))
+            } else {
+                probes_per_disjunct(pred, entry, alias, None).map(|(probes, exact)| {
+                    let est = probes.iter().map(|p| p.estimate_rows(entry)).sum();
+                    (est, bitmap_or(probes, !exact))
+                })
+            };
+            let or_conjunct = probes_from_or_conjunct(pred, entry, alias)
+                .map(|(est, probes)| (est, bitmap_or(probes, true)));
             // A parallel scan is ~scan_ways× cheaper than a sequential one,
             // so an index path must be proportionally more selective to win.
             let gate = PG_BITMAP_FRACTION / scan.scan_ways(entry.table.len()) as f64;
-            match best {
-                Some((est, probes, exact)) if est / table_rows <= gate => AccessPlan::IndexOr {
-                    probes,
-                    bitmap: true,
-                    residual: !exact,
-                },
+            match [whole, or_conjunct]
+                .into_iter()
+                .flatten()
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+            {
+                Some((est, plan)) if est / table_rows <= gate => plan,
                 _ => scan_plan(entry, scan),
             }
         }
     }
-}
-
-/// The best (most selective) sargable probe for a conjunctive predicate
-/// over one table, ignoring selectivity thresholds. Middleware cost models
-/// (SIEVE Section 5.5) use this to obtain the optimizer's `ρ(p)` estimate
-/// for a query predicate, as `EXPLAIN` would report it.
-pub fn best_sargable_probe(
-    entry: &TableEntry,
-    alias: &str,
-    pred: &Expr,
-) -> Option<IndexProbe> {
-    best_probe_in_conjuncts(pred, entry, alias, None)
 }
 
 /// An equi-join condition extracted from the WHERE clause.
@@ -972,5 +1122,118 @@ mod tests {
         assert_eq!(scan.scan_ways(entry.table.len()), 1);
         // On a big enough table, 8-way scans shrink the gate 8×.
         assert_eq!(scan.scan_ways(8 * PARALLEL_MIN_ROWS), 8);
+    }
+
+    fn ap_in(aps: std::ops::Range<i64>) -> Expr {
+        Expr::InList {
+            expr: Box::new(Expr::Column(ColumnRef::bare("wifi_ap"))),
+            list: aps.map(|a| Expr::Literal(Value::Int(a))).collect(),
+            negated: false,
+        }
+    }
+
+    fn owner_lt(v: i64) -> Expr {
+        Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Lt, Value::Int(v))
+    }
+
+    #[test]
+    fn conjunctive_path_adds_a_probe_only_while_it_pays() {
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let db = setup(profile);
+            let entry = db.table("w").unwrap();
+            // 4 of 20 APs = 400 rows; owner < 30 ≈ 600: walking 600 entries
+            // (÷ 6 = 100 fetches' worth) saves 400 − 120 = 280 fetches.
+            let pred = Expr::and(ap_in(1000..1004), owner_lt(30));
+            let path = conjunctive_path(entry, "w", &pred, None).unwrap();
+            assert_eq!(path.columns(), ["wifi_ap", "owner"]);
+            assert!((path.est_rows - 120.0).abs() < 15.0, "{path:?}");
+            assert!(path.est_cost > path.est_rows && path.est_cost < 400.0, "{path:?}");
+            let plan = plan_access(entry, "w", Some(&pred), &IndexHint::None, profile);
+            assert_eq!(plan.describe(), "IndexIntersect(wifi_ap ∩ owner, residual)");
+            assert!((plan.estimate_rows(entry) - path.est_rows).abs() < 1e-9);
+
+            // One AP = 100 rows; owner < 90 ≈ 1800: the walk (300) costs
+            // more than the 10 fetches it saves — a single probe.
+            let pred = Expr::and(ap_in(1000..1001), owner_lt(90));
+            let path = conjunctive_path(entry, "w", &pred, None).unwrap();
+            assert_eq!(path.columns(), ["wifi_ap"]);
+            assert_eq!((path.est_rows, path.est_cost), (100.0, 100.0));
+            let plan = plan_access(entry, "w", Some(&pred), &IndexHint::None, profile);
+            assert_eq!(plan.describe(), "IndexScan(wifi_ap, residual)");
+        }
+    }
+
+    #[test]
+    fn force_hint_intersects_exactly_the_named_columns() {
+        let db = setup(DbProfile::MySqlLike);
+        let entry = db.table("w").unwrap();
+        // Unhinted this is a single probe (see above); the hint decides.
+        let pred = Expr::and(ap_in(1000..1001), owner_lt(90));
+        let force = |cols: &[&str]| {
+            let hint = IndexHint::Force(cols.iter().map(|c| c.to_string()).collect());
+            plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike).describe()
+        };
+        assert_eq!(force(&["owner", "wifi_ap"]), "IndexIntersect(wifi_ap ∩ owner, residual)");
+        assert_eq!(force(&["owner"]), "IndexScan(owner, residual)");
+        assert_eq!(force(&["wifi_ap", "ts_time"]), "IndexScan(wifi_ap, residual)");
+        assert_eq!(force(&["ts_time"]), "SeqScan");
+    }
+
+    #[test]
+    fn hinting_a_chosen_path_reproduces_it() {
+        // What the middleware does for IndexQuery: take the unhinted
+        // path's columns, hand them back as FORCE INDEX.
+        let db = setup(DbProfile::MySqlLike);
+        let entry = db.table("w").unwrap();
+        for pred in [
+            Expr::and(ap_in(1000..1004), owner_lt(30)),
+            Expr::and(ap_in(1000..1001), owner_lt(90)),
+            Expr::all(vec![owner_eq(3), ap_in(1000..1010), owner_lt(50)]),
+        ] {
+            let chosen = conjunctive_path(entry, "w", &pred, None).unwrap();
+            let forced = conjunctive_path(entry, "w", &pred, Some(&chosen.columns())).unwrap();
+            assert_eq!(forced, chosen);
+        }
+    }
+
+    #[test]
+    fn exact_intersection_drops_the_residual() {
+        let db = setup(DbProfile::MySqlLike);
+        let entry = db.table("w").unwrap();
+        let hint = IndexHint::Force(vec!["owner".into(), "wifi_ap".into()]);
+        // Every conjunct has its own exact probe.
+        let pred = Expr::and(owner_eq(3), ap_in(1000..1010));
+        let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
+        assert_eq!(plan.describe(), "IndexIntersect(owner ∩ wifi_ap, exact)");
+        // An unbounded-low range starts at the NULL keys: residual stays.
+        let pred = Expr::and(owner_lt(3), ap_in(1000..1010));
+        let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
+        assert_eq!(plan.describe(), "IndexIntersect(owner ∩ wifi_ap, residual)");
+    }
+
+    #[test]
+    fn equality_estimates_are_index_dives() {
+        let mut db = setup(DbProfile::MySqlLike);
+        // 100 distinct owners, 32 most-common values tracked: the
+        // histogram answers `owner = 77` with the remainder's average.
+        // A device seen once is 20× rarer than that.
+        db.insert(
+            "w",
+            vec![Value::Int(9000), Value::Int(777), Value::Int(1000), Value::Time(1)],
+        )
+        .unwrap();
+        let entry = db.table("w").unwrap();
+        let point = |v: i64| IndexProbe::Point {
+            column: "owner".into(),
+            key: Value::Int(v),
+        };
+        assert_eq!(point(777).estimate_rows(entry), 1.0);
+        assert_eq!(point(77).estimate_rows(entry), 20.0);
+        assert_eq!(point(778).estimate_rows(entry), 0.0);
+        let list = IndexProbe::InList {
+            column: "owner".into(),
+            keys: vec![Value::Int(777), Value::Int(5), Value::Int(-1)],
+        };
+        assert_eq!(list.estimate_rows(entry), 21.0);
     }
 }

@@ -261,18 +261,29 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Agrees with `Eq`: `Int` and `Double` compare numerically (an `Int`
+    /// through its `f64` image), so both hash that image's bits under one
+    /// numeric tag — `Int(1)` and `Double(1.0)` land in the same hash-join
+    /// bucket, `DISTINCT` set entry and `GROUP BY` group. (NaN is outside
+    /// the contract: `cmp_f64` calls it equal to every number.)
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
+        self.type_rank().hash(state);
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            Value::Int(i) => i.hash(state),
+            Value::Int(i) => hash_f64(*i as f64, state),
             Value::Str(s) => s.hash(state),
             Value::Time(t) => t.hash(state),
             Value::Date(d) => d.hash(state),
-            Value::Double(d) => d.to_bits().hash(state),
+            Value::Double(d) => hash_f64(*d, state),
         }
     }
+}
+
+fn hash_f64<H: std::hash::Hasher>(d: f64, state: &mut H) {
+    use std::hash::Hash;
+    // `-0.0 == 0.0`, so both hash as `0.0`.
+    (if d == 0.0 { 0.0f64 } else { d }).to_bits().hash(state);
 }
 
 fn cmp_f64(a: f64, b: f64) -> Ordering {
@@ -428,5 +439,18 @@ mod tests {
         };
         assert_eq!(h(&Value::Int(42)), h(&Value::Int(42)));
         assert_eq!(h(&Value::str("x")), h(&Value::str("x")));
+        // Whatever `==` calls equal must hash equal, across numeric types.
+        for (a, b) in [
+            (Value::Int(1), Value::Double(1.0)),
+            (Value::Int(0), Value::Double(-0.0)),
+            (Value::Int(-7), Value::Double(-7.0)),
+            (Value::Int(i64::MAX), Value::Double(i64::MAX as f64)),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(h(&a), h(&b), "{a} vs {b}");
+        }
+        let set: std::collections::HashSet<Value> =
+            [Value::Int(1), Value::Double(1.0), Value::Double(1.5)].into();
+        assert_eq!(set.len(), 2);
     }
 }

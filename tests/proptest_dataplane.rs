@@ -1,10 +1,11 @@
 //! Property tests for the parallel, index-aware data plane: whatever the
 //! planner picks for a guard-shaped predicate — exact index unions, bitmap
 //! ORs with residual filters, morsel-parallel scans, plain sequential
-//! scans — the rows that come back are identical to the sequential
-//! full-scan oracle. Coverage spans thread counts, index availability
-//! (none / partial / full), stale histograms, NULL index keys, and both
-//! execution backends (in-process and wire-SQL).
+//! scans — or for a query-shaped conjunction — one index, an intersection
+//! of several, a scan — the rows that come back are identical to the
+//! sequential full-scan oracle. Coverage spans thread counts, index
+//! availability (none / partial / full), stale histograms, NULL index
+//! keys, and both execution backends (in-process and wire-SQL).
 
 use proptest::prelude::*;
 use sieve::core::backend::{SqlBackend, WireSqlBackend};
@@ -103,6 +104,72 @@ fn arb_guard_pred() -> impl Strategy<Value = Expr> {
     .prop_map(Expr::any)
 }
 
+/// A query-shaped predicate: a conjunction over two or three of the
+/// indexed columns — an IN list or point on `a`, a point or IN list on
+/// `b`, a range on `c` — returned with the columns it constrains. NULL
+/// list members and point keys, and ranges on `c` open at the low end
+/// (where the index keeps that column's NULLs), are the cases in which an
+/// intersection that trusted its probes would return rows `WHERE` does
+/// not.
+fn arb_conjunction() -> impl Strategy<Value = (Expr, Vec<&'static str>)> {
+    let in_list = |col: &'static str, keys: Vec<Value>| Expr::InList {
+        expr: Box::new(Expr::Column(ColumnRef::bare(col))),
+        list: keys.into_iter().map(Expr::Literal).collect(),
+        negated: false,
+    };
+    let on_a = prop_oneof![
+        (0i64..23, 0i64..23, any::<bool>()).prop_map(move |(x, y, null)| {
+            let mut keys = vec![Value::Int(x), Value::Int(y)];
+            if null {
+                keys.push(Value::Null);
+            }
+            in_list("a", keys)
+        }),
+        (0i64..23).prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), Value::Int(v))),
+        Just(Expr::col_eq(ColumnRef::bare("a"), Value::Null)),
+    ];
+    let on_b = prop_oneof![
+        (0i64..7).prop_map(|v| Expr::col_eq(ColumnRef::bare("b"), Value::Int(v))),
+        (0i64..7, 0i64..7)
+            .prop_map(move |(x, y)| in_list("b", vec![Value::Int(x), Value::Int(y)])),
+    ];
+    let on_c = prop_oneof![
+        (0u32..20, 1u32..8).prop_map(|(s, l)| Expr::Between {
+            expr: Box::new(Expr::Column(ColumnRef::bare("c"))),
+            low: Box::new(Expr::Literal(Value::Time(s * 3600))),
+            high: Box::new(Expr::Literal(Value::Time(((s + l) * 3600).min(86_399)))),
+            negated: false,
+        }),
+        (1u32..24).prop_map(|h| Expr::col_cmp(
+            ColumnRef::bare("c"),
+            CmpOp::Le,
+            Value::Time(h * 3600 - 1)
+        )),
+        (0u32..23).prop_map(|h| Expr::col_cmp(
+            ColumnRef::bare("c"),
+            CmpOp::Ge,
+            Value::Time(h * 3600)
+        )),
+    ];
+    (on_a, on_b, on_c, 0usize..4).prop_map(|(a, b, c, leave_out)| {
+        let mut parts = vec![(a, "a"), (b, "b"), (c, "c")];
+        if leave_out < 3 {
+            parts.remove(leave_out);
+        }
+        let columns = parts.iter().map(|(_, col)| *col).collect();
+        (Expr::all(parts.into_iter().map(|(e, _)| e).collect()), columns)
+    })
+}
+
+/// `SELECT * FROM t` under `hint`.
+fn hinted_query(pred: &Expr, hint: IndexHint) -> SelectQuery {
+    SelectQuery {
+        from: vec![TableRef::named("t").with_hint(hint)],
+        ..SelectQuery::star_from("t")
+    }
+    .filter(pred.clone())
+}
+
 fn scan_query(pred: &Expr) -> SelectQuery {
     SelectQuery {
         from: vec![TableRef::named("t").with_hint(IndexHint::IgnoreAll)],
@@ -159,6 +226,54 @@ proptest! {
             got.sort();
             prop_assert_eq!(&got, &reference, "{} diverged (threads={})", label, threads);
         }
+    }
+
+    /// A conjunction hinted with every subset of its columns, and
+    /// unhinted, returns the scan oracle's rows on both profiles — through
+    /// NULL keys, open-ended ranges, stale histograms and the thread knob
+    /// — and an intersection never fetches more than the best single
+    /// index the hint names would have.
+    #[test]
+    fn conjunctions_agree_with_scan_oracle_under_every_hint(
+        (pred, columns) in arb_conjunction(),
+        rows in 1_000i64..2 * PARALLEL_MIN_ROWS as i64,
+        idx in prop_oneof![Just(Indexing::None), Just(Indexing::Partial), Just(Indexing::Full)],
+        stale in any::<bool>(),
+        threads in prop_oneof![Just(0usize), Just(2), Just(5)],
+    ) {
+        let db_m = build(rows, DbProfile::MySqlLike, idx, stale);
+        let db_p = build(rows, DbProfile::PostgresLike, idx, stale);
+        let mut reference = db_m.run_query(&scan_query(&pred)).unwrap().rows;
+        reference.sort();
+
+        let opts = ExecOptions::with_threads(threads);
+        // Rows and tuples read of one run.
+        let run = |db: &Database, q: &SelectQuery| {
+            db.stats().reset();
+            let mut got = db.run_query_opts(q, &opts).unwrap().rows;
+            got.sort();
+            (got, db.stats().snapshot().tuples_read)
+        };
+        let single: Vec<u64> = columns
+            .iter()
+            .map(|c| run(&db_m, &hinted_query(&pred, IndexHint::Force(vec![c.to_string()]))).1)
+            .collect();
+        for subset in 1usize..1 << columns.len() {
+            let named = |i: &usize| subset & (1 << i) != 0;
+            let hint = IndexHint::Force(
+                (0..columns.len()).filter(named).map(|i| columns[i].to_string()).collect(),
+            );
+            let q = hinted_query(&pred, hint.clone());
+            let (got, read) = run(&db_m, &q);
+            prop_assert_eq!(&got, &reference, "{:?} diverged (M, threads={})", &hint, threads);
+            let best_single = (0..columns.len()).filter(named).map(|i| single[i]).min().unwrap();
+            prop_assert!(read <= best_single, "{:?} read {} > {}", &hint, read, best_single);
+            // Hints are ignored there; the plan is the planner's own.
+            prop_assert_eq!(&run(&db_p, &q).0, &reference, "{:?} diverged (P)", &hint);
+        }
+        let free = SelectQuery::star_from("t").filter(pred);
+        prop_assert_eq!(&run(&db_m, &free).0, &reference, "planner choice (M) diverged");
+        prop_assert_eq!(&run(&db_p, &free).0, &reference, "planner choice (P) diverged");
     }
 
     /// The same equivalence holds through the `SqlBackend` seam: the

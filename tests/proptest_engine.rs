@@ -1,12 +1,20 @@
 //! Property tests over the engine substrate: whatever access path the
 //! planner picks (forced unions, bitmap ORs, sequential scans), the rows
-//! that come back are identical — and histogram estimates stay sane.
+//! that come back are identical; a filter program that dispatches a wide
+//! disjunction by key selects what the plain disjunction selects — and
+//! histogram estimates stay sane.
 
 use proptest::prelude::*;
-use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
+use sieve::minidb::expr::{
+    bind, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
+};
 use sieve::minidb::plan::{IndexHint, TableRef};
 use sieve::minidb::value::{DataType, Value};
-use sieve::minidb::{Database, DbProfile, RangeBound, SelectQuery, TableSchema};
+use sieve::minidb::{
+    Database, DbProfile, RangeBound, Row, SelectQuery, StatsSink, TableSchema, UdfRegistry,
+};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn build(rows: i64, profile: DbProfile) -> Database {
     let mut db = Database::new(profile);
@@ -63,6 +71,192 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
             proptest::collection::vec(inner, 2..3).prop_map(Expr::And),
         ]
     })
+}
+
+/// A key of column `k`, as a literal or a row value: small integers and
+/// halves, so that `Int(1)` meets `Double(1.0)` and `Double(1.5)` meets
+/// nothing integral.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0i64..6).prop_map(Value::Int),
+        (0i64..12).prop_map(|h| Value::Double(h as f64 / 2.0)),
+    ]
+}
+
+/// What follows a branch's head: a condition on `x` or `y`.
+fn arb_rest() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        (0i64..4, 0usize..4).prop_map(|(v, op)| Expr::col_cmp(
+            ColumnRef::bare("x"),
+            [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge][op],
+            Value::Int(v)
+        )),
+        (0i64..4, 0i64..4).prop_map(|(a, b)| Expr::InList {
+            expr: Box::new(Expr::Column(ColumnRef::bare("y"))),
+            list: vec![Expr::Literal(Value::Int(a)), Expr::Literal(Value::Int(b))],
+            negated: false,
+        }),
+        any::<bool>().prop_map(|negated| Expr::IsNull {
+            expr: Box::new(Expr::Column(ColumnRef::bare("x"))),
+            negated,
+        }),
+    ]
+}
+
+/// A branch headed by `k = key`, the shape dispatch keys on: written
+/// either way round, with or without anything after the head, or followed
+/// by a disjunction wide enough (keyed on `x`) to be dispatched itself.
+fn arb_keyed_branch() -> impl Strategy<Value = Expr> {
+    let k = || Box::new(Expr::Column(ColumnRef::bare("k")));
+    prop_oneof![
+        (arb_key(), arb_rest()).prop_map(|(key, rest)| Expr::And(vec![
+            Expr::col_eq(ColumnRef::bare("k"), key),
+            rest
+        ])),
+        (arb_key(), arb_rest()).prop_map(move |(key, rest)| Expr::And(vec![
+            Expr::Cmp { op: CmpOp::Eq, lhs: Box::new(Expr::Literal(key)), rhs: k() },
+            rest
+        ])),
+        arb_key().prop_map(|key| Expr::col_eq(ColumnRef::bare("k"), key)),
+        (arb_key(), proptest::collection::vec((0i64..4, arb_rest()), 8..11)).prop_map(
+            |(key, inner)| Expr::And(vec![
+                Expr::col_eq(ColumnRef::bare("k"), key),
+                Expr::Or(
+                    inner
+                        .into_iter()
+                        .map(|(v, rest)| Expr::And(vec![
+                            Expr::col_eq(ColumnRef::bare("x"), Value::Int(v)),
+                            rest
+                        ]))
+                        .collect()
+                ),
+            ])
+        ),
+    ]
+}
+
+/// A branch dispatch has to leave in the linear tail: a NULL key (equal
+/// to nothing), a head on another column, a range guard, an equality that
+/// is not the head.
+fn arb_tail_branch() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        arb_rest().prop_map(|rest| Expr::And(vec![
+            Expr::col_eq(ColumnRef::bare("k"), Value::Null),
+            rest
+        ])),
+        (0i64..4, arb_rest()).prop_map(|(v, rest)| Expr::And(vec![
+            Expr::col_eq(ColumnRef::bare("x"), Value::Int(v)),
+            rest
+        ])),
+        (0i64..4, 1i64..3).prop_map(|(lo, width)| Expr::Between {
+            expr: Box::new(Expr::Column(ColumnRef::bare("k"))),
+            low: Box::new(Expr::Literal(Value::Int(lo))),
+            high: Box::new(Expr::Literal(Value::Int(lo + width))),
+            negated: false,
+        }),
+        (arb_key(), arb_rest()).prop_map(|(key, rest)| Expr::And(vec![
+            rest,
+            Expr::col_eq(ColumnRef::bare("k"), key)
+        ])),
+    ]
+}
+
+/// Rows of `t(k, x, y)`: `k` and `x` are NULL now and then.
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    let nullable = |v: BoxedStrategy<Value>| prop_oneof![Just(Value::Null), v.clone(), v.clone(), v];
+    proptest::collection::vec(
+        (
+            nullable(arb_key().boxed()),
+            nullable((0i64..4).prop_map(Value::Int).boxed()),
+            (0i64..4).prop_map(Value::Int),
+        )
+            .prop_map(|(k, x, y)| vec![k, x, y]),
+        30..60,
+    )
+}
+
+/// For every row: what the filter program compiled from `pred` says, and
+/// what `pred` bound but not compiled — the linear `Or`, evaluated branch
+/// by branch — says, each with the predicate evaluations it recorded.
+fn program_vs_linear(pred: &Expr, rows: &[Row]) -> (FilterProgram, Vec<(bool, u64, bool, u64)>) {
+    let layout = Layout::single(
+        "t",
+        Arc::new(TableSchema::of(
+            "t",
+            &[("k", DataType::Int), ("x", DataType::Int), ("y", DataType::Int)],
+        )),
+    );
+    let linear: BoundExpr = bind(pred, &layout, None, &Default::default()).unwrap();
+    let program = FilterProgram::new(Some(linear.clone()));
+    let (udfs, params) = (UdfRegistry::new(), HashMap::new());
+    let (program_stats, linear_stats) = (StatsSink::new(), StatsSink::new());
+    let ctx = |stats| EvalContext { stats, udfs: &udfs, runner: None, params: &params };
+    let verdicts = rows
+        .iter()
+        .map(|row| {
+            program_stats.reset();
+            linear_stats.reset();
+            (
+                program.matches(row, &ctx(&program_stats)).unwrap(),
+                program_stats.snapshot().predicate_evals,
+                linear.eval_bool(row, &ctx(&linear_stats)).unwrap(),
+                linear_stats.snapshot().predicate_evals,
+            )
+        })
+        .collect();
+    (program, verdicts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Keyed dispatch selects exactly the rows of the disjunction it was
+    /// compiled from — duplicate keys, NULL row values, NULL literals,
+    /// `Int`/`Double` keys that are equal, branches with no equality head
+    /// and nested wide disjunctions included — wherever the disjunction
+    /// stands in the predicate.
+    #[test]
+    fn dispatched_or_selects_what_the_linear_or_selects(
+        keyed in proptest::collection::vec(arb_keyed_branch(), 4..20),
+        tail in proptest::collection::vec(arb_tail_branch(), 0..6),
+        shuffle in any::<u64>(),
+        wrap in 0usize..3,
+        cond in arb_rest(),
+        rows in arb_rows(),
+    ) {
+        // Tail branches go in among the keyed ones, not after them.
+        let mut branches = keyed;
+        for (i, b) in tail.into_iter().enumerate() {
+            let at = (shuffle >> (8 * i)) as usize % (branches.len() + 1);
+            branches.insert(at, b);
+        }
+        let or = Expr::Or(branches);
+        let pred = match wrap {
+            0 => or,
+            1 => Expr::Not(Box::new(or)),
+            _ => Expr::And(vec![cond, or]),
+        };
+        for (i, (got, _, want, _)) in program_vs_linear(&pred, &rows).1.into_iter().enumerate() {
+            prop_assert_eq!(got, want, "row {:?} under {:?}", &rows[i], &pred);
+        }
+    }
+
+    /// When every branch is keyed, dispatch never costs a row more
+    /// predicate evaluations than the linear pass: one for the key table
+    /// in place of at least one head, then the same arms in the same
+    /// order.
+    #[test]
+    fn dispatch_of_an_all_keyed_or_never_evaluates_more(
+        keyed in proptest::collection::vec(arb_keyed_branch(), 8..30),
+        rows in arb_rows(),
+    ) {
+        let (program, verdicts) = program_vs_linear(&Expr::Or(keyed), &rows);
+        prop_assert!(matches!(program, FilterProgram::Eval(BoundExpr::KeyedOr { .. })));
+        for (i, (got, evals, want, linear_evals)) in verdicts.into_iter().enumerate() {
+            prop_assert_eq!(got, want, "row {:?}", &rows[i]);
+            prop_assert!(evals <= linear_evals, "row {:?}: {} > {}", &rows[i], evals, linear_evals);
+        }
+    }
 }
 
 proptest! {
