@@ -11,7 +11,7 @@
 //! * Table 7: query evaluation time bucketed by `|G|` (low/high) ×
 //!   `ρ(G)` (low/high).
 //!
-//! `--no-merge` ablates Theorem 1's candidate merging (DESIGN.md §5).
+//! `--no-merge` ablates Theorem 1's candidate merging.
 
 use minidb::DbProfile;
 use sieve_bench::harness::{build_campus, emit, EnvConfig};

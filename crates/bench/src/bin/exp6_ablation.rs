@@ -1,5 +1,5 @@
-//! Ablation study (DESIGN.md §5, not in the paper): how much each of
-//! SIEVE's design choices contributes.
+//! Ablation study (this reproduction's own; the paper has no such
+//! table): how much each of SIEVE's design choices contributes.
 //!
 //! * **Guard selection**: Algorithm 1 (`CostOptimal`) vs the trivially
 //!   correct `OwnerOnly` baseline (one guard per owner, the strawman

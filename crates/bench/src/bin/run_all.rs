@@ -1,16 +1,18 @@
-//! Regenerate every table and figure of the paper's evaluation in one go
-//! by invoking the per-experiment binaries as child processes. Outputs
-//! land in `results/`.
+//! Regenerate every table and figure of the paper's evaluation, and this
+//! reproduction's own ablation table, in one go by invoking the
+//! per-experiment binaries as child processes. Outputs land in
+//! `results/`.
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 6] = [
+const EXPERIMENTS: [&str; 7] = [
     "exp1_guard_gen",
     "exp2_inline_delta",
     "exp2_index_choice",
     "exp3_query_perf",
     "exp4_postgres",
     "exp5_scalability",
+    "exp6_ablation",
 ];
 
 fn main() {

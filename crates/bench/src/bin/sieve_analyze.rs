@@ -40,27 +40,9 @@ use std::fmt::Write as _;
 /// when it truncates).
 const MAX_OVERLAP_FINDINGS: usize = 32;
 
-struct Config {
-    quick: bool,
-    env: EnvConfig,
-    /// Max queriers audited per (scenario, purpose); `usize::MAX` = all.
-    max_queriers: usize,
-}
-
-impl Config {
-    fn from_args() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let mut env = EnvConfig::from_env();
-        if quick {
-            env.scale = 0.01;
-            env.days = 30;
-        }
-        Config {
-            quick,
-            env,
-            max_queriers: if quick { 8 } else { usize::MAX },
-        }
-    }
+/// Max queriers audited per (scenario, purpose): `--quick` caps the sweep.
+fn max_queriers(env: &EnvConfig) -> usize {
+    env.pick(8, usize::MAX)
 }
 
 /// Verify one enforcement point and fold the outcome into the report.
@@ -127,8 +109,8 @@ fn check_point(
 }
 
 /// Audit the TIPPERS campus scenario.
-fn audit_tippers(cfg: &Config) -> AnalysisReport {
-    let campus = build_campus(DbProfile::MySqlLike, &cfg.env);
+fn audit_tippers(env: &EnvConfig) -> AnalysisReport {
+    let campus = build_campus(DbProfile::MySqlLike, env);
     let policies = campus.policies.clone();
     let refs: Vec<&Policy> = policies.iter().collect();
     let by_id: HashMap<PolicyId, &Policy> = policies.iter().map(|p| (p.id, p)).collect();
@@ -140,7 +122,7 @@ fn audit_tippers(cfg: &Config) -> AnalysisReport {
 
     for purpose in PURPOSES {
         let queriers = queriers_with_policies(&campus, purpose, 1);
-        for (querier, _) in queriers.into_iter().take(cfg.max_queriers) {
+        for (querier, _) in queriers.into_iter().take(max_queriers(env)) {
             let qm = QueryMetadata::new(querier, purpose);
             check_point(
                 &mut report,
@@ -157,22 +139,22 @@ fn audit_tippers(cfg: &Config) -> AnalysisReport {
 }
 
 /// Audit the Mall scenario.
-fn audit_mall(cfg: &Config) -> AnalysisReport {
+fn audit_mall(env: &EnvConfig) -> AnalysisReport {
     let mut db = Database::new(DbProfile::MySqlLike);
     let ds = generate_mall(
         &mut db,
         &MallConfig {
             seed: 11,
-            scale: if cfg.quick { 0.05 } else { 0.2 },
-            shops: if cfg.quick { 12 } else { 35 },
-            days: if cfg.quick { 20 } else { 60 },
+            scale: env.pick(0.05, 0.2),
+            shops: env.pick(12, 35),
+            days: env.pick(20, 60),
         },
     )
     .expect("mall generation");
     let sieve = SieveService::new(
         db,
         SieveOptions {
-            timeout: Some(cfg.env.timeout),
+            timeout: Some(env.timeout),
             ..Default::default()
         },
     )
@@ -202,7 +184,7 @@ fn audit_mall(cfg: &Config) -> AnalysisReport {
             })
             .collect();
         eligible.sort_unstable();
-        for querier in eligible.into_iter().take(cfg.max_queriers) {
+        for querier in eligible.into_iter().take(max_queriers(env)) {
             let qm = QueryMetadata::new(querier, purpose);
             check_point(&mut report, &sieve, &policies, &by_id, MALL_TABLE, &qm);
         }
@@ -243,16 +225,22 @@ fn scenario_summary(out: &mut String, r: &AnalysisReport) {
 }
 
 fn main() {
-    let cfg = Config::from_args();
+    let mut env = EnvConfig::from_env();
+    if env.quick {
+        // The audit's own smoke size: enough queriers per purpose to
+        // sweep, still a CI step.
+        env.scale = 0.01;
+        env.days = 30;
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
         "=== sieve_analyze: static soundness audit (quick={}, scale={}, days={}) ===\n",
-        cfg.quick, cfg.env.scale, cfg.env.days
+        env.quick, env.scale, env.days
     );
 
-    let tippers = audit_tippers(&cfg);
-    let mall = audit_mall(&cfg);
+    let tippers = audit_tippers(&env);
+    let mall = audit_mall(&env);
 
     let _ = std::fs::create_dir_all("results");
     for r in [&tippers, &mall] {

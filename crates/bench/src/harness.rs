@@ -1,5 +1,9 @@
 //! Shared experiment setup: build the campus/mall environments, pick
-//! queriers, and time enforcement strategies the way Section 7 does.
+//! queriers, and time enforcement strategies the way Section 7 does —
+//! plus what the `bench` driver's scenarios stand on: the one arg/env
+//! parser ([`EnvConfig`]), [`measure`] (median and quartiles)
+//! and the [`Record`] both the text table and `results/BENCH_<name>.json`
+//! are rendered from.
 
 use minidb::{Database, DbProfile};
 use sieve_core::filter::relevant_policies;
@@ -8,12 +12,14 @@ use sieve_core::{SieveOptions, SieveService};
 use sieve_workload::profiles::UserProfile;
 use sieve_workload::tippers::{generate as generate_tippers, TippersConfig, TippersDataset};
 use sieve_workload::policy_gen::{generate_policies, PolicyGenConfig};
-use std::time::Duration;
+use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
-/// Environment knobs read from the process environment so the same
-/// binaries drive quick runs and near-paper-scale runs:
-/// `SIEVE_SCALE` (default 0.05), `SIEVE_DAYS` (default 90),
-/// `SIEVE_TIMEOUT_MS` (default 30000, the paper's 30 s).
+/// The one reading of the process's knobs, so the same binaries drive
+/// quick runs and near-paper-scale runs: `SIEVE_SCALE` (default 0.05),
+/// `SIEVE_DAYS` (default 90), `SIEVE_TIMEOUT_MS` (default 30000, the
+/// paper's 30 s), and the `--quick` flag, which shrinks the dataset to a
+/// seconds-long CI smoke whatever the environment says.
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
     /// Dataset scale factor.
@@ -22,27 +28,32 @@ pub struct EnvConfig {
     pub days: u32,
     /// Query timeout.
     pub timeout: Duration,
+    /// `--quick`: CI smoke sizes, and [`Record::gate`] failures are fatal.
+    pub quick: bool,
 }
 
 impl EnvConfig {
-    /// Read from the environment.
+    /// Read from the environment and the command line.
     pub fn from_env() -> Self {
-        let scale = std::env::var("SIEVE_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.05);
-        let days = std::env::var("SIEVE_DAYS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(90);
-        let timeout_ms = std::env::var("SIEVE_TIMEOUT_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(30_000u64);
+        fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
+            std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+        }
+        let quick = std::env::args().any(|a| a == "--quick");
         EnvConfig {
-            scale,
-            days,
-            timeout: Duration::from_millis(timeout_ms),
+            scale: if quick { 0.004 } else { var("SIEVE_SCALE", 0.05) },
+            days: if quick { 20 } else { var("SIEVE_DAYS", 90) },
+            timeout: Duration::from_millis(var("SIEVE_TIMEOUT_MS", 30_000u64)),
+            quick,
+        }
+    }
+
+    /// `quick` under `--quick`, `full` otherwise (repetition counts and
+    /// the like).
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
         }
     }
 }
@@ -199,16 +210,327 @@ pub fn time_enforcement<B: sieve_core::SqlBackend>(
     }
 }
 
+/// Microseconds per call over one block of `reps` back-to-back calls.
+pub fn block_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
+/// `blocks` timed blocks of `reps` calls each, in µs per call.
+pub fn measure(blocks: usize, reps: usize, mut f: impl FnMut()) -> Stat {
+    Stat::of((0..blocks).map(|_| block_us(reps, &mut f)).collect())
+}
+
+/// A sample summarised: the median with its quartiles — the noise band a
+/// reader needs before comparing two records.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stat {
+    /// Median.
+    pub median: f64,
+    /// Lower quartile.
+    pub q1: f64,
+    /// Upper quartile.
+    pub q3: f64,
+    /// Observations.
+    pub n: usize,
+}
+
+impl Stat {
+    /// Summarise `samples` (quartiles interpolated linearly; all NaN when
+    /// empty).
+    pub fn of(mut samples: Vec<f64>) -> Stat {
+        samples.sort_by(f64::total_cmp);
+        let at = |q: f64| match samples.len() {
+            0 => f64::NAN,
+            n => {
+                let pos = q * (n - 1) as f64;
+                let (lo, hi) = (samples[pos.floor() as usize], samples[pos.ceil() as usize]);
+                lo + (hi - lo) * pos.fract()
+            }
+        };
+        Stat { median: at(0.5), q1: at(0.25), q3: at(0.75), n: samples.len() }
+    }
+}
+
+/// One recorded value. Every metric is named once, where it is [`put`]:
+/// that name is its table row and its JSON key — dotted like
+/// `BENCHMARK.json`'s per-layer names (`warm.session.execute_us`), so a
+/// record is flat and reads beside `benchmark --trace 1`.
+///
+/// [`put`]: Record::put
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A count.
+    Count(u64),
+    /// A measured or derived number.
+    Num(f64),
+    /// A verdict.
+    Flag(bool),
+    /// Free text (an access path, a backend name).
+    Text(String),
+    /// A timing or rate with its noise band.
+    Timing(Stat),
+    /// Rows of one shape (`hotpath`'s per-thread scans, the gates).
+    Series(Vec<Fields>),
+}
+
+/// Ordered `(name, value)` pairs.
+pub type Fields = Vec<(String, Value)>;
+
+macro_rules! value_from {
+    ($($t:ty => $arm:expr),+ $(,)?) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Value {
+                $arm(v)
+            }
+        }
+    )+};
+}
+value_from! {
+    usize => |v| Value::Count(v as u64), u64 => Value::Count, f64 => Value::Num, bool => Value::Flag,
+    &str => |v: &str| Value::Text(v.to_string()), String => Value::Text, Stat => Value::Timing,
+    Vec<Fields> => Value::Series,
+}
+
+/// Ordered fields from `(name, value)` pairs (one [`Value::Series`] row).
+pub fn fields<const N: usize>(items: [(&str, Value); N]) -> Fields {
+    items.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// One scenario's result: what was measured, under which build and
+/// configuration, and what was checked. The text table and the JSON are
+/// two renderings of the same ordered fields.
+#[derive(Debug, Clone)]
+pub struct Record {
+    bench: String,
+    quick: bool,
+    fields: Fields,
+    gates: Vec<Fields>,
+}
+
+impl Record {
+    /// A record for scenario `bench`, stamped with what a reader needs to
+    /// place its numbers: the git revision built from, the cores
+    /// available, and the dataset configuration.
+    pub fn new(bench: &str, env: &EnvConfig) -> Record {
+        let stamps = fields([
+            ("bench", bench.into()),
+            ("git_rev", git_rev().into()),
+            ("nproc", nproc().into()),
+            ("scale", env.scale.into()),
+            ("days", (env.days as usize).into()),
+            ("quick", env.quick.into()),
+        ]);
+        Record { bench: bench.to_string(), quick: env.quick, fields: stamps, gates: Vec::new() }
+    }
+
+    /// Record `value` under `name`.
+    pub fn put(&mut self, name: &str, value: impl Into<Value>) {
+        self.fields.push((name.to_string(), value.into()));
+    }
+
+    /// Record a check and its verdict. Under `--quick` a failed gate
+    /// fails the run — in [`Record::emit`], after the record is written,
+    /// so the numbers behind the failure are on disk.
+    pub fn gate(&mut self, name: &str, pass: bool, detail: String) {
+        self.gates.push(fields([("gate", name.into()), ("pass", pass.into()), ("detail", detail.into())]));
+    }
+
+    /// The gate both overhead scenarios share: `with` may cost at most
+    /// [`OVERHEAD_GATE_PCT`] over `base`, or [`OVERHEAD_GATE_FLOOR_US`] in
+    /// absolute terms. The samples are µs per call of interleaved blocks —
+    /// `base_us[i]` and `with_us[i]` ran back to back — and the overhead is
+    /// the median of their pairwise differences: a noisy spell slows both
+    /// blocks of a pair, and it takes more than half the pairs disturbed
+    /// one way to move it. Records the overhead and the verdict.
+    pub fn gate_overhead(&mut self, name: &str, base_us: &[f64], with_us: &[f64]) {
+        let paired = Stat::of(base_us.iter().zip(with_us).map(|(base, with)| with - base).collect());
+        let base = Stat::of(base_us.to_vec()).median;
+        let (overhead_us, overhead_pct) = (paired.median, 100.0 * paired.median / base.max(f64::EPSILON));
+        self.put(&format!("{name}_us"), paired);
+        self.put(&format!("{name}_pct"), overhead_pct);
+        self.gate(
+            name,
+            overhead_pct < OVERHEAD_GATE_PCT || overhead_us < OVERHEAD_GATE_FLOOR_US,
+            format!(
+                "{overhead_us:.2} us ({overhead_pct:.1}%) against the {OVERHEAD_GATE_PCT}% / \
+                 {OVERHEAD_GATE_FLOOR_US} us gate"
+            ),
+        );
+    }
+
+    /// Every field in order, the gates last.
+    fn all_fields(&self) -> Fields {
+        let mut all = self.fields.clone();
+        all.push(("gates".to_string(), self.gates.clone().into()));
+        all
+    }
+
+    /// The text rendering, in field order: one `name  value` line per
+    /// scalar, one sub-table per series.
+    pub fn table(&self) -> String {
+        fn cell(v: &Value) -> String {
+            let f = |x: f64| crate::table::ms(Some(x));
+            match v {
+                Value::Count(n) => n.to_string(),
+                Value::Num(x) => f(*x),
+                Value::Flag(b) => b.to_string(),
+                Value::Text(t) => t.clone(),
+                Value::Timing(s) => format!("{} [{} .. {}]", f(s.median), f(s.q1), f(s.q3)),
+                Value::Series(rows) => format!("{} rows", rows.len()),
+            }
+        }
+        let mut out = format!("=== bench {} ===\n", self.bench);
+        let mut lines = Vec::new();
+        let flush = |lines: &mut Vec<Vec<String>>, out: &mut String| {
+            if !lines.is_empty() {
+                out.push_str(&crate::table::render(&["metric", "value"], lines));
+                lines.clear();
+            }
+        };
+        for (name, v) in self.all_fields() {
+            match v {
+                Value::Series(rows) if !rows.is_empty() => {
+                    flush(&mut lines, &mut out);
+                    let headers: Vec<&str> = rows[0].iter().map(|(k, _)| k.as_str()).collect();
+                    let body: Vec<Vec<String>> =
+                        rows.iter().map(|r| r.iter().map(|(_, v)| cell(v)).collect()).collect();
+                    let _ = write!(out, "\n{name}:\n{}\n", crate::table::render(&headers, &body));
+                }
+                scalar => lines.push(vec![name, cell(&scalar)]),
+            }
+        }
+        flush(&mut lines, &mut out);
+        out
+    }
+
+    /// The JSON rendering — the only JSON formatter in this crate: one
+    /// flat object, a timing an inline object of its four numbers, a
+    /// series an array of one-line objects.
+    pub fn json(&self) -> String {
+        // Four decimals: below any timer's resolution in ms or µs.
+        fn num(x: f64) -> String {
+            if x.is_finite() { format!("{}", (x * 1e4).round() / 1e4) } else { "null".to_string() }
+        }
+        fn text(t: &str, out: &mut String) {
+            out.push('"');
+            for c in t.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        fn object(fs: &Fields, first: &str, sep: &str, out: &mut String) {
+            for (i, (k, v)) in fs.iter().enumerate() {
+                out.push_str(if i == 0 { first } else { sep });
+                text(k, out);
+                out.push_str(": ");
+                match v {
+                    Value::Count(n) => out.push_str(&n.to_string()),
+                    Value::Num(x) => out.push_str(&num(*x)),
+                    Value::Flag(b) => out.push_str(&b.to_string()),
+                    Value::Text(t) => text(t, out),
+                    Value::Timing(s) => {
+                        let _ = write!(
+                            out,
+                            "{{\"median\": {}, \"q1\": {}, \"q3\": {}, \"n\": {}}}",
+                            num(s.median), num(s.q1), num(s.q3), s.n
+                        );
+                    }
+                    Value::Series(rows) => {
+                        for (i, row) in rows.iter().enumerate() {
+                            out.push_str(if i == 0 { "[\n    {" } else { "},\n    {" });
+                            object(row, "", ", ", out);
+                        }
+                        out.push_str(if rows.is_empty() { "[]" } else { "}\n  ]" });
+                    }
+                }
+            }
+        }
+        let mut out = "{".to_string();
+        object(&self.all_fields(), "\n  ", ",\n  ", &mut out);
+        out.push_str("\n}\n");
+        out
+    }
+
+    fn failed_gates(&self) -> Vec<&Fields> {
+        self.gates.iter().filter(|g| g[1].1 == Value::Flag(false)).collect()
+    }
+
+    /// Print the table, write `results/bench_<name>.txt` and
+    /// `results/BENCH_<name>.json`, then enforce the gates under `--quick`.
+    pub fn emit(self) {
+        let bench = &self.bench;
+        emit(&format!("bench_{bench}"), &self.table());
+        save(&format!("BENCH_{bench}.json"), &self.json());
+        let failed = self.failed_gates();
+        assert!(!self.quick || failed.is_empty(), "bench {bench}: gate(s) failed: {failed:?}");
+    }
+}
+
+/// `--quick` gate: a mechanism that must be free on the warm path (the
+/// retry layer with no faults, `verify_rewrites` with a warm cache) may
+/// cost less than this much over the path without it.
+pub const OVERHEAD_GATE_PCT: f64 = 5.0;
+
+/// Absolute escape hatch for the gate: overhead below this many µs is
+/// inside the timer's resolution on a noisy shared container and passes
+/// regardless of percentage (the quick-scale baseline is tens of µs, so a
+/// few µs of scheduler jitter can read as > 5 %). Any real regression — an
+/// extra lock, an allocation per attempt, verification on a warm hit —
+/// costs more than this and still trips the gate.
+pub const OVERHEAD_GATE_FLOOR_US: f64 = 10.0;
+
+/// Interleaved block pairs an overhead gate is measured over.
+pub const OVERHEAD_GATE_PAIRS: usize = 20;
+
+/// `HEAD`, with `-dirty` when anything outside `results/` differs from it
+/// (a record written a moment ago must not taint the next one's stamp);
+/// `unknown` outside a git checkout.
+fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--", ":/", ":(top,exclude)results"]) {
+        Some(changes) if changes.is_empty() => rev,
+        _ => format!("{rev}-dirty"),
+    }
+}
+
+/// Cores this process may use (recorded with every result that depends on
+/// threads).
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Write experiment output both to stdout and `results/<name>.txt`.
 pub fn emit(name: &str, content: &str) {
     println!("{content}");
+    save(&format!("{name}.txt"), content);
+}
+
+/// Write `results/<file>`; a failure is a warning, not the run's result.
+fn save(file: &str, content: &str) {
     let dir = std::path::Path::new("results");
     let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.txt"));
-    if let Err(e) = std::fs::write(&path, content) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[saved {}]", path.display());
+    let path = dir.join(file);
+    match std::fs::write(&path, content) {
+        Ok(()) => eprintln!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -221,6 +543,7 @@ mod tests {
             scale: 0.005,
             days: 30,
             timeout: Duration::from_secs(10),
+            quick: false,
         }
     }
 
@@ -248,5 +571,170 @@ mod tests {
         );
         assert!(t.wall_ms.is_some());
         assert!(t.sim_kcost.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn stat_is_median_and_quartiles() {
+        let s = Stat::of(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((s.q1, s.median, s.q3, s.n), (2.0, 3.0, 4.0, 5));
+        assert_eq!(Stat::of(vec![1.0, 2.0]).median, 1.5, "interpolated");
+        assert_eq!(Stat::of(vec![7.0]), Stat { median: 7.0, q1: 7.0, q3: 7.0, n: 1 });
+        assert!(Stat::of(Vec::new()).median.is_nan());
+        let mut calls = 0;
+        assert_eq!(measure(4, 3, || calls += 1).n, 4);
+        assert_eq!(calls, 12);
+    }
+
+    /// Just enough JSON to read [`Record::json`] back into [`Value`]s: an
+    /// array is a series, an inline object a timing, an integer a count.
+    struct Json(Vec<char>, usize);
+
+    impl Json {
+        fn peek(&mut self) -> char {
+            while self.0[self.1].is_whitespace() {
+                self.1 += 1;
+            }
+            self.0[self.1]
+        }
+        fn eat(&mut self, c: char) {
+            assert_eq!(self.peek(), c, "at offset {}", self.1);
+            self.1 += 1;
+        }
+        fn string(&mut self) -> String {
+            self.eat('"');
+            let mut out = String::new();
+            loop {
+                self.1 += 1;
+                match self.0[self.1 - 1] {
+                    '"' => return out,
+                    '\\' => {
+                        self.1 += 1;
+                        match self.0[self.1 - 1] {
+                            'n' => out.push('\n'),
+                            'u' => {
+                                let hex: String = self.0[self.1..self.1 + 4].iter().collect();
+                                out.push(char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap());
+                                self.1 += 4;
+                            }
+                            c => out.push(c),
+                        }
+                    }
+                    c => out.push(c),
+                }
+            }
+        }
+        /// `open item, item, … close`, each item read by `item`.
+        fn list<T>(&mut self, open: char, close: char, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            let mut items = Vec::new();
+            self.eat(open);
+            while self.peek() != close {
+                items.push(item(self));
+                if self.peek() == ',' {
+                    self.eat(',');
+                }
+            }
+            self.eat(close);
+            items
+        }
+        fn object(&mut self) -> Fields {
+            self.list('{', '}', |j| {
+                let k = j.string();
+                j.eat(':');
+                (k, j.value())
+            })
+        }
+        fn value(&mut self) -> Value {
+            match self.peek() {
+                '"' => Value::Text(self.string()),
+                '[' => Value::Series(self.list('[', ']', Self::object)),
+                '{' => {
+                    let read = self.object();
+                    let at = |i: usize| match read[i].1 {
+                        Value::Num(x) => x,
+                        Value::Count(n) => n as f64,
+                        _ => panic!("a timing holds numbers"),
+                    };
+                    let keys: Vec<&str> = read.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(keys, ["median", "q1", "q3", "n"]);
+                    Value::Timing(Stat { median: at(0), q1: at(1), q3: at(2), n: at(3) as usize })
+                }
+                _ => {
+                    let start = self.1;
+                    while !",}] \n".contains(self.0[self.1]) {
+                        self.1 += 1;
+                    }
+                    let word: String = self.0[start..self.1].iter().collect();
+                    match word.as_str() {
+                        "true" => Value::Flag(true),
+                        "false" => Value::Flag(false),
+                        n => n.parse().map(Value::Count).unwrap_or_else(|_| Value::Num(n.parse().unwrap())),
+                    }
+                }
+            }
+        }
+    }
+
+    fn sample_record() -> Record {
+        let timing = Stat { median: 12.5, q1: 11.25, q3: 14.75, n: 6 };
+        let mut rec = Record::new("sample", &EnvConfig { quick: true, ..tiny_env() });
+        rec.put("table_rows", 200_123usize);
+        rec.put("access", "Index\"Union\"(col=owner)\\ line1\nline2 \u{1} µ");
+        rec.put("warm.raw.session.execute_us", timing);
+        rec.put("warm.raw.speedup", 2.4);
+        let row = |threads: usize| {
+            let exec_us = Stat { median: threads as f64 + 0.5, ..timing };
+            fields([("threads", threads.into()), ("access", "SeqScan".into()), ("backend.exec_us", exec_us.into())])
+        };
+        rec.put("parallel_scan", vec![row(1), row(2)]);
+        rec.put("after_series", 0.125);
+        rec.gate("rows_match", true, "5 vs 5".into());
+        rec.gate("beats_scan", false, "9.5 us against \"8.5\" us".into());
+        rec
+    }
+
+    #[test]
+    fn record_json_round_trips_stamps_escapes_and_nested_series() {
+        let rec = sample_record();
+        let text = rec.json();
+        let mut reader = Json(text.chars().collect(), 0);
+        let read = reader.object();
+        assert_eq!(reader.0[reader.1..].iter().collect::<String>(), "\n", "one object, nothing after");
+        assert_eq!(read, rec.all_fields(), "every value survives the trip:\n{text}");
+
+        let names: Vec<&str> = read.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names[..6], ["bench", "git_rev", "nproc", "scale", "days", "quick"]);
+        assert_eq!(names[8..10], ["warm.raw.session.execute_us", "warm.raw.speedup"]);
+        assert_eq!(names.last(), Some(&"gates"));
+        assert_eq!(read[0].1, Value::Text("sample".into()));
+        assert!(matches!(&read[1].1, Value::Text(rev) if !rev.is_empty()));
+        assert_eq!(read[2].1, Value::Count(nproc() as u64));
+        let Value::Series(rows) = &read[10].1 else { panic!("parallel_scan is a series") };
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1][0], ("threads".to_string(), Value::Count(2)));
+    }
+
+    #[test]
+    fn record_table_and_json_list_the_same_fields_in_the_same_order() {
+        let rec = sample_record();
+        let text = rec.json();
+        let read = Json(text.chars().collect(), 0).object();
+        let table = rec.table();
+        // Every JSON key — and every column of every series — appears in
+        // the table, in the JSON's order.
+        let mut from = 0;
+        let mut next = |name: &str| {
+            let at = table[from..].find(name).unwrap_or_else(|| panic!("{name} missing or out of order"));
+            from += at + name.len();
+        };
+        for (name, v) in &read {
+            next(name);
+            if let Value::Series(rows) = v {
+                rows[0].iter().for_each(|(column, _)| next(column));
+            }
+        }
+        assert!(table.contains("12.5 [11.2 .. 14.8]"), "median with its quartiles:\n{table}");
+        assert!(table.contains("beats_scan  false  9.5 us against \"8.5\" us"), "{table}");
+        assert_eq!(rec.failed_gates().len(), 1);
+        assert_eq!(rec.failed_gates()[0][0].1, Value::Text("beats_scan".into()));
     }
 }

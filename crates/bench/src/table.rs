@@ -24,7 +24,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     };
     let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
     out.push_str(&fmt_row(&hdr, &widths));
-    let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
+    let total: usize = widths.iter().sum::<usize>() + 2 * ncols.saturating_sub(1);
     out.push_str(&"-".repeat(total));
     out.push('\n');
     for row in rows {

@@ -190,7 +190,7 @@ pub struct FaultInjectingBackend<B> {
 impl<B: SqlBackend> FaultInjectingBackend<B> {
     /// Wrap `inner` under `config`. With the default config (rate 0, no
     /// script) the wrapper is a transparent pass-through — the warm-path
-    /// overhead `bench_faults` gates on.
+    /// overhead `bench faults --quick` gates on.
     pub fn new(inner: B, config: FaultConfig) -> Self {
         FaultInjectingBackend {
             inner,

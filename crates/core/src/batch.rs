@@ -28,11 +28,12 @@ use crate::guard::candidates::{generate_shared_candidates, SharedCandidates};
 use crate::guard::{
     owner_fallback_guards, select_guards, GuardSelectionStrategy, GuardedExpression,
 };
-use crate::policy::{GroupId, Policy, PolicyId, QueryMetadata, UserId};
+use crate::policy::{Policy, PolicyId, QueryMetadata, UserId};
 use crate::rewrite::collect_protected;
+use crate::store::PolicyStore;
 use minidb::catalog::TableEntry;
 use minidb::plan::SelectQuery;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Group a batch of requests by `(purpose, relation)`: every distinct
 /// querier reading the relation under that purpose, in first-seen order.
@@ -58,9 +59,9 @@ pub fn group_requests<'r>(
     groups
 }
 
-/// One `(purpose, relation)` batch group: the relation's policy slice for
-/// that purpose indexed for O(querier) lookup, plus the shared candidate
-/// set built over the slice's union.
+/// One `(purpose, relation)` batch group: the shared candidate set built
+/// over the relation's policy slice for that purpose, beside the store
+/// whose index answers each querier's relevant set.
 pub struct SharedGroup<'a> {
     /// Protected relation of the group.
     pub relation: String,
@@ -69,76 +70,36 @@ pub struct SharedGroup<'a> {
     /// Policies in the purpose-relation slice (the store scan the batch
     /// performs once instead of once per querier).
     pub slice_len: usize,
-    by_user: HashMap<UserId, Vec<&'a Policy>>,
-    by_group: HashMap<GroupId, Vec<&'a Policy>>,
+    store: &'a PolicyStore,
     shared: SharedCandidates,
 }
 
-/// Build the shared half for one group: scan the policy iterator once,
-/// keep the relation+purpose slice, index it by querier spec, and generate
-/// candidates over its union.
+/// Build the shared half for one group: scan the store once, keep the
+/// relation+purpose slice, and generate candidates over its union.
 pub fn build_shared_group<'a>(
-    policies: impl IntoIterator<Item = &'a Policy>,
+    store: &'a PolicyStore,
     relation: &str,
     purpose: &str,
     entry: &TableEntry,
     cost: &CostModel,
 ) -> SharedGroup<'a> {
-    let slice: Vec<&Policy> = policies
-        .into_iter()
+    let slice: Vec<&Policy> = store
+        .iter()
         .filter(|p| p.relation == relation && p.purpose_matches(purpose))
         .collect();
-    let shared = generate_shared_candidates(&slice, entry, cost);
-    let mut by_user: HashMap<UserId, Vec<&Policy>> = HashMap::new();
-    let mut by_group: HashMap<GroupId, Vec<&Policy>> = HashMap::new();
-    for p in &slice {
-        match &p.querier {
-            crate::policy::QuerierSpec::User(u) => by_user.entry(*u).or_default().push(p),
-            crate::policy::QuerierSpec::Group(g) => by_group.entry(*g).or_default().push(p),
-        }
-    }
     SharedGroup {
         relation: relation.to_string(),
         purpose: purpose.to_string(),
         slice_len: slice.len(),
-        by_user,
-        by_group,
-        shared,
+        store,
+        shared: generate_shared_candidates(&slice, entry, cost),
     }
 }
 
-impl<'a> SharedGroup<'a> {
+impl SharedGroup<'_> {
     /// Shared candidates built for the group.
     pub fn shared_candidates(&self) -> usize {
         self.shared.len()
-    }
-
-    /// The querier's relevant policies within the group — equivalent to
-    /// [`crate::filter::relevant_policies`] over the full store, but via
-    /// indexed lookup on the slice: direct grants by user id, then group
-    /// grants through the querier's (transitive) memberships. The index is
-    /// a prefilter only; the canonical [`crate::filter::policy_applies`]
-    /// makes the final call, so the batched path can never diverge from
-    /// sequential enforcement on applicability rules (purpose wildcards,
-    /// querier context, whatever comes next). Ascending by policy id.
-    pub fn relevant_for(
-        &self,
-        qm: &QueryMetadata,
-        groups: &GroupDirectory,
-    ) -> Vec<&'a Policy> {
-        let mut out: Vec<&Policy> = Vec::new();
-        if let Some(v) = self.by_user.get(&qm.querier) {
-            out.extend(v.iter().copied());
-        }
-        for g in groups.groups_of(qm.querier) {
-            if let Some(v) = self.by_group.get(&g) {
-                out.extend(v.iter().copied());
-            }
-        }
-        out.retain(|p| crate::filter::policy_applies(p, qm, groups));
-        out.sort_by_key(|p| p.id);
-        out.dedup_by_key(|p| p.id);
-        out
     }
 
     /// Generate one querier's guarded expression from the shared phase:
@@ -152,7 +113,7 @@ impl<'a> SharedGroup<'a> {
         strategy: GuardSelectionStrategy,
     ) -> GuardedExpression {
         debug_assert!(qm.purpose == self.purpose, "request grouped by purpose");
-        let relevant = self.relevant_for(qm, groups);
+        let relevant = self.store.relevant(&self.relation, qm, groups);
         let guards = match strategy {
             GuardSelectionStrategy::CostOptimal => {
                 let subset: BTreeSet<PolicyId> = relevant.iter().map(|p| p.id).collect();
@@ -242,12 +203,11 @@ mod tests {
         db
     }
 
-    fn corpus() -> Vec<Policy> {
-        let mut out = Vec::new();
-        let mut id = 1u64;
+    fn corpus() -> PolicyStore {
+        let mut out = PolicyStore::new();
         // Group 7 grant shared by every member, plus per-user grants.
         for owner in 0..10i64 {
-            let mut p = Policy::new(
+            out.add(Policy::new(
                 owner,
                 "wifi_dataset",
                 QuerierSpec::Group(7),
@@ -256,31 +216,14 @@ mod tests {
                     "wifi_ap",
                     CondPredicate::Eq(Value::Int(1001)),
                 )],
-            );
-            p.id = id;
-            id += 1;
-            out.push(p);
+            ));
         }
         for (owner, user) in [(11i64, 500i64), (12, 501), (13, 500)] {
-            let mut p = Policy::new(
-                owner,
-                "wifi_dataset",
-                QuerierSpec::User(user),
-                "Any",
-                vec![],
-            );
-            p.id = id;
-            id += 1;
-            out.push(p);
+            out.add(Policy::new(owner, "wifi_dataset", QuerierSpec::User(user), "Any", vec![]));
         }
         // A different relation and a different purpose: outside the slice.
-        let mut p = Policy::new(9, "other", QuerierSpec::User(500), "Analytics", vec![]);
-        p.id = id;
-        id += 1;
-        out.push(p);
-        let mut p = Policy::new(9, "wifi_dataset", QuerierSpec::User(500), "Safety", vec![]);
-        p.id = id;
-        out.push(p);
+        out.add(Policy::new(9, "other", QuerierSpec::User(500), "Analytics", vec![]));
+        out.add(Policy::new(9, "wifi_dataset", QuerierSpec::User(500), "Safety", vec![]));
         out
     }
 
@@ -330,16 +273,12 @@ mod tests {
         groups.add_member(7, 500);
         groups.add_member(7, 777);
         let group =
-            build_shared_group(corpus.iter(), "wifi_dataset", "Analytics", entry, &CostModel::default());
+            build_shared_group(&corpus, "wifi_dataset", "Analytics", entry, &CostModel::default());
+        assert_eq!(group.slice_len, 13, "the other relation and purpose stay outside");
         for querier in [500i64, 501, 777, 999] {
             let qm = QueryMetadata::new(querier, "Analytics");
-            let mut expect: Vec<u64> =
-                relevant_policies(corpus.iter(), "wifi_dataset", &qm, &groups)
-                    .iter()
-                    .map(|p| p.id)
-                    .collect();
-            expect.sort_unstable();
-            let got: Vec<u64> = group.relevant_for(&qm, &groups).iter().map(|p| p.id).collect();
+            let expect = relevant_policies(corpus.iter(), "wifi_dataset", &qm, &groups);
+            let got = corpus.relevant("wifi_dataset", &qm, &groups);
             assert_eq!(got, expect, "querier {querier}");
         }
     }
@@ -352,7 +291,7 @@ mod tests {
         let mut groups = GroupDirectory::new();
         groups.add_member(7, 500);
         let group =
-            build_shared_group(corpus.iter(), "wifi_dataset", "Analytics", entry, &CostModel::default());
+            build_shared_group(&corpus, "wifi_dataset", "Analytics", entry, &CostModel::default());
         let qm = QueryMetadata::new(500, "Analytics");
         let ge = group.generate_for(
             &qm,
@@ -362,8 +301,8 @@ mod tests {
             GuardSelectionStrategy::CostOptimal,
         );
         let covered = ge.covered_policies();
-        let expect: BTreeSet<PolicyId> = group
-            .relevant_for(&qm, &groups)
+        let expect: BTreeSet<PolicyId> = corpus
+            .relevant("wifi_dataset", &qm, &groups)
             .iter()
             .map(|p| p.id)
             .collect();

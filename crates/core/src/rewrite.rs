@@ -452,64 +452,24 @@ impl Rewriter<'_> {
         })
     }
 
-    /// Rebuild an expression, descending into scalar subqueries.
+    /// Rebuild an expression, descending into scalar subqueries. The first
+    /// failure stops the descent and is the result — a partly rewritten
+    /// expression never leaves here.
     fn rewrite_expr(&mut self, e: &Expr, scope: &HashSet<String>) -> SieveResult<Expr> {
-        Ok(match e {
-            Expr::ScalarSubquery(q) => {
-                Expr::ScalarSubquery(Box::new(self.rewrite_level(q, scope)?))
+        let mut failed = None;
+        let out = e.map(&mut |node| match node {
+            Expr::ScalarSubquery(q) if failed.is_none() => {
+                match self.rewrite_level(q, scope) {
+                    Ok(inner) => Some(Expr::ScalarSubquery(Box::new(inner))),
+                    Err(err) => {
+                        failed = Some(err);
+                        None
+                    }
+                }
             }
-            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => e.clone(),
-            Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-                op: *op,
-                lhs: Box::new(self.rewrite_expr(lhs, scope)?),
-                rhs: Box::new(self.rewrite_expr(rhs, scope)?),
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.rewrite_expr(expr, scope)?),
-                low: Box::new(self.rewrite_expr(low, scope)?),
-                high: Box::new(self.rewrite_expr(high, scope)?),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.rewrite_expr(expr, scope)?),
-                list: list
-                    .iter()
-                    .map(|x| self.rewrite_expr(x, scope))
-                    .collect::<SieveResult<Vec<_>>>()?,
-                negated: *negated,
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.rewrite_expr(expr, scope)?),
-                negated: *negated,
-            },
-            Expr::And(v) => Expr::And(
-                v.iter()
-                    .map(|x| self.rewrite_expr(x, scope))
-                    .collect::<SieveResult<Vec<_>>>()?,
-            ),
-            Expr::Or(v) => Expr::Or(
-                v.iter()
-                    .map(|x| self.rewrite_expr(x, scope))
-                    .collect::<SieveResult<Vec<_>>>()?,
-            ),
-            Expr::Not(x) => Expr::Not(Box::new(self.rewrite_expr(x, scope)?)),
-            Expr::Udf { name, args } => Expr::Udf {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|x| self.rewrite_expr(x, scope))
-                    .collect::<SieveResult<Vec<_>>>()?,
-            },
-        })
+            _ => None,
+        });
+        failed.map_or(Ok(out), Err)
     }
 
     /// Build the guard WITH clause for a protected relation (strategy

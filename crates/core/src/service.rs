@@ -31,8 +31,8 @@
 //! Lock order (outer → inner): `build claim → store → groups → backend →
 //! cache shard`. Options, cost model and the protected set are
 //! snapshotted and released before any of those is taken; the persist
-//! state (inside the backend *write* lock), baseline pins, the ∆ registry
-//! and the sql cache are leaves. Cache closures never take other locks.
+//! state (inside the backend *write* lock), the ∆ registry and the sql
+//! cache are leaves. Cache closures never take other locks.
 //!
 //! # Single-flight build
 //!
@@ -88,7 +88,7 @@ use crate::cache::{CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardC
 use crate::cost::CostModel;
 use crate::delta::{DeltaRegistry, PartitionHandle};
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
-use crate::filter::{policy_applies, relevant_policies, GroupDirectory};
+use crate::filter::{policy_applies, GroupDirectory};
 use crate::guard::{
     generate_guarded_expression, owner_fallback_guards, GuardedExpression,
 };
@@ -109,7 +109,7 @@ use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::{Database, QueryResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,24 +125,8 @@ pub const SQL_CACHE_CAP: usize = 256;
 /// calling thread — spawning costs more than the set covers save.
 const PARALLEL_BATCH_MIN: usize = 8;
 
-/// How many recent [`SieveService::prepare`] outputs keep their ∆
-/// partitions pinned service-side. Covers the experiment harness's
-/// prepare-then-execute pattern (including a handful of interleaved
-/// prepares from other threads) without letting discarded prepared
-/// queries pin partitions forever.
-pub const BASELINE_PIN_SLOTS: usize = 16;
-
-/// Everything that keeps one prepared query executable: the compiled
-/// fragments it references (Sieve path) and directly registered ∆
-/// handles (Baseline U path).
-#[derive(Default)]
-struct PreparePins {
-    fragments: Vec<Arc<crate::rewrite::GuardFragment>>,
-    handles: Vec<PartitionHandle>,
-}
-
-/// Which enforcement mechanism [`SieveService::run_timed`] and
-/// [`SieveService::prepare`] run a query under (for experiments).
+/// Which enforcement mechanism [`SieveService::run_timed`] runs a query
+/// under (for experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enforcement {
     /// Full SIEVE (guards + strategy selection + inline/∆).
@@ -191,7 +175,6 @@ struct ColdBuild<'a> {
     store: &'a PolicyStore,
     groups: &'a GroupDirectory,
     backend: &'a dyn SqlBackend,
-    by_id: HashMap<PolicyId, &'a Policy>,
     delta: &'a Arc<DeltaRegistry>,
     opts: &'a SieveOptions,
     cost: &'a CostModel,
@@ -220,24 +203,32 @@ impl ColdBuild<'_> {
             }),
             _ => Ok(()),
         };
+        // Only the policies the expression names: every one is in the
+        // store (policies are never removed).
+        let by_id: HashMap<PolicyId, &Policy> = expr
+            .guards
+            .iter()
+            .flat_map(|g| &g.policies)
+            .filter_map(|id| Some((*id, self.store.get(*id)?)))
+            .collect();
         let allowed = self
             .opts
             .verify_rewrites
-            .then(|| relevant_policies(self.store.iter(), &expr.relation, qm, self.groups));
+            .then(|| self.store.relevant(&expr.relation, qm, self.groups));
         if let Some(allowed) = &allowed {
-            refuted(analyze::verify_guarded_expression(&expr, &self.by_id, allowed))?;
+            refuted(analyze::verify_guarded_expression(&expr, &by_id, allowed))?;
         }
         let fragment = compile_guard_fragment(
             self.backend,
             self.delta,
             &expr,
-            &self.by_id,
+            &by_id,
             self.cost,
             self.opts.rewrite.delta_mode,
             memo,
         )?;
         if let Some(allowed) = &allowed {
-            refuted(analyze::verify_fragment(&fragment, &expr, &self.by_id, allowed))?;
+            refuted(analyze::verify_fragment(&fragment, &expr, &by_id, allowed))?;
         }
         Ok(CompiledRelation {
             expr,
@@ -266,11 +257,6 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     pub(crate) cache: GuardCache,
     pub(crate) protected: RwLock<HashSet<String>>,
     pub(crate) persist: Mutex<PersistState>,
-    /// Pins of the last [`BASELINE_PIN_SLOTS`] `prepare` outputs, oldest
-    /// dropped first (see [`SieveService::prepare`] for the contract). A
-    /// mutex because `prepare` is an experiment path, not the concurrent
-    /// hot path.
-    baseline_pins: Mutex<VecDeque<PreparePins>>,
     sql_cache: RwLock<crate::lru::LruMap<Arc<SelectQuery>>>,
     pub(crate) recovery: RecoveryCounters,
 }
@@ -333,7 +319,6 @@ impl<B: SqlBackend> SieveService<B> {
                     guard_ids: GuardTableIds::default(),
                     oc_id: 0,
                 }),
-                baseline_pins: Mutex::new(VecDeque::new()),
                 sql_cache: RwLock::new(crate::lru::LruMap::new(SQL_CACHE_CAP)),
                 recovery: RecoveryCounters::default(),
             }),
@@ -379,12 +364,6 @@ impl<B: SqlBackend> SieveService<B> {
         *self.inner.cost.read()
     }
 
-    /// Replace the cost model (e.g. after [`crate::cost::calibrate`]).
-    pub fn set_cost_model(&self, cost: CostModel) {
-        *self.inner.cost.write() = cost;
-        self.invalidate_all();
-    }
-
     /// Calibrate the cost model against a loaded table (Section 5.4).
     pub fn calibrate(&self, table: &str, sample_rows: usize) -> SieveResult<()> {
         let policies: Vec<Policy> =
@@ -417,18 +396,23 @@ impl<B: SqlBackend> SieveService<B> {
         out
     }
 
-    /// Options in effect (clone).
-    pub fn options(&self) -> SieveOptions {
-        self.inner.options.read().clone()
-    }
-
     /// Run `f` with mutable access to the options (e.g. to force a
     /// strategy between runs). Bumps the revision so prepared statements
-    /// re-prepare under the new options.
+    /// re-prepare under the new options; a moved `selection` also drops
+    /// every cached guarded expression, as each was selected under the old
+    /// one (`delta_mode` needs no such sweep: entries recompile for it
+    /// without regenerating).
     pub fn with_options_mut<R>(&self, f: impl FnOnce(&mut SieveOptions) -> R) -> R {
         let mut options = self.inner.options.write();
+        let selection = options.selection;
+        let out = f(&mut options);
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
-        f(&mut options)
+        let reselect = options.selection != selection;
+        drop(options);
+        if reselect {
+            self.invalidate_all();
+        }
+        out
     }
 
     /// Number of registered policies.
@@ -497,7 +481,6 @@ impl<B: SqlBackend> SieveService<B> {
     /// as the last in-flight pins drop.
     pub fn invalidate_all(&self) {
         self.inner.cache.clear();
-        self.inner.baseline_pins.lock().clear();
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -525,11 +508,6 @@ impl<B: SqlBackend> SieveService<B> {
     pub fn protect(&self, relation: impl Into<String>) {
         self.inner.protected.write().insert(relation.into());
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Read access to the protected-relation set (holds its read lock).
-    pub fn protected_relations(&self) -> RwLockReadGuard<'_, HashSet<String>> {
-        self.inner.protected.read()
     }
 
     fn snapshot_config(&self) -> (SieveOptions, CostModel) {
@@ -644,7 +622,6 @@ impl<B: SqlBackend> SieveService<B> {
                 store: &store,
                 groups: &groups,
                 backend: &*backend,
-                by_id: store.by_id(),
                 delta: &self.inner.delta,
                 opts,
                 cost,
@@ -653,7 +630,7 @@ impl<B: SqlBackend> SieveService<B> {
             let mut memo = FragmentCompileCache::default();
             match build {
                 Build::Generate => {
-                    let relevant = relevant_policies(store.iter(), relation, qm, &groups);
+                    let relevant = store.relevant(relation, qm, &groups);
                     let expr = generate_guarded_expression(
                         &relevant,
                         entry,
@@ -888,56 +865,25 @@ impl<B: SqlBackend> SieveService<B> {
         (res, last_stats)
     }
 
-    /// Produce the executable query for an enforcement mechanism without
-    /// running it (rewriting cost is *not* part of the measured times, as
-    /// in the paper, which reports warm per-query execution).
-    ///
-    /// The returned query's ∆ partitions are pinned in a bounded
-    /// service-side slot until [`BASELINE_PIN_SLOTS`] further `prepare`
-    /// calls have happened — enough for the harness's
-    /// prepare-then-execute pattern, but **not** a concurrency guarantee:
-    /// a prepared query held across many other prepares (or an
-    /// invalidation, for the Sieve path) may stop executing. Concurrent
-    /// callers should use [`crate::session::Session::prepare`], whose
-    /// [`crate::session::Prepared`] handle pins its plan for its whole
-    /// lifetime and re-prepares transparently.
-    pub fn prepare(
-        &self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> SieveResult<SelectQuery> {
-        let (prepared, pins) = self.prepare_pinned(enforcement, query, qm)?;
-        if !(pins.handles.is_empty() && pins.fragments.is_empty()) {
-            let mut slots = self.inner.baseline_pins.lock();
-            if slots.len() >= BASELINE_PIN_SLOTS {
-                slots.pop_front();
-            }
-            slots.push_back(pins);
-        }
-        Ok(prepared)
-    }
-
-    /// [`SieveService::prepare`] returning the pins explicitly: the query
-    /// stays executable exactly as long as the caller holds them.
+    /// The executable query for an enforcement mechanism, with leases on
+    /// the ∆ partitions it names (its fragments' under Sieve, directly
+    /// registered ones under Baseline U): it stays executable exactly as
+    /// long as the caller holds them. Producing it is *not* part of
+    /// [`SieveService::run_timed`]'s measured times, as in the paper,
+    /// which reports warm per-query execution.
     fn prepare_pinned(
         &self,
         enforcement: Enforcement,
         query: &SelectQuery,
         qm: &QueryMetadata,
-    ) -> SieveResult<(SelectQuery, PreparePins)> {
+    ) -> SieveResult<(SelectQuery, Vec<PartitionHandle>)> {
         match enforcement {
             Enforcement::Sieve => {
                 let out = self.rewrite(query, qm)?;
-                Ok((
-                    out.query,
-                    PreparePins {
-                        fragments: out.fragments,
-                        handles: Vec::new(),
-                    },
-                ))
+                let pins = out.fragments.iter().flat_map(|f| f.partitions.iter().cloned());
+                Ok((out.query, pins.collect()))
             }
-            Enforcement::NoPolicies => Ok((query.clone(), PreparePins::default())),
+            Enforcement::NoPolicies => Ok((query.clone(), Vec::new())),
             Enforcement::Baseline(which) => {
                 // The baseline rewrites (policy DNF in WHERE, per-policy
                 // UNION, per-tuple UDF) attach to top-level FROM entries
@@ -961,7 +907,7 @@ impl<B: SqlBackend> SieveService<B> {
                 let backend = self.inner.backend.read();
                 let mut rewritten = query.clone();
                 for rel in top {
-                    let relevant = relevant_policies(store.iter(), &rel, qm, &groups);
+                    let relevant = store.relevant(&rel, qm, &groups);
                     rewritten = match which {
                         Baseline::P => rewrite_baseline_p(&rewritten, &rel, &relevant),
                         Baseline::I => rewrite_baseline_i(&rewritten, &rel, &relevant),
@@ -980,13 +926,7 @@ impl<B: SqlBackend> SieveService<B> {
                         }
                     };
                 }
-                Ok((
-                    rewritten,
-                    PreparePins {
-                        fragments: Vec::new(),
-                        handles,
-                    },
-                ))
+                Ok((rewritten, handles))
             }
         }
     }
@@ -1088,7 +1028,6 @@ impl<B: SqlBackend> SieveService<B> {
                 store: &store,
                 groups: &groups,
                 backend: &*backend,
-                by_id: store.by_id(),
                 delta: &self.inner.delta,
                 opts: &opts,
                 cost: &cost,
@@ -1110,7 +1049,7 @@ impl<B: SqlBackend> SieveService<B> {
                 }
                 let entry = backend.table_entry(&relation)?;
                 let group = crate::batch::build_shared_group(
-                    store.iter(),
+                    &store,
                     &relation,
                     &purpose,
                     entry,
@@ -1220,6 +1159,7 @@ impl<B: SqlBackend> SieveService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::relevant_policies;
     use crate::policy::{CondPredicate, ObjectCondition, QuerierSpec};
     use minidb::value::DataType;
     use minidb::{DbProfile, TableSchema, Value};

@@ -12,8 +12,9 @@
 //! queryable, durable mirror.
 
 use crate::backend::SqlBackend;
+use crate::filter::{policy_applies, GroupDirectory};
 use crate::policy::{
-    CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, UserId,
+    CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata, UserId,
 };
 use minidb::error::{DbError, DbResult};
 use crate::error::SieveResult;
@@ -39,6 +40,10 @@ pub const QM_ATTR_PREFIX: &str = "__qm_";
 #[derive(Debug, Default)]
 pub struct PolicyStore {
     policies: BTreeMap<PolicyId, Policy>,
+    /// Who each policy is granted to → its id, ascending. Kept by `add`
+    /// alone, and policies are never removed, so it is always the whole
+    /// store: the prefilter of [`PolicyStore::relevant`].
+    by_querier: HashMap<QuerierSpec, Vec<PolicyId>>,
     next_id: PolicyId,
     clock: u64,
 }
@@ -55,6 +60,7 @@ impl PolicyStore {
         self.clock += 1;
         p.id = self.next_id;
         p.inserted_at = self.clock;
+        self.by_querier.entry(p.querier.clone()).or_default().push(p.id);
         self.policies.insert(p.id, p);
         self.next_id
     }
@@ -79,9 +85,31 @@ impl PolicyStore {
         self.policies.is_empty()
     }
 
-    /// Id → policy map (used by rewriting).
-    pub fn by_id(&self) -> HashMap<PolicyId, &Policy> {
-        self.policies.iter().map(|(k, v)| (*k, v)).collect()
+    /// `P_QM` for a relation, in id order — what
+    /// [`crate::filter::relevant_policies`] returns over [`Self::iter`],
+    /// without the scan: the index narrows to the policies granted to the
+    /// querier or to one of its (transitive) groups, and the canonical
+    /// [`policy_applies`] makes the final call, so the lookup cannot
+    /// diverge from the scan on any applicability rule (purpose wildcards,
+    /// querier context, whatever comes next).
+    pub fn relevant(
+        &self,
+        relation: &str,
+        qm: &QueryMetadata,
+        groups: &GroupDirectory,
+    ) -> Vec<&Policy> {
+        let specs = std::iter::once(QuerierSpec::User(qm.querier))
+            .chain(groups.groups_of(qm.querier).into_iter().map(QuerierSpec::Group));
+        let mut ids: Vec<PolicyId> = specs
+            .filter_map(|spec| self.by_querier.get(&spec))
+            .flatten()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids.iter()
+            .filter_map(|id| self.policies.get(id))
+            .filter(|p| p.relation == relation && policy_applies(p, qm, groups))
+            .collect()
     }
 }
 

@@ -21,9 +21,20 @@ use crate::value::Value;
 
 /// Replace every literal in `q` with a positional placeholder, returning
 /// the template and the lifted values (index = placeholder ordinal).
+///
+/// Already-parameterized input keeps its placeholders only if it carries
+/// no literals at all; mixing would shuffle ordinals, so re-parameterizing
+/// a template is the caller's bug. In practice `parameterize` only ever
+/// sees fully-literal plans.
 pub fn parameterize(q: &SelectQuery) -> (SelectQuery, Vec<Value>) {
     let mut params = Vec::new();
-    let template = param_query(q, &mut params);
+    let template = map_query(q, &mut |e| match e {
+        Expr::Literal(v) => {
+            params.push(v.clone());
+            Some(Expr::Param(params.len() - 1))
+        }
+        _ => None,
+    });
     (template, params)
 }
 
@@ -31,17 +42,37 @@ pub fn parameterize(q: &SelectQuery) -> (SelectQuery, Vec<Value>) {
 /// the template references an ordinal past the end of `params`; extra
 /// values are ignored (the template decides arity).
 pub fn bind_params(q: &SelectQuery, params: &[Value]) -> DbResult<SelectQuery> {
-    bind_query(q, params)
+    let mut unbound = None;
+    let bound = map_query(q, &mut |e| match e {
+        Expr::Param(i) => Some(match params.get(*i) {
+            Some(v) => Expr::Literal(v.clone()),
+            None => {
+                unbound.get_or_insert(*i);
+                e.clone()
+            }
+        }),
+        _ => None,
+    });
+    match unbound {
+        Some(i) => Err(DbError::Unsupported(format!(
+            "placeholder ?{i} out of range: {} parameters bound",
+            params.len()
+        ))),
+        None => Ok(bound),
+    }
 }
 
-fn param_query(q: &SelectQuery, out: &mut Vec<Value>) -> SelectQuery {
+/// Rebuild `q`, offering `f` every expression node in render order (WITH
+/// bodies, FROM derived tables, then WHERE) through [`Expr::map`], scalar
+/// subqueries descended into.
+fn map_query(q: &SelectQuery, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> SelectQuery {
     SelectQuery {
         with: q
             .with
             .iter()
             .map(|wc| WithClause {
                 name: wc.name.clone(),
-                query: param_query(&wc.query, out),
+                query: map_query(&wc.query, f),
             })
             .collect(),
         select: q.select.clone(),
@@ -51,174 +82,22 @@ fn param_query(q: &SelectQuery, out: &mut Vec<Value>) -> SelectQuery {
             .map(|t| {
                 let mut t = t.clone();
                 if let TableSource::Derived(inner) = &t.source {
-                    t.source = TableSource::Derived(Box::new(param_query(inner, out)));
+                    t.source = TableSource::Derived(Box::new(map_query(inner, f)));
                 }
                 t
             })
             .collect(),
-        predicate: q.predicate.as_ref().map(|p| param_expr(p, out)),
-        group_by: q.group_by.clone(),
-        limit: q.limit,
-    }
-}
-
-fn param_expr(e: &Expr, out: &mut Vec<Value>) -> Expr {
-    match e {
-        Expr::Literal(v) => {
-            let ord = out.len();
-            out.push(v.clone());
-            Expr::Param(ord)
-        }
-        // Already-parameterized input keeps its placeholders only if it
-        // carries no literals at all; mixing would shuffle ordinals, so
-        // re-parameterizing a template is the caller's bug. In practice
-        // `parameterize` only ever sees fully-literal plans.
-        Expr::Param(i) => Expr::Param(*i),
-        Expr::Column(_) => e.clone(),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(param_expr(lhs, out)),
-            rhs: Box::new(param_expr(rhs, out)),
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(param_expr(expr, out)),
-            low: Box::new(param_expr(low, out)),
-            high: Box::new(param_expr(high, out)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(param_expr(expr, out)),
-            list: list.iter().map(|x| param_expr(x, out)).collect(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(param_expr(expr, out)),
-            negated: *negated,
-        },
-        Expr::And(v) => Expr::And(v.iter().map(|x| param_expr(x, out)).collect()),
-        Expr::Or(v) => Expr::Or(v.iter().map(|x| param_expr(x, out)).collect()),
-        Expr::Not(x) => Expr::Not(Box::new(param_expr(x, out))),
-        Expr::Udf { name, args } => Expr::Udf {
-            name: name.clone(),
-            args: args.iter().map(|x| param_expr(x, out)).collect(),
-        },
-        Expr::ScalarSubquery(q) => {
-            Expr::ScalarSubquery(Box::new(param_query(q, out)))
-        }
-    }
-}
-
-fn bind_query(q: &SelectQuery, params: &[Value]) -> DbResult<SelectQuery> {
-    Ok(SelectQuery {
-        with: q
-            .with
-            .iter()
-            .map(|wc| {
-                Ok(WithClause {
-                    name: wc.name.clone(),
-                    query: bind_query(&wc.query, params)?,
-                })
-            })
-            .collect::<DbResult<_>>()?,
-        select: q.select.clone(),
-        from: q
-            .from
-            .iter()
-            .map(|t| {
-                let mut t = t.clone();
-                if let TableSource::Derived(inner) = &t.source {
-                    t.source =
-                        TableSource::Derived(Box::new(bind_query(inner, params)?));
+        predicate: q.predicate.as_ref().map(|p| {
+            p.map(&mut |e| match e {
+                Expr::ScalarSubquery(sub) => {
+                    Some(Expr::ScalarSubquery(Box::new(map_query(sub, f))))
                 }
-                Ok(t)
+                _ => f(e),
             })
-            .collect::<DbResult<_>>()?,
-        predicate: match &q.predicate {
-            Some(p) => Some(bind_expr(p, params)?),
-            None => None,
-        },
+        }),
         group_by: q.group_by.clone(),
         limit: q.limit,
-    })
-}
-
-fn bind_expr(e: &Expr, params: &[Value]) -> DbResult<Expr> {
-    Ok(match e {
-        Expr::Param(i) => Expr::Literal(
-            params
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| {
-                    DbError::Unsupported(format!(
-                        "placeholder ?{i} out of range: {} parameters bound",
-                        params.len()
-                    ))
-                })?,
-        ),
-        Expr::Literal(_) | Expr::Column(_) => e.clone(),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(bind_expr(lhs, params)?),
-            rhs: Box::new(bind_expr(rhs, params)?),
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(bind_expr(expr, params)?),
-            low: Box::new(bind_expr(low, params)?),
-            high: Box::new(bind_expr(high, params)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(bind_expr(expr, params)?),
-            list: list
-                .iter()
-                .map(|x| bind_expr(x, params))
-                .collect::<DbResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(bind_expr(expr, params)?),
-            negated: *negated,
-        },
-        Expr::And(v) => Expr::And(
-            v.iter()
-                .map(|x| bind_expr(x, params))
-                .collect::<DbResult<_>>()?,
-        ),
-        Expr::Or(v) => Expr::Or(
-            v.iter()
-                .map(|x| bind_expr(x, params))
-                .collect::<DbResult<_>>()?,
-        ),
-        Expr::Not(x) => Expr::Not(Box::new(bind_expr(x, params)?)),
-        Expr::Udf { name, args } => Expr::Udf {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|x| bind_expr(x, params))
-                .collect::<DbResult<_>>()?,
-        },
-        Expr::ScalarSubquery(q) => {
-            Expr::ScalarSubquery(Box::new(bind_query(q, params)?))
-        }
-    })
+    }
 }
 
 #[cfg(test)]

@@ -517,9 +517,9 @@ fn baselines_fail_closed_on_nested_reads() {
         });
         for q in [&nested, &overlap] {
             for b in [Baseline::P, Baseline::I, Baseline::U] {
-                let err = sieve.prepare(Enforcement::Baseline(b), q, &qm);
+                let (refused, _) = sieve.run_timed(Enforcement::Baseline(b), q, &qm);
                 assert!(
-                    err.is_err(),
+                    refused.is_err(),
                     "baseline {b:?} via {backend} must refuse nested protected \
                      reads, not bypass them"
                 );
@@ -530,7 +530,7 @@ fn baselines_fail_closed_on_nested_reads() {
         // nested-scope question the baselines never see).
         let top = SelectQuery::star_from(REL);
         for b in [Baseline::P, Baseline::I, Baseline::U] {
-            assert!(sieve.prepare(Enforcement::Baseline(b), &top, &qm).is_ok());
+            assert!(sieve.run_timed(Enforcement::Baseline(b), &top, &qm).0.is_ok());
         }
     });
 }

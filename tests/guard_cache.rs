@@ -14,7 +14,7 @@ use sieve::core::backend::for_each_backend;
 use sieve::core::dynamic::RegenerationPolicy;
 use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::rewrite::DeltaMode;
-use sieve::core::{SieveOptions, SieveService};
+use sieve::core::{GuardSelectionStrategy, SieveOptions, SieveService};
 use sieve::minidb::{Row, SelectQuery, Value};
 use support::{oracle_rows, policy, sorted_rows, REL};
 
@@ -171,6 +171,29 @@ fn delta_mode_flip_recompiles_fragment_and_stays_correct() {
     assert_eq!(inline_rows, delta_rows);
     assert_eq!(delta_rows, oracle(&sieve, &qm));
     assert_eq!(sieve.generations(), 1, "mode change must not regenerate");
+}
+
+/// A `selection` flip on a warm key must reach the next query: every
+/// cached expression was selected under the old strategy (here one
+/// `wifi_ap` guard over the 20 policies, against `OwnerOnly`'s guard per
+/// owner), so the flip drops them and the key regenerates — same rows.
+#[test]
+fn selection_flip_regenerates_warm_keys() {
+    let db = support::wifi_db(2000, 20, false);
+    for_each_backend(&db, &SieveOptions::default(), |name, service| {
+        support::register_corpus(&service);
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from(REL);
+        let expect = oracle_rows(&service, REL, &qm);
+        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect, "{name}: warm-up");
+        assert_eq!(service.guarded_expression(&qm, REL).unwrap().guards.len(), 1, "{name}");
+        assert_eq!(service.generations(), 1, "{name}");
+
+        service.with_options_mut(|o| o.selection = GuardSelectionStrategy::OwnerOnly);
+        assert_eq!(service.guarded_expression(&qm, REL).unwrap().guards.len(), 20, "{name}");
+        assert_eq!(service.generations(), 2, "{name}");
+        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect, "{name}: after flip");
+    });
 }
 
 /// Ground-truth counter audit: drive a known sequence of queries and

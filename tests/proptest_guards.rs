@@ -1,4 +1,4 @@
-//! Property tests over the guard machinery (DESIGN.md §7):
+//! Property tests over the guard machinery:
 //!
 //! 1. **Exactly-once cover**: Algorithm 1 partitions the policy set —
 //!    every policy appears in exactly one guard partition.
@@ -7,14 +7,20 @@
 //!    exactly the tuples the plain policy DNF accepts.
 //! 3. **Theorem 1 invariant**: candidate guards never merge disjoint
 //!    ranges.
+//! 4. **Indexed lookup == scan**: `PolicyStore::relevant` returns exactly
+//!    what `filter::relevant_policies` finds by scanning the store.
 
 use proptest::prelude::*;
 use sieve::core::cost::CostModel;
 use sieve::core::guard::{
     candidates::generate_candidates, generate_guarded_expression, GuardSelectionStrategy,
 };
-use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec};
+use sieve::core::filter::{relevant_policies, GroupDirectory};
+use sieve::core::policy::{
+    CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata, PURPOSE_ANY,
+};
 use sieve::core::semantics::{eval_condition, eval_policies};
+use sieve::core::store::PolicyStore;
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, TableSchema};
 use std::collections::{BTreeSet, HashMap};
@@ -89,8 +95,82 @@ fn with_ids(mut policies: Vec<Policy>) -> Vec<Policy> {
     policies
 }
 
+/// One step of building a group directory: a membership or a subsumption
+/// edge. A random sequence puts edges both before and after the
+/// memberships they extend.
+#[derive(Debug, Clone)]
+enum GroupOp {
+    Member(i64, i64),
+    Subsume(i64, i64),
+}
+
+fn arb_group_op() -> impl Strategy<Value = GroupOp> {
+    prop_oneof![
+        (10i64..15, 1i64..6).prop_map(|(g, u)| GroupOp::Member(g, u)),
+        (10i64..15, 10i64..15).prop_map(|(c, p)| GroupOp::Subsume(c, p)),
+    ]
+}
+
+const PURPOSES: [&str; 3] = ["Analytics", "Safety", PURPOSE_ANY];
+const NETWORKS: [&str; 2] = ["campus", "public"];
+
+/// A grant to a user or a group, over one of two relations, for a purpose
+/// (or any), optionally gated on the querier's network.
+fn arb_grant() -> impl Strategy<Value = Policy> {
+    (
+        prop_oneof![
+            (1i64..6).prop_map(QuerierSpec::User),
+            (10i64..15).prop_map(QuerierSpec::Group),
+        ],
+        any::<bool>(),
+        0usize..3,
+        proptest::option::of(0usize..2),
+    )
+        .prop_map(|(querier, other, purpose, network)| {
+            let relation = if other { "other" } else { "wifi_dataset" };
+            let p = Policy::new(7, relation, querier, PURPOSES[purpose], vec![]);
+            match network {
+                Some(n) => p.with_context("network", Value::str(NETWORKS[n])),
+                None => p,
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn indexed_lookup_matches_store_scan(
+        grants in proptest::collection::vec(arb_grant(), 0..40),
+        ops in proptest::collection::vec(arb_group_op(), 0..16),
+    ) {
+        let mut store = PolicyStore::new();
+        for p in grants {
+            store.add(p);
+        }
+        let mut groups = GroupDirectory::new();
+        for op in ops {
+            match op {
+                GroupOp::Member(g, u) => groups.add_member(g, u),
+                GroupOp::Subsume(c, p) => groups.add_subsumption(c, p),
+            }
+        }
+        for querier in 1i64..6 {
+            for purpose in ["Analytics", "Safety", "Audit"] {
+                let bare = QueryMetadata::new(querier, purpose);
+                let on_campus = bare.clone().with_context("network", Value::str("campus"));
+                for qm in [bare, on_campus] {
+                    for relation in ["wifi_dataset", "other"] {
+                        prop_assert_eq!(
+                            store.relevant(relation, &qm, &groups),
+                            relevant_policies(store.iter(), relation, &qm, &groups),
+                            "querier {} / {} / {}", querier, purpose, relation
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn guards_cover_every_policy_exactly_once(

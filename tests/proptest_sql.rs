@@ -1,6 +1,6 @@
 //! Property test: the SQL renderer and parser are inverse —
 //! `parse(render(q)) == q` for randomly generated queries covering the
-//! whole supported subset (DESIGN.md §7, criterion 5).
+//! whole supported subset.
 
 use proptest::prelude::*;
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
