@@ -42,8 +42,8 @@
 
 #![warn(missing_docs)]
 // The query path must fail closed with typed errors, never panic: gate
-// `unwrap`/`expect`/`panic!` behind clippy's disallowed lists (see the
-// root `clippy.toml`). Tests opt back in — a failed assertion *should*
+// `unwrap`/`expect`/`panic!` behind clippy's disallowed lists (see this
+// crate's `clippy.toml`). Tests opt back in — a failed assertion *should*
 // panic there.
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_macros))]

@@ -359,11 +359,6 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.revision.load(Ordering::SeqCst)
     }
 
-    /// Current cost model (copy).
-    pub fn cost_model(&self) -> CostModel {
-        *self.inner.cost.read()
-    }
-
     /// Calibrate the cost model against a loaded table (Section 5.4).
     pub fn calibrate(&self, table: &str, sample_rows: usize) -> SieveResult<()> {
         let policies: Vec<Policy> =
@@ -413,11 +408,6 @@ impl<B: SqlBackend> SieveService<B> {
             self.invalidate_all();
         }
         out
-    }
-
-    /// Number of registered policies.
-    pub fn policy_count(&self) -> usize {
-        self.inner.store.read().len()
     }
 
     /// Snapshot of the registered policies (clones; oracle/test use).

@@ -8,7 +8,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::exec::{execute, ExecOptions, QueryResult};
-use crate::explain::{explain_query, ExplainOutput};
+use crate::explain::{explain_query_opts, ExplainOutput};
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
 use crate::index::Index;
 use crate::plan::SelectQuery;
@@ -264,14 +264,14 @@ impl Database {
     /// estimated cardinalities (paper Section 5.5 uses this to cost
     /// strategies).
     pub fn explain(&self, query: &SelectQuery) -> DbResult<ExplainOutput> {
-        explain_query(self, query)
+        explain_query_opts(self, query, &ExecOptions::default())
     }
 
     /// EXPLAIN under specific execution options: with a thread knob set,
     /// large scans report as `ParallelScan(morsels=…)` and the
     /// PostgreSQL-like bitmap gate tightens accordingly.
     pub fn explain_opts(&self, query: &SelectQuery, opts: &ExecOptions) -> DbResult<ExplainOutput> {
-        crate::explain::explain_query_opts(self, query, opts)
+        explain_query_opts(self, query, opts)
     }
 
     /// Parse and run a SQL string.

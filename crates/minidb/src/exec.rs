@@ -1,25 +1,28 @@
-//! Query execution.
+//! Query execution: plan → run.
 //!
-//! Materializing executor over the access plans chosen by
-//! [`crate::planner`]. Executes `WITH` clauses first (into temp tables, as
-//! PostgreSQL materializes CTEs), then the body: per-table access, left-deep
-//! joins (index nested-loop when the inner side has a usable index, hash
-//! join otherwise), residual filters, GROUP BY/aggregates, projection, and
-//! LIMIT. All data movement is charged to the database's [`StatsSink`].
+//! [`execute`] has [`crate::planner`] build the query's plan value, then
+//! runs it: WITH bodies first (into temp tables, as PostgreSQL materializes
+//! CTEs), then the body — the first input through its access plan,
+//! left-deep joins in FROM order (index nested-loop, hash or cross, as the
+//! plan says), the residual filter, GROUP BY/aggregates or projection, and
+//! LIMIT. The executor is a materializing interpreter of that value and
+//! decides nothing itself; a correlated subquery is planned and run per
+//! invocation. All data movement is charged to the database's
+//! [`StatsSink`].
 
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
-use crate::expr::{bind, ColumnRef, EvalContext, Expr, FilterProgram, Layout, QueryRunner};
+use crate::expr::{EvalContext, FilterProgram, QueryRunner};
 use crate::index::RowIdSet;
-use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource};
+use crate::plan::{AggFunc, SelectQuery};
 use crate::planner::{
-    classify_predicate, plan_access_opts, AccessPlan, IndexProbe, JoinCond, ScanOptions,
-    MORSEL_ROWS, PARALLEL_MIN_ROWS,
+    plan_query, AccessPlan, AggOut, IndexProbe, Input, Output, QueryPlan, Read, ScanOptions,
+    TempSource, MORSEL_ROWS,
 };
-use crate::schema::{Column, TableSchema};
+use crate::schema::TableSchema;
 use crate::stats::StatsSink;
 use crate::table::{Row, RowId, ROWS_PER_PAGE};
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,8 +35,8 @@ pub struct ExecOptions {
     /// paper's Experiment 3 uses a 30 s timeout.
     pub timeout: Option<Duration>,
     /// Worker threads for morsel-parallel scans; `0` or `1` (the default)
-    /// keeps every scan sequential. Inputs below
-    /// [`crate::planner::PARALLEL_MIN_ROWS`] stay sequential regardless.
+    /// keeps every scan sequential. Which scans are big enough to split
+    /// is the planner's decision ([`crate::planner::ScanOptions`]).
     pub threads: usize,
 }
 
@@ -88,47 +91,9 @@ struct TempTable {
     rows: Vec<Row>,
 }
 
-impl TempTable {
-    fn from_result(name: &str, result: QueryResult) -> Self {
-        let columns = result
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let dtype = result
-                    .rows
-                    .iter()
-                    .find_map(|r| r[i].data_type())
-                    .unwrap_or(DataType::Str);
-                Column::new(c.clone(), dtype)
-            })
-            .collect();
-        TempTable {
-            schema: Arc::new(TableSchema::new(name, columns)),
-            rows: result.rows,
-        }
-    }
-}
-
 /// One parallel-filter worker's output: `(morsel index, surviving rows)`
 /// pairs in claim order, merged back by index for a deterministic result.
 type MorselOut = Vec<(usize, Vec<Row>)>;
-
-/// What a FROM entry resolved to.
-enum Rel<'a> {
-    Base(&'a TableEntry),
-    Temp(Arc<TempTable>),
-}
-
-impl Rel<'_> {
-    fn schema(&self) -> Arc<TableSchema> {
-        match self {
-            Rel::Base(e) => e.schema().clone(),
-            Rel::Temp(t) => t.schema.clone(),
-        }
-    }
-
-}
 
 /// Rows evaluated per filter batch: big enough to amortize the deadline
 /// check and selection-vector bookkeeping, small enough to stay cache-hot.
@@ -143,7 +108,7 @@ fn concat_rows(orow: &[Value], irow: &[Value]) -> Row {
     combined
 }
 
-/// Execute a query against a database.
+/// Execute a query against a database: plan it, then run the plan.
 pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
     let exec = Exec {
         db,
@@ -152,7 +117,12 @@ pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResu
         params: Arc::new(HashMap::new()),
         threads: opts.threads,
     };
-    exec.run(query)
+    let scan = ScanOptions { threads: opts.threads };
+    let plan = plan_query(db, query, "", scan, &mut Vec::new(), &HashSet::new())?;
+    Ok(QueryResult {
+        rows: exec.run(&plan)?,
+        columns: plan.schema.columns.iter().map(|c| c.name.clone()).collect(),
+    })
 }
 
 struct Exec<'a> {
@@ -163,7 +133,7 @@ struct Exec<'a> {
     deadline: Option<Instant>,
     /// Correlation parameters, shared the same way.
     params: Arc<HashMap<String, Value>>,
-    /// Scan-parallelism knob from [`ExecOptions::threads`].
+    /// Scan workers available, from [`ExecOptions::threads`].
     threads: usize,
 }
 
@@ -173,16 +143,18 @@ impl QueryRunner for Exec<'_> {
         query: &SelectQuery,
         params: HashMap<String, Value>,
     ) -> DbResult<Vec<Row>> {
+        // Planned per invocation, against what this executor can see.
+        let mut ctes = self.temps.iter().map(|(n, t)| (n.clone(), t.schema.clone())).collect();
+        let names = params.keys().cloned().collect();
+        // Correlated subqueries run once per outer row; nesting scan
+        // workers inside them would oversubscribe the pool.
+        let plan = plan_query(self.db, query, "", ScanOptions::default(), &mut ctes, &names)?;
         let nested = Exec {
-            db: self.db,
-            temps: Arc::clone(&self.temps),
-            deadline: self.deadline,
             params: Arc::new(params),
-            // Correlated subqueries run once per outer row; nesting scan
-            // workers inside them would oversubscribe the pool.
             threads: 0,
+            ..self.with_temps(Arc::clone(&self.temps))
         };
-        Ok(nested.run(query)?.rows)
+        nested.run(&plan)
     }
 }
 
@@ -200,10 +172,6 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    fn param_names(&self) -> HashSet<String> {
-        self.params.keys().cloned().collect()
-    }
-
     fn eval_ctx(&'a self) -> EvalContext<'a> {
         EvalContext {
             stats: self.stats(),
@@ -213,112 +181,42 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn run(&self, query: &SelectQuery) -> DbResult<QueryResult> {
-        if query.with.is_empty() {
-            return self.run_body(query);
+    /// This executor, seeing `temps`.
+    fn with_temps(&self, temps: Arc<HashMap<String, Arc<TempTable>>>) -> Exec<'a> {
+        Exec {
+            db: self.db,
+            temps,
+            deadline: self.deadline,
+            params: Arc::clone(&self.params),
+            threads: self.threads,
+        }
+    }
+
+    fn run(&self, plan: &QueryPlan) -> DbResult<Vec<Row>> {
+        if plan.ctes.is_empty() {
+            return self.run_body(plan);
         }
         // Each WITH clause sees the ones before it; only the map itself is
         // rebuilt, the materialized tables are shared by Arc.
         let mut temps = (*self.temps).clone();
-        for wc in &query.with {
-            let nested = Exec {
-                db: self.db,
-                temps: Arc::new(temps),
-                deadline: self.deadline,
-                params: Arc::clone(&self.params),
-                threads: self.threads,
-            };
-            let result = nested.run(&wc.query)?;
+        for (name, cte) in &plan.ctes {
+            let nested = self.with_temps(Arc::new(temps));
+            let rows = nested.run(cte)?;
             temps = Arc::try_unwrap(nested.temps).unwrap_or_else(|a| (*a).clone());
-            temps.insert(
-                wc.name.clone(),
-                Arc::new(TempTable::from_result(&wc.name, result)),
-            );
+            let schema = cte.schema.clone();
+            temps.insert(name.clone(), Arc::new(TempTable { schema, rows }));
         }
-        let nested = Exec {
-            db: self.db,
-            temps: Arc::new(temps),
-            deadline: self.deadline,
-            params: Arc::clone(&self.params),
-            threads: self.threads,
-        };
-        nested.run_body(query)
+        self.with_temps(Arc::new(temps)).run_body(plan)
     }
 
-    fn resolve(&self, tref: &TableRef) -> DbResult<Rel<'a>> {
-        match &tref.source {
-            TableSource::Named(name) => {
-                if let Some(t) = self.temps.get(name) {
-                    Ok(Rel::Temp(t.clone()))
-                } else {
-                    Ok(Rel::Base(self.db.table(name)?))
-                }
-            }
-            TableSource::Derived(q) => {
-                let result = self.run(q)?;
-                Ok(Rel::Temp(Arc::new(TempTable::from_result(
-                    &tref.alias,
-                    result,
-                ))))
-            }
-        }
-    }
-
-    fn run_body(&self, query: &SelectQuery) -> DbResult<QueryResult> {
-        if query.from.is_empty() {
-            return Err(DbError::Unsupported("query without FROM".into()));
-        }
-        // Resolve FROM entries and build the combined layout.
-        let mut rels: Vec<(String, Rel<'a>, IndexHint)> = Vec::with_capacity(query.from.len());
-        let mut layout = Layout::new();
-        for tref in &query.from {
-            let rel = self.resolve(tref)?;
-            layout.push(tref.alias.clone(), rel.schema());
-            rels.push((tref.alias.clone(), rel, tref.hint.clone()));
-        }
-        let table_schemas: Vec<(String, Arc<TableSchema>)> = layout.entries().to_vec();
-
-        // Classify the predicate into local / join / residual parts.
-        let classified = match &query.predicate {
-            Some(p) => classify_predicate(p, &table_schemas),
-            None => Default::default(),
-        };
-
-        // Access the first table.
-        let (first_alias, first_rel, first_hint) = &rels[0];
-        let first_local = classified.local_predicate(first_alias);
-        let mut rows = self.access(first_alias, first_rel, first_hint, first_local.as_ref())?;
-
-        // Left-deep joins over the remaining tables.
-        let mut joined_aliases = vec![first_alias.clone()];
-        for (alias, rel, hint) in rels.iter().skip(1) {
-            let local = classified.local_predicate(alias);
-            let conds: Vec<&JoinCond> = classified
-                .joins
-                .iter()
-                .filter(|j| {
-                    (j.left_alias == *alias && joined_aliases.contains(&j.right_alias))
-                        || (j.right_alias == *alias && joined_aliases.contains(&j.left_alias))
-                })
-                .collect();
-            rows = self.join(
-                rows,
-                &joined_aliases,
-                &table_schemas,
-                alias,
-                rel,
-                hint,
-                local.as_ref(),
-                &conds,
-            )?;
-            joined_aliases.push(alias.clone());
+    fn run_body(&self, plan: &QueryPlan) -> DbResult<Vec<Row>> {
+        let mut rows = Vec::new();
+        for (k, input) in plan.inputs.iter().enumerate() {
+            rows = if k == 0 { self.read(input)? } else { self.join(rows, input)? };
         }
 
         // Residual predicate (multi-table non-equi-join conjuncts).
-        if !classified.residual.is_empty() {
-            let residual = Expr::all(classified.residual.clone());
-            let program =
-                FilterProgram::new(Some(bind(&residual, &layout, None, &self.param_names())?));
+        if !matches!(plan.residual, FilterProgram::KeepAll) {
             let ctx = self.eval_ctx();
             // Batch into a keep-mask, then compact in place: survivors are
             // moved, never cloned.
@@ -328,7 +226,7 @@ impl<'a> Exec<'a> {
             for chunk in rows.chunks(FILTER_BATCH) {
                 self.check_deadline()?;
                 sel.clear();
-                program.select_into(chunk, |r| r.as_slice(), &ctx, &mut sel)?;
+                plan.residual.select_into(chunk, |r| r.as_slice(), &ctx, &mut sel)?;
                 for &i in &sel {
                     keep[base + i as usize] = true;
                 }
@@ -338,78 +236,75 @@ impl<'a> Exec<'a> {
             rows.retain(|_| it.next().unwrap_or(false));
         }
 
-        // Aggregation or plain projection.
-        let mut result = if query.has_aggregates() || !query.group_by.is_empty() {
-            self.aggregate(query, &layout, rows)?
-        } else {
-            self.project(query, &layout, rows)?
+        let mut rows = match &plan.output {
+            Output::Rows => rows,
+            Output::Project(slots) => rows
+                .into_iter()
+                .map(|r| slots.iter().map(|&s| r[s].clone()).collect())
+                .collect(),
+            Output::Aggregate { group_slots, aggs, outs } => {
+                self.aggregate(group_slots, aggs, outs, rows)?
+            }
         };
-
-        if let Some(limit) = query.limit {
-            result.rows.truncate(limit);
+        if let Some(limit) = plan.limit {
+            rows.truncate(limit);
         }
-        self.stats().outputs(result.rows.len() as u64);
-        Ok(result)
+        self.stats().outputs(rows.len() as u64);
+        Ok(rows)
     }
 
-    /// Access one relation, applying `predicate` (its local conjuncts).
-    fn access(
-        &self,
-        alias: &str,
-        rel: &Rel<'a>,
-        hint: &IndexHint,
-        predicate: Option<&Expr>,
-    ) -> DbResult<Vec<Row>> {
-        let layout = Layout::single(alias, rel.schema());
-        let bound = match predicate {
-            Some(p) => Some(bind(p, &layout, None, &self.param_names())?),
-            None => None,
-        };
-        let program = FilterProgram::new(bound);
-        // Constant-false predicates (e.g. a guarded expression with no
-        // guards — default deny) read nothing.
-        if program.drops_all() {
-            return Ok(Vec::new());
-        }
+    /// Produce an input's rows on their own, its local filter applied: the
+    /// first input, and the inner side of a hash or cross join.
+    fn read(&self, input: &Input) -> DbResult<Vec<Row>> {
         let ctx = self.eval_ctx();
-        match rel {
-            Rel::Temp(t) => {
-                // Temp tables have no indexes: sequential scan.
-                self.stats()
-                    .seq_pages((t.rows.len().div_ceil(ROWS_PER_PAGE)) as u64);
-                self.stats().tuples(t.rows.len() as u64);
-                let mut out = Vec::new();
-                self.filter_batched(&t.rows, &program, &ctx, &mut out)?;
-                Ok(out)
+        let mut out = Vec::new();
+        match &input.read {
+            Read::Temp { source, parallel_from } => {
+                let (cte, derived);
+                let rows: &[Row] = match source {
+                    TempSource::Cte(name) => {
+                        let missing = || DbError::UnknownTable(name.clone());
+                        cte = self.temps.get(name).ok_or_else(missing)?;
+                        &cte.rows
+                    }
+                    TempSource::Derived(plan) => {
+                        derived = self.run(plan)?;
+                        &derived
+                    }
+                };
+                // Constant-false predicates (e.g. a guarded expression
+                // with no guards — default deny) read nothing.
+                if !input.local.drops_all() {
+                    self.stats().seq_pages(rows.len().div_ceil(ROWS_PER_PAGE) as u64);
+                    self.stats().tuples(rows.len() as u64);
+                    let parallel = parallel_from.is_some_and(|n| rows.len() >= n);
+                    self.filter_batched(rows, &input.local, &ctx, parallel, &mut out)?;
+                }
             }
-            Rel::Base(entry) => {
-                let plan = plan_access_opts(
-                    entry,
-                    alias,
-                    predicate,
-                    hint,
-                    self.db.profile(),
-                    ScanOptions {
-                        threads: self.threads,
-                    },
-                );
-                self.scan_base(entry, &plan, &program, &ctx)
+            Read::Access { table, plan } => {
+                if !input.local.drops_all() {
+                    out = self.scan_base(self.db.table(table)?, plan, &input.local, &ctx)?;
+                }
+            }
+            Read::Lookup { table, .. } => {
+                return Err(DbError::Unsupported(format!("index lookup of {table} with no outer row")))
             }
         }
+        Ok(out)
     }
 
     /// Drive owned rows through a filter program in batches, cloning only
-    /// survivors into `out`. Large inputs go morsel-parallel when the
-    /// thread knob allows (temp tables have no access plan, so the
-    /// decision is made here with the same thresholds the planner uses).
+    /// survivors into `out` — over morsel-parallel workers when the plan
+    /// said `parallel`.
     fn filter_batched(
         &self,
         rows: &[Row],
         program: &FilterProgram,
         ctx: &EvalContext<'_>,
+        parallel: bool,
         out: &mut Vec<Row>,
     ) -> DbResult<()> {
-        if self.threads >= 2 && rows.len() >= PARALLEL_MIN_ROWS {
+        if parallel {
             return self.filter_parallel(rows, program, out);
         }
         let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
@@ -530,13 +425,12 @@ impl<'a> Exec<'a> {
                 // Same accounting as `Table::scan` (every page once,
                 // sequentially, one tuple read per row), but filtering
                 // directly over the contiguous row slice in batches.
-                // `filter_batched` splits into parallel morsels exactly
-                // when the plan says ParallelScan (same thresholds).
                 let stats = self.stats();
                 stats.seq_pages(entry.table.page_count());
                 stats.tuples(entry.table.len() as u64);
+                let parallel = matches!(plan, AccessPlan::ParallelScan { .. });
                 let mut out = Vec::new();
-                self.filter_batched(entry.table.rows(), program, ctx, &mut out)?;
+                self.filter_batched(entry.table.rows(), program, ctx, parallel, &mut out)?;
                 Ok(out)
             }
             AccessPlan::IndexIntersect { probes, residual } => {
@@ -604,265 +498,80 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Join accumulated rows with one more relation.
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        &self,
-        outer_rows: Vec<Row>,
-        joined_aliases: &[String],
-        table_schemas: &[(String, Arc<TableSchema>)],
-        alias: &str,
-        rel: &Rel<'a>,
-        hint: &IndexHint,
-        local: Option<&Expr>,
-        conds: &[&JoinCond],
-    ) -> DbResult<Vec<Row>> {
-        // Layout of the accumulated (outer) side.
-        let mut outer_layout = Layout::new();
-        for a in joined_aliases {
-            let schema = table_schemas
-                .iter()
-                .find(|(n, _)| n == a)
-                .map(|(_, s)| s.clone())
-                .expect("joined alias must be in layout");
-            outer_layout.push(a.clone(), schema);
-        }
-
-        // Normalize conditions to (outer column slot, inner column name).
-        let mut keys: Vec<(usize, String)> = Vec::new();
-        for c in conds {
-            let (outer_col, inner_col) = if c.left_alias == alias {
-                (
-                    ColumnRef::qualified(c.right_alias.clone(), c.right_column.clone()),
-                    c.left_column.clone(),
-                )
-            } else {
-                (
-                    ColumnRef::qualified(c.left_alias.clone(), c.left_column.clone()),
-                    c.right_column.clone(),
-                )
-            };
-            keys.push((outer_layout.resolve(&outer_col)?, inner_col));
-        }
-
-        let inner_schema = rel.schema();
-        let inner_layout = Layout::single(alias, inner_schema.clone());
-        let local_program = FilterProgram::new(match local {
-            Some(p) => Some(bind(p, &inner_layout, None, &self.param_names())?),
-            None => None,
-        });
-        let ctx = self.eval_ctx();
-
-        // Index nested-loop when the inner side is a base table with an
-        // index on the first join column and the outer side is small-ish.
-        if let (Rel::Base(entry), Some((outer_slot, inner_col))) = (rel, keys.first()) {
-            if let Some(idx) = entry.index_on(inner_col) {
-                let extra_keys = &keys[1..];
-                let stats = self.stats();
-                let mut out = Vec::new();
+    /// Join the rows accumulated so far with one more input, on the keys
+    /// and by the method its plan names.
+    fn join(&self, outer_rows: Vec<Row>, input: &Input) -> DbResult<Vec<Row>> {
+        let stats = self.stats();
+        // Every extra join key must agree; one evaluation charged per key
+        // compared.
+        let keys_match = |extra: &[(usize, usize)], orow: &[Value], irow: &[Value]| {
+            extra.iter().all(|&(outer, own)| {
+                stats.predicates(1);
+                orow[outer] == irow[own]
+            })
+        };
+        let mut out = Vec::new();
+        match (input.keys.split_first(), &input.read) {
+            (Some((&(outer, _), extra)), Read::Lookup { table, index }) => {
+                // Index nested loop: probe the inner index per outer row.
+                let entry = self.db.table(table)?;
+                let idx = &entry.indexes[*index];
+                let ctx = self.eval_ctx();
                 for (i, orow) in outer_rows.iter().enumerate() {
                     if i % 512 == 0 {
                         self.check_deadline()?;
                     }
-                    let key = &orow[*outer_slot];
-                    let ids = idx.lookup(key, stats);
+                    let ids = idx.postings(&orow[outer], stats);
                     if ids.is_empty() {
                         continue;
                     }
-                    for (_, irow) in entry.table.fetch(&ids, stats) {
-                        if !local_program.matches(irow, &ctx)? {
-                            continue;
-                        }
-                        let mut ok = true;
-                        for (oslot, icol) in extra_keys {
-                            let icol_idx = inner_schema
-                                .column_index(icol)
-                                .ok_or_else(|| DbError::UnknownColumn(icol.clone()))?;
-                            self.stats().predicates(1);
-                            if orow[*oslot] != irow[icol_idx] {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
+                    for (_, irow) in entry.table.fetch(ids, stats) {
+                        if input.local.matches(irow, &ctx)? && keys_match(extra, orow, irow) {
                             out.push(concat_rows(orow, irow));
                         }
                     }
                 }
-                return Ok(out);
             }
-        }
-
-        // Otherwise materialize the inner side through its access plan.
-        let inner_rows = self.access(alias, rel, hint, local)?;
-
-        if let Some((outer_slot, inner_col)) = keys.first() {
-            // Hash join on the first condition; extra conditions re-checked.
-            // Build and probe borrow the materialized rows — no key clones,
-            // no intermediate row copies; only joined output rows allocate.
-            let inner_col_idx = inner_schema
-                .column_index(inner_col)
-                .ok_or_else(|| DbError::UnknownColumn(inner_col.clone()))?;
-            let mut ht: HashMap<&Value, Vec<&Row>> = HashMap::new();
-            for r in &inner_rows {
-                ht.entry(&r[inner_col_idx]).or_default().push(r);
+            (Some((&(outer, own), extra)), _) => {
+                // Hash join on the first key over the materialized inner
+                // side. Build and probe borrow the rows — no key clones, no
+                // intermediate row copies; only joined output rows allocate.
+                let inner_rows = self.read(input)?;
+                let mut ht: HashMap<&Value, Vec<&Row>> = HashMap::new();
+                for r in &inner_rows {
+                    ht.entry(&r[own]).or_default().push(r);
+                }
+                for (i, orow) in outer_rows.iter().enumerate() {
+                    if i % 1024 == 0 {
+                        self.check_deadline()?;
+                    }
+                    for irow in ht.get(&orow[outer]).into_iter().flatten() {
+                        if keys_match(extra, orow, irow) {
+                            out.push(concat_rows(orow, irow));
+                        }
+                    }
+                }
             }
-            let extra_keys = &keys[1..];
-            let mut out = Vec::new();
-            for (i, orow) in outer_rows.iter().enumerate() {
-                if i % 1024 == 0 {
+            (None, _) => {
+                // Cartesian product (only sensible for tiny inputs).
+                let inner_rows = self.read(input)?;
+                out.reserve(outer_rows.len() * inner_rows.len());
+                for orow in &outer_rows {
                     self.check_deadline()?;
-                }
-                if let Some(matches) = ht.get(&orow[*outer_slot]) {
-                    for irow in matches {
-                        let mut ok = true;
-                        for (oslot, icol) in extra_keys {
-                            let icol_idx = inner_schema
-                                .column_index(icol)
-                                .ok_or_else(|| DbError::UnknownColumn(icol.clone()))?;
-                            self.stats().predicates(1);
-                            if orow[*oslot] != irow[icol_idx] {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
-                            out.push(concat_rows(orow, irow));
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        } else {
-            // Cartesian product (only sensible for tiny inputs).
-            let mut out = Vec::with_capacity(outer_rows.len() * inner_rows.len());
-            for orow in &outer_rows {
-                self.check_deadline()?;
-                for irow in &inner_rows {
-                    out.push(concat_rows(orow, irow));
-                }
-            }
-            Ok(out)
-        }
-    }
-
-    fn project(
-        &self,
-        query: &SelectQuery,
-        layout: &Layout,
-        rows: Vec<Row>,
-    ) -> DbResult<QueryResult> {
-        // SELECT * keeps the full layout.
-        if query.select.len() == 1 && matches!(query.select[0], SelectItem::Star) {
-            let columns = if layout.entries().len() == 1 {
-                layout.entries()[0]
-                    .1
-                    .columns
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect()
-            } else {
-                layout.qualified_names()
-            };
-            return Ok(QueryResult { columns, rows });
-        }
-
-        let mut slots: Vec<usize> = Vec::new();
-        let mut columns: Vec<String> = Vec::new();
-        for item in &query.select {
-            match item {
-                SelectItem::Star => {
-                    for (i, name) in layout.qualified_names().into_iter().enumerate() {
-                        slots.push(i);
-                        columns.push(name);
-                    }
-                }
-                SelectItem::Column { column, alias } => {
-                    slots.push(layout.resolve(column)?);
-                    columns.push(alias.clone().unwrap_or_else(|| column.column.clone()));
-                }
-                SelectItem::Aggregate { .. } => {
-                    return Err(DbError::Unsupported(
-                        "aggregate outside GROUP BY query".into(),
-                    ))
+                    out.extend(inner_rows.iter().map(|irow| concat_rows(orow, irow)));
                 }
             }
         }
-        let rows = rows
-            .into_iter()
-            .map(|r| slots.iter().map(|&s| r[s].clone()).collect())
-            .collect();
-        Ok(QueryResult { columns, rows })
+        Ok(out)
     }
 
     fn aggregate(
         &self,
-        query: &SelectQuery,
-        layout: &Layout,
+        group_slots: &[usize],
+        aggs: &[(AggFunc, Option<usize>)],
+        outs: &[AggOut],
         rows: Vec<Row>,
-    ) -> DbResult<QueryResult> {
-        let group_slots: Vec<usize> = query
-            .group_by
-            .iter()
-            .map(|c| layout.resolve(c))
-            .collect::<DbResult<_>>()?;
-
-        // Pre-resolve select items.
-        enum Out {
-            Group(usize),      // index into group_slots
-            Agg(usize),        // index into agg specs
-        }
-        struct AggSpec {
-            func: AggFunc,
-            slot: Option<usize>,
-        }
-        let mut outs: Vec<Out> = Vec::new();
-        let mut columns: Vec<String> = Vec::new();
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        for item in &query.select {
-            match item {
-                SelectItem::Star => {
-                    return Err(DbError::Unsupported("SELECT * with GROUP BY".into()))
-                }
-                SelectItem::Column { column, alias } => {
-                    let slot = layout.resolve(column)?;
-                    let gidx = group_slots.iter().position(|&s| s == slot).ok_or_else(|| {
-                        DbError::Unsupported(format!(
-                            "column {column} not in GROUP BY"
-                        ))
-                    })?;
-                    outs.push(Out::Group(gidx));
-                    columns.push(alias.clone().unwrap_or_else(|| column.column.clone()));
-                }
-                SelectItem::Aggregate {
-                    func,
-                    column,
-                    alias,
-                } => {
-                    let slot = match column {
-                        Some(c) => Some(layout.resolve(c)?),
-                        None => None,
-                    };
-                    if slot.is_none() && !matches!(func, AggFunc::Count) {
-                        // Both backends reject this identically: the
-                        // renderer keeps the DISTINCT spelling, so the
-                        // wire path can no longer degrade it to COUNT(*).
-                        let spelled = if matches!(func, AggFunc::CountDistinct) {
-                            "COUNT(DISTINCT *)".to_string()
-                        } else {
-                            format!("{}(*)", func.sql())
-                        };
-                        return Err(DbError::Unsupported(format!(
-                            "{spelled} is not supported: * only valid in COUNT(*)"
-                        )));
-                    }
-                    outs.push(Out::Agg(aggs.len()));
-                    columns.push(alias.clone().unwrap_or_else(|| func.sql().to_lowercase()));
-                    aggs.push(AggSpec { func: *func, slot });
-                }
-            }
-        }
-
+    ) -> DbResult<Vec<Row>> {
         #[derive(Clone)]
         enum Acc {
             Count(u64),
@@ -874,7 +583,7 @@ impl<'a> Exec<'a> {
             Avg(f64, u64),
         }
 
-        let new_acc = |spec: &AggSpec| match spec.func {
+        let new_acc = |&(func, _): &(AggFunc, Option<usize>)| match func {
             AggFunc::Count => Acc::Count(0),
             AggFunc::CountDistinct => Acc::Distinct(HashSet::new()),
             AggFunc::Sum => Acc::SumInt(0),
@@ -892,11 +601,11 @@ impl<'a> Exec<'a> {
             let accs = groups
                 .entry(key)
                 .or_insert_with(|| aggs.iter().map(new_acc).collect());
-            for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-                let v = spec.slot.map(|s| &row[s]);
+            for (&(_, slot), acc) in aggs.iter().zip(accs.iter_mut()) {
+                let v = slot.map(|s| &row[s]);
                 match acc {
                     Acc::Count(n) => {
-                        if spec.slot.is_none() || v.is_some_and(|v| !v.is_null()) {
+                        if slot.is_none() || v.is_some_and(|v| !v.is_null()) {
                             *n += 1;
                         }
                     }
@@ -957,10 +666,10 @@ impl<'a> Exec<'a> {
         let mut out_rows = Vec::with_capacity(entries.len());
         for (key, accs) in entries {
             let mut row = Vec::with_capacity(outs.len());
-            for o in &outs {
+            for o in outs {
                 match o {
-                    Out::Group(gidx) => row.push(key[*gidx].clone()),
-                    Out::Agg(aidx) => row.push(match &accs[*aidx] {
+                    AggOut::Group(gidx) => row.push(key[*gidx].clone()),
+                    AggOut::Agg(aidx) => row.push(match &accs[*aidx] {
                         Acc::Count(n) => Value::Int(*n as i64),
                         Acc::Distinct(s) => Value::Int(s.len() as i64),
                         Acc::SumInt(s) => Value::Int(*s),
@@ -979,17 +688,17 @@ impl<'a> Exec<'a> {
             out_rows.push(row);
         }
 
-        Ok(QueryResult {
-            columns,
-            rows: out_rows,
-        })
+        Ok(out_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{ColumnRef, Expr};
+    use crate::plan::{IndexHint, SelectItem, TableRef, TableSource};
     use crate::planner::DbProfile;
+    use crate::value::DataType;
 
     fn sample_db(profile: DbProfile) -> Database {
         let mut db = Database::new(profile);

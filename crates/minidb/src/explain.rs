@@ -1,167 +1,67 @@
-//! EXPLAIN: expose the planner's decisions without executing.
+//! EXPLAIN: plan → print.
 //!
 //! The paper's SIEVE "first runs the EXPLAIN of query Qi which returns a
 //! high-level view of the query plan including, for each relation, the
 //! particular access strategy (table scan or a specific index) the
 //! optimizer plans to use and the estimated selectivity of the predicate"
-//! (Section 5.5). That is exactly the contract of [`ExplainOutput`].
+//! (Section 5.5). That is the contract of [`ExplainOutput`], kept by
+//! construction: [`explain_query_opts`] builds the plan value `exec::execute`
+//! would run ([`crate::planner`]) and walks it — it decides nothing, reads
+//! no row and charges no counter.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::exec::ExecOptions;
-use crate::plan::{SelectQuery, TableSource};
-use crate::planner::{classify_predicate, plan_access_opts, AccessPlan, ScanOptions};
-use std::fmt;
-use std::sync::Arc;
+use crate::plan::SelectQuery;
+use crate::planner::{plan_query, AccessPlan, IndexProbe, QueryPlan, Read, ScanOptions, TempSource};
+pub use crate::planner::{ExplainOutput, RelationPlan};
 
-/// Planner decision for one relation in the FROM clause.
-#[derive(Debug, Clone)]
-pub struct RelationPlan {
-    /// FROM alias.
-    pub alias: String,
-    /// Base table name (or the WITH/derived name).
-    pub table: String,
-    /// Chosen access plan.
-    pub access: AccessPlan,
-    /// Human-readable access description.
-    pub access_desc: String,
-    /// Estimated rows fetched from the heap.
-    pub est_rows: f64,
-    /// Estimated fraction of the table fetched (the paper's ρ/|r|).
-    pub est_fraction: f64,
-    /// Total rows in the relation.
-    pub table_rows: u64,
-}
-
-/// EXPLAIN output: one entry per FROM relation of the outermost body.
-/// WITH-clause bodies are explained recursively in `ctes`.
-#[derive(Debug, Clone, Default)]
-pub struct ExplainOutput {
-    /// Plans for the body's FROM relations (base tables only; temp/derived
-    /// relations are always scanned and reported with `SeqScan`).
-    pub relations: Vec<RelationPlan>,
-    /// EXPLAIN of each WITH clause, in definition order.
-    pub ctes: Vec<(String, ExplainOutput)>,
-}
-
-impl fmt::Display for ExplainOutput {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, e) in &self.ctes {
-            writeln!(f, "CTE {name}:")?;
-            for line in e.to_string().lines() {
-                writeln!(f, "  {line}")?;
-            }
-        }
-        for r in &self.relations {
-            writeln!(
-                f,
-                "{} ({}): {} est_rows={:.1} ({:.2}% of {})",
-                r.alias,
-                r.table,
-                r.access_desc,
-                r.est_rows,
-                r.est_fraction * 100.0,
-                r.table_rows
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Produce the EXPLAIN of a query with default execution options
-/// (sequential scans).
-pub fn explain_query(db: &Database, query: &SelectQuery) -> DbResult<ExplainOutput> {
-    explain_query_opts(db, query, &ExecOptions::default())
-}
-
-/// Produce the EXPLAIN of a query as it would be planned under `opts`:
-/// the thread knob surfaces morsel-parallel scans
-/// (`ParallelScan(morsels=…)`) and tightens the PostgreSQL-like bitmap
-/// gate exactly as execution would.
+/// Produce the EXPLAIN of a query as it is planned under `opts`: the
+/// thread knob surfaces morsel-parallel scans and tightens the
+/// PostgreSQL-like bitmap gate, because it does so in the plan.
 pub fn explain_query_opts(
     db: &Database,
     query: &SelectQuery,
     opts: &ExecOptions,
 ) -> DbResult<ExplainOutput> {
-    let scan = ScanOptions {
-        threads: opts.threads,
-    };
+    let scan = ScanOptions { threads: opts.threads };
+    print(db, &plan_query(db, query, "", scan, &mut Vec::new(), &Default::default())?)
+}
+
+/// Fill the public EXPLAIN shape from a plan.
+fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> {
     let mut out = ExplainOutput::default();
-    let mut cte_names: Vec<String> = Vec::new();
-    for wc in &query.with {
-        out.ctes
-            .push((wc.name.clone(), explain_query_opts(db, &wc.query, opts)?));
-        cte_names.push(wc.name.clone());
+    for (name, cte) in &plan.ctes {
+        out.ctes.push((name.clone(), print(db, cte)?));
     }
-
-    // Build the schema list for predicate classification.
-    let mut table_schemas = Vec::new();
-    for tref in &query.from {
-        let schema = match &tref.source {
-            TableSource::Named(name) if !cte_names.contains(name) && db.has_table(name) => {
-                db.table(name)?.schema().clone()
+    for (k, input) in plan.inputs.iter().enumerate() {
+        // An estimate exists where a base table is read on its own.
+        let (table, table_rows, access, est_rows) = match &input.read {
+            Read::Access { table, plan } => {
+                let entry = db.table(table)?;
+                (table.as_str(), entry.table.len(), plan.clone(), plan.estimate_rows(entry))
             }
-            // CTE and derived relations: schema unknown here; use an empty
-            // placeholder (their predicates cannot be classified as local,
-            // which is conservative — they are scans anyway).
-            _ => Arc::new(crate::schema::TableSchema::new(tref.alias.clone(), vec![])),
+            Read::Lookup { table, .. } => {
+                // The probe's keys are the outer rows' values.
+                let column = input.key_column().unwrap_or_default().to_string();
+                let probes = vec![IndexProbe::InList { column, keys: Vec::new() }];
+                let access = AccessPlan::IndexOr { probes, bitmap: false, residual: true };
+                (table.as_str(), db.table(table)?.table.len(), access, f64::NAN)
+            }
+            Read::Temp { source: TempSource::Cte(name), .. } => {
+                (name.as_str(), 0, AccessPlan::SeqScan, f64::NAN)
+            }
+            Read::Temp { .. } => ("<derived>", 0, AccessPlan::SeqScan, f64::NAN),
         };
-        table_schemas.push((tref.alias.clone(), schema));
-    }
-    let classified = match &query.predicate {
-        Some(p) => classify_predicate(p, &table_schemas),
-        None => Default::default(),
-    };
-
-    for tref in &query.from {
-        let (table_name, entry) = match &tref.source {
-            TableSource::Named(name) => {
-                if cte_names.contains(name) || !db.has_table(name) {
-                    out.relations.push(RelationPlan {
-                        alias: tref.alias.clone(),
-                        table: name.clone(),
-                        access: AccessPlan::SeqScan,
-                        access_desc: "SeqScan(temp)".into(),
-                        est_rows: f64::NAN,
-                        est_fraction: f64::NAN,
-                        table_rows: 0,
-                    });
-                    continue;
-                }
-                (name.clone(), db.table(name)?)
-            }
-            TableSource::Derived(_) => {
-                out.relations.push(RelationPlan {
-                    alias: tref.alias.clone(),
-                    table: "<derived>".into(),
-                    access: AccessPlan::SeqScan,
-                    access_desc: "SeqScan(derived)".into(),
-                    est_rows: f64::NAN,
-                    est_fraction: f64::NAN,
-                    table_rows: 0,
-                });
-                continue;
-            }
-        };
-        let local = classified.local_predicate(&tref.alias);
-        let plan = plan_access_opts(
-            entry,
-            &tref.alias,
-            local.as_ref(),
-            &tref.hint,
-            db.profile(),
-            scan,
-        );
-        let est_rows = plan.estimate_rows(entry);
-        let rows = entry.table.len().max(1) as f64;
         out.relations.push(RelationPlan {
-            alias: tref.alias.clone(),
-            table: table_name,
-            access_desc: plan.describe(),
-            access: plan,
+            alias: input.alias.clone(),
+            table: table.to_string(),
+            access,
+            access_desc: input.describe(),
             est_rows,
-            est_fraction: est_rows / rows,
-            table_rows: entry.table.len() as u64,
+            est_fraction: est_rows / table_rows.max(1) as f64,
+            table_rows: table_rows as u64,
+            join: (k > 0).then(|| input.describe_join()),
         });
     }
     Ok(out)
@@ -274,5 +174,45 @@ mod tests {
         assert!(e.relations[0].access_desc.contains("temp"));
         let rendered = e.to_string();
         assert!(rendered.contains("CTE pol:"));
+    }
+
+    /// A relation joined through its index is reported as what runs — an
+    /// index nested loop on the join column, not a scan of the whole table
+    /// — read straight from FROM or behind a WITH whose columns the join
+    /// condition names unqualified; and EXPLAIN itself moves no counter.
+    #[test]
+    fn explain_reports_the_join_that_runs() {
+        let mut db = db();
+        db.create_table(TableSchema::of("g", &[("uid", DataType::Int), ("grp", DataType::Int)]))
+            .unwrap();
+        for u in 0..25i64 {
+            db.insert("g", vec![Value::Int(u), Value::Int(u % 5)]).unwrap();
+        }
+        for sql in [
+            "SELECT * FROM g, w WHERE w.owner = g.uid AND g.grp = 1",
+            "WITH c AS (SELECT * FROM g WHERE grp = 1) SELECT * FROM c, w WHERE owner = uid",
+        ] {
+            let q = crate::sql::parse(sql).unwrap();
+            db.stats().reset();
+            let e = db.explain(&q).unwrap();
+            assert_eq!(db.stats().snapshot(), Default::default(), "{sql}: EXPLAIN executed something");
+            let w = &e.relations[1];
+            assert_eq!(w.join.as_deref(), Some("IndexNestedLoop(owner)"), "{sql}:\n{e}");
+            assert_eq!(w.access_desc, "IndexLookup(owner)", "{sql}");
+            assert!(matches!(&w.access, AccessPlan::IndexOr { probes, .. } if probes[0].column() == "owner"));
+            assert_eq!(e.relations[0].join, None);
+            assert!(e.to_string().contains("w (w): IndexLookup(owner)"), "{e}");
+            // And that is what runs: one probe per outer row, `w` never scanned.
+            let res = db.run_query(&q).unwrap();
+            assert_eq!(res.len(), 5 * 20);
+            let ran = db.stats().snapshot();
+            assert_eq!(ran.index_probes, 5, "{sql}");
+            assert_eq!(ran.tuples_read, if e.ctes.is_empty() { 25 + 100 } else { 25 + 5 + 100 }, "{sql}");
+        }
+        // No index on the join column: the inner side is read whole and hashed.
+        let q = crate::sql::parse("SELECT * FROM w, g WHERE w.owner = g.uid").unwrap();
+        let e = db.explain(&q).unwrap();
+        assert_eq!(e.relations[1].join.as_deref(), Some("HashJoin(uid)"));
+        assert_eq!(e.relations[1].access_desc, "SeqScan");
     }
 }

@@ -757,69 +757,6 @@ impl BoundExpr {
                     .cloned()
                     .ok_or_else(|| DbError::UnknownColumn(format!("parameter {name}")))?,
             ),
-            BoundExpr::Cmp { op, lhs, rhs } => {
-                let a = lhs.eval_cow(row, ctx)?;
-                let b = rhs.eval_cow(row, ctx)?;
-                ctx.stats.predicates(1);
-                Cow::Owned(Value::Bool(op.apply(&a, &b)))
-            }
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval_cow(row, ctx)?;
-                let lo = low.eval_cow(row, ctx)?;
-                let hi = high.eval_cow(row, ctx)?;
-                ctx.stats.predicates(1);
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Cow::Owned(Value::Bool(false)));
-                }
-                let inside = *v >= *lo && *v <= *hi;
-                Cow::Owned(Value::Bool(inside != *negated))
-            }
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval_cow(row, ctx)?;
-                ctx.stats.predicates(1);
-                if v.is_null() {
-                    return Ok(Cow::Owned(Value::Bool(false)));
-                }
-                let mut found = false;
-                for e in list {
-                    if *e.eval_cow(row, ctx)? == *v {
-                        found = true;
-                        break;
-                    }
-                }
-                Cow::Owned(Value::Bool(found != *negated))
-            }
-            BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval_cow(row, ctx)?;
-                ctx.stats.predicates(1);
-                Cow::Owned(Value::Bool(v.is_null() != *negated))
-            }
-            BoundExpr::And(parts) => {
-                for p in parts {
-                    if !p.eval_bool(row, ctx)? {
-                        return Ok(Cow::Owned(Value::Bool(false)));
-                    }
-                }
-                Cow::Owned(Value::Bool(true))
-            }
-            BoundExpr::Or(parts) => {
-                for p in parts {
-                    if p.eval_bool(row, ctx)? {
-                        return Ok(Cow::Owned(Value::Bool(true)));
-                    }
-                }
-                Cow::Owned(Value::Bool(false))
-            }
-            BoundExpr::Not(e) => Cow::Owned(Value::Bool(!e.eval_bool(row, ctx)?)),
             BoundExpr::Udf { name, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
@@ -842,7 +779,15 @@ impl BoundExpr {
                     None => Value::Null,
                 })
             }
-            BoundExpr::KeyedOr { .. } => Cow::Owned(Value::Bool(self.eval_bool(row, ctx)?)),
+            // Everything boolean has its one implementation in `eval_bool`.
+            BoundExpr::Cmp { .. }
+            | BoundExpr::Between { .. }
+            | BoundExpr::InList { .. }
+            | BoundExpr::IsNull { .. }
+            | BoundExpr::And(_)
+            | BoundExpr::Or(_)
+            | BoundExpr::Not(_)
+            | BoundExpr::KeyedOr { .. } => Cow::Owned(Value::Bool(self.eval_bool(row, ctx)?)),
         })
     }
 
@@ -905,12 +850,19 @@ impl BoundExpr {
             }
             BoundExpr::Not(e) => Ok(!e.eval_bool(row, ctx)?),
             BoundExpr::Literal(Value::Bool(b)) => Ok(*b),
+            // Each test below is written once, as a closure over operand
+            // values, and fed slot/literal operands by reference — no call,
+            // no intermediate value — or, when an operand has to be
+            // computed first, what `eval_cow` makes of it.
             BoundExpr::Cmp { op, lhs, rhs } => {
-                if let (Some(a), Some(b)) = (lhs.fast_ref(row), rhs.fast_ref(row)) {
+                let test = |a: &Value, b: &Value| {
                     ctx.stats.predicates(1);
-                    return Ok(op.apply(a, b));
-                }
-                self.eval_bool_generic(row, ctx)
+                    op.apply(a, b)
+                };
+                Ok(match (lhs.fast_ref(row), rhs.fast_ref(row)) {
+                    (Some(a), Some(b)) => test(a, b),
+                    _ => test(&*lhs.eval_cow(row, ctx)?, &*rhs.eval_cow(row, ctx)?),
+                })
             }
             BoundExpr::Between {
                 expr,
@@ -918,57 +870,67 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                if let (Some(v), Some(lo), Some(hi)) = (
-                    expr.fast_ref(row),
-                    low.fast_ref(row),
-                    high.fast_ref(row),
-                ) {
+                let test = |v: &Value, lo: &Value, hi: &Value| {
                     ctx.stats.predicates(1);
-                    if v.is_null() || lo.is_null() || hi.is_null() {
-                        return Ok(false);
+                    let null = v.is_null() || lo.is_null() || hi.is_null();
+                    !null && (v >= lo && v <= hi) != *negated
+                };
+                Ok(match (expr.fast_ref(row), low.fast_ref(row), high.fast_ref(row)) {
+                    (Some(v), Some(lo), Some(hi)) => test(v, lo, hi),
+                    _ => {
+                        let v = expr.eval_cow(row, ctx)?;
+                        test(&v, &*low.eval_cow(row, ctx)?, &*high.eval_cow(row, ctx)?)
                     }
-                    let inside = v >= lo && v <= hi;
-                    return Ok(inside != *negated);
-                }
-                self.eval_bool_generic(row, ctx)
+                })
             }
             BoundExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                if let Some(v) = expr.fast_ref(row) {
-                    if list.iter().all(|e| matches!(e, BoundExpr::Literal(_))) {
-                        ctx.stats.predicates(1);
-                        if v.is_null() {
-                            return Ok(false);
-                        }
-                        let found = list
-                            .iter()
-                            .any(|e| matches!(e, BoundExpr::Literal(x) if x == v));
-                        return Ok(found != *negated);
+                let test = |v: &Value| -> DbResult<bool> {
+                    ctx.stats.predicates(1);
+                    if v.is_null() {
+                        return Ok(false);
                     }
+                    for e in list {
+                        let found = match e {
+                            BoundExpr::Literal(x) => x == v,
+                            _ => *e.eval_cow(row, ctx)? == *v,
+                        };
+                        if found {
+                            return Ok(!*negated);
+                        }
+                    }
+                    Ok(*negated)
+                };
+                match expr.fast_ref(row) {
+                    Some(v) => test(v),
+                    None => test(&*expr.eval_cow(row, ctx)?),
                 }
-                self.eval_bool_generic(row, ctx)
             }
             BoundExpr::IsNull { expr, negated } => {
-                if let Some(v) = expr.fast_ref(row) {
+                let test = |v: &Value| {
                     ctx.stats.predicates(1);
-                    return Ok(v.is_null() != *negated);
-                }
-                self.eval_bool_generic(row, ctx)
+                    v.is_null() != *negated
+                };
+                Ok(match expr.fast_ref(row) {
+                    Some(v) => test(v),
+                    None => test(&*expr.eval_cow(row, ctx)?),
+                })
             }
-            _ => self.eval_bool_generic(row, ctx),
-        }
-    }
-
-    fn eval_bool_generic(&self, row: &[Value], ctx: &EvalContext<'_>) -> DbResult<bool> {
-        match &*self.eval_cow(row, ctx)? {
-            Value::Bool(b) => Ok(*b),
-            Value::Null => Ok(false),
-            other => Err(DbError::TypeError(format!(
-                "expected boolean predicate, got {other}"
-            ))),
+            // Not boolean by shape: a value that has to turn out one.
+            BoundExpr::Literal(_)
+            | BoundExpr::Slot(_)
+            | BoundExpr::Param(_)
+            | BoundExpr::Udf { .. }
+            | BoundExpr::ScalarSubquery { .. } => match &*self.eval_cow(row, ctx)? {
+                Value::Bool(b) => Ok(*b),
+                Value::Null => Ok(false),
+                other => Err(DbError::TypeError(format!(
+                    "expected boolean predicate, got {other}"
+                ))),
+            },
         }
     }
 }

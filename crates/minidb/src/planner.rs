@@ -1,7 +1,18 @@
-//! Access-path planning.
+//! Planning: everything minidb decides about a query before it reads a row.
 //!
-//! Two optimizer profiles reproduce the DBMS behaviours the paper's
-//! experiments depend on (Sections 5.3, 7):
+//! **Plan → run, plan → print.** `plan_query` turns a
+//! [`SelectQuery`] into a `QueryPlan` value — the WITH bodies in
+//! definition order and, per body, the FROM inputs in join order, each with
+//! its bound local filter and how it is read (an [`AccessPlan`], an index
+//! lookup per outer row, or a temp scan), the equi-join key slots, the
+//! bound residual, the resolved projection or aggregate, and the limit —
+//! without executing anything. `exec::execute` runs that value and
+//! `explain::explain_query_opts` prints it; neither decides anything, so
+//! EXPLAIN cannot report a plan that does not run. Nothing pins a plan yet:
+//! one is built per execute, and per invocation of a correlated subquery.
+//!
+//! Per relation, two optimizer profiles reproduce the DBMS behaviours the
+//! paper's experiments depend on (Sections 5.3, 7):
 //!
 //! * [`DbProfile::MySqlLike`] — honours `FORCE INDEX`/`USE INDEX()` hints
 //!   (the connector SIEVE uses on MySQL) and falls back to a sequential
@@ -18,18 +29,20 @@
 //! [`conjunctive_path`] is the one place that decides which indexes a
 //! conjunction is read through. The middleware's IndexQuery strategy
 //! (`sieve_core::rewrite`) calls it for `ρ(p)`, its cost and the
-//! `FORCE INDEX` column list, and under that hint [`plan_access_opts`]
-//! re-derives exactly the same path — the hint binds.
+//! `FORCE INDEX` column list, and under that hint the plan re-derives
+//! exactly the same path — the hint binds.
 
-use crate::catalog::TableEntry;
-use crate::expr::{CmpOp, ColumnRef, Expr};
+use crate::catalog::{Database, TableEntry};
+use crate::error::{DbError, DbResult};
+use crate::expr::{bind, CmpOp, ColumnRef, Expr, FilterProgram, Layout};
 use crate::index::{RangeBound, RowIdSet};
-use crate::plan::IndexHint;
-use crate::schema::TableSchema;
+use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableSource};
+use crate::schema::{Column, TableSchema};
 use crate::stats::StatsSink;
 use crate::table::RowId;
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::value::{DataType, Value};
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 
 /// Optimizer profile: which real-world DBMS the planner imitates.
@@ -441,7 +454,7 @@ pub struct ConjunctivePath {
 
 impl ConjunctivePath {
     /// The probed columns, in probe order — the `FORCE INDEX` list under
-    /// which [`plan_access_opts`] re-derives this path.
+    /// which the planner re-derives this path.
     pub fn columns(&self) -> Vec<String> {
         self.probes.iter().map(|p| p.column().to_string()).collect()
     }
@@ -578,18 +591,6 @@ fn scan_plan(entry: &TableEntry, scan: ScanOptions) -> AccessPlan {
     }
 }
 
-/// Plan the access path for one table given its local predicate and hint,
-/// with default [`ScanOptions`] (sequential scans).
-pub fn plan_access(
-    entry: &TableEntry,
-    alias: &str,
-    predicate: Option<&Expr>,
-    hint: &IndexHint,
-    profile: DbProfile,
-) -> AccessPlan {
-    plan_access_opts(entry, alias, predicate, hint, profile, ScanOptions::default())
-}
-
 /// Plan the access path for one table given its local predicate, hint, and
 /// execution environment.
 ///
@@ -601,7 +602,7 @@ pub fn plan_access(
 /// models a single-threaded optimizer (classic InnoDB has no parallel
 /// query) and keeps its gate fixed. When no index path survives the gate,
 /// the fallback is `scan_plan` — parallel when worthwhile.
-pub fn plan_access_opts(
+fn plan_access_opts(
     entry: &TableEntry,
     alias: &str,
     predicate: Option<&Expr>,
@@ -809,6 +810,388 @@ pub fn classify_predicate(
     out
 }
 
+/// How one FROM input's rows are produced. Tables are held by name: a plan
+/// borrows nothing from the catalog.
+#[derive(Debug)]
+pub(crate) enum Read {
+    /// Base table `table`, through an access plan.
+    Access { table: String, plan: AccessPlan },
+    /// Base table `table`, never read on its own: an index nested loop
+    /// probes [`TableEntry::indexes`]`[index]` — the index on the input's
+    /// first join key, which it always has — once per outer row.
+    Lookup { table: String, index: usize },
+    /// A materialized relation, scanned (temps have no indexes) — by
+    /// morsel-parallel workers from `parallel_from` rows up, a temp's size
+    /// being unknown until it is run; `None`: always sequentially.
+    Temp { source: TempSource, parallel_from: Option<usize> },
+}
+
+/// What a [`Read::Temp`] scans.
+#[derive(Debug)]
+pub(crate) enum TempSource {
+    /// The WITH result of this name, materialized before the body runs.
+    Cte(String),
+    /// A derived table `( SELECT … )`, run when the input is read.
+    Derived(Box<QueryPlan>),
+}
+
+/// One FROM entry of a planned body.
+#[derive(Debug)]
+pub(crate) struct Input {
+    /// FROM alias.
+    pub(crate) alias: String,
+    /// Its row: what `local` and the own side of `keys` index into.
+    pub(crate) schema: Arc<TableSchema>,
+    /// The conjuncts that mention this input only, bound to its own row.
+    pub(crate) local: FilterProgram,
+    /// How its rows are produced.
+    pub(crate) read: Read,
+    /// Equi-join keys against the inputs before it, as `(slot in the rows
+    /// joined so far, slot in its own row)`. The first drives the join —
+    /// the index a [`Read::Lookup`] probes, else the hash table's key — the
+    /// rest are compared per candidate pair. Empty for the first input and
+    /// for a cross product.
+    pub(crate) keys: Vec<(usize, usize)>,
+}
+
+impl Input {
+    /// The column its first join key compares, if it is joined on one.
+    pub(crate) fn key_column(&self) -> Option<&str> {
+        self.keys.first().map(|&(_, own)| self.schema.columns[own].name.as_str())
+    }
+
+    /// EXPLAIN's label for how the input is read.
+    pub(crate) fn describe(&self) -> String {
+        match &self.read {
+            Read::Access { plan, .. } => plan.describe(),
+            Read::Lookup { .. } => format!("IndexLookup({})", self.key_column().unwrap_or_default()),
+            Read::Temp { source, parallel_from } => {
+                let kind = match source {
+                    TempSource::Cte(_) => "temp",
+                    TempSource::Derived(_) => "derived",
+                };
+                match parallel_from {
+                    Some(n) => format!("ParallelScan({kind}, from {n} rows)"),
+                    None => format!("SeqScan({kind})"),
+                }
+            }
+        }
+    }
+
+    /// EXPLAIN's label for how the input meets the ones before it.
+    pub(crate) fn describe_join(&self) -> String {
+        match (&self.read, self.key_column()) {
+            (Read::Lookup { .. }, Some(col)) => format!("IndexNestedLoop({col})"),
+            (_, Some(col)) => format!("HashJoin({col})"),
+            (_, None) => "CrossJoin".to_string(),
+        }
+    }
+}
+
+/// A resolved SELECT list.
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// `SELECT *`: the joined rows pass through whole.
+    Rows,
+    /// Output column `i` is slot `.0[i]` of the joined row.
+    Project(Vec<usize>),
+    /// GROUP BY / aggregates: the slots of the grouping key, each
+    /// aggregate with the slot it folds (`None`: `COUNT(*)`), and the
+    /// output columns in SELECT order.
+    Aggregate { group_slots: Vec<usize>, aggs: Vec<(AggFunc, Option<usize>)>, outs: Vec<AggOut> },
+}
+
+/// One output column of an [`Output::Aggregate`]: the n-th grouping column
+/// or the n-th aggregate.
+#[derive(Debug)]
+pub(crate) enum AggOut {
+    Group(usize),
+    Agg(usize),
+}
+
+/// What a query will do, decided once by [`plan_query`]: the executor runs
+/// it, EXPLAIN prints it.
+#[derive(Debug)]
+pub(crate) struct QueryPlan {
+    /// WITH bodies, in definition order.
+    pub(crate) ctes: Vec<(String, QueryPlan)>,
+    /// FROM inputs in join order — the FROM order, joins being left-deep.
+    /// Never empty.
+    pub(crate) inputs: Vec<Input>,
+    /// Conjuncts over several inputs that are not equi-joins, bound to the
+    /// joined row.
+    pub(crate) residual: FilterProgram,
+    /// The resolved SELECT list.
+    pub(crate) output: Output,
+    /// The result's columns as the SELECT list names them: what a query
+    /// reading this one as a WITH result or derived table binds against.
+    pub(crate) schema: Arc<TableSchema>,
+    /// LIMIT.
+    pub(crate) limit: Option<usize>,
+}
+
+/// Plan a query: every decision the executor would otherwise make while
+/// running it, made here without reading a row or charging a counter.
+/// `name` is what the result is called by whoever reads it; `ctes` are the
+/// WITH results in scope, innermost last (left as found), and `params` the
+/// printed names of the enclosing row's correlation parameters — both
+/// empty for a top-level query.
+pub(crate) fn plan_query(
+    db: &Database,
+    query: &SelectQuery,
+    name: &str,
+    scan: ScanOptions,
+    ctes: &mut Vec<(String, Arc<TableSchema>)>,
+    params: &HashSet<String>,
+) -> DbResult<QueryPlan> {
+    // Each WITH clause sees the ones before it.
+    let outer_scope = ctes.len();
+    let mut cte_plans = Vec::with_capacity(query.with.len());
+    for wc in &query.with {
+        let plan = plan_query(db, &wc.query, &wc.name, scan, ctes, params)?;
+        ctes.push((wc.name.clone(), plan.schema.clone()));
+        cte_plans.push((wc.name.clone(), plan));
+    }
+    if query.from.is_empty() {
+        return Err(DbError::Unsupported("query without FROM".into()));
+    }
+
+    // Resolve the FROM entries; their schemas make up the joined row.
+    enum Rel<'a> {
+        Base(&'a str, &'a TableEntry),
+        Temp(TempSource),
+    }
+    let mut layout = Layout::new();
+    let mut rels = Vec::with_capacity(query.from.len());
+    for tref in &query.from {
+        let (rel, schema) = match &tref.source {
+            TableSource::Named(n) => match ctes.iter().rev().find(|(cte, _)| cte == n) {
+                Some((_, schema)) => (Rel::Temp(TempSource::Cte(n.clone())), schema.clone()),
+                None => {
+                    let entry = db.table(n)?;
+                    (Rel::Base(n, entry), entry.schema().clone())
+                }
+            },
+            TableSource::Derived(q) => {
+                let plan = plan_query(db, q, &tref.alias, scan, ctes, params)?;
+                let schema = plan.schema.clone();
+                (Rel::Temp(TempSource::Derived(Box::new(plan))), schema)
+            }
+        };
+        layout.push(tref.alias.clone(), schema);
+        rels.push(rel);
+    }
+    ctes.truncate(outer_scope);
+    let classified = match &query.predicate {
+        Some(p) => classify_predicate(p, layout.entries()),
+        None => ClassifiedPredicate::default(),
+    };
+
+    let mut inputs = Vec::with_capacity(rels.len());
+    for (k, (tref, rel)) in query.from.iter().zip(rels).enumerate() {
+        let (alias, schema) = &layout.entries()[k];
+        // Equi-joins with the inputs before this one, as (their column's
+        // slot in the joined row, own column's slot).
+        let joined = |a: &String| query.from[..k].iter().any(|t| t.alias == *a);
+        let mut keys = Vec::new();
+        for j in &classified.joins {
+            let (outer, own) = if j.left_alias == *alias && joined(&j.right_alias) {
+                (ColumnRef::qualified(&j.right_alias, &j.right_column), &j.left_column)
+            } else if j.right_alias == *alias && joined(&j.left_alias) {
+                (ColumnRef::qualified(&j.left_alias, &j.left_column), &j.right_column)
+            } else {
+                continue;
+            };
+            let own = schema.column_index(own).ok_or_else(|| DbError::UnknownColumn(own.clone()))?;
+            keys.push((layout.resolve(&outer)?, own));
+        }
+        let local = classified.local_predicate(alias);
+        let read = match rel {
+            Rel::Temp(source) => {
+                Read::Temp { source, parallel_from: (scan.threads >= 2).then_some(PARALLEL_MIN_ROWS) }
+            }
+            // Index nested loop whenever the table has an index on its
+            // first join column, whatever the size of the outer side.
+            Rel::Base(table, entry) => match keys
+                .first()
+                .and_then(|&(_, own)| entry.indexes.iter().position(|i| i.column == own))
+            {
+                Some(index) => Read::Lookup { table: table.to_string(), index },
+                None => {
+                    let (hint, profile) = (&tref.hint, db.profile());
+                    let plan = plan_access_opts(entry, alias, local.as_ref(), hint, profile, scan);
+                    Read::Access { table: table.to_string(), plan }
+                }
+            },
+        };
+        let own_row = Layout::single(alias.clone(), schema.clone());
+        let local = program(local.as_ref(), &own_row, params)?;
+        inputs.push(Input { alias: alias.clone(), schema: schema.clone(), local, read, keys });
+    }
+
+    let residual = (!classified.residual.is_empty()).then(|| Expr::all(classified.residual));
+    let (output, schema) = plan_output(query, &layout, name)?;
+    let residual = program(residual.as_ref(), &layout, params)?;
+    Ok(QueryPlan { ctes: cte_plans, inputs, residual, output, schema, limit: query.limit })
+}
+
+/// Bind an optional predicate against `layout` and compile it.
+fn program(pred: Option<&Expr>, layout: &Layout, params: &HashSet<String>) -> DbResult<FilterProgram> {
+    let bound = pred.map(|p| bind(p, layout, None, params)).transpose()?;
+    Ok(FilterProgram::new(bound))
+}
+
+/// Resolve the SELECT list against the joined row: which slots make up an
+/// output row, and the relation — called `name` — those rows form.
+fn plan_output(
+    query: &SelectQuery,
+    layout: &Layout,
+    name: &str,
+) -> DbResult<(Output, Arc<TableSchema>)> {
+    let grouped = query.has_aggregates() || !query.group_by.is_empty();
+    // All of a lone relation is that relation again, bare column names
+    // and all.
+    if let ([SelectItem::Star], [(_, only)], false) = (&query.select[..], layout.entries(), grouped) {
+        return Ok((Output::Rows, only.clone()));
+    }
+    let schema = |columns| Arc::new(TableSchema::new(name, columns));
+    let joined: Vec<&Column> = layout.entries().iter().flat_map(|(_, s)| &s.columns).collect();
+    let named = |name: &Option<String>, default: &str, dtype| {
+        Column::new(name.clone().unwrap_or_else(|| default.to_string()), dtype)
+    };
+    let star = || layout.qualified_names().into_iter().zip(&joined).map(|(n, c)| Column::new(n, c.dtype));
+    let mut columns = Vec::new();
+    if grouped {
+        let group_slots: Vec<usize> =
+            query.group_by.iter().map(|c| layout.resolve(c)).collect::<DbResult<_>>()?;
+        let (mut outs, mut aggs) = (Vec::new(), Vec::new());
+        for item in &query.select {
+            match item {
+                SelectItem::Star => return Err(DbError::Unsupported("SELECT * with GROUP BY".into())),
+                SelectItem::Column { column, alias } => {
+                    let slot = layout.resolve(column)?;
+                    let gidx = group_slots.iter().position(|&s| s == slot).ok_or_else(|| {
+                        DbError::Unsupported(format!("column {column} not in GROUP BY"))
+                    })?;
+                    outs.push(AggOut::Group(gidx));
+                    columns.push(named(alias, &column.column, joined[slot].dtype));
+                }
+                SelectItem::Aggregate { func, column, alias } => {
+                    let slot = column.as_ref().map(|c| layout.resolve(c)).transpose()?;
+                    if slot.is_none() && !matches!(func, AggFunc::Count) {
+                        // Both backends reject this identically: the
+                        // renderer keeps the DISTINCT spelling, so the
+                        // wire path can no longer degrade it to COUNT(*).
+                        let spelled = if matches!(func, AggFunc::CountDistinct) {
+                            "COUNT(DISTINCT *)".to_string()
+                        } else {
+                            format!("{}(*)", func.sql())
+                        };
+                        return Err(DbError::Unsupported(format!(
+                            "{spelled} is not supported: * only valid in COUNT(*)"
+                        )));
+                    }
+                    let dtype = match (func, slot) {
+                        (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(s)) => joined[s].dtype,
+                        (AggFunc::Avg, _) => DataType::Double,
+                        _ => DataType::Int,
+                    };
+                    outs.push(AggOut::Agg(aggs.len()));
+                    columns.push(named(alias, &func.sql().to_lowercase(), dtype));
+                    aggs.push((*func, slot));
+                }
+            }
+        }
+        return Ok((Output::Aggregate { group_slots, aggs, outs }, schema(columns)));
+    }
+    if let [SelectItem::Star] = query.select.as_slice() {
+        return Ok((Output::Rows, schema(star().collect())));
+    }
+    let mut slots = Vec::new();
+    for item in &query.select {
+        match item {
+            SelectItem::Star => {
+                slots.extend(0..joined.len());
+                columns.extend(star());
+            }
+            SelectItem::Column { column, alias } => {
+                let slot = layout.resolve(column)?;
+                slots.push(slot);
+                columns.push(named(alias, &column.column, joined[slot].dtype));
+            }
+            SelectItem::Aggregate { .. } => {
+                return Err(DbError::Unsupported("aggregate outside GROUP BY query".into()))
+            }
+        }
+    }
+    Ok((Output::Project(slots), schema(columns)))
+}
+
+/// Planner decision for one relation in the FROM clause.
+#[derive(Debug, Clone)]
+pub struct RelationPlan {
+    /// FROM alias.
+    pub alias: String,
+    /// Base table name (or the WITH/derived name).
+    pub table: String,
+    /// Chosen access plan. Temp and derived relations have none and carry
+    /// `SeqScan`; a relation reached by index nested loop carries an
+    /// IN-list probe of the joined column with no keys of its own — they
+    /// are the outer rows' values.
+    pub access: AccessPlan,
+    /// Human-readable access description.
+    pub access_desc: String,
+    /// Estimated rows fetched from the heap (NaN where the plan cannot
+    /// say: temps, and lookups driven by the outer side).
+    pub est_rows: f64,
+    /// Estimated fraction of the table fetched (the paper's ρ/|r|).
+    pub est_fraction: f64,
+    /// Total rows in the relation.
+    pub table_rows: u64,
+    /// How the relation meets the ones before it in FROM order:
+    /// `IndexNestedLoop(col)`, `HashJoin(col)` or `CrossJoin`; `None` for
+    /// the first.
+    pub join: Option<String>,
+}
+
+/// EXPLAIN output: one entry per FROM relation of the outermost body.
+/// WITH-clause bodies are explained recursively in `ctes`.
+#[derive(Debug, Clone, Default)]
+pub struct ExplainOutput {
+    /// Plans for the body's FROM relations, in join order.
+    pub relations: Vec<RelationPlan>,
+    /// EXPLAIN of each WITH clause, in definition order.
+    pub ctes: Vec<(String, ExplainOutput)>,
+}
+
+impl fmt::Display for ExplainOutput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (name, e) in &self.ctes {
+            writeln!(f, "CTE {name}:")?;
+            for line in e.to_string().lines() {
+                writeln!(f, "  {line}")?;
+            }
+        }
+        for r in &self.relations {
+            write!(
+                f,
+                "{} ({}): {} est_rows={:.1} ({:.2}% of {})",
+                r.alias,
+                r.table,
+                r.access_desc,
+                r.est_rows,
+                r.est_fraction * 100.0,
+                r.table_rows
+            )?;
+            match &r.join {
+                Some(join) => writeln!(f, " join={join}")?,
+                None => writeln!(f)?,
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,6 +1231,17 @@ mod tests {
 
     fn owner_eq(v: i64) -> Expr {
         Expr::col_eq(ColumnRef::bare("owner"), Value::Int(v))
+    }
+
+    /// [`plan_access_opts`] under default (sequential) scan options.
+    fn plan_access(
+        entry: &TableEntry,
+        alias: &str,
+        predicate: Option<&Expr>,
+        hint: &IndexHint,
+        profile: DbProfile,
+    ) -> AccessPlan {
+        plan_access_opts(entry, alias, predicate, hint, profile, ScanOptions::default())
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! costs. Wall-clock time on a laptop is noisy and hardware-specific, so in
 //! addition to real timing the engine maintains a *deterministic simulated
 //! cost counter*: every page read, tuple scan, predicate evaluation and UDF
-//! invocation bumps the counters below. Benchmarks report both clocks; the
-//! shape comparisons in EXPERIMENTS.md use the simulated clock where
-//! determinism matters and wall time elsewhere.
+//! invocation bumps the counters below. Benchmarks report both clocks: the
+//! `exp*` binaries' shape comparisons (tables under `results/`) use the
+//! simulated clock where determinism matters and wall time elsewhere, and
+//! the gated benchmark's `--trace 1` run reports the counters per operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

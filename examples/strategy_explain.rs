@@ -1,7 +1,8 @@
 //! Strategy selection under the hood (paper Section 5.5): shows, for
 //! queries of increasing selectivity, which access strategy SIEVE's cost
 //! model picks (LinearScan / IndexQuery / IndexGuards), the EXPLAIN the
-//! engine reports, and the rewritten SQL.
+//! engine reports — the plan it would run, printed: per relation the access
+//! path and, from the second on, how it is joined — and the rewritten SQL.
 //!
 //! Run with: `cargo run --release --example strategy_explain`
 
@@ -36,6 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.create_index("wifi_dataset", col)?;
     }
     db.analyze("wifi_dataset")?;
+    db.create_table(TableSchema::of(
+        "membership",
+        &[("user_id", DataType::Int), ("grp", DataType::Int)],
+    ))?;
+    for u in 0..800i64 {
+        db.insert("membership", vec![Value::Int(u), Value::Int(u % 40)])?;
+    }
 
     let sieve = SieveService::new(db, SieveOptions::default())?;
     // 30 owners allow querier 1 at a couple of APs.
@@ -63,6 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "SELECT * FROM wifi_dataset WHERE ts_time BETWEEN '09:00' AND '12:00'",
         ),
         ("unselective query (whole table)", "SELECT * FROM wifi_dataset"),
+        (
+            "join (one group's devices, one hour)",
+            "SELECT COUNT(*) AS n FROM membership AS m, wifi_dataset AS w \
+             WHERE m.grp = 1 AND m.user_id = w.owner AND w.ts_time BETWEEN '09:00' AND '10:00'",
+        ),
     ] {
         let query = sieve::minidb::sql::parse(sql)?;
         let rewritten = sieve.rewrite(&query, &qm)?;

@@ -1,17 +1,20 @@
 //! Property tests over the engine substrate: whatever access path the
 //! planner picks (forced unions, bitmap ORs, sequential scans), the rows
 //! that come back are identical; a filter program that dispatches a wide
-//! disjunction by key selects what the plain disjunction selects — and
-//! histogram estimates stay sane.
+//! disjunction by key selects what the plain disjunction selects; what
+//! EXPLAIN reports is what the counters of a run show — and histogram
+//! estimates stay sane.
 
 use proptest::prelude::*;
 use sieve::minidb::expr::{
     bind, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
 };
 use sieve::minidb::plan::{IndexHint, TableRef};
+use sieve::minidb::table::ROWS_PER_PAGE;
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{
-    Database, DbProfile, RangeBound, Row, SelectQuery, StatsSink, TableSchema, UdfRegistry,
+    AccessPlan, Database, DbProfile, ExecOptions, ExplainOutput, RangeBound, RelationPlan, Row,
+    SelectQuery, StatsSink, TableSchema, UdfRegistry, PARALLEL_MIN_ROWS,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -339,3 +342,117 @@ proptest! {
         prop_assert!(ratio < 4.0, "estimate {est} vs actual {actual}");
     }
 }
+
+/// `build`'s `t` plus a join partner `u(k, ua)`: 40 rows, `ua` in the
+/// range of `t.a` and indexed.
+fn build_pair(rows: i64, profile: DbProfile) -> Database {
+    let mut db = build(rows, profile);
+    db.create_table(TableSchema::of("u", &[("k", DataType::Int), ("ua", DataType::Int)])).unwrap();
+    for i in 0..40i64 {
+        db.insert("u", vec![Value::Int(i), Value::Int(i % 23)]).unwrap();
+    }
+    db.create_index("u", "ua").unwrap();
+    db
+}
+
+/// `left = right` between two qualified columns.
+fn cols_eq(left: (&str, &str), right: (&str, &str)) -> Expr {
+    Expr::Cmp {
+        op: CmpOp::Eq,
+        lhs: Box::new(Expr::Column(ColumnRef::qualified(left.0, left.1))),
+        rhs: Box::new(Expr::Column(ColumnRef::qualified(right.0, right.1))),
+    }
+}
+
+/// Every relation an EXPLAIN reports, WITH bodies included.
+fn reported(e: &ExplainOutput) -> Vec<&RelationPlan> {
+    let mut all: Vec<&RelationPlan> = e.ctes.iter().flat_map(|(_, cte)| reported(cte)).collect();
+    all.extend(&e.relations);
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// EXPLAIN and execution read one plan, so the report has to agree
+    /// with what a run of the same query under the same options counts:
+    /// index probes only where an index path or an index join is reported,
+    /// sequential pages exactly those of the base relations reported as
+    /// scanned plus the temps', and a temp reported parallel exactly when
+    /// it has the rows for it and there are threads to use.
+    #[test]
+    fn explain_agrees_with_the_counters_of_a_run(
+        pred in arb_pred(),
+        rows in prop_oneof![500i64..2500, 4200i64..5000],
+        shape in 0usize..5,
+        cte_filtered in any::<bool>(),
+        parallel in any::<bool>(),
+    ) {
+        let from = |tables: &[&str]| tables.iter().map(|t| TableRef::named(*t)).collect::<Vec<_>>();
+        let cte = if cte_filtered {
+            SelectQuery::star_from("t").filter(pred.clone())
+        } else {
+            SelectQuery::star_from("t")
+        };
+        let q = match shape {
+            0 => SelectQuery::star_from("t").filter(pred),
+            // `t` joined on an indexed column, and on one that is not.
+            1 => SelectQuery::star_from("u")
+                .from_tables(from(&["u", "t"]))
+                .filter(Expr::and(cols_eq(("u", "ua"), ("t", "a")), pred)),
+            2 => SelectQuery::star_from("u")
+                .from_tables(from(&["u", "t"]))
+                .filter(Expr::and(cols_eq(("t", "id"), ("u", "ua")), pred)),
+            // A WITH result joined with a base table, either way round.
+            3 => SelectQuery::star_from("v")
+                .from_tables(from(&["v", "u"]))
+                .with_clause("v", cte.clone())
+                .filter(cols_eq(("v", "a"), ("u", "ua"))),
+            _ => SelectQuery::star_from("v")
+                .from_tables(from(&["u", "v"]))
+                .with_clause("v", cte.clone())
+                .filter(cols_eq(("u", "ua"), ("v", "a"))),
+        };
+        let opts = ExecOptions::with_threads(if parallel { 4 } else { 0 });
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let db = build_pair(rows, profile);
+            let temp_rows = db.run_query(&cte).unwrap().len();
+            let explain = db.explain_opts(&q, &opts).unwrap();
+            db.stats().reset();
+            db.run_query_opts(&q, &opts).unwrap();
+            let ran = db.stats().snapshot();
+
+            let mut index_reported = false;
+            let mut scan_pages = 0;
+            for r in reported(&explain) {
+                let scanned = match &r.access {
+                    AccessPlan::SeqScan | AccessPlan::ParallelScan { .. } => true,
+                    AccessPlan::IndexOr { .. } | AccessPlan::IndexIntersect { .. } => false,
+                };
+                index_reported |= !scanned;
+                if r.table == "v" {
+                    scan_pages += temp_rows.div_ceil(ROWS_PER_PAGE) as u64;
+                    let from = r
+                        .access_desc
+                        .strip_prefix("ParallelScan(temp, from ")
+                        .map(|rest| rest.strip_suffix(" rows)").unwrap().parse::<usize>().unwrap());
+                    prop_assert_eq!(
+                        from.is_some_and(|n| temp_rows >= n),
+                        parallel && temp_rows >= PARALLEL_MIN_ROWS,
+                        "{:?}: {} over {} rows", profile, r.access_desc, temp_rows
+                    );
+                } else if scanned {
+                    scan_pages += db.table(&r.table).unwrap().table.page_count();
+                    prop_assert_eq!(
+                        matches!(r.access, AccessPlan::ParallelScan { .. }),
+                        parallel && r.table_rows as usize >= PARALLEL_MIN_ROWS,
+                        "{:?}: {}", profile, r.access_desc
+                    );
+                }
+            }
+            prop_assert!(index_reported || ran.index_probes == 0, "{profile:?}:\n{explain}{ran:?}");
+            prop_assert_eq!(ran.seq_pages_read, scan_pages, "{:?}:\n{}", profile, explain);
+        }
+    }
+}
+
