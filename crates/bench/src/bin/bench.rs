@@ -19,11 +19,11 @@
 //! * `analyze` — what `verify_rewrites` costs cold, and that it costs
 //!   nothing warm.
 //!
-//! Each writes `results/bench_<scenario>.txt` and
-//! `results/BENCH_<scenario>.json` from one [`Record`] — stamped with the
-//! git revision, core count and dataset configuration, every timing a
-//! median with its quartiles — and uses `BENCHMARK.json`'s per-layer
-//! names wherever it times the same stage, so the two read side by side.
+//! Each prints its table and writes `results/BENCH_<scenario>.json` from
+//! one [`Record`] — stamped with the git revision, core count and dataset
+//! configuration, every timing a median with its quartiles — and uses
+//! `BENCHMARK.json`'s per-layer names wherever it times the same stage,
+//! so the two read side by side.
 //! `--quick` shrinks the dataset for a seconds-long CI smoke and makes
 //! every recorded gate fatal; `SIEVE_SCALE` / `SIEVE_DAYS` are honoured
 //! otherwise.
@@ -33,7 +33,7 @@ use minidb::expr::{ColumnRef, Expr};
 use minidb::plan::{IndexHint, TableRef};
 use minidb::{DbProfile, Row, SelectQuery, Value};
 use sieve_bench::harness::{
-    block_us, build_campus, fields, measure, nproc, queriers_with_policies, Campus,
+    asked_for, block_us, build_campus, fields, measure, nproc, queriers_with_policies, Campus,
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
 };
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec, QueryMetadata};
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const PURPOSE: &str = "Analytics";
-type Scenario = fn(&EnvConfig);
+type Scenario = fn(&EnvConfig) -> Record;
 const SCENARIOS: [(&str, Scenario); 5] = [
     ("hotpath", hotpath),
     ("multiquerier", multiquerier),
@@ -59,17 +59,8 @@ const SCENARIOS: [(&str, Scenario); 5] = [
 
 fn main() {
     let env = EnvConfig::from_env();
-    let asked: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
-    let known = |a: &String| a == "all" || SCENARIOS.iter().any(|(name, _)| name == a);
-    if asked.is_empty() || !asked.iter().all(known) {
-        let names: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
-        eprintln!("usage: bench <scenario>... | all [--quick]   (scenarios: {})", names.join(", "));
-        std::process::exit(2);
-    }
-    for (name, run) in SCENARIOS {
-        if asked.iter().any(|a| a == "all" || a == name) {
-            run(&env);
-        }
+    for scenario in asked_for("bench", "scenario", &SCENARIOS) {
+        scenario(&env).emit("BENCH");
     }
 }
 
@@ -118,7 +109,7 @@ fn execute_all<B: SqlBackend>(
 /// (counts beyond what the morsels support clamp inside the planner);
 /// (3) the same predicate through per-disjunct index probes against that
 /// scan. Every pass is one `backend.exec_us` sample.
-fn hotpath(env: &EnvConfig) {
+fn hotpath(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("hotpath", env);
     let db = campus.sieve.db();
@@ -208,7 +199,7 @@ fn hotpath(env: &EnvConfig) {
             union_us.median, rescan_us.median
         ),
     );
-    rec.emit();
+    rec
 }
 
 /// Cold preparation of one request batch from ≥ 100 distinct queriers on
@@ -220,7 +211,7 @@ fn hotpath(env: &EnvConfig) {
 /// warm). Every schedule then executes every request and must return the
 /// sequential schedule's rows: batching changes the schedule, never the
 /// semantics.
-fn multiquerier(env: &EnvConfig) {
+fn multiquerier(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("multiquerier", env);
     let requests = traffic(&campus, env.pick(100, 150));
@@ -282,7 +273,7 @@ fn multiquerier(env: &EnvConfig) {
     rec.put("groups", groups.len());
     rec.put("group_slice_policies", groups.iter().map(|g| g.slice_policies).sum::<usize>());
     rec.put("shared_candidates", groups.iter().map(|g| g.shared_candidates).sum::<usize>());
-    rec.emit();
+    rec
 }
 
 /// One shared `SieveService`, every request of [`traffic`] behind a warm
@@ -305,7 +296,7 @@ fn multiquerier(env: &EnvConfig) {
 /// records that spread; compare it, not the q/s, with the benchmark's
 /// `session.execute_us`. With `nproc` 1 or 2 the thread rows measure
 /// contention overhead, not parallel speed-up.
-fn concurrent(env: &EnvConfig) {
+fn concurrent(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("concurrent", env);
     let requests = traffic(&campus, env.pick(100, 150));
@@ -391,7 +382,7 @@ fn concurrent(env: &EnvConfig) {
     rec.put("readers_beside_writer.writer_policies", rounds * inserts);
     rec.put("readers_beside_writer.reader_qps", Stat::of(reader_qps));
     rec.put("readers_beside_writer.service.add_policy_us", Stat::of(add_policy_us));
-    rec.emit();
+    rec
 }
 
 /// A service over `backend` with the campus policy corpus.
@@ -425,7 +416,7 @@ fn rate0<B: SqlBackend>(inner: B) -> FaultInjectingBackend<B> {
 ///    every server-side statement, four threads execute at once; wall
 ///    time until all recover, and exactly one re-prepare per handle per
 ///    round — the single-flight plan rebuild admits no re-prepare storm.
-fn faults(env: &EnvConfig) {
+fn faults(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("faults", env);
     let (qm, policies, q) = heavy_probe(&campus);
@@ -508,7 +499,7 @@ fn faults(env: &EnvConfig) {
     rec.put("storm.recover_us", Stat::of(storm_us.collect()));
     rec.put("storm.rounds", storm_rounds);
     rec.put("storm.session.reprepares_per_op", 1usize);
-    rec.emit();
+    rec
 }
 
 /// Prices the static soundness verifier (`sieve_core::analyze`) on the
@@ -517,7 +508,7 @@ fn faults(env: &EnvConfig) {
 /// compilation) with it on against off is the one-time price of a
 /// machine-checked guard, and (2) a warm rewrite must cost the same with
 /// it on — gated: any delta is verifier work leaking onto the warm path.
-fn analyze(env: &EnvConfig) {
+fn analyze(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("analyze", env);
     let (qm, policies, q) = heavy_probe(&campus);
@@ -551,5 +542,5 @@ fn analyze(env: &EnvConfig) {
     }
     rec.put("cold_verify_us", cold_us[1].median - cold_us[0].median);
     rec.gate_overhead("warm_verify_overhead", &warm_us[0], &warm_us[1]);
-    rec.emit();
+    rec
 }

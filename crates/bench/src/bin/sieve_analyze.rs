@@ -14,7 +14,7 @@
 //! subsumed grants) and the guard-shape lints (tautological guards,
 //! unconfirmed NULL safety). Output is a deterministic JSON report per
 //! scenario (`results/ANALYZE_tippers.json`, `results/ANALYZE_mall.json`)
-//! plus a human summary (`results/sieve_analyze.txt`).
+//! plus a human summary on standard output.
 //!
 //! Exit status is the CI contract: **nonzero iff any check is
 //! `Refuted`** — a refutation means a generated rewrite would leak a
@@ -25,7 +25,7 @@
 //! fits a CI step; the full run sweeps every eligible querier.
 
 use minidb::{Database, DbProfile};
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, EnvConfig};
+use sieve_bench::harness::{build_campus, queriers_with_policies, EnvConfig};
 use sieve_core::analyze::{self, AnalysisReport, CheckRecord, Finding, FindingKind, Verdict};
 use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, PolicyId, QueryMetadata};
@@ -264,7 +264,7 @@ fn main() {
             format!("AUDIT FAIL: {refuted} refuted check(s) — a rewrite admits rows outside its allowed policies.")
         }
     );
-    emit("sieve_analyze", &out);
+    println!("{out}");
 
     if refuted > 0 {
         std::process::exit(1);

@@ -1,14 +1,18 @@
-//! Shared experiment setup: build the campus/mall environments, pick
-//! queriers, and time enforcement strategies the way Section 7 does —
-//! plus what the `bench` driver's scenarios stand on: the one arg/env
-//! parser ([`EnvConfig`]), [`measure`] (median and quartiles)
-//! and the [`Record`] both the text table and `results/BENCH_<name>.json`
-//! are rendered from.
+//! What the `exp` and `bench` drivers stand on: the one arg/env parser
+//! ([`EnvConfig`]), the campus and the synthetic wifi table, querier
+//! picking, policy subsets, timing an enforcement mechanism the way
+//! Section 7 does ([`time_enforcement`], [`measure`]), and the [`Record`]
+//! that the printed table and `results/{BENCH,EXP}_<name>.json` are both
+//! rendered from.
 
-use minidb::{Database, DbProfile};
+use minidb::stats::ExecStats;
+use minidb::value::{DataType, Value as DbValue};
+use minidb::{Database, DbProfile, SelectQuery, TableSchema};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, QueryMetadata, UserId};
-use sieve_core::{SieveOptions, SieveService};
+use sieve_core::{Enforcement, GroupDirectory, SieveOptions, SieveService, SqlBackend};
 use sieve_workload::profiles::UserProfile;
 use sieve_workload::tippers::{generate as generate_tippers, TippersConfig, TippersDataset};
 use sieve_workload::policy_gen::{generate_policies, PolicyGenConfig};
@@ -58,6 +62,21 @@ impl EnvConfig {
     }
 }
 
+/// What a driver's command line asks for: the named `items`, in their own
+/// order, `all` standing for every one. Naming nothing, or something
+/// unknown, prints the usage and exits with status 2.
+pub fn asked_for<T: Copy>(driver: &str, kind: &str, items: &[(&str, T)]) -> Vec<T> {
+    let asked: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
+    let known = |a: &String| a == "all" || items.iter().any(|(name, _)| name == a);
+    if asked.is_empty() || !asked.iter().all(known) {
+        let names: Vec<&str> = items.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: {driver} <{kind}>... | all [--quick]   ({kind}s: {})", names.join(", "));
+        std::process::exit(2);
+    }
+    let wanted = |name: &str| asked.iter().any(|a| a == "all" || a == name);
+    items.iter().filter(|(name, _)| wanted(name)).map(|(_, item)| *item).collect()
+}
+
 /// A fully-loaded campus: SIEVE wrapping the TIPPERS database, with the
 /// Section 7.1 policy corpus registered and groups wired up.
 pub struct Campus {
@@ -104,16 +123,42 @@ pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
     }
 }
 
+impl Campus {
+    /// The policies of the corpus that apply to `qm` on the wifi relation.
+    pub fn relevant(&self, qm: &QueryMetadata) -> Vec<&Policy> {
+        relevant_policies(self.policies.iter(), sieve_workload::WIFI_TABLE, qm, &self.sieve.groups())
+    }
+}
+
 /// Number of policies relevant to a querier for the wifi relation.
 pub fn querier_policy_count(campus: &Campus, querier: UserId, purpose: &str) -> usize {
-    let qm = QueryMetadata::new(querier, purpose);
-    relevant_policies(
-        campus.policies.iter(),
-        sieve_workload::WIFI_TABLE,
-        &qm,
-        &campus.sieve.groups(),
-    )
-    .len()
+    campus.relevant(&QueryMetadata::new(querier, purpose)).len()
+}
+
+/// A MySQL-profile `wifi_dataset(id, owner, wifi_ap, ts_time)` of `rows`
+/// rows, row `i` holding `row(i)` = (owner, access point, seconds into
+/// the day); every non-id column indexed, histograms analyzed. The table
+/// Figures 3 and 4 sweep, where the campus would add noise.
+pub fn synthetic_wifi(rows: i64, row: impl Fn(i64) -> (i64, i64, u32)) -> Database {
+    const TABLE: &str = "wifi_dataset";
+    let columns = [
+        ("id", DataType::Int),
+        ("owner", DataType::Int),
+        ("wifi_ap", DataType::Int),
+        ("ts_time", DataType::Time),
+    ];
+    let mut db = Database::new(DbProfile::MySqlLike);
+    db.create_table(TableSchema::of(TABLE, &columns)).expect("fresh database");
+    for i in 0..rows {
+        let (owner, ap, secs) = row(i);
+        let values = vec![DbValue::Int(i), DbValue::Int(owner), DbValue::Int(ap), DbValue::Time(secs)];
+        db.insert(TABLE, values).expect("row matches the schema");
+    }
+    for (col, _) in &columns[1..] {
+        db.create_index(TABLE, col).expect("column exists");
+    }
+    db.analyze(TABLE).expect("table exists");
+    db
 }
 
 /// Pick `n` queriers of a profile, preferring those with the most
@@ -152,62 +197,90 @@ pub fn queriers_with_policies(
     out
 }
 
-/// Result of timing one (strategy, query) pair.
+/// Warm repetitions of one (mechanism, query) pair, summarised.
 #[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Wall milliseconds (None on timeout).
-    pub wall_ms: Option<f64>,
-    /// Simulated cost in kilounits (None on timeout).
-    pub sim_kcost: Option<f64>,
-    /// Result row count (0 on timeout).
-    pub rows: usize,
+pub struct Run {
+    /// Simulated cost in kilounits. A function of the execution counters,
+    /// so repetitions agree and the median is that one value.
+    pub kcost: f64,
+    /// Wall milliseconds, with their spread.
+    pub wall_ms: Stat,
 }
 
-/// Run a query under an enforcement mechanism `reps` times (after one
-/// warm-up run, as the paper reports warm times) and average. Generic
-/// over the execution backend so the same timing loop measures the
-/// in-process and wire-SQL paths (Experiment 4's backend comparison).
-pub fn time_enforcement<B: sieve_core::SqlBackend>(
-    sieve: &SieveService<B>,
-    enforcement: sieve_core::Enforcement,
-    query: &minidb::SelectQuery,
-    qm: &QueryMetadata,
-    reps: usize,
-) -> Timing {
-    // Warm-up (also populates the guard cache / registers ∆ partitions).
-    let (first, _) = sieve.run_timed(enforcement, query, qm);
-    if first.is_err() {
-        return Timing {
-            wall_ms: None,
-            sim_kcost: None,
-            rows: 0,
-        };
-    }
-    let mut walls = Vec::with_capacity(reps);
-    let mut sims = Vec::with_capacity(reps);
-    let mut rows = 0usize;
-    for _ in 0..reps.max(1) {
-        let (res, stats) = sieve.run_timed(enforcement, query, qm);
-        match res {
-            Ok(r) => {
-                rows = r.len();
-                walls.push(stats.wall_ms());
-                sims.push(stats.simulated_cost / 1e3);
-            }
-            Err(_) => {
-                return Timing {
-                    wall_ms: None,
-                    sim_kcost: None,
-                    rows: 0,
-                }
-            }
+impl Run {
+    /// Summarise the statistics of repeated executions.
+    pub fn of(runs: &[ExecStats]) -> Run {
+        Run {
+            kcost: Stat::of(runs.iter().map(|s| s.simulated_cost / 1e3).collect()).median,
+            wall_ms: Stat::of(runs.iter().map(ExecStats::wall_ms).collect()),
         }
     }
-    Timing {
-        wall_ms: crate::table::mean(&walls),
-        sim_kcost: crate::table::mean(&sims),
-        rows,
+}
+
+/// Run a query under an enforcement mechanism `reps` times after one
+/// warm-up run (the paper reports warm times; the warm-up also fills the
+/// guard cache and registers ∆ partitions). `None` when any run fails —
+/// the paper's `TO`. Generic over the execution backend so the same loop
+/// measures the in-process and wire-SQL paths (Figure 5's comparison).
+pub fn time_enforcement<B: SqlBackend>(
+    sieve: &SieveService<B>,
+    enforcement: Enforcement,
+    query: &SelectQuery,
+    qm: &QueryMetadata,
+    reps: usize,
+) -> Option<Run> {
+    sieve.run_timed(enforcement, query, qm).0.ok()?;
+    let runs: Option<Vec<ExecStats>> = (0..reps.max(1))
+        .map(|_| {
+            let (res, stats) = sieve.run_timed(enforcement, query, qm);
+            res.ok().map(|_| stats)
+        })
+        .collect();
+    Some(Run::of(&runs?))
+}
+
+/// `steps` growing policy-set sizes up to `max` (Figures 5 and 6). The
+/// paper's sets start at 75–100 policies; a `--quick` querier has ≈ 15,
+/// so the floor of ten that keeps a full run off trivial sets drops to 1.
+pub fn sweep_sizes(max: usize, steps: usize, env: &EnvConfig) -> Vec<usize> {
+    let floor = env.pick(1, 10);
+    let step = (max / steps).max(floor);
+    let mut sizes: Vec<usize> = (1..=steps).map(|i| (i * step).min(max)).filter(|&s| s >= floor).collect();
+    sizes.dedup();
+    sizes
+}
+
+/// `size` of `relevant`, drawn by a partial Fisher–Yates shuffle seeded
+/// with `seed`: under one seed a smaller draw is a prefix of a larger
+/// one, which is how Figure 5 grows its policy sets cumulatively.
+pub fn policy_subset(relevant: &[&Policy], size: usize, seed: u64) -> Vec<Policy> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool: Vec<&Policy> = relevant.to_vec();
+    let size = size.min(pool.len());
+    for i in 0..size {
+        let j = rng.gen_range(i..pool.len());
+        pool.swap(i, j);
     }
+    pool[..size].iter().map(|p| (*p).clone()).collect()
+}
+
+/// One cell of Figures 5 and 6: a fresh service over `backend` holding
+/// exactly `policies`, and the warm simulated kilocost of `query` under
+/// `enforcement` on it (`None` on any failure).
+pub fn fresh_service_kcost<B: SqlBackend>(
+    backend: B,
+    groups: &GroupDirectory,
+    policies: &[Policy],
+    enforcement: Enforcement,
+    query: &SelectQuery,
+    qm: &QueryMetadata,
+    env: &EnvConfig,
+) -> Option<f64> {
+    let options = SieveOptions { timeout: Some(env.timeout), ..Default::default() };
+    let sieve = SieveService::with_backend(backend, options).ok()?;
+    sieve.with_groups_mut(|g| *g = groups.clone());
+    sieve.add_policies(policies.iter().cloned()).ok()?;
+    Some(time_enforcement(&sieve, enforcement, query, qm, 2)?.kcost)
 }
 
 /// Microseconds per call over one block of `reps` back-to-back calls.
@@ -300,9 +373,12 @@ pub fn fields<const N: usize>(items: [(&str, Value); N]) -> Fields {
     items.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
-/// One scenario's result: what was measured, under which build and
-/// configuration, and what was checked. The text table and the JSON are
-/// two renderings of the same ordered fields.
+/// One scenario's or figure's result: what was measured, under which
+/// build and configuration, and what was checked. The printed table and
+/// the JSON are two renderings of the same ordered fields. Convention:
+/// every wall-clock number is a [`Value::Timing`]; everything else is a
+/// count or a simulated cost and repeats exactly, so two records of one
+/// tree differ in their timings only.
 #[derive(Debug, Clone)]
 pub struct Record {
     bench: String,
@@ -363,7 +439,7 @@ impl Record {
     }
 
     /// Every field in order, the gates last.
-    fn all_fields(&self) -> Fields {
+    pub fn all_fields(&self) -> Fields {
         let mut all = self.fields.clone();
         all.push(("gates".to_string(), self.gates.clone().into()));
         all
@@ -383,11 +459,11 @@ impl Record {
                 Value::Series(rows) => format!("{} rows", rows.len()),
             }
         }
-        let mut out = format!("=== bench {} ===\n", self.bench);
+        let mut out = format!("=== {} ===\n", self.bench);
         let mut lines = Vec::new();
         let flush = |lines: &mut Vec<Vec<String>>, out: &mut String| {
             if !lines.is_empty() {
-                out.push_str(&crate::table::render(&["metric", "value"], lines));
+                out.push_str(&render(&["metric", "value"], lines));
                 lines.clear();
             }
         };
@@ -398,7 +474,7 @@ impl Record {
                     let headers: Vec<&str> = rows[0].iter().map(|(k, _)| k.as_str()).collect();
                     let body: Vec<Vec<String>> =
                         rows.iter().map(|r| r.iter().map(|(_, v)| cell(v)).collect()).collect();
-                    let _ = write!(out, "\n{name}:\n{}\n", crate::table::render(&headers, &body));
+                    let _ = write!(out, "\n{name}:\n{}\n", render(&headers, &body));
                 }
                 scalar => lines.push(vec![name, cell(&scalar)]),
             }
@@ -467,15 +543,48 @@ impl Record {
         self.gates.iter().filter(|g| g[1].1 == Value::Flag(false)).collect()
     }
 
-    /// Print the table, write `results/bench_<name>.txt` and
-    /// `results/BENCH_<name>.json`, then enforce the gates under `--quick`.
-    pub fn emit(self) {
+    /// Print the table, write `results/<kind>_<name>.json` (`BENCH` for a
+    /// scenario, `EXP` for a figure), then enforce the gates under
+    /// `--quick`.
+    pub fn emit(self, kind: &str) {
         let bench = &self.bench;
-        emit(&format!("bench_{bench}"), &self.table());
-        save(&format!("BENCH_{bench}.json"), &self.json());
+        println!("{}", self.table());
+        save(&format!("{kind}_{bench}.json"), &self.json());
         let failed = self.failed_gates();
-        assert!(!self.quick || failed.is_empty(), "bench {bench}: gate(s) failed: {failed:?}");
+        assert!(!self.quick || failed.is_empty(), "{kind} {bench}: gate(s) failed: {failed:?}");
     }
+}
+
+/// Render an aligned text table ([`Record::table`]'s layout).
+fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let ncols = headers.len();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate().take(ncols) {
+            widths[i] = widths[i].max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let mut line = String::new();
+        for (i, c) in cells.iter().enumerate() {
+            if i > 0 {
+                line.push_str("  ");
+            }
+            line.push_str(&format!("{:>width$}", c, width = widths[i]));
+        }
+        line.push('\n');
+        line
+    };
+    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
+    out.push_str(&fmt_row(&hdr, &widths));
+    let total: usize = widths.iter().sum::<usize>() + 2 * ncols.saturating_sub(1);
+    out.push_str(&"-".repeat(total));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row, &widths));
+    }
+    out
 }
 
 /// `--quick` gate: a mechanism that must be free on the warm path (the
@@ -517,12 +626,6 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Write experiment output both to stdout and `results/<name>.txt`.
-pub fn emit(name: &str, content: &str) {
-    println!("{content}");
-    save(&format!("{name}.txt"), content);
-}
-
 /// Write `results/<file>`; a failure is a warning, not the run's result.
 fn save(file: &str, content: &str) {
     let dir = std::path::Path::new("results");
@@ -561,16 +664,48 @@ mod tests {
         let campus = build_campus(DbProfile::MySqlLike, &tiny_env());
         let querier = pick_queriers(&campus, UserProfile::Grad, "Analytics", 1)[0];
         let qm = QueryMetadata::new(querier, "Analytics");
-        let q = minidb::SelectQuery::star_from(sieve_workload::WIFI_TABLE);
-        let t = time_enforcement(
-            &campus.sieve,
-            sieve_core::Enforcement::Sieve,
-            &q,
-            &qm,
-            2,
+        let q = SelectQuery::star_from(sieve_workload::WIFI_TABLE);
+        let t = time_enforcement(&campus.sieve, Enforcement::Sieve, &q, &qm, 2).expect("no timeout");
+        assert_eq!(t.wall_ms.n, 2);
+        assert!(t.kcost > 0.0);
+        // The simulated clock repeats, on this service and across fresh
+        // ones holding the same subset of the querier's policies.
+        assert_eq!(time_enforcement(&campus.sieve, Enforcement::Sieve, &q, &qm, 1).unwrap().kcost, t.kcost);
+        let relevant = campus.relevant(&qm);
+        let half = policy_subset(&relevant, relevant.len() / 2, 3);
+        assert_eq!(half[..2], policy_subset(&relevant, 2, 3)[..], "one seed draws cumulatively");
+        let groups = campus.sieve.groups().clone();
+        let fresh = || {
+            let db = campus.sieve.db().clone();
+            fresh_service_kcost(db, &groups, &half, Enforcement::Sieve, &q, &qm, &tiny_env())
+        };
+        assert!(fresh().unwrap() > 0.0);
+        assert_eq!(fresh(), fresh());
+    }
+
+    #[test]
+    fn renders_aligned() {
+        let t = render(
+            &["name", "ms"],
+            &[
+                vec!["Q1".into(), "418".into()],
+                vec!["Q2-long".into(), "9".into()],
+            ],
         );
-        assert!(t.wall_ms.is_some());
-        assert!(t.sim_kcost.unwrap() > 0.0);
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("name"));
+        assert!(lines[3].trim_start().starts_with("Q2-long"));
+    }
+
+    #[test]
+    fn sweep_sizes_keep_the_full_runs_and_leave_quick_three_or_more() {
+        let full = tiny_env();
+        assert_eq!(sweep_sizes(191, 10, &full), (1..=10).map(|i| i * 19).collect::<Vec<_>>());
+        assert_eq!(sweep_sizes(352, 12, &full).last(), Some(&348));
+        assert_eq!(sweep_sizes(25, 10, &full), [10, 20, 25], "floor of ten, capped, no repeats");
+        // A `--quick` querier has ≈ 14 policies: the old floor left one size.
+        assert_eq!(sweep_sizes(14, 4, &EnvConfig { quick: true, ..full }), [3, 6, 9, 12]);
     }
 
     #[test]

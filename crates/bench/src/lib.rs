@@ -1,7 +1,8 @@
-//! `sieve-bench` — shared harness for the experiment binaries that
-//! regenerate every table and figure of the paper's evaluation
-//! (Section 7; `src/bin/exp*`, one binary per experiment), for the
-//! `bench` driver of per-mechanism costs and for the `sieve_analyze` audit.
+//! `sieve-bench` — the shared [`harness`] under the three binaries of
+//! `src/bin`: `exp`, the one driver that regenerates every table and
+//! figure of the paper's evaluation (Section 7) as a committed
+//! `results/EXP_<figure>.json`; `bench`, the driver of per-mechanism
+//! costs; and the `sieve_analyze` audit.
 
 #![warn(missing_docs)]
 

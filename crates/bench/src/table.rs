@@ -1,37 +1,5 @@
-//! Plain-text table formatting for experiment output (the binaries print
-//! the same rows/series the paper's tables and figures report).
-
-/// Render an aligned text table.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{:>width$}", c, width = widths[i]));
-        }
-        line.push('\n');
-        line
-    };
-    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&hdr, &widths));
-    let total: usize = widths.iter().sum::<usize>() + 2 * ncols.saturating_sub(1);
-    out.push_str(&"-".repeat(total));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-    }
-    out
-}
+//! Cell formatting and the two sample statistics the figures' tables
+//! report (Table 6's avg and SD).
 
 /// Format milliseconds with sensible precision, or "TO" for timeouts.
 pub fn ms(v: Option<f64>) -> String {
@@ -65,21 +33,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_aligned() {
-        let t = render(
-            &["name", "ms"],
-            &[
-                vec!["Q1".into(), "418".into()],
-                vec!["Q2-long".into(), "9".into()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("name"));
-        assert!(lines[3].trim_start().starts_with("Q2-long"));
-    }
 
     #[test]
     fn ms_formats() {

@@ -75,6 +75,7 @@ pub use backend::{
     BackendError, BackendResult, Fault, FaultConfig, FaultCounts, FaultInjectingBackend,
     SqlBackend, WireSqlBackend,
 };
+pub use baselines::Enforcement;
 pub use batch::{BatchGroupReport, BatchPrepareReport};
 pub use error::{SieveError, SieveResult};
 pub use cache::{GuardCache, GuardCacheStats};
@@ -86,5 +87,5 @@ pub use policy::{
     Action, CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata,
     UserId, OWNER_ATTR, PURPOSE_ANY,
 };
-pub use service::{Enforcement, RecoveryStats, SieveService};
+pub use service::{RecoveryStats, SieveService};
 pub use session::{Prepared, Session};

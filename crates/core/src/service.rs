@@ -80,13 +80,10 @@
 
 use crate::analyze;
 use crate::backend::{BackendError, SqlBackend};
-use crate::baselines::{
-    rewrite_baseline_i, rewrite_baseline_p, rewrite_baseline_u, Baseline,
-};
 use crate::batch::{BatchGroupReport, BatchPrepareReport};
 use crate::cache::{CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
-use crate::delta::{DeltaRegistry, PartitionHandle};
+use crate::delta::DeltaRegistry;
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
 use crate::filter::{policy_applies, GroupDirectory};
 use crate::guard::{
@@ -95,7 +92,7 @@ use crate::guard::{
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
-    classify_protected_refs, collect_protected, compile_guard_fragment, rewrite_query,
+    collect_protected, compile_guard_fragment, rewrite_query,
     CompiledRelation, FragmentCompileCache, RewriteOutput,
 };
 use crate::error::{SieveError, SieveResult};
@@ -103,16 +100,13 @@ use crate::store::{
     create_policy_tables, persist_guarded_expression, persist_policy, GuardTableIds,
     PolicyStore,
 };
-use minidb::error::DbError;
 use minidb::exec::ExecOptions;
 use minidb::plan::SelectQuery;
-use minidb::stats::ExecStats;
 use minidb::{Database, QueryResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Bound on the parsed-SQL cache (entries); repeat textual queries skip
 /// the parser. Eviction is LRU-on-access, one entry at a time — the same
@@ -124,18 +118,6 @@ pub const SQL_CACHE_CAP: usize = 256;
 /// Below this many per-querier generations a batch group stays on the
 /// calling thread — spawning costs more than the set covers save.
 const PARALLEL_BATCH_MIN: usize = 8;
-
-/// Which enforcement mechanism [`SieveService::run_timed`] runs a query
-/// under (for experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enforcement {
-    /// Full SIEVE (guards + strategy selection + inline/∆).
-    Sieve,
-    /// One of the paper's baselines.
-    Baseline(Baseline),
-    /// No access control at all (measures raw query cost).
-    NoPolicies,
-}
 
 pub(crate) struct PersistState {
     pub(crate) guard_ids: GuardTableIds,
@@ -696,7 +678,7 @@ impl<B: SqlBackend> SieveService<B> {
         rewrite_query(&*backend, query, &compiled, &cost, &opts.rewrite)
     }
 
-    fn exec_options(&self) -> ExecOptions {
+    pub(crate) fn exec_options(&self) -> ExecOptions {
         let opts = self.inner.options.read();
         ExecOptions {
             timeout: opts.timeout,
@@ -731,7 +713,7 @@ impl<B: SqlBackend> SieveService<B> {
     /// counts as a reconnect. Each attempt takes the backend read lock
     /// individually and drops it before sleeping, so the retry loop never
     /// starves writers (or other queries) during its backoff.
-    fn with_backend_retry<T>(
+    pub(crate) fn with_backend_retry<T>(
         &self,
         mut op: impl FnMut(&B) -> Result<T, BackendError>,
     ) -> SieveResult<T> {
@@ -812,113 +794,6 @@ impl<B: SqlBackend> SieveService<B> {
     pub(crate) fn close_statement(&self, id: crate::backend::StatementId) {
         let backend = self.inner.backend.read();
         backend.close_prepared(id);
-    }
-
-    /// Execute and time a query under any enforcement mechanism; the
-    /// experiment harness's single entry point. Timing shares the
-    /// backend's statistics sink — drive it single-threaded. The ∆
-    /// partitions of the prepared query are pinned locally across the
-    /// execution, so a concurrent invalidation cannot fail the run.
-    pub fn run_timed(
-        &self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> (SieveResult<QueryResult>, ExecStats) {
-        let (prepared, _pins) = match self.prepare_pinned(enforcement, query, qm) {
-            Ok(t) => t,
-            Err(e) => {
-                return (
-                    Err(e),
-                    ExecStats {
-                        counters: Default::default(),
-                        wall: Duration::ZERO,
-                        simulated_cost: 0.0,
-                    },
-                )
-            }
-        };
-        let opts = self.exec_options();
-        // Retry with the stats of the *last* attempt: recovery time is the
-        // caller's to observe via wall-clock, not folded into engine
-        // counters from failed attempts.
-        let mut last_stats = ExecStats {
-            counters: Default::default(),
-            wall: Duration::ZERO,
-            simulated_cost: 0.0,
-        };
-        let res = self.with_backend_retry(|b| {
-            let (r, stats) = b.exec_timed(&prepared, &opts);
-            last_stats = stats;
-            r
-        });
-        (res, last_stats)
-    }
-
-    /// The executable query for an enforcement mechanism, with leases on
-    /// the ∆ partitions it names (its fragments' under Sieve, directly
-    /// registered ones under Baseline U): it stays executable exactly as
-    /// long as the caller holds them. Producing it is *not* part of
-    /// [`SieveService::run_timed`]'s measured times, as in the paper,
-    /// which reports warm per-query execution.
-    fn prepare_pinned(
-        &self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> SieveResult<(SelectQuery, Vec<PartitionHandle>)> {
-        match enforcement {
-            Enforcement::Sieve => {
-                let out = self.rewrite(query, qm)?;
-                let pins = out.fragments.iter().flat_map(|f| f.partitions.iter().cloned());
-                Ok((out.query, pins.collect()))
-            }
-            Enforcement::NoPolicies => Ok((query.clone(), Vec::new())),
-            Enforcement::Baseline(which) => {
-                // The baseline rewrites (policy DNF in WHERE, per-policy
-                // UNION, per-tuple UDF) attach to top-level FROM entries
-                // only; a protected relation read through nesting would
-                // escape them, so they fail closed instead of silently
-                // under-enforcing. Sieve enforcement mediates all depths.
-                let (top, nested) = {
-                    let protected = self.inner.protected.read();
-                    classify_protected_refs(query, &protected)
-                };
-                if !nested.is_empty() {
-                    return Err(SieveError::Rewrite(DbError::Unsupported(format!(
-                        "baseline {which:?} mediates only top-level FROM references; \
-                         protected relation(s) {nested:?} are read through a subquery, \
-                         WITH body, or derived table — use Sieve enforcement"
-                    ))));
-                }
-                let mut handles: Vec<PartitionHandle> = Vec::new();
-                let store = self.inner.store.read();
-                let groups = self.inner.groups.read();
-                let backend = self.inner.backend.read();
-                let mut rewritten = query.clone();
-                for rel in top {
-                    let relevant = store.relevant(&rel, qm, &groups);
-                    rewritten = match which {
-                        Baseline::P => rewrite_baseline_p(&rewritten, &rel, &relevant),
-                        Baseline::I => rewrite_baseline_i(&rewritten, &rel, &relevant),
-                        Baseline::U => {
-                            // On error the handles collected so far drop
-                            // right here — no leak to reclaim later.
-                            let (q, h) = rewrite_baseline_u(
-                                &*backend,
-                                &self.inner.delta,
-                                &rewritten,
-                                &rel,
-                                &relevant,
-                            )?;
-                            handles.extend(h);
-                            q
-                        }
-                    };
-                }
-                Ok((rewritten, handles))
-            }
-        }
     }
 
     /// The guarded expression for (querier, purpose, relation), generating
@@ -1251,25 +1126,6 @@ mod tests {
         let qm = QueryMetadata::new(500, "Marketing");
         let q = SelectQuery::star_from("wifi_dataset");
         assert!(sieve.execute(&q, &qm).unwrap().is_empty());
-    }
-
-    #[test]
-    fn all_enforcement_mechanisms_agree() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
-        let qm = QueryMetadata::new(500, "Analytics");
-        let q = SelectQuery::star_from("wifi_dataset");
-        let expect = oracle_rows(&sieve, &qm);
-        for e in [
-            Enforcement::Sieve,
-            Enforcement::Baseline(Baseline::P),
-            Enforcement::Baseline(Baseline::I),
-            Enforcement::Baseline(Baseline::U),
-        ] {
-            let (res, _) = sieve.run_timed(e, &q, &qm);
-            let mut rows = res.unwrap().rows;
-            rows.sort();
-            assert_eq!(rows, expect, "mechanism {e:?} diverged");
-        }
     }
 
     #[test]

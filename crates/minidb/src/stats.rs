@@ -7,9 +7,10 @@
 //! addition to real timing the engine maintains a *deterministic simulated
 //! cost counter*: every page read, tuple scan, predicate evaluation and UDF
 //! invocation bumps the counters below. Benchmarks report both clocks: the
-//! `exp*` binaries' shape comparisons (tables under `results/`) use the
-//! simulated clock where determinism matters and wall time elsewhere, and
-//! the gated benchmark's `--trace 1` run reports the counters per operation.
+//! `exp` driver's shape comparisons (`results/EXP_*.json`) use the
+//! simulated clock — it repeats exactly, so the records diff — and carry
+//! wall time as context, and the gated benchmark's `--trace 1` run reports
+//! the counters per operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

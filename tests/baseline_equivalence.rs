@@ -10,11 +10,10 @@
 mod support;
 
 use sieve::core::backend::{for_each_backend, DynBackend};
-use sieve::core::baselines::Baseline;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::{Enforcement, SieveOptions, SieveService};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, Value};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
@@ -50,22 +49,8 @@ fn check_all_mechanisms(
     for querier in queriers {
         for purpose in ["Analytics", "Safety"] {
             let qm = QueryMetadata::new(*querier, purpose);
-            let expect = support::oracle_rows(sieve, WIFI_TABLE, &qm);
-            for e in [
-                Enforcement::Sieve,
-                Enforcement::Baseline(Baseline::I),
-                Enforcement::Baseline(Baseline::P),
-                Enforcement::Baseline(Baseline::U),
-            ] {
-                let (res, _) = sieve.run_timed(e, &q, &qm);
-                let mut got = res.expect("mechanism must run").rows;
-                got.sort();
-                assert_eq!(
-                    got, expect,
-                    "{e:?} diverged from oracle for querier {querier} / {purpose} \
-                     on {profile:?} via backend {backend_name}"
-                );
-            }
+            let context = format!("on {profile:?} via backend {backend_name}");
+            support::assert_mechanisms_match_oracle(sieve, &q, &qm, &context);
         }
     }
 
@@ -193,17 +178,8 @@ fn deny_factored_policies_hold_across_mechanisms_and_backends() {
         // allow ∧ ¬deny set — pins `factor_deny` itself.
         let oracle = support::oracle_rows(&sieve, WIFI_TABLE, &qm);
         assert_eq!(oracle, expect, "factor_deny diverged from allow ∧ ¬deny on {name}");
-        for e in [
-            Enforcement::Sieve,
-            Enforcement::Baseline(Baseline::I),
-            Enforcement::Baseline(Baseline::P),
-            Enforcement::Baseline(Baseline::U),
-        ] {
-            let (res, _) = sieve.run_timed(e, &q, &qm);
-            let mut got = res.expect("mechanism must run").rows;
-            got.sort();
-            assert_eq!(got, expect, "{e:?} leaked denied rows on backend {name}");
-        }
+        let context = format!("denied rows must not leak on backend {name}");
+        support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &context);
     });
     assert_eq!(backends, 2);
 }

@@ -5,7 +5,6 @@
 
 mod support;
 
-use sieve::core::baselines::Baseline;
 use sieve::core::cost::AccessStrategy;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
@@ -109,17 +108,10 @@ fn all_mechanisms_equal_oracle_on_both_profiles() {
         let sieve = build_sieve(profile);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
-        let expect = oracle(&sieve, &qm);
+        let expect =
+            support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("on {profile:?}"));
+        assert_eq!(expect, oracle(&sieve, &qm), "SELECT * must see the whole oracle");
         assert!(!expect.is_empty(), "oracle must be non-trivial");
-        for e in [
-            Enforcement::Sieve,
-            Enforcement::Baseline(Baseline::P),
-            Enforcement::Baseline(Baseline::I),
-            Enforcement::Baseline(Baseline::U),
-        ] {
-            let got = run_sorted(&sieve, e, &q, &qm);
-            assert_eq!(got, expect, "{e:?} on {profile:?} diverged from oracle");
-        }
     }
 }
 
@@ -170,15 +162,8 @@ fn query_predicates_compose_with_policies() {
             (ap == 1001 || ap == 1002) && (6 * 3600..=18 * 3600).contains(&t)
         })
         .collect();
-    for e in [
-        Enforcement::Sieve,
-        Enforcement::Baseline(Baseline::P),
-        Enforcement::Baseline(Baseline::I),
-        Enforcement::Baseline(Baseline::U),
-    ] {
-        let got = run_sorted(&sieve, e, &q, &qm);
-        assert_eq!(got, oracle_rows, "{e:?} with query predicate diverged");
-    }
+    let expect = support::assert_mechanisms_match_oracle(&sieve, &q, &qm, "with query predicate");
+    assert_eq!(expect, oracle_rows, "the hand-filtered oracle must agree with the helper's");
 }
 
 #[test]

@@ -6,11 +6,10 @@
 mod support;
 
 use proptest::prelude::*;
-use sieve::core::baselines::Baseline;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::{Enforcement, SieveOptions, SieveService};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
 
@@ -120,18 +119,7 @@ proptest! {
         let sieve = build(&corpus, profile);
         let purpose = ["Analytics", "Safety", "Marketing"][purpose_idx];
         let qm = QueryMetadata::new(querier, purpose);
-        let expect = support::oracle_rows(&sieve, "t", &qm);
         let q = SelectQuery::star_from("t");
-        for e in [
-            Enforcement::Sieve,
-            Enforcement::Baseline(Baseline::P),
-            Enforcement::Baseline(Baseline::I),
-            Enforcement::Baseline(Baseline::U),
-        ] {
-            let (res, _) = sieve.run_timed(e, &q, &qm);
-            let mut got = res.expect("must run").rows;
-            got.sort();
-            prop_assert_eq!(&got, &expect, "{:?} diverged on {:?}", e, profile);
-        }
+        support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("on {profile:?}"));
     }
 }

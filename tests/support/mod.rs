@@ -3,11 +3,13 @@
 //! subset it needs (hence the blanket `dead_code` allow).
 #![allow(dead_code)]
 
+use sieve::core::baselines::Baseline;
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
 use sieve::core::semantics::visible_rows;
-use sieve::core::{SieveService, SqlBackend};
+use sieve::core::{Enforcement, SieveService, SqlBackend};
+use sieve::minidb::plan::TableSource;
 use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, QueryResult, Row, TableSchema, Value};
+use sieve::minidb::{Database, DbProfile, QueryResult, Row, SelectQuery, TableSchema, Value};
 
 /// The protected relation of the synthetic fixture.
 pub const REL: &str = "wifi_dataset";
@@ -93,4 +95,39 @@ pub fn oracle_rows<B: SqlBackend>(
     let mut rows = visible_rows(&*service.backend(), relation, &relevant).unwrap();
     rows.sort();
     rows
+}
+
+/// Every enforcement mechanism — SIEVE and baselines P, I, U — returns
+/// exactly the oracle's answer to `query`, a `SELECT *` over one
+/// protected relation: the rows the unpoliced engine returns for it that
+/// [`oracle_rows`] lets `qm` see. `context` (profile, backend, query
+/// cell) is appended to the failure message after the mechanism and the
+/// querier. Returns the expected rows, sorted.
+pub fn assert_mechanisms_match_oracle<B: SqlBackend>(
+    service: &SieveService<B>,
+    query: &SelectQuery,
+    qm: &QueryMetadata,
+    context: &str,
+) -> Vec<Row> {
+    let [from] = query.from.as_slice() else { panic!("one FROM entry expected ({context})") };
+    let TableSource::Named(relation) = &from.source else { panic!("a named relation expected ({context})") };
+    let visible = oracle_rows(service, relation, qm);
+    let (raw, _) = service.run_timed(Enforcement::NoPolicies, query, qm);
+    let mut expect = sorted_rows(raw.expect("the unpoliced query must run"));
+    expect.retain(|row| visible.binary_search(row).is_ok());
+    for e in [
+        Enforcement::Sieve,
+        Enforcement::Baseline(Baseline::P),
+        Enforcement::Baseline(Baseline::I),
+        Enforcement::Baseline(Baseline::U),
+    ] {
+        let (res, _) = service.run_timed(e, query, qm);
+        let got = sorted_rows(res.unwrap_or_else(|err| panic!("{e:?} must run ({context}): {err}")));
+        assert_eq!(
+            got, expect,
+            "{e:?} diverged from the oracle for querier {} / {} ({context})",
+            qm.querier, qm.purpose
+        );
+    }
+    expect
 }

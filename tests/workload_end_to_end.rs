@@ -43,26 +43,9 @@ fn campus_q1_q2_match_oracle_under_all_mechanisms() {
     for class in [QueryClass::Q1, QueryClass::Q2] {
         for sel in [Selectivity::Low, Selectivity::Mid] {
             let q = generate_query(&ds, class, sel, 7);
-            // Reference: filter oracle rows by the query predicate, which
-            // the unpoliced engine computes for us.
-            let (raw, _) = sieve.run_timed(Enforcement::NoPolicies, &q, &qm);
-            let raw_rows = raw.unwrap().rows;
-            let mut expect: Vec<Row> = raw_rows
-                .into_iter()
-                .filter(|r| oracle.contains(r))
-                .collect();
-            expect.sort();
-            for e in [
-                Enforcement::Sieve,
-                Enforcement::Baseline(Baseline::P),
-                Enforcement::Baseline(Baseline::I),
-                Enforcement::Baseline(Baseline::U),
-            ] {
-                let (res, _) = sieve.run_timed(e, &q, &qm);
-                let mut got = res.unwrap().rows;
-                got.sort();
-                assert_eq!(got, expect, "{class:?}/{sel:?} {e:?} diverged");
-            }
+            // Reference: the oracle rows filtered by the query predicate,
+            // which the unpoliced engine computes for the helper.
+            support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("{class:?}/{sel:?}"));
         }
     }
 }
