@@ -11,7 +11,7 @@
 //! * `hotpath` — the engine alone: filter-loop throughput, morsel-scan
 //!   scaling, index union against the scan it replaces;
 //! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one
-//!   against batched (1 and N threads);
+//!   against batched;
 //! * `concurrent` — one shared service under 1/2/4/8 threads, and readers
 //!   beside a policy writer;
 //! * `faults` — what the retry layer costs when nothing fails, and how
@@ -33,7 +33,7 @@ use minidb::expr::{ColumnRef, Expr};
 use minidb::plan::{IndexHint, TableRef};
 use minidb::{DbProfile, Row, SelectQuery, Value};
 use sieve_bench::harness::{
-    asked_for, block_us, build_campus, fields, measure, nproc, queriers_with_policies, Campus,
+    asked_for, block_us, build_campus, fields, measure, queriers_with_policies, Campus,
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
 };
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec, QueryMetadata};
@@ -203,14 +203,14 @@ fn hotpath(env: &EnvConfig) -> Record {
 }
 
 /// Cold preparation of one request batch from ≥ 100 distinct queriers on
-/// one relation, three schedules: `SieveService::rewrite` per request
-/// (every querier pays its own lookup, candidate generation and set
-/// cover — each a `rewrite.cold_us` sample), and
-/// `prepare_batch_with_threads` at 1 and N threads (the shared phase runs
-/// once per `(purpose, relation)` group; the rewrites that follow are
-/// warm). Every schedule then executes every request and must return the
-/// sequential schedule's rows: batching changes the schedule, never the
-/// semantics.
+/// one relation, two schedules: `SieveService::rewrite` per request (every
+/// querier pays its own lookup, condition collection and set cover — each
+/// a `rewrite.cold_us` sample), and `prepare_batch` (the same cold build
+/// over all keys at once, the collection shared per `(purpose, relation)`
+/// group; the rewrites that follow are warm). Both then execute every
+/// request; the batch must leave every querier the sequential schedule's
+/// guarded expression and return its rows: batching changes the schedule,
+/// never the result.
 fn multiquerier(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("multiquerier", env);
@@ -243,8 +243,14 @@ fn multiquerier(env: &EnvConfig) -> Record {
         }
         (Stat::of(total_ms), Stat::of(prepare_ms), Stat::of(rewrite_us), generations)
     };
+    // What the last rep left every querier running under (warm reads).
+    let expressions = || -> Vec<_> {
+        let of = |qm| service.guarded_expression(qm, WIFI_TABLE).expect("guarded expression");
+        requests.iter().map(|(qm, _)| of(qm)).collect()
+    };
 
     let (seq_ms, _, cold_us, seq_generations) = schedule(&mut || ());
+    let seq_expressions = expressions();
     let seq_rows = execute_all(service, &requests);
     rec.put("queriers", requests.len());
     rec.put("policies", campus.policies.len());
@@ -253,26 +259,29 @@ fn multiquerier(env: &EnvConfig) -> Record {
     rec.put("sequential.generations", seq_generations);
 
     let mut report = None;
-    for threads in [1, nproc().clamp(2, 8)] {
-        let (total_ms, batch_ms, warm_us, generations) = schedule(&mut || {
-            report = Some(service.prepare_batch_with_threads(&requests, threads).expect("prepare_batch"));
-        });
-        assert!(
-            execute_all(service, &requests) == seq_rows,
-            "batched results ({threads} thread(s)) diverged from sequential execution"
-        );
-        let side = format!("batch_{threads}_threads");
-        rec.put(&format!("{side}.prepare_ms"), total_ms);
-        rec.put(&format!("{side}.prepare_batch_ms"), batch_ms);
-        rec.put(&format!("{side}.rewrite.warm_us"), warm_us);
-        rec.put(&format!("{side}.generations"), generations);
-        rec.put(&format!("{side}.speedup"), seq_ms.median / total_ms.median);
-        rec.put(&format!("{side}.results_identical"), true);
-    }
-    let groups = report.expect("two batch schedules ran").groups;
+    let (total_ms, batch_ms, warm_us, generations) = schedule(&mut || {
+        report = Some(service.prepare_batch(&requests).expect("prepare_batch"));
+    });
+    let differing = expressions().iter().zip(&seq_expressions).filter(|(b, s)| b != s).count();
+    assert!(
+        execute_all(service, &requests) == seq_rows,
+        "batched results diverged from sequential execution"
+    );
+    rec.put("batch.prepare_ms", total_ms);
+    rec.put("batch.prepare_batch_ms", batch_ms);
+    rec.put("batch.rewrite.warm_us", warm_us);
+    rec.put("batch.generations", generations);
+    rec.put("batch.speedup", seq_ms.median / total_ms.median);
+    rec.put("batch.results_identical", true);
+    let groups = report.expect("the batch schedule ran").groups;
     rec.put("groups", groups.len());
     rec.put("group_slice_policies", groups.iter().map(|g| g.slice_policies).sum::<usize>());
     rec.put("shared_candidates", groups.iter().map(|g| g.shared_candidates).sum::<usize>());
+    rec.gate(
+        "batched_expressions_identical",
+        differing == 0,
+        format!("{differing} of {} batched expressions differ from the single path's", requests.len()),
+    );
     rec
 }
 

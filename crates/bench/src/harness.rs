@@ -10,7 +10,6 @@ use minidb::value::{DataType, Value as DbValue};
 use minidb::{Database, DbProfile, SelectQuery, TableSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, QueryMetadata, UserId};
 use sieve_core::{Enforcement, GroupDirectory, SieveOptions, SieveService, SqlBackend};
 use sieve_workload::profiles::UserProfile;
@@ -124,9 +123,14 @@ pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
 }
 
 impl Campus {
-    /// The policies of the corpus that apply to `qm` on the wifi relation.
+    /// The policies of the corpus that apply to `qm` on the wifi relation,
+    /// answered by the service's store index and handed back out of
+    /// `policies` (the store's contents in id order).
     pub fn relevant(&self, qm: &QueryMetadata) -> Vec<&Policy> {
-        relevant_policies(self.policies.iter(), sieve_workload::WIFI_TABLE, qm, &self.sieve.groups())
+        let store = self.sieve.store();
+        let relevant = store.relevant(sieve_workload::WIFI_TABLE, qm, &self.sieve.groups());
+        let at = |p: &&Policy| self.policies.binary_search_by_key(&p.id, |q| q.id);
+        relevant.iter().map(|p| &self.policies[at(p).expect("`policies` mirrors the store")]).collect()
     }
 }
 
@@ -657,6 +661,15 @@ mod tests {
         let faculty = pick_queriers(&campus, UserProfile::Faculty, "Analytics", 2);
         assert!(!faculty.is_empty());
         assert!(querier_policy_count(&campus, faculty[0], "Analytics") > 0);
+        // The store's index answers what the oracle's scan of the corpus does.
+        let qm = QueryMetadata::new(faculty[0], "Analytics");
+        let scan = sieve_core::filter::relevant_policies(
+            campus.policies.iter(),
+            sieve_workload::WIFI_TABLE,
+            &qm,
+            &campus.sieve.groups(),
+        );
+        assert_eq!(campus.relevant(&qm), scan);
     }
 
     #[test]

@@ -289,52 +289,15 @@ fn attach_policy_filter(
 
 /// Qualify bare column references with an alias (policy conditions are
 /// written bare; in multi-table queries they must pin to the protected
-/// relation).
+/// relation). The inverse of [`crate::visitor::strip_alias`]; like it,
+/// scalar subqueries are left untouched.
 fn qualify_bare(e: &Expr, alias: &str) -> Expr {
-    use minidb::expr::ColumnRef;
-    match e {
-        Expr::Column(c) if c.table.is_none() => {
-            Expr::Column(ColumnRef::qualified(alias, c.column.clone()))
-        }
-        Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => e.clone(),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(qualify_bare(lhs, alias)),
-            rhs: Box::new(qualify_bare(rhs, alias)),
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(qualify_bare(expr, alias)),
-            low: Box::new(qualify_bare(low, alias)),
-            high: Box::new(qualify_bare(high, alias)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(qualify_bare(expr, alias)),
-            list: list.iter().map(|x| qualify_bare(x, alias)).collect(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(qualify_bare(expr, alias)),
-            negated: *negated,
-        },
-        Expr::And(v) => Expr::And(v.iter().map(|x| qualify_bare(x, alias)).collect()),
-        Expr::Or(v) => Expr::Or(v.iter().map(|x| qualify_bare(x, alias)).collect()),
-        Expr::Not(x) => Expr::Not(Box::new(qualify_bare(x, alias))),
-        Expr::Udf { name, args } => Expr::Udf {
-            name: name.clone(),
-            args: args.iter().map(|x| qualify_bare(x, alias)).collect(),
-        },
-        Expr::ScalarSubquery(_) => e.clone(),
-    }
+    e.map(&mut |node| match node {
+        Expr::Column(c) if c.table.is_none() => Some(Expr::Column(
+            minidb::expr::ColumnRef::qualified(alias, c.column.clone()),
+        )),
+        _ => None,
+    })
 }
 
 #[cfg(test)]

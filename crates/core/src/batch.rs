@@ -3,37 +3,35 @@
 //! caching toward "millions of users" traffic; cf. Shakya et al.,
 //! "Scalable Enforcement of Fine Grained Access Control Policies").
 //!
-//! Guard generation for one `(querier, purpose, relation)` splits into a
-//! **querier-independent** half — filtering the policy store down to the
-//! relation's purpose slice, collecting guardable conditions, estimating
-//! their cardinalities from histograms, and the Theorem 1 range-merge
-//! sweep — and a **querier-dependent** half: restricting to the querier's
-//! relevant policies and the utility-greedy set cover. When many queriers
-//! hit the same `(purpose, relation)` in one batch, the shared half runs
-//! once per group instead of once per querier.
+//! A batch is not a second way to build an entry; it is a key list handed
+//! to the service's one cold build. [`crate::SieveService::prepare_batch`]
+//! groups the requests with [`group_requests`] (scope-aware over the whole
+//! query tree, so protected reads inside subqueries join their group),
+//! drops the keys that are already warm, and builds the rest together:
+//! claimed, re-checked, generated or re-folded, finished and published
+//! exactly as a single-key lookup's build is.
 //!
-//! [`crate::SieveService::prepare_batch`] drives the process:
-//! requests are grouped by [`group_requests`] (scope-aware over the whole
-//! query tree, so protected reads inside subqueries join their group), a
-//! [`SharedGroup`] is built per group, per-querier expressions come from
-//! [`SharedGroup::generate_for`], and the results enter the guard cache
-//! through one bulk insert. Batching changes the work schedule only —
-//! each querier's guarded expression covers exactly its relevant policies,
-//! so results are identical to sequential [`crate::SieveService::execute`]
-//! calls.
+//! What several queriers of one `(purpose, relation)` **share** is the
+//! querier-independent half of generation — one collection of the
+//! guardable conditions of every policy some member needs, identical ones
+//! collapsed, each with its histogram estimate — and one partition memo
+//! for fragment compilation. What stays **per querier** is everything that
+//! depends on which policies apply: the relevant set, the restriction of
+//! the collection to it, Theorem 1's merge sweep over *its* ranges, and the
+//! utility-greedy set cover. Merging after restriction is why the result
+//! is the single path's, expression for expression: a range merged against
+//! the whole group's union could come out wider than the querier's own
+//! policies justify.
 
 use crate::cost::CostModel;
 use crate::filter::GroupDirectory;
-use crate::guard::candidates::{generate_shared_candidates, SharedCandidates};
-use crate::guard::{
-    owner_fallback_guards, select_guards, GuardSelectionStrategy, GuardedExpression,
-};
-use crate::policy::{Policy, PolicyId, QueryMetadata, UserId};
+use crate::guard::{guards_over, GuardSelectionStrategy, GuardableConditions, GuardedExpression};
+use crate::policy::{Policy, QueryMetadata, UserId};
 use crate::rewrite::collect_protected;
 use crate::store::PolicyStore;
 use minidb::catalog::TableEntry;
 use minidb::plan::SelectQuery;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Group a batch of requests by `(purpose, relation)`: every distinct
 /// querier reading the relation under that purpose, in first-seen order.
@@ -59,78 +57,46 @@ pub fn group_requests<'r>(
     groups
 }
 
-/// One `(purpose, relation)` batch group: the shared candidate set built
-/// over the relation's policy slice for that purpose, beside the store
-/// whose index answers each querier's relevant set.
-pub struct SharedGroup<'a> {
-    /// Protected relation of the group.
-    pub relation: String,
-    /// Query purpose of the group.
-    pub purpose: String,
-    /// Policies in the purpose-relation slice (the store scan the batch
-    /// performs once instead of once per querier).
-    pub slice_len: usize,
-    store: &'a PolicyStore,
-    shared: SharedCandidates,
-}
-
-/// Build the shared half for one group: scan the store once, keep the
-/// relation+purpose slice, and generate candidates over its union.
-pub fn build_shared_group<'a>(
-    store: &'a PolicyStore,
-    relation: &str,
-    purpose: &str,
+/// Generate the guarded expressions of one `(purpose, relation)` group,
+/// one per querier, and the group's report (`partition_reuses` is the
+/// caller's to fill). Conditions are collected once, over every policy
+/// some member needs; a single-key lookup is a group of one, collecting
+/// over its own relevant set.
+pub(crate) fn generate_group(
+    store: &PolicyStore,
+    groups: &GroupDirectory,
     entry: &TableEntry,
     cost: &CostModel,
-) -> SharedGroup<'a> {
-    let slice: Vec<&Policy> = store
+    strategy: GuardSelectionStrategy,
+    (purpose, relation): (&str, &str),
+    queriers: &[&QueryMetadata],
+) -> (Vec<GuardedExpression>, BatchGroupReport) {
+    let relevant: Vec<Vec<&Policy>> =
+        queriers.iter().map(|qm| store.relevant(relation, qm, groups)).collect();
+    let mut union: Vec<&Policy> = relevant.iter().flatten().copied().collect();
+    union.sort_unstable_by_key(|p| p.id);
+    union.dedup_by_key(|p| p.id);
+    let conditions = GuardableConditions::collect(&union, entry);
+    let exprs = queriers
         .iter()
-        .filter(|p| p.relation == relation && p.purpose_matches(purpose))
-        .collect();
-    SharedGroup {
-        relation: relation.to_string(),
-        purpose: purpose.to_string(),
-        slice_len: slice.len(),
-        store,
-        shared: generate_shared_candidates(&slice, entry, cost),
-    }
-}
-
-impl SharedGroup<'_> {
-    /// Shared candidates built for the group.
-    pub fn shared_candidates(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Generate one querier's guarded expression from the shared phase:
-    /// only the subset restriction and the set cover run per querier.
-    pub fn generate_for(
-        &self,
-        qm: &QueryMetadata,
-        groups: &GroupDirectory,
-        entry: &TableEntry,
-        cost: &CostModel,
-        strategy: GuardSelectionStrategy,
-    ) -> GuardedExpression {
-        debug_assert!(qm.purpose == self.purpose, "request grouped by purpose");
-        let relevant = self.store.relevant(&self.relation, qm, groups);
-        let guards = match strategy {
-            GuardSelectionStrategy::CostOptimal => {
-                let subset: BTreeSet<PolicyId> = relevant.iter().map(|p| p.id).collect();
-                let cands = self.shared.restrict(&subset);
-                select_guards(cands, &relevant, entry, cost)
-            }
-            GuardSelectionStrategy::OwnerOnly => {
-                owner_fallback_guards(relevant.iter().map(|p| (p.id, p.owner)), entry)
-            }
-        };
-        GuardedExpression {
-            relation: self.relation.clone(),
+        .zip(&relevant)
+        .map(|(qm, relevant)| GuardedExpression {
+            relation: relation.to_string(),
             querier: qm.querier,
             purpose: qm.purpose.clone(),
-            guards,
-        }
-    }
+            guards: guards_over(&conditions, relevant, entry, cost, strategy),
+        })
+        .collect();
+    let report = BatchGroupReport {
+        purpose: purpose.to_string(),
+        relation: relation.to_string(),
+        queriers: queriers.len(),
+        generated: queriers.len(),
+        slice_policies: union.len(),
+        shared_candidates: conditions.len(),
+        partition_reuses: 0,
+    };
+    (exprs, report)
 }
 
 /// Per-group outcome of a batch prepare.
@@ -142,11 +108,13 @@ pub struct BatchGroupReport {
     pub relation: String,
     /// Distinct queriers in the group.
     pub queriers: usize,
-    /// Guarded expressions generated (the rest were already fresh).
+    /// Guarded expressions generated (the rest were kept, see
+    /// [`BatchPrepareReport::reused`]).
     pub generated: usize,
-    /// Policies in the purpose-relation slice, scanned once per group.
+    /// Distinct policies the group's conditions were collected over,
+    /// once: every policy relevant to some generated member.
     pub slice_policies: usize,
-    /// Shared candidates built once per group.
+    /// Distinct guardable conditions collected once per group.
     pub shared_candidates: usize,
     /// Guard partitions whose compilation (inline DNF or ∆ registration)
     /// was reused from another querier of this group instead of redone —
@@ -161,12 +129,12 @@ pub struct BatchPrepareReport {
     pub groups: Vec<BatchGroupReport>,
     /// Guarded expressions generated across all groups.
     pub generated: usize,
-    /// `(querier, purpose, relation)` keys already fresh in the cache.
+    /// `(querier, purpose, relation)` keys whose cached expression was
+    /// kept: already current, brought current by a racing build, or
+    /// re-folded (pending branches appended, fragment recompiled) without
+    /// regenerating. Either way the first post-batch rewrite per key is a
+    /// pure hit.
     pub reused: usize,
-    /// Rewrite fragments compiled alongside the generated expressions
-    /// (one per generated expression — the first post-batch rewrite per
-    /// querier is a pure fragment hit).
-    pub fragments_compiled: usize,
     /// Sum of [`BatchGroupReport::partition_reuses`] across groups.
     pub partition_reuses: usize,
 }
@@ -174,8 +142,10 @@ pub struct BatchPrepareReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::relevant_policies;
-    use crate::policy::{CondPredicate, ObjectCondition, QuerierSpec};
+    use crate::cost::CostModel;
+    use crate::filter::{relevant_policies, GroupDirectory};
+    use crate::policy::{CondPredicate, ObjectCondition, PolicyId, QuerierSpec};
+    use std::collections::BTreeSet;
     use minidb::value::{DataType, Value};
     use minidb::{Database, DbProfile, TableSchema};
 
@@ -266,15 +236,10 @@ mod tests {
 
     #[test]
     fn relevant_for_matches_full_store_filter() {
-        let db = wifi_db();
-        let entry = db.table("wifi_dataset").unwrap();
         let corpus = corpus();
         let mut groups = GroupDirectory::new();
         groups.add_member(7, 500);
         groups.add_member(7, 777);
-        let group =
-            build_shared_group(&corpus, "wifi_dataset", "Analytics", entry, &CostModel::default());
-        assert_eq!(group.slice_len, 13, "the other relation and purpose stay outside");
         for querier in [500i64, 501, 777, 999] {
             let qm = QueryMetadata::new(querier, "Analytics");
             let expect = relevant_policies(corpus.iter(), "wifi_dataset", &qm, &groups);
@@ -290,24 +255,27 @@ mod tests {
         let corpus = corpus();
         let mut groups = GroupDirectory::new();
         groups.add_member(7, 500);
-        let group =
-            build_shared_group(&corpus, "wifi_dataset", "Analytics", entry, &CostModel::default());
-        let qm = QueryMetadata::new(500, "Analytics");
-        let ge = group.generate_for(
-            &qm,
-            &groups,
-            entry,
-            &CostModel::default(),
-            GuardSelectionStrategy::CostOptimal,
-        );
-        let covered = ge.covered_policies();
-        let expect: BTreeSet<PolicyId> = corpus
-            .relevant("wifi_dataset", &qm, &groups)
-            .iter()
-            .map(|p| p.id)
-            .collect();
-        assert_eq!(covered, expect, "exactly-once cover of the relevant set");
-        let total: usize = ge.guards.iter().map(|g| g.partition_size()).sum();
-        assert_eq!(total, expect.len(), "partitions disjoint");
+        let cost = CostModel::default();
+        let strategy = GuardSelectionStrategy::CostOptimal;
+        let queriers = [QueryMetadata::new(500, "Analytics"), QueryMetadata::new(501, "Analytics")];
+        let group = |members: &[&QueryMetadata]| {
+            let key = ("Analytics", "wifi_dataset");
+            generate_group(&corpus, &groups, entry, &cost, strategy, key, members)
+        };
+        let (shared, report) = group(&[&queriers[0], &queriers[1]]);
+        assert_eq!(report.slice_policies, 13, "the other relation and purpose stay outside");
+        assert_eq!((report.queriers, report.generated), (2, 2));
+        for (qm, ge) in queriers.iter().zip(&shared) {
+            let relevant = corpus.relevant("wifi_dataset", qm, &groups);
+            let expect: BTreeSet<PolicyId> = relevant.iter().map(|p| p.id).collect();
+            assert_eq!(ge.covered_policies(), expect, "exactly-once cover of the relevant set");
+            let total: usize = ge.guards.iter().map(|g| g.partition_size()).sum();
+            assert_eq!(total, expect.len(), "partitions disjoint");
+            // Out of the group's slice or out of the querier's own
+            // policies: the same expression.
+            let (own, report) = group(&[qm]);
+            assert_eq!(report.slice_policies, relevant.len());
+            assert_eq!(own[0], *ge, "querier {}", qm.querier);
+        }
     }
 }

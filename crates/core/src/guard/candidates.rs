@@ -12,12 +12,21 @@
 //! holds; disjoint ranges are never merged (Theorem 1), and the sweep over
 //! left-sorted candidates stops looking past the first non-overlapping
 //! candidate (Corollaries 1.1 and 1.2).
+//!
+//! There is one pipeline, in two halves. Collecting, collapsing and
+//! estimating (`GuardableConditions::collect`) depends only on the
+//! policies collected over, so a build for several queriers of one
+//! `(purpose, relation)` does it once over all their policies. Restricting
+//! to one querier's policies and merging **their** ranges
+//! (`GuardableConditions::candidates_for`) is per querier, and yields what
+//! a collection over those policies alone yields — which is how
+//! [`generate_candidates`] is defined.
 
 use crate::cost::CostModel;
 use crate::policy::{CondPredicate, ObjectCondition, Policy, PolicyId};
 use minidb::catalog::TableEntry;
 use minidb::RangeBound;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A candidate guard: a guardable condition plus the policies it covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,15 +53,20 @@ pub fn estimate_condition_rows(oc: &ObjectCondition, entry: &TableEntry) -> f64 
             .map(|h| h.estimate_in(vs))
             .or_else(|| idx.map(|i| vs.iter().map(|v| i.count_eq(v) as f64).sum()))
             .unwrap_or(entry.table.len() as f64),
-        CondPredicate::Range { low, high } => hist
-            .map(|h| h.estimate_range(low, high))
-            .or_else(|| idx.map(|i| i.count_range(low, high) as f64))
-            .unwrap_or(entry.table.len() as f64),
+        CondPredicate::Range { low, high } => estimate_range_rows(&oc.attr, low, high, entry),
         // Non-guardable shapes: estimate as the full table (never chosen).
         CondPredicate::Ne(_) | CondPredicate::NotIn(_) | CondPredicate::Derived(_) => {
             entry.table.len() as f64
         }
     }
+}
+
+/// [`estimate_condition_rows`] for a range over `attr`, from its bounds.
+fn estimate_range_rows(attr: &str, low: &RangeBound, high: &RangeBound, entry: &TableEntry) -> f64 {
+    let by_histogram = entry.histogram(attr).map(|h| h.estimate_range(low, high));
+    by_histogram
+        .or_else(|| entry.index_on(attr).map(|i| i.count_range(low, high) as f64))
+        .unwrap_or(entry.table.len() as f64)
 }
 
 /// True iff the condition can serve as a guard for the relation: simple,
@@ -67,152 +81,133 @@ pub fn is_guardable(oc: &ObjectCondition, entry: &TableEntry) -> bool {
     )
 }
 
+/// The querier-independent half of candidate generation: the guardable
+/// conditions of a policy list, identical ones collapsed, each with its
+/// histogram estimate `ρ(oc_g)` (which does not depend on who asks), and
+/// per policy the conditions it carries. Collected over one querier's
+/// relevant set on the single-key path, or **once** over the policies of
+/// all the queriers of a `(purpose, relation)` that share a build; either
+/// way [`GuardableConditions::candidates_for`] turns it into one
+/// querier's candidate set.
+#[derive(Debug, Default)]
+pub(crate) struct GuardableConditions {
+    conds: Vec<(ObjectCondition, f64)>,
+    /// Per collected policy, ascending by id: the span of `carried` that
+    /// lists its conditions (indices into `conds`, in the policy's order) —
+    /// restriction costs a binary search per policy, not a pass over the
+    /// collection.
+    spans: Vec<(PolicyId, std::ops::Range<usize>)>,
+    carried: Vec<u32>,
+}
+
+impl GuardableConditions {
+    /// Collect the guardable conditions of `policies`, collapsing
+    /// identical ones.
+    pub(crate) fn collect(policies: &[&Policy], entry: &TableEntry) -> Self {
+        // Collapse probes a map keyed by the condition's debug rendering —
+        // `Value` holds `f64` so conditions are not hashable directly, and
+        // the derived rendering is injective for the guardable (constant)
+        // shapes — keeping this linear in the number of conditions where
+        // an equality scan over the distinct list goes quadratic on big
+        // policy unions.
+        let mut out = GuardableConditions::default();
+        let mut index: HashMap<String, u32> = HashMap::new();
+        for p in policies {
+            let start = out.carried.len();
+            for oc in p.object_conditions() {
+                if !is_guardable(&oc, entry) {
+                    continue;
+                }
+                let key = format!("{}\u{1}{:?}", oc.attr, oc.pred);
+                let i = *index.entry(key).or_insert_with(|| {
+                    let est = estimate_condition_rows(&oc, entry);
+                    out.conds.push((oc, est));
+                    out.conds.len() as u32 - 1
+                });
+                out.carried.push(i);
+            }
+            out.spans.push((p.id, start..out.carried.len()));
+        }
+        out.spans.sort_unstable_by_key(|(id, _)| *id);
+        out
+    }
+
+    /// Number of distinct guardable conditions collected.
+    pub(crate) fn len(&self) -> usize {
+        self.conds.len()
+    }
+
+    /// The candidate set `CG` for `policies` (each of which should be in
+    /// the collection; one that is not gets no candidate and falls to
+    /// `select_guards`' owner fallback): restrict, then run Theorem 1's merge
+    /// sweep over **their** ranges only. Restriction walks `policies` in
+    /// the order given and emits each condition where it is first seen,
+    /// covering exactly the given policies that carry it — the list a
+    /// collection over `policies` alone would hold — so the result does
+    /// not depend on what else was collected alongside: a querier's
+    /// candidates out of a group's shared collection are its candidates
+    /// out of its own.
+    pub(crate) fn candidates_for(
+        &self,
+        policies: &[&Policy],
+        entry: &TableEntry,
+        cost: &CostModel,
+    ) -> Vec<CandidateGuard> {
+        let mut exact: Vec<CandidateGuard> = Vec::new();
+        // Condition index → its position in `exact`, once emitted.
+        let mut slot = vec![usize::MAX; self.conds.len()];
+        for p in policies {
+            let Ok(span) = self.spans.binary_search_by_key(&p.id, |(id, _)| *id) else {
+                continue;
+            };
+            for &i in &self.carried[self.spans[span].1.clone()] {
+                let at = &mut slot[i as usize];
+                if *at == usize::MAX {
+                    *at = exact.len();
+                    let (condition, est_rows) = self.conds[i as usize].clone();
+                    exact.push(CandidateGuard {
+                        condition,
+                        policies: BTreeSet::new(),
+                        est_rows,
+                    });
+                }
+                exact[*at].policies.insert(p.id);
+            }
+        }
+
+        // Split into range candidates (mergeable) and the rest.
+        let (ranges, mut rest): (Vec<CandidateGuard>, Vec<CandidateGuard>) = exact
+            .into_iter()
+            .partition(|c| matches!(c.condition.pred, CondPredicate::Range { .. }));
+
+        // Per attribute, sort ranges by left bound and sweep-merge.
+        let mut by_attr: Vec<(String, Vec<CandidateGuard>)> = Vec::new();
+        for c in ranges {
+            match by_attr.iter_mut().find(|(a, _)| *a == c.condition.attr) {
+                Some((_, v)) => v.push(c),
+                None => by_attr.push((c.condition.attr.clone(), vec![c])),
+            }
+        }
+        for (_, mut cands) in by_attr {
+            cands.sort_by(|a, b| {
+                low_key(&a.condition)
+                    .partial_cmp(&low_key(&b.condition))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let merged = sweep_merge(cands, entry, cost);
+            rest.extend(merged);
+        }
+        rest
+    }
+}
+
 /// Generate the candidate set `CG` for a policy list.
 pub fn generate_candidates(
     policies: &[&Policy],
     entry: &TableEntry,
     cost: &CostModel,
 ) -> Vec<CandidateGuard> {
-    // Step 1: collect guardable conditions, collapsing identical ones.
-    // Collapse probes a map keyed by the condition's debug rendering —
-    // `Value` holds `f64` so conditions are not hashable directly, and the
-    // derived rendering is injective for the guardable (constant) shapes —
-    // keeping this linear in the number of conditions where an equality
-    // scan over the distinct list goes quadratic on big policy unions.
-    let mut exact: Vec<CandidateGuard> = Vec::new();
-    let mut index: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    for p in policies {
-        for oc in p.object_conditions() {
-            if !is_guardable(&oc, entry) {
-                continue;
-            }
-            let key = format!("{}\u{1}{:?}", oc.attr, oc.pred);
-            match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    exact[*e.get()].policies.insert(p.id);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let est = estimate_condition_rows(&oc, entry);
-                    let mut set = BTreeSet::new();
-                    set.insert(p.id);
-                    e.insert(exact.len());
-                    exact.push(CandidateGuard {
-                        condition: oc,
-                        policies: set,
-                        est_rows: est,
-                    });
-                }
-            }
-        }
-    }
-
-    // Step 2: split into range candidates (mergeable) and the rest.
-    let (ranges, mut rest): (Vec<CandidateGuard>, Vec<CandidateGuard>) = exact
-        .into_iter()
-        .partition(|c| matches!(c.condition.pred, CondPredicate::Range { .. }));
-
-    // Step 3: per attribute, sort ranges by left bound and sweep-merge.
-    let mut by_attr: Vec<(String, Vec<CandidateGuard>)> = Vec::new();
-    for c in ranges {
-        match by_attr.iter_mut().find(|(a, _)| *a == c.condition.attr) {
-            Some((_, v)) => v.push(c),
-            None => by_attr.push((c.condition.attr.clone(), vec![c])),
-        }
-    }
-    for (_, mut cands) in by_attr {
-        cands.sort_by(|a, b| {
-            low_key(&a.condition)
-                .partial_cmp(&low_key(&b.condition))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let merged = sweep_merge(cands, entry, cost);
-        rest.extend(merged);
-    }
-    rest
-}
-
-/// The querier-independent half of candidate generation, built **once**
-/// per `(purpose, relation)` batch group over the *union* of the group's
-/// policies: guardable-condition collection, identical-condition collapse,
-/// histogram row estimates, and the Theorem 1 range-merge sweep all happen
-/// here and are shared by every querier in the group. The per-querier
-/// phase is only [`SharedCandidates::restrict`] plus set cover.
-#[derive(Debug, Clone)]
-pub struct SharedCandidates {
-    cands: Vec<CandidateGuard>,
-    /// Inverted index: policy id → indices of the candidates covering it,
-    /// so restriction costs O(|subset|), not O(|candidates|).
-    by_policy: std::collections::HashMap<PolicyId, Vec<u32>>,
-}
-
-/// Build the shared candidate set for a policy union (see
-/// [`SharedCandidates`]).
-pub fn generate_shared_candidates(
-    policies: &[&Policy],
-    entry: &TableEntry,
-    cost: &CostModel,
-) -> SharedCandidates {
-    let cands = generate_candidates(policies, entry, cost);
-    let mut by_policy: std::collections::HashMap<PolicyId, Vec<u32>> =
-        std::collections::HashMap::new();
-    for (i, c) in cands.iter().enumerate() {
-        for pid in &c.policies {
-            by_policy.entry(*pid).or_default().push(i as u32);
-        }
-    }
-    SharedCandidates { cands, by_policy }
-}
-
-impl SharedCandidates {
-    /// Number of shared candidates.
-    pub fn len(&self) -> usize {
-        self.cands.len()
-    }
-
-    /// True iff the union produced no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.cands.is_empty()
-    }
-
-    /// Restrict the shared set to one querier's policy subset: each
-    /// retained candidate keeps exactly its policies within `subset`;
-    /// candidates covering none are dropped. Row estimates are reused —
-    /// `ρ(oc_g)` does not depend on which policies a candidate covers. A
-    /// range candidate merged against the union may be wider than a
-    /// per-querier merge would have produced, but `oc_j ⟹ oc_g` still
-    /// holds for every retained policy (merging only widens ranges), so
-    /// enforcement semantics are unchanged; only the cost estimate is
-    /// (slightly) more conservative.
-    ///
-    /// Cost is `O(Σ candidates-per-policy)` over the subset via the
-    /// inverted index — independent of the union's candidate count, which
-    /// is what keeps the per-querier phase cheap in large batches.
-    pub fn restrict(&self, subset: &BTreeSet<PolicyId>) -> Vec<CandidateGuard> {
-        // Iterating the subset ascending appends each candidate's policy
-        // ids in ascending order; the map is keyed by candidate index so
-        // output order (and thus set-cover tie-breaking) is deterministic.
-        let mut picked: std::collections::BTreeMap<u32, BTreeSet<PolicyId>> =
-            std::collections::BTreeMap::new();
-        for pid in subset {
-            if let Some(idxs) = self.by_policy.get(pid) {
-                for &i in idxs {
-                    picked.entry(i).or_default().insert(*pid);
-                }
-            }
-        }
-        picked
-            .into_iter()
-            .map(|(i, policies)| {
-                let c = &self.cands[i as usize];
-                CandidateGuard {
-                    condition: c.condition.clone(),
-                    policies,
-                    est_rows: c.est_rows,
-                }
-            })
-            .collect()
-    }
+    GuardableConditions::collect(policies, entry).candidates_for(policies, entry, cost)
 }
 
 /// Numeric position of a range's low bound (−∞ for unbounded).
@@ -328,22 +323,11 @@ fn sweep_merge(
             // Theorem 1 benefit test on the overlap.
             let (c_lo, c_hi) = bounds(&cur.condition);
             let (n_lo, n_hi) = bounds(&next.condition);
-            let inter = ObjectCondition::new(
-                cur.condition.attr.clone(),
-                CondPredicate::Range {
-                    low: max_low(c_lo, n_lo),
-                    high: min_high(c_hi, n_hi),
-                },
-            );
-            let union = ObjectCondition::new(
-                cur.condition.attr.clone(),
-                CondPredicate::Range {
-                    low: min_low(c_lo, n_lo),
-                    high: max_high(c_hi, n_hi),
-                },
-            );
-            let rho_inter = estimate_condition_rows(&inter, entry);
-            let rho_union = estimate_condition_rows(&union, entry).max(f64::EPSILON);
+            let attr = &cur.condition.attr;
+            let rho_inter =
+                estimate_range_rows(attr, &max_low(c_lo, n_lo), &min_high(c_hi, n_hi), entry);
+            let (low, high) = (min_low(c_lo, n_lo), max_high(c_hi, n_hi));
+            let rho_union = estimate_range_rows(attr, &low, &high, entry).max(f64::EPSILON);
             if rho_inter / rho_union > threshold {
                 // `slot` was checked non-empty above and nothing between
                 // there and here can clear it, but keep the take fallible
@@ -351,7 +335,7 @@ fn sweep_merge(
                 if let Some(next) = slot.take() {
                     cur.policies.extend(next.policies);
                 }
-                cur.condition = union;
+                cur.condition.pred = CondPredicate::Range { low, high };
                 cur.est_rows = rho_union;
             }
         }

@@ -13,9 +13,8 @@ use minidb::catalog::TableEntry;
 use minidb::expr::Expr;
 use std::collections::{BTreeSet, HashMap};
 
-pub use candidates::{
-    generate_candidates, generate_shared_candidates, CandidateGuard, SharedCandidates,
-};
+pub(crate) use candidates::GuardableConditions;
+pub use candidates::{generate_candidates, CandidateGuard};
 pub use selection::{owner_fallback_guards, select_guards};
 
 /// One guarded expression `G_i`.
@@ -113,24 +112,36 @@ pub fn generate_guarded_expression(
     purpose: &str,
     relation: &str,
 ) -> GuardedExpression {
-    let guards = match strategy {
-        GuardSelectionStrategy::CostOptimal => {
-            let cands = generate_candidates(policies, entry, cost);
-            select_guards(cands, policies, entry, cost)
-        }
-        GuardSelectionStrategy::OwnerOnly => owner_only_guards(policies, entry),
-    };
+    let conditions = GuardableConditions::collect(policies, entry);
     GuardedExpression {
         relation: relation.to_string(),
         querier,
         purpose: purpose.to_string(),
-        guards,
+        guards: guards_over(&conditions, policies, entry, cost, strategy),
     }
 }
 
-/// One guard per distinct owner, partitioning policies by owner.
-fn owner_only_guards(policies: &[&Policy], entry: &TableEntry) -> Vec<Guard> {
-    owner_fallback_guards(policies.iter().map(|p| (p.id, p.owner)), entry)
+/// The guards of `policies`' expression, over conditions collected from
+/// `policies` themselves or from any superset (a batch group's slice):
+/// the candidate pipeline restricts to `policies` before it merges and
+/// selects, so the guards are the same either way.
+pub(crate) fn guards_over(
+    conditions: &GuardableConditions,
+    policies: &[&Policy],
+    entry: &TableEntry,
+    cost: &CostModel,
+    strategy: GuardSelectionStrategy,
+) -> Vec<Guard> {
+    match strategy {
+        GuardSelectionStrategy::CostOptimal => {
+            let cands = conditions.candidates_for(policies, entry, cost);
+            select_guards(cands, policies, entry, cost)
+        }
+        // One guard per distinct owner, partitioning policies by owner.
+        GuardSelectionStrategy::OwnerOnly => {
+            owner_fallback_guards(policies.iter().map(|p| (p.id, p.owner)), entry)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -38,22 +38,22 @@
 //!
 //! A cache entry is one artefact — the expression queries run under plus
 //! its compiled fragment — and the service has exactly one way to bring
-//! a key current (`current_relation`): a warm shard read, else claim the
-//! key via [`GuardCache::begin_generation`], re-check, and decide what
-//! the entry lacks — a **generation** (no entry, a trailing backend
-//! epoch, or outdated and due per the regeneration policy) or a
-//! **re-fold** (pending owner branches to append under
-//! `Manual`/`OptimalRate`, or a `delta_mode` flip to recompile for) —
-//! then `finish` it: prove the expression, compile the fragment, prove
-//! the fragment. Everything cold runs under the claim, so N sessions
-//! missing the same `(querier, purpose, relation)` at once cost one
-//! generation, one compile, one set of ∆ registrations and one proof;
-//! the rest park until the claim drops, re-check, and leave by the warm
-//! path (counted in [`GuardCacheStats::coalesced`]).
-//! [`SieveService::prepare_batch`] ends every querier in the same
-//! `finish`, sharing one partition memo per group. It holds no claims
-//! (it would need one per key), so it can duplicate a racing single-key
-//! build but never tear one: both publish whole entries.
+//! keys current (`build`), whether it is handed one key (a lookup whose
+//! warm shard read missed) or a request batch's worth
+//! ([`SieveService::prepare_batch`]): claim every key via
+//! [`GuardCache::begin_generation`] — in key order, so claimers never wait
+//! in a cycle — re-check each, and decide what its entry lacks: a
+//! **generation** (no entry, a trailing backend epoch, or outdated and due
+//! per the regeneration policy) or a **re-fold** (pending owner branches
+//! to append under `Manual`/`OptimalRate`, or a `delta_mode` flip to
+//! recompile for). Generations run per `(purpose, relation)` group (see
+//! [`crate::batch`] for what a group shares); every expression is then
+//! `finish`ed — proved, compiled, the fragment proved — and published.
+//! Everything cold runs under the claims, so N sessions — and a batch
+//! beside them — missing the same `(querier, purpose, relation)` at once
+//! cost one generation, one compile, one set of ∆ registrations and one
+//! proof; the rest park until the claim drops, re-check, and leave with the
+//! published entry (counted in [`GuardCacheStats::coalesced`]).
 //!
 //! # Consistency under concurrent `add_policy`
 //!
@@ -86,9 +86,7 @@ use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
 use crate::filter::{policy_applies, GroupDirectory};
-use crate::guard::{
-    generate_guarded_expression, owner_fallback_guards, GuardedExpression,
-};
+use crate::guard::{owner_fallback_guards, GuardedExpression};
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
@@ -104,7 +102,7 @@ use minidb::exec::ExecOptions;
 use minidb::plan::SelectQuery;
 use minidb::{Database, QueryResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -114,10 +112,6 @@ use std::sync::Arc;
 /// survives unbounded churn of one-shot texts (FIFO would evict it after
 /// `SQL_CACHE_CAP` distinct insertions regardless of use).
 pub const SQL_CACHE_CAP: usize = 256;
-
-/// Below this many per-querier generations a batch group stays on the
-/// calling thread — spawning costs more than the set covers save.
-const PARALLEL_BATCH_MIN: usize = 8;
 
 pub(crate) struct PersistState {
     pub(crate) guard_ids: GuardTableIds,
@@ -217,6 +211,22 @@ impl ColdBuild<'_> {
             fragment: Arc::new(fragment),
         })
     }
+}
+
+fn cache_key(qm: &QueryMetadata, relation: &str) -> GuardCacheKey {
+    (qm.querier, qm.purpose.clone(), relation.to_string())
+}
+
+/// What a non-current cache entry lacks.
+enum Build {
+    /// No usable entry: generate from the store.
+    Generate,
+    /// Entry below its regeneration threshold: rebuild the effective
+    /// expression as `base` + a per-owner branch per pending policy
+    /// (Section 6: queries between regenerations use G plus the k new
+    /// policies) and recompile — which is also how a `delta_mode` flip
+    /// recompiles without regenerating.
+    Refold(Arc<GuardedExpression>, Vec<PolicyId>),
 }
 
 /// Everything one service instance shares across its clones, sessions and
@@ -392,6 +402,12 @@ impl<B: SqlBackend> SieveService<B> {
         out
     }
 
+    /// Read access to the policy store (holds its read lock; take it
+    /// before [`SieveService::groups`], never after).
+    pub fn store(&self) -> RwLockReadGuard<'_, PolicyStore> {
+        self.inner.store.read()
+    }
+
     /// Snapshot of the registered policies (clones; oracle/test use).
     pub fn policies(&self) -> Vec<Policy> {
         self.inner.store.read().iter().cloned().collect()
@@ -514,28 +530,30 @@ impl<B: SqlBackend> SieveService<B> {
             }
     }
 
-    /// Mirror freshly generated expressions into the guard relations
-    /// (Section 5.1). Takes the backend *write* lock: the caller must have
-    /// released its read guard.
-    fn persist_generated<'e>(
+    /// Read `key`'s entry: its compiled relation if it can serve as it is,
+    /// else what it lacks. One shard read lock.
+    fn lookup(
         &self,
-        exprs: impl IntoIterator<Item = &'e GuardedExpression>,
-    ) -> SieveResult<()> {
-        let mut backend = self.inner.backend.write();
-        let mut persist = self.inner.persist.lock();
-        for expr in exprs {
-            persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
-        }
-        Ok(())
+        key: &GuardCacheKey,
+        opts: &SieveOptions,
+        cost: &CostModel,
+    ) -> Result<CompiledRelation, Build> {
+        let read = self.inner.cache.read(key, |c| {
+            if self.regeneration_due(c, opts, cost) {
+                Err(Build::Generate)
+            } else if c.is_current(opts.rewrite.delta_mode) {
+                Ok(c.compiled.clone())
+            } else {
+                Err(Build::Refold(Arc::clone(&c.base), c.pending.clone()))
+            }
+        });
+        read.unwrap_or(Err(Build::Generate))
     }
 
     /// The one way a `(querier, purpose, relation)` key is brought current
     /// and read: the compiled relation (effective expression + rewrite
-    /// fragment) queries run under. Warm, that is one shard read lock.
-    /// Cold, the whole build — generate or re-fold, then
-    /// [`ColdBuild::finish`] — runs under the key's single-flight claim and
-    /// publishes once (module docs). Superseded fragments free their ∆
-    /// partitions once the last in-flight query drops its pin.
+    /// fragment) queries run under. Warm, that is one shard read lock;
+    /// cold, it is [`Self::build`] over this one key.
     fn current_relation(
         &self,
         qm: &QueryMetadata,
@@ -543,46 +561,67 @@ impl<B: SqlBackend> SieveService<B> {
         opts: &SieveOptions,
         cost: &CostModel,
     ) -> SieveResult<CompiledRelation> {
-        /// What a non-current entry lacks.
-        enum Build {
-            /// No usable entry: generate from the store.
-            Generate,
-            /// Entry below its regeneration threshold: rebuild the
-            /// effective expression as `base` + a per-owner branch per
-            /// pending policy (Section 6: queries between regenerations
-            /// use G plus the k new policies) and recompile — which is
-            /// also how a `delta_mode` flip recompiles without
-            /// regenerating.
-            Refold(Arc<GuardedExpression>, Vec<PolicyId>),
+        if let Ok(compiled) = self.lookup(&cache_key(qm, relation), opts, cost) {
+            self.inner.cache.record_hit();
+            self.inner.cache.record_fragment_hit();
+            return Ok(compiled);
         }
-        let key: GuardCacheKey = (qm.querier, qm.purpose.clone(), relation.to_string());
-        let mode = opts.rewrite.delta_mode;
-        loop {
-            let warm = self.inner.cache.read(&key, |c| {
-                (!self.regeneration_due(c, opts, cost) && c.is_current(mode))
-                    .then(|| c.compiled.clone())
-            });
-            if let Some(Some(compiled)) = warm {
-                self.inner.cache.record_hit();
-                self.inner.cache.record_fragment_hit();
-                return Ok(compiled);
-            }
-            // Single-flight: losers of the race park here until the
-            // winner's claim drops, then find its entry on the re-check.
-            let _claim = self.inner.cache.begin_generation(&key);
-            let build = self.inner.cache.read(&key, |c| {
-                if self.regeneration_due(c, opts, cost) {
-                    Some(Build::Generate)
-                } else if c.is_current(mode) {
-                    None
-                } else {
-                    Some(Build::Refold(Arc::clone(&c.base), c.pending.clone()))
+        let (mut compiled, _) = self.build(&[(qm, relation)], opts, cost)?;
+        compiled.pop().ok_or(SieveError::Internal("build returned no entry"))
+    }
+
+    /// The one cold path: bring every key current — one for a lookup, a
+    /// request batch's worth for [`Self::prepare_batch`] — and return the
+    /// keys' compiled relations (in no order a caller of several could
+    /// use) beside one report per `(purpose, relation)` group generated
+    /// for (its `queriers` counting the keys that came here). The whole
+    /// build — generate or re-fold, then [`ColdBuild::finish`] — runs
+    /// under the keys' single-flight claims and publishes each entry once
+    /// (module docs). An error publishes nothing further and drops every
+    /// claim.
+    /// Superseded fragments free their ∆ partitions once the last
+    /// in-flight query drops its pin.
+    fn build(
+        &self,
+        keys: &[(&QueryMetadata, &str)],
+        opts: &SieveOptions,
+        cost: &CostModel,
+    ) -> SieveResult<(Vec<CompiledRelation>, Vec<BatchGroupReport>)> {
+        let cache = &self.inner.cache;
+        let cache_keys: Vec<GuardCacheKey> =
+            keys.iter().map(|(qm, relation)| cache_key(qm, relation)).collect();
+        let mut compiled = Vec::new();
+        let mut reports = Vec::new();
+        // Claims are taken in key order: a single-key build holds one
+        // claim and waits for no other, and two multi-key builds meet in
+        // the same order, so claimers never wait in a cycle.
+        let mut todo: Vec<usize> = (0..keys.len()).collect();
+        todo.sort_by(|&a, &b| cache_keys[a].cmp(&cache_keys[b]));
+        // A key claimed twice would park on itself.
+        todo.dedup_by(|a, b| cache_keys[*a] == cache_keys[*b]);
+        while !todo.is_empty() {
+            // Single-flight: losers of a race park here until the winner's
+            // claim drops, then find its entry on the re-check.
+            let _claims: Vec<_> = todo.iter().map(|&i| cache.begin_generation(&cache_keys[i])).collect();
+            let mut generate: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+            let mut refold = Vec::new();
+            for i in std::mem::take(&mut todo) {
+                match self.lookup(&cache_keys[i], opts, cost) {
+                    Ok(fresh) => {
+                        cache.record_coalesced();
+                        cache.record_hit();
+                        cache.record_fragment_hit();
+                        compiled.push(fresh);
+                    }
+                    Err(Build::Generate) => {
+                        generate.entry((&keys[i].0.purpose, keys[i].1)).or_default().push(i)
+                    }
+                    Err(Build::Refold(base, pending)) => refold.push((i, base, pending)),
                 }
-            });
-            let Some(build) = build.unwrap_or(Some(Build::Generate)) else {
-                self.inner.cache.record_coalesced();
-                continue;
-            };
+            }
+            if generate.is_empty() && refold.is_empty() {
+                break;
+            }
             // Store and groups stay read-locked across the build AND the
             // publish — the consistency argument with `add_policy` and
             // `with_groups_mut` (module docs) depends on it.
@@ -598,57 +637,71 @@ impl<B: SqlBackend> SieveService<B> {
                 opts,
                 cost,
             };
-            let entry = backend.table_entry(relation)?;
-            let mut memo = FragmentCompileCache::default();
-            match build {
-                Build::Generate => {
-                    let relevant = store.relevant(relation, qm, &groups);
-                    let expr = generate_guarded_expression(
-                        &relevant,
-                        entry,
-                        cost,
-                        opts.selection,
-                        qm.querier,
-                        &qm.purpose,
-                        relation,
-                    );
-                    let compiled = cold.finish(qm, Arc::new(expr), &mut memo)?;
-                    drop(backend);
-                    if opts.persist {
-                        self.persist_generated([&*compiled.expr])?;
-                    }
-                    self.inner
-                        .cache
-                        .insert_generated(vec![(key, compiled.clone())], epoch);
-                    return Ok(compiled);
+            let mut generated: Vec<CompiledEntry> = Vec::new();
+            for (group, members) in generate {
+                let entry = backend.table_entry(group.1)?;
+                let queriers: Vec<&QueryMetadata> = members.iter().map(|&i| keys[i].0).collect();
+                let (exprs, mut report) = crate::batch::generate_group(
+                    &store,
+                    &groups,
+                    entry,
+                    cost,
+                    opts.selection,
+                    group,
+                    &queriers,
+                );
+                // One memo per group: its queriers share partition
+                // compilations (inline DNFs and ∆ registrations).
+                let mut memo = FragmentCompileCache::default();
+                for (&i, expr) in members.iter().zip(exprs) {
+                    let done = cold.finish(keys[i].0, Arc::new(expr), &mut memo)?;
+                    compiled.push(done.clone());
+                    generated.push((cache_keys[i].clone(), done));
                 }
-                Build::Refold(base, pending) => {
-                    let mut expr = (*base).clone();
-                    expr.guards.extend(owner_fallback_guards(
-                        pending
-                            .iter()
-                            .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
-                        entry,
-                    ));
-                    let compiled = cold.finish(qm, Arc::new(expr), &mut memo)?;
-                    let published = self.inner.cache.write(&key, |c| {
-                        let same = Arc::ptr_eq(&c.base, &base) && c.pending == pending;
-                        if same {
-                            c.compiled = compiled.clone();
-                            c.folded = pending.len();
-                        }
-                        same
-                    });
-                    if published == Some(true) {
-                        self.inner.cache.record_hit();
-                        self.inner.cache.record_fragment_build();
-                        return Ok(compiled);
+                report.partition_reuses = memo.reuses;
+                reports.push(report);
+            }
+            for (i, base, pending) in refold {
+                let (qm, relation) = keys[i];
+                let mut expr = (*base).clone();
+                expr.guards.extend(owner_fallback_guards(
+                    pending
+                        .iter()
+                        .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
+                    backend.table_entry(relation)?,
+                ));
+                let done = cold.finish(qm, Arc::new(expr), &mut FragmentCompileCache::default())?;
+                let published = cache.write(&cache_keys[i], |c| {
+                    let same = Arc::ptr_eq(&c.base, &base) && c.pending == pending;
+                    if same {
+                        c.compiled = done.clone();
+                        c.folded = pending.len();
                     }
+                    same
+                });
+                if published == Some(true) {
+                    cache.record_hit();
+                    cache.record_fragment_build();
+                    compiled.push(done);
+                } else {
                     // Swept, evicted or replaced mid-build: our fragment
                     // drops here, freeing its partitions — retry.
+                    todo.push(i);
                 }
             }
+            drop(backend);
+            if opts.persist {
+                // Mirror the generated expressions into the guard
+                // relations (Section 5.1), under the backend *write* lock.
+                let mut backend = self.inner.backend.write();
+                let mut persist = self.inner.persist.lock();
+                for (_, c) in &generated {
+                    persist_guarded_expression(&mut *backend, &c.expr, false, &mut persist.guard_ids)?;
+                }
+            }
+            cache.insert_generated(generated, epoch);
         }
+        Ok((compiled, reports))
     }
 
     /// Rewrite a query for a querier without executing it (Section 5.6's
@@ -844,167 +897,45 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.sql_cache.read().contains_key(sql)
     }
 
-    /// Warm-populate the guard cache for a batch of concurrent queriers
-    /// (the ROADMAP's batched multi-querier evaluation). Requests are
-    /// grouped by `(purpose, relation)` over the whole query tree; each
-    /// group's policy-store scan and candidate generation (policy
-    /// filtering, histogram estimates, Theorem 1 merges) run **once**,
-    /// and only the per-querier restriction + set cover run individually —
-    /// spread across `available_parallelism` threads now that the shared
-    /// half is immutable borrowed state.
+    /// Bring the guard cache current for a batch of concurrent queriers
+    /// (the ROADMAP's batched multi-querier evaluation): every key the
+    /// requests read, over the whole query tree, that is not already warm
+    /// goes through the one cold build together. Keys of one `(purpose,
+    /// relation)` share the guardable-condition collection with its
+    /// histogram estimates and one partition memo; restriction, Theorem
+    /// 1's merges and the set cover run per querier.
     ///
-    /// Batching changes the work schedule, not the semantics: each
-    /// querier's expression covers exactly its relevant policies, so
-    /// rewriting or executing afterwards returns exactly what sequential
+    /// Batching changes the work schedule, not the result: each entry is
+    /// the one a single-key lookup would have built, so rewriting or
+    /// executing afterwards returns exactly what sequential
     /// [`SieveService::execute`] calls would.
     pub fn prepare_batch(
         &self,
         requests: &[(QueryMetadata, SelectQuery)],
     ) -> SieveResult<BatchPrepareReport> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.prepare_batch_with_threads(requests, threads)
-    }
-
-    /// [`SieveService::prepare_batch`] with an explicit thread count for
-    /// the per-querier phase (`1` forces the sequential schedule; tests
-    /// pin parallel-vs-sequential equivalence through this).
-    pub fn prepare_batch_with_threads(
-        &self,
-        requests: &[(QueryMetadata, SelectQuery)],
-        threads: usize,
-    ) -> SieveResult<BatchPrepareReport> {
         let (opts, cost) = self.snapshot_config();
-        let groups_map = {
+        let grouped = {
             let protected = self.inner.protected.read();
             crate::batch::group_requests(requests, &protected)
         };
-        let mut report = BatchPrepareReport::default();
-        let mut to_insert: Vec<CompiledEntry> = Vec::new();
-        // Hold the store and groups locks across generation and publish,
-        // as the single-key path does (see module docs).
-        let store = self.inner.store.read();
-        let groups = self.inner.groups.read();
-        let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
-        {
-            let backend = self.inner.backend.read();
-            let cold = ColdBuild {
-                store: &store,
-                groups: &groups,
-                backend: &*backend,
-                delta: &self.inner.delta,
-                opts: &opts,
-                cost: &cost,
-            };
-            for ((purpose, relation), qms) in groups_map {
-                let pending: Vec<&QueryMetadata> = qms
-                    .iter()
-                    .copied()
-                    .filter(|qm| {
-                        // No entry, or one past its regeneration threshold.
-                        let key = (qm.querier, purpose.clone(), relation.clone());
-                        let due = |c: &CachedGuard| self.regeneration_due(c, &opts, &cost);
-                        self.inner.cache.read(&key, due).unwrap_or(true)
-                    })
-                    .collect();
-                report.reused += qms.len() - pending.len();
-                if pending.is_empty() {
-                    continue;
-                }
-                let entry = backend.table_entry(&relation)?;
-                let group = crate::batch::build_shared_group(
-                    &store,
-                    &relation,
-                    &purpose,
-                    entry,
-                    &cost,
-                );
-                let exprs: Vec<GuardedExpression> =
-                    if threads <= 1 || pending.len() < PARALLEL_BATCH_MIN {
-                        pending
-                            .iter()
-                            .map(|qm| {
-                                group.generate_for(qm, &groups, entry, &cost, opts.selection)
-                            })
-                            .collect()
-                    } else {
-                        // The per-querier phase: restriction + set cover
-                        // over shared immutable state, chunked across
-                        // scoped threads. Chunks preserve request order.
-                        let n = threads.min(pending.len());
-                        let chunk = pending.len().div_ceil(n);
-                        let groups_ref = &*groups;
-                        let group_ref = &group;
-                        let cost_ref = &cost;
-                        std::thread::scope(|s| {
-                            let handles: Vec<_> = pending
-                                .chunks(chunk)
-                                .map(|part| {
-                                    s.spawn(move || {
-                                        part.iter()
-                                            .map(|qm| {
-                                                group_ref.generate_for(
-                                                    qm,
-                                                    groups_ref,
-                                                    entry,
-                                                    cost_ref,
-                                                    opts.selection,
-                                                )
-                                            })
-                                            .collect::<Vec<_>>()
-                                    })
-                                })
-                                .collect();
-                            // Join every handle before surfacing a panic:
-                            // an unjoined panicked thread would re-raise
-                            // when the scope closes, escaping the typed
-                            // error path.
-                            let mut parts = Vec::with_capacity(handles.len());
-                            let mut panicked = false;
-                            for h in handles {
-                                match h.join() {
-                                    Ok(v) => parts.push(v),
-                                    Err(_) => panicked = true,
-                                }
-                            }
-                            if panicked {
-                                Err(SieveError::Poisoned("prepare_batch worker panicked"))
-                            } else {
-                                Ok(parts.into_iter().flatten().collect())
-                            }
-                        })?
-                    };
-                // Finish each expression here too, sharing partition
-                // compilations (inline DNFs and ∆ registrations) across the
-                // group's queriers via the memo — fragment compilation is
-                // batched per group, not redone per querier on the first
-                // post-batch rewrite.
-                let mut memo = FragmentCompileCache::default();
-                for (qm, expr) in pending.iter().zip(exprs) {
-                    to_insert.push((
-                        (qm.querier, purpose.clone(), relation.clone()),
-                        cold.finish(qm, Arc::new(expr), &mut memo)?,
-                    ));
-                }
-                report.generated += pending.len();
-                report.fragments_compiled += pending.len();
-                report.partition_reuses += memo.reuses;
-                report.groups.push(BatchGroupReport {
-                    purpose: purpose.clone(),
-                    relation: relation.clone(),
-                    queriers: qms.len(),
-                    generated: pending.len(),
-                    slice_policies: group.slice_len,
-                    shared_candidates: group.shared_candidates(),
-                    partition_reuses: memo.reuses,
-                });
-            }
+        let keys = grouped
+            .iter()
+            .flat_map(|((_, relation), qms)| qms.iter().map(move |qm| (*qm, relation.as_str())));
+        let keys: Vec<(&QueryMetadata, &str)> = keys.collect();
+        let is_cold = |(qm, relation): &(&QueryMetadata, &str)| {
+            self.lookup(&cache_key(qm, relation), &opts, &cost).is_err()
+        };
+        let cold: Vec<_> = keys.iter().copied().filter(is_cold).collect();
+        let mut report = BatchPrepareReport {
+            groups: self.build(&cold, &opts, &cost)?.1,
+            ..Default::default()
+        };
+        for g in &mut report.groups {
+            g.queriers = grouped[&(g.purpose.clone(), g.relation.clone())].len();
+            report.generated += g.generated;
+            report.partition_reuses += g.partition_reuses;
         }
-        if opts.persist {
-            self.persist_generated(to_insert.iter().map(|(_, c)| &*c.expr))?;
-        }
-        self.inner.cache.insert_generated(to_insert, epoch);
+        report.reused = keys.len() - report.generated;
         Ok(report)
     }
 

@@ -269,36 +269,77 @@ fn prepared_pins_and_recycles_wire_statements() {
     );
 }
 
-/// The parallel per-querier batch phase must produce byte-identical
-/// results to the sequential schedule — same generations, same rows.
+/// Batch ≡ single: `prepare_batch` leaves every key the guarded expression
+/// a lone lookup on a fresh service generates, field for field — and the
+/// rows the oracle allows.
 #[test]
-fn parallel_prepare_batch_matches_sequential() {
+fn prepare_batch_builds_the_single_paths_expressions() {
     let q = SelectQuery::star_from(REL);
-    // 16 queriers — comfortably past the parallel-engagement floor, and
-    // including queriers with empty policy slices (deny-all guards).
+    // 16 queriers, twelve of them with no policy at all (deny-all guards).
     let requests: Vec<(QueryMetadata, SelectQuery)> = (500i64..516)
         .map(|u| (QueryMetadata::new(u, "Analytics"), q.clone()))
         .collect();
-
-    let sequential = loaded_service();
-    let report_seq = sequential.prepare_batch_with_threads(&requests, 1).unwrap();
-    let parallel = loaded_service();
-    let report_par = parallel.prepare_batch_with_threads(&requests, 4).unwrap();
-    assert_eq!(report_seq.generated, report_par.generated);
-    assert_eq!(report_seq.reused, report_par.reused);
-    assert_eq!(sequential.generations(), parallel.generations());
-
+    let batched = loaded_service();
+    let report = batched.prepare_batch(&requests).unwrap();
+    assert_eq!((report.generated, report.reused), (requests.len(), 0));
+    assert_eq!(batched.generations(), requests.len() as u64);
+    let single = loaded_service();
     for (qm, query) in &requests {
-        let a = sorted_rows(sequential.execute(query, qm).unwrap());
-        let b = sorted_rows(parallel.execute(query, qm).unwrap());
-        assert_eq!(a, b, "parallel batch diverged for querier {}", qm.querier);
-        assert_eq!(a, oracle_for(&sequential, qm), "batch diverged from oracle");
+        assert_eq!(
+            batched.guarded_expression(qm, REL).unwrap(),
+            single.guarded_expression(qm, REL).unwrap(),
+            "querier {}",
+            qm.querier
+        );
+        let rows = sorted_rows(batched.execute(query, qm).unwrap());
+        assert_eq!(rows, oracle_for(&batched, qm), "batch diverged from oracle");
     }
-    // Both schedules warm the cache equally: executing is all hits.
-    assert_eq!(
-        sequential.cache_stats().generations(),
-        parallel.cache_stats().generations()
-    );
+    assert_eq!(batched.generations(), requests.len() as u64, "the batch's entries were served");
+}
+
+/// The case where merging a group's union and merging a querier's own
+/// ranges differ: two queriers whose `ts_time` windows overlap enough for
+/// Theorem 1 to merge them *with each other*. Each querier's expression
+/// must still carry its own window — the batch restricts before it merges.
+#[test]
+fn prepare_batch_merges_ranges_per_querier_not_per_group() {
+    use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec};
+    let loaded = || {
+        let service =
+            SieveService::new(support::wifi_db(3000, 80, true), SieveOptions::default()).unwrap();
+        for (querier, from) in [(700i64, 9 * 3600u32), (701, 9 * 3600 + 300)] {
+            for owner in 0..10i64 {
+                let window = CondPredicate::between(Value::Time(from), Value::Time(from + 1800));
+                service
+                    .add_policy(Policy::new(
+                        owner,
+                        REL,
+                        QuerierSpec::User(querier),
+                        "Analytics",
+                        vec![ObjectCondition::new("ts_time", window)],
+                    ))
+                    .unwrap();
+            }
+        }
+        service
+    };
+    let q = SelectQuery::star_from(REL);
+    let requests: Vec<(QueryMetadata, SelectQuery)> = [700i64, 701]
+        .iter()
+        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
+        .collect();
+    let batched = loaded();
+    batched.prepare_batch(&requests).unwrap();
+    let single = loaded();
+    for (qm, _) in &requests {
+        let expr = single.guarded_expression(qm, REL).unwrap();
+        assert!(
+            expr.guards.iter().any(|g| g.condition.attr == "ts_time" && g.partition_size() == 10),
+            "fixture: querier {} must be guarded by its window",
+            qm.querier
+        );
+        assert_eq!(batched.guarded_expression(qm, REL).unwrap(), expr, "querier {}", qm.querier);
+    }
 }
 
 /// Concurrent `execute_sql` of the same text shares one parsed AST.

@@ -188,6 +188,16 @@ fn prepare_batch_fails_closed_mid_batch() {
         err,
         SieveError::Backend(BackendError::Transient(_))
     ));
+    // The failed batch dropped every claim it held: a single-key lookup
+    // of one of its keys builds at once instead of parking behind it.
+    let (done, lookup) = std::sync::mpsc::channel();
+    let (single, (qm, query)) = (service.clone(), requests[0].clone());
+    std::thread::spawn(move || done.send(single.rewrite(&query, &qm).is_ok()));
+    assert_eq!(
+        lookup.recv_timeout(std::time::Duration::from_secs(10)),
+        Ok(true),
+        "a claim outlived the failed batch"
+    );
 
     // Script drained — the batch heals and enforcement is exact.
     service.prepare_batch(&requests).unwrap();

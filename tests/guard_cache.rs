@@ -283,6 +283,42 @@ fn batch_prepare_counters_match_trace() {
     assert_eq!(s.hits, 2);
 }
 
+/// A batch brings *every* key current, not only the ones due for a
+/// regeneration: an entry that lacks a re-fold — a `delta_mode` flipped
+/// under it, or a pending policy under `Manual` — is re-folded by the
+/// batch, so no request's first rewrite afterwards compiles a fragment.
+#[test]
+fn batch_prepare_refolds_entries_that_are_not_due() {
+    let q = SelectQuery::star_from(REL);
+    let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501]
+        .iter()
+        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
+        .collect();
+    for what in ["delta_mode flip", "pending policy under Manual"] {
+        let sieve = loaded_sieve();
+        sieve.prepare_batch(&requests).unwrap();
+        if what == "delta_mode flip" {
+            sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+        } else {
+            sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
+            sieve.add_policy(policy(71, 500, "Analytics", 1001)).unwrap();
+        }
+        let report = sieve.prepare_batch(&requests).unwrap();
+        assert_eq!((report.generated, report.reused), (0, 2), "{what}: nothing regenerates");
+        let before = sieve.cache_stats();
+        for (qm, query) in &requests {
+            sieve.rewrite(query, qm).unwrap();
+        }
+        let after = sieve.cache_stats();
+        assert_eq!(after.fragment_builds, before.fragment_builds, "{what}: rewrites compile nothing");
+        assert_eq!(after.fragment_hits, before.fragment_hits + 2, "{what}: rewrites are warm");
+        assert_eq!(sieve.generations(), 2, "{what}");
+        for (qm, _) in &requests {
+            assert_eq!(run_sorted(&sieve, qm), oracle(&sieve, qm), "{what}: querier {}", qm.querier);
+        }
+    }
+}
+
 /// Eviction under the cap is LRU-on-*access*: a key that keeps getting
 /// read survives churn of arbitrarily many one-shot keys (FIFO or
 /// LRU-on-insert would rotate it out), while total occupancy stays
