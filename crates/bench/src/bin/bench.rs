@@ -9,7 +9,9 @@
 //! over [`sieve_bench::harness`]:
 //!
 //! * `hotpath` — the engine alone: filter-loop throughput, morsel-scan
-//!   scaling, index union against the scan it replaces;
+//!   scaling, index union against the scan it replaces, and what pinning
+//!   a plan saves an execute (`engine.plan_us` / `run_pinned_us` /
+//!   `execute_us`);
 //! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one
 //!   against batched;
 //! * `concurrent` — one shared service under 1/2/4/8 threads, and readers
@@ -33,7 +35,7 @@ use minidb::expr::{ColumnRef, Expr};
 use minidb::plan::{IndexHint, TableRef};
 use minidb::{DbProfile, Row, SelectQuery, Value};
 use sieve_bench::harness::{
-    asked_for, block_us, build_campus, fields, measure, queriers_with_policies, Campus,
+    asked_for, block_us, build_campus, fields, measure, queriers_with_policies, rss_kib, Campus,
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
 };
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec, QueryMetadata};
@@ -42,7 +44,7 @@ use sieve_core::{
     SieveService, SqlBackend, WireSqlBackend,
 };
 use sieve_workload::traffic::{multi_querier_traffic, TrafficConfig};
-use sieve_workload::WIFI_TABLE;
+use sieve_workload::{QueryClass, WIFI_TABLE};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -74,18 +76,14 @@ fn traffic(campus: &Campus, queriers: usize) -> Vec<(QueryMetadata, SelectQuery)
 }
 
 /// The querier with the most relevant policies (the paper's heavy case)
-/// and a selective Q1 query: execution is sub-millisecond, so whatever a
-/// mechanism adds around it shows.
-fn heavy_probe(campus: &Campus) -> (QueryMetadata, usize, SelectQuery) {
+/// and a selective query of `class` (query seed `seed`): execution is
+/// sub-millisecond, so whatever a mechanism adds around it shows.
+fn heavy_probe(campus: &Campus, class: QueryClass, seed: u64) -> (QueryMetadata, usize, SelectQuery) {
     let &(querier, policies) = queriers_with_policies(campus, PURPOSE, 1)
         .first()
         .expect("campus must contain a covered querier");
-    let q = sieve_workload::query_gen::generate_query(
-        &campus.dataset,
-        sieve_workload::QueryClass::Q1,
-        sieve_workload::Selectivity::Low,
-        7,
-    );
+    let low = sieve_workload::Selectivity::Low;
+    let q = sieve_workload::query_gen::generate_query(&campus.dataset, class, low, seed);
     (QueryMetadata::new(querier, PURPOSE), policies, q)
 }
 
@@ -108,10 +106,26 @@ fn execute_all<B: SqlBackend>(
 /// non-cloning evaluator; (2) the same scan at 1/2/4/8 morsel workers
 /// (counts beyond what the morsels support clamp inside the planner);
 /// (3) the same predicate through per-disjunct index probes against that
-/// scan. Every pass is one `backend.exec_us` sample.
+/// scan. Every pass is one `backend.exec_us` sample. (4) The pinned plan,
+/// on the statement the gated benchmark's `point_warm` replays — the
+/// heaviest querier's Q2-low rewrite: planning it (`engine.plan_us`),
+/// running the plan kept (`engine.run_pinned_us` — a `Prepared`'s warm
+/// execute) and executing it one-shot, plan and run (`engine.execute_us` —
+/// the text path), and what a kept plan holds resident.
 fn hotpath(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("hotpath", env);
+    // The first Q2-low statement the querier sees rows of, as the
+    // benchmark's do. Held to the end: the rewrite pins the ∆ partitions
+    // its query calls.
+    let (policies, guarded) = (7..64)
+        .find_map(|seed| {
+            let (qm, policies, point) = heavy_probe(&campus, QueryClass::Q2, seed);
+            let guarded = campus.sieve.rewrite(&point, &qm).expect("rewrite");
+            let visible = campus.sieve.db().run_query(&guarded.query).expect("point query");
+            (!visible.is_empty()).then_some((policies, guarded))
+        })
+        .expect("a Q2-low statement with visible rows");
     let db = campus.sieve.db();
     let table_rows = db.table(WIFI_TABLE).expect("wifi table").table.len();
     let owners = campus.dataset.devices.iter().take(8);
@@ -176,6 +190,46 @@ fn hotpath(env: &EnvConfig) -> Record {
     rec.put("index_union.scan.backend.exec_us", rescan_us);
     rec.put("index_union.speedup", rescan_us.median / union_us.median);
 
+    let (blocks, reps) = (env.pick(5, 9), env.pick(40, 200));
+    let plan = || db.prepare_query(&guarded.query, &sequential).expect("plan");
+    let pinned = plan();
+    let pinned_rows = db.run_prepared(&pinned, &sequential).expect("pinned run");
+    let oneshot_rows = db.run_query_opts(&guarded.query, &sequential).expect("one-shot run");
+    let plan_us = measure(blocks, reps, || drop(black_box(plan())));
+    let run_pinned_us = measure(blocks, reps, || {
+        black_box(db.run_prepared(&pinned, &sequential).expect("pinned run").len());
+    });
+    let execute_us = measure(blocks, reps, || {
+        black_box(db.run_query_opts(&guarded.query, &sequential).expect("one-shot run").len());
+    });
+    rec.put("engine.querier_policies", policies);
+    rec.put("engine.rewrite.sql_bytes", minidb::sql::render_query(&guarded.query).len());
+    rec.put("engine.output_rows", pinned_rows.len());
+    rec.put("engine.plan_us", plan_us);
+    rec.put("engine.run_pinned_us", run_pinned_us);
+    rec.put("engine.execute_us", execute_us);
+    rec.put("engine.plan_share", plan_us.median / execute_us.median);
+    // No allocator hook without a new dependency: what 256 kept plans add
+    // to the resident set, per plan.
+    if let Some(before) = rss_kib() {
+        let kept: Vec<_> = (0..256).map(|_| plan()).collect();
+        let grown = rss_kib().map_or(0, |after| after.saturating_sub(before));
+        rec.put("engine.plan_bytes", grown as usize * 1024 / kept.len());
+    }
+
+    rec.gate(
+        "pinned_rows",
+        pinned_rows == oneshot_rows,
+        "a pinned plan must return the one-shot execute's rows".into(),
+    );
+    rec.gate(
+        "pinned_beats_oneshot",
+        run_pinned_us.median < execute_us.median,
+        format!(
+            "running a pinned plan ({:.1} us) must beat planning and running ({:.1} us)",
+            run_pinned_us.median, execute_us.median
+        ),
+    );
     rec.gate(
         "parallel_scan_rows",
         parallel_rows_ok,
@@ -428,7 +482,7 @@ fn rate0<B: SqlBackend>(inner: B) -> FaultInjectingBackend<B> {
 fn faults(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("faults", env);
-    let (qm, policies, q) = heavy_probe(&campus);
+    let (qm, policies, q) = heavy_probe(&campus, QueryClass::Q1, 7);
     let base_db: minidb::Database = campus.sieve.db().clone();
     let warm_reps = env.pick(30, 100);
     let wire = || rate0(WireSqlBackend::new(base_db.clone()));
@@ -520,7 +574,7 @@ fn faults(env: &EnvConfig) -> Record {
 fn analyze(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("analyze", env);
-    let (qm, policies, q) = heavy_probe(&campus);
+    let (qm, policies, q) = heavy_probe(&campus, QueryClass::Q1, 7);
     let service = &campus.sieve;
     let rewrite = || drop(service.rewrite(&q, &qm).expect("rewrite"));
     let (cold_reps, warm_reps) = (env.pick(5, 15), env.pick(30, 100));

@@ -630,6 +630,13 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// This process's resident set in KiB (`VmRSS`), where `/proc` has it.
+pub fn rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// Write `results/<file>`; a failure is a warning, not the run's result.
 fn save(file: &str, content: &str) {
     let dir = std::path::Path::new("results");

@@ -30,6 +30,15 @@
 //!   wire, and is re-parsed before execution. This exercises exactly the path a
 //!   network backend uses, making render fidelity load-bearing.
 //!
+//! Both prepare: [`SqlBackend::prepare`] has the engine plan the query
+//! once — under its default scan options, `prepare` carrying none — and
+//! hold the physical plan open in its statement table, and
+//! [`SqlBackend::execute_prepared`] runs that plan — a warm execute plans
+//! nothing. The engine refuses to run a plan on any state of the database
+//! other than the one it was planned on; such a statement is reported
+//! [`BackendError::UnknownStatement`], which a [`crate::session::Prepared`]
+//! recovers from by preparing again, once.
+//!
 //! What a real `tokio-postgres` backend needs is recorded in the README
 //! ("Execution backends"); network crates are unavailable in this build
 //! environment.
@@ -147,6 +156,16 @@ impl From<DbError> for BackendError {
     }
 }
 
+/// The outcome of running the engine's statement `id`: a statement the
+/// engine no longer vouches for ([`DbError::StalePlan`] — closed, never
+/// issued, or planned before the database changed) is an unknown one.
+fn statement_result(id: StatementId, res: DbResult<QueryResult>) -> BackendResult<QueryResult> {
+    res.map_err(|e| match e {
+        DbError::StalePlan => BackendError::UnknownStatement(id),
+        other => BackendError::from(other),
+    })
+}
+
 /// Lift an engine `(result, stats)` pair into the backend error type.
 fn timed_from_db(
     (res, stats): (DbResult<QueryResult>, ExecStats),
@@ -224,12 +243,11 @@ pub trait SqlBackend: Send + Sync {
     /// mirroring — not the measured query path).
     fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId>;
 
-    /// Prepare `query` server-side: render + parse once, returning a
-    /// statement id to execute by thereafter. `Ok(None)` means this
-    /// backend has no server-side statements (the default — in-process
-    /// engines execute the AST directly, so there is nothing to save);
-    /// callers then fall back to [`SqlBackend::exec`] per call, which
-    /// preserves the pre-prepared-statement behavior exactly.
+    /// Prepare `query` server-side — ship it and plan it, once — returning
+    /// a statement id to execute by thereafter. `Ok(None)` means this
+    /// backend has no server-side statements (the default; both shipped
+    /// backends have them); callers then fall back to [`SqlBackend::exec`]
+    /// per call.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
         let _ = query;
         Ok(None)
@@ -362,6 +380,24 @@ impl SqlBackend for Database {
     }
     fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
         self.insert(table, row).map_err(BackendError::from)
+    }
+    /// Plans the query and pins the plan in the engine's statement table.
+    /// Nothing is lifted out of an AST handed over in process: the
+    /// statement has no parameters.
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
+        let id = self.prepare_statement(query)?;
+        Ok(Some(PreparedStatement { id, params: Vec::new() }))
+    }
+    fn execute_prepared(
+        &self,
+        id: StatementId,
+        _params: &[Value],
+        opts: &ExecOptions,
+    ) -> BackendResult<QueryResult> {
+        statement_result(id, self.execute_statement(id, opts))
+    }
+    fn close_prepared(&self, id: StatementId) {
+        self.close_statement(id)
     }
     fn minidb(&self) -> Option<&Database> {
         Some(self)

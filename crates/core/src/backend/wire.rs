@@ -16,7 +16,9 @@
 //! own client-library calls for setup rather than the measured query
 //! path.
 
-use super::{BackendError, BackendResult, PreparedStatement, SqlBackend, StatementId};
+use super::{
+    statement_result, BackendError, BackendResult, PreparedStatement, SqlBackend, StatementId,
+};
 use crate::lru::LruMap;
 use minidb::error::DbResult;
 use minidb::exec::{ExecOptions, QueryResult};
@@ -38,17 +40,16 @@ use std::time::Duration;
 /// working set is the number of distinct *query shapes*, not queriers.
 pub const TEMPLATE_CACHE_CAP: usize = 256;
 
-/// A registered server-side statement: the parsed template plus the
-/// plan pre-bound with its prepare-time parameters.
+/// A registered server-side statement, under the id of the engine
+/// statement that pins the template's plan with `params` bound — executing
+/// with the same values costs no render, no parse, no rebind and no
+/// planning.
 #[derive(Debug)]
 struct StatementEntry {
     /// Parsed literal-free template (shared with the intern cache).
     template: Arc<SelectQuery>,
     /// Parameter values given at prepare time.
     params: Vec<Value>,
-    /// Template with `params` already bound — executing with the same
-    /// values costs no render, no parse, and no rebind.
-    bound: Arc<SelectQuery>,
 }
 
 /// An engine reached exclusively through SQL text.
@@ -63,7 +64,6 @@ pub struct WireSqlBackend {
     /// Parsed templates interned by rendered text: a template shared by N
     /// queriers is parsed once, not N times.
     templates: RwLock<LruMap<Arc<SelectQuery>>>,
-    next_stmt: AtomicU64,
     /// Total `prepare` calls.
     prepares: AtomicU64,
     /// Prepares that found their template already parsed.
@@ -80,7 +80,6 @@ impl WireSqlBackend {
             round_trips: AtomicU64::new(0),
             statements: RwLock::new(HashMap::new()),
             templates: RwLock::new(LruMap::new(TEMPLATE_CACHE_CAP)),
-            next_stmt: AtomicU64::new(0),
             prepares: AtomicU64::new(0),
             template_hits: AtomicU64::new(0),
             prepared_execs: AtomicU64::new(0),
@@ -197,8 +196,9 @@ impl SqlBackend for WireSqlBackend {
     /// The server-side prepare: lift literals into `?` placeholders,
     /// render the literal-free template, and parse it **once per template
     /// text** — queriers whose rewrites differ only in policy literals
-    /// share one parsed template. The returned statement executes by id
-    /// with bound parameters; no SQL text crosses the wire again.
+    /// share one parsed template. The engine plans the bound template once
+    /// and the returned statement executes that plan by id; no SQL text
+    /// crosses the wire again.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         let (template_ast, params) = minidb::sql::parameterize(query);
@@ -230,16 +230,9 @@ impl SqlBackend for WireSqlBackend {
                 }
             }
         };
-        let bound = Arc::new(minidb::sql::bind_params(&template, &params)?);
-        let id = self.next_stmt.fetch_add(1, Ordering::Relaxed) + 1;
-        self.statements.write().insert(
-            id,
-            StatementEntry {
-                template,
-                params: params.clone(),
-                bound,
-            },
-        );
+        let id = self.db.prepare_statement(&minidb::sql::bind_params(&template, &params)?)?;
+        let entry = StatementEntry { template, params: params.clone() };
+        self.statements.write().insert(id, entry);
         Ok(Some(PreparedStatement { id, params }))
     }
     fn execute_prepared(
@@ -248,9 +241,10 @@ impl SqlBackend for WireSqlBackend {
         params: &[Value],
         opts: &ExecOptions,
     ) -> BackendResult<QueryResult> {
-        // Clone the Arcs out so the registry lock is not held across
-        // execution (a concurrent close must not block the data plane).
-        let (plan, rebind) = {
+        // The template is cloned out so the registry lock is not held
+        // across execution (a concurrent close must not block the data
+        // plane).
+        let rebind = {
             let statements = self.statements.read();
             // An id missing from the registry — closed, evicted, or wiped
             // by a connection loss — is the typed signal the session layer
@@ -258,25 +252,22 @@ impl SqlBackend for WireSqlBackend {
             let entry = statements
                 .get(&id)
                 .ok_or(BackendError::UnknownStatement(id))?;
-            if entry.params == params {
-                (entry.bound.clone(), None)
-            } else {
-                (entry.template.clone(), Some(()))
-            }
+            (entry.params != params).then(|| entry.template.clone())
         };
         self.prepared_execs.fetch_add(1, Ordering::Relaxed);
         match rebind {
             // Warm fast path: parameters unchanged since prepare — run
-            // the pre-bound plan with no render, parse, or rebind.
-            None => self.db.run_query_opts(&plan, opts).map_err(BackendError::from),
-            Some(()) => {
-                let bound = minidb::sql::bind_params(&plan, params)?;
+            // the pinned plan with no render, parse, rebind or planning.
+            None => statement_result(id, self.db.execute_statement(id, opts)),
+            Some(template) => {
+                let bound = minidb::sql::bind_params(&template, params)?;
                 self.db.run_query_opts(&bound, opts).map_err(BackendError::from)
             }
         }
     }
     fn close_prepared(&self, id: StatementId) {
         self.statements.write().remove(&id);
+        self.db.close_statement(id);
     }
     fn minidb(&self) -> Option<&Database> {
         // The engine exists in-process here (only the query path takes
@@ -377,14 +368,34 @@ mod tests {
     }
 
     #[test]
-    fn minidb_backend_has_no_server_side_statements() {
+    fn minidb_backend_pins_plans_server_side() {
         let backend = db();
-        let q = SelectQuery::star_from("t");
-        assert!(backend.prepare(&q).unwrap().is_none());
-        assert!(backend
-            .execute_prepared(1, &[], &ExecOptions::default())
-            .is_err());
-        backend.close_prepared(1); // no-op
+        let q = SelectQuery::star_from("t").filter(minidb::Expr::col_eq(
+            minidb::ColumnRef::bare("owner"),
+            Value::Int(2),
+        ));
+        let opts = ExecOptions::default();
+        let direct = backend.exec(&q, &opts).unwrap();
+        let stmt = backend.prepare(&q).unwrap().expect("the engine prepares");
+        assert_eq!(backend.open_statements(), 1);
+        for _ in 0..5 {
+            assert_eq!(backend.execute_prepared(stmt.id, &stmt.params, &opts).unwrap(), direct);
+        }
+        backend.close_prepared(stmt.id);
+        assert_eq!(backend.open_statements(), 0);
+        assert_eq!(
+            backend.execute_prepared(stmt.id, &stmt.params, &opts),
+            Err(BackendError::UnknownStatement(stmt.id))
+        );
+        backend.close_prepared(stmt.id); // closing twice is a no-op
+        // An id another engine issued is unknown here, not someone's plan.
+        let other = db();
+        let foreign = other.prepare(&q).unwrap().unwrap();
+        backend.prepare(&q).unwrap().unwrap();
+        assert_eq!(
+            backend.execute_prepared(foreign.id, &[], &opts),
+            Err(BackendError::UnknownStatement(foreign.id))
+        );
     }
 
     #[test]

@@ -70,8 +70,10 @@ pub fn eval_condition(
 }
 
 /// Evaluate a derived-value condition: run the subquery with the outer
-/// row's values substituted for correlated references, and compare the
-/// first value of the first result row to the tuple's value.
+/// row's values substituted for correlated references (`column` or
+/// `__outer.column`, the tuple being the only relation in scope), and
+/// compare the first value of the first result row to the tuple's value.
+/// A subquery that does not run is a condition that does not hold.
 fn eval_derived(
     v: &Value,
     q: &minidb::SelectQuery,
@@ -79,54 +81,15 @@ fn eval_derived(
     row: &Row,
     db: &Database,
 ) -> bool {
-    // Substitute correlated references textually: build a parameter map of
-    // every `alias.column` in scope (single-relation scope, so any alias)
-    // and let the engine's subquery runner handle it through an Expr shim.
-    use minidb::expr::{bind, EvalContext, Expr, Layout};
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
-    let layout = Layout::single("__outer", Arc::new(schema.clone()));
-    let shim = Expr::Cmp {
-        op: minidb::CmpOp::Eq,
-        lhs: Box::new(Expr::Literal(v.clone())),
-        rhs: Box::new(Expr::ScalarSubquery(Box::new(q.clone()))),
-    };
-    let Ok(bound) = bind(&shim, &layout, None, &Default::default()) else {
+    let outer = schema.columns.iter().zip(row);
+    let params = outer
+        .flat_map(|(c, x)| [(c.name.clone(), x.clone()), (format!("__outer.{}", c.name), x.clone())])
+        .collect();
+    let Ok(res) = db.run_query(&substitute_params(q, &params)) else {
         return false;
     };
-    let params = HashMap::new();
-    let runner = DbRunner { db };
-    let ctx = EvalContext {
-        stats: db.stats(),
-        udfs: db.udfs(),
-        runner: Some(&runner),
-        params: &params,
-    };
-    bound.eval_bool(row, &ctx).unwrap_or(false)
-}
-
-struct DbRunner<'a> {
-    db: &'a Database,
-}
-
-impl minidb::expr::QueryRunner for DbRunner<'_> {
-    fn run_subquery(
-        &self,
-        query: &minidb::SelectQuery,
-        params: std::collections::HashMap<String, Value>,
-    ) -> minidb::DbResult<Vec<Row>> {
-        // Delegate to the engine with parameters carried via a fresh
-        // executor; the public `run_query` has no parameter channel, so
-        // inline the values as literal predicates is not possible in
-        // general — instead re-enter through the engine's internal
-        // executor by evaluating a wrapper query. The engine's `execute`
-        // path is reachable via Database::run_query only without params,
-        // so for correlated oracle evaluation we substitute params into
-        // the query predicate before running.
-        let substituted = substitute_params(query, &params);
-        Ok(self.db.run_query(&substituted)?.rows)
-    }
+    let first = res.rows.into_iter().next().and_then(|r| r.into_iter().next());
+    first.is_some_and(|x| minidb::CmpOp::Eq.apply(v, &x))
 }
 
 /// Replace column references that match parameter names with literals.

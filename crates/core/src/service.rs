@@ -812,8 +812,8 @@ impl<B: SqlBackend> SieveService<B> {
         self.with_backend_retry(|b| b.exec(&rewritten.query, &opts))
     }
 
-    /// Execute an already-rewritten query (the [`crate::session::Prepared`]
-    /// hot path: no cache traffic at all — the caller pins the fragments).
+    /// Execute an already-rewritten query (a [`crate::session::Prepared`]
+    /// over a backend without statements; the caller pins the fragments).
     pub(crate) fn exec_prepared(&self, query: &SelectQuery) -> SieveResult<QueryResult> {
         let opts = self.exec_options();
         self.with_backend_retry(|b| b.exec(query, &opts))
@@ -830,7 +830,7 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Execute a server-side prepared statement with bound parameters
-    /// (the [`crate::session::Prepared`] hot path on wire backends). A
+    /// (the [`crate::session::Prepared`] hot path: a pinned plan, run). A
     /// connection drop mid-retry typically resurfaces as
     /// [`BackendError::UnknownStatement`] on the fresh connection — the
     /// typed signal the session layer re-prepares on.

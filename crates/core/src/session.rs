@@ -10,15 +10,16 @@
 //! concurrently.
 //!
 //! [`Prepared`] is the repeat-query hot path: it pins a fully rewritten
-//! query (guards compiled, ∆ partitions registered and reference-held) so
-//! repeated [`Prepared::execute`] calls skip *all* middleware work — no
-//! cache lookup, no rewrite, just backend execution under the shared read
-//! lock. Staleness is detected by two service-level counters captured at
-//! prepare time: the **backend epoch** (out-of-band data/schema mutation)
-//! and the **revision** (policy/option/cost/group changes). When either
-//! moves, the next `execute` transparently re-prepares — through the
-//! guard cache, so a re-prepare after an unrelated change is two warm
-//! lookups, not a regeneration.
+//! query (guards compiled, ∆ partitions registered and reference-held)
+//! and, through a backend statement, the physical plan the engine chose
+//! for it, so repeated [`Prepared::execute`] calls skip *all* middleware
+//! work and all planning — no cache lookup, no rewrite, no binding or
+//! costing, just the plan run under the shared read lock. Staleness is
+//! detected by two service-level counters captured at prepare time: the
+//! **backend epoch** (out-of-band data/schema mutation) and the
+//! **revision** (policy/option/cost/group changes). When either moves,
+//! the next `execute` transparently re-prepares — through the guard
+//! cache: two warm lookups and one planning, not a regeneration.
 
 use crate::backend::{SqlBackend, StatementId};
 use crate::guard::GuardedExpression;
@@ -124,17 +125,22 @@ impl<B: SqlBackend> Drop for StatementPin<B> {
     }
 }
 
+/// How a plan reaches the backend.
+enum Dispatch<B: SqlBackend> {
+    /// By the server-side statement pinning the rewrite's physical plan;
+    /// a stale plan's statement closes when its last holder drops.
+    Statement(StatementPin<B>),
+    /// As the rewritten query, planned per execute: no prepared execution.
+    Query(SelectQuery),
+}
+
 /// A rewritten plan plus the validity stamps it was built under. Shared
-/// as one `Arc`, so a warm execute pins query + fragments (and through
+/// as one `Arc`, so a warm execute pins statement + fragments (and through
 /// them the ∆ partitions) with a single refcount bump.
 struct Plan<B: SqlBackend> {
-    query: SelectQuery,
+    dispatch: Dispatch<B>,
     /// Pins the plan's ∆ partitions for as long as the plan is held.
     _fragments: Vec<Arc<GuardFragment>>,
-    /// Server-side statement over `query`, when the backend supports
-    /// prepared execution (`None` keeps the in-process AST path). A stale
-    /// plan's statement closes when its last holder drops.
-    statement: Option<StatementPin<B>>,
     backend_epoch: u64,
     revision: u64,
 }
@@ -168,12 +174,13 @@ impl<B: SqlBackend> Prepared<B> {
         self.reprepares.load(Ordering::Relaxed)
     }
 
-    /// The server-side statement id behind the current plan, if the
-    /// backend prepared one (observability: a re-prepare shows up as a
-    /// fresh id, an AST-path backend as `None`).
+    /// The server-side statement id behind the current plan, if any
+    /// (observability: a re-prepare shows up as a fresh id).
     pub fn statement_id(&self) -> Option<StatementId> {
-        let slot = self.plan.lock();
-        slot.as_ref().and_then(|p| p.statement.as_ref().map(|s| s.id))
+        match &self.plan.lock().as_ref()?.dispatch {
+            Dispatch::Statement(pin) => Some(pin.id),
+            Dispatch::Query(_) => None,
+        }
     }
 
     /// True iff the plan's validity stamps still match the service.
@@ -207,21 +214,14 @@ impl<B: SqlBackend> Prepared<B> {
         let revision = self.service.revision();
         let out = self.service.rewrite(&self.source, &self.qm)?;
         // Pin a server-side statement when the backend offers one: the
-        // rewritten text is rendered, shipped and parsed once here, and
-        // every subsequent warm execute goes by statement id + bound
-        // parameters instead of re-crossing the wire as text.
-        let statement = self.service.prepare_statement(&out.query)?.map(|ps| StatementPin {
-            service: self.service.clone(),
-            id: ps.id,
-            params: ps.params,
-        });
-        let plan = Arc::new(Plan {
-            query: out.query,
-            _fragments: out.fragments,
-            statement,
-            backend_epoch,
-            revision,
-        });
+        // rewritten query is shipped and planned once here, and every warm
+        // execute runs that plan by statement id + bound parameters.
+        let service = self.service.clone();
+        let dispatch = match self.service.prepare_statement(&out.query)? {
+            Some(ps) => Dispatch::Statement(StatementPin { service, id: ps.id, params: ps.params }),
+            None => Dispatch::Query(out.query),
+        };
+        let plan = Arc::new(Plan { dispatch, _fragments: out.fragments, backend_epoch, revision });
         if slot.is_some() {
             self.reprepares.fetch_add(1, Ordering::Relaxed);
             self.service.note_reprepare();
@@ -232,16 +232,16 @@ impl<B: SqlBackend> Prepared<B> {
 
     /// Dispatch an already-built plan to the backend.
     fn run_plan(&self, plan: &Plan<B>) -> SieveResult<QueryResult> {
-        match &plan.statement {
-            Some(pin) => self.service.execute_statement(pin.id, &pin.params),
-            None => self.service.exec_prepared(&plan.query),
+        match &plan.dispatch {
+            Dispatch::Statement(pin) => self.service.execute_statement(pin.id, &pin.params),
+            Dispatch::Query(query) => self.service.exec_prepared(query),
         }
     }
 
     /// Execute the statement. While the plan is fresh this is the
     /// middleware's fastest path: one `Arc` clone under a short mutex
-    /// (which pins query and ∆ partitions together), then run on the
-    /// backend under its shared read lock.
+    /// (which pins statement and ∆ partitions together), then the pinned
+    /// physical plan run on the backend under its shared read lock.
     ///
     /// Recovery: if the backend reports that server-side statement state
     /// was lost ([`crate::SieveError::needs_reprepare`] — a connection

@@ -7,8 +7,8 @@
 //! DBMS: run a query, run EXPLAIN, register a UDF, read table statistics.
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{execute, ExecOptions, QueryResult};
-use crate::explain::{explain_query_opts, ExplainOutput};
+use crate::exec::{ExecOptions, PreparedQuery, QueryResult};
+use crate::explain::ExplainOutput;
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
 use crate::index::Index;
 use crate::plan::SelectQuery;
@@ -17,7 +17,9 @@ use crate::schema::TableSchema;
 use crate::stats::{CostWeights, ExecStats, StatsSink};
 use crate::table::{Row, RowId, Table};
 use crate::udf::{Udf, UdfRegistry};
+use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A table plus its access structures.
@@ -53,7 +55,26 @@ impl TableEntry {
     pub fn has_index(&self, column: &str) -> bool {
         self.index_on(column).is_some()
     }
+
+    /// Append one row, maintaining the indexes.
+    fn insert(&mut self, row: Row) -> RowId {
+        let id = self.table.insert(row);
+        let row_ref = self.table.row(id).clone();
+        for idx in &mut self.indexes {
+            idx.insert(id, &row_ref);
+        }
+        id
+    }
 }
+
+/// Source of [`Database::version`] stamps: one counter for the process, so
+/// no two states of any two databases share a stamp unless one is an
+/// unmodified clone of the other.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+/// Source of statement ids, process-wide for the same reason: an id issued
+/// by one database is unknown to every other, its clones included.
+static NEXT_STATEMENT: AtomicU64 = AtomicU64::new(1);
 
 /// An embedded database instance.
 pub struct Database {
@@ -62,6 +83,10 @@ pub struct Database {
     weights: CostWeights,
     profile: DbProfile,
     stats: StatsSink,
+    /// Stamp of the current state; see [`Database::version`].
+    version: u64,
+    /// The plans of the open statements by id; ids are never reused.
+    statements: RwLock<HashMap<u64, PreparedQuery>>,
 }
 
 impl Database {
@@ -73,7 +98,21 @@ impl Database {
             weights: CostWeights::default(),
             profile,
             stats: StatsSink::new(),
+            version: NEXT_VERSION.fetch_add(1, Ordering::Relaxed),
+            statements: RwLock::new(HashMap::new()),
         }
+    }
+
+    /// Stamp of this database's state — tables, rows, indexes, statistics,
+    /// profile, weights, UDFs — renewed by every `&mut self` change. A
+    /// [`PreparedQuery`] runs only on the stamp it was planned on.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Something a plan may depend on is about to change.
+    fn touch(&mut self) {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Optimizer profile in effect.
@@ -84,6 +123,7 @@ impl Database {
     /// Switch optimizer profile (used by the Experiment 4 harness to run
     /// the same loaded data under both profiles).
     pub fn set_profile(&mut self, profile: DbProfile) {
+        self.touch();
         self.profile = profile;
     }
 
@@ -94,6 +134,7 @@ impl Database {
 
     /// Override cost weights.
     pub fn set_weights(&mut self, weights: CostWeights) {
+        self.touch();
         self.weights = weights;
     }
 
@@ -104,6 +145,7 @@ impl Database {
 
     /// Create an empty table. Errors if the name is taken.
     pub fn create_table(&mut self, schema: TableSchema) -> DbResult<()> {
+        self.touch();
         let name = schema.name.clone();
         if self.tables.contains_key(&name) {
             return Err(DbError::Unsupported(format!("table {name} already exists")));
@@ -123,16 +165,8 @@ impl Database {
 
     /// Insert one row, maintaining indexes.
     pub fn insert(&mut self, table: &str, row: Row) -> DbResult<RowId> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        let id = entry.table.insert(row);
-        let row_ref = entry.table.row(id).clone();
-        for idx in &mut entry.indexes {
-            idx.insert(id, &row_ref);
-        }
-        Ok(id)
+        self.touch();
+        Ok(self.entry_mut(table)?.insert(row))
     }
 
     /// Bulk insert rows, maintaining indexes.
@@ -141,18 +175,22 @@ impl Database {
         table: &str,
         rows: impl IntoIterator<Item = Row>,
     ) -> DbResult<()> {
+        self.touch();
+        let entry = self.entry_mut(table)?;
         for row in rows {
-            self.insert(table, row)?;
+            entry.insert(row);
         }
         Ok(())
     }
 
+    fn entry_mut(&mut self, table: &str) -> DbResult<&mut TableEntry> {
+        self.tables.get_mut(table).ok_or_else(|| DbError::UnknownTable(table.to_string()))
+    }
+
     /// Create a secondary index over `column`. No-op if one already exists.
     pub fn create_index(&mut self, table: &str, column: &str) -> DbResult<()> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
+        self.touch();
+        let entry = self.entry_mut(table)?;
         if entry.index_on(column).is_some() {
             return Ok(());
         }
@@ -186,10 +224,8 @@ impl Database {
 
     /// Build histograms for every indexed column of `table` (ANALYZE).
     pub fn analyze(&mut self, table: &str) -> DbResult<()> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
+        self.touch();
+        let entry = self.entry_mut(table)?;
         let cols: Vec<(String, usize)> = entry
             .indexes
             .iter()
@@ -226,6 +262,7 @@ impl Database {
 
     /// Register a UDF.
     pub fn register_udf(&mut self, name: impl Into<String>, f: Arc<dyn Udf>) {
+        self.touch();
         self.udfs.register(name, f);
     }
 
@@ -234,18 +271,32 @@ impl Database {
         &self.udfs
     }
 
-    /// Execute a query with default options.
-    pub fn run_query(&self, query: &SelectQuery) -> DbResult<QueryResult> {
-        execute(self, query, &ExecOptions::default())
+    /// Plan a query for repeated execution under `opts` (the thread knob
+    /// is a planning input), executing nothing and charging no counter.
+    /// Every query this database runs or explains is planned here.
+    pub fn prepare_query(&self, query: &SelectQuery, opts: &ExecOptions) -> DbResult<PreparedQuery> {
+        crate::exec::prepare(self, query, opts)
     }
 
-    /// Execute a query with options (e.g. a timeout).
+    /// Run a prepared query: no planning, just the plan. Refused with
+    /// [`DbError::StalePlan`] unless this is the state and these are the
+    /// scan options it was prepared on.
+    pub fn run_prepared(&self, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+        crate::exec::run(self, prepared, opts)
+    }
+
+    /// Execute a query with default options.
+    pub fn run_query(&self, query: &SelectQuery) -> DbResult<QueryResult> {
+        self.run_query_opts(query, &ExecOptions::default())
+    }
+
+    /// Execute a query once with options (e.g. a timeout): prepare, run.
     pub fn run_query_opts(
         &self,
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> DbResult<QueryResult> {
-        execute(self, query, opts)
+        crate::exec::execute(self, query, opts)
     }
 
     /// Execute and return `(result, stats)` using the simulated+wall clocks.
@@ -254,24 +305,60 @@ impl Database {
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> (DbResult<QueryResult>, ExecStats) {
-        let (res, stats) = crate::stats::timed(&self.stats, &self.weights, || {
-            execute(self, query, opts)
-        });
-        (res, stats)
+        crate::stats::timed(&self.stats, &self.weights, || self.run_query_opts(query, opts))
     }
 
     /// EXPLAIN: the access-path decisions the planner would make, with
     /// estimated cardinalities (paper Section 5.5 uses this to cost
     /// strategies).
     pub fn explain(&self, query: &SelectQuery) -> DbResult<ExplainOutput> {
-        explain_query_opts(self, query, &ExecOptions::default())
+        self.explain_opts(query, &ExecOptions::default())
     }
 
     /// EXPLAIN under specific execution options: with a thread knob set,
     /// large scans report as `ParallelScan(morsels=…)` and the
     /// PostgreSQL-like bitmap gate tightens accordingly.
     pub fn explain_opts(&self, query: &SelectQuery, opts: &ExecOptions) -> DbResult<ExplainOutput> {
-        explain_query_opts(self, query, opts)
+        self.explain_prepared(&self.prepare_query(query, opts)?)
+    }
+
+    /// EXPLAIN of a prepared query: the plan [`Database::run_prepared`] runs,
+    /// printed — for the state it was planned on, like a run.
+    pub fn explain_prepared(&self, prepared: &PreparedQuery) -> DbResult<ExplainOutput> {
+        if !prepared.planned_on(self) {
+            return Err(DbError::StalePlan);
+        }
+        crate::explain::print(self, &prepared.plan)
+    }
+
+    /// Prepare `query` and hold the plan open in this database's statement
+    /// table under a fresh id. A statement is planned under the default
+    /// scan options: there are none to be had where one is prepared.
+    pub fn prepare_statement(&self, query: &SelectQuery) -> DbResult<u64> {
+        let pinned = self.prepare_query(query, &ExecOptions::default())?;
+        let id = NEXT_STATEMENT.fetch_add(1, Ordering::Relaxed);
+        self.statements.write().insert(id, pinned);
+        Ok(id)
+    }
+
+    /// Run an open statement's pinned plan, under the scan options it was
+    /// planned for and `opts`' deadline. [`DbError::StalePlan`] when the id
+    /// is not open here or the database has changed since it was prepared:
+    /// the statement is dead, prepare a fresh one.
+    pub fn execute_statement(&self, id: u64, opts: &ExecOptions) -> DbResult<QueryResult> {
+        // Cloned out (an `Arc`): the table is not locked while a plan runs.
+        let pinned = self.statements.read().get(&id).cloned().ok_or(DbError::StalePlan)?;
+        self.run_prepared(&pinned, &ExecOptions { timeout: opts.timeout, ..ExecOptions::default() })
+    }
+
+    /// Close a statement; unknown and already closed ids are a no-op.
+    pub fn close_statement(&self, id: u64) {
+        self.statements.write().remove(&id);
+    }
+
+    /// Statements currently open.
+    pub fn open_statements(&self) -> usize {
+        self.statements.read().len()
     }
 
     /// Parse and run a SQL string.
@@ -284,8 +371,9 @@ impl Database {
 impl Clone for Database {
     /// Deep-copies tables, indexes and histograms; registered UDFs are
     /// shared (`Arc`), and the clone gets a **fresh** statistics sink so
-    /// measurements never bleed between instances. Used by the experiment
-    /// harness to run one loaded dataset under several configurations.
+    /// measurements never bleed between instances, and an empty statement
+    /// table. Used by the experiment harness to run one loaded dataset
+    /// under several configurations.
     fn clone(&self) -> Self {
         Database {
             tables: self.tables.clone(),
@@ -293,6 +381,9 @@ impl Clone for Database {
             weights: self.weights,
             profile: self.profile,
             stats: StatsSink::new(),
+            // The same state, so the same stamp, until either changes.
+            version: self.version,
+            statements: RwLock::new(HashMap::new()),
         }
     }
 }
@@ -359,6 +450,43 @@ mod tests {
     fn unknown_table_errors() {
         let db = Database::new(DbProfile::PostgresLike);
         assert!(matches!(db.table("nope"), Err(DbError::UnknownTable(_))));
+    }
+
+    #[test]
+    fn statements_pin_a_plan_until_the_database_changes() {
+        use crate::expr::{ColumnRef, Expr};
+        let mut db = db_with_table();
+        db.create_index("t", "owner").unwrap();
+        let q =
+            SelectQuery::star_from("t").filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(3)));
+        let fresh = db.run_query(&q).unwrap();
+        assert_eq!(fresh.len(), 10);
+        let id = db.prepare_statement(&q).unwrap();
+        let (sequential, threads) = (ExecOptions::default(), ExecOptions::with_threads(4));
+        assert_eq!(db.execute_statement(id, &sequential).as_ref(), Ok(&fresh));
+        // A statement keeps the scan options it was planned for; the call
+        // supplies the deadline.
+        assert_eq!(db.execute_statement(id, &threads).as_ref(), Ok(&fresh));
+        let expired = ExecOptions { timeout: Some(std::time::Duration::ZERO), threads: 4 };
+        assert_eq!(db.execute_statement(id, &expired), Err(DbError::Timeout));
+        // A clone is the same state but another database: a plan of this
+        // one runs there, a statement id of this one means nothing.
+        let twin = db.clone();
+        let prepared = db.prepare_query(&q, &sequential).unwrap();
+        assert_eq!(twin.run_prepared(&prepared, &sequential).as_ref(), Ok(&fresh));
+        assert_eq!(twin.open_statements(), 0);
+        assert_eq!(twin.execute_statement(id, &sequential), Err(DbError::StalePlan));
+        // Any change kills the statement and the plan, whatever it changed.
+        db.insert("t", vec![Value::Int(50), Value::Int(0)]).unwrap();
+        assert_eq!(db.execute_statement(id, &sequential), Err(DbError::StalePlan));
+        assert_eq!(db.run_prepared(&prepared, &sequential), Err(DbError::StalePlan));
+        assert_eq!(db.run_prepared(&prepared, &threads), Err(DbError::StalePlan));
+        assert!(matches!(db.explain_prepared(&prepared), Err(DbError::StalePlan)));
+        assert_eq!(twin.run_prepared(&prepared, &sequential).as_ref(), Ok(&fresh));
+        assert_eq!(db.open_statements(), 1);
+        db.close_statement(id);
+        db.close_statement(id);
+        assert_eq!(db.open_statements(), 0);
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub enum DbError {
     Unsupported(String),
     /// Execution exceeded the configured timeout.
     Timeout,
+    /// A prepared query or statement is not this database's to run: planned
+    /// on another state of the catalog or under other scan options, closed,
+    /// or never issued. Prepare again.
+    StalePlan,
 }
 
 impl fmt::Display for DbError {
@@ -47,6 +51,7 @@ impl fmt::Display for DbError {
             DbError::Parse(m) => write!(f, "parse error: {m}"),
             DbError::Unsupported(m) => write!(f, "unsupported: {m}"),
             DbError::Timeout => write!(f, "query timed out"),
+            DbError::StalePlan => write!(f, "prepared plan is stale or unknown: prepare again"),
         }
     }
 }

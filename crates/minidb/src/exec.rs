@@ -1,14 +1,18 @@
-//! Query execution: plan → run.
+//! Query execution: prepare → run.
 //!
-//! [`execute`] has [`crate::planner`] build the query's plan value, then
-//! runs it: WITH bodies first (into temp tables, as PostgreSQL materializes
-//! CTEs), then the body — the first input through its access plan,
-//! left-deep joins in FROM order (index nested-loop, hash or cross, as the
-//! plan says), the residual filter, GROUP BY/aggregates or projection, and
-//! LIMIT. The executor is a materializing interpreter of that value and
-//! decides nothing itself; a correlated subquery is planned and run per
-//! invocation. All data movement is charged to the database's
-//! [`StatsSink`].
+//! `prepare` ([`Database::prepare_query`]) has [`crate::planner`] build the
+//! query's plan value — the one place a top-level query is planned — and
+//! hands it out as a [`PreparedQuery`], charging no counter. `run`
+//! ([`Database::run_prepared`]) runs one, any number of times: WITH bodies
+//! first (into temp tables, as PostgreSQL materializes CTEs), then the
+//! body — the first input through its access plan, left-deep joins in FROM
+//! order (index nested-loop, hash or cross, as the plan says), the residual
+//! filter, GROUP BY/aggregates or projection, and LIMIT. [`execute`] is the
+//! two in a row, for a query run once. The executor is a materializing
+//! interpreter of the plan and decides nothing itself: a run plans nothing
+//! — a correlated subquery's body was planned with the predicate that
+//! holds it — and leaves nothing in the plan. All data movement is charged
+//! to the database's [`StatsSink`].
 
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
@@ -17,9 +21,8 @@ use crate::index::RowIdSet;
 use crate::plan::{AggFunc, SelectQuery};
 use crate::planner::{
     plan_query, AccessPlan, AggOut, IndexProbe, Input, Output, QueryPlan, Read, ScanOptions,
-    TempSource, MORSEL_ROWS,
+    Subplan, TempSource, MORSEL_ROWS,
 };
-use crate::schema::TableSchema;
 use crate::stats::StatsSink;
 use crate::table::{Row, RowId, ROWS_PER_PAGE};
 use crate::value::Value;
@@ -84,12 +87,8 @@ impl QueryResult {
     }
 }
 
-/// A materialized temporary relation (WITH result or derived table).
-#[derive(Debug)]
-struct TempTable {
-    schema: Arc<TableSchema>,
-    rows: Vec<Row>,
-}
+/// Materialized WITH results by name, shared by reference.
+type Temps = Arc<HashMap<String, Arc<Vec<Row>>>>;
 
 /// One parallel-filter worker's output: `(morsel index, surviving rows)`
 /// pairs in claim order, merged back by index for a deterministic result.
@@ -108,8 +107,42 @@ fn concat_rows(orow: &[Value], irow: &[Value]) -> Row {
     combined
 }
 
-/// Execute a query against a database: plan it, then run the plan.
-pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+/// A query planned for one state of one database: what
+/// [`Database::prepare_query`] hands out and [`Database::run_prepared`]
+/// executes. Cheap to clone — the plan is shared — and sound to keep:
+/// running it where it would not be the plan of a fresh prepare is refused
+/// with [`DbError::StalePlan`], never answered from the old plan.
+#[derive(Debug, Clone)]
+pub struct PreparedQuery {
+    pub(crate) plan: Arc<QueryPlan>,
+    /// The scan options the plan was chosen under.
+    scan: ScanOptions,
+    /// The [`Database::version`] the plan was chosen on.
+    version: u64,
+}
+
+impl PreparedQuery {
+    /// True iff `db` is in the state the plan was chosen on: catalog,
+    /// statistics, profile, weights and UDFs.
+    pub(crate) fn planned_on(&self, db: &Database) -> bool {
+        self.version == db.version()
+    }
+}
+
+/// Plan a query for repeated execution. Reads no row, charges no counter.
+pub(crate) fn prepare(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<PreparedQuery> {
+    let scan = ScanOptions { threads: opts.threads };
+    let plan = plan_query(db, query, "", scan, &mut Vec::new(), &HashSet::new())?;
+    Ok(PreparedQuery { plan: Arc::new(plan), scan, version: db.version() })
+}
+
+/// Run a prepared query on the database and under the options it was
+/// planned for.
+pub(crate) fn run(db: &Database, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+    // 0 and 1 both mean sequential.
+    if !prepared.planned_on(db) || prepared.scan.threads.max(1) != opts.threads.max(1) {
+        return Err(DbError::StalePlan);
+    }
     let exec = Exec {
         db,
         temps: Arc::new(HashMap::new()),
@@ -117,19 +150,22 @@ pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResu
         params: Arc::new(HashMap::new()),
         threads: opts.threads,
     };
-    let scan = ScanOptions { threads: opts.threads };
-    let plan = plan_query(db, query, "", scan, &mut Vec::new(), &HashSet::new())?;
     Ok(QueryResult {
-        rows: exec.run(&plan)?,
-        columns: plan.schema.columns.iter().map(|c| c.name.clone()).collect(),
+        rows: exec.run(&prepared.plan)?,
+        columns: prepared.plan.schema.columns.iter().map(|c| c.name.clone()).collect(),
     })
+}
+
+/// Execute a query once: prepare it, then run that.
+pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+    run(db, &prepare(db, query, opts)?, opts)
 }
 
 struct Exec<'a> {
     db: &'a Database,
     /// Materialized WITH results, shared by reference with every
     /// sub-executor (correlated subqueries spawn one per outer row).
-    temps: Arc<HashMap<String, Arc<TempTable>>>,
+    temps: Temps,
     deadline: Option<Instant>,
     /// Correlation parameters, shared the same way.
     params: Arc<HashMap<String, Value>>,
@@ -138,23 +174,14 @@ struct Exec<'a> {
 }
 
 impl QueryRunner for Exec<'_> {
-    fn run_subquery(
-        &self,
-        query: &SelectQuery,
-        params: HashMap<String, Value>,
-    ) -> DbResult<Vec<Row>> {
-        // Planned per invocation, against what this executor can see.
-        let mut ctes = self.temps.iter().map(|(n, t)| (n.clone(), t.schema.clone())).collect();
-        let names = params.keys().cloned().collect();
-        // Correlated subqueries run once per outer row; nesting scan
-        // workers inside them would oversubscribe the pool.
-        let plan = plan_query(self.db, query, "", ScanOptions::default(), &mut ctes, &names)?;
+    fn run_subquery(&self, plan: &Subplan, params: HashMap<String, Value>) -> DbResult<Vec<Row>> {
+        // Planned sequential: a correlated subquery runs once per outer row.
         let nested = Exec {
             params: Arc::new(params),
             threads: 0,
             ..self.with_temps(Arc::clone(&self.temps))
         };
-        nested.run(&plan)
+        nested.run(&plan.0)
     }
 }
 
@@ -182,7 +209,7 @@ impl<'a> Exec<'a> {
     }
 
     /// This executor, seeing `temps`.
-    fn with_temps(&self, temps: Arc<HashMap<String, Arc<TempTable>>>) -> Exec<'a> {
+    fn with_temps(&self, temps: Temps) -> Exec<'a> {
         Exec {
             db: self.db,
             temps,
@@ -203,8 +230,7 @@ impl<'a> Exec<'a> {
             let nested = self.with_temps(Arc::new(temps));
             let rows = nested.run(cte)?;
             temps = Arc::try_unwrap(nested.temps).unwrap_or_else(|a| (*a).clone());
-            let schema = cte.schema.clone();
-            temps.insert(name.clone(), Arc::new(TempTable { schema, rows }));
+            temps.insert(name.clone(), Arc::new(rows));
         }
         self.with_temps(Arc::new(temps)).run_body(plan)
     }
@@ -265,7 +291,7 @@ impl<'a> Exec<'a> {
                     TempSource::Cte(name) => {
                         let missing = || DbError::UnknownTable(name.clone());
                         cte = self.temps.get(name).ok_or_else(missing)?;
-                        &cte.rows
+                        cte
                     }
                     TempSource::Derived(plan) => {
                         derived = self.run(plan)?;
@@ -698,6 +724,7 @@ mod tests {
     use crate::expr::{ColumnRef, Expr};
     use crate::plan::{IndexHint, SelectItem, TableRef, TableSource};
     use crate::planner::DbProfile;
+    use crate::schema::TableSchema;
     use crate::value::DataType;
 
     fn sample_db(profile: DbProfile) -> Database {
@@ -910,6 +937,40 @@ mod tests {
         };
         let res = db.run_query(&q).unwrap();
         assert_eq!(res.len(), 50); // every member has wifi rows
+    }
+
+    /// A derived-value condition over 100 outer rows: its body is planned
+    /// once, with the predicate that holds it, and run once per row — the
+    /// rows and every counter are those of planning it per row.
+    #[test]
+    fn correlated_subquery_is_planned_once_per_outer_plan() {
+        let db = sample_db(DbProfile::MySqlLike);
+        let q = crate::sql::parse(
+            "SELECT * FROM wifi w WHERE w.wifi_ap = 1001 AND w.owner = \
+             (SELECT m.user_id FROM membership m WHERE m.user_id = w.owner LIMIT 1)",
+        )
+        .unwrap();
+        db.stats().reset();
+        crate::planner::PLANNED.with(|n| n.set(0));
+        let res = db.run_query(&q).unwrap();
+        assert_eq!(crate::planner::PLANNED.with(|n| n.get()), 2, "outer query + one subquery");
+        assert_eq!(res.len(), 100);
+        assert!(res.rows.iter().all(|r| r[2] == Value::Int(1001)));
+        // One probe of `wifi_ap` fetches the 100 outer rows; each scans
+        // the 50 memberships (a page) and outputs one.
+        assert_eq!(
+            db.stats().snapshot(),
+            crate::stats::Counters {
+                seq_pages_read: 100,
+                rand_pages_read: 4,
+                tuples_read: 5100,
+                predicate_evals: 5200,
+                policy_evals: 0,
+                udf_invocations: 0,
+                index_probes: 1,
+                tuples_output: 200,
+            }
+        );
     }
 
     #[test]

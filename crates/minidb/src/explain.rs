@@ -1,35 +1,21 @@
-//! EXPLAIN: plan → print.
+//! EXPLAIN: prepare → print.
 //!
 //! The paper's SIEVE "first runs the EXPLAIN of query Qi which returns a
 //! high-level view of the query plan including, for each relation, the
 //! particular access strategy (table scan or a specific index) the
 //! optimizer plans to use and the estimated selectivity of the predicate"
 //! (Section 5.5). That is the contract of [`ExplainOutput`], kept by
-//! construction: [`explain_query_opts`] builds the plan value `exec::execute`
-//! would run ([`crate::planner`]) and walks it — it decides nothing, reads
-//! no row and charges no counter.
+//! construction: `Database::explain_prepared` walks the plan value
+//! `exec::run` runs — it decides nothing, reads no row and charges no
+//! counter.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::exec::ExecOptions;
-use crate::plan::SelectQuery;
-use crate::planner::{plan_query, AccessPlan, IndexProbe, QueryPlan, Read, ScanOptions, TempSource};
+use crate::planner::{AccessPlan, IndexProbe, QueryPlan, Read, TempSource};
 pub use crate::planner::{ExplainOutput, RelationPlan};
 
-/// Produce the EXPLAIN of a query as it is planned under `opts`: the
-/// thread knob surfaces morsel-parallel scans and tightens the
-/// PostgreSQL-like bitmap gate, because it does so in the plan.
-pub fn explain_query_opts(
-    db: &Database,
-    query: &SelectQuery,
-    opts: &ExecOptions,
-) -> DbResult<ExplainOutput> {
-    let scan = ScanOptions { threads: opts.threads };
-    print(db, &plan_query(db, query, "", scan, &mut Vec::new(), &Default::default())?)
-}
-
 /// Fill the public EXPLAIN shape from a plan.
-fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> {
+pub(crate) fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> {
     let mut out = ExplainOutput::default();
     for (name, cte) in &plan.ctes {
         out.ctes.push((name.clone(), print(db, cte)?));
@@ -71,7 +57,7 @@ fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> {
 mod tests {
     use super::*;
     use crate::expr::{ColumnRef, Expr};
-    use crate::plan::{IndexHint, TableRef};
+    use crate::plan::{IndexHint, SelectQuery, TableRef};
     use crate::planner::DbProfile;
     use crate::schema::TableSchema;
     use crate::value::{DataType, Value};

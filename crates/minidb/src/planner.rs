@@ -6,10 +6,13 @@
 //! its bound local filter and how it is read (an [`AccessPlan`], an index
 //! lookup per outer row, or a temp scan), the equi-join key slots, the
 //! bound residual, the resolved projection or aggregate, and the limit —
-//! without executing anything. `exec::execute` runs that value and
-//! `explain::explain_query_opts` prints it; neither decides anything, so
-//! EXPLAIN cannot report a plan that does not run. Nothing pins a plan yet:
-//! one is built per execute, and per invocation of a correlated subquery.
+//! without executing anything. `exec::run` runs that value and
+//! `explain::explain_prepared` prints it; neither decides anything, so
+//! EXPLAIN cannot report a plan that does not run. A plan borrows nothing
+//! from the catalog, so `exec::prepare` — the one place a top-level query
+//! is planned — hands it out to be kept and run any number of times; the
+//! body of a correlated subquery is planned with the predicate that holds
+//! it, not per invocation.
 //!
 //! Per relation, two optimizer profiles reproduce the DBMS behaviours the
 //! paper's experiments depend on (Sections 5.3, 7):
@@ -909,6 +912,17 @@ pub(crate) enum AggOut {
     Agg(usize),
 }
 
+/// The planned body of a correlated scalar subquery, as the predicate that
+/// holds it carries it (`BoundExpr::ScalarSubquery`).
+#[derive(Debug, Clone)]
+pub struct Subplan(pub(crate) Arc<QueryPlan>);
+
+#[cfg(test)]
+thread_local! {
+    /// [`plan_query`] invocations on this thread.
+    pub(crate) static PLANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// What a query will do, decided once by [`plan_query`]: the executor runs
 /// it, EXPLAIN prints it.
 #[derive(Debug)]
@@ -944,6 +958,8 @@ pub(crate) fn plan_query(
     ctes: &mut Vec<(String, Arc<TableSchema>)>,
     params: &HashSet<String>,
 ) -> DbResult<QueryPlan> {
+    #[cfg(test)]
+    PLANNED.with(|n| n.set(n.get() + 1));
     // Each WITH clause sees the ones before it.
     let outer_scope = ctes.len();
     let mut cte_plans = Vec::with_capacity(query.with.len());
@@ -981,7 +997,6 @@ pub(crate) fn plan_query(
         layout.push(tref.alias.clone(), schema);
         rels.push(rel);
     }
-    ctes.truncate(outer_scope);
     let classified = match &query.predicate {
         Some(p) => classify_predicate(p, layout.entries()),
         None => ClassifiedPredicate::default(),
@@ -1025,19 +1040,33 @@ pub(crate) fn plan_query(
             },
         };
         let own_row = Layout::single(alias.clone(), schema.clone());
-        let local = program(local.as_ref(), &own_row, params)?;
+        let local = program(db, local.as_ref(), &own_row, ctes, params)?;
         inputs.push(Input { alias: alias.clone(), schema: schema.clone(), local, read, keys });
     }
 
     let residual = (!classified.residual.is_empty()).then(|| Expr::all(classified.residual));
     let (output, schema) = plan_output(query, &layout, name)?;
-    let residual = program(residual.as_ref(), &layout, params)?;
+    let residual = program(db, residual.as_ref(), &layout, ctes, params)?;
+    ctes.truncate(outer_scope);
     Ok(QueryPlan { ctes: cte_plans, inputs, residual, output, schema, limit: query.limit })
 }
 
-/// Bind an optional predicate against `layout` and compile it.
-fn program(pred: Option<&Expr>, layout: &Layout, params: &HashSet<String>) -> DbResult<FilterProgram> {
-    let bound = pred.map(|p| bind(p, layout, None, params)).transpose()?;
+/// Bind an optional predicate against `layout` and compile it. A scalar
+/// subquery in it is planned here, against the WITH results its query sees;
+/// it runs once per outer row, so nesting scan workers inside it would
+/// oversubscribe the pool.
+fn program(
+    db: &Database,
+    pred: Option<&Expr>,
+    layout: &Layout,
+    ctes: &mut Vec<(String, Arc<TableSchema>)>,
+    params: &HashSet<String>,
+) -> DbResult<FilterProgram> {
+    let mut subplan = |q: &SelectQuery, names: &HashSet<String>| {
+        let plan = plan_query(db, q, "", ScanOptions::default(), ctes, names)?;
+        Ok(Subplan(Arc::new(plan)))
+    };
+    let bound = pred.map(|p| bind(p, layout, params, &mut subplan)).transpose()?;
     Ok(FilterProgram::new(bound))
 }
 

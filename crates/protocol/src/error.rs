@@ -162,6 +162,10 @@ pub enum ErrorCode {
     /// (`SieveError::SoundnessRefuted`): the rewrite would leak a
     /// concrete row, so the server discarded it and failed closed.
     SoundnessRefuted = 16,
+    /// The connection already holds as many prepared statements as a
+    /// connection may; the `Prepare` was refused and nothing was pinned.
+    /// Close one and prepare again.
+    TooManyStatements = 17,
 }
 
 impl ErrorCode {
@@ -185,12 +189,13 @@ impl ErrorCode {
             14 => ErrorCode::UnknownStatementHandle,
             15 => ErrorCode::Protocol,
             16 => ErrorCode::SoundnessRefuted,
+            17 => ErrorCode::TooManyStatements,
             _ => return None,
         })
     }
 
     /// All codes, for exhaustive round-trip tests.
-    pub const ALL: [ErrorCode; 16] = [
+    pub const ALL: [ErrorCode; 17] = [
         ErrorCode::AuthFailed,
         ErrorCode::IdentityMismatch,
         ErrorCode::NotAuthenticated,
@@ -207,6 +212,7 @@ impl ErrorCode {
         ErrorCode::UnknownStatementHandle,
         ErrorCode::Protocol,
         ErrorCode::SoundnessRefuted,
+        ErrorCode::TooManyStatements,
     ];
 }
 

@@ -25,5 +25,5 @@ pub mod server;
 pub mod transport;
 
 pub use auth::{Authenticator, TokenAuthenticator};
-pub use server::{ServerHandle, ServerStats, SieveServer};
+pub use server::{ServerHandle, ServerStats, SieveServer, MAX_STATEMENTS_PER_CONNECTION};
 pub use transport::{loopback, loopback_pair, Listener, LoopbackConn, LoopbackConnector, LoopbackListener};

@@ -13,7 +13,9 @@
 //!    the connection stays up, the request never reaches the service).
 //!    Matching requests map onto [`Session`]/[`Prepared`] handles: one
 //!    session per distinct metadata (keyed by encoded bytes), prepared
-//!    statements by server-issued handle.
+//!    statements by server-issued handle — at most
+//!    [`MAX_STATEMENTS_PER_CONNECTION`] of them at a time, each pinning a
+//!    physical plan in the engine.
 //! 4. **Errors** — service failures map onto the wire taxonomy via
 //!    [`WireError::from_sieve`]; protocol violations (bad frame, bad
 //!    state) send [`ErrorCode::Protocol`] best-effort and close.
@@ -41,6 +43,13 @@ use sieve_protocol::ProtocolError;
 
 use crate::auth::Authenticator;
 use crate::transport::Listener;
+
+/// Prepared statements one connection may hold open. Each pins a rewritten
+/// query's physical plan in the engine (≈ 100 kB for a 100-guard querier),
+/// so what a client can make the server keep is bounded per connection; a
+/// `Prepare` beyond the bound is refused with
+/// [`ErrorCode::TooManyStatements`] until the client closes one.
+pub const MAX_STATEMENTS_PER_CONNECTION: usize = 256;
 
 /// Monotonic counters the server exposes for tests and benches.
 #[derive(Default)]
@@ -289,6 +298,16 @@ impl<B: SqlBackend> Connection<B> {
                 ServerStats::bump(&self.stats.requests);
                 if self.querier.is_none() {
                     return self.not_authenticated(conn);
+                }
+                if self.prepared.len() >= MAX_STATEMENTS_PER_CONNECTION {
+                    let full = format!(
+                        "{MAX_STATEMENTS_PER_CONNECTION} statements open on this connection"
+                    );
+                    send(
+                        conn,
+                        &ServerMessage::Error(WireError::new(ErrorCode::TooManyStatements, full)),
+                    )?;
+                    return Ok(Flow::Continue);
                 }
                 let session = match self.session_for(conn, &metadata)? {
                     Some(s) => s,

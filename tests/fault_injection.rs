@@ -208,8 +208,37 @@ fn prepare_batch_fails_closed_mid_batch() {
 }
 
 // ---------------------------------------------------------------------
-// Statement-loss recovery (wire backend)
+// Statement-loss recovery
 // ---------------------------------------------------------------------
+
+/// The in-process engine pins plans under statement ids of its own, so an
+/// injected eviction has a statement to evict there too: the execute in
+/// flight sees `UnknownStatement`, the handle re-prepares exactly once and
+/// returns the oracle's rows, and the engine holds one statement again.
+#[test]
+fn evicted_in_process_statement_reprepares_exactly_once() {
+    let service = faulty_service(loaded_db(), FaultConfig::default());
+    let session = service.session(QueryMetadata::new(500, "Analytics"));
+    let expect = oracle_for(&service, session.metadata());
+    let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
+    let id0 = prepared.statement_id().expect("the engine prepares a statement");
+    assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
+
+    service.backend().script([Fault::EvictStatement]);
+    assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
+    let counts = service.backend().fault_counts();
+    assert_eq!((counts.evictions, counts.transients), (1, 0), "the eviction found its statement");
+    assert_eq!(prepared.reprepares(), 1);
+    assert_eq!(service.recovery_stats().reprepares, 1);
+    assert_ne!(prepared.statement_id().unwrap(), id0);
+    assert_eq!(service.backend().inner().open_statements(), 1);
+    for _ in 0..3 {
+        assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
+    }
+    assert_eq!(prepared.reprepares(), 1);
+    drop(prepared);
+    assert_eq!(service.backend().inner().open_statements(), 0);
+}
 
 /// Server-side statement eviction surfaces as `UnknownStatement` and the
 /// `Prepared` handle re-prepares exactly once — also under a thread

@@ -1,7 +1,10 @@
 //! End-to-end property test: on a random database and random policy
 //! corpus, **every** enforcement mechanism returns exactly the oracle's
 //! row set (sound and secure, Section 3.1), for random queriers and
-//! purposes — including queriers with zero policies (default deny).
+//! purposes — including queriers with zero policies (default deny). And a
+//! prepared statement held across any run of data, index, statistics,
+//! policy, group and option changes keeps returning it, from a plan that
+//! is pinned again at most once per change.
 
 mod support;
 
@@ -9,9 +12,12 @@ use proptest::prelude::*;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::{SieveOptions, SieveService};
+use sieve::core::backend::WireSqlBackend;
+use sieve::core::cost::AccessStrategy;
+use sieve::core::{SieveOptions, SieveService, SqlBackend};
 use sieve::minidb::value::{DataType, Value};
-use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
+use sieve::minidb::{CmpOp, ColumnRef, Database, DbProfile, Expr, SelectQuery, TableSchema};
+use support::{oracle_rows, policy, sorted_rows, REL};
 
 #[derive(Debug, Clone)]
 struct Corpus {
@@ -121,5 +127,97 @@ proptest! {
         let qm = QueryMetadata::new(querier, purpose);
         let q = SelectQuery::star_from("t");
         support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("on {profile:?}"));
+    }
+}
+
+/// One change to the world a held statement runs in.
+#[derive(Debug, Clone)]
+enum Change {
+    Insert(i64, i64),
+    CreateIndex,
+    Analyze,
+    AddPolicy(i64, i64),
+    JoinGroup(i64),
+    ExecThreads(usize),
+    ForceStrategy(Option<AccessStrategy>),
+}
+
+fn arb_change() -> impl Strategy<Value = Change> {
+    let strategy = prop_oneof![
+        Just(None),
+        Just(Some(AccessStrategy::LinearScan)),
+        Just(Some(AccessStrategy::IndexQuery)),
+        Just(Some(AccessStrategy::IndexGuards)),
+    ];
+    prop_oneof![
+        (0i64..30, 1000i64..1010).prop_map(|(owner, ap)| Change::Insert(owner, ap)),
+        Just(Change::CreateIndex),
+        Just(Change::Analyze),
+        (20i64..40, 1000i64..1010).prop_map(|(owner, ap)| Change::AddPolicy(owner, ap)),
+        (0i64..3).prop_map(Change::JoinGroup),
+        prop_oneof![Just(0usize), Just(2), Just(4)].prop_map(Change::ExecThreads),
+        strategy.prop_map(Change::ForceStrategy),
+    ]
+}
+
+/// Apply `changes` one by one to a service over `backend`; after each, the
+/// statement prepared before any of them returns what the oracle and a
+/// fresh one-shot execute return on the world as it now is.
+fn held_statement_tracks<B: SqlBackend>(
+    backend: B,
+    db_mut: fn(&mut B) -> &mut Database,
+    changes: &[Change],
+    narrow: bool,
+) {
+    let name = backend.name();
+    let service = SieveService::with_backend(backend, SieveOptions::default()).unwrap();
+    support::register_corpus(&service);
+    // Groups 0..3 each grant an access point the corpus does not.
+    for group in 0..3i64 {
+        let mut granted = policy(group, 0, "Analytics", 1005 + group);
+        granted.querier = QuerierSpec::Group(group);
+        service.add_policy(granted).unwrap();
+    }
+    let session = service.session(QueryMetadata::new(500, "Analytics"));
+    let mut query = SelectQuery::star_from(REL);
+    if narrow {
+        query = query.filter(Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Lt, Value::Int(25)));
+    }
+    let held = session.prepare(query.clone()).unwrap();
+    for (done, change) in changes.iter().enumerate() {
+        match change.clone() {
+            Change::Insert(owner, ap) => service.with_backend_mut(|b| {
+                let row = vec![Value::Int(1_000_000 + done as i64), Value::Int(owner), Value::Int(ap), Value::Time(0)];
+                b.insert_row(REL, row).map(|_| ()).unwrap()
+            }),
+            Change::CreateIndex => service.with_backend_mut(|b| b.create_relation_index(REL, "id").unwrap()),
+            Change::Analyze => service.with_backend_mut(|b| db_mut(b).analyze(REL).unwrap()),
+            Change::AddPolicy(owner, ap) => service.add_policy(policy(owner, 500, "Analytics", ap)).map(|_| ()).unwrap(),
+            Change::JoinGroup(group) => service.with_groups_mut(|g| g.add_member(group, 500)),
+            Change::ExecThreads(n) => service.with_options_mut(|o| o.exec_threads = n),
+            Change::ForceStrategy(forced) => service.with_options_mut(|o| o.rewrite.forced_strategy = forced),
+        }
+        let mut expect = oracle_rows(&service, REL, session.metadata());
+        expect.retain(|row| !narrow || row[1] < Value::Int(25));
+        let context = format!("{name}, after {:?}", &changes[..=done]);
+        prop_assert_eq!(&sorted_rows(held.execute().unwrap()), &expect, "held statement, {}", context);
+        prop_assert_eq!(&sorted_rows(session.execute(&query).unwrap()), &expect, "fresh execute, {}", context);
+        prop_assert!(held.reprepares() <= done as u64 + 1, "{} re-prepares, {}", held.reprepares(), context);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn held_prepared_statement_equals_oracle_after_any_changes(
+        changes in proptest::collection::vec(arb_change(), 1..10),
+        narrow in any::<bool>(),
+    ) {
+        // Big enough that `exec_threads` turns a one-shot scan parallel
+        // (the held statement's plan stays the sequential one it was).
+        let db = support::wifi_db(4500, 40, true);
+        held_statement_tracks(db.clone(), |db| db, &changes, narrow);
+        held_statement_tracks(WireSqlBackend::new(db), WireSqlBackend::db_mut, &changes, narrow);
     }
 }

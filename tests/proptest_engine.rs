@@ -2,19 +2,21 @@
 //! planner picks (forced unions, bitmap ORs, sequential scans), the rows
 //! that come back are identical; a filter program that dispatches a wide
 //! disjunction by key selects what the plain disjunction selects; what
-//! EXPLAIN reports is what the counters of a run show — and histogram
-//! estimates stay sane.
+//! EXPLAIN reports is what the counters of a run show, whether the plan is
+//! run once or kept; a kept plan never answers for a database that has
+//! changed under it — and histogram estimates stay sane.
 
 use proptest::prelude::*;
 use sieve::minidb::expr::{
-    bind, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
+    bind, no_subqueries, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
 };
 use sieve::minidb::plan::{IndexHint, TableRef};
 use sieve::minidb::table::ROWS_PER_PAGE;
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{
-    AccessPlan, Database, DbProfile, ExecOptions, ExplainOutput, RangeBound, RelationPlan, Row,
-    SelectQuery, StatsSink, TableSchema, UdfRegistry, PARALLEL_MIN_ROWS,
+    AccessPlan, Counters, Database, DbError, DbProfile, ExecOptions, ExplainOutput, RangeBound,
+    RelationPlan, Row, SelectQuery, StatsSink, TableSchema, UdfContext, UdfRegistry,
+    PARALLEL_MIN_ROWS,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -189,7 +191,7 @@ fn program_vs_linear(pred: &Expr, rows: &[Row]) -> (FilterProgram, Vec<(bool, u6
             &[("k", DataType::Int), ("x", DataType::Int), ("y", DataType::Int)],
         )),
     );
-    let linear: BoundExpr = bind(pred, &layout, None, &Default::default()).unwrap();
+    let linear: BoundExpr = bind(pred, &layout, &Default::default(), &mut no_subqueries).unwrap();
     let program = FilterProgram::new(Some(linear.clone()));
     let (udfs, params) = (UdfRegistry::new(), HashMap::new());
     let (program_stats, linear_stats) = (StatsSink::new(), StatsSink::new());
@@ -241,6 +243,41 @@ proptest! {
         };
         for (i, (got, _, want, _)) in program_vs_linear(&pred, &rows).1.into_iter().enumerate() {
             prop_assert_eq!(got, want, "row {:?} under {:?}", &rows[i], &pred);
+        }
+    }
+
+    /// An IN-list of literals compiled to a key table selects the rows of
+    /// the list as written and charges what it charged — whatever the
+    /// order of the list, with duplicate, NULL and `Int`/`Double`-equal
+    /// literals, negated or not, on NULL row values; a list holding
+    /// anything but literals is left as it was.
+    #[test]
+    fn in_list_key_table_selects_what_the_written_list_selects(
+        keys in proptest::collection::vec(prop_oneof![Just(Value::Null), arb_key(), arb_key(), arb_key()], 1..12),
+        negated in any::<bool>(),
+        with_column in any::<bool>(),
+        wrap in 0usize..3,
+        cond in arb_rest(),
+        rows in arb_rows(),
+    ) {
+        let mut list: Vec<Expr> = keys.into_iter().map(Expr::Literal).collect();
+        if with_column {
+            list.push(Expr::Column(ColumnRef::bare("x")));
+        }
+        let in_list = Expr::InList { expr: Box::new(Expr::Column(ColumnRef::bare("k"))), list, negated };
+        let pred = match wrap {
+            0 => in_list,
+            1 => Expr::Not(Box::new(in_list)),
+            _ => Expr::Or(vec![cond, in_list]),
+        };
+        let (program, verdicts) = program_vs_linear(&pred, &rows);
+        if wrap == 0 {
+            let FilterProgram::Eval(compiled) = &program else { panic!("{program:?}") };
+            prop_assert_eq!(matches!(compiled, BoundExpr::InSet { .. }), !with_column, "{:?}", compiled);
+        }
+        for (i, (got, evals, want, linear_evals)) in verdicts.into_iter().enumerate() {
+            prop_assert_eq!(got, want, "row {:?} under {:?}", &rows[i], &pred);
+            prop_assert_eq!(evals, linear_evals, "row {:?} under {:?}", &rows[i], &pred);
         }
     }
 
@@ -379,7 +416,11 @@ proptest! {
     /// index probes only where an index path or an index join is reported,
     /// sequential pages exactly those of the base relations reported as
     /// scanned plus the temps', and a temp reported parallel exactly when
-    /// it has the rows for it and there are threads to use.
+    /// it has the rows for it and there are threads to use. And the plan
+    /// kept is the plan run once: preparing and explaining charge nothing,
+    /// a run of the prepared query charges what `run_query` does, and a
+    /// second run of it the same again — no hidden re-plan, nothing left in
+    /// the plan by a run.
     #[test]
     fn explain_agrees_with_the_counters_of_a_run(
         pred in arb_pred(),
@@ -417,10 +458,19 @@ proptest! {
         for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
             let db = build_pair(rows, profile);
             let temp_rows = db.run_query(&cte).unwrap().len();
-            let explain = db.explain_opts(&q, &opts).unwrap();
             db.stats().reset();
-            db.run_query_opts(&q, &opts).unwrap();
+            let prepared = db.prepare_query(&q, &opts).unwrap();
+            let explain = db.explain_prepared(&prepared).unwrap();
+            prop_assert_eq!(db.stats().snapshot(), Counters::default(), "{:?}: preparing ran something", profile);
+            let once = db.run_prepared(&prepared, &opts).unwrap();
             let ran = db.stats().snapshot();
+            prop_assert_eq!(&db.run_prepared(&prepared, &opts).unwrap(), &once);
+            let mut twice = ran;
+            twice.merge(&ran);
+            prop_assert_eq!(db.stats().snapshot(), twice, "{:?}: second run of one plan", profile);
+            db.stats().reset();
+            prop_assert_eq!(&db.run_query_opts(&q, &opts).unwrap(), &once);
+            prop_assert_eq!(db.stats().snapshot(), ran, "{:?}: one-shot run", profile);
 
             let mut index_reported = false;
             let mut scan_pages = 0;
@@ -456,3 +506,90 @@ proptest! {
     }
 }
 
+
+/// What can happen to a database between two runs of a prepared query.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(i64),
+    CreateIndex(&'static str, &'static str),
+    Analyze(&'static str),
+    SetProfile(DbProfile),
+    RegisterUdf,
+    Run,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0i64..10_000).prop_map(Step::Insert),
+        prop_oneof![Just(("t", "id")), Just(("u", "k")), Just(("t", "a"))]
+            .prop_map(|(t, c)| Step::CreateIndex(t, c)),
+        prop_oneof![Just("t"), Just("u")].prop_map(Step::Analyze),
+        prop_oneof![Just(DbProfile::MySqlLike), Just(DbProfile::PostgresLike)].prop_map(Step::SetProfile),
+        Just(Step::RegisterUdf),
+        Just(Step::Run),
+        Just(Step::Run),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A prepared query kept across any interleaving of inserts, index
+    /// builds, ANALYZE, profile switches and UDF registrations either runs
+    /// — on the state it was planned on, returning `run_query`'s rows, row
+    /// for row — or is refused as stale, and prepared again returns them:
+    /// never the answer of an older state, never a panic on a catalog that
+    /// moved under the plan.
+    #[test]
+    fn pinned_plan_equals_fresh_plan(
+        pred in arb_pred(),
+        joined in any::<bool>(),
+        steps in proptest::collection::vec(arb_step(), 1..14),
+    ) {
+        let q = if joined {
+            // Turns into an index nested loop once `t.id` is indexed.
+            SelectQuery::star_from("u")
+                .from_tables(vec![TableRef::named("u"), TableRef::named("t")])
+                .filter(Expr::and(cols_eq(("t", "id"), ("u", "ua")), pred))
+        } else {
+            SelectQuery::star_from("t").filter(pred)
+        };
+        let opts = ExecOptions::default();
+        let mut db = build_pair(600, DbProfile::MySqlLike);
+        let mut prepared = db.prepare_query(&q, &opts).unwrap();
+        let mut changed = false;
+        for step in steps {
+            match step {
+                Step::Insert(i) => {
+                    let row = vec![Value::Int(i), Value::Int(i % 23), Value::Int(i % 7), Value::Time(0)];
+                    db.insert("t", row).unwrap();
+                }
+                Step::CreateIndex(table, column) => db.create_index(table, column).unwrap(),
+                Step::Analyze(table) => db.analyze(table).unwrap(),
+                Step::SetProfile(profile) => db.set_profile(profile),
+                Step::RegisterUdf => db.register_udf(
+                    "one",
+                    Arc::new(|_: &[Value], _: &UdfContext<'_>| Ok(Value::Int(1))),
+                ),
+                Step::Run => {
+                    let fresh = db.run_query_opts(&q, &opts).unwrap();
+                    match db.run_prepared(&prepared, &opts) {
+                        Ok(rows) => {
+                            prop_assert!(!changed, "ran a plan of an older state");
+                            prop_assert_eq!(&rows, &fresh);
+                        }
+                        Err(DbError::StalePlan) => {
+                            prop_assert!(changed, "refused a plan of this very state");
+                            prepared = db.prepare_query(&q, &opts).unwrap();
+                        }
+                        Err(e) => prop_assert!(false, "{e}"),
+                    }
+                    prop_assert_eq!(db.run_prepared(&prepared, &opts).unwrap(), fresh);
+                    changed = false;
+                    continue;
+                }
+            }
+            changed = true;
+        }
+    }
+}

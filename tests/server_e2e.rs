@@ -397,3 +397,60 @@ fn unknown_statement_handle_rejected() {
     drop(connector);
     handle.join();
 }
+
+/// A connection can pin only so many plans: the `Prepare` past the cap is
+/// a typed refusal that pins nothing and leaves the connection usable,
+/// closing a statement frees its slot, and a connection that just drops
+/// leaves nothing behind in the engine's statement table.
+#[test]
+fn statements_per_connection_are_bounded_and_released() {
+    use sieve::server::MAX_STATEMENTS_PER_CONNECTION as CAP;
+    let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
+    register_corpus(&service);
+    let server = SieveServer::new(service, authenticator());
+    let (listener, connector) = loopback();
+    let handle = server.serve(listener);
+    let open = || server.service().backend().open_statements();
+
+    let mut conn = connector.connect().unwrap();
+    let mut request = |msg: ClientMessage| {
+        write_frame(&mut conn, &msg.encode()).unwrap();
+        ServerMessage::decode(&read_frame(&mut conn).unwrap()).unwrap()
+    };
+    request(ClientMessage::Hello { version: PROTOCOL_VERSION });
+    request(ClientMessage::Auth { token: "token-500".into() });
+    let prepare = || ClientMessage::Prepare { metadata: qm(500), sql: QUERY.into() };
+    let mut statements = Vec::new();
+    for _ in 0..CAP {
+        match request(prepare()) {
+            ServerMessage::Prepared { statement } => statements.push(statement),
+            other => panic!("expected Prepared, got {other:?}"),
+        }
+    }
+    assert_eq!(open(), CAP);
+    match request(prepare()) {
+        ServerMessage::Error(e) => assert_eq!(e.code, ErrorCode::TooManyStatements),
+        other => panic!("expected TooManyStatements, got {other:?}"),
+    }
+    assert_eq!(open(), CAP, "a refused Prepare pins nothing");
+    // Still usable: a held statement runs, a closed one frees its slot.
+    let expect = server.service().session(qm(500)).execute_sql(QUERY).unwrap();
+    match request(ClientMessage::ExecutePrepared { statement: statements[0] }) {
+        ServerMessage::Rows(rows) => assert_eq!(rows, expect),
+        other => panic!("expected Rows, got {other:?}"),
+    }
+    let closed = statements[1];
+    assert!(matches!(
+        request(ClientMessage::ClosePrepared { statement: closed }),
+        ServerMessage::Closed { statement } if statement == closed
+    ));
+    assert_eq!(open(), CAP - 1);
+    assert!(matches!(request(prepare()), ServerMessage::Prepared { .. }));
+    assert_eq!(open(), CAP);
+
+    // No Goodbye, no ClosePrepared: the connection just goes away.
+    drop(conn);
+    drop(connector);
+    handle.join();
+    assert_eq!(open(), 0, "a dropped connection released every pinned plan");
+}
