@@ -9,9 +9,10 @@
 //! over [`sieve_bench::harness`]:
 //!
 //! * `hotpath` — the engine alone: filter-loop throughput, morsel-scan
-//!   scaling, index union against the scan it replaces, and what pinning
-//!   a plan saves an execute (`engine.plan_us` / `run_pinned_us` /
-//!   `execute_us`);
+//!   scaling, index union against the scan it replaces, what pinning a
+//!   plan saves an execute (`engine.plan_us` / `run_pinned_us` /
+//!   `execute_us`) and what a statement pays for a guard bound once
+//!   (`engine.rewrite_us` / `bind_fragment_us`);
 //! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one
 //!   against batched;
 //! * `concurrent` — one shared service under 1/2/4/8 threads, and readers
@@ -31,7 +32,7 @@
 //! otherwise.
 
 use minidb::exec::ExecOptions;
-use minidb::expr::{ColumnRef, Expr};
+use minidb::expr::{bind, no_subqueries, ColumnRef, Expr, FilterProgram, Layout};
 use minidb::plan::{IndexHint, TableRef};
 use minidb::{DbProfile, Row, SelectQuery, Value};
 use sieve_bench::harness::{
@@ -108,22 +109,26 @@ fn execute_all<B: SqlBackend>(
 /// (3) the same predicate through per-disjunct index probes against that
 /// scan. Every pass is one `backend.exec_us` sample. (4) The pinned plan,
 /// on the statement the gated benchmark's `point_warm` replays — the
-/// heaviest querier's Q2-low rewrite: planning it (`engine.plan_us`),
-/// running the plan kept (`engine.run_pinned_us` — a `Prepared`'s warm
-/// execute) and executing it one-shot, plan and run (`engine.execute_us` —
-/// the text path), and what a kept plan holds resident.
+/// heaviest querier's Q2-low rewrite: rewriting it warm
+/// (`engine.rewrite_us`), planning it over the fragment's bound guard
+/// (`engine.plan_us`) against binding that guard in the first place
+/// (`engine.bind_fragment_us` — what the first plan of a fragment pays,
+/// and every plan paid before the guard was a shared node), running the
+/// plan kept (`engine.run_pinned_us` — a `Prepared`'s warm execute) and
+/// executing it one-shot, plan and run (`engine.execute_us` — the text
+/// path), and what one more kept plan of the querier holds resident.
 fn hotpath(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("hotpath", env);
     // The first Q2-low statement the querier sees rows of, as the
     // benchmark's do. Held to the end: the rewrite pins the ∆ partitions
     // its query calls.
-    let (policies, guarded) = (7..64)
+    let (qm, policies, point, guarded) = (7..64)
         .find_map(|seed| {
             let (qm, policies, point) = heavy_probe(&campus, QueryClass::Q2, seed);
             let guarded = campus.sieve.rewrite(&point, &qm).expect("rewrite");
             let visible = campus.sieve.db().run_query(&guarded.query).expect("point query");
-            (!visible.is_empty()).then_some((policies, guarded))
+            (!visible.is_empty()).then_some((qm, policies, point, guarded))
         })
         .expect("a Q2-low statement with visible rows");
     let db = campus.sieve.db();
@@ -195,7 +200,31 @@ fn hotpath(env: &EnvConfig) -> Record {
     let pinned = plan();
     let pinned_rows = db.run_prepared(&pinned, &sequential).expect("pinned run");
     let oneshot_rows = db.run_query_opts(&guarded.query, &sequential).expect("one-shot run");
+    // The statement as its text says it, nothing shared: what crosses the
+    // wire, and what every plan bound before the guard was a node.
+    let rendered = minidb::sql::render_query(&guarded.query);
+    let bare = minidb::sql::parse(&rendered).expect("rendered rewrite parses");
+    let bare_rows = db.run_query_opts(&bare, &sequential).expect("bare run");
+    let guard = guarded.fragments[0].disjunction.map(&mut |_| None);
+    let row = Layout::single(WIFI_TABLE, db.table(WIFI_TABLE).expect("wifi table").schema().clone());
+    let bind_fragment_us = measure(blocks, reps, || {
+        let bound = bind(&guard, &row, &Default::default(), &mut no_subqueries).expect("bind");
+        drop(black_box(FilterProgram::new(Some(bound))));
+    });
+    // The floor: the statement with the guard taken out of the WITH body.
+    let mut unguarded = bare.clone();
+    let body = &mut unguarded.with[0].query.predicate;
+    let own = body.iter().flat_map(|p| p.conjuncts()).filter(|c| **c != guard).cloned().collect();
+    *body = Some(Expr::all(own));
+    let plan_query_us = measure(blocks, reps, || {
+        drop(black_box(db.prepare_query(&unguarded, &sequential).expect("plan")));
+    });
+    let shared_guard = guarded.fragments[0].disjunction.as_shared();
+    let binds_before = shared_guard.map(|node| node.binds());
+    let rewrite_us =
+        measure(blocks, reps, || drop(black_box(campus.sieve.rewrite(&point, &qm).expect("rewrite"))));
     let plan_us = measure(blocks, reps, || drop(black_box(plan())));
+    let bound_nothing = shared_guard.map(|node| node.binds()) == binds_before;
     let run_pinned_us = measure(blocks, reps, || {
         black_box(db.run_prepared(&pinned, &sequential).expect("pinned run").len());
     });
@@ -203,14 +232,18 @@ fn hotpath(env: &EnvConfig) -> Record {
         black_box(db.run_query_opts(&guarded.query, &sequential).expect("one-shot run").len());
     });
     rec.put("engine.querier_policies", policies);
-    rec.put("engine.rewrite.sql_bytes", minidb::sql::render_query(&guarded.query).len());
+    rec.put("engine.rewrite.sql_bytes", rendered.len());
     rec.put("engine.output_rows", pinned_rows.len());
+    rec.put("engine.rewrite_us", rewrite_us);
+    rec.put("engine.bind_fragment_us", bind_fragment_us);
+    rec.put("engine.plan_query_us", plan_query_us);
     rec.put("engine.plan_us", plan_us);
     rec.put("engine.run_pinned_us", run_pinned_us);
     rec.put("engine.execute_us", execute_us);
     rec.put("engine.plan_share", plan_us.median / execute_us.median);
-    // No allocator hook without a new dependency: what 256 kept plans add
-    // to the resident set, per plan.
+    // No allocator hook without a new dependency: what 256 more kept plans
+    // over the fragment `pinned` has bound add to the resident set, per
+    // plan.
     if let Some(before) = rss_kib() {
         let kept: Vec<_> = (0..256).map(|_| plan()).collect();
         let grown = rss_kib().map_or(0, |after| after.saturating_sub(before));
@@ -221,6 +254,23 @@ fn hotpath(env: &EnvConfig) -> Record {
         "pinned_rows",
         pinned_rows == oneshot_rows,
         "a pinned plan must return the one-shot execute's rows".into(),
+    );
+    rec.gate(
+        "shared_plan_rows",
+        pinned_rows == bare_rows,
+        "a plan over the fragment's shared guard must return the rows of the statement's text".into(),
+    );
+    // The count holds at any scale. The ratio needs a guard that dwarfs the
+    // query's own planning: the `--quick` campus's heaviest querier has 16
+    // policies, whose guard binds in what the query's conjuncts plan in.
+    rec.gate(
+        "plan_is_query_sized",
+        bound_nothing && env.pick(true, plan_us.median < 0.25 * bind_fragment_us.median),
+        format!(
+            "planning over a bound guard ({:.1} us; unguarded {:.1} us) must bind nothing of it \
+             and, at full scale, cost under a quarter of binding it ({:.1} us)",
+            plan_us.median, plan_query_us.median, bind_fragment_us.median
+        ),
     );
     rec.gate(
         "pinned_beats_oneshot",

@@ -80,14 +80,14 @@ pub struct Lit {
 pub type Cube = Vec<Lit>;
 
 fn bare_col(e: &Expr) -> Option<&str> {
-    match e {
+    match e.unshared() {
         Expr::Column(c) if c.table.is_none() => Some(&c.column),
         _ => None,
     }
 }
 
 fn literal(e: &Expr) -> Option<&Value> {
-    match e {
+    match e.unshared() {
         Expr::Literal(v) => Some(v),
         _ => None,
     }
@@ -97,7 +97,7 @@ fn literal(e: &Expr) -> Option<&Value> {
 /// (`AND`/`OR`/`NOT`) are handled by [`to_cubes`]; feeding one here
 /// yields `Opaque` (sound, just imprecise).
 pub fn atom_of(e: &Expr) -> Atom {
-    match e {
+    match e.unshared() {
         Expr::Literal(Value::Bool(true)) => Atom::True,
         Expr::Literal(Value::Bool(false)) | Expr::Literal(Value::Null) => Atom::False,
         Expr::Cmp { op, lhs, rhs } => match (bare_col(lhs), literal(rhs), literal(lhs), bare_col(rhs)) {
@@ -174,7 +174,7 @@ pub fn to_cubes(e: &Expr, positive: bool, max: usize) -> Option<Vec<Cube>> {
         }
         Some(acc)
     }
-    match e {
+    match e.unshared() {
         Expr::And(parts) => {
             let children: Option<Vec<_>> =
                 parts.iter().map(|p| to_cubes(p, positive, max)).collect();
@@ -445,7 +445,7 @@ pub fn atom_status(state: &AbstractState, atom: &Atom) -> AtomStatus {
 /// already forced by an evaluable sibling.
 pub fn eval_concrete(e: &Expr, row: &BTreeMap<String, Value>) -> Option<bool> {
     fn value_of(e: &Expr, row: &BTreeMap<String, Value>) -> Option<Value> {
-        match e {
+        match e.unshared() {
             Expr::Literal(v) => Some(v.clone()),
             Expr::Column(c) if c.table.is_none() => {
                 Some(row.get(&c.column).cloned().unwrap_or(Value::Null))
@@ -453,7 +453,7 @@ pub fn eval_concrete(e: &Expr, row: &BTreeMap<String, Value>) -> Option<bool> {
             _ => None,
         }
     }
-    match e {
+    match e.unshared() {
         Expr::Literal(Value::Bool(b)) => Some(*b),
         Expr::Literal(Value::Null) => Some(false),
         Expr::Cmp { op, lhs, rhs } => {

@@ -89,7 +89,7 @@ pub fn verify_fragment(
     }
     let mut branches = Vec::with_capacity(fragment.branches.len());
     for (branch, guard) in fragment.branches.iter().zip(&ge.guards) {
-        let partition = match &branch.partition {
+        let partition = match branch.partition.unshared() {
             Expr::Udf { name, .. } if name == DELTA_UDF => {
                 if guard.policies.iter().any(|id| !by_id.contains_key(id)) {
                     return Verdict::Unknown {

@@ -39,7 +39,11 @@
 //! expression into engine expressions once (policy DNF construction and ∆
 //! partition registration happen here), and [`rewrite_query`] assembles a
 //! concrete query from cached fragments — per-query work is only the
-//! strategy choice and predicate pushdown.
+//! strategy choice and predicate pushdown. The fragment holds its guard
+//! disjunction, and each partition, as one shared node
+//! ([`minidb::expr::Expr::Shared`]): a rewrite splices it by refcount and
+//! the engine binds it once, so neither the rewrite nor the plan of a
+//! request is sized by the querier's policies.
 //!
 //! Mediation is **complete over the query tree**: protected relations are
 //! guarded wherever they are read — the top-level `FROM`, derived tables,
@@ -128,17 +132,35 @@ pub struct RewriteOutput {
 pub struct CompiledBranch {
     /// The guard predicate `oc_g`.
     pub condition: Expr,
-    /// The partition filter `P_Gi` (policy DNF or `delta(key, …)` call).
+    /// The partition filter `P_Gi` (policy DNF or `delta(key, …)` call),
+    /// held once ([`Expr::shared`]) for every query and querier it is
+    /// spliced into.
     pub partition: Expr,
+}
+
+/// Hold a compiled expression once ([`Expr::shared`]): splicing it into a
+/// query is a refcount and the engine binds it once. A conjunction stays as
+/// it is — the `AND` it is spliced into flattens it into itself, which is
+/// the shape the SQL parser reads back.
+fn share(e: Expr) -> Expr {
+    match e {
+        Expr::And(_) => e,
+        other => Expr::shared(other),
+    }
 }
 
 /// The cacheable rewrite fragment of one guarded expression: every guard
 /// branch rendered to bound-ready expressions, with its ∆ registrations.
 /// Building this is the per-query cost the guard cache eliminates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GuardFragment {
     /// Compiled branches, in guard order.
     pub branches: Vec<CompiledBranch>,
+    /// The whole guard disjunction `OR_i (cond_i AND partition_i)` over
+    /// `branches`, held once ([`Expr::shared`]): the WITH body of every rewrite
+    /// that pushes no query predicate into the branches splices this node,
+    /// and the engine binds it — key tables and all — for the first.
+    pub disjunction: Expr,
     /// Distinct guard attributes (sorted) — the FORCE INDEX column list.
     pub guard_attrs: Vec<String>,
     /// Σ ρ(G_i) at compile time.
@@ -154,6 +176,21 @@ pub struct GuardFragment {
     /// The inline-vs-∆ policy the fragment was compiled under; a cached
     /// fragment is stale when the middleware's option has changed.
     pub delta_mode: DeltaMode,
+}
+
+/// The fragment of no guards: the empty disjunction, which denies all.
+impl Default for GuardFragment {
+    fn default() -> Self {
+        GuardFragment {
+            branches: Vec::new(),
+            disjunction: deny_all_expr(),
+            guard_attrs: Vec::new(),
+            est_guard_rows: 0.0,
+            delta_guards: 0,
+            partitions: Vec::new(),
+            delta_mode: DeltaMode::default(),
+        }
+    }
 }
 
 impl GuardFragment {
@@ -246,12 +283,12 @@ pub fn compile_guard_fragment(
         let (partition, shared_handle) = if use_delta {
             delta_guards += 1;
             let handle = delta.register_partition(schema, &partition_policies)?;
-            let expr = delta_call_expr(handle.key(), schema);
+            let expr = share(delta_call_expr(handle.key(), schema));
             partitions.push(handle.clone());
             (expr, Some(handle))
         } else {
             (
-                Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect()),
+                share(Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect())),
                 None,
             )
         };
@@ -266,8 +303,15 @@ pub fn compile_guard_fragment(
         ge.guards.iter().map(|g| g.condition.attr.clone()).collect();
     guard_attrs.sort_unstable();
     guard_attrs.dedup();
+    let disjunction = share(Expr::any(
+        branches
+            .iter()
+            .map(|b| Expr::and(b.condition.clone(), b.partition.clone()))
+            .collect(),
+    ));
     Ok(GuardFragment {
         branches,
+        disjunction,
         guard_attrs,
         est_guard_rows: ge.total_guard_rows(),
         delta_guards,
@@ -513,27 +557,22 @@ impl Rewriter<'_> {
                 .best()
         });
 
-        // Assemble one branch per compiled guard. The pushed-down query
-        // predicate exists only under IndexGuards with a local predicate.
-        let pushed = match (&local_bare, strategy) {
+        // The guard disjunction is the fragment's own node, spliced, unless
+        // the query predicate is pushed into the branches — under
+        // IndexGuards with a local predicate — and they are assembled
+        // around it, one small conjunction per guard.
+        let guard_or = match (&local_bare, strategy) {
             (Some(q), AccessStrategy::IndexGuards) if !self.opts.no_predicate_pushdown => {
-                Some(q.clone())
+                let pushed = |b: &CompiledBranch| {
+                    Expr::all(vec![b.condition.clone(), q.clone(), b.partition.clone()])
+                };
+                Expr::any(fragment.branches.iter().map(pushed).collect())
             }
-            _ => None,
+            _ => fragment.disjunction.clone(),
         };
-        let mut branches = Vec::with_capacity(fragment.branches.len());
-        for b in &fragment.branches {
-            let mut parts = vec![b.condition.clone()];
-            if let Some(q) = &pushed {
-                parts.push(q.clone());
-            }
-            parts.push(b.partition.clone());
-            branches.push(Expr::all(parts));
-        }
         let delta_guards = fragment.delta_guards;
 
         // Assemble the WITH body per strategy.
-        let guard_or = Expr::any(branches);
         let (body_pred, hint) = match strategy {
             AccessStrategy::IndexGuards => {
                 (guard_or, IndexHint::Force(fragment.guard_attrs.clone()))

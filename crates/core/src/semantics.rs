@@ -97,64 +97,16 @@ fn substitute_params(
     q: &minidb::SelectQuery,
     params: &std::collections::HashMap<String, Value>,
 ) -> minidb::SelectQuery {
-    fn subst_expr(
-        e: &minidb::Expr,
-        params: &std::collections::HashMap<String, Value>,
-    ) -> minidb::Expr {
-        use minidb::Expr as E;
-        match e {
-            E::Column(c) => {
-                let name = c.to_string();
-                match params.get(&name) {
-                    Some(v) => E::Literal(v.clone()),
-                    None => e.clone(),
-                }
-            }
-            E::Cmp { op, lhs, rhs } => E::Cmp {
-                op: *op,
-                lhs: Box::new(subst_expr(lhs, params)),
-                rhs: Box::new(subst_expr(rhs, params)),
-            },
-            E::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => E::Between {
-                expr: Box::new(subst_expr(expr, params)),
-                low: Box::new(subst_expr(low, params)),
-                high: Box::new(subst_expr(high, params)),
-                negated: *negated,
-            },
-            E::InList {
-                expr,
-                list,
-                negated,
-            } => E::InList {
-                expr: Box::new(subst_expr(expr, params)),
-                list: list.iter().map(|x| subst_expr(x, params)).collect(),
-                negated: *negated,
-            },
-            E::IsNull { expr, negated } => E::IsNull {
-                expr: Box::new(subst_expr(expr, params)),
-                negated: *negated,
-            },
-            E::And(v) => E::And(v.iter().map(|x| subst_expr(x, params)).collect()),
-            E::Or(v) => E::Or(v.iter().map(|x| subst_expr(x, params)).collect()),
-            E::Not(x) => E::Not(Box::new(subst_expr(x, params))),
-            E::Udf { name, args } => E::Udf {
-                name: name.clone(),
-                args: args.iter().map(|x| subst_expr(x, params)).collect(),
-            },
-            E::ScalarSubquery(inner) => {
-                E::ScalarSubquery(Box::new(substitute_params(inner, params)))
-            }
-            E::Literal(_) | E::Param(_) => e.clone(),
-        }
-    }
+    use minidb::Expr as E;
     let mut out = q.clone();
     if let Some(p) = &out.predicate {
-        out.predicate = Some(subst_expr(p, params));
+        out.predicate = Some(p.map(&mut |e| match e {
+            E::Column(c) => params.get(&c.to_string()).map(|v| E::Literal(v.clone())),
+            E::ScalarSubquery(inner) => {
+                Some(E::ScalarSubquery(Box::new(substitute_params(inner, params))))
+            }
+            _ => None,
+        }));
     }
     out
 }

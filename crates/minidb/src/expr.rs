@@ -19,7 +19,8 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Comparison operators of the policy model (Section 3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,7 +116,10 @@ impl fmt::Display for ColumnRef {
 }
 
 /// An unbound predicate/scalar expression.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is structural over what the expression says: an
+/// [`Expr::Shared`] node equals its source.
+#[derive(Debug, Clone)]
 pub enum Expr {
     /// Constant.
     Literal(Value),
@@ -179,17 +183,159 @@ pub enum Expr {
     /// Section 3.1). Yields the first column of the first result row, or
     /// NULL when the result is empty.
     ScalarSubquery(Box<SelectQuery>),
+    /// A sub-expression held once and spliced into many queries — a
+    /// querier's guard disjunction. It *is* its source to everything that
+    /// reads an expression (rendering, parameterizing, the walkers,
+    /// equality); what sharing buys is that copying it is a refcount and
+    /// that [`bind`] resolves it once, not once per query. Built by
+    /// [`Expr::shared`], never by the parser.
+    Shared(Arc<SharedExpr>),
+}
+
+/// The node behind [`Expr::Shared`]: a source expression and, once the
+/// first [`bind`] has met it, its bound form with the key tables built,
+/// kept for the layout it was bound against.
+pub struct SharedExpr {
+    source: Expr,
+    /// The distinct column references of `source`, in first-visit order.
+    columns: Vec<ColumnRef>,
+    /// The source holds a scalar subquery: its body is planned against the
+    /// WITH scope of the query around it, so it binds per plan.
+    per_plan: bool,
+    /// Filled by the first bind that may share: the layout it resolved
+    /// against and the result, or `None` if the source does not bind there.
+    bound: OnceLock<Option<(Layout, Arc<BoundExpr>)>>,
+    binds: AtomicUsize,
+}
+
+impl SharedExpr {
+    /// The expression this node stands for.
+    pub fn source(&self) -> &Expr {
+        &self.source
+    }
+
+    /// How many times the source has been bound: once to fill the node,
+    /// and once more by every plan that could not take the kept form — a
+    /// layout other than the first, correlation parameters in scope, a
+    /// scalar subquery in the source. A statement planned between two
+    /// equal readings bound nothing of this node.
+    pub fn binds(&self) -> usize {
+        self.binds.load(Ordering::Relaxed)
+    }
+
+    /// Bind the source like any expression, and count it.
+    fn bind_source(
+        &self,
+        layout: &Layout,
+        params: &HashSet<String>,
+        subplan: &mut SubqueryPlanner<'_>,
+    ) -> DbResult<BoundExpr> {
+        self.binds.fetch_add(1, Ordering::Relaxed);
+        bind(&self.source, layout, params, subplan)
+    }
+
+    /// The kept bound form, if it was bound against exactly `layout` —
+    /// filling the node first when this is the first bind to meet it.
+    /// Concurrent first binds wait for one.
+    fn bound_for(&self, layout: &Layout, params: &HashSet<String>) -> Option<Arc<BoundExpr>> {
+        if self.per_plan || !params.is_empty() {
+            return None;
+        }
+        let filled = self.bound.get_or_init(|| {
+            let mut bound = self.bind_source(layout, params, &mut no_subqueries).ok()?;
+            bound.build_key_tables();
+            Some((layout.clone(), Arc::new(bound)))
+        });
+        let (bound_against, bound) = filled.as_ref()?;
+        bound_against.same_as(layout).then(|| Arc::clone(bound))
+    }
+}
+
+impl fmt::Debug for SharedExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.source.fmt(f)
+    }
+}
+
+impl PartialEq for Expr {
+    fn eq(&self, other: &Expr) -> bool {
+        use Expr::*;
+        if let (Shared(a), Shared(b)) = (self, other) {
+            if Arc::ptr_eq(a, b) {
+                return true;
+            }
+        }
+        match (self.unshared(), other.unshared()) {
+            (Literal(a), Literal(b)) => a == b,
+            (Param(a), Param(b)) => a == b,
+            (Column(a), Column(b)) => a == b,
+            (Cmp { op, lhs, rhs }, Cmp { op: op2, lhs: lhs2, rhs: rhs2 }) => {
+                op == op2 && lhs == lhs2 && rhs == rhs2
+            }
+            (
+                Between { expr, low, high, negated },
+                Between { expr: expr2, low: low2, high: high2, negated: negated2 },
+            ) => negated == negated2 && expr == expr2 && low == low2 && high == high2,
+            (
+                InList { expr, list, negated },
+                InList { expr: expr2, list: list2, negated: negated2 },
+            ) => negated == negated2 && expr == expr2 && list == list2,
+            (IsNull { expr, negated }, IsNull { expr: expr2, negated: negated2 }) => {
+                negated == negated2 && expr == expr2
+            }
+            (And(a), And(b)) | (Or(a), Or(b)) => a == b,
+            (Not(a), Not(b)) => a == b,
+            (Udf { name, args }, Udf { name: name2, args: args2 }) => name == name2 && args == args2,
+            (ScalarSubquery(a), ScalarSubquery(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Expr {
+    /// Hold `source` once for every query it will be spliced into; see
+    /// [`Expr::Shared`].
+    pub fn shared(source: Expr) -> Expr {
+        let mut columns: Vec<ColumnRef> = Vec::new();
+        source.visit_columns(&mut |c| {
+            if !columns.contains(c) {
+                columns.push(c.clone());
+            }
+        });
+        let mut per_plan = false;
+        source.visit(&mut |e| per_plan |= matches!(e, Expr::ScalarSubquery(_)));
+        Expr::Shared(Arc::new(SharedExpr {
+            source,
+            columns,
+            per_plan,
+            bound: OnceLock::new(),
+            binds: AtomicUsize::new(0),
+        }))
+    }
+
+    /// The node itself, if this expression is a [`Expr::Shared`] one.
+    pub fn as_shared(&self) -> Option<&SharedExpr> {
+        match self {
+            Expr::Shared(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// This expression with any [`Expr::Shared`] wrapping taken off its
+    /// root: what to match on when the shape of an expression matters.
+    pub fn unshared(&self) -> &Expr {
+        let mut e = self;
+        while let Expr::Shared(s) = e {
+            e = &s.source;
+        }
+        e
+    }
+
     /// `a AND b`, flattening nested conjunctions.
     pub fn and(a: Expr, b: Expr) -> Expr {
         let mut parts = Vec::new();
         for e in [a, b] {
-            match e {
-                Expr::And(mut v) => parts.append(&mut v),
-                other => parts.push(other),
-            }
+            push_flat(&mut parts, e, true);
         }
         Expr::And(parts)
     }
@@ -198,10 +344,7 @@ impl Expr {
     pub fn or(a: Expr, b: Expr) -> Expr {
         let mut parts = Vec::new();
         for e in [a, b] {
-            match e {
-                Expr::Or(mut v) => parts.append(&mut v),
-                other => parts.push(other),
-            }
+            push_flat(&mut parts, e, false);
         }
         Expr::Or(parts)
     }
@@ -213,10 +356,7 @@ impl Expr {
     pub fn all(exprs: Vec<Expr>) -> Expr {
         let mut parts = Vec::new();
         for e in exprs {
-            match e {
-                Expr::And(mut v) => parts.append(&mut v),
-                other => parts.push(other),
-            }
+            push_flat(&mut parts, e, true);
         }
         match parts.len() {
             0 => Expr::Literal(Value::Bool(true)),
@@ -230,10 +370,7 @@ impl Expr {
     pub fn any(exprs: Vec<Expr>) -> Expr {
         let mut parts = Vec::new();
         for e in exprs {
-            match e {
-                Expr::Or(mut v) => parts.append(&mut v),
-                other => parts.push(other),
-            }
+            push_flat(&mut parts, e, false);
         }
         match parts.len() {
             0 => Expr::Literal(Value::Bool(false)),
@@ -262,24 +399,27 @@ impl Expr {
 
     /// Top-level conjuncts of this expression (`self` if not an AND).
     pub fn conjuncts(&self) -> Vec<&Expr> {
-        match self {
+        match self.unshared() {
             Expr::And(v) => v.iter().collect(),
-            other => vec![other],
+            _ => vec![self],
         }
     }
 
     /// Top-level disjuncts of this expression (`self` if not an OR).
     pub fn disjuncts(&self) -> Vec<&Expr> {
-        match self {
+        match self.unshared() {
             Expr::Or(v) => v.iter().collect(),
-            other => vec![other],
+            _ => vec![self],
         }
     }
 
     /// Visit all column references in this expression (not descending into
-    /// scalar subqueries, whose references resolve in their own scope).
+    /// scalar subqueries, whose references resolve in their own scope). A
+    /// [`Expr::Shared`] node offers each distinct reference of its source
+    /// once, from a list made when it was built.
     pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a ColumnRef)) {
         match self {
+            Expr::Shared(s) => s.columns.iter().for_each(f),
             Expr::Literal(_) | Expr::Param(_) => {}
             Expr::Column(c) => f(c),
             Expr::Cmp { lhs, rhs, .. } => {
@@ -320,11 +460,19 @@ impl Expr {
     /// predicate resolves in its own scope and is not descended into.
     /// This is the one traversal every walker builds on (rewrite-time
     /// reference collection, the static analyzer's atom lowering), so
-    /// structural recursion over `Expr` lives in exactly one place.
+    /// structural recursion over `Expr` lives in exactly one place. An
+    /// [`Expr::Shared`] node is never offered: its source is.
     pub fn visit(&self, f: &mut dyn FnMut(&Expr)) {
+        if let Expr::Shared(s) = self {
+            return s.source.visit(f);
+        }
         f(self);
         match self {
-            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) | Expr::ScalarSubquery(_) => {}
+            Expr::Literal(_)
+            | Expr::Param(_)
+            | Expr::Column(_)
+            | Expr::ScalarSubquery(_)
+            | Expr::Shared(_) => {}
             Expr::Cmp { lhs, rhs, .. } => {
                 lhs.visit(f);
                 rhs.visit(f);
@@ -360,15 +508,21 @@ impl Expr {
     /// Rebuild the expression, offering `f` each node top-down: returning
     /// `Some` replaces that node wholesale (children unvisited), `None`
     /// recurses structurally and reassembles. [`Expr::ScalarSubquery`] is
-    /// offered but never descended into.
+    /// offered but never descended into, and of an [`Expr::Shared`] node
+    /// its source is what is offered and rebuilt: the result shares nothing.
     pub fn map(&self, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr {
+        if let Expr::Shared(s) = self {
+            return s.source.map(f);
+        }
         if let Some(replaced) = f(self) {
             return replaced;
         }
         match self {
-            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) | Expr::ScalarSubquery(_) => {
-                self.clone()
-            }
+            Expr::Literal(_)
+            | Expr::Param(_)
+            | Expr::Column(_)
+            | Expr::ScalarSubquery(_)
+            | Expr::Shared(_) => self.clone(),
             Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
                 op: *op,
                 lhs: Box::new(lhs.map(f)),
@@ -409,6 +563,22 @@ impl Expr {
     }
 }
 
+/// Add `e` to the parts of a conjunction (`conjunction`) or disjunction in
+/// the making. A nested one of the same kind goes in part by part — also
+/// when a [`Expr::Shared`] node holds it: its parts are copied out, and
+/// nothing of the node is left in the result.
+fn push_flat(parts: &mut Vec<Expr>, e: Expr, conjunction: bool) {
+    match e {
+        Expr::And(mut v) if conjunction => parts.append(&mut v),
+        Expr::Or(mut v) if !conjunction => parts.append(&mut v),
+        Expr::Shared(s) => match (s.source.unshared(), conjunction) {
+            (Expr::And(v), true) | (Expr::Or(v), false) => parts.extend(v.iter().cloned()),
+            _ => parts.push(Expr::Shared(s)),
+        },
+        other => parts.push(other),
+    }
+}
+
 /// The flattened FROM layout a row is evaluated against: an ordered list of
 /// `(alias, schema)` whose columns are concatenated.
 #[derive(Debug, Clone, Default)]
@@ -446,6 +616,16 @@ impl Layout {
     /// The `(alias, schema)` entries.
     pub fn entries(&self) -> &[(String, Arc<TableSchema>)] {
         &self.entries
+    }
+
+    /// True iff `other` lays out the same row: the same aliases over
+    /// equal schemas, in the same order. Every slot an expression bound
+    /// against one resolves to is the slot it would resolve to in the other.
+    pub fn same_as(&self, other: &Layout) -> bool {
+        self.entries.len() == other.entries.len()
+            && self.entries.iter().zip(&other.entries).all(|((a, s), (b, t))| {
+                a == b && (Arc::ptr_eq(s, t) || s == t)
+            })
     }
 
     /// Resolve a column reference to its global position.
@@ -630,6 +810,9 @@ pub enum BoundExpr {
         /// Branches of any other shape, checked linearly after the arms.
         tail: Vec<BoundExpr>,
     },
+    /// What an [`Expr::Shared`] node bound to, key tables built, held by
+    /// the node and by every plan over the layout it was bound against.
+    Shared(Arc<BoundExpr>),
 }
 
 /// Bind an expression against a layout.
@@ -638,7 +821,11 @@ pub enum BoundExpr {
 /// parameters when their printed name appears in `params` (we are binding
 /// the body of a correlated subquery, and the enclosing row's values will
 /// be supplied under those names); anything else is an error. A scalar
-/// subquery has its body planned here, once, by `subplan`.
+/// subquery has its body planned here, once, by `subplan`. An
+/// [`Expr::Shared`] node binds once for the first layout it meets and is
+/// answered from that wherever the same layout meets it again; under any
+/// other layout, under correlation parameters, or holding a scalar
+/// subquery, its source binds here like any expression.
 pub fn bind(
     expr: &Expr,
     layout: &Layout,
@@ -746,6 +933,10 @@ pub fn bind(
             names.extend(outer_refs.iter().map(|(n, _)| n.clone()));
             BoundExpr::ScalarSubquery { plan: subplan(q, &names)?, outer_refs }
         }
+        Expr::Shared(shared) => match shared.bound_for(layout, params) {
+            Some(bound) => BoundExpr::Shared(bound),
+            None => shared.bind_source(layout, params, subplan)?,
+        },
     })
 }
 
@@ -795,6 +986,7 @@ impl BoundExpr {
                     None => Value::Null,
                 })
             }
+            BoundExpr::Shared(bound) => bound.eval_cow(row, ctx)?,
             // Everything boolean has its one implementation in `eval_bool`.
             BoundExpr::Cmp { .. }
             | BoundExpr::Between { .. }
@@ -866,6 +1058,7 @@ impl BoundExpr {
                 Ok(false)
             }
             BoundExpr::Not(e) => Ok(!e.eval_bool(row, ctx)?),
+            BoundExpr::Shared(bound) => bound.eval_bool(row, ctx),
             BoundExpr::Literal(Value::Bool(b)) => Ok(*b),
             // Each test below is written once, as a closure over operand
             // values, and fed slot/literal operands by reference — no call,
@@ -982,7 +1175,7 @@ const DISPATCH_MIN_BRANCHES: usize = 8;
 /// conjunct — is `slot = key` for a literal key that has a place in
 /// [`Value`]'s order and can equal something: not NULL, not NaN.
 fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
-    let head = match branch {
+    let head = match branch.unshared() {
         BoundExpr::And(parts) => parts.first()?,
         other => other,
     };
@@ -990,7 +1183,7 @@ fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
         op: CmpOp::Eq,
         lhs,
         rhs,
-    } = head
+    } = head.unshared()
     else {
         return None;
     };
@@ -1005,13 +1198,14 @@ fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
 }
 
 /// Take the `slot = key` head off a branch [`dispatch_head`] accepted,
-/// leaving the rest of the branch where it was.
+/// leaving the rest of the branch where it was. A shared branch or head
+/// cannot be taken apart where it is; it is copied out first.
 fn split_head(branch: BoundExpr) -> (Value, BoundExpr) {
-    let (head, rest) = match branch {
+    let (head, rest) = match branch.into_unshared() {
         BoundExpr::And(mut parts) => (parts.remove(0), BoundExpr::And(parts)),
         head => (head, BoundExpr::Literal(Value::Bool(true))),
     };
-    match head {
+    match head.into_unshared() {
         BoundExpr::Cmp { lhs, rhs, .. } => match (*lhs, *rhs) {
             (BoundExpr::Literal(key), _) | (_, BoundExpr::Literal(key)) => (key, rest),
             _ => unreachable!("dispatch_head accepted a comparison without a literal"),
@@ -1027,10 +1221,29 @@ fn is_nan(v: &Value) -> bool {
 }
 
 impl BoundExpr {
+    /// This expression with any [`BoundExpr::Shared`] wrapping taken off
+    /// its root.
+    fn unshared(&self) -> &BoundExpr {
+        let mut e = self;
+        while let BoundExpr::Shared(inner) = e {
+            e = inner;
+        }
+        e
+    }
+
+    /// [`BoundExpr::unshared`] by value: a shared root is copied out.
+    fn into_unshared(self) -> BoundExpr {
+        match self {
+            BoundExpr::Shared(inner) => inner.unshared().clone(),
+            other => other,
+        }
+    }
+
     /// Build the key tables, in place, under the boolean connectives: every
     /// wide enough `Or` becomes a [`BoundExpr::KeyedOr`] and every IN-list
     /// of literals a [`BoundExpr::InSet`]. Branches are moved, never
-    /// copied, and no `And`/`Or` that stays is rebuilt.
+    /// copied, and no `And`/`Or` that stays is rebuilt. What is under a
+    /// [`BoundExpr::Shared`] had its tables built when its node was filled.
     fn build_key_tables(&mut self) {
         match self {
             BoundExpr::And(parts) => parts.iter_mut().for_each(Self::build_key_tables),
@@ -1105,13 +1318,15 @@ impl FilterProgram {
     /// compiled for keyed dispatch ([`BoundExpr::KeyedOr`]), IN-lists of
     /// literals to sorted key tables ([`BoundExpr::InSet`]).
     pub fn new(bound: Option<BoundExpr>) -> Self {
-        match bound {
-            None => FilterProgram::KeepAll,
-            Some(BoundExpr::Literal(Value::Bool(false))) => FilterProgram::DropAll,
-            Some(BoundExpr::Literal(Value::Bool(true))) => FilterProgram::KeepAll,
-            Some(mut b) => {
-                b.build_key_tables();
-                FilterProgram::Eval(b)
+        let Some(mut bound) = bound else {
+            return FilterProgram::KeepAll;
+        };
+        match bound.unshared() {
+            BoundExpr::Literal(Value::Bool(false)) => FilterProgram::DropAll,
+            BoundExpr::Literal(Value::Bool(true)) => FilterProgram::KeepAll,
+            _ => {
+                bound.build_key_tables();
+                FilterProgram::Eval(bound)
             }
         }
     }

@@ -43,6 +43,8 @@ pub struct Index {
     pub column: usize,
     /// Indexed column name (for planner/EXPLAIN display).
     pub column_name: String,
+    /// Posting lists, each ascending: rows are indexed in id order, when
+    /// the index is built and as they are inserted.
     entries: BTreeMap<Value, Vec<RowId>>,
     len: u64,
 }
@@ -151,16 +153,21 @@ impl Index {
         self.range_postings(low, high, stats).flatten().copied().collect()
     }
 
-    /// IN-list lookup: one probe per list element.
+    /// IN-list lookup: one probe per list element, the ids ascending and
+    /// each once. The posting lists are ascending runs and, a row having
+    /// one value, disjoint unless a key is listed twice: put in order of
+    /// their first ids they are concatenated where they do not interleave
+    /// and merged where they do, never sorted.
     pub fn lookup_in(&self, keys: &[Value], stats: &StatsSink) -> Vec<RowId> {
-        let mut out: Vec<RowId> = keys
-            .iter()
-            .flat_map(|k| self.postings(k, stats))
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        let mut runs: Vec<&[RowId]> =
+            keys.iter().map(|k| self.postings(k, stats)).filter(|run| !run.is_empty()).collect();
+        runs.sort_unstable_by_key(|run| run[0]);
+        // Runs that start alike are one key's list, met twice.
+        runs.dedup_by_key(|run| run[0]);
+        if runs.windows(2).all(|w| w[0].last() < w[1].first()) {
+            return runs.concat();
+        }
+        merge_runs(&runs)
     }
 
     /// Exact number of rows matching a point key (an index dive: the
@@ -172,6 +179,27 @@ impl Index {
     /// Exact number of rows in a range.
     pub fn count_range(&self, low: &RangeBound, high: &RangeBound) -> u64 {
         self.entries_between(low, high).map(|ids| ids.len() as u64).sum()
+    }
+}
+
+/// Merge ascending, pairwise disjoint runs into one: two-way merges up a
+/// balanced tree, `n log k` moves for `k` runs.
+fn merge_runs(runs: &[&[RowId]]) -> Vec<RowId> {
+    match runs {
+        [] => Vec::new(),
+        [only] => only.to_vec(),
+        _ => {
+            let (left, right) = runs.split_at(runs.len() / 2);
+            let (left, right) = (merge_runs(left), merge_runs(right));
+            let mut out = Vec::with_capacity(left.len() + right.len());
+            let (mut a, mut b) = (left.iter().peekable(), right.iter().peekable());
+            while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+                out.push(if x < y { a.next(); x } else { b.next(); y });
+            }
+            out.extend(a);
+            out.extend(b);
+            out
+        }
     }
 }
 
@@ -297,6 +325,33 @@ mod tests {
         let hits = idx.lookup_in(&[Value::Int(1), Value::Int(1), Value::Int(2)], &stats);
         assert_eq!(hits.len(), 20);
         assert_eq!(stats.snapshot().index_probes, 3);
+
+        // Whatever the runs do — interleave (the fixture's owners alternate
+        // row by row), repeat, stay apart, come up empty — the ids are what
+        // sorting all of them and dropping repeats gives, a probe a key.
+        let mut t = Table::new(TableSchema::of("t", &[("k", DataType::Int)]));
+        for k in [0, 0, 0, 1, 1, 2, 1, 2, 0, 3, 3, 2] {
+            t.insert(vec![Value::Int(k)]);
+        }
+        let idx = Index::build("idx_k", 0, "k", t.scan(&StatsSink::new()));
+        for keys in [
+            vec![],
+            vec![7],
+            vec![3, 0],
+            vec![0, 3, 7],
+            vec![2, 1],
+            vec![1, 7, 2, 1, 0, 2],
+            vec![3, 2, 1, 0, 0, 7, 7],
+        ] {
+            let keys: Vec<Value> = keys.into_iter().map(Value::Int).collect();
+            let stats = StatsSink::new();
+            let mut expected: Vec<RowId> = keys.iter().flat_map(|k| idx.lookup(k, &stats)).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            let stats = StatsSink::new();
+            assert_eq!(idx.lookup_in(&keys, &stats), expected, "{keys:?}");
+            assert_eq!(stats.snapshot().index_probes, keys.len() as u64, "{keys:?}");
+        }
     }
 
     #[test]

@@ -364,7 +364,7 @@ fn probe_from_expr(
         Some(c.column.clone())
     };
 
-    match e {
+    match e.unshared() {
         Expr::Cmp { op, lhs, rhs } => {
             let (col, lit, op) = match (&**lhs, &**rhs) {
                 (Expr::Column(c), Expr::Literal(v)) => (col_ok(c)?, v.clone(), *op),
@@ -572,7 +572,7 @@ fn probes_from_or_conjunct(
 ) -> Option<(f64, Vec<IndexProbe>)> {
     pred.conjuncts()
         .into_iter()
-        .filter(|conj| matches!(conj, Expr::Or(_)))
+        .filter(|conj| matches!(conj.unshared(), Expr::Or(_)))
         .filter_map(|conj| probes_per_disjunct(conj, entry, alias, None))
         .map(|(probes, _)| {
             let est: f64 = probes.iter().map(|p| p.estimate_rows(entry)).sum();
@@ -620,7 +620,7 @@ fn plan_access_opts(
 
     // A conjunctive predicate has an index path of its own; a disjunctive
     // one needs a probe per disjunct.
-    let conjunctive = !matches!(pred, Expr::Or(_));
+    let conjunctive = !matches!(pred.unshared(), Expr::Or(_));
     let conjuncts = pred.conjuncts().len();
 
     // Hints are a MySQL-connector feature; the PostgreSQL-like profile
@@ -767,7 +767,7 @@ pub fn classify_predicate(
             op: CmpOp::Eq,
             lhs,
             rhs,
-        } = conj
+        } = conj.unshared()
         {
             if let (Expr::Column(a), Expr::Column(b)) = (&**lhs, &**rhs) {
                 if let (Some(la), Some(lb)) = (alias_of(a, tables), alias_of(b, tables)) {

@@ -211,6 +211,8 @@ fn write_expr(s: &mut String, e: &Expr, parent_level: u8) {
             write_query(s, q);
             s.push(')');
         }
+        // Level 4 put no parentheses of its own around the source's.
+        Expr::Shared(shared) => write_expr(s, shared.source(), parent_level),
     }
     if need_parens {
         s.push(')');

@@ -16,13 +16,17 @@ use crate::error::{ProtocolError, ProtocolResult};
 /// query results, far below anything that could pressure memory.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Write one frame (length prefix + payload) and flush.
+/// Write one frame (length prefix + payload) and flush. Prefix and payload
+/// leave in one buffer: on an unbuffered socket a write is a system call
+/// and, without Nagle, a segment.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> ProtocolResult<()> {
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(ProtocolError::Oversized { len: payload.len() as u32, max: MAX_FRAME_LEN });
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -78,6 +82,24 @@ mod tests {
         let mut cur = &buf[..];
         assert_eq!(read_frame(&mut cur).unwrap(), b"hello");
         assert!(matches!(read_frame(&mut cur), Err(ProtocolError::ConnectionClosed)));
+    }
+
+    /// A frame reaches an unbuffered writer as one write, prefix and all.
+    #[test]
+    fn a_frame_is_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.0, [[&5u32.to_le_bytes()[..], b"hello"].concat()]);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! disjunction by key selects what the plain disjunction selects; what
 //! EXPLAIN reports is what the counters of a run show, whether the plan is
 //! run once or kept; a kept plan never answers for a database that has
-//! changed under it — and histogram estimates stay sane.
+//! changed under it; a predicate held once and spliced (`Expr::Shared`) is
+//! its source to everything but the number of times it is bound — and
+//! histogram estimates stay sane.
 
 use proptest::prelude::*;
 use sieve::minidb::expr::{
     bind, no_subqueries, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
 };
 use sieve::minidb::plan::{IndexHint, TableRef};
+use sieve::minidb::sql::{parameterize, parse, render_query};
 use sieve::minidb::table::ROWS_PER_PAGE;
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{
@@ -297,6 +300,35 @@ proptest! {
             prop_assert!(evals <= linear_evals, "row {:?}: {} > {}", &rows[i], evals, linear_evals);
         }
     }
+
+    /// A branch of a dispatched disjunction that is shared, or whose head
+    /// is, is keyed like a bare one: the same verdict for the same charge.
+    #[test]
+    fn shared_branches_dispatch_like_bare_ones(
+        keyed in proptest::collection::vec(arb_keyed_branch(), 8..20),
+        mask in any::<u64>(),
+        rows in arb_rows(),
+    ) {
+        let wrapped = keyed
+            .iter()
+            .enumerate()
+            .map(|(i, branch)| match ((mask >> (2 * i)) & 3, branch) {
+                (1, _) => Expr::shared(branch.clone()),
+                (2, Expr::And(parts)) => {
+                    let mut parts = parts.clone();
+                    parts[0] = Expr::shared(parts[0].clone());
+                    Expr::And(parts)
+                }
+                _ => branch.clone(),
+            })
+            .collect();
+        let (_, bare) = program_vs_linear(&Expr::Or(keyed), &rows);
+        let (program, shared) = program_vs_linear(&Expr::Or(wrapped), &rows);
+        prop_assert!(matches!(program, FilterProgram::Eval(BoundExpr::KeyedOr { .. })));
+        for (i, (bare, shared)) in bare.into_iter().zip(shared).enumerate() {
+            prop_assert_eq!((shared.0, shared.1), (bare.0, bare.1), "row {:?}", &rows[i]);
+        }
+    }
 }
 
 proptest! {
@@ -506,6 +538,124 @@ proptest! {
     }
 }
 
+
+/// `build_pair`'s tables plus `s`: the rows of `t` under a schema with the
+/// columns the other way round.
+fn build_mirrored(rows: i64, profile: DbProfile) -> Database {
+    let mut db = build_pair(rows, profile);
+    db.create_table(TableSchema::of(
+        "s",
+        &[("c", DataType::Time), ("b", DataType::Int), ("a", DataType::Int), ("id", DataType::Int)],
+    ))
+    .unwrap();
+    let mirrored: Vec<Row> = db.run_query(&SelectQuery::star_from("t")).unwrap().rows;
+    for mut row in mirrored {
+        row.reverse();
+        db.insert("s", row).unwrap();
+    }
+    db
+}
+
+/// A disjunction wide enough, and keyed on `a` often enough, to be
+/// dispatched by key — the shape of a guard disjunction.
+fn arb_keyed_or() -> impl Strategy<Value = Expr> {
+    proptest::collection::vec((0i64..23, arb_pred()), 8..14).prop_map(|branches| {
+        Expr::Or(
+            branches
+                .into_iter()
+                .map(|(k, rest)| Expr::And(vec![Expr::col_eq(ColumnRef::bare("a"), Value::Int(k)), rest]))
+                .collect(),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A predicate wrapped in `Expr::Shared` is the bare predicate: the
+    /// query around it renders and parameterizes byte for byte the same,
+    /// and selects the same rows for the same charged counters — as the
+    /// whole WHERE, as one conjunct, under `NOT`, as one disjunct, and
+    /// when it is a disjunction dispatched by key. Planned again from the
+    /// same node it binds nothing; planned against another alias or
+    /// another schema under the same alias it is bound again, never
+    /// answered from the first. (A conjunction among conjuncts is read as
+    /// its own conjuncts, shared or not: nothing of the node is left to
+    /// bind.)
+    #[test]
+    fn shared_predicate_is_its_source(
+        pred in prop_oneof![arb_pred(), arb_keyed_or()],
+        cond in arb_pred(),
+        place in 0usize..4,
+        rows in 300i64..900,
+    ) {
+        let around = |inner: Expr| match place {
+            0 => inner,
+            1 => Expr::And(vec![cond.clone(), inner]),
+            2 => Expr::Not(Box::new(inner)),
+            _ => Expr::Or(vec![cond.clone(), inner]),
+        };
+        let node = Expr::shared(pred.clone());
+        let shared = node.as_shared().unwrap();
+        let binds_of = |n: usize| if place <= 1 && matches!(pred, Expr::And(_)) { 0 } else { n };
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let db = build_mirrored(rows, profile);
+            let counted = |q: &SelectQuery| {
+                db.stats().reset();
+                let rows = db.run_query(q).unwrap().rows;
+                (rows, db.stats().snapshot())
+            };
+            // (table, alias): the node's first layout, then another alias,
+            // then the first alias over another schema.
+            for (step, (table, alias)) in [("t", "t"), ("t", "z"), ("s", "t")].into_iter().enumerate() {
+                let from = |p: Expr| SelectQuery {
+                    from: vec![TableRef::aliased(table, alias)],
+                    ..SelectQuery::star_from(table)
+                }
+                .filter(p);
+                let (bare_q, shared_q) = (from(around(pred.clone())), from(around(node.clone())));
+                prop_assert_eq!(&shared_q, &bare_q);
+                prop_assert_eq!(render_query(&shared_q), render_query(&bare_q));
+                let (template, values) = parameterize(&shared_q);
+                let (bare_template, bare_values) = parameterize(&bare_q);
+                prop_assert_eq!(render_query(&template), render_query(&bare_template));
+                prop_assert_eq!(values, bare_values);
+
+                let before = shared.binds();
+                let (want, want_counters) = counted(&bare_q);
+                let (got, got_counters) = counted(&shared_q);
+                prop_assert_eq!(&got, &want, "{:?} {} AS {}", profile, table, alias);
+                prop_assert_eq!(got_counters, want_counters, "{:?} {} AS {}", profile, table, alias);
+                // Only the first layout the node ever met is kept.
+                let first = profile == DbProfile::MySqlLike && step == 0;
+                let kept = step == 0;
+                prop_assert_eq!(shared.binds() - before, binds_of(usize::from(first || !kept)));
+                let (again, again_counters) = counted(&shared_q);
+                prop_assert_eq!(&again, &want);
+                prop_assert_eq!(again_counters, want_counters);
+                prop_assert_eq!(shared.binds() - before, binds_of(usize::from(first) + 2 * usize::from(!kept)));
+            }
+        }
+    }
+}
+
+/// A shared predicate that holds a scalar subquery is planned with the
+/// query around it: bound per plan, never kept.
+#[test]
+fn shared_predicate_with_a_subquery_binds_per_plan() {
+    let db = build_pair(600, DbProfile::MySqlLike);
+    let bare_q =
+        parse("SELECT * FROM t WHERE t.b < (SELECT COUNT(*) AS n FROM u WHERE u.ua = t.a) OR t.a < 3").unwrap();
+    let node = Expr::shared(bare_q.predicate.clone().unwrap());
+    let shared_q = SelectQuery::star_from("t").filter(node.clone());
+    assert_eq!(render_query(&shared_q), render_query(&bare_q));
+    let want = db.run_query(&bare_q).unwrap();
+    assert!(!want.is_empty());
+    for plans in 1..=3 {
+        assert_eq!(db.run_query(&shared_q).unwrap(), want);
+        assert_eq!(node.as_shared().unwrap().binds(), plans);
+    }
+}
 
 /// What can happen to a database between two runs of a prepared query.
 #[derive(Debug, Clone)]

@@ -5,17 +5,19 @@
 //! generation — one thread builds, the rest block on the in-flight claim
 //! and reuse the published entry — with every thread's rows identical to
 //! the single-threaded oracle. Distinct keys must NOT serialize behind
-//! one another's claims.
+//! one another's claims. And what the one build leaves — the fragment's
+//! shared guard nodes — is bound by the engine once, whoever plans first.
 
 mod support;
 
+use sieve::core::backend::for_each_backend;
 use sieve::core::policy::QueryMetadata;
 use sieve::core::rewrite::DeltaMode;
 use sieve::core::{SieveOptions, SieveService};
-use sieve::minidb::SelectQuery;
+use sieve::minidb::{SelectQuery, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use support::{policy, sorted_rows, wifi_db, QUERIERS, REL};
+use support::{oracle_rows, policy, sorted_rows, wifi_db, QUERIERS, REL};
 
 fn loaded_service() -> SieveService {
     let service = SieveService::new(wifi_db(3000, 80, false), SieveOptions::default()).unwrap();
@@ -205,4 +207,56 @@ fn batch_and_single_key_builds_share_the_claims() {
             .sum();
         assert_eq!(service.delta_len(), guards, "round {round}: leaked ∆ partitions");
     }
+}
+
+/// 16 threads send 16 different texts for one querier whose fragment is
+/// cold. Every reply is the oracle's rows under that text's predicate, on
+/// both backends; in process, where the plans hold the fragment's own
+/// nodes, each shared node was bound once — by whichever plan met it
+/// first — and the 15 other plans bound nothing of it. Across the wire a
+/// node is its source text, and the far side binds what it parses.
+#[test]
+fn distinct_texts_bind_a_cold_fragment_once() {
+    const K: i64 = 16;
+    let qm = QueryMetadata::new(500, "Analytics");
+    // Forty owners, each granting the access point their rows are at and
+    // one more: a disjunction of guards, partitions of several policies.
+    let db = wifi_db(3000, 80, false);
+    for_each_backend(&db, &SieveOptions::default(), |backend, service| {
+        for owner in 0..40i64 {
+            for ap in [1000 + owner % 10, 1000 + (owner + 3) % 10] {
+                service.add_policy(policy(owner, qm.querier, "Analytics", ap)).unwrap();
+            }
+        }
+        let visible = oracle_rows(&service, REL, &qm);
+        assert!(!visible.is_empty());
+        assert_eq!(service.generations(), 0, "{backend}: the fragment must be cold");
+        let barrier = Barrier::new(K as usize);
+        std::thread::scope(|scope| {
+            for k in 0..K {
+                let (service, qm, barrier, visible) = (&service, &qm, &barrier, &visible);
+                scope.spawn(move || {
+                    let below = 150 * (k + 1);
+                    let sql = format!("SELECT * FROM {REL} WHERE id < {below}");
+                    barrier.wait();
+                    let got = sorted_rows(service.execute_sql(&sql, qm).unwrap());
+                    let want: Vec<_> =
+                        visible.iter().filter(|row| row[0] < Value::Int(below)).cloned().collect();
+                    assert_eq!(got, want, "{backend}: {sql}");
+                });
+            }
+        });
+        assert_eq!(service.generations(), 1, "{backend}: one generation");
+        let out = service.rewrite(&SelectQuery::star_from(REL), &qm).unwrap();
+        let [fragment] = out.fragments.as_slice() else { panic!("one protected relation") };
+        let nodes: Vec<_> = std::iter::once(&fragment.disjunction)
+            .chain(fragment.branches.iter().map(|b| &b.partition))
+            .filter_map(|e| e.as_shared())
+            .collect();
+        assert!(nodes.len() > 1, "{backend}: the fixture must share its guard and partitions");
+        let in_process = backend == "minidb";
+        for node in nodes {
+            assert_eq!(node.binds(), usize::from(in_process), "{backend}: {node:?}");
+        }
+    });
 }
