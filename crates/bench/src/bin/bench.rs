@@ -8,8 +8,8 @@
 //! closed-loop client never isolates — each a scenario, a plain function
 //! over [`sieve_bench::harness`]:
 //!
-//! * `hotpath` — the engine alone: filter-loop throughput, morsel-scan
-//!   scaling, index union against the scan it replaces, what pinning a
+//! * `hotpath` — the engine alone: filter-loop throughput, index union
+//!   against the scan it replaces, what pinning a
 //!   plan saves an execute (`engine.plan_us` / `run_pinned_us` /
 //!   `execute_us`) and what a statement pays for a guard bound once
 //!   (`engine.rewrite_us` / `bind_fragment_us`);
@@ -104,10 +104,9 @@ fn execute_all<B: SqlBackend>(
 
 /// The engine alone, no middleware: (1) filter-loop throughput — a forced
 /// sequential scan under a policy-shaped 8-owner OR through the batched,
-/// non-cloning evaluator; (2) the same scan at 1/2/4/8 morsel workers
-/// (counts beyond what the morsels support clamp inside the planner);
-/// (3) the same predicate through per-disjunct index probes against that
-/// scan. Every pass is one `backend.exec_us` sample. (4) The pinned plan,
+/// non-cloning evaluator; (2) the same predicate through per-disjunct
+/// index probes against that scan. Every pass is one `backend.exec_us`
+/// sample. (3) The pinned plan,
 /// on the statement the gated benchmark's `point_warm` replays — the
 /// heaviest querier's Q2-low rewrite: rewriting it warm
 /// (`engine.rewrite_us`), planning it over the fragment's bound guard
@@ -146,49 +145,30 @@ fn hotpath(env: &EnvConfig) -> Record {
     let scan_q = hinted(IndexHint::IgnoreAll);
     let union_q = hinted(IndexHint::Force(vec!["owner".into()]));
     // Timed passes, then one more for the row count.
-    let time = |q: &SelectQuery, opts: &ExecOptions, passes: usize| {
-        let run = || db.run_query_opts(q, opts).expect("engine query").len();
+    let time = |q: &SelectQuery, passes: usize| {
+        let run = || db.run_query(q).expect("engine query").len();
         let exec_us = measure(passes, 1, || {
             black_box(run());
         });
         (run(), exec_us)
     };
-    let access = |q: &SelectQuery, opts: &ExecOptions| {
-        db.explain_opts(q, opts).expect("explain").relations[0].access_desc.clone()
-    };
+    let access = |q: &SelectQuery| db.explain(q).expect("explain").relations[0].access_desc.clone();
     let rows_per_sec = |exec_us: &Stat| table_rows as f64 / (exec_us.median / 1e6);
     let passes = env.pick(3, 6);
     rec.put("table_rows", table_rows);
 
-    let sequential = ExecOptions::default();
-    let (scan_rows, scan_us) = time(&scan_q, &sequential, passes);
-    rec.put("filter_loop.access", access(&scan_q, &sequential));
+    let (scan_rows, scan_us) = time(&scan_q, passes);
+    rec.put("filter_loop.access", access(&scan_q));
     rec.put("filter_loop.output_rows", scan_rows);
     rec.put("filter_loop.backend.exec_us", scan_us);
     rec.put("filter_loop.rows_per_sec", rows_per_sec(&scan_us));
 
-    let mut parallel_rows_ok = true;
-    let mut per_thread = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let opts = ExecOptions::with_threads(threads);
-        let (rows, exec_us) = time(&scan_q, &opts, passes);
-        parallel_rows_ok &= rows == scan_rows;
-        per_thread.push(fields([
-            ("threads", threads.into()),
-            ("access", access(&scan_q, &opts).into()),
-            ("output_rows", rows.into()),
-            ("backend.exec_us", exec_us.into()),
-            ("rows_per_sec", rows_per_sec(&exec_us).into()),
-        ]));
-    }
-    rec.put("parallel_scan", per_thread);
-
     // Both sides re-timed at one pass count; `--quick` raises it so the
     // gate is noise-robust on the tiny CI dataset.
     let union_passes = env.pick(25, passes);
-    let union_access = access(&union_q, &sequential);
-    let (union_rows, union_us) = time(&union_q, &sequential, union_passes);
-    let (_, rescan_us) = time(&scan_q, &sequential, union_passes);
+    let union_access = access(&union_q);
+    let (union_rows, union_us) = time(&union_q, union_passes);
+    let (_, rescan_us) = time(&scan_q, union_passes);
     rec.put("index_union.access", union_access.as_str());
     rec.put("index_union.output_rows", union_rows);
     rec.put("index_union.backend.exec_us", union_us);
@@ -196,15 +176,16 @@ fn hotpath(env: &EnvConfig) -> Record {
     rec.put("index_union.speedup", rescan_us.median / union_us.median);
 
     let (blocks, reps) = (env.pick(5, 9), env.pick(40, 200));
-    let plan = || db.prepare_query(&guarded.query, &sequential).expect("plan");
+    let opts = ExecOptions::default();
+    let plan = || db.prepare_query(&guarded.query).expect("plan");
     let pinned = plan();
-    let pinned_rows = db.run_prepared(&pinned, &sequential).expect("pinned run");
-    let oneshot_rows = db.run_query_opts(&guarded.query, &sequential).expect("one-shot run");
+    let pinned_rows = db.run_prepared(&pinned, &opts).expect("pinned run");
+    let oneshot_rows = db.run_query(&guarded.query).expect("one-shot run");
     // The statement as its text says it, nothing shared: what crosses the
     // wire, and what every plan bound before the guard was a node.
     let rendered = minidb::sql::render_query(&guarded.query);
     let bare = minidb::sql::parse(&rendered).expect("rendered rewrite parses");
-    let bare_rows = db.run_query_opts(&bare, &sequential).expect("bare run");
+    let bare_rows = db.run_query(&bare).expect("bare run");
     let guard = guarded.fragments[0].disjunction.map(&mut |_| None);
     let row = Layout::single(WIFI_TABLE, db.table(WIFI_TABLE).expect("wifi table").schema().clone());
     let bind_fragment_us = measure(blocks, reps, || {
@@ -217,7 +198,7 @@ fn hotpath(env: &EnvConfig) -> Record {
     let own = body.iter().flat_map(|p| p.conjuncts()).filter(|c| **c != guard).cloned().collect();
     *body = Some(Expr::all(own));
     let plan_query_us = measure(blocks, reps, || {
-        drop(black_box(db.prepare_query(&unguarded, &sequential).expect("plan")));
+        drop(black_box(db.prepare_query(&unguarded).expect("plan")));
     });
     let shared_guard = guarded.fragments[0].disjunction.as_shared();
     let binds_before = shared_guard.map(|node| node.binds());
@@ -226,10 +207,10 @@ fn hotpath(env: &EnvConfig) -> Record {
     let plan_us = measure(blocks, reps, || drop(black_box(plan())));
     let bound_nothing = shared_guard.map(|node| node.binds()) == binds_before;
     let run_pinned_us = measure(blocks, reps, || {
-        black_box(db.run_prepared(&pinned, &sequential).expect("pinned run").len());
+        black_box(db.run_prepared(&pinned, &opts).expect("pinned run").len());
     });
     let execute_us = measure(blocks, reps, || {
-        black_box(db.run_query_opts(&guarded.query, &sequential).expect("one-shot run").len());
+        black_box(db.run_query(&guarded.query).expect("one-shot run").len());
     });
     rec.put("engine.querier_policies", policies);
     rec.put("engine.rewrite.sql_bytes", rendered.len());
@@ -279,11 +260,6 @@ fn hotpath(env: &EnvConfig) -> Record {
             "running a pinned plan ({:.1} us) must beat planning and running ({:.1} us)",
             run_pinned_us.median, execute_us.median
         ),
-    );
-    rec.gate(
-        "parallel_scan_rows",
-        parallel_rows_ok,
-        "parallel scans must return the sequential row counts".into(),
     );
     rec.gate(
         "union_access_path",

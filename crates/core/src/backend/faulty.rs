@@ -37,14 +37,13 @@
 //! chaos tests use it to enter a recovery phase and assert the service
 //! heals (and leaks nothing) once the faults stop.
 
-use super::{BackendError, BackendResult, PreparedStatement, SqlBackend, StatementId};
+use super::{BackendError, BackendResult, SqlBackend, StatementId};
 use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
 use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
 use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
-use minidb::value::Value;
 use minidb::{Database, DbProfile, TableEntry};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
@@ -420,27 +419,20 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
         self.inner.insert_row(table, row)
     }
 
-    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         if let Some(e) = self.inject(None) {
             return Err(e);
         }
-        let prepared = self.inner.prepare(query)?;
-        if let Some(ps) = &prepared {
-            self.state.lock().vended.insert(ps.id);
-        }
-        Ok(prepared)
+        let id = self.inner.prepare(query)?;
+        self.state.lock().vended.insert(id);
+        Ok(id)
     }
 
-    fn execute_prepared(
-        &self,
-        id: StatementId,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> BackendResult<QueryResult> {
+    fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult> {
         if let Some(e) = self.inject(Some(id)) {
             return Err(e);
         }
-        self.inner.execute_prepared(id, params, opts)
+        self.inner.execute_prepared(id, opts)
     }
 
     fn close_prepared(&self, id: StatementId) {
@@ -456,7 +448,7 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::value::DataType;
+    use minidb::value::{DataType, Value};
     use minidb::TableSchema;
 
     fn tiny() -> Database {

@@ -5,9 +5,10 @@
 //! PostgreSQL, Section 7). [`SqlBackend`] is that seam in code — the
 //! exact surface the middleware needs from an engine, and nothing more:
 //!
-//! * **query execution** ([`SqlBackend::exec`] / [`SqlBackend::exec_timed`])
-//!   with [`ExecOptions`] (timeouts, and the `threads` knob that turns
-//!   large scans morsel-parallel inside the engine);
+//! * **query execution**, one-shot ([`SqlBackend::exec`] /
+//!   [`SqlBackend::exec_timed`]) or by prepared statement
+//!   ([`SqlBackend::prepare`] / [`SqlBackend::execute_prepared`] /
+//!   [`SqlBackend::close_prepared`]), under [`ExecOptions`] (a timeout);
 //! * **catalog introspection** ([`SqlBackend::table_entry`],
 //!   [`SqlBackend::has_relation`]) — schemas, indexes, and histograms,
 //!   which guard candidate generation and [`crate::cost::calibrate`]
@@ -31,11 +32,11 @@
 //!   network backend uses, making render fidelity load-bearing.
 //!
 //! Both prepare: [`SqlBackend::prepare`] has the engine plan the query
-//! once — under its default scan options, `prepare` carrying none — and
-//! hold the physical plan open in its statement table, and
+//! once and hold the physical plan open in its statement table, and
 //! [`SqlBackend::execute_prepared`] runs that plan — a warm execute plans
-//! nothing. The engine refuses to run a plan on any state of the database
-//! other than the one it was planned on; such a statement is reported
+//! nothing, and a statement's values are the ones it was prepared with.
+//! The engine refuses to run a plan on any state of the database other
+//! than the one it was planned on; such a statement is reported
 //! [`BackendError::UnknownStatement`], which a [`crate::session::Prepared`]
 //! recovers from by preparing again, once.
 //!
@@ -54,7 +55,6 @@ use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
 use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
-use minidb::value::Value;
 use minidb::{Database, DbProfile, TableEntry};
 use std::fmt;
 use std::sync::Arc;
@@ -177,19 +177,6 @@ fn timed_from_db(
 /// instance. Ids are never reused within an instance.
 pub type StatementId = u64;
 
-/// A server-side prepared statement: the statement id plus the literal
-/// values lifted out of the plan at prepare time (index = placeholder
-/// ordinal). Executing with exactly these values is the warm fast path;
-/// executing with different values rebinds against the server's parsed
-/// template.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedStatement {
-    /// Server-side statement handle.
-    pub id: StatementId,
-    /// Parameter values the plan was prepared with.
-    pub params: Vec<Value>,
-}
-
 /// The execution engine behind the middleware, as seen by
 /// [`crate::service::SieveService`].
 ///
@@ -205,7 +192,7 @@ pub trait SqlBackend: Send + Sync {
     /// Short identifier for diagnostics and bench labels.
     fn name(&self) -> &'static str;
 
-    /// Execute a prepared query.
+    /// Execute a query once: plan it, run the plan, keep nothing.
     fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult>;
 
     /// Execute a query and report `(result, stats)` — wall time plus the
@@ -244,38 +231,16 @@ pub trait SqlBackend: Send + Sync {
     fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId>;
 
     /// Prepare `query` server-side — ship it and plan it, once — returning
-    /// a statement id to execute by thereafter. `Ok(None)` means this
-    /// backend has no server-side statements (the default; both shipped
-    /// backends have them); callers then fall back to [`SqlBackend::exec`]
-    /// per call.
-    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
-        let _ = query;
-        Ok(None)
-    }
+    /// a statement id to execute by thereafter.
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId>;
 
-    /// Execute a statement previously returned by [`SqlBackend::prepare`]
-    /// with the given parameter values. Only meaningful on backends that
-    /// returned `Some` from `prepare`.
-    fn execute_prepared(
-        &self,
-        id: StatementId,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> BackendResult<QueryResult> {
-        let _ = (params, opts);
-        // Fatal, not UnknownStatement: there is no statement state to
-        // recover, so a re-prepare/retry loop must not engage.
-        Err(BackendError::Fatal(format!(
-            "backend {} has no server-side prepared statements (statement {id})",
-            self.name()
-        )))
-    }
+    /// Run the plan of a statement [`SqlBackend::prepare`] returned, under
+    /// `opts`' deadline. [`BackendError::UnknownStatement`] when the id is
+    /// closed, evicted, lost, or planned on an older state of the engine.
+    fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult>;
 
-    /// Release a server-side statement. A no-op on backends without
-    /// server-side statements, and for ids already closed.
-    fn close_prepared(&self, id: StatementId) {
-        let _ = id;
-    }
+    /// Release a server-side statement; a no-op for ids already closed.
+    fn close_prepared(&self, id: StatementId);
 
     /// The in-process engine behind this backend, if any — the escape
     /// hatch the reference oracle ([`crate::semantics`]) uses to evaluate
@@ -323,16 +288,11 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
         (**self).insert_row(table, row)
     }
-    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         (**self).prepare(query)
     }
-    fn execute_prepared(
-        &self,
-        id: StatementId,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> BackendResult<QueryResult> {
-        (**self).execute_prepared(id, params, opts)
+    fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult> {
+        (**self).execute_prepared(id, opts)
     }
     fn close_prepared(&self, id: StatementId) {
         (**self).close_prepared(id)
@@ -382,18 +342,10 @@ impl SqlBackend for Database {
         self.insert(table, row).map_err(BackendError::from)
     }
     /// Plans the query and pins the plan in the engine's statement table.
-    /// Nothing is lifted out of an AST handed over in process: the
-    /// statement has no parameters.
-    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
-        let id = self.prepare_statement(query)?;
-        Ok(Some(PreparedStatement { id, params: Vec::new() }))
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
+        Ok(self.prepare_statement(query)?)
     }
-    fn execute_prepared(
-        &self,
-        id: StatementId,
-        _params: &[Value],
-        opts: &ExecOptions,
-    ) -> BackendResult<QueryResult> {
+    fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult> {
         statement_result(id, self.execute_statement(id, opts))
     }
     fn close_prepared(&self, id: StatementId) {

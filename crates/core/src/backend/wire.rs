@@ -16,9 +16,7 @@
 //! own client-library calls for setup rather than the measured query
 //! path.
 
-use super::{
-    statement_result, BackendError, BackendResult, PreparedStatement, SqlBackend, StatementId,
-};
+use super::{statement_result, BackendError, BackendResult, SqlBackend, StatementId};
 use crate::lru::LruMap;
 use minidb::error::DbResult;
 use minidb::exec::{ExecOptions, QueryResult};
@@ -27,10 +25,8 @@ use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
 use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
-use minidb::value::Value;
 use minidb::{Database, DbProfile, TableEntry};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,18 +36,6 @@ use std::time::Duration;
 /// working set is the number of distinct *query shapes*, not queriers.
 pub const TEMPLATE_CACHE_CAP: usize = 256;
 
-/// A registered server-side statement, under the id of the engine
-/// statement that pins the template's plan with `params` bound — executing
-/// with the same values costs no render, no parse, no rebind and no
-/// planning.
-#[derive(Debug)]
-struct StatementEntry {
-    /// Parsed literal-free template (shared with the intern cache).
-    template: Arc<SelectQuery>,
-    /// Parameter values given at prepare time.
-    params: Vec<Value>,
-}
-
 /// An engine reached exclusively through SQL text.
 #[derive(Debug)]
 pub struct WireSqlBackend {
@@ -59,8 +43,6 @@ pub struct WireSqlBackend {
     /// Queries that crossed the wire as full SQL text
     /// (render → parse → execute, or a prepare).
     round_trips: AtomicU64,
-    /// Open server-side statements by id.
-    statements: RwLock<HashMap<StatementId, StatementEntry>>,
     /// Parsed templates interned by rendered text: a template shared by N
     /// queriers is parsed once, not N times.
     templates: RwLock<LruMap<Arc<SelectQuery>>>,
@@ -78,7 +60,6 @@ impl WireSqlBackend {
         WireSqlBackend {
             db,
             round_trips: AtomicU64::new(0),
-            statements: RwLock::new(HashMap::new()),
             templates: RwLock::new(LruMap::new(TEMPLATE_CACHE_CAP)),
             prepares: AtomicU64::new(0),
             template_hits: AtomicU64::new(0),
@@ -122,9 +103,9 @@ impl WireSqlBackend {
         self.prepared_execs.load(Ordering::Relaxed)
     }
 
-    /// Currently open server-side statements.
+    /// Currently open server-side statements: the engine's statement table.
     pub fn open_statements(&self) -> usize {
-        self.statements.read().len()
+        self.db.open_statements()
     }
 
     /// The wire itself: serialize, "transmit", deserialize. Every byte of
@@ -196,10 +177,10 @@ impl SqlBackend for WireSqlBackend {
     /// The server-side prepare: lift literals into `?` placeholders,
     /// render the literal-free template, and parse it **once per template
     /// text** — queriers whose rewrites differ only in policy literals
-    /// share one parsed template. The engine plans the bound template once
-    /// and the returned statement executes that plan by id; no SQL text
-    /// crosses the wire again.
-    fn prepare(&self, query: &SelectQuery) -> BackendResult<Option<PreparedStatement>> {
+    /// share one parsed template. The engine plans the template bound to
+    /// this query's literals once and the returned statement executes that
+    /// plan by id; no SQL text crosses the wire again.
+    fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         let (template_ast, params) = minidb::sql::parameterize(query);
         let sql = minidb::sql::render_query(&template_ast);
@@ -230,43 +211,14 @@ impl SqlBackend for WireSqlBackend {
                 }
             }
         };
-        let id = self.db.prepare_statement(&minidb::sql::bind_params(&template, &params)?)?;
-        let entry = StatementEntry { template, params: params.clone() };
-        self.statements.write().insert(id, entry);
-        Ok(Some(PreparedStatement { id, params }))
+        Ok(self.db.prepare_statement(&minidb::sql::bind_params(&template, &params)?)?)
     }
-    fn execute_prepared(
-        &self,
-        id: StatementId,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> BackendResult<QueryResult> {
-        // The template is cloned out so the registry lock is not held
-        // across execution (a concurrent close must not block the data
-        // plane).
-        let rebind = {
-            let statements = self.statements.read();
-            // An id missing from the registry — closed, evicted, or wiped
-            // by a connection loss — is the typed signal the session layer
-            // recovers from by re-preparing exactly once.
-            let entry = statements
-                .get(&id)
-                .ok_or(BackendError::UnknownStatement(id))?;
-            (entry.params != params).then(|| entry.template.clone())
-        };
+    /// Runs the pinned plan: no render, parse, rebind or planning.
+    fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult> {
         self.prepared_execs.fetch_add(1, Ordering::Relaxed);
-        match rebind {
-            // Warm fast path: parameters unchanged since prepare — run
-            // the pinned plan with no render, parse, rebind or planning.
-            None => statement_result(id, self.db.execute_statement(id, opts)),
-            Some(template) => {
-                let bound = minidb::sql::bind_params(&template, params)?;
-                self.db.run_query_opts(&bound, opts).map_err(BackendError::from)
-            }
-        }
+        statement_result(id, self.db.execute_statement(id, opts))
     }
     fn close_prepared(&self, id: StatementId) {
-        self.statements.write().remove(&id);
         self.db.close_statement(id);
     }
     fn minidb(&self) -> Option<&Database> {
@@ -309,58 +261,55 @@ mod tests {
         assert_eq!(backend.round_trips(), 2);
     }
 
+    fn owner_is(owner: i64) -> SelectQuery {
+        SelectQuery::star_from("t")
+            .filter(minidb::Expr::col_eq(minidb::ColumnRef::bare("owner"), Value::Int(owner)))
+    }
+
     #[test]
     fn prepared_statements_skip_the_text_path() {
         let backend = WireSqlBackend::new(db());
-        let q = SelectQuery::star_from("t").filter(minidb::Expr::col_eq(
-            minidb::ColumnRef::bare("owner"),
-            Value::Int(2),
-        ));
-        let direct = backend.exec(&q, &ExecOptions::default()).unwrap().rows;
+        let opts = ExecOptions::default();
+        let direct = backend.exec(&owner_is(2), &opts).unwrap().rows;
         let trips_after_exec = backend.round_trips();
 
-        let stmt = backend.prepare(&q).unwrap().expect("wire backend prepares");
-        assert_eq!(stmt.params, vec![Value::Int(2)]);
+        let id = backend.prepare(&owner_is(2)).unwrap();
         assert_eq!(backend.round_trips(), trips_after_exec + 1);
         assert_eq!(backend.open_statements(), 1);
 
         for _ in 0..5 {
-            let rows = backend
-                .execute_prepared(stmt.id, &stmt.params, &ExecOptions::default())
-                .unwrap()
-                .rows;
-            assert_eq!(rows, direct);
+            assert_eq!(backend.execute_prepared(id, &opts).unwrap().rows, direct);
         }
         // Executions by id ship no SQL text.
         assert_eq!(backend.round_trips(), trips_after_exec + 1);
         assert_eq!(backend.prepared_execs(), 5);
 
-        // Rebinding with different values reuses the template.
-        let other = backend
-            .execute_prepared(stmt.id, &[Value::Int(3)], &ExecOptions::default())
-            .unwrap()
-            .rows;
-        assert_eq!(other.len(), 5);
-        assert_ne!(other, direct);
+        // The same shape with another literal is another statement over the
+        // one parsed template, and each statement keeps its own values.
+        let hits = backend.template_hits();
+        let other = backend.prepare(&owner_is(3)).unwrap();
+        assert_ne!(other, id);
+        assert_eq!(backend.template_hits(), hits + 1);
+        assert_eq!(backend.open_statements(), 2);
+        let other_rows = backend.execute_prepared(other, &opts).unwrap().rows;
+        assert_eq!(other_rows, backend.exec(&owner_is(3), &opts).unwrap().rows);
+        assert_eq!(other_rows.len(), 5);
+        assert_ne!(other_rows, direct);
+        assert_eq!(backend.execute_prepared(id, &opts).unwrap().rows, direct);
 
-        backend.close_prepared(stmt.id);
+        backend.close_prepared(id);
+        backend.close_prepared(other);
         assert_eq!(backend.open_statements(), 0);
-        assert!(backend
-            .execute_prepared(stmt.id, &stmt.params, &ExecOptions::default())
-            .is_err());
+        assert_eq!(backend.execute_prepared(id, &opts), Err(BackendError::UnknownStatement(id)));
         // Closing twice is a no-op.
-        backend.close_prepared(stmt.id);
+        backend.close_prepared(id);
     }
 
     #[test]
     fn templates_interned_across_literal_variants() {
         let backend = WireSqlBackend::new(db());
         for owner in 0..4i64 {
-            let q = SelectQuery::star_from("t").filter(minidb::Expr::col_eq(
-                minidb::ColumnRef::bare("owner"),
-                Value::Int(owner),
-            ));
-            backend.prepare(&q).unwrap().unwrap();
+            backend.prepare(&owner_is(owner)).unwrap();
         }
         assert_eq!(backend.prepares(), 4);
         // Same shape, different literals: parsed once, interned 3 times.
@@ -370,41 +319,32 @@ mod tests {
     #[test]
     fn minidb_backend_pins_plans_server_side() {
         let backend = db();
-        let q = SelectQuery::star_from("t").filter(minidb::Expr::col_eq(
-            minidb::ColumnRef::bare("owner"),
-            Value::Int(2),
-        ));
+        let q = owner_is(2);
         let opts = ExecOptions::default();
         let direct = backend.exec(&q, &opts).unwrap();
-        let stmt = backend.prepare(&q).unwrap().expect("the engine prepares");
+        let id = backend.prepare(&q).unwrap();
         assert_eq!(backend.open_statements(), 1);
         for _ in 0..5 {
-            assert_eq!(backend.execute_prepared(stmt.id, &stmt.params, &opts).unwrap(), direct);
+            assert_eq!(backend.execute_prepared(id, &opts).unwrap(), direct);
         }
-        backend.close_prepared(stmt.id);
+        backend.close_prepared(id);
         assert_eq!(backend.open_statements(), 0);
-        assert_eq!(
-            backend.execute_prepared(stmt.id, &stmt.params, &opts),
-            Err(BackendError::UnknownStatement(stmt.id))
-        );
-        backend.close_prepared(stmt.id); // closing twice is a no-op
+        assert_eq!(backend.execute_prepared(id, &opts), Err(BackendError::UnknownStatement(id)));
+        backend.close_prepared(id); // closing twice is a no-op
         // An id another engine issued is unknown here, not someone's plan.
         let other = db();
-        let foreign = other.prepare(&q).unwrap().unwrap();
-        backend.prepare(&q).unwrap().unwrap();
+        let foreign = other.prepare(&q).unwrap();
+        backend.prepare(&q).unwrap();
         assert_eq!(
-            backend.execute_prepared(foreign.id, &[], &opts),
-            Err(BackendError::UnknownStatement(foreign.id))
+            backend.execute_prepared(foreign, &opts),
+            Err(BackendError::UnknownStatement(foreign))
         );
     }
 
     #[test]
     fn wire_results_match_in_process_results() {
         let db = db();
-        let q = SelectQuery::star_from("t").filter(minidb::Expr::col_eq(
-            minidb::ColumnRef::bare("owner"),
-            Value::Int(2),
-        ));
+        let q = owner_is(2);
         let direct = db.run_query(&q).unwrap().rows;
         let backend = WireSqlBackend::new(db);
         let wired = backend.exec(&q, &ExecOptions::default()).unwrap().rows;

@@ -59,12 +59,6 @@ pub struct SieveOptions {
     pub regeneration: RegenerationPolicy,
     /// Query timeout (the paper's Experiment 3 uses 30 s).
     pub timeout: Option<Duration>,
-    /// Worker threads for the engine's morsel-parallel scans (0 or 1 =
-    /// sequential). Plumbed into every one-shot query's
-    /// [`minidb::ExecOptions`]. A [`crate::Prepared`]'s plan is chosen when
-    /// the backend prepares it, where the seam carries no options: it is
-    /// planned, and runs, sequentially.
-    pub exec_threads: usize,
     /// Mirror policies and guards into the `rP`/`rOC`/`rGE`/`rGG`/`rGP`
     /// relations (Section 5.1).
     pub persist: bool,

@@ -79,7 +79,7 @@
 //! execution with zero cache traffic while fresh.
 
 use crate::analyze;
-use crate::backend::{BackendError, SqlBackend};
+use crate::backend::{BackendError, SqlBackend, StatementId};
 use crate::batch::{BatchGroupReport, BatchPrepareReport};
 use crate::cache::{CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
@@ -732,11 +732,7 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     pub(crate) fn exec_options(&self) -> ExecOptions {
-        let opts = self.inner.options.read();
-        ExecOptions {
-            timeout: opts.timeout,
-            threads: opts.exec_threads,
-        }
+        ExecOptions { timeout: self.inner.options.read().timeout }
     }
 
     /// Snapshot of the recovery counters (retries, reconnects,
@@ -812,39 +808,24 @@ impl<B: SqlBackend> SieveService<B> {
         self.with_backend_retry(|b| b.exec(&rewritten.query, &opts))
     }
 
-    /// Execute an already-rewritten query (a [`crate::session::Prepared`]
-    /// over a backend without statements; the caller pins the fragments).
-    pub(crate) fn exec_prepared(&self, query: &SelectQuery) -> SieveResult<QueryResult> {
-        let opts = self.exec_options();
-        self.with_backend_retry(|b| b.exec(query, &opts))
-    }
-
-    /// Ask the backend for a server-side statement handle over an
-    /// already-rewritten query. `Ok(None)` means the backend has no
-    /// prepared-statement support and callers must stay on the text path.
-    pub(crate) fn prepare_statement(
-        &self,
-        query: &SelectQuery,
-    ) -> SieveResult<Option<crate::backend::PreparedStatement>> {
+    /// Have the backend plan an already-rewritten query once and hold the
+    /// plan open as a server-side statement.
+    pub(crate) fn prepare_statement(&self, query: &SelectQuery) -> SieveResult<StatementId> {
         self.with_backend_retry(|b| b.prepare(query))
     }
 
-    /// Execute a server-side prepared statement with bound parameters
-    /// (the [`crate::session::Prepared`] hot path: a pinned plan, run). A
+    /// Execute a server-side prepared statement (the
+    /// [`crate::session::Prepared`] hot path: a pinned plan, run). A
     /// connection drop mid-retry typically resurfaces as
     /// [`BackendError::UnknownStatement`] on the fresh connection — the
     /// typed signal the session layer re-prepares on.
-    pub(crate) fn execute_statement(
-        &self,
-        id: crate::backend::StatementId,
-        params: &[minidb::value::Value],
-    ) -> SieveResult<QueryResult> {
+    pub(crate) fn execute_statement(&self, id: StatementId) -> SieveResult<QueryResult> {
         let opts = self.exec_options();
-        self.with_backend_retry(|b| b.execute_prepared(id, params, &opts))
+        self.with_backend_retry(|b| b.execute_prepared(id, &opts))
     }
 
     /// Close a server-side prepared statement; unknown ids are a no-op.
-    pub(crate) fn close_statement(&self, id: crate::backend::StatementId) {
+    pub(crate) fn close_statement(&self, id: StatementId) {
         let backend = self.inner.backend.read();
         backend.close_prepared(id);
     }

@@ -90,15 +90,14 @@ impl<B: SqlBackend> Session<B> {
     /// compiled fragments, and hand back a [`Prepared`] whose `execute`
     /// skips the middleware entirely while the plan stays fresh.
     pub fn prepare(&self, query: SelectQuery) -> SieveResult<Prepared<B>> {
-        let prepared = Prepared {
+        let plan = Plan::build(&self.service, &self.qm, &query)?;
+        Ok(Prepared {
             service: self.service.clone(),
             qm: self.qm.clone(),
             source: query,
-            plan: Mutex::new(None),
+            plan: Mutex::new(plan),
             reprepares: AtomicU64::new(0),
-        };
-        prepared.refresh_plan(None)?;
-        Ok(prepared)
+        })
     }
 
     /// Parse SQL and [`Session::prepare`] it.
@@ -114,9 +113,6 @@ impl<B: SqlBackend> Session<B> {
 struct StatementPin<B: SqlBackend> {
     service: SieveService<B>,
     id: StatementId,
-    /// The literal values lifted out of the rewritten query, in placeholder
-    /// order — re-sent on every execute, as a wire client would.
-    params: Vec<minidb::value::Value>,
 }
 
 impl<B: SqlBackend> Drop for StatementPin<B> {
@@ -125,24 +121,37 @@ impl<B: SqlBackend> Drop for StatementPin<B> {
     }
 }
 
-/// How a plan reaches the backend.
-enum Dispatch<B: SqlBackend> {
-    /// By the server-side statement pinning the rewrite's physical plan;
-    /// a stale plan's statement closes when its last holder drops.
-    Statement(StatementPin<B>),
-    /// As the rewritten query, planned per execute: no prepared execution.
-    Query(SelectQuery),
-}
-
 /// A rewritten plan plus the validity stamps it was built under. Shared
 /// as one `Arc`, so a warm execute pins statement + fragments (and through
 /// them the ∆ partitions) with a single refcount bump.
 struct Plan<B: SqlBackend> {
-    dispatch: Dispatch<B>,
+    /// The server-side statement pinning the rewrite's physical plan; a
+    /// stale plan's statement closes when its last holder drops.
+    statement: StatementPin<B>,
     /// Pins the plan's ∆ partitions for as long as the plan is held.
     _fragments: Vec<Arc<GuardFragment>>,
     backend_epoch: u64,
     revision: u64,
+}
+
+impl<B: SqlBackend> Plan<B> {
+    /// Rewrite `source` for `qm` under the service's current state, and
+    /// have the backend plan the rewrite once and pin it as a statement.
+    fn build(
+        service: &SieveService<B>,
+        qm: &QueryMetadata,
+        source: &SelectQuery,
+    ) -> SieveResult<Arc<Self>> {
+        // Stamps are captured *before* the rewrite: if a writer bumps
+        // either counter mid-rewrite, the plan is already marked stale and
+        // the next execute re-prepares — conservative, never wrong.
+        let backend_epoch = service.backend_epoch();
+        let revision = service.revision();
+        let out = service.rewrite(source, qm)?;
+        let id = service.prepare_statement(&out.query)?;
+        let statement = StatementPin { service: service.clone(), id };
+        Ok(Arc::new(Plan { statement, _fragments: out.fragments, backend_epoch, revision }))
+    }
 }
 
 /// A statement prepared for one querier: the compiled rewrite is pinned
@@ -153,7 +162,7 @@ pub struct Prepared<B: SqlBackend = Database> {
     service: SieveService<B>,
     qm: QueryMetadata,
     source: SelectQuery,
-    plan: Mutex<Option<Arc<Plan<B>>>>,
+    plan: Mutex<Arc<Plan<B>>>,
     reprepares: AtomicU64,
 }
 
@@ -174,13 +183,10 @@ impl<B: SqlBackend> Prepared<B> {
         self.reprepares.load(Ordering::Relaxed)
     }
 
-    /// The server-side statement id behind the current plan, if any
+    /// The server-side statement id behind the current plan
     /// (observability: a re-prepare shows up as a fresh id).
-    pub fn statement_id(&self) -> Option<StatementId> {
-        match &self.plan.lock().as_ref()?.dispatch {
-            Dispatch::Statement(pin) => Some(pin.id),
-            Dispatch::Query(_) => None,
-        }
+    pub fn statement_id(&self) -> StatementId {
+        self.plan.lock().statement.id
     }
 
     /// True iff the plan's validity stamps still match the service.
@@ -189,53 +195,29 @@ impl<B: SqlBackend> Prepared<B> {
             && p.revision == self.service.revision()
     }
 
-    /// Rebuild the plan from the current service state.
+    /// Replace the plan with one built from the current service state.
     ///
-    /// `observed` is the plan the caller found stale or failing (`None`
-    /// at initial prepare). The plan mutex is held across the whole
-    /// rebuild, making recovery **single-flight**: a storm of threads
-    /// that all observed the same dead plan queue here, the first
-    /// rebuilds, and every later one finds the slot holds a *different*,
-    /// fresh plan and reuses it — one re-prepare total, not one per
-    /// thread.
-    fn refresh_plan(&self, observed: Option<&Arc<Plan<B>>>) -> SieveResult<Arc<Plan<B>>> {
+    /// `observed` is the plan the caller found stale or failing. The plan
+    /// mutex is held across the whole rebuild, making recovery
+    /// **single-flight**: a storm of threads that all observed the same
+    /// dead plan queue here, the first rebuilds, and every later one finds
+    /// the slot holds a *different*, fresh plan and reuses it — one
+    /// re-prepare total, not one per thread.
+    fn refresh_plan(&self, observed: &Arc<Plan<B>>) -> SieveResult<Arc<Plan<B>>> {
         let mut slot = self.plan.lock();
-        if let Some(cur) = slot.as_ref() {
-            let replaced = observed.map(|o| !Arc::ptr_eq(o, cur)).unwrap_or(false);
-            if replaced && self.plan_fresh(cur) {
-                return Ok(Arc::clone(cur));
-            }
+        if !Arc::ptr_eq(observed, &*slot) && self.plan_fresh(&slot) {
+            return Ok(Arc::clone(&*slot));
         }
-        // Stamps are captured *before* the rewrite: if a writer bumps
-        // either counter mid-rewrite, the stored plan is already marked
-        // stale and the next execute re-prepares — conservative, never
-        // wrong.
-        let backend_epoch = self.service.backend_epoch();
-        let revision = self.service.revision();
-        let out = self.service.rewrite(&self.source, &self.qm)?;
-        // Pin a server-side statement when the backend offers one: the
-        // rewritten query is shipped and planned once here, and every warm
-        // execute runs that plan by statement id + bound parameters.
-        let service = self.service.clone();
-        let dispatch = match self.service.prepare_statement(&out.query)? {
-            Some(ps) => Dispatch::Statement(StatementPin { service, id: ps.id, params: ps.params }),
-            None => Dispatch::Query(out.query),
-        };
-        let plan = Arc::new(Plan { dispatch, _fragments: out.fragments, backend_epoch, revision });
-        if slot.is_some() {
-            self.reprepares.fetch_add(1, Ordering::Relaxed);
-            self.service.note_reprepare();
-        }
-        *slot = Some(Arc::clone(&plan));
+        let plan = Plan::build(&self.service, &self.qm, &self.source)?;
+        self.reprepares.fetch_add(1, Ordering::Relaxed);
+        self.service.note_reprepare();
+        *slot = Arc::clone(&plan);
         Ok(plan)
     }
 
-    /// Dispatch an already-built plan to the backend.
+    /// Run an already-built plan's statement on the backend.
     fn run_plan(&self, plan: &Plan<B>) -> SieveResult<QueryResult> {
-        match &plan.dispatch {
-            Dispatch::Statement(pin) => self.service.execute_statement(pin.id, &pin.params),
-            Dispatch::Query(query) => self.service.exec_prepared(query),
-        }
+        self.service.execute_statement(plan.statement.id)
     }
 
     /// Execute the statement. While the plan is fresh this is the
@@ -249,20 +231,14 @@ impl<B: SqlBackend> Prepared<B> {
     /// query re-run; a second failure surfaces to the caller. Everything
     /// else fails closed immediately with the typed error.
     pub fn execute(&self) -> SieveResult<QueryResult> {
-        let (observed, fresh) = {
-            let slot = self.plan.lock();
-            match slot.as_ref() {
-                Some(p) => (Some(Arc::clone(p)), self.plan_fresh(p)),
-                None => (None, false),
-            }
-        };
-        let plan = match (observed, fresh) {
-            (Some(p), true) => p,
-            (observed, _) => self.refresh_plan(observed.as_ref())?,
+        let observed = Arc::clone(&*self.plan.lock());
+        let plan = match self.plan_fresh(&observed) {
+            true => observed,
+            false => self.refresh_plan(&observed)?,
         };
         match self.run_plan(&plan) {
             Err(e) if e.needs_reprepare() => {
-                let plan = self.refresh_plan(Some(&plan))?;
+                let plan = self.refresh_plan(&plan)?;
                 self.run_plan(&plan)
             }
             done => done,

@@ -271,16 +271,16 @@ impl Database {
         &self.udfs
     }
 
-    /// Plan a query for repeated execution under `opts` (the thread knob
-    /// is a planning input), executing nothing and charging no counter.
-    /// Every query this database runs or explains is planned here.
-    pub fn prepare_query(&self, query: &SelectQuery, opts: &ExecOptions) -> DbResult<PreparedQuery> {
-        crate::exec::prepare(self, query, opts)
+    /// Plan a query for repeated execution, executing nothing and charging
+    /// no counter. Every query this database runs or explains is planned
+    /// here.
+    pub fn prepare_query(&self, query: &SelectQuery) -> DbResult<PreparedQuery> {
+        crate::exec::prepare(self, query)
     }
 
-    /// Run a prepared query: no planning, just the plan. Refused with
-    /// [`DbError::StalePlan`] unless this is the state and these are the
-    /// scan options it was prepared on.
+    /// Run a prepared query under `opts`' deadline: no planning, just the
+    /// plan. Refused with [`DbError::StalePlan`] unless this is the state
+    /// it was prepared on.
     pub fn run_prepared(&self, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
         crate::exec::run(self, prepared, opts)
     }
@@ -312,14 +312,7 @@ impl Database {
     /// estimated cardinalities (paper Section 5.5 uses this to cost
     /// strategies).
     pub fn explain(&self, query: &SelectQuery) -> DbResult<ExplainOutput> {
-        self.explain_opts(query, &ExecOptions::default())
-    }
-
-    /// EXPLAIN under specific execution options: with a thread knob set,
-    /// large scans report as `ParallelScan(morsels=…)` and the
-    /// PostgreSQL-like bitmap gate tightens accordingly.
-    pub fn explain_opts(&self, query: &SelectQuery, opts: &ExecOptions) -> DbResult<ExplainOutput> {
-        self.explain_prepared(&self.prepare_query(query, opts)?)
+        self.explain_prepared(&self.prepare_query(query)?)
     }
 
     /// EXPLAIN of a prepared query: the plan [`Database::run_prepared`] runs,
@@ -332,23 +325,22 @@ impl Database {
     }
 
     /// Prepare `query` and hold the plan open in this database's statement
-    /// table under a fresh id. A statement is planned under the default
-    /// scan options: there are none to be had where one is prepared.
+    /// table under a fresh id.
     pub fn prepare_statement(&self, query: &SelectQuery) -> DbResult<u64> {
-        let pinned = self.prepare_query(query, &ExecOptions::default())?;
+        let pinned = self.prepare_query(query)?;
         let id = NEXT_STATEMENT.fetch_add(1, Ordering::Relaxed);
         self.statements.write().insert(id, pinned);
         Ok(id)
     }
 
-    /// Run an open statement's pinned plan, under the scan options it was
-    /// planned for and `opts`' deadline. [`DbError::StalePlan`] when the id
-    /// is not open here or the database has changed since it was prepared:
-    /// the statement is dead, prepare a fresh one.
+    /// Run an open statement's pinned plan under `opts`' deadline.
+    /// [`DbError::StalePlan`] when the id is not open here or the database
+    /// has changed since it was prepared: the statement is dead, prepare a
+    /// fresh one.
     pub fn execute_statement(&self, id: u64, opts: &ExecOptions) -> DbResult<QueryResult> {
         // Cloned out (an `Arc`): the table is not locked while a plan runs.
         let pinned = self.statements.read().get(&id).cloned().ok_or(DbError::StalePlan)?;
-        self.run_prepared(&pinned, &ExecOptions { timeout: opts.timeout, ..ExecOptions::default() })
+        self.run_prepared(&pinned, opts)
     }
 
     /// Close a statement; unknown and already closed ids are a no-op.
@@ -462,27 +454,24 @@ mod tests {
         let fresh = db.run_query(&q).unwrap();
         assert_eq!(fresh.len(), 10);
         let id = db.prepare_statement(&q).unwrap();
-        let (sequential, threads) = (ExecOptions::default(), ExecOptions::with_threads(4));
-        assert_eq!(db.execute_statement(id, &sequential).as_ref(), Ok(&fresh));
-        // A statement keeps the scan options it was planned for; the call
-        // supplies the deadline.
-        assert_eq!(db.execute_statement(id, &threads).as_ref(), Ok(&fresh));
-        let expired = ExecOptions { timeout: Some(std::time::Duration::ZERO), threads: 4 };
+        let opts = ExecOptions::default();
+        assert_eq!(db.execute_statement(id, &opts).as_ref(), Ok(&fresh));
+        // The call supplies the deadline.
+        let expired = ExecOptions::with_timeout(std::time::Duration::ZERO);
         assert_eq!(db.execute_statement(id, &expired), Err(DbError::Timeout));
         // A clone is the same state but another database: a plan of this
         // one runs there, a statement id of this one means nothing.
         let twin = db.clone();
-        let prepared = db.prepare_query(&q, &sequential).unwrap();
-        assert_eq!(twin.run_prepared(&prepared, &sequential).as_ref(), Ok(&fresh));
+        let prepared = db.prepare_query(&q).unwrap();
+        assert_eq!(twin.run_prepared(&prepared, &opts).as_ref(), Ok(&fresh));
         assert_eq!(twin.open_statements(), 0);
-        assert_eq!(twin.execute_statement(id, &sequential), Err(DbError::StalePlan));
+        assert_eq!(twin.execute_statement(id, &opts), Err(DbError::StalePlan));
         // Any change kills the statement and the plan, whatever it changed.
         db.insert("t", vec![Value::Int(50), Value::Int(0)]).unwrap();
-        assert_eq!(db.execute_statement(id, &sequential), Err(DbError::StalePlan));
-        assert_eq!(db.run_prepared(&prepared, &sequential), Err(DbError::StalePlan));
-        assert_eq!(db.run_prepared(&prepared, &threads), Err(DbError::StalePlan));
+        assert_eq!(db.execute_statement(id, &opts), Err(DbError::StalePlan));
+        assert_eq!(db.run_prepared(&prepared, &opts), Err(DbError::StalePlan));
         assert!(matches!(db.explain_prepared(&prepared), Err(DbError::StalePlan)));
-        assert_eq!(twin.run_prepared(&prepared, &sequential).as_ref(), Ok(&fresh));
+        assert_eq!(twin.run_prepared(&prepared, &opts).as_ref(), Ok(&fresh));
         assert_eq!(db.open_statements(), 1);
         db.close_statement(id);
         db.close_statement(id);

@@ -32,8 +32,8 @@ pub enum DbError {
     /// Execution exceeded the configured timeout.
     Timeout,
     /// A prepared query or statement is not this database's to run: planned
-    /// on another state of the catalog or under other scan options, closed,
-    /// or never issued. Prepare again.
+    /// on another state of the catalog, closed, or never issued. Prepare
+    /// again.
     StalePlan,
 }
 

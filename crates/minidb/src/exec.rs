@@ -20,14 +20,12 @@ use crate::expr::{EvalContext, FilterProgram, QueryRunner};
 use crate::index::RowIdSet;
 use crate::plan::{AggFunc, SelectQuery};
 use crate::planner::{
-    plan_query, AccessPlan, AggOut, IndexProbe, Input, Output, QueryPlan, Read, ScanOptions,
-    Subplan, TempSource, MORSEL_ROWS,
+    plan_query, AccessPlan, AggOut, IndexProbe, Input, Output, QueryPlan, Read, Subplan, TempSource,
 };
 use crate::stats::StatsSink;
 use crate::table::{Row, RowId, ROWS_PER_PAGE};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,27 +35,12 @@ pub struct ExecOptions {
     /// Abort with [`DbError::Timeout`] when execution exceeds this. The
     /// paper's Experiment 3 uses a 30 s timeout.
     pub timeout: Option<Duration>,
-    /// Worker threads for morsel-parallel scans; `0` or `1` (the default)
-    /// keeps every scan sequential. Which scans are big enough to split
-    /// is the planner's decision ([`crate::planner::ScanOptions`]).
-    pub threads: usize,
 }
 
 impl ExecOptions {
     /// Options with a timeout.
     pub fn with_timeout(timeout: Duration) -> Self {
-        ExecOptions {
-            timeout: Some(timeout),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Options with a scan-parallelism level.
-    pub fn with_threads(threads: usize) -> Self {
-        ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        }
+        ExecOptions { timeout: Some(timeout) }
     }
 }
 
@@ -90,10 +73,6 @@ impl QueryResult {
 /// Materialized WITH results by name, shared by reference.
 type Temps = Arc<HashMap<String, Arc<Vec<Row>>>>;
 
-/// One parallel-filter worker's output: `(morsel index, surviving rows)`
-/// pairs in claim order, merged back by index for a deterministic result.
-type MorselOut = Vec<(usize, Vec<Row>)>;
-
 /// Rows evaluated per filter batch: big enough to amortize the deadline
 /// check and selection-vector bookkeeping, small enough to stay cache-hot.
 const FILTER_BATCH: usize = 1024;
@@ -115,8 +94,6 @@ fn concat_rows(orow: &[Value], irow: &[Value]) -> Row {
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     pub(crate) plan: Arc<QueryPlan>,
-    /// The scan options the plan was chosen under.
-    scan: ScanOptions,
     /// The [`Database::version`] the plan was chosen on.
     version: u64,
 }
@@ -130,17 +107,14 @@ impl PreparedQuery {
 }
 
 /// Plan a query for repeated execution. Reads no row, charges no counter.
-pub(crate) fn prepare(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<PreparedQuery> {
-    let scan = ScanOptions { threads: opts.threads };
-    let plan = plan_query(db, query, "", scan, &mut Vec::new(), &HashSet::new())?;
-    Ok(PreparedQuery { plan: Arc::new(plan), scan, version: db.version() })
+pub(crate) fn prepare(db: &Database, query: &SelectQuery) -> DbResult<PreparedQuery> {
+    let plan = plan_query(db, query, "", &mut Vec::new(), &HashSet::new())?;
+    Ok(PreparedQuery { plan: Arc::new(plan), version: db.version() })
 }
 
-/// Run a prepared query on the database and under the options it was
-/// planned for.
+/// Run a prepared query on the database it was planned for.
 pub(crate) fn run(db: &Database, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
-    // 0 and 1 both mean sequential.
-    if !prepared.planned_on(db) || prepared.scan.threads.max(1) != opts.threads.max(1) {
+    if !prepared.planned_on(db) {
         return Err(DbError::StalePlan);
     }
     let exec = Exec {
@@ -148,7 +122,6 @@ pub(crate) fn run(db: &Database, prepared: &PreparedQuery, opts: &ExecOptions) -
         temps: Arc::new(HashMap::new()),
         deadline: opts.timeout.map(|t| Instant::now() + t),
         params: Arc::new(HashMap::new()),
-        threads: opts.threads,
     };
     Ok(QueryResult {
         rows: exec.run(&prepared.plan)?,
@@ -158,7 +131,7 @@ pub(crate) fn run(db: &Database, prepared: &PreparedQuery, opts: &ExecOptions) -
 
 /// Execute a query once: prepare it, then run that.
 pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
-    run(db, &prepare(db, query, opts)?, opts)
+    run(db, &prepare(db, query)?, opts)
 }
 
 struct Exec<'a> {
@@ -169,16 +142,12 @@ struct Exec<'a> {
     deadline: Option<Instant>,
     /// Correlation parameters, shared the same way.
     params: Arc<HashMap<String, Value>>,
-    /// Scan workers available, from [`ExecOptions::threads`].
-    threads: usize,
 }
 
 impl QueryRunner for Exec<'_> {
     fn run_subquery(&self, plan: &Subplan, params: HashMap<String, Value>) -> DbResult<Vec<Row>> {
-        // Planned sequential: a correlated subquery runs once per outer row.
         let nested = Exec {
             params: Arc::new(params),
-            threads: 0,
             ..self.with_temps(Arc::clone(&self.temps))
         };
         nested.run(&plan.0)
@@ -215,7 +184,6 @@ impl<'a> Exec<'a> {
             temps,
             deadline: self.deadline,
             params: Arc::clone(&self.params),
-            threads: self.threads,
         }
     }
 
@@ -285,7 +253,7 @@ impl<'a> Exec<'a> {
         let ctx = self.eval_ctx();
         let mut out = Vec::new();
         match &input.read {
-            Read::Temp { source, parallel_from } => {
+            Read::Temp(source) => {
                 let (cte, derived);
                 let rows: &[Row] = match source {
                     TempSource::Cte(name) => {
@@ -303,8 +271,7 @@ impl<'a> Exec<'a> {
                 if !input.local.drops_all() {
                     self.stats().seq_pages(rows.len().div_ceil(ROWS_PER_PAGE) as u64);
                     self.stats().tuples(rows.len() as u64);
-                    let parallel = parallel_from.is_some_and(|n| rows.len() >= n);
-                    self.filter_batched(rows, &input.local, &ctx, parallel, &mut out)?;
+                    self.filter_batched(rows, &input.local, &ctx, &mut out)?;
                 }
             }
             Read::Access { table, plan } => {
@@ -320,84 +287,20 @@ impl<'a> Exec<'a> {
     }
 
     /// Drive owned rows through a filter program in batches, cloning only
-    /// survivors into `out` — over morsel-parallel workers when the plan
-    /// said `parallel`.
+    /// survivors into `out`.
     fn filter_batched(
         &self,
         rows: &[Row],
         program: &FilterProgram,
         ctx: &EvalContext<'_>,
-        parallel: bool,
         out: &mut Vec<Row>,
     ) -> DbResult<()> {
-        if parallel {
-            return self.filter_parallel(rows, program, out);
-        }
         let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
         for chunk in rows.chunks(FILTER_BATCH) {
             self.check_deadline()?;
             sel.clear();
             program.select_into(chunk, |r| r.as_slice(), ctx, &mut sel)?;
             out.extend(sel.iter().map(|&i| chunk[i as usize].clone()));
-        }
-        Ok(())
-    }
-
-    /// Morsel-parallel filter: workers claim [`MORSEL_ROWS`]-sized chunks
-    /// off a shared counter, filter them locally, and the survivors are
-    /// concatenated in morsel order — row-identical to the sequential
-    /// path. The [`StatsSink`] is relaxed-atomic, so workers charge
-    /// predicate evaluations concurrently without coordination.
-    fn filter_parallel(
-        &self,
-        rows: &[Row],
-        program: &FilterProgram,
-        out: &mut Vec<Row>,
-    ) -> DbResult<()> {
-        let morsels: Vec<&[Row]> = rows.chunks(MORSEL_ROWS).collect();
-        let workers = self.threads.min(morsels.len());
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<DbResult<MorselOut>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| -> DbResult<MorselOut> {
-                        // Each worker builds its own context: `EvalContext`
-                        // borrows are cheap, and nested subqueries run
-                        // sequentially inside the owning worker.
-                        let ctx = self.eval_ctx();
-                        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
-                        let mut local: MorselOut = Vec::new();
-                        loop {
-                            let m = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(chunk) = morsels.get(m) else {
-                                break;
-                            };
-                            self.check_deadline()?;
-                            let mut kept: Vec<Row> = Vec::new();
-                            for sub in chunk.chunks(FILTER_BATCH) {
-                                sel.clear();
-                                program.select_into(sub, |r| r.as_slice(), &ctx, &mut sel)?;
-                                kept.extend(sel.iter().map(|&i| sub[i as usize].clone()));
-                            }
-                            local.push((m, kept));
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-        });
-        let mut per_morsel: Vec<Vec<Row>> = (0..morsels.len()).map(|_| Vec::new()).collect();
-        for r in results {
-            for (m, kept) in r? {
-                per_morsel[m] = kept;
-            }
-        }
-        for kept in &mut per_morsel {
-            out.append(kept);
         }
         Ok(())
     }
@@ -447,16 +350,15 @@ impl<'a> Exec<'a> {
         ctx: &EvalContext<'_>,
     ) -> DbResult<Vec<Row>> {
         match plan {
-            AccessPlan::SeqScan | AccessPlan::ParallelScan { .. } => {
+            AccessPlan::SeqScan => {
                 // Same accounting as `Table::scan` (every page once,
                 // sequentially, one tuple read per row), but filtering
                 // directly over the contiguous row slice in batches.
                 let stats = self.stats();
                 stats.seq_pages(entry.table.page_count());
                 stats.tuples(entry.table.len() as u64);
-                let parallel = matches!(plan, AccessPlan::ParallelScan { .. });
                 let mut out = Vec::new();
-                self.filter_batched(entry.table.rows(), program, ctx, parallel, &mut out)?;
+                self.filter_batched(entry.table.rows(), program, ctx, &mut out)?;
                 Ok(out)
             }
             AccessPlan::IndexIntersect { probes, residual } => {
@@ -1042,69 +944,6 @@ mod tests {
         let mut q = SelectQuery::star_from("wifi");
         q.limit = Some(5);
         assert_eq!(db.run_query(&q).unwrap().len(), 5);
-    }
-
-    fn big_db(profile: DbProfile) -> Database {
-        let mut db = Database::new(profile);
-        db.create_table(TableSchema::of(
-            "big",
-            &[("id", DataType::Int), ("owner", DataType::Int)],
-        ))
-        .unwrap();
-        for i in 0..(2 * crate::planner::PARALLEL_MIN_ROWS as i64 + 123) {
-            db.insert("big", vec![Value::Int(i), Value::Int(i % 97)])
-                .unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_in_order() {
-        let db = big_db(DbProfile::MySqlLike);
-        let q = SelectQuery {
-            from: vec![TableRef::named("big").with_hint(IndexHint::IgnoreAll)],
-            ..SelectQuery::star_from("big")
-        }
-        .filter(Expr::col_cmp(
-            ColumnRef::bare("owner"),
-            CmpOp::Lt,
-            Value::Int(40),
-        ));
-        let seq = db.run_query(&q).unwrap();
-        for threads in [2usize, 3, 8] {
-            let par = db
-                .run_query_opts(&q, &ExecOptions::with_threads(threads))
-                .unwrap();
-            // Identical rows in identical order: morsel results are
-            // concatenated in morsel order.
-            assert_eq!(par.rows, seq.rows, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_filter_applies_to_temp_tables() {
-        let db = big_db(DbProfile::MySqlLike);
-        let inner = SelectQuery::star_from("big");
-        let outer = SelectQuery::star_from("big_cte")
-            .with_clause("big_cte", inner)
-            .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(13)));
-        let seq = db.run_query(&outer).unwrap();
-        let par = db
-            .run_query_opts(&outer, &ExecOptions::with_threads(4))
-            .unwrap();
-        assert_eq!(par.rows, seq.rows);
-        assert!(!par.is_empty());
-    }
-
-    #[test]
-    fn parallel_scan_honors_timeout() {
-        let db = big_db(DbProfile::MySqlLike);
-        let q = SelectQuery::star_from("big");
-        let opts = ExecOptions {
-            timeout: Some(Duration::ZERO),
-            threads: 4,
-        };
-        assert_eq!(db.run_query_opts(&q, &opts).unwrap_err(), DbError::Timeout);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use explain::{ExplainOutput, RelationPlan};
 pub use expr::{CmpOp, ColumnRef, Expr};
 pub use index::RangeBound;
 pub use plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource, WithClause};
-pub use planner::{AccessPlan, DbProfile, ScanOptions, MORSEL_ROWS, PARALLEL_MIN_ROWS};
+pub use planner::{AccessPlan, DbProfile};
 pub use schema::{Column, TableSchema};
 pub use stats::{CostWeights, Counters, ExecStats, StatsSink};
 pub use table::{Row, RowId};

@@ -83,37 +83,6 @@ pub const POSTING_WALK_FRACTION: f64 = 1.0 / 6.0;
 /// scans through a bitmap rather than scanning sequentially.
 pub const PG_BITMAP_FRACTION: f64 = 0.40;
 
-/// Rows per morsel for parallel scans. Big enough that a worker's claim
-/// amortizes the atomic fetch-add and per-morsel deadline check, small
-/// enough that skewed filters still load-balance across workers.
-pub const MORSEL_ROWS: usize = 2048;
-
-/// Below this row count a scan stays sequential regardless of the thread
-/// knob: spawning scoped workers costs more than filtering the rows.
-pub const PARALLEL_MIN_ROWS: usize = 2 * MORSEL_ROWS;
-
-/// Execution-environment knobs that influence access-path choice (as
-/// opposed to [`DbProfile`], which selects *which optimizer* to imitate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanOptions {
-    /// Worker threads available for morsel-parallel scans; `0` or `1`
-    /// means sequential execution.
-    pub threads: usize,
-}
-
-impl ScanOptions {
-    /// Effective scan parallelism for a table of `rows` rows: the number
-    /// of workers a scan would actually use, or 1 when the input is too
-    /// small to beat the thread-spawn cost.
-    pub fn scan_ways(&self, rows: usize) -> usize {
-        if self.threads >= 2 && rows >= PARALLEL_MIN_ROWS {
-            self.threads.min(rows.div_ceil(MORSEL_ROWS))
-        } else {
-            1
-        }
-    }
-}
-
 /// A single index probe the executor can run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexProbe {
@@ -238,14 +207,6 @@ impl IndexProbe {
 pub enum AccessPlan {
     /// Sequential scan; the full predicate is applied as a filter.
     SeqScan,
-    /// Morsel-parallel sequential scan: the row slice is split into
-    /// [`MORSEL_ROWS`]-sized chunks claimed by scoped worker threads, and
-    /// the per-morsel selections are concatenated in morsel order (so the
-    /// result is row-identical to [`AccessPlan::SeqScan`]).
-    ParallelScan {
-        /// Number of morsels the row slice splits into.
-        morsels: usize,
-    },
     /// One index probe per disjunct of the predicate. `bitmap` selects the
     /// PostgreSQL behaviour (dedup row ids before one heap fetch) versus
     /// the MySQL `UNION` behaviour (fetch per branch, dedup after).
@@ -277,9 +238,6 @@ impl AccessPlan {
     pub fn describe(&self) -> String {
         match self {
             AccessPlan::SeqScan => "SeqScan".to_string(),
-            AccessPlan::ParallelScan { morsels } => {
-                format!("ParallelScan(morsels={morsels})")
-            }
             AccessPlan::IndexOr {
                 probes,
                 bitmap,
@@ -317,7 +275,7 @@ impl AccessPlan {
     /// Estimated rows this plan reads from the heap.
     pub fn estimate_rows(&self, entry: &TableEntry) -> f64 {
         match self {
-            AccessPlan::SeqScan | AccessPlan::ParallelScan { .. } => entry.table.len() as f64,
+            AccessPlan::SeqScan => entry.table.len() as f64,
             AccessPlan::IndexOr { probes, .. } => probes
                 .iter()
                 .map(|p| p.estimate_rows(entry))
@@ -581,40 +539,25 @@ fn probes_from_or_conjunct(
         .min_by(|a, b| a.0.total_cmp(&b.0))
 }
 
-/// The scan-shaped fallback plan: morsel-parallel when the thread knob and
-/// table size justify it, plain sequential otherwise.
-fn scan_plan(entry: &TableEntry, scan: ScanOptions) -> AccessPlan {
-    let rows = entry.table.len();
-    if scan.scan_ways(rows) > 1 {
-        AccessPlan::ParallelScan {
-            morsels: rows.div_ceil(MORSEL_ROWS),
-        }
-    } else {
-        AccessPlan::SeqScan
-    }
-}
-
-/// Plan the access path for one table given its local predicate, hint, and
-/// execution environment.
+/// Plan the access path for one table given its local predicate, hint and
+/// optimizer profile.
 ///
-/// Decision rule: index-shaped candidates (per-disjunct probe unions, and
-/// on PostgreSQL BitmapOr over an OR-conjunct) are gated on estimated
-/// selectivity against the *scan they would replace*. With `scan.threads`
-/// workers a scan is ~`scan_ways` times cheaper, so the PostgreSQL-like
-/// profile shrinks its bitmap gate proportionally; the MySQL-like profile
-/// models a single-threaded optimizer (classic InnoDB has no parallel
-/// query) and keeps its gate fixed. When no index path survives the gate,
-/// the fallback is `scan_plan` — parallel when worthwhile.
-fn plan_access_opts(
+/// Decision rule: an unhinted index path is gated on its estimated
+/// selectivity against the sequential scan it would replace — the
+/// MySQL-like conjunctive path at [`MYSQL_INDEX_FRACTION`] of the table,
+/// the PostgreSQL-like profile's cheapest path (the conjunctive path, one
+/// probe per disjunct, or a BitmapOr over an OR-conjunct) at
+/// [`PG_BITMAP_FRACTION`]. When no index path survives the gate, the table
+/// is scanned.
+fn plan_access(
     entry: &TableEntry,
     alias: &str,
     predicate: Option<&Expr>,
     hint: &IndexHint,
     profile: DbProfile,
-    scan: ScanOptions,
 ) -> AccessPlan {
     let Some(pred) = predicate else {
-        return scan_plan(entry, scan);
+        return AccessPlan::SeqScan;
     };
     let table_rows = entry.table.len().max(1) as f64;
 
@@ -627,7 +570,7 @@ fn plan_access_opts(
     // ignores them entirely (paper Section 5.3).
     if profile == DbProfile::MySqlLike {
         match hint {
-            IndexHint::IgnoreAll => return scan_plan(entry, scan),
+            IndexHint::IgnoreAll => return AccessPlan::SeqScan,
             IndexHint::Force(cols) => {
                 let forced = if conjunctive {
                     conjunctive_path(entry, alias, pred, Some(cols))
@@ -642,7 +585,7 @@ fn plan_access_opts(
                     })
                 };
                 // FORCE INDEX that cannot be applied degenerates to a scan.
-                return forced.unwrap_or_else(|| scan_plan(entry, scan));
+                return forced.unwrap_or(AccessPlan::SeqScan);
             }
             IndexHint::None => {}
         }
@@ -659,7 +602,7 @@ fn plan_access_opts(
                     }
                 }
             }
-            scan_plan(entry, scan)
+            AccessPlan::SeqScan
         }
         DbProfile::PostgresLike => {
             // Cost-based: try (a) the conjunctive path, or one probe per
@@ -681,16 +624,13 @@ fn plan_access_opts(
             };
             let or_conjunct = probes_from_or_conjunct(pred, entry, alias)
                 .map(|(est, probes)| (est, bitmap_or(probes, true)));
-            // A parallel scan is ~scan_ways× cheaper than a sequential one,
-            // so an index path must be proportionally more selective to win.
-            let gate = PG_BITMAP_FRACTION / scan.scan_ways(entry.table.len()) as f64;
             match [whole, or_conjunct]
                 .into_iter()
                 .flatten()
                 .min_by(|a, b| a.0.total_cmp(&b.0))
             {
-                Some((est, plan)) if est / table_rows <= gate => plan,
-                _ => scan_plan(entry, scan),
+                Some((est, plan)) if est / table_rows <= PG_BITMAP_FRACTION => plan,
+                _ => AccessPlan::SeqScan,
             }
         }
     }
@@ -823,10 +763,8 @@ pub(crate) enum Read {
     /// probes [`TableEntry::indexes`]`[index]` — the index on the input's
     /// first join key, which it always has — once per outer row.
     Lookup { table: String, index: usize },
-    /// A materialized relation, scanned (temps have no indexes) — by
-    /// morsel-parallel workers from `parallel_from` rows up, a temp's size
-    /// being unknown until it is run; `None`: always sequentially.
-    Temp { source: TempSource, parallel_from: Option<usize> },
+    /// A materialized relation, scanned (temps have no indexes).
+    Temp(TempSource),
 }
 
 /// What a [`Read::Temp`] scans.
@@ -868,16 +806,8 @@ impl Input {
         match &self.read {
             Read::Access { plan, .. } => plan.describe(),
             Read::Lookup { .. } => format!("IndexLookup({})", self.key_column().unwrap_or_default()),
-            Read::Temp { source, parallel_from } => {
-                let kind = match source {
-                    TempSource::Cte(_) => "temp",
-                    TempSource::Derived(_) => "derived",
-                };
-                match parallel_from {
-                    Some(n) => format!("ParallelScan({kind}, from {n} rows)"),
-                    None => format!("SeqScan({kind})"),
-                }
-            }
+            Read::Temp(TempSource::Cte(_)) => "SeqScan(temp)".to_string(),
+            Read::Temp(TempSource::Derived(_)) => "SeqScan(derived)".to_string(),
         }
     }
 
@@ -954,7 +884,6 @@ pub(crate) fn plan_query(
     db: &Database,
     query: &SelectQuery,
     name: &str,
-    scan: ScanOptions,
     ctes: &mut Vec<(String, Arc<TableSchema>)>,
     params: &HashSet<String>,
 ) -> DbResult<QueryPlan> {
@@ -964,7 +893,7 @@ pub(crate) fn plan_query(
     let outer_scope = ctes.len();
     let mut cte_plans = Vec::with_capacity(query.with.len());
     for wc in &query.with {
-        let plan = plan_query(db, &wc.query, &wc.name, scan, ctes, params)?;
+        let plan = plan_query(db, &wc.query, &wc.name, ctes, params)?;
         ctes.push((wc.name.clone(), plan.schema.clone()));
         cte_plans.push((wc.name.clone(), plan));
     }
@@ -989,7 +918,7 @@ pub(crate) fn plan_query(
                 }
             },
             TableSource::Derived(q) => {
-                let plan = plan_query(db, q, &tref.alias, scan, ctes, params)?;
+                let plan = plan_query(db, q, &tref.alias, ctes, params)?;
                 let schema = plan.schema.clone();
                 (Rel::Temp(TempSource::Derived(Box::new(plan))), schema)
             }
@@ -1022,9 +951,7 @@ pub(crate) fn plan_query(
         }
         let local = classified.local_predicate(alias);
         let read = match rel {
-            Rel::Temp(source) => {
-                Read::Temp { source, parallel_from: (scan.threads >= 2).then_some(PARALLEL_MIN_ROWS) }
-            }
+            Rel::Temp(source) => Read::Temp(source),
             // Index nested loop whenever the table has an index on its
             // first join column, whatever the size of the outer side.
             Rel::Base(table, entry) => match keys
@@ -1034,7 +961,7 @@ pub(crate) fn plan_query(
                 Some(index) => Read::Lookup { table: table.to_string(), index },
                 None => {
                     let (hint, profile) = (&tref.hint, db.profile());
-                    let plan = plan_access_opts(entry, alias, local.as_ref(), hint, profile, scan);
+                    let plan = plan_access(entry, alias, local.as_ref(), hint, profile);
                     Read::Access { table: table.to_string(), plan }
                 }
             },
@@ -1052,9 +979,7 @@ pub(crate) fn plan_query(
 }
 
 /// Bind an optional predicate against `layout` and compile it. A scalar
-/// subquery in it is planned here, against the WITH results its query sees;
-/// it runs once per outer row, so nesting scan workers inside it would
-/// oversubscribe the pool.
+/// subquery in it is planned here, against the WITH results its query sees.
 fn program(
     db: &Database,
     pred: Option<&Expr>,
@@ -1063,7 +988,7 @@ fn program(
     params: &HashSet<String>,
 ) -> DbResult<FilterProgram> {
     let mut subplan = |q: &SelectQuery, names: &HashSet<String>| {
-        let plan = plan_query(db, q, "", ScanOptions::default(), ctes, names)?;
+        let plan = plan_query(db, q, "", ctes, names)?;
         Ok(Subplan(Arc::new(plan)))
     };
     let bound = pred.map(|p| bind(p, layout, params, &mut subplan)).transpose()?;
@@ -1262,17 +1187,6 @@ mod tests {
         Expr::col_eq(ColumnRef::bare("owner"), Value::Int(v))
     }
 
-    /// [`plan_access_opts`] under default (sequential) scan options.
-    fn plan_access(
-        entry: &TableEntry,
-        alias: &str,
-        predicate: Option<&Expr>,
-        hint: &IndexHint,
-        profile: DbProfile,
-    ) -> AccessPlan {
-        plan_access_opts(entry, alias, predicate, hint, profile, ScanOptions::default())
-    }
-
     #[test]
     fn selective_point_uses_index_mysql() {
         let db = setup(DbProfile::MySqlLike);
@@ -1428,46 +1342,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_knob_turns_scans_parallel() {
-        let db = setup(DbProfile::MySqlLike);
-        let entry = db.table("w").unwrap();
-        let scan = ScanOptions { threads: 4 };
-        // 2000 rows < PARALLEL_MIN_ROWS: stays sequential.
-        let plan = plan_access_opts(
-            entry,
-            "w",
-            None,
-            &IndexHint::None,
-            DbProfile::MySqlLike,
-            scan,
-        );
-        assert_eq!(plan, AccessPlan::SeqScan);
-        // Above the floor the scan splits into morsels.
-        let mut big = Database::new(DbProfile::MySqlLike);
-        big.create_table(TableSchema::of("b", &[("x", DataType::Int)]))
-            .unwrap();
-        for i in 0..(PARALLEL_MIN_ROWS as i64 + 10) {
-            big.insert("b", vec![Value::Int(i)]).unwrap();
-        }
-        let entry = big.table("b").unwrap();
-        let plan = plan_access_opts(
-            entry,
-            "b",
-            None,
-            &IndexHint::None,
-            DbProfile::MySqlLike,
-            scan,
-        );
-        assert_eq!(
-            plan,
-            AccessPlan::ParallelScan {
-                morsels: (PARALLEL_MIN_ROWS + 10).div_ceil(MORSEL_ROWS)
-            }
-        );
-        assert!(plan.describe().starts_with("ParallelScan(morsels="));
-    }
-
-    #[test]
     fn unbounded_low_range_keeps_residual_filter() {
         let db = setup(DbProfile::MySqlLike);
         let entry = db.table("w").unwrap();
@@ -1527,24 +1401,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_tightens_pg_bitmap_gate() {
+    fn pg_bitmap_gate_is_a_fixed_fraction_of_the_table() {
         let db = setup(DbProfile::PostgresLike);
         let entry = db.table("w").unwrap();
-        // owner IN (…10 keys…) ≈ 10% of the table: in-gate sequentially.
-        let keys: Vec<Expr> = (0..10).map(|k| Expr::Literal(Value::Int(k))).collect();
-        let pred = Expr::InList {
+        // Each owner holds 1 % of the table; the gate admits up to 40 %.
+        let owner_in = |n: i64| Expr::InList {
             expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
-            list: keys,
+            list: (0..n).map(|k| Expr::Literal(Value::Int(k))).collect(),
             negated: false,
         };
-        let plan = plan_access(entry, "w", Some(&pred), &IndexHint::None, DbProfile::PostgresLike);
-        assert!(matches!(plan, AccessPlan::IndexOr { bitmap: true, .. }));
-        // The table is far below PARALLEL_MIN_ROWS, so the thread knob
-        // cannot change the gate here (scan_ways == 1).
-        let scan = ScanOptions { threads: 8 };
-        assert_eq!(scan.scan_ways(entry.table.len()), 1);
-        // On a big enough table, 8-way scans shrink the gate 8×.
-        assert_eq!(scan.scan_ways(8 * PARALLEL_MIN_ROWS), 8);
+        for (keys, bitmap) in [(10, true), (40, true), (41, false), (90, false)] {
+            let plan =
+                plan_access(entry, "w", Some(&owner_in(keys)), &IndexHint::None, DbProfile::PostgresLike);
+            assert_eq!(matches!(plan, AccessPlan::IndexOr { bitmap: true, .. }), bitmap, "{keys}: {plan:?}");
+            assert_eq!(plan == AccessPlan::SeqScan, !bitmap, "{keys}: {plan:?}");
+        }
     }
 
     fn ap_in(aps: std::ops::Range<i64>) -> Expr {

@@ -11,17 +11,18 @@
 //!    server *rejects* any whose embedded querier disagrees with the
 //!    pinned identity ([`ErrorCode::IdentityMismatch`], fail closed —
 //!    the connection stays up, the request never reaches the service).
-//!    Matching requests map onto [`Session`]/[`Prepared`] handles: one
-//!    session per distinct metadata (keyed by encoded bytes), prepared
-//!    statements by server-issued handle — at most
+//!    A matching request runs on a [`Session`] built for it from the
+//!    decoded metadata (a service handle plus that metadata — nothing
+//!    worth keeping); prepared statements are [`Prepared`] handles kept by
+//!    server-issued handle — at most
 //!    [`MAX_STATEMENTS_PER_CONNECTION`] of them at a time, each pinning a
 //!    physical plan in the engine.
 //! 4. **Errors** — service failures map onto the wire taxonomy via
 //!    [`WireError::from_sieve`]; protocol violations (bad frame, bad
 //!    state) send [`ErrorCode::Protocol`] best-effort and close.
 //!
-//! All registries are per-connection, so a dropped connection releases
-//! its sessions and prepared plans (and through them any pinned ∆
+//! The statement registry is per-connection, so a dropped connection
+//! releases its prepared plans (and through them any pinned ∆
 //! partitions) without global bookkeeping.
 
 use std::collections::HashMap;
@@ -35,7 +36,6 @@ use sieve_core::backend::SqlBackend;
 use sieve_core::policy::{QueryMetadata, UserId};
 use sieve_core::service::SieveService;
 use sieve_core::session::{Prepared, Session};
-use sieve_protocol::codec::{write_metadata, Writer};
 use sieve_protocol::error::{ErrorCode, WireError};
 use sieve_protocol::frame::{read_frame, write_frame};
 use sieve_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
@@ -164,9 +164,6 @@ struct Connection<B: SqlBackend> {
     hello_done: bool,
     /// The authenticated querier, once `Auth` succeeds.
     querier: Option<UserId>,
-    /// Session per distinct metadata this connection queries under,
-    /// keyed by the metadata's canonical wire encoding.
-    sessions: HashMap<Vec<u8>, Session<B>>,
     /// Prepared statements by server-issued handle.
     prepared: HashMap<u64, Prepared<B>>,
     next_statement: u64,
@@ -188,7 +185,6 @@ impl<B: SqlBackend> Connection<B> {
             stats,
             hello_done: false,
             querier: None,
-            sessions: HashMap::new(),
             prepared: HashMap::new(),
             next_statement: 1,
         }
@@ -283,9 +279,8 @@ impl<B: SqlBackend> Connection<B> {
                 if self.querier.is_none() {
                     return self.not_authenticated(conn);
                 }
-                let session = match self.session_for(conn, &metadata)? {
-                    Some(s) => s,
-                    None => return Ok(Flow::Continue),
+                let Some(session) = self.session_for(conn, metadata)? else {
+                    return Ok(Flow::Continue);
                 };
                 let reply = match session.execute_sql(&sql) {
                     Ok(rows) => ServerMessage::Rows(rows),
@@ -309,9 +304,8 @@ impl<B: SqlBackend> Connection<B> {
                     )?;
                     return Ok(Flow::Continue);
                 }
-                let session = match self.session_for(conn, &metadata)? {
-                    Some(s) => s,
-                    None => return Ok(Flow::Continue),
+                let Some(session) = self.session_for(conn, metadata)? else {
+                    return Ok(Flow::Continue);
                 };
                 match session.prepare_sql(&sql) {
                     Ok(prepared) => {
@@ -367,15 +361,16 @@ impl<B: SqlBackend> Connection<B> {
         }
     }
 
-    /// Resolve the session for a request's metadata. Callers have already
+    /// The session a request runs on, built from its metadata once the
+    /// embedded querier matches the connection's. Callers have already
     /// verified the connection is authenticated. `Ok(None)` means the
     /// request was refused (identity mismatch) and a typed error frame
     /// was already sent; the connection stays up.
     fn session_for<C: Read + Write>(
-        &mut self,
+        &self,
         conn: &mut C,
-        metadata: &QueryMetadata,
-    ) -> Result<Option<&Session<B>>, ProtocolError> {
+        metadata: QueryMetadata,
+    ) -> Result<Option<Session<B>>, ProtocolError> {
         let querier = match self.querier {
             Some(q) => q,
             None => {
@@ -402,12 +397,7 @@ impl<B: SqlBackend> Connection<B> {
             )?;
             return Ok(None);
         }
-        let key = metadata_key(metadata);
-        let session = self
-            .sessions
-            .entry(key)
-            .or_insert_with(|| self.service.session(metadata.clone()));
-        Ok(Some(session))
+        Ok(Some(self.service.session(metadata)))
     }
 
     fn not_authenticated<C: Read + Write>(&self, conn: &mut C) -> Result<Flow, ProtocolError> {
@@ -432,13 +422,6 @@ impl<B: SqlBackend> Connection<B> {
         )?;
         Ok(Flow::Close)
     }
-}
-
-/// Canonical registry key for a session: the metadata's wire encoding.
-fn metadata_key(qm: &QueryMetadata) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_metadata(&mut w, qm);
-    w.into_bytes()
 }
 
 fn send<C: Read + Write>(conn: &mut C, msg: &ServerMessage) -> Result<(), ProtocolError> {

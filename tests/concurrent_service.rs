@@ -234,9 +234,7 @@ fn prepared_pins_and_recycles_wire_statements() {
         "un-prepared executes must cross the wire as text"
     );
     let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
-    let id0 = prepared
-        .statement_id()
-        .expect("wire backend must prepare a server-side statement");
+    let id0 = prepared.statement_id();
     assert_eq!(service.backend().open_statements(), 1);
     let n0 = prepared.execute().unwrap().len();
     assert!(n0 > 0);
@@ -254,7 +252,7 @@ fn prepared_pins_and_recycles_wire_statements() {
     service.add_policy(policy(71, 500, "Analytics", 1001)).unwrap();
     let n1 = prepared.execute().unwrap().len();
     assert!(n1 > n0, "new policy must widen the prepared statement's view");
-    let id1 = prepared.statement_id().unwrap();
+    let id1 = prepared.statement_id();
     assert_ne!(id0, id1, "re-prepare must produce a fresh statement");
     assert_eq!(
         service.backend().open_statements(),

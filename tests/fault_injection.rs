@@ -221,7 +221,7 @@ fn evicted_in_process_statement_reprepares_exactly_once() {
     let session = service.session(QueryMetadata::new(500, "Analytics"));
     let expect = oracle_for(&service, session.metadata());
     let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
-    let id0 = prepared.statement_id().expect("the engine prepares a statement");
+    let id0 = prepared.statement_id();
     assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
 
     service.backend().script([Fault::EvictStatement]);
@@ -230,7 +230,7 @@ fn evicted_in_process_statement_reprepares_exactly_once() {
     assert_eq!((counts.evictions, counts.transients), (1, 0), "the eviction found its statement");
     assert_eq!(prepared.reprepares(), 1);
     assert_eq!(service.recovery_stats().reprepares, 1);
-    assert_ne!(prepared.statement_id().unwrap(), id0);
+    assert_ne!(prepared.statement_id(), id0);
     assert_eq!(service.backend().inner().open_statements(), 1);
     for _ in 0..3 {
         assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
@@ -250,9 +250,7 @@ fn evicted_statement_reprepares_exactly_once() {
     let session = service.session(QueryMetadata::new(500, "Analytics"));
     let expect = oracle_for(&service, session.metadata());
     let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
-    let id0 = prepared
-        .statement_id()
-        .expect("wire backend must prepare a server-side statement");
+    let id0 = prepared.statement_id();
     assert_eq!(sorted_rows(prepared.execute().unwrap()), expect);
 
     // Evict the statement behind the session's back, as a server restart
@@ -281,7 +279,7 @@ fn evicted_statement_reprepares_exactly_once() {
         prepares_before + 1,
         "the server must have seen exactly one fresh Parse"
     );
-    assert_ne!(prepared.statement_id().unwrap(), id0);
+    assert_ne!(prepared.statement_id(), id0);
     assert_eq!(service.recovery_stats().reprepares, 1);
 }
 
@@ -315,6 +313,19 @@ fn connection_drop_recovers_prepared_statements() {
     drop(prepared);
     assert_eq!(service.backend().inner().open_statements(), 0);
     assert_eq!(service.backend().vended_statements(), 0);
+
+    // `open_statements` reads the engine's statement table: a statement
+    // closed through the seam leaves nothing there, and neither does one a
+    // connection drop loses.
+    let (backend, q) = (service.backend(), SelectQuery::star_from(REL));
+    let id = backend.prepare(&q).unwrap();
+    backend.close_prepared(id);
+    assert_eq!(backend.inner().open_statements(), 0);
+    backend.prepare(&q).unwrap();
+    assert_eq!(backend.inner().open_statements(), 1);
+    backend.script([Fault::ConnectionDrop]);
+    assert!(backend.exec(&q, &Default::default()).is_err());
+    assert_eq!(backend.inner().open_statements(), 0);
 }
 
 // ---------------------------------------------------------------------

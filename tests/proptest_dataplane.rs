@@ -1,11 +1,11 @@
-//! Property tests for the parallel, index-aware data plane: whatever the
-//! planner picks for a guard-shaped predicate — exact index unions, bitmap
-//! ORs with residual filters, morsel-parallel scans, plain sequential
-//! scans — or for a query-shaped conjunction — one index, an intersection
-//! of several, a scan — the rows that come back are identical to the
-//! sequential full-scan oracle. Coverage spans thread counts, index
-//! availability (none / partial / full), stale histograms, NULL index
-//! keys, and both execution backends (in-process and wire-SQL).
+//! Property tests for the index-aware data plane: whatever the planner
+//! picks for a guard-shaped predicate — exact index unions, bitmap ORs
+//! with residual filters, sequential scans — or for a query-shaped
+//! conjunction — one index, an intersection of several, a scan — the rows
+//! that come back are identical to the full-scan oracle. Coverage spans
+//! index availability (none / partial / full), stale histograms, NULL
+//! index keys, both optimizer profiles and both execution backends
+//! (in-process and wire-SQL).
 
 use proptest::prelude::*;
 use sieve::core::backend::{SqlBackend, WireSqlBackend};
@@ -13,7 +13,7 @@ use sieve::minidb::exec::ExecOptions;
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{IndexHint, TableRef};
 use sieve::minidb::value::{DataType, Value};
-use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema, PARALLEL_MIN_ROWS};
+use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
 
 /// Which secondary indexes exist on the test table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,16 +193,15 @@ fn forced_query(pred: &Expr) -> SelectQuery {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Index unions and parallel scans are row-identical to the
-    /// sequential full-scan oracle across plans × thread counts × index
-    /// availability × histogram staleness, on both optimizer profiles.
+    /// Index unions and bitmap ORs are row-identical to the full-scan
+    /// oracle across plans × index availability × histogram staleness, on
+    /// both optimizer profiles.
     #[test]
-    fn plans_and_threads_agree_with_scan_oracle(
+    fn plans_agree_with_scan_oracle(
         pred in arb_guard_pred(),
-        rows in 1_000i64..2 * PARALLEL_MIN_ROWS as i64,
+        rows in 1_000i64..8_000,
         idx in prop_oneof![Just(Indexing::None), Just(Indexing::Partial), Just(Indexing::Full)],
         stale in any::<bool>(),
-        threads in prop_oneof![Just(0usize), Just(2), Just(5)],
     ) {
         let db_m = build(rows, DbProfile::MySqlLike, idx, stale);
         let db_p = build(rows, DbProfile::PostgresLike, idx, stale);
@@ -210,47 +209,43 @@ proptest! {
         let forced = forced_query(&pred);
         let free = SelectQuery::star_from("t").filter(pred);
 
-        // Oracle: single-threaded sequential scan (hints honoured on M).
+        // Oracle: a sequential scan (hints honoured on M).
         let mut reference = db_m.run_query(&scan).unwrap().rows;
         reference.sort();
 
-        let opts = ExecOptions::with_threads(threads);
         for (db, q, label) in [
-            (&db_m, &scan, "parallel scan (M)"),
             (&db_m, &forced, "forced union (M)"),
             (&db_m, &free, "planner choice (M)"),
             (&db_p, &free, "planner choice (P)"),
             (&db_p, &scan, "hints ignored (P)"),
         ] {
-            let mut got = db.run_query_opts(q, &opts).unwrap().rows;
+            let mut got = db.run_query(q).unwrap().rows;
             got.sort();
-            prop_assert_eq!(&got, &reference, "{} diverged (threads={})", label, threads);
+            prop_assert_eq!(&got, &reference, "{} diverged", label);
         }
     }
 
     /// A conjunction hinted with every subset of its columns, and
     /// unhinted, returns the scan oracle's rows on both profiles — through
-    /// NULL keys, open-ended ranges, stale histograms and the thread knob
-    /// — and an intersection never fetches more than the best single
+    /// NULL keys, open-ended ranges and stale histograms — and an
+    /// intersection never fetches more than the best single
     /// index the hint names would have.
     #[test]
     fn conjunctions_agree_with_scan_oracle_under_every_hint(
         (pred, columns) in arb_conjunction(),
-        rows in 1_000i64..2 * PARALLEL_MIN_ROWS as i64,
+        rows in 1_000i64..8_000,
         idx in prop_oneof![Just(Indexing::None), Just(Indexing::Partial), Just(Indexing::Full)],
         stale in any::<bool>(),
-        threads in prop_oneof![Just(0usize), Just(2), Just(5)],
     ) {
         let db_m = build(rows, DbProfile::MySqlLike, idx, stale);
         let db_p = build(rows, DbProfile::PostgresLike, idx, stale);
         let mut reference = db_m.run_query(&scan_query(&pred)).unwrap().rows;
         reference.sort();
 
-        let opts = ExecOptions::with_threads(threads);
         // Rows and tuples read of one run.
         let run = |db: &Database, q: &SelectQuery| {
             db.stats().reset();
-            let mut got = db.run_query_opts(q, &opts).unwrap().rows;
+            let mut got = db.run_query(q).unwrap().rows;
             got.sort();
             (got, db.stats().snapshot().tuples_read)
         };
@@ -265,7 +260,7 @@ proptest! {
             );
             let q = hinted_query(&pred, hint.clone());
             let (got, read) = run(&db_m, &q);
-            prop_assert_eq!(&got, &reference, "{:?} diverged (M, threads={})", &hint, threads);
+            prop_assert_eq!(&got, &reference, "{:?} diverged (M)", &hint);
             let best_single = (0..columns.len()).filter(named).map(|i| single[i]).min().unwrap();
             prop_assert!(read <= best_single, "{:?} read {} > {}", &hint, read, best_single);
             // Hints are ignored there; the plan is the planner's own.
@@ -278,12 +273,11 @@ proptest! {
 
     /// The same equivalence holds through the `SqlBackend` seam: the
     /// in-process backend and the wire backend (render → wire → re-parse)
-    /// both honour the thread knob and return oracle-identical rows.
+    /// return oracle-identical rows, one-shot and by prepared statement.
     #[test]
-    fn backends_agree_under_thread_knob(
+    fn backends_agree_with_scan_oracle(
         pred in arb_guard_pred(),
-        rows in 1_000i64..2 * PARALLEL_MIN_ROWS as i64,
-        threads in prop_oneof![Just(0usize), Just(4)],
+        rows in 1_000i64..8_000,
     ) {
         let db = build(rows, DbProfile::MySqlLike, Indexing::Full, false);
         let scan = scan_query(&pred);
@@ -291,7 +285,7 @@ proptest! {
         let mut reference = db.run_query(&scan).unwrap().rows;
         reference.sort();
 
-        let opts = ExecOptions::with_threads(threads);
+        let opts = ExecOptions::default();
         let backends: [(&'static str, Box<dyn SqlBackend>); 2] = [
             ("minidb", Box::new(db.clone())),
             ("wire-sql", Box::new(WireSqlBackend::new(db.clone()))),
@@ -301,6 +295,11 @@ proptest! {
                 let mut got = backend.exec(q, &opts).unwrap().rows;
                 got.sort();
                 prop_assert_eq!(&got, &reference, "backend {} diverged", name);
+                let id = backend.prepare(q).unwrap();
+                let mut pinned = backend.execute_prepared(id, &opts).unwrap().rows;
+                backend.close_prepared(id);
+                pinned.sort();
+                prop_assert_eq!(&pinned, &reference, "backend {} diverged when prepared", name);
             }
         }
     }

@@ -138,7 +138,6 @@ enum Change {
     Analyze,
     AddPolicy(i64, i64),
     JoinGroup(i64),
-    ExecThreads(usize),
     ForceStrategy(Option<AccessStrategy>),
 }
 
@@ -155,7 +154,6 @@ fn arb_change() -> impl Strategy<Value = Change> {
         Just(Change::Analyze),
         (20i64..40, 1000i64..1010).prop_map(|(owner, ap)| Change::AddPolicy(owner, ap)),
         (0i64..3).prop_map(Change::JoinGroup),
-        prop_oneof![Just(0usize), Just(2), Just(4)].prop_map(Change::ExecThreads),
         strategy.prop_map(Change::ForceStrategy),
     ]
 }
@@ -194,7 +192,6 @@ fn held_statement_tracks<B: SqlBackend>(
             Change::Analyze => service.with_backend_mut(|b| db_mut(b).analyze(REL).unwrap()),
             Change::AddPolicy(owner, ap) => service.add_policy(policy(owner, 500, "Analytics", ap)).map(|_| ()).unwrap(),
             Change::JoinGroup(group) => service.with_groups_mut(|g| g.add_member(group, 500)),
-            Change::ExecThreads(n) => service.with_options_mut(|o| o.exec_threads = n),
             Change::ForceStrategy(forced) => service.with_options_mut(|o| o.rewrite.forced_strategy = forced),
         }
         let mut expect = oracle_rows(&service, REL, session.metadata());
@@ -214,8 +211,6 @@ proptest! {
         changes in proptest::collection::vec(arb_change(), 1..10),
         narrow in any::<bool>(),
     ) {
-        // Big enough that `exec_threads` turns a one-shot scan parallel
-        // (the held statement's plan stays the sequential one it was).
         let db = support::wifi_db(4500, 40, true);
         held_statement_tracks(db.clone(), |db| db, &changes, narrow);
         held_statement_tracks(WireSqlBackend::new(db), WireSqlBackend::db_mut, &changes, narrow);
