@@ -34,7 +34,7 @@
 use minidb::exec::ExecOptions;
 use minidb::expr::{bind, no_subqueries, ColumnRef, Expr, FilterProgram, Layout};
 use minidb::plan::{IndexHint, TableRef};
-use minidb::{DbProfile, Row, SelectQuery, Value};
+use minidb::{AccessPlan, DbProfile, Row, SelectQuery, TableEntry, Value};
 use sieve_bench::harness::{
     asked_for, block_us, build_campus, fields, measure, queriers_with_policies, rss_kib, Campus,
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
@@ -116,9 +116,14 @@ fn execute_all<B: SqlBackend>(
 /// plan kept (`engine.run_pinned_us` — a `Prepared`'s warm execute) and
 /// executing it one-shot, plan and run (`engine.execute_us` — the text
 /// path), and what one more kept plan of the querier holds resident.
+/// (4) What the campus's data holds resident (`memory.*`, see
+/// [`memory_accounting`]), and that an index intersection which leaves its
+/// exactly probed conjuncts out of the filter returns the scan's rows.
 fn hotpath(env: &EnvConfig) -> Record {
+    let rss_before = rss_kib();
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("hotpath", env);
+    memory_accounting(&mut rec, &campus, rss_before);
     // The first Q2-low statement the querier sees rows of, as the
     // benchmark's do. Held to the end: the rewrite pins the ∆ partitions
     // its query calls.
@@ -206,12 +211,18 @@ fn hotpath(env: &EnvConfig) -> Record {
         measure(blocks, reps, || drop(black_box(campus.sieve.rewrite(&point, &qm).expect("rewrite"))));
     let plan_us = measure(blocks, reps, || drop(black_box(plan())));
     let bound_nothing = shared_guard.map(|node| node.binds()) == binds_before;
-    let run_pinned_us = measure(blocks, reps, || {
-        black_box(db.run_prepared(&pinned, &opts).expect("pinned run").len());
-    });
-    let execute_us = measure(blocks, reps, || {
-        black_box(db.run_query(&guarded.query).expect("one-shot run").len());
-    });
+    // Blocks interleaved: the plan a pinned run saves is a few µs of a
+    // statement's tens, so both sides have to see the same noise.
+    let (mut pinned_blocks, mut oneshot_blocks) = (Vec::new(), Vec::new());
+    for _ in 0..blocks {
+        pinned_blocks.push(block_us(reps, || {
+            black_box(db.run_prepared(&pinned, &opts).expect("pinned run").len());
+        }));
+        oneshot_blocks.push(block_us(reps, || {
+            black_box(db.run_query(&guarded.query).expect("one-shot run").len());
+        }));
+    }
+    let (run_pinned_us, execute_us) = (Stat::of(pinned_blocks), Stat::of(oneshot_blocks));
     rec.put("engine.querier_policies", policies);
     rec.put("engine.rewrite.sql_bytes", rendered.len());
     rec.put("engine.output_rows", pinned_rows.len());
@@ -279,7 +290,74 @@ fn hotpath(env: &EnvConfig) -> Record {
             union_us.median, rescan_us.median
         ),
     );
+
+    // Q1-mid read through the intersection of its access points and its
+    // date window: both decided by their probes, only the time window is
+    // checked per fetched row.
+    let q1 = sieve_workload::query_gen::generate_query(
+        &campus.dataset,
+        QueryClass::Q1,
+        sieve_workload::Selectivity::Mid,
+        7,
+    );
+    let q1_with = |hint| {
+        let mut q = q1.clone();
+        q.from[0].hint = hint;
+        q
+    };
+    let sorted_rows = |q: &SelectQuery| {
+        let mut rows = db.run_query(q).expect("Q1 read").rows;
+        rows.sort();
+        rows
+    };
+    let intersect_q = q1_with(IndexHint::Force(vec!["wifi_ap".into(), "ts_date".into()]));
+    let intersect = db.explain(&intersect_q).expect("explain").relations[0].access.clone();
+    let dropped = matches!(&intersect, AccessPlan::IndexIntersect { recheck, .. }
+        if recheck.left.len() < recheck.of);
+    let intersect_rows = sorted_rows(&intersect_q);
+    let q1_scan_rows = sorted_rows(&q1_with(IndexHint::IgnoreAll));
+    rec.put("residual.access", intersect.describe());
+    rec.put("residual.output_rows", intersect_rows.len());
+    rec.gate(
+        "residual_rows",
+        dropped && intersect_rows == q1_scan_rows,
+        format!(
+            "an intersection that checks only what its probes left open ({}) must return the scan's \
+             rows ({} vs {})",
+            intersect.describe(),
+            intersect_rows.len(),
+            q1_scan_rows.len()
+        ),
+    );
     rec
+}
+
+/// What the campus's data holds resident, by size arithmetic over what the
+/// engine stores — `memory.value_bytes` (one `Value`), `row_bytes` (one
+/// wifi row's heap block), `rows_mib` (every table's rows: the `Vec`
+/// header in the table and the block it points to; strings' own blocks not
+/// counted), `index_postings_mib` (index keys and posting lists) and
+/// `histogram_kib` — beside `campus_rss_mib`, what building the campus
+/// added to the process's resident set (`VmRSS`), which also holds the
+/// policy store, the guard cache and the allocator's own slack.
+fn memory_accounting(rec: &mut Record, campus: &Campus, rss_before: Option<u64>) {
+    const MIB: f64 = 1024.0 * 1024.0;
+    let value = std::mem::size_of::<Value>();
+    let db = campus.sieve.db();
+    let tables: Vec<_> = db.table_names().into_iter().map(|t| db.table(t).expect("listed table")).collect();
+    let row_block = |entry: &TableEntry| entry.schema().arity() * value;
+    let row = |entry: &TableEntry| std::mem::size_of::<Row>() + row_block(entry);
+    let rows: usize = tables.iter().map(|e| e.table.len() * row(e)).sum();
+    let postings: usize = tables.iter().flat_map(|e| &e.indexes).map(|i| i.heap_bytes()).sum();
+    let histograms: usize = tables.iter().flat_map(|e| e.histograms.values()).map(|h| h.heap_bytes()).sum();
+    rec.put("memory.value_bytes", value);
+    rec.put("memory.row_bytes", row_block(db.table(WIFI_TABLE).expect("wifi table")));
+    rec.put("memory.rows_mib", rows as f64 / MIB);
+    rec.put("memory.index_postings_mib", postings as f64 / MIB);
+    rec.put("memory.histogram_kib", histograms as f64 / 1024.0);
+    if let (Some(before), Some(after)) = (rss_before, rss_kib()) {
+        rec.put("memory.campus_rss_mib", after.saturating_sub(before) as f64 / 1024.0);
+    }
 }
 
 /// Cold preparation of one request batch from ≥ 100 distinct queriers on

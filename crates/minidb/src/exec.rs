@@ -315,20 +315,18 @@ impl<'a> Exec<'a> {
         Ok(set)
     }
 
-    /// One heap fetch of a row-id set, in page order, then the residual
-    /// filter — or none when the probes were exact: every fetched row
-    /// satisfies the predicate, so it is not re-evaluated.
+    /// One heap fetch of a row-id set, in page order, then the conjuncts
+    /// the probes left open — none when they were exact.
     fn fetch_set(
         &self,
         entry: &TableEntry,
         ids: &RowIdSet,
-        residual: bool,
         program: &FilterProgram,
         ctx: &EvalContext<'_>,
     ) -> DbResult<Vec<Row>> {
         self.check_deadline()?;
         let fetched = entry.table.fetch(&ids.ids(), self.stats());
-        if !residual {
+        if let FilterProgram::KeepAll = program {
             return Ok(fetched.into_iter().map(|(_, r)| r.clone()).collect());
         }
         let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
@@ -361,24 +359,20 @@ impl<'a> Exec<'a> {
                 self.filter_batched(entry.table.rows(), program, ctx, &mut out)?;
                 Ok(out)
             }
-            AccessPlan::IndexIntersect { probes, residual } => {
+            AccessPlan::IndexIntersect { probes, .. } => {
                 // AND the probes' row-id sets, fetch the survivors once.
                 let mut ids = self.probe_set(entry, &probes[..1])?;
                 for p in &probes[1..] {
                     ids.intersect(&self.probe_set(entry, std::slice::from_ref(p))?);
                 }
-                self.fetch_set(entry, &ids, *residual, program, ctx)
+                self.fetch_set(entry, &ids, program, ctx)
             }
-            AccessPlan::IndexOr {
-                probes,
-                bitmap,
-                residual,
-            } => {
+            AccessPlan::IndexOr { probes, bitmap, .. } => {
                 let stats = self.stats();
                 if *bitmap {
                     // PostgreSQL-style: OR the row-id bitmaps, fetch once.
                     let ids = self.probe_set(entry, probes)?;
-                    self.fetch_set(entry, &ids, *residual, program, ctx)
+                    self.fetch_set(entry, &ids, program, ctx)
                 } else {
                     // MySQL-style UNION: each branch fetches independently
                     // (duplicated pages are re-read), dedup afterwards.
@@ -390,7 +384,7 @@ impl<'a> Exec<'a> {
                         self.check_deadline()?;
                         let ids = p.run(entry, stats);
                         let fetched = entry.table.fetch(&ids, stats);
-                        if !residual {
+                        if let FilterProgram::KeepAll = program {
                             // Exact union: keep every not-yet-seen row.
                             for (id, row) in fetched {
                                 if seen.insert(id) {
@@ -858,15 +852,16 @@ mod tests {
         assert_eq!(crate::planner::PLANNED.with(|n| n.get()), 2, "outer query + one subquery");
         assert_eq!(res.len(), 100);
         assert!(res.rows.iter().all(|r| r[2] == Value::Int(1001)));
-        // One probe of `wifi_ap` fetches the 100 outer rows; each scans
-        // the 50 memberships (a page) and outputs one.
+        // One probe of `wifi_ap` fetches the 100 outer rows, which it
+        // decides; each is checked against the subquery, which scans the 50
+        // memberships (a page) and outputs one.
         assert_eq!(
             db.stats().snapshot(),
             crate::stats::Counters {
                 seq_pages_read: 100,
                 rand_pages_read: 4,
                 tuples_read: 5100,
-                predicate_evals: 5200,
+                predicate_evals: 5100,
                 policy_evals: 0,
                 udf_invocations: 0,
                 index_probes: 1,
@@ -963,6 +958,31 @@ mod tests {
         assert_eq!(res.len(), 40);
         // The probe union is exact: no per-row predicate re-evaluation.
         assert_eq!(db.stats().snapshot().predicate_evals, 0);
+    }
+
+    /// `owner = NaN` holds on every row (`Value`'s order calls NaN equal to
+    /// every number). An index descent finds one key, so a forced index
+    /// read that trusted it returned a tenth of the rows; it scans instead.
+    #[test]
+    fn forced_index_on_a_nan_key_returns_the_scans_rows() {
+        let mut db = Database::new(DbProfile::MySqlLike);
+        db.create_table(TableSchema::of("t", &[("id", DataType::Int), ("owner", DataType::Int)]))
+            .unwrap();
+        for i in 0..100i64 {
+            db.insert("t", vec![Value::Int(i), Value::Int(i % 10)]).unwrap();
+        }
+        db.create_index("t", "owner").unwrap();
+        db.analyze("t").unwrap();
+        let run = |hint: IndexHint| {
+            let q = SelectQuery {
+                from: vec![TableRef::named("t").with_hint(hint)],
+                ..SelectQuery::star_from("t")
+            }
+            .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Double(f64::NAN)));
+            (db.run_query(&q).unwrap().len(), db.explain(&q).unwrap().relations[0].access_desc.clone())
+        };
+        assert_eq!(run(IndexHint::IgnoreAll), (100, "SeqScan".to_string()));
+        assert_eq!(run(IndexHint::Force(vec!["owner".into()])), (100, "SeqScan".to_string()));
     }
 
     /// `Int(1) = Double(1.0)` in this engine (`Value`'s numeric order), so

@@ -11,7 +11,7 @@
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::planner::{AccessPlan, IndexProbe, QueryPlan, Read, TempSource};
+use crate::planner::{AccessPlan, IndexProbe, QueryPlan, Read, Recheck, TempSource};
 pub use crate::planner::{ExplainOutput, RelationPlan};
 
 /// Fill the public EXPLAIN shape from a plan.
@@ -28,10 +28,11 @@ pub(crate) fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> 
                 (table.as_str(), entry.table.len(), plan.clone(), plan.estimate_rows(entry))
             }
             Read::Lookup { table, .. } => {
-                // The probe's keys are the outer rows' values.
+                // The probe's keys are the outer rows' values; it decides
+                // no conjunct, the local filter is checked whole.
                 let column = input.key_column().unwrap_or_default().to_string();
                 let probes = vec![IndexProbe::InList { column, keys: Vec::new() }];
-                let access = AccessPlan::IndexOr { probes, bitmap: false, residual: true };
+                let access = AccessPlan::IndexOr { probes, bitmap: false, recheck: Recheck::default() };
                 (table.as_str(), db.table(table)?.table.len(), access, f64::NAN)
             }
             Read::Temp(TempSource::Cte(name)) => (name.as_str(), 0, AccessPlan::SeqScan, f64::NAN),

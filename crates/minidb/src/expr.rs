@@ -1189,7 +1189,7 @@ fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
     };
     match (&**lhs, &**rhs) {
         (BoundExpr::Slot(s), BoundExpr::Literal(v)) | (BoundExpr::Literal(v), BoundExpr::Slot(s))
-            if !v.is_null() && !is_nan(v) =>
+            if !v.is_null() && !v.is_nan() =>
         {
             Some((*s, v))
         }
@@ -1212,12 +1212,6 @@ fn split_head(branch: BoundExpr) -> (Value, BoundExpr) {
         },
         _ => unreachable!("dispatch_head accepted a branch without a comparison head"),
     }
-}
-
-/// True iff `v` has no place in [`Value`]'s order: NaN compares equal to
-/// every number, so it can be neither sorted nor searched for.
-fn is_nan(v: &Value) -> bool {
-    matches!(v, Value::Double(d) if d.is_nan())
 }
 
 impl BoundExpr {
@@ -1250,7 +1244,7 @@ impl BoundExpr {
             BoundExpr::Not(e) => e.build_key_tables(),
             BoundExpr::InList { list, .. } => {
                 let literal = |e: &BoundExpr| match e {
-                    BoundExpr::Literal(v) if !is_nan(v) => Some(v.clone()),
+                    BoundExpr::Literal(v) if !v.is_nan() => Some(v.clone()),
                     _ => None,
                 };
                 let Some(mut keys) = list.iter().map(literal).collect::<Option<Vec<Value>>>() else {

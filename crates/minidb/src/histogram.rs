@@ -102,6 +102,13 @@ impl Histogram {
         self.distinct
     }
 
+    /// Heap bytes of the bucket bounds and the most-common values, by size
+    /// arithmetic (the hash table's control bytes not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let mcv = self.mcv.capacity() * std::mem::size_of::<(Value, u64)>();
+        self.bounds.capacity() * std::mem::size_of::<f64>() + mcv
+    }
+
     /// Estimated number of rows with column = `v`.
     pub fn estimate_eq(&self, v: &Value) -> f64 {
         if self.total == 0 {

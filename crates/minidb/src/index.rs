@@ -96,6 +96,14 @@ impl Index {
         self.entries.len() as u64
     }
 
+    /// Heap bytes of the keys and posting lists, by size arithmetic (the
+    /// B-tree nodes' spare slots not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Value, Vec<RowId>)>();
+        let ids = |list: &Vec<RowId>| list.capacity() * std::mem::size_of::<RowId>();
+        self.entries.values().map(|list| entry + ids(list)).sum()
+    }
+
     /// Posting list of `key` (empty when absent), borrowed. One probe
     /// charged.
     pub fn postings(&self, key: &Value, stats: &StatsSink) -> &[RowId] {

@@ -146,12 +146,13 @@ impl IndexProbe {
     }
 
     /// True iff the rows this probe returns are *exactly* the rows
-    /// satisfying the comparison it was derived from, so the executor can
-    /// skip re-filtering them. NULL keys break the equivalence: the index
-    /// stores NULL (it sorts below every value), but SQL comparisons
-    /// against NULL are false — so a NULL probe key, or a range whose low
-    /// end is unbounded (and therefore starts at the NULL keys), must keep
-    /// the residual filter.
+    /// satisfying the comparison it was derived from, so that conjunct
+    /// need not be checked again on them. NULL keys break the equivalence:
+    /// the index stores NULL (it sorts below every value), but SQL
+    /// comparisons against NULL are false — so a NULL probe key, or a
+    /// range whose low end is unbounded (and therefore starts at the NULL
+    /// keys), leaves its conjunct to be checked. (A NaN key never gets
+    /// this far: no probe is derived from one.)
     pub fn is_exact(&self) -> bool {
         match self {
             IndexProbe::Point { key, .. } => !key.is_null(),
@@ -215,10 +216,8 @@ pub enum AccessPlan {
         probes: Vec<IndexProbe>,
         /// Dedup before fetch (PostgreSQL) vs after (MySQL UNION).
         bitmap: bool,
-        /// Whether the fetched rows still need the full predicate applied.
-        /// `false` only when every disjunct is a single exact probe
-        /// (see [`IndexProbe::is_exact`]), so probe ∪ ≡ predicate.
-        residual: bool,
+        /// What the fetched rows are still checked against.
+        recheck: Recheck,
     },
     /// One index probe per chosen conjunct of a conjunctive predicate
     /// (MySQL's index-merge intersection, PostgreSQL's `BitmapAnd`): the
@@ -227,10 +226,50 @@ pub enum AccessPlan {
     IndexIntersect {
         /// The probes, most selective first.
         probes: Vec<IndexProbe>,
-        /// Whether the fetched rows still need the full predicate applied.
-        /// `false` only when every conjunct has its own exact probe.
-        residual: bool,
+        /// What the fetched rows are still checked against.
+        recheck: Recheck,
     },
+}
+
+/// The conjuncts of a relation's local predicate that the rows an index
+/// path fetches are checked against: every one no probe answers exactly
+/// (see [`IndexProbe::is_exact`]). A row an intersection fetches passed
+/// every probe, and a row a lone probe fetches passed that probe, so each
+/// conjunct such an exact probe was derived from is decided and left out
+/// of the filter. A row a union of several probes fetches passed only one
+/// of them, so a union decides nothing short of the whole predicate, when
+/// that is a disjunction of lone exact probes. A conjunct is decided
+/// whole or not at all: a shared guard node is never taken apart.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Recheck {
+    /// Positions, among the predicate's conjuncts, of those still checked,
+    /// ascending. Empty: the probes are exact, nothing is checked.
+    pub left: Vec<usize>,
+    /// How many conjuncts the predicate has.
+    pub of: usize,
+}
+
+impl Recheck {
+    /// What of `pred` — the predicate whose conjuncts this counts — is
+    /// left to check; `None` when nothing is.
+    fn apply(&self, pred: Expr) -> Option<Expr> {
+        if self.left.len() == self.of {
+            return Some(pred);
+        }
+        let conjuncts = pred.conjuncts();
+        let left: Vec<Expr> = self.left.iter().map(|&i| conjuncts[i].clone()).collect();
+        (!left.is_empty()).then(|| Expr::all(left))
+    }
+}
+
+impl fmt::Display for Recheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.left.is_empty() {
+            f.write_str("exact")
+        } else {
+            write!(f, "recheck {} of {}", self.left.len(), self.of)
+        }
+    }
 }
 
 impl AccessPlan {
@@ -241,33 +280,32 @@ impl AccessPlan {
             AccessPlan::IndexOr {
                 probes,
                 bitmap,
-                residual,
+                recheck,
             } => {
-                let cols: Vec<&str> = probes.iter().map(|p| p.column()).collect();
-                let mut uniq = cols.clone();
-                uniq.sort_unstable();
-                uniq.dedup();
-                let tail = if *residual { ", residual" } else { ", exact" };
-                if *bitmap && probes.len() > 1 {
-                    format!(
-                        "BitmapOr(col={}, {} probes{tail})",
-                        uniq.join(","),
-                        probes.len()
-                    )
-                } else if probes.len() > 1 {
-                    format!(
-                        "IndexUnion(col={}, {} probes{tail})",
-                        uniq.join(","),
-                        probes.len()
-                    )
-                } else {
-                    format!("IndexScan({}{tail})", uniq.join(","))
+                let mut cols: Vec<&str> = probes.iter().map(|p| p.column()).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                let cols = cols.join(",");
+                match (probes.len(), *bitmap) {
+                    (1, _) => format!("IndexScan({cols}, {recheck})"),
+                    (n, true) => format!("BitmapOr(col={cols}, {n} probes, {recheck})"),
+                    (n, false) => format!("IndexUnion(col={cols}, {n} probes, {recheck})"),
                 }
             }
-            AccessPlan::IndexIntersect { probes, residual } => {
+            AccessPlan::IndexIntersect { probes, recheck } => {
                 let cols: Vec<&str> = probes.iter().map(|p| p.column()).collect();
-                let tail = if *residual { "residual" } else { "exact" };
-                format!("IndexIntersect({}, {tail})", cols.join(" ∩ "))
+                format!("IndexIntersect({}, {recheck})", cols.join(" ∩ "))
+            }
+        }
+    }
+
+    /// What the rows it fetches are still checked against; `None` for a
+    /// scan, which checks every row against everything.
+    pub fn recheck(&self) -> Option<&Recheck> {
+        match self {
+            AccessPlan::SeqScan => None,
+            AccessPlan::IndexOr { recheck, .. } | AccessPlan::IndexIntersect { recheck, .. } => {
+                Some(recheck)
             }
         }
     }
@@ -298,7 +336,10 @@ fn narrowed(est: f64, probe_rows: f64, table_rows: f64) -> f64 {
 }
 
 /// Try to turn one expression into an index probe on `entry`, restricted to
-/// `allowed` columns when a FORCE INDEX hint names them.
+/// `allowed` columns when a FORCE INDEX hint names them. A NaN key or bound
+/// has no probe: `Value`'s order calls NaN equal to every number, so the
+/// comparison holds on every numeric row while a B-tree descent lands on
+/// one key.
 fn probe_from_expr(
     e: &Expr,
     entry: &TableEntry,
@@ -322,11 +363,15 @@ fn probe_from_expr(
         Some(c.column.clone())
     };
 
+    let key = |e: &Expr| match e {
+        Expr::Literal(v) if !v.is_nan() => Some(v.clone()),
+        _ => None,
+    };
     match e.unshared() {
         Expr::Cmp { op, lhs, rhs } => {
             let (col, lit, op) = match (&**lhs, &**rhs) {
-                (Expr::Column(c), Expr::Literal(v)) => (col_ok(c)?, v.clone(), *op),
-                (Expr::Literal(v), Expr::Column(c)) => (col_ok(c)?, v.clone(), op.flip()),
+                (Expr::Column(c), lit) => (col_ok(c)?, key(lit)?, *op),
+                (lit, Expr::Column(c)) => (col_ok(c)?, key(lit)?, op.flip()),
                 _ => return None,
             };
             Some(match op {
@@ -364,14 +409,10 @@ fn probe_from_expr(
                 Expr::Column(c) => col_ok(c)?,
                 _ => return None,
             };
-            let (lo, hi) = match (&**low, &**high) {
-                (Expr::Literal(a), Expr::Literal(b)) => (a.clone(), b.clone()),
-                _ => return None,
-            };
             Some(IndexProbe::Range {
                 column: col,
-                low: RangeBound::Inclusive(lo),
-                high: RangeBound::Inclusive(hi),
+                low: RangeBound::Inclusive(key(low)?),
+                high: RangeBound::Inclusive(key(high)?),
             })
         }
         Expr::InList {
@@ -383,14 +424,8 @@ fn probe_from_expr(
                 Expr::Column(c) => col_ok(c)?,
                 _ => return None,
             };
-            let keys: Option<Vec<Value>> = list
-                .iter()
-                .map(|e| match e {
-                    Expr::Literal(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            Some(IndexProbe::InList { column: col, keys: keys? })
+            let keys = list.iter().map(key).collect::<Option<Vec<Value>>>()?;
+            Some(IndexProbe::InList { column: col, keys })
         }
         _ => None,
     }
@@ -411,6 +446,9 @@ pub struct ConjunctivePath {
     /// [`POSTING_WALK_FRACTION`] per posting entry of every probe after
     /// the first (a lone probe walks its list whichever way it is costed).
     pub est_cost: f64,
+    /// Positions, among the predicate's conjuncts, of those an exact probe
+    /// of the path was derived from: every row it fetches satisfies them.
+    pub(crate) answered: Vec<usize>,
 }
 
 impl ConjunctivePath {
@@ -420,22 +458,23 @@ impl ConjunctivePath {
         self.probes.iter().map(|p| p.column().to_string()).collect()
     }
 
+    /// Add a probe derived from the predicate's conjunct at `at`.
+    fn push(&mut self, probe: IndexProbe, at: usize) {
+        if probe.is_exact() {
+            self.answered.push(at);
+        }
+        self.probes.push(probe);
+    }
+
     /// The plan that executes this path over a predicate of `conjuncts`
-    /// conjuncts.
+    /// conjuncts, checking the fetched rows against those it leaves open.
     fn into_plan(self, conjuncts: usize, bitmap: bool) -> AccessPlan {
-        let residual =
-            !(conjuncts == self.probes.len() && self.probes.iter().all(IndexProbe::is_exact));
+        let left = (0..conjuncts).filter(|i| !self.answered.contains(i)).collect();
+        let recheck = Recheck { left, of: conjuncts };
         if self.probes.len() == 1 {
-            AccessPlan::IndexOr {
-                probes: self.probes,
-                bitmap,
-                residual,
-            }
+            AccessPlan::IndexOr { probes: self.probes, bitmap, recheck }
         } else {
-            AccessPlan::IndexIntersect {
-                probes: self.probes,
-                residual,
-            }
+            AccessPlan::IndexIntersect { probes: self.probes, recheck }
         }
     }
 }
@@ -458,30 +497,33 @@ pub fn conjunctive_path(
     pred: &Expr,
     allowed: Option<&[String]>,
 ) -> Option<ConjunctivePath> {
-    let mut candidates: Vec<(f64, IndexProbe)> = Vec::new();
-    for c in pred.conjuncts() {
+    // (estimated rows, probe, position of its conjunct)
+    let mut candidates: Vec<(f64, IndexProbe, usize)> = Vec::new();
+    for (at, c) in pred.conjuncts().into_iter().enumerate() {
         let Some(p) = probe_from_expr(c, entry, alias, allowed) else {
             continue;
         };
         let est = p.estimate_rows(entry);
-        match candidates.iter_mut().find(|(_, q)| q.column() == p.column()) {
-            Some(best) if est < best.0 => *best = (est, p),
+        match candidates.iter_mut().find(|(_, q, _)| q.column() == p.column()) {
+            Some(best) if est < best.0 => *best = (est, p, at),
             Some(_) => {}
-            None => candidates.push((est, p)),
+            None => candidates.push((est, p, at)),
         }
     }
     // Stable: equally selective probes keep the predicate's order.
     candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
     let table_rows = entry.table.len() as f64;
     let mut candidates = candidates.into_iter();
-    let (first_rows, first) = candidates.next()?;
+    let (first_rows, first, at) = candidates.next()?;
     let first_rows = first_rows.min(table_rows);
     let mut path = ConjunctivePath {
-        probes: vec![first],
+        probes: Vec::new(),
         est_rows: first_rows,
         est_cost: first_rows,
+        answered: Vec::new(),
     };
-    for (probe_rows, p) in candidates {
+    path.push(first, at);
+    for (probe_rows, p, at) in candidates {
         let fewer = narrowed(path.est_rows, probe_rows, table_rows);
         let walk = probe_rows * POSTING_WALK_FRACTION;
         // Every later candidate walks more and saves less.
@@ -490,7 +532,7 @@ pub fn conjunctive_path(
         }
         path.est_cost += walk - (path.est_rows - fewer);
         path.est_rows = fewer;
-        path.probes.push(p);
+        path.push(p, at);
     }
     Some(path)
 }
@@ -499,9 +541,8 @@ pub fn conjunctive_path(
 /// (an unguardable branch forces a scan — every row could match it). The
 /// returned flag is true when the probe union covers the predicate
 /// *exactly* — every disjunct is a single conjunct whose probe
-/// [`IndexProbe::is_exact`] — so the executor can skip the residual
-/// filter. Guard fragments (`owner = X`, `purpose ∈ …`) are precisely this
-/// shape.
+/// [`IndexProbe::is_exact`] — so the fetched rows need no check. Guard
+/// fragments (`owner = X`, `purpose ∈ …`) are precisely this shape.
 fn probes_per_disjunct(
     pred: &Expr,
     entry: &TableEntry,
@@ -565,6 +606,11 @@ fn plan_access(
     // one needs a probe per disjunct.
     let conjunctive = !matches!(pred.unshared(), Expr::Or(_));
     let conjuncts = pred.conjuncts().len();
+    // A union decides the whole predicate or nothing of it.
+    let union_recheck = |exact: bool| {
+        let left = if exact { Vec::new() } else { (0..conjuncts).collect() };
+        Recheck { left, of: conjuncts }
+    };
 
     // Hints are a MySQL-connector feature; the PostgreSQL-like profile
     // ignores them entirely (paper Section 5.3).
@@ -577,11 +623,7 @@ fn plan_access(
                         .map(|path| path.into_plan(conjuncts, false))
                 } else {
                     probes_per_disjunct(pred, entry, alias, Some(cols)).map(|(probes, exact)| {
-                        AccessPlan::IndexOr {
-                            probes,
-                            bitmap: false,
-                            residual: !exact,
-                        }
+                        AccessPlan::IndexOr { probes, bitmap: false, recheck: union_recheck(exact) }
                     })
                 };
                 // FORCE INDEX that cannot be applied degenerates to a scan.
@@ -608,10 +650,10 @@ fn plan_access(
             // Cost-based: try (a) the conjunctive path, or one probe per
             // top-level disjunct, and (b) BitmapOr over an OR-shaped
             // conjunct inside an AND. Costs are fetched-row equivalents.
-            let bitmap_or = |probes, residual| AccessPlan::IndexOr {
+            let bitmap_or = |probes, exact| AccessPlan::IndexOr {
                 probes,
                 bitmap: true,
-                residual,
+                recheck: union_recheck(exact),
             };
             let whole = if conjunctive {
                 conjunctive_path(entry, alias, pred, None)
@@ -619,11 +661,11 @@ fn plan_access(
             } else {
                 probes_per_disjunct(pred, entry, alias, None).map(|(probes, exact)| {
                     let est = probes.iter().map(|p| p.estimate_rows(entry)).sum();
-                    (est, bitmap_or(probes, !exact))
+                    (est, bitmap_or(probes, exact))
                 })
             };
             let or_conjunct = probes_from_or_conjunct(pred, entry, alias)
-                .map(|(est, probes)| (est, bitmap_or(probes, true)));
+                .map(|(est, probes)| (est, bitmap_or(probes, false)));
             match [whole, or_conjunct]
                 .into_iter()
                 .flatten()
@@ -783,7 +825,8 @@ pub(crate) struct Input {
     pub(crate) alias: String,
     /// Its row: what `local` and the own side of `keys` index into.
     pub(crate) schema: Arc<TableSchema>,
-    /// The conjuncts that mention this input only, bound to its own row.
+    /// The conjuncts that mention this input only, bound to its own row —
+    /// but for those its access path's probes answer exactly ([`Recheck`]).
     pub(crate) local: FilterProgram,
     /// How its rows are produced.
     pub(crate) read: Read,
@@ -949,7 +992,7 @@ pub(crate) fn plan_query(
             let own = schema.column_index(own).ok_or_else(|| DbError::UnknownColumn(own.clone()))?;
             keys.push((layout.resolve(&outer)?, own));
         }
-        let local = classified.local_predicate(alias);
+        let mut local = classified.local_predicate(alias);
         let read = match rel {
             Rel::Temp(source) => Read::Temp(source),
             // Index nested loop whenever the table has an index on its
@@ -962,6 +1005,10 @@ pub(crate) fn plan_query(
                 None => {
                     let (hint, profile) = (&tref.hint, db.profile());
                     let plan = plan_access(entry, alias, local.as_ref(), hint, profile);
+                    // What the probes decided is not checked again.
+                    if let Some(recheck) = plan.recheck() {
+                        local = local.and_then(|pred| recheck.apply(pred));
+                    }
                     Read::Access { table: table.to_string(), plan }
                 }
             },
@@ -1091,7 +1138,9 @@ pub struct RelationPlan {
     /// Chosen access plan. Temp and derived relations have none and carry
     /// `SeqScan`; a relation reached by index nested loop carries an
     /// IN-list probe of the joined column with no keys of its own — they
-    /// are the outer rows' values.
+    /// are the outer rows' values — and an empty [`Recheck`] of no
+    /// conjuncts: the probe decides none, every fetched row meets the
+    /// whole local filter.
     pub access: AccessPlan,
     /// Human-readable access description.
     pub access_desc: String,
@@ -1218,13 +1267,13 @@ mod tests {
             AccessPlan::IndexOr {
                 probes,
                 bitmap,
-                residual,
+                recheck,
             } => {
                 assert_eq!(probes.len(), 2);
                 assert!(!bitmap);
                 // Each disjunct is a bare `owner = k`: probes are exact,
-                // the executor may skip the residual filter.
-                assert!(!residual);
+                // the fetched rows are not checked.
+                assert_eq!(recheck, Recheck { left: vec![], of: 1 });
             }
             other => panic!("expected IndexOr, got {other:?}"),
         }
@@ -1282,7 +1331,8 @@ mod tests {
         assert!(
             matches!(
                 plan,
-                AccessPlan::IndexOr { bitmap: true, ref probes, residual: true } if probes.len() == 2
+                AccessPlan::IndexOr { bitmap: true, ref probes, ref recheck }
+                    if probes.len() == 2 && recheck.left == [0, 1]
             ),
             "got {plan:?}"
         );
@@ -1350,10 +1400,7 @@ mod tests {
         let pred = Expr::col_cmp(ColumnRef::bare("wifi_ap"), CmpOp::Le, Value::Int(1001));
         let hint = IndexHint::Force(vec!["wifi_ap".into()]);
         let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
-        assert!(
-            matches!(plan, AccessPlan::IndexOr { residual: true, .. }),
-            "got {plan:?}"
-        );
+        assert_eq!(plan.describe(), "IndexScan(wifi_ap, recheck 1 of 1)");
         // A bounded BETWEEN range is exact.
         let pred = Expr::Between {
             expr: Box::new(Expr::Column(ColumnRef::bare("wifi_ap"))),
@@ -1362,12 +1409,8 @@ mod tests {
             negated: false,
         };
         let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
-        assert!(
-            matches!(plan, AccessPlan::IndexOr { residual: false, .. }),
-            "got {plan:?}"
-        );
-        // A disjunct with extra conjuncts needs the filter even though the
-        // probe itself is exact.
+        assert_eq!(plan.describe(), "IndexScan(wifi_ap, exact)");
+        // The probed conjunct is decided; the one without a probe is not.
         let pred = Expr::and(
             owner_eq(1),
             Expr::col_cmp(ColumnRef::bare("ts_time"), CmpOp::Ge, Value::Time(10)),
@@ -1379,10 +1422,8 @@ mod tests {
             &IndexHint::Force(vec!["owner".into()]),
             DbProfile::MySqlLike,
         );
-        assert!(
-            matches!(plan, AccessPlan::IndexOr { residual: true, .. }),
-            "got {plan:?}"
-        );
+        assert_eq!(plan.recheck(), Some(&Recheck { left: vec![1], of: 2 }));
+        assert_eq!(plan.describe(), "IndexScan(owner, recheck 1 of 2)");
     }
 
     #[test]
@@ -1394,10 +1435,37 @@ mod tests {
         let pred = Expr::col_eq(ColumnRef::bare("owner"), Value::Null);
         let hint = IndexHint::Force(vec!["owner".into()]);
         let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
-        assert!(
-            matches!(plan, AccessPlan::IndexOr { residual: true, .. }),
-            "got {plan:?}"
-        );
+        assert_eq!(plan.describe(), "IndexScan(owner, recheck 1 of 1)");
+    }
+
+    /// `Value`'s order calls NaN equal to every number, so `owner = NaN`
+    /// holds on every row while the B-tree lands on one key: a NaN key,
+    /// list member or bound yields no probe, and a forced read scans.
+    #[test]
+    fn nan_literal_is_never_probed() {
+        let db = setup(DbProfile::MySqlLike);
+        let entry = db.table("w").unwrap();
+        let nan = || Expr::Literal(Value::Double(f64::NAN));
+        let hint = IndexHint::Force(vec!["owner".into()]);
+        for pred in [
+            Expr::col_eq(ColumnRef::bare("owner"), Value::Double(f64::NAN)),
+            Expr::InList {
+                expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
+                list: vec![Expr::Literal(Value::Int(3)), nan()],
+                negated: false,
+            },
+            Expr::Between {
+                expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
+                low: Box::new(nan()),
+                high: Box::new(Expr::Literal(Value::Int(3))),
+                negated: false,
+            },
+            Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Gt, Value::Double(f64::NAN)),
+        ] {
+            assert_eq!(probe_from_expr(&pred, entry, "w", None), None, "{pred:?}");
+            let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
+            assert_eq!(plan, AccessPlan::SeqScan, "{pred:?}");
+        }
     }
 
     #[test]
@@ -1443,7 +1511,7 @@ mod tests {
             assert!((path.est_rows - 120.0).abs() < 15.0, "{path:?}");
             assert!(path.est_cost > path.est_rows && path.est_cost < 400.0, "{path:?}");
             let plan = plan_access(entry, "w", Some(&pred), &IndexHint::None, profile);
-            assert_eq!(plan.describe(), "IndexIntersect(wifi_ap ∩ owner, residual)");
+            assert_eq!(plan.describe(), "IndexIntersect(wifi_ap ∩ owner, recheck 1 of 2)");
             assert!((plan.estimate_rows(entry) - path.est_rows).abs() < 1e-9);
 
             // One AP = 100 rows; owner < 90 ≈ 1800: the walk (300) costs
@@ -1453,7 +1521,7 @@ mod tests {
             assert_eq!(path.columns(), ["wifi_ap"]);
             assert_eq!((path.est_rows, path.est_cost), (100.0, 100.0));
             let plan = plan_access(entry, "w", Some(&pred), &IndexHint::None, profile);
-            assert_eq!(plan.describe(), "IndexScan(wifi_ap, residual)");
+            assert_eq!(plan.describe(), "IndexScan(wifi_ap, recheck 1 of 2)");
         }
     }
 
@@ -1467,9 +1535,9 @@ mod tests {
             let hint = IndexHint::Force(cols.iter().map(|c| c.to_string()).collect());
             plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike).describe()
         };
-        assert_eq!(force(&["owner", "wifi_ap"]), "IndexIntersect(wifi_ap ∩ owner, residual)");
-        assert_eq!(force(&["owner"]), "IndexScan(owner, residual)");
-        assert_eq!(force(&["wifi_ap", "ts_time"]), "IndexScan(wifi_ap, residual)");
+        assert_eq!(force(&["owner", "wifi_ap"]), "IndexIntersect(wifi_ap ∩ owner, recheck 1 of 2)");
+        assert_eq!(force(&["owner"]), "IndexScan(owner, recheck 2 of 2)");
+        assert_eq!(force(&["wifi_ap", "ts_time"]), "IndexScan(wifi_ap, recheck 1 of 2)");
         assert_eq!(force(&["ts_time"]), "SeqScan");
     }
 
@@ -1499,10 +1567,91 @@ mod tests {
         let pred = Expr::and(owner_eq(3), ap_in(1000..1010));
         let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
         assert_eq!(plan.describe(), "IndexIntersect(owner ∩ wifi_ap, exact)");
-        // An unbounded-low range starts at the NULL keys: residual stays.
+        // An unbounded-low range starts at the NULL keys: it stays checked,
+        // the exactly probed IN-list does not.
         let pred = Expr::and(owner_lt(3), ap_in(1000..1010));
         let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
-        assert_eq!(plan.describe(), "IndexIntersect(owner ∩ wifi_ap, residual)");
+        assert_eq!(plan.describe(), "IndexIntersect(owner ∩ wifi_ap, recheck 1 of 2)");
+        assert_eq!(plan.recheck(), Some(&Recheck { left: vec![0], of: 2 }));
+    }
+
+    /// The TIPPERS Q1 shape under the guard it is read with: the probed
+    /// IN-list and date range leave the filter, the time range (no index)
+    /// and the shared guard node stay in it — the node bound as the whole
+    /// it is, from the form it already holds.
+    #[test]
+    fn a_plan_binds_only_the_conjuncts_its_probes_leave_open() {
+        let mut db = Database::new(DbProfile::MySqlLike);
+        db.create_table(TableSchema::of(
+            "w",
+            &[
+                ("owner", DataType::Int),
+                ("wifi_ap", DataType::Int),
+                ("ts_date", DataType::Date),
+                ("ts_time", DataType::Time),
+            ],
+        ))
+        .unwrap();
+        for i in 0..4000i64 {
+            let row = vec![
+                Value::Int(i % 100),
+                Value::Int(1000 + i % 20),
+                Value::Date((i / 100) as i32),
+                Value::Time(((i * 37) % 86400) as u32),
+            ];
+            db.insert("w", row).unwrap();
+        }
+        for col in ["owner", "wifi_ap", "ts_date"] {
+            db.create_index("w", col).unwrap();
+        }
+        db.analyze("w").unwrap();
+        let between = |col: &str, low: Value, high: Value| Expr::Between {
+            expr: Box::new(Expr::Column(ColumnRef::bare(col))),
+            low: Box::new(Expr::Literal(low)),
+            high: Box::new(Expr::Literal(high)),
+            negated: false,
+        };
+        let guard = Expr::shared(Expr::any((0..60).map(owner_eq).collect()));
+        let query = crate::plan::SelectQuery {
+            from: vec![crate::plan::TableRef::named("w")
+                .with_hint(IndexHint::Force(vec!["wifi_ap".into(), "ts_date".into()]))],
+            ..crate::plan::SelectQuery::star_from("w")
+        }
+        .filter(Expr::all(vec![
+            ap_in(1000..1003),
+            between("ts_date", Value::Date(3), Value::Date(14)),
+            between("ts_time", Value::Time(3600), Value::Time(50_000)),
+            guard.clone(),
+        ]));
+        let node = guard.as_shared().unwrap();
+        let first = db.prepare_query(&query).unwrap();
+        assert_eq!(node.binds(), 1, "the first plan fills the node");
+        let plan = db.prepare_query(&query).unwrap();
+        assert_eq!(node.binds(), 1, "a plan over the filled node binds nothing of it");
+        let input = &plan.plan.inputs[0];
+        let Read::Access { plan: access, .. } = &input.read else { panic!("{:?}", input.read) };
+        assert_eq!(access.describe(), "IndexIntersect(wifi_ap ∩ ts_date, recheck 2 of 4)");
+        assert_eq!(access.recheck(), Some(&Recheck { left: vec![2, 3], of: 4 }));
+        // What is bound is exactly the last two conjuncts, the guard as the
+        // node's own bound form.
+        let FilterProgram::Eval(crate::expr::BoundExpr::And(parts)) = &input.local else {
+            panic!("{:?}", input.local)
+        };
+        assert_eq!(parts.len(), 2);
+        assert!(matches!(parts[0], crate::expr::BoundExpr::Between { .. }), "{:?}", parts[0]);
+        assert!(matches!(parts[1], crate::expr::BoundExpr::Shared(_)), "{:?}", parts[1]);
+        // And the rows are the scan's.
+        let opts = crate::exec::ExecOptions::default();
+        let mut got = db.run_prepared(&first, &opts).unwrap().rows;
+        let scan = crate::plan::SelectQuery {
+            from: vec![crate::plan::TableRef::named("w").with_hint(IndexHint::IgnoreAll)],
+            ..query.clone()
+        };
+        let mut want = db.run_query(&scan).unwrap().rows;
+        got.sort();
+        want.sort();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
     }
 
     #[test]

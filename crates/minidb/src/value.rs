@@ -51,8 +51,10 @@ pub enum Value {
     Bool(bool),
     /// 64-bit integer value.
     Int(i64),
-    /// Interned string value (cheap to clone; tuples carry many of these).
-    Str(Arc<str>),
+    /// Interned string value, cheap to clone. Behind a thin pointer, so a
+    /// `Value` is 16 bytes — every row, index key and reply row pays for
+    /// its widest variant; a string's extra hop is paid only by strings.
+    Str(Arc<String>),
     /// Seconds since midnight.
     Time(u32),
     /// Days since the Unix epoch.
@@ -61,10 +63,13 @@ pub enum Value {
     Double(f64),
 }
 
+// Every stored row is a run of these: a wider variant must not slip in.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
     /// Build a string value from anything string-like.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().to_owned()))
     }
 
     /// The data type of this value, or `None` for NULL.
@@ -83,6 +88,12 @@ impl Value {
     /// True iff the value is SQL NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
+    }
+
+    /// True iff the value has no place in the order: a NaN double compares
+    /// equal to every number, so it can be neither sorted nor searched for.
+    pub fn is_nan(&self) -> bool {
+        matches!(self, Value::Double(d) if d.is_nan())
     }
 
     /// Extract an integer, if this value is one.
@@ -351,7 +362,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::str(v)
+        Value::Str(Arc::new(v))
     }
 }
 

@@ -8,8 +8,6 @@
 //! rejected rather than silently ignored. There is no partial decode: a
 //! frame either yields exactly one well-formed value or an error.
 
-use std::sync::Arc;
-
 use minidb::exec::QueryResult;
 use minidb::table::Row;
 use minidb::value::Value;
@@ -213,7 +211,7 @@ pub fn read_value(r: &mut Reader<'_>) -> ProtocolResult<Value> {
             other => return Err(ProtocolError::UnknownTag { context: "bool value", tag: other }),
         },
         VAL_INT => Value::Int(r.i64("int value")?),
-        VAL_STR => Value::Str(Arc::from(r.string("string value")?)),
+        VAL_STR => Value::from(r.string("string value")?),
         VAL_TIME => Value::Time(r.u32("time value")?),
         VAL_DATE => Value::Date(r.i32("date value")?),
         VAL_DOUBLE => Value::Double(r.f64("double value")?),

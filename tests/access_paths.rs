@@ -89,7 +89,9 @@ fn guarded_reads_take_the_path_the_query_asks_for() {
     assert_eq!(r1.rows, expected(&q1));
     assert!(!r1.rows.is_empty());
     assert_eq!(r1.strategy, AccessStrategy::IndexQuery);
-    assert_eq!(r1.access, "IndexIntersect(wifi_ap ∩ ts_date, residual)");
+    // The two probed conjuncts are decided; the time window and the guard
+    // are what a fetched row is checked against.
+    assert_eq!(r1.access, "IndexIntersect(wifi_ap ∩ ts_date, recheck 2 of 4)");
     assert_eq!(r1.counters.index_probes, 8 + 1);
     // Before intersection this was a scan: 40,152 tuples at this scale.
     assert!(
@@ -105,7 +107,7 @@ fn guarded_reads_take_the_path_the_query_asks_for() {
     let r2 = run(&session, &q2);
     assert_eq!(r2.rows, expected(&q2));
     assert_eq!(r2.strategy, AccessStrategy::IndexQuery);
-    assert_eq!(r2.access, "IndexScan(owner, residual)");
+    assert_eq!(r2.access, "IndexScan(owner, recheck 3 of 4)");
     assert_eq!((r2.counters.index_probes, r2.counters.tuples_read), (8, 561));
 
     // Guard-driven reads of the same two statements: each fetched row is

@@ -2,10 +2,11 @@
 //! picks for a guard-shaped predicate — exact index unions, bitmap ORs
 //! with residual filters, sequential scans — or for a query-shaped
 //! conjunction — one index, an intersection of several, a scan — the rows
-//! that come back are identical to the full-scan oracle. Coverage spans
-//! index availability (none / partial / full), stale histograms, NULL
-//! index keys, both optimizer profiles and both execution backends
-//! (in-process and wire-SQL).
+//! that come back are identical to the full-scan oracle, and a
+//! conjunction read through indexes never evaluates more predicates than
+//! the scan. Coverage spans index availability (none / partial / full),
+//! stale histograms, NULL index keys, NaN literals, both optimizer
+//! profiles and both execution backends (in-process and wire-SQL).
 
 use proptest::prelude::*;
 use sieve::core::backend::{SqlBackend, WireSqlBackend};
@@ -71,12 +72,47 @@ fn build(rows: i64, profile: DbProfile, indexing: Indexing, stale_hist: bool) ->
     db
 }
 
+/// `NaN`, as a literal.
+fn nan() -> Expr {
+    Expr::Literal(Value::Double(f64::NAN))
+}
+
+/// Leaves on `a` holding a NaN literal — a point key, an IN-list member, a
+/// range bound. `Value`'s order calls NaN equal to every number, so each
+/// holds on rows a B-tree descent to the NaN key would not find.
+fn arb_nan_leaf() -> impl Strategy<Value = Expr> {
+    let a = || Box::new(Expr::Column(ColumnRef::bare("a")));
+    prop_oneof![
+        Just(Expr::Cmp { op: CmpOp::Eq, lhs: a(), rhs: Box::new(nan()) }),
+        (0i64..23).prop_map(move |x| Expr::InList {
+            expr: a(),
+            list: vec![Expr::Literal(Value::Int(x)), nan()],
+            negated: false,
+        }),
+        (0i64..23).prop_map(move |y| Expr::Between {
+            expr: a(),
+            low: Box::new(nan()),
+            high: Box::new(Expr::Literal(Value::Int(y))),
+            negated: false,
+        }),
+    ]
+}
+
+/// True iff `pred` holds a NaN literal, which has no SQL text.
+fn has_nan(pred: &Expr) -> bool {
+    let mut nan = false;
+    pred.visit(&mut |e| nan |= matches!(e, Expr::Literal(Value::Double(d)) if d.is_nan()));
+    nan
+}
+
 /// A guard-shaped predicate: a top-level OR whose disjuncts are small
 /// conjunctions — exactly what `compile_guard_fragment` emits. Leaves
 /// include NULL-sensitive shapes (`c <= lit` probes from the unbounded
-/// low end; `a = NULL` probes a NULL key) to stress residual elision.
+/// low end; `a = NULL` probes a NULL key) to stress residual elision, and
+/// NaN literals, which no probe may be derived from.
 fn arb_guard_pred() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
+        arb_nan_leaf(),
         (0i64..23).prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), Value::Int(v))),
         (0i64..7).prop_map(|v| Expr::col_eq(ColumnRef::bare("b"), Value::Int(v))),
         (0i64..23, 0i64..23).prop_map(|(x, y)| Expr::InList {
@@ -110,7 +146,7 @@ fn arb_guard_pred() -> impl Strategy<Value = Expr> {
 /// list members and point keys, and ranges on `c` open at the low end
 /// (where the index keeps that column's NULLs), are the cases in which an
 /// intersection that trusted its probes would return rows `WHERE` does
-/// not.
+/// not; a NaN literal on `a` the case in which a probe would miss rows.
 fn arb_conjunction() -> impl Strategy<Value = (Expr, Vec<&'static str>)> {
     let in_list = |col: &'static str, keys: Vec<Value>| Expr::InList {
         expr: Box::new(Expr::Column(ColumnRef::bare(col))),
@@ -127,6 +163,7 @@ fn arb_conjunction() -> impl Strategy<Value = (Expr, Vec<&'static str>)> {
         }),
         (0i64..23).prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), Value::Int(v))),
         Just(Expr::col_eq(ColumnRef::bare("a"), Value::Null)),
+        arb_nan_leaf(),
     ];
     let on_b = prop_oneof![
         (0i64..7).prop_map(|v| Expr::col_eq(ColumnRef::bare("b"), Value::Int(v))),
@@ -227,9 +264,11 @@ proptest! {
 
     /// A conjunction hinted with every subset of its columns, and
     /// unhinted, returns the scan oracle's rows on both profiles — through
-    /// NULL keys, open-ended ranges and stale histograms — and an
-    /// intersection never fetches more than the best single
-    /// index the hint names would have.
+    /// NULL keys, NaN literals, open-ended ranges and stale histograms —
+    /// an intersection never fetches more than the best single index the
+    /// hint names would have, and no index read evaluates more predicates
+    /// than the scan: a fetched row is checked against what its probes
+    /// left open, never against more.
     #[test]
     fn conjunctions_agree_with_scan_oracle_under_every_hint(
         (pred, columns) in arb_conjunction(),
@@ -239,41 +278,55 @@ proptest! {
     ) {
         let db_m = build(rows, DbProfile::MySqlLike, idx, stale);
         let db_p = build(rows, DbProfile::PostgresLike, idx, stale);
-        let mut reference = db_m.run_query(&scan_query(&pred)).unwrap().rows;
-        reference.sort();
 
-        // Rows and tuples read of one run.
+        // Rows, tuples read and predicates evaluated of one run.
         let run = |db: &Database, q: &SelectQuery| {
             db.stats().reset();
             let mut got = db.run_query(q).unwrap().rows;
             got.sort();
-            (got, db.stats().snapshot().tuples_read)
+            let counters = db.stats().snapshot();
+            (got, counters.tuples_read, counters.predicate_evals)
         };
+        let (reference, _, scan_evals) = run(&db_m, &scan_query(&pred));
         let single: Vec<u64> = columns
             .iter()
             .map(|c| run(&db_m, &hinted_query(&pred, IndexHint::Force(vec![c.to_string()]))).1)
             .collect();
+        let mut reads = Vec::new();
         for subset in 1usize..1 << columns.len() {
             let named = |i: &usize| subset & (1 << i) != 0;
             let hint = IndexHint::Force(
                 (0..columns.len()).filter(named).map(|i| columns[i].to_string()).collect(),
             );
             let q = hinted_query(&pred, hint.clone());
-            let (got, read) = run(&db_m, &q);
+            let (got, read, evals) = run(&db_m, &q);
             prop_assert_eq!(&got, &reference, "{:?} diverged (M)", &hint);
             let best_single = (0..columns.len()).filter(named).map(|i| single[i]).min().unwrap();
             prop_assert!(read <= best_single, "{:?} read {} > {}", &hint, read, best_single);
+            reads.push((format!("{hint:?} (M)"), evals));
             // Hints are ignored there; the plan is the planner's own.
-            prop_assert_eq!(&run(&db_p, &q).0, &reference, "{:?} diverged (P)", &hint);
+            let (got, _, evals) = run(&db_p, &q);
+            prop_assert_eq!(&got, &reference, "{:?} diverged (P)", &hint);
+            reads.push((format!("{hint:?} (P)"), evals));
         }
         let free = SelectQuery::star_from("t").filter(pred);
-        prop_assert_eq!(&run(&db_m, &free).0, &reference, "planner choice (M) diverged");
-        prop_assert_eq!(&run(&db_p, &free).0, &reference, "planner choice (P) diverged");
+        for (db, label) in [(&db_m, "planner choice (M)"), (&db_p, "planner choice (P)")] {
+            let (got, _, evals) = run(db, &free);
+            prop_assert_eq!(&got, &reference, "{} diverged", label);
+            reads.push((label.to_string(), evals));
+        }
+        for (label, evals) in reads {
+            prop_assert!(evals <= scan_evals, "{} evaluated {} > the scan's {}", label, evals, scan_evals);
+        }
     }
 
     /// The same equivalence holds through the `SqlBackend` seam: the
     /// in-process backend and the wire backend (render → wire → re-parse)
     /// return oracle-identical rows, one-shot and by prepared statement.
+    /// A NaN literal has no SQL text: the wire backend's one-shot text path
+    /// refuses a predicate holding one rather than answer it, while a
+    /// prepared statement carries it as a bound value and answers it like
+    /// any other.
     #[test]
     fn backends_agree_with_scan_oracle(
         pred in arb_guard_pred(),
@@ -292,9 +345,13 @@ proptest! {
         ];
         for q in [&scan, &forced] {
             for (name, backend) in &backends {
-                let mut got = backend.exec(q, &opts).unwrap().rows;
-                got.sort();
-                prop_assert_eq!(&got, &reference, "backend {} diverged", name);
+                if *name == "wire-sql" && has_nan(&pred) {
+                    prop_assert!(backend.exec(q, &opts).is_err(), "a NaN crossed the wire as text");
+                } else {
+                    let mut got = backend.exec(q, &opts).unwrap().rows;
+                    got.sort();
+                    prop_assert_eq!(&got, &reference, "backend {} diverged", name);
+                }
                 let id = backend.prepare(q).unwrap();
                 let mut pinned = backend.execute_prepared(id, &opts).unwrap().rows;
                 backend.close_prepared(id);
