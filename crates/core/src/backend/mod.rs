@@ -26,10 +26,12 @@
 //! * [`minidb::Database`] itself — the in-process engine, handed query
 //!   ASTs without a serialization round; the hermetic default
 //!   ([`crate::SieveService`]'s default type parameter).
-//! * [`WireSqlBackend`] — accepts only SQL **text**: every query is
-//!   rendered with [`minidb::sql::render_query`], crosses a simulated
-//!   wire, and is re-parsed before execution. This exercises exactly the path a
-//!   network backend uses, making render fidelity load-bearing.
+//! * [`WireSqlBackend`] — accepts only SQL **text**: every query, one-shot
+//!   or prepared, is rendered with [`minidb::sql::render_query`], crosses a
+//!   simulated wire, and is re-parsed before it is planned. This exercises
+//!   exactly the path a network backend uses, making render fidelity
+//!   load-bearing; a query the text cannot carry (a NaN literal) is
+//!   refused on both paths.
 //!
 //! Both prepare: [`SqlBackend::prepare`] has the engine plan the query
 //! once and hold the physical plan open in its statement table, and

@@ -2,10 +2,12 @@
 //!
 //! The paper's SIEVE hands the rewritten query to MySQL/PostgreSQL as a
 //! SQL string. [`WireSqlBackend`] reproduces that contract against the
-//! embedded engine: every query is rendered
+//! embedded engine: every query, one-shot or prepared, is rendered
 //! ([`minidb::sql::render_query`]), crosses a simulated wire, and is
-//! re-parsed ([`minidb::sql::parse`]) before execution — the AST the
-//! middleware built never reaches the executor directly. A future
+//! re-parsed ([`minidb::sql::parse`]) before it is planned — the AST the
+//! middleware built never reaches the executor directly. A prepare ships
+//! the full text once; executions of the statement then go by id and
+//! ship none. A future
 //! `tokio-postgres` backend replaces only the middle of this pipeline
 //! (ship the text, receive rows) — everything the middleware relies on,
 //! above all render fidelity of guard-CTE-bearing rewrites, is already
@@ -17,7 +19,6 @@
 //! path.
 
 use super::{statement_result, BackendError, BackendResult, SqlBackend, StatementId};
-use crate::lru::LruMap;
 use minidb::error::DbResult;
 use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
@@ -26,15 +27,9 @@ use minidb::stats::ExecStats;
 use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
 use minidb::{Database, DbProfile, TableEntry};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Capacity of the parsed-template intern cache. Templates are shared
-/// across queriers whose rewrites differ only in policy literals, so the
-/// working set is the number of distinct *query shapes*, not queriers.
-pub const TEMPLATE_CACHE_CAP: usize = 256;
 
 /// An engine reached exclusively through SQL text.
 #[derive(Debug)]
@@ -43,13 +38,8 @@ pub struct WireSqlBackend {
     /// Queries that crossed the wire as full SQL text
     /// (render → parse → execute, or a prepare).
     round_trips: AtomicU64,
-    /// Parsed templates interned by rendered text: a template shared by N
-    /// queriers is parsed once, not N times.
-    templates: RwLock<LruMap<Arc<SelectQuery>>>,
     /// Total `prepare` calls.
     prepares: AtomicU64,
-    /// Prepares that found their template already parsed.
-    template_hits: AtomicU64,
     /// Executions by statement id (no SQL text on the wire).
     prepared_execs: AtomicU64,
 }
@@ -60,9 +50,7 @@ impl WireSqlBackend {
         WireSqlBackend {
             db,
             round_trips: AtomicU64::new(0),
-            templates: RwLock::new(LruMap::new(TEMPLATE_CACHE_CAP)),
             prepares: AtomicU64::new(0),
-            template_hits: AtomicU64::new(0),
             prepared_execs: AtomicU64::new(0),
         }
     }
@@ -90,12 +78,6 @@ impl WireSqlBackend {
     /// Total `prepare` calls served.
     pub fn prepares(&self) -> u64 {
         self.prepares.load(Ordering::Relaxed)
-    }
-
-    /// Prepares whose rendered template was already parsed (interned) —
-    /// the statement-cache hit count.
-    pub fn template_hits(&self) -> u64 {
-        self.template_hits.load(Ordering::Relaxed)
     }
 
     /// Executions dispatched by statement id (no SQL text shipped).
@@ -174,44 +156,14 @@ impl SqlBackend for WireSqlBackend {
     fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
         self.db.insert(table, row).map_err(BackendError::from)
     }
-    /// The server-side prepare: lift literals into `?` placeholders,
-    /// render the literal-free template, and parse it **once per template
-    /// text** — queriers whose rewrites differ only in policy literals
-    /// share one parsed template. The engine plans the template bound to
-    /// this query's literals once and the returned statement executes that
-    /// plan by id; no SQL text crosses the wire again.
+    /// The server-side prepare: the query crosses the wire as its full
+    /// text, as [`SqlBackend::exec`]'s does, and the engine plans what it
+    /// parsed once; the returned statement executes that plan by id and no
+    /// SQL text crosses the wire again. A query the text cannot carry (a
+    /// NaN literal) is refused here as it is by `exec`.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         self.prepares.fetch_add(1, Ordering::Relaxed);
-        let (template_ast, params) = minidb::sql::parameterize(query);
-        let sql = minidb::sql::render_query(&template_ast);
-        // One wire round trip ships the template text (even on an intern
-        // hit — the server still receives the PREPARE message).
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        // Taken as a standalone statement so the read guard drops before
-        // the miss path takes the write lock (the `if let` scrutinee would
-        // otherwise keep it alive through the `else` — self-deadlock).
-        let interned = self.templates.read().get(&sql);
-        let template = if let Some(t) = interned {
-            self.template_hits.fetch_add(1, Ordering::Relaxed);
-            t
-        } else {
-            // The parse is of the *template* text, exactly what a server
-            // would see; placeholder ordinals are assigned left to right,
-            // matching render order, so binding is order-faithful.
-            let parsed = Arc::new(minidb::sql::parse(&sql)?);
-            let mut cache = self.templates.write();
-            match cache.get(&sql) {
-                Some(t) => {
-                    self.template_hits.fetch_add(1, Ordering::Relaxed);
-                    t
-                }
-                None => {
-                    cache.insert(sql, parsed.clone());
-                    parsed
-                }
-            }
-        };
-        Ok(self.db.prepare_statement(&minidb::sql::bind_params(&template, &params)?)?)
+        Ok(self.db.prepare_statement(&self.ship(query)?)?)
     }
     /// Runs the pinned plan: no render, parse, rebind or planning.
     fn execute_prepared(&self, id: StatementId, opts: &ExecOptions) -> BackendResult<QueryResult> {
@@ -273,8 +225,10 @@ mod tests {
         let direct = backend.exec(&owner_is(2), &opts).unwrap().rows;
         let trips_after_exec = backend.round_trips();
 
+        // One prepare is one round trip of the full text.
         let id = backend.prepare(&owner_is(2)).unwrap();
         assert_eq!(backend.round_trips(), trips_after_exec + 1);
+        assert_eq!(backend.prepares(), 1);
         assert_eq!(backend.open_statements(), 1);
 
         for _ in 0..5 {
@@ -284,12 +238,12 @@ mod tests {
         assert_eq!(backend.round_trips(), trips_after_exec + 1);
         assert_eq!(backend.prepared_execs(), 5);
 
-        // The same shape with another literal is another statement over the
-        // one parsed template, and each statement keeps its own values.
-        let hits = backend.template_hits();
+        // The same shape with another literal is another round trip and
+        // another statement, and each statement keeps its own values.
         let other = backend.prepare(&owner_is(3)).unwrap();
         assert_ne!(other, id);
-        assert_eq!(backend.template_hits(), hits + 1);
+        assert_eq!(backend.round_trips(), trips_after_exec + 2);
+        assert_eq!(backend.prepares(), 2);
         assert_eq!(backend.open_statements(), 2);
         let other_rows = backend.execute_prepared(other, &opts).unwrap().rows;
         assert_eq!(other_rows, backend.exec(&owner_is(3), &opts).unwrap().rows);
@@ -303,17 +257,6 @@ mod tests {
         assert_eq!(backend.execute_prepared(id, &opts), Err(BackendError::UnknownStatement(id)));
         // Closing twice is a no-op.
         backend.close_prepared(id);
-    }
-
-    #[test]
-    fn templates_interned_across_literal_variants() {
-        let backend = WireSqlBackend::new(db());
-        for owner in 0..4i64 {
-            backend.prepare(&owner_is(owner)).unwrap();
-        }
-        assert_eq!(backend.prepares(), 4);
-        // Same shape, different literals: parsed once, interned 3 times.
-        assert_eq!(backend.template_hits(), 3);
     }
 
     #[test]

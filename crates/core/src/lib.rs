@@ -60,7 +60,6 @@ pub mod dynamic;
 pub mod error;
 pub mod filter;
 pub mod guard;
-pub mod lru;
 pub mod options;
 pub mod policy;
 pub mod rewrite;

@@ -106,13 +106,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bound on the parsed-SQL cache (entries); repeat textual queries skip
-/// the parser. Eviction is LRU-on-access, one entry at a time — the same
-/// retention policy as the sharded [`GuardCache`], so a hot query text
-/// survives unbounded churn of one-shot texts (FIFO would evict it after
-/// `SQL_CACHE_CAP` distinct insertions regardless of use).
-pub const SQL_CACHE_CAP: usize = 256;
-
 pub(crate) struct PersistState {
     pub(crate) guard_ids: GuardTableIds,
     pub(crate) oc_id: i64,
@@ -249,7 +242,6 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     pub(crate) cache: GuardCache,
     pub(crate) protected: RwLock<HashSet<String>>,
     pub(crate) persist: Mutex<PersistState>,
-    sql_cache: RwLock<crate::lru::LruMap<Arc<SelectQuery>>>,
     pub(crate) recovery: RecoveryCounters,
 }
 
@@ -311,7 +303,6 @@ impl<B: SqlBackend> SieveService<B> {
                     guard_ids: GuardTableIds::default(),
                     oc_id: 0,
                 }),
-                sql_cache: RwLock::new(crate::lru::LruMap::new(SQL_CACHE_CAP)),
                 recovery: RecoveryCounters::default(),
             }),
         })
@@ -844,38 +835,12 @@ impl<B: SqlBackend> SieveService<B> {
         Ok((*compiled.expr).clone())
     }
 
-    /// Parse SQL, then [`SieveService::execute`]. Repeat textual queries
-    /// reuse the cached AST instead of re-parsing; warm lookups take only
-    /// the cache's read lock.
+    /// Parse SQL, then [`SieveService::execute`]. Every call parses its
+    /// text: what is amortised across requests is the guard, not the
+    /// query. Text the parser refuses fails as [`SieveError::Rewrite`]
+    /// before any guard work.
     pub fn execute_sql(&self, sql: &str, qm: &QueryMetadata) -> SieveResult<QueryResult> {
-        // The read-side `get` marks the entry most-recently-used, so a hot
-        // query text survives churn of one-shot texts (LRU-on-access, same
-        // policy as the guard cache).
-        if let Some(q) = self.inner.sql_cache.read().get(sql) {
-            return self.execute(&q, qm);
-        }
-        let q = Arc::new(minidb::sql::parse(sql)?);
-        {
-            let mut cache = self.inner.sql_cache.write();
-            // Re-check: another thread may have inserted while we parsed.
-            // (Re-inserting would be harmless — same parse result — but
-            // would reset the entry's recency from this thread's stale
-            // view.)
-            if !cache.contains_key(sql) {
-                cache.insert(sql.to_string(), Arc::clone(&q));
-            }
-        }
-        self.execute(&q, qm)
-    }
-
-    /// Number of parsed-SQL cache entries (observability/tests).
-    pub fn sql_cache_len(&self) -> usize {
-        self.inner.sql_cache.read().len()
-    }
-
-    /// True iff this exact SQL text is cached (observability/tests).
-    pub fn sql_cache_contains(&self, sql: &str) -> bool {
-        self.inner.sql_cache.read().contains_key(sql)
+        self.execute(&minidb::sql::parse(sql)?, qm)
     }
 
     /// Bring the guard cache current for a batch of concurrent queriers
@@ -1235,66 +1200,6 @@ mod tests {
         sieve.with_backend_mut(|_| ());
         sieve.with_db_mut(|_| ());
         assert_eq!(sieve.backend_epoch(), e0 + 2);
-    }
-
-    #[test]
-    fn sql_cache_evicts_one_entry_not_all() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
-        let qm = QueryMetadata::new(500, "Analytics");
-        // Churn through more distinct texts than the cache holds: the
-        // cache must stay pinned at the cap (single-entry LRU eviction),
-        // never empty out the way a full clear() would.
-        let sql_for = |i: usize| {
-            format!("SELECT * FROM wifi_dataset WHERE wifi_ap = {}", 1000 + i as i64)
-        };
-        for i in 0..(SQL_CACHE_CAP + 50) {
-            sieve.execute_sql(&sql_for(i), &qm).unwrap();
-            let len = sieve.sql_cache_len();
-            assert!(len >= 1, "cache fully emptied at insertion {i}");
-            assert!(len <= SQL_CACHE_CAP, "cache exceeded cap at insertion {i}");
-            if i >= SQL_CACHE_CAP {
-                assert_eq!(
-                    len, SQL_CACHE_CAP,
-                    "churn past the cap must keep the cache full, not wipe it"
-                );
-            }
-        }
-        // No text was re-read after insertion, so recency order equals
-        // insertion order and LRU degenerates to FIFO: the survivors are
-        // exactly the most recent SQL_CACHE_CAP texts — a freshly cached
-        // query is never the next victim.
-        assert!(!sieve.sql_cache_contains(&sql_for(49)), "oldest must be evicted");
-        assert!(sieve.sql_cache_contains(&sql_for(50)), "cap-th newest must survive");
-        assert!(sieve.sql_cache_contains(&sql_for(SQL_CACHE_CAP + 49)));
-    }
-
-    #[test]
-    fn sql_cache_lru_keeps_reused_text_under_churn() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
-        let qm = QueryMetadata::new(500, "Analytics");
-        let hot = "SELECT * FROM wifi_dataset WHERE wifi_ap = 1001";
-        let cold_for =
-            |i: usize| format!("SELECT * FROM wifi_dataset WHERE id < {}", i as i64 + 1);
-        sieve.execute_sql(hot, &qm).unwrap();
-        // Interleave the hot text with SQL_CACHE_CAP + 50 one-shot texts.
-        // Under the old FIFO policy the hot entry would be evicted once
-        // SQL_CACHE_CAP distinct texts followed it, no matter how often it
-        // was re-executed; LRU-on-access must keep it and evict only the
-        // stalest one-shot instead.
-        for i in 0..(SQL_CACHE_CAP + 50) {
-            sieve.execute_sql(&cold_for(i), &qm).unwrap();
-            sieve.execute_sql(hot, &qm).unwrap();
-            assert!(
-                sieve.sql_cache_contains(hot),
-                "hot text evicted after {} one-shot texts",
-                i + 1
-            );
-        }
-        // The key that survives the churn is the re-accessed one; the
-        // oldest untouched one-shot is the victim.
-        assert!(sieve.sql_cache_contains(hot));
-        assert!(!sieve.sql_cache_contains(&cold_for(0)));
-        assert!(sieve.sql_cache_contains(&cold_for(SQL_CACHE_CAP + 49)));
     }
 
     #[test]

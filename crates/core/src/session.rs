@@ -70,8 +70,8 @@ impl<B: SqlBackend> Session<B> {
         self.service.execute(query, &self.qm)
     }
 
-    /// Parse SQL, then [`Session::execute`] (shares the service-wide
-    /// parsed-AST cache).
+    /// Parse SQL, then [`Session::execute`]; see
+    /// [`SieveService::execute_sql`].
     pub fn execute_sql(&self, sql: &str) -> SieveResult<QueryResult> {
         self.service.execute_sql(sql, &self.qm)
     }

@@ -123,11 +123,6 @@ impl fmt::Display for ColumnRef {
 pub enum Expr {
     /// Constant.
     Literal(Value),
-    /// Positional wire-protocol placeholder (`?`), numbered left to right
-    /// in render order. Produced by [`crate::sql::parameterize`] and by
-    /// the parser for `?` tokens; a query still holding placeholders must
-    /// be rebound via [`crate::sql::bind_params`] before execution.
-    Param(usize),
     /// Column reference.
     Column(ColumnRef),
     /// Binary comparison.
@@ -185,8 +180,8 @@ pub enum Expr {
     ScalarSubquery(Box<SelectQuery>),
     /// A sub-expression held once and spliced into many queries — a
     /// querier's guard disjunction. It *is* its source to everything that
-    /// reads an expression (rendering, parameterizing, the walkers,
-    /// equality); what sharing buys is that copying it is a refcount and
+    /// reads an expression (rendering, the walkers, equality); what
+    /// sharing buys is that copying it is a refcount and
     /// that [`bind`] resolves it once, not once per query. Built by
     /// [`Expr::shared`], never by the parser.
     Shared(Arc<SharedExpr>),
@@ -267,7 +262,6 @@ impl PartialEq for Expr {
         }
         match (self.unshared(), other.unshared()) {
             (Literal(a), Literal(b)) => a == b,
-            (Param(a), Param(b)) => a == b,
             (Column(a), Column(b)) => a == b,
             (Cmp { op, lhs, rhs }, Cmp { op: op2, lhs: lhs2, rhs: rhs2 }) => {
                 op == op2 && lhs == lhs2 && rhs == rhs2
@@ -420,7 +414,7 @@ impl Expr {
     pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a ColumnRef)) {
         match self {
             Expr::Shared(s) => s.columns.iter().for_each(f),
-            Expr::Literal(_) | Expr::Param(_) => {}
+            Expr::Literal(_) => {}
             Expr::Column(c) => f(c),
             Expr::Cmp { lhs, rhs, .. } => {
                 lhs.visit_columns(f);
@@ -469,7 +463,6 @@ impl Expr {
         f(self);
         match self {
             Expr::Literal(_)
-            | Expr::Param(_)
             | Expr::Column(_)
             | Expr::ScalarSubquery(_)
             | Expr::Shared(_) => {}
@@ -519,7 +512,6 @@ impl Expr {
         }
         match self {
             Expr::Literal(_)
-            | Expr::Param(_)
             | Expr::Column(_)
             | Expr::ScalarSubquery(_)
             | Expr::Shared(_) => self.clone(),
@@ -718,7 +710,7 @@ pub enum BoundExpr {
     /// Column at a global row position.
     Slot(usize),
     /// Correlation parameter from an enclosing scope.
-    Param(String),
+    Correlated(String),
     /// Binary comparison.
     Cmp {
         /// Operator.
@@ -834,11 +826,6 @@ pub fn bind(
 ) -> DbResult<BoundExpr> {
     Ok(match expr {
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-        Expr::Param(i) => {
-            return Err(DbError::Unsupported(format!(
-                "unbound placeholder ?{i}: bind parameters before execution"
-            )))
-        }
         Expr::Column(c) => match layout.resolve(c) {
             Ok(slot) => BoundExpr::Slot(slot),
             Err(e) => {
@@ -846,7 +833,7 @@ pub fn bind(
                 if !params.contains(&name) {
                     return Err(e);
                 }
-                BoundExpr::Param(name)
+                BoundExpr::Correlated(name)
             }
         },
         Expr::Cmp { op, lhs, rhs } => BoundExpr::Cmp {
@@ -958,7 +945,7 @@ impl BoundExpr {
         Ok(match self {
             BoundExpr::Literal(v) => Cow::Borrowed(v),
             BoundExpr::Slot(i) => Cow::Borrowed(&row[*i]),
-            BoundExpr::Param(name) => Cow::Owned(
+            BoundExpr::Correlated(name) => Cow::Owned(
                 ctx.params
                     .get(name)
                     .cloned()
@@ -1147,7 +1134,7 @@ impl BoundExpr {
             // Not boolean by shape: a value that has to turn out one.
             BoundExpr::Literal(_)
             | BoundExpr::Slot(_)
-            | BoundExpr::Param(_)
+            | BoundExpr::Correlated(_)
             | BoundExpr::Udf { .. }
             | BoundExpr::ScalarSubquery { .. } => match &*self.eval_cow(row, ctx)? {
                 Value::Bool(b) => Ok(*b),

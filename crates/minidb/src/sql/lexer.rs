@@ -40,8 +40,6 @@ pub enum Token {
     Ge,
     /// `;`
     Semi,
-    /// `?` — positional wire-protocol placeholder.
-    Question,
 }
 
 /// Promote a string literal to a typed value when it is shaped like a time
@@ -91,10 +89,6 @@ pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
             }
             ';' => {
                 out.push(Token::Semi);
-                i += 1;
-            }
-            '?' => {
-                out.push(Token::Question);
                 i += 1;
             }
             '=' => {
@@ -276,12 +270,6 @@ mod tests {
             tokenize("3e").unwrap(),
             vec![Token::Int(3), Token::Ident("e".into())]
         );
-    }
-
-    #[test]
-    fn lexes_placeholders() {
-        let toks = tokenize("a = ? AND b IN (?, ?)").unwrap();
-        assert_eq!(toks.iter().filter(|t| **t == Token::Question).count(), 3);
     }
 
     #[test]

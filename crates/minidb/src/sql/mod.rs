@@ -21,12 +21,10 @@
 //! `ts_time`/`ts_date` columns.
 
 mod lexer;
-mod params;
 mod parser;
 mod render;
 
 pub use lexer::{tokenize, Token};
-pub use params::{bind_params, parameterize};
 pub use parser::parse;
 pub use render::{render_expr, render_query};
 

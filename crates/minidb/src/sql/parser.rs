@@ -11,11 +11,7 @@ use crate::value::Value;
 /// Parse a SQL string into a [`SelectQuery`].
 pub fn parse(sql: &str) -> DbResult<SelectQuery> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
+    let mut p = Parser { tokens, pos: 0 };
     let q = p.parse_query()?;
     p.eat_if(&Token::Semi);
     if p.pos != p.tokens.len() {
@@ -30,9 +26,6 @@ pub fn parse(sql: &str) -> DbResult<SelectQuery> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    /// Placeholder ordinals assigned left to right — token order equals
-    /// render order, so `parse(render(q))` preserves `Expr::Param` indices.
-    params: usize,
 }
 
 impl Parser {
@@ -444,12 +437,6 @@ impl Parser {
                 self.pos += 1;
                 Ok(Expr::Literal(promote_literal(&s)))
             }
-            Some(Token::Question) => {
-                self.pos += 1;
-                let ord = self.params;
-                self.params += 1;
-                Ok(Expr::Param(ord))
-            }
             Some(Token::LParen) => {
                 if self.next_is_select() {
                     self.pos += 1;
@@ -666,43 +653,6 @@ mod tests {
                 "expected defined non-finite error, got {err}"
             );
         }
-    }
-
-    #[test]
-    fn parses_placeholders_with_ordinals_in_text_order() {
-        let q = parse("SELECT * FROM t WHERE a = ? AND b IN (?, ?) OR c BETWEEN ? AND ?")
-            .unwrap();
-        let mut ords = Vec::new();
-        fn collect(e: &Expr, out: &mut Vec<usize>) {
-            match e {
-                Expr::Param(i) => out.push(*i),
-                Expr::Cmp { lhs, rhs, .. } => {
-                    collect(lhs, out);
-                    collect(rhs, out);
-                }
-                Expr::Between {
-                    expr, low, high, ..
-                } => {
-                    collect(expr, out);
-                    collect(low, out);
-                    collect(high, out);
-                }
-                Expr::InList { expr, list, .. } => {
-                    collect(expr, out);
-                    for e in list {
-                        collect(e, out);
-                    }
-                }
-                Expr::And(v) | Expr::Or(v) => {
-                    for e in v {
-                        collect(e, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-        collect(&q.predicate.unwrap(), &mut ords);
-        assert_eq!(ords, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

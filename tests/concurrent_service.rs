@@ -340,7 +340,8 @@ fn prepare_batch_merges_ranges_per_querier_not_per_group() {
     }
 }
 
-/// Concurrent `execute_sql` of the same text shares one parsed AST.
+/// 4 threads × 8 `execute_sql` of one text: every call parses the text
+/// and returns the oracle's count.
 #[test]
 fn concurrent_execute_sql_shares_the_parsed_ast() {
     let service = loaded_service();
@@ -361,8 +362,6 @@ fn concurrent_execute_sql_shares_the_parsed_ast() {
             });
         }
     });
-    assert_eq!(service.sql_cache_len(), 1, "one text, one cached AST");
-    assert!(service.sql_cache_contains(sql));
 }
 
 /// The `with_*_mut` closures are the only out-of-band mutation path and

@@ -323,10 +323,9 @@ proptest! {
     /// The same equivalence holds through the `SqlBackend` seam: the
     /// in-process backend and the wire backend (render → wire → re-parse)
     /// return oracle-identical rows, one-shot and by prepared statement.
-    /// A NaN literal has no SQL text: the wire backend's one-shot text path
-    /// refuses a predicate holding one rather than answer it, while a
-    /// prepared statement carries it as a bound value and answers it like
-    /// any other.
+    /// A NaN literal has no SQL text: the wire backend ships the full text
+    /// to `exec` and to `prepare` alike, and both refuse a predicate
+    /// holding one rather than answer it.
     #[test]
     fn backends_agree_with_scan_oracle(
         pred in arb_guard_pred(),
@@ -347,11 +346,12 @@ proptest! {
             for (name, backend) in &backends {
                 if *name == "wire-sql" && has_nan(&pred) {
                     prop_assert!(backend.exec(q, &opts).is_err(), "a NaN crossed the wire as text");
-                } else {
-                    let mut got = backend.exec(q, &opts).unwrap().rows;
-                    got.sort();
-                    prop_assert_eq!(&got, &reference, "backend {} diverged", name);
+                    prop_assert!(backend.prepare(q).is_err(), "a NaN was prepared across the wire");
+                    continue;
                 }
+                let mut got = backend.exec(q, &opts).unwrap().rows;
+                got.sort();
+                prop_assert_eq!(&got, &reference, "backend {} diverged", name);
                 let id = backend.prepare(q).unwrap();
                 let mut pinned = backend.execute_prepared(id, &opts).unwrap().rows;
                 backend.close_prepared(id);

@@ -276,6 +276,37 @@ fn embedded_querier_mismatch_is_rejected_fail_closed() {
     );
 }
 
+/// A `?` is not SQL this system speaks: the lexer refuses it as a
+/// `Rewrite` error before any guard work (no generation for a querier
+/// whose guard is cold), and the connection serves the next request.
+#[test]
+fn placeholder_in_client_sql_is_refused_before_guard_work() {
+    let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
+    register_corpus(&service);
+    let server = SieveServer::new(service.clone(), authenticator());
+    let (listener, connector) = loopback();
+    let handle = server.serve(listener);
+
+    let conn =
+        RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
+    let session = conn.session(qm(500));
+    let generations = service.cache_stats().generations();
+    let refused = session.execute_sql("SELECT * FROM wifi_dataset WHERE owner = ?");
+    let generations_after = service.cache_stats().generations();
+    let next = session.execute_sql(QUERY);
+    conn.close().unwrap();
+    drop(connector);
+    handle.join();
+
+    match refused {
+        Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Rewrite),
+        other => panic!("expected Rewrite, got {other:?}"),
+    }
+    assert_eq!(generations_after, generations, "no guard was built");
+    let expect = sorted_rows(service.session(qm(500)).execute_sql(QUERY).unwrap());
+    assert_eq!(sorted_rows(next.unwrap()), expect);
+}
+
 /// A bad token is refused with `AuthFailed` and the connection closes.
 #[test]
 fn unknown_token_rejected() {
