@@ -33,7 +33,7 @@
 
 use minidb::exec::ExecOptions;
 use minidb::expr::{bind, no_subqueries, ColumnRef, Expr, FilterProgram, Layout};
-use minidb::plan::{IndexHint, TableRef};
+use minidb::plan::{IndexHint, TableRef, TableSource};
 use minidb::{AccessPlan, DbProfile, Row, SelectQuery, TableEntry, Value};
 use sieve_bench::harness::{
     asked_for, block_us, build_campus, fields, measure, queriers_with_policies, rss_kib, Campus,
@@ -119,6 +119,10 @@ fn execute_all<B: SqlBackend>(
 /// (4) What the campus's data holds resident (`memory.*`, see
 /// [`memory_accounting`]), and that an index intersection which leaves its
 /// exactly probed conjuncts out of the filter returns the scan's rows.
+/// (5) The querier's Q1-mid rewrite pinned, its guard body read once and
+/// so merged into the base-table read (`merge.merged_us`), against the
+/// same body written as a derived table, which is materialized first
+/// (`merge.derived_us`); gated on equal rows.
 fn hotpath(env: &EnvConfig) -> Record {
     let rss_before = rss_kib();
     let campus = build_campus(DbProfile::MySqlLike, env);
@@ -327,6 +331,56 @@ fn hotpath(env: &EnvConfig) -> Record {
             intersect.describe(),
             intersect_rows.len(),
             q1_scan_rows.len()
+        ),
+    );
+
+    // (5) The Q1-mid rewrite, its guard body read once and so merged into
+    // the read it guards, against the same body written as a derived
+    // table, which stays a temp: both pinned, blocks interleaved.
+    let rewritten = campus.sieve.rewrite(&q1, &qm).expect("rewrite Q1").query;
+    let mut as_derived = rewritten.clone();
+    let body = as_derived.with.remove(0);
+    for tref in &mut as_derived.from {
+        if tref.source == TableSource::Named(body.name.clone()) {
+            tref.source = TableSource::Derived(Box::new(body.query.clone()));
+        }
+    }
+    let (merged, derived) = (
+        db.prepare_query(&rewritten).expect("plan merged"),
+        db.prepare_query(&as_derived).expect("plan derived"),
+    );
+    let sorted_run = |plan| {
+        let mut rows = db.run_prepared(plan, &opts).expect("Q1 run").rows;
+        rows.sort();
+        rows
+    };
+    let (merged_rows, derived_rows) = (sorted_run(&merged), sorted_run(&derived));
+    let (mut merged_blocks, mut derived_blocks) = (Vec::new(), Vec::new());
+    for _ in 0..blocks {
+        merged_blocks.push(block_us(reps / 4, || {
+            black_box(db.run_prepared(&merged, &opts).expect("merged run").len());
+        }));
+        derived_blocks.push(block_us(reps / 4, || {
+            black_box(db.run_prepared(&derived, &opts).expect("derived run").len());
+        }));
+    }
+    let (merged_us, derived_us) = (Stat::of(merged_blocks), Stat::of(derived_blocks));
+    let explained = db.explain_prepared(&merged).expect("explain merged");
+    rec.put("merge.access", explained.relations[0].access_desc.as_str());
+    rec.put("merge.temps", explained.ctes.len());
+    rec.put("merge.output_rows", merged_rows.len());
+    rec.put("merge.merged_us", merged_us);
+    rec.put("merge.derived_us", derived_us);
+    rec.put("merge.speedup", derived_us.median / merged_us.median);
+    rec.gate(
+        "merged_rows",
+        explained.ctes.is_empty() && merged_rows == derived_rows,
+        format!(
+            "a guard body read once must be merged ({} temps) and return its derived table's rows \
+             ({} vs {})",
+            explained.ctes.len(),
+            merged_rows.len(),
+            derived_rows.len()
         ),
     );
     rec

@@ -289,7 +289,7 @@ fn attach_policy_filter(
 
 /// Qualify bare column references with an alias (policy conditions are
 /// written bare; in multi-table queries they must pin to the protected
-/// relation). The inverse of [`crate::visitor::strip_alias`]; like it,
+/// relation). The inverse of [`Expr::strip_alias`]; like it,
 /// scalar subqueries are left untouched.
 fn qualify_bare(e: &Expr, alias: &str) -> Expr {
     e.map(&mut |node| match node {

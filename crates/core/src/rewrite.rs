@@ -13,6 +13,15 @@
 //! ) SELECT … FROM r_sieve …
 //! ```
 //!
+//! The WITH body is the read's filter, not a table, when the query reads
+//! it once: the engine plans such a body as its reader's read of `r`
+//! (`minidb::planner`), with the body's hint and `WHERE` as that read's
+//! access path and filter, and leaves out of the filter the query
+//! conjuncts the body repeats. So a guarded join keeps the index nested
+//! loop the base relation offers, and no guarded row is copied before
+//! the query sees it. A relation read twice shares one body, which is
+//! materialized. The SQL text does not change either way.
+//!
 //! Three decisions are made per relation, all cost-model driven:
 //! the access strategy (`LinearScan` / `IndexQuery` / `IndexGuards`,
 //! Section 5.5), per-guard inline-vs-∆ (Section 5.4), and whether to push
@@ -350,7 +359,7 @@ pub fn compile_relations(
 // visitor module (the analyzer uses them too); re-exported here so the
 // historical `rewrite::collect_protected` paths keep working.
 pub use crate::visitor::{classify_protected_refs, collect_protected};
-use crate::visitor::{contains_subquery, strip_alias, visit_subqueries};
+use crate::visitor::contains_subquery;
 
 /// The recursive rewriter: one instance per [`rewrite_query`] call,
 /// accumulating the guard WITH clauses and per-relation decisions while
@@ -395,7 +404,7 @@ impl Rewriter<'_> {
         }
         let mut collect = |q: &SelectQuery| self.survey(q, &scope);
         if let Some(p) = &query.predicate {
-            visit_subqueries(p, &mut collect);
+            p.visit_subqueries(&mut collect);
         }
     }
 
@@ -456,7 +465,7 @@ impl Rewriter<'_> {
                                     .as_ref()
                                     .and_then(|c| c.local_predicate(&tref.alias))
                                     .filter(|p| !contains_subquery(p))
-                                    .map(|p| strip_alias(&p, &tref.alias))
+                                    .map(|p| p.strip_alias(&tref.alias))
                             } else {
                                 None
                             };
@@ -1109,8 +1118,21 @@ mod tests {
                     IndexHint::Force(columns.iter().map(|c| c.to_string()).collect()),
                     "{sql}"
                 );
+                // The body is read once: it is the read of the relation.
                 let explained = db.explain(&out.query).unwrap();
-                let plan = &explained.ctes[0].1.relations[0];
+                assert!(explained.ctes.is_empty(), "{profile:?} {sql}:\n{explained}");
+                let read = explained.relations.iter().find(|r| r.table == "wifi_dataset").unwrap();
+                // Q3's is an index nested loop on the join key; its hint
+                // names the path the body runs when read on its own.
+                let alone = db.explain(body).unwrap();
+                let plan = match &read.join {
+                    Some(join) => {
+                        assert_eq!(join, "IndexNestedLoop(owner)", "{profile:?} {sql}");
+                        assert_eq!(read.access_desc, "IndexLookup(owner)", "{profile:?} {sql}");
+                        &alone.relations[0]
+                    }
+                    None => read,
+                };
                 let (AccessPlan::IndexOr { probes, .. } | AccessPlan::IndexIntersect { probes, .. }) =
                     &plan.access
                 else {

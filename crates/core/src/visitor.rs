@@ -3,23 +3,13 @@
 //! The rewriter (protected-reference collection, predicate pushdown) and
 //! the static analyzer ([`crate::analyze`]) both walk the same `Expr` and
 //! `SelectQuery` shapes. The structural recursion lives in
-//! [`minidb::expr::Expr::visit`] / [`minidb::expr::Expr::map`]; this
-//! module builds the middleware-specific walkers on top so each exists
-//! exactly once.
+//! [`minidb::expr::Expr::visit`] / [`minidb::expr::Expr::visit_subqueries`]
+//! / [`minidb::expr::Expr::map`]; this module builds the
+//! middleware-specific walkers on top so each exists exactly once.
 
-use minidb::expr::{ColumnRef, Expr};
+use minidb::expr::Expr;
 use minidb::plan::{SelectQuery, TableSource};
 use std::collections::{BTreeSet, HashSet};
-
-/// Visit every scalar subquery in an expression (not descending into the
-/// subqueries' own predicates, which resolve in their own scope).
-pub fn visit_subqueries(e: &Expr, f: &mut dyn FnMut(&SelectQuery)) {
-    e.visit(&mut |node| {
-        if let Expr::ScalarSubquery(q) = node {
-            f(q);
-        }
-    });
-}
 
 /// True iff the expression contains a scalar subquery anywhere. Such
 /// predicates are never pushed into a guard WITH body: their correlated
@@ -27,21 +17,8 @@ pub fn visit_subqueries(e: &Expr, f: &mut dyn FnMut(&SelectQuery)) {
 /// body does not reproduce.
 pub fn contains_subquery(e: &Expr) -> bool {
     let mut found = false;
-    visit_subqueries(e, &mut |_| found = true);
+    e.visit_subqueries(&mut |_| found = true);
     found
-}
-
-/// Replace `alias.col` references with bare `col` references so an outer
-/// predicate can move inside a single-relation WITH body. Scalar
-/// subqueries are left untouched (their references resolve in their own
-/// scope — and [`contains_subquery`] predicates are never pushed anyway).
-pub fn strip_alias(e: &Expr, alias: &str) -> Expr {
-    e.map(&mut |node| match node {
-        Expr::Column(c) if c.table.as_deref() == Some(alias) => {
-            Some(Expr::Column(ColumnRef::bare(c.column.clone())))
-        }
-        _ => None,
-    })
 }
 
 /// Walk every base-table read of a protected relation in the query tree,
@@ -71,7 +48,7 @@ pub fn walk_protected_refs(
         }
     }
     if let Some(p) = &query.predicate {
-        visit_subqueries(p, &mut |q| {
+        p.visit_subqueries(&mut |q| {
             walk_protected_refs(q, protected, &scope, false, f)
         });
     }
@@ -113,7 +90,7 @@ pub fn classify_protected_refs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::expr::CmpOp;
+    use minidb::expr::{CmpOp, ColumnRef};
     use minidb::Value;
 
     #[test]
@@ -130,7 +107,7 @@ mod tests {
                 rhs: Box::new(Expr::Literal(Value::Int(4))),
             },
         );
-        let stripped = strip_alias(&e, "w");
+        let stripped = e.strip_alias("w");
         let mut bare = 0;
         let mut qualified = 0;
         stripped.visit_columns(&mut |c| {

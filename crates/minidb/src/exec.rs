@@ -3,10 +3,11 @@
 //! `prepare` ([`Database::prepare_query`]) has [`crate::planner`] build the
 //! query's plan value — the one place a top-level query is planned — and
 //! hands it out as a [`PreparedQuery`], charging no counter. `run`
-//! ([`Database::run_prepared`]) runs one, any number of times: WITH bodies
-//! first (into temp tables, as PostgreSQL materializes CTEs), then the
-//! body — the first input through its access plan, left-deep joins in FROM
-//! order (index nested-loop, hash or cross, as the plan says), the residual
+//! ([`Database::run_prepared`]) runs one, any number of times: the WITH
+//! bodies the plan keeps as temps first (a body read once is none: the
+//! planner merged it into its reader's base-table read), then the body —
+//! the first input through its access plan, left-deep joins in FROM order
+//! (index nested-loop, hash or cross, as the plan says), the residual
 //! filter, GROUP BY/aggregates or projection, and LIMIT. [`execute`] is the
 //! two in a row, for a query run once. The executor is a materializing
 //! interpreter of the plan and decides nothing itself: a run plans nothing
@@ -434,6 +435,7 @@ impl<'a> Exec<'a> {
         };
         let mut out = Vec::new();
         match (input.keys.split_first(), &input.read) {
+            (Some(_), Read::Lookup { .. }) if input.local.drops_all() => {}
             (Some((&(outer, _), extra)), Read::Lookup { table, index }) => {
                 // Index nested loop: probe the inner index per outer row.
                 let entry = self.db.table(table)?;

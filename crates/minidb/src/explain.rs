@@ -21,19 +21,23 @@ pub(crate) fn print(db: &Database, plan: &QueryPlan) -> DbResult<ExplainOutput> 
         out.ctes.push((name.clone(), print(db, cte)?));
     }
     for (k, input) in plan.inputs.iter().enumerate() {
-        // An estimate exists where a base table is read on its own.
+        // Every base-table read has an estimate; a temp has none.
         let (table, table_rows, access, est_rows) = match &input.read {
             Read::Access { table, plan } => {
                 let entry = db.table(table)?;
                 (table.as_str(), entry.table.len(), plan.clone(), plan.estimate_rows(entry))
             }
-            Read::Lookup { table, .. } => {
+            Read::Lookup { table, index } => {
                 // The probe's keys are the outer rows' values; it decides
-                // no conjunct, the local filter is checked whole.
+                // no conjunct, the local filter is checked whole. One probe
+                // is estimated to fetch an average key's rows.
+                let entry = db.table(table)?;
+                let rows = entry.table.len();
+                let per_key = rows as f64 / entry.indexes[*index].distinct_keys().max(1) as f64;
                 let column = input.key_column().unwrap_or_default().to_string();
                 let probes = vec![IndexProbe::InList { column, keys: Vec::new() }];
                 let access = AccessPlan::IndexOr { probes, bitmap: false, recheck: Recheck::default() };
-                (table.as_str(), db.table(table)?.table.len(), access, f64::NAN)
+                (table.as_str(), rows, access, per_key)
             }
             Read::Temp(TempSource::Cte(name)) => (name.as_str(), 0, AccessPlan::SeqScan, f64::NAN),
             Read::Temp(TempSource::Derived(_)) => ("<derived>", 0, AccessPlan::SeqScan, f64::NAN),
@@ -125,13 +129,25 @@ mod tests {
         let db = db();
         let inner = SelectQuery::star_from("w")
             .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(3)));
-        let q = SelectQuery::star_from("pol").with_clause("pol", inner);
+        // Read twice, the WITH result is materialized and scanned.
+        let q = SelectQuery::star_from("pol")
+            .from_tables(vec![TableRef::aliased("pol", "a"), TableRef::aliased("pol", "b")])
+            .with_clause("pol", inner.clone())
+            .filter(Expr::Cmp {
+                op: crate::expr::CmpOp::Eq,
+                lhs: Box::new(Expr::Column(ColumnRef::qualified("a", "id"))),
+                rhs: Box::new(Expr::Column(ColumnRef::qualified("b", "id"))),
+            });
         let e = db.explain(&q).unwrap();
         assert_eq!(e.ctes.len(), 1);
         assert_eq!(e.ctes[0].0, "pol");
         assert!(e.relations[0].access_desc.contains("temp"));
         let rendered = e.to_string();
         assert!(rendered.contains("CTE pol:"));
+        // Read once, it is the read of `w` it filters.
+        let e = db.explain(&SelectQuery::star_from("pol").with_clause("pol", inner)).unwrap();
+        assert!(e.ctes.is_empty(), "{e}");
+        assert_eq!(e.to_string(), "pol (w): IndexScan(owner, exact) est_rows=20.0 (4.00% of 500)\n");
     }
 
     /// A relation joined through its index is reported as what runs — an

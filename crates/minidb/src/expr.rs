@@ -461,41 +461,62 @@ impl Expr {
             return s.source.visit(f);
         }
         f(self);
+        self.for_each_child(&mut |c| c.visit(f));
+    }
+
+    /// Offer `f` every scalar subquery of this expression, not descending
+    /// into them. Unlike [`Expr::visit`], a shared node is walked only
+    /// when its source holds one, so a spliced guard disjunction costs
+    /// nothing here.
+    pub fn visit_subqueries(&self, f: &mut dyn FnMut(&SelectQuery)) {
+        match self {
+            Expr::Shared(s) if s.per_plan => s.source.visit_subqueries(f),
+            Expr::Shared(_) => {}
+            Expr::ScalarSubquery(q) => f(q),
+            _ => self.for_each_child(&mut |c| c.visit_subqueries(f)),
+        }
+    }
+
+    /// The direct sub-expressions, in order: none for a leaf, a scalar
+    /// subquery or a shared node.
+    fn for_each_child(&self, f: &mut dyn FnMut(&Expr)) {
         match self {
             Expr::Literal(_)
             | Expr::Column(_)
             | Expr::ScalarSubquery(_)
             | Expr::Shared(_) => {}
             Expr::Cmp { lhs, rhs, .. } => {
-                lhs.visit(f);
-                rhs.visit(f);
+                f(lhs);
+                f(rhs);
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
+                f(expr);
+                f(low);
+                f(high);
             }
             Expr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
+                f(expr);
+                list.iter().for_each(&mut *f);
             }
-            Expr::IsNull { expr, .. } => expr.visit(f),
-            Expr::And(v) | Expr::Or(v) => {
-                for e in v {
-                    e.visit(f);
-                }
-            }
-            Expr::Not(e) => e.visit(f),
-            Expr::Udf { args, .. } => {
-                for e in args {
-                    e.visit(f);
-                }
-            }
+            Expr::IsNull { expr, .. } | Expr::Not(expr) => f(expr),
+            Expr::And(v) | Expr::Or(v) => v.iter().for_each(&mut *f),
+            Expr::Udf { args, .. } => args.iter().for_each(&mut *f),
         }
+    }
+
+    /// This expression with every `alias.col` reference made a bare `col`
+    /// — what it says inside a single-relation body that reads the same
+    /// row. Scalar subqueries are left as they are: their references
+    /// resolve in their own scope.
+    pub fn strip_alias(&self, alias: &str) -> Expr {
+        self.map(&mut |node| match node {
+            Expr::Column(c) if c.table.as_deref() == Some(alias) => {
+                Some(Expr::Column(ColumnRef::bare(c.column.clone())))
+            }
+            _ => None,
+        })
     }
 
     /// Rebuild the expression, offering `f` each node top-down: returning
@@ -1204,7 +1225,7 @@ fn split_head(branch: BoundExpr) -> (Value, BoundExpr) {
 impl BoundExpr {
     /// This expression with any [`BoundExpr::Shared`] wrapping taken off
     /// its root.
-    fn unshared(&self) -> &BoundExpr {
+    pub(crate) fn unshared(&self) -> &BoundExpr {
         let mut e = self;
         while let BoundExpr::Shared(inner) = e {
             e = inner;

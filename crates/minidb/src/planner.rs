@@ -14,6 +14,22 @@
 //! body of a correlated subquery is planned with the predicate that holds
 //! it, not per invocation.
 //!
+//! **A WITH body read once is a filter, not a table.** A body of the shape
+//! `SELECT * FROM base [hint] WHERE p` — one base table, no GROUP BY, no
+//! LIMIT, no WITH of its own, no scalar subquery in `p` — that the query
+//! reads exactly once (counting FROM entries at every depth and scalar
+//! subqueries) is not materialized: its reader is planned as a read of
+//! `base` under the body's hint, as MySQL 8 merges such a derived table
+//! (`derived_merge`) and PostgreSQL ≥ 12 inlines such a CTE. The read's
+//! access path is planned over `p` under the body's hint, as the body's
+//! own would be, unless the reader joins it through an index (an index
+//! nested loop on the join key). Its filter is what the path leaves open
+//! of `p`, bound against the body's own row — so a shared guard node in it
+//! keeps its one bound form whoever reads it — then the reader's conjuncts
+//! on its alias that are not conjuncts of `p` once the alias is stripped.
+//! Every other body — read twice, aggregating, limited, or a derived
+//! table — is run first and scanned as a temp.
+//!
 //! Per relation, two optimizer profiles reproduce the DBMS behaviours the
 //! paper's experiments depend on (Sections 5.3, 7):
 //!
@@ -37,7 +53,7 @@
 
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
-use crate::expr::{bind, CmpOp, ColumnRef, Expr, FilterProgram, Layout};
+use crate::expr::{bind, BoundExpr, CmpOp, ColumnRef, Expr, FilterProgram, Layout};
 use crate::index::{RangeBound, RowIdSet};
 use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableSource};
 use crate::schema::{Column, TableSchema};
@@ -805,14 +821,20 @@ pub(crate) enum Read {
     /// probes [`TableEntry::indexes`]`[index]` — the index on the input's
     /// first join key, which it always has — once per outer row.
     Lookup { table: String, index: usize },
-    /// A materialized relation, scanned (temps have no indexes).
+    /// A materialized relation, scanned (temps have no indexes). A WITH
+    /// result is one only when it is not merged into its reader (see
+    /// [`InScope::Merged`]): it is read more than once, or its body is
+    /// not a filtered `SELECT *` of one base table.
     Temp(TempSource),
 }
 
 /// What a [`Read::Temp`] scans.
 #[derive(Debug)]
 pub(crate) enum TempSource {
-    /// The WITH result of this name, materialized before the body runs.
+    /// The WITH result of this name, materialized before the body runs:
+    /// a body read twice, or one that aggregates, projects, joins, limits
+    /// or has a WITH of its own. A body read once as `SELECT * FROM base
+    /// [hint] WHERE p` never is — its reader reads `base`.
     Cte(String),
     /// A derived table `( SELECT … )`, run when the input is read.
     Derived(Box<QueryPlan>),
@@ -917,6 +939,84 @@ pub(crate) struct QueryPlan {
     pub(crate) limit: Option<usize>,
 }
 
+/// A WITH result in scope of the query being planned.
+#[derive(Debug, Clone)]
+pub(crate) enum InScope {
+    /// Materialized before the body that defines it runs, and read as a
+    /// [`Read::Temp`] of rows of this schema.
+    Temp(Arc<TableSchema>),
+    /// Never materialized: its one reader reads the base table instead.
+    Merged(Arc<Merged>),
+}
+
+/// A WITH body `SELECT * FROM base [hint] WHERE p` that the query reads
+/// exactly once (MySQL's `derived_merge`, PostgreSQL's inlining of a CTE
+/// referenced once): its reader is planned as a read of `base` under the
+/// body's hint, `p` in that read's filter.
+#[derive(Debug)]
+pub(crate) struct Merged {
+    /// The base table.
+    table: String,
+    /// The body's FROM alias: `p` is bound against a row of that name, so
+    /// a shared node in it keeps the one bound form whoever reads it.
+    alias: String,
+    hint: IndexHint,
+    /// `p`, if the body has a WHERE.
+    filter: Option<Expr>,
+}
+
+impl Merged {
+    /// `body` as a merged read, if it has the shape: `SELECT *` of one
+    /// base table — not a WITH result of `ctes` — with no WITH, GROUP BY
+    /// or LIMIT, and no scalar subquery in its filter (whose body would
+    /// resolve its names where the reader stands, not where it is written).
+    fn of(db: &Database, body: &SelectQuery, ctes: &[(String, InScope)]) -> Option<Merged> {
+        let ([SelectItem::Star], [tref], None) = (&body.select[..], &body.from[..], body.limit) else {
+            return None;
+        };
+        let TableSource::Named(table) = &tref.source else {
+            return None;
+        };
+        let shaped = body.with.is_empty() && body.group_by.is_empty();
+        if !shaped || ctes.iter().any(|(cte, _)| cte == table) || db.table(table).is_err() {
+            return None;
+        }
+        let mut subquery = false;
+        if let Some(p) = &body.predicate {
+            p.visit_subqueries(&mut |_| subquery = true);
+        }
+        (!subquery).then(|| Merged {
+            table: table.clone(),
+            alias: tref.alias.clone(),
+            hint: tref.hint.clone(),
+            filter: body.predicate.clone(),
+        })
+    }
+}
+
+/// How often the WITH result `name`, in scope of `query` from its
+/// `from_with`-th WITH clause on, is read: as a FROM entry at any depth or
+/// in a scalar subquery, until a WITH clause of the same name shadows it.
+fn reads_of(name: &str, query: &SelectQuery, from_with: usize) -> usize {
+    let mut n = 0;
+    for wc in &query.with[from_with..] {
+        n += reads_of(name, &wc.query, 0);
+        if wc.name == name {
+            return n;
+        }
+    }
+    for tref in &query.from {
+        n += match &tref.source {
+            TableSource::Named(t) => usize::from(t == name),
+            TableSource::Derived(q) => reads_of(name, q, 0),
+        };
+    }
+    if let Some(p) = &query.predicate {
+        p.visit_subqueries(&mut |q| n += reads_of(name, q, 0));
+    }
+    n
+}
+
 /// Plan a query: every decision the executor would otherwise make while
 /// running it, made here without reading a row or charging a counter.
 /// `name` is what the result is called by whoever reads it; `ctes` are the
@@ -927,17 +1027,24 @@ pub(crate) fn plan_query(
     db: &Database,
     query: &SelectQuery,
     name: &str,
-    ctes: &mut Vec<(String, Arc<TableSchema>)>,
+    ctes: &mut Vec<(String, InScope)>,
     params: &HashSet<String>,
 ) -> DbResult<QueryPlan> {
     #[cfg(test)]
     PLANNED.with(|n| n.set(n.get() + 1));
-    // Each WITH clause sees the ones before it.
+    // Each WITH clause sees the ones before it. A body read once that is a
+    // filtered read of a base table is planned where it is read.
     let outer_scope = ctes.len();
-    let mut cte_plans = Vec::with_capacity(query.with.len());
-    for wc in &query.with {
+    let mut cte_plans = Vec::new();
+    for (i, wc) in query.with.iter().enumerate() {
+        if reads_of(&wc.name, query, i + 1) == 1 {
+            if let Some(merged) = Merged::of(db, &wc.query, ctes) {
+                ctes.push((wc.name.clone(), InScope::Merged(Arc::new(merged))));
+                continue;
+            }
+        }
         let plan = plan_query(db, &wc.query, &wc.name, ctes, params)?;
-        ctes.push((wc.name.clone(), plan.schema.clone()));
+        ctes.push((wc.name.clone(), InScope::Temp(plan.schema.clone())));
         cte_plans.push((wc.name.clone(), plan));
     }
     if query.from.is_empty() {
@@ -946,7 +1053,8 @@ pub(crate) fn plan_query(
 
     // Resolve the FROM entries; their schemas make up the joined row.
     enum Rel<'a> {
-        Base(&'a str, &'a TableEntry),
+        /// A base table, read on its own or as a merged WITH body.
+        Base(String, &'a TableEntry, Option<Arc<Merged>>),
         Temp(TempSource),
     }
     let mut layout = Layout::new();
@@ -954,10 +1062,17 @@ pub(crate) fn plan_query(
     for tref in &query.from {
         let (rel, schema) = match &tref.source {
             TableSource::Named(n) => match ctes.iter().rev().find(|(cte, _)| cte == n) {
-                Some((_, schema)) => (Rel::Temp(TempSource::Cte(n.clone())), schema.clone()),
+                Some((_, InScope::Temp(schema))) => {
+                    (Rel::Temp(TempSource::Cte(n.clone())), schema.clone())
+                }
+                Some((_, InScope::Merged(body))) => {
+                    let entry = db.table(&body.table)?;
+                    let rel = Rel::Base(body.table.clone(), entry, Some(Arc::clone(body)));
+                    (rel, entry.schema().clone())
+                }
                 None => {
                     let entry = db.table(n)?;
-                    (Rel::Base(n, entry), entry.schema().clone())
+                    (Rel::Base(n.clone(), entry, None), entry.schema().clone())
                 }
             },
             TableSource::Derived(q) => {
@@ -992,54 +1107,108 @@ pub(crate) fn plan_query(
             let own = schema.column_index(own).ok_or_else(|| DbError::UnknownColumn(own.clone()))?;
             keys.push((layout.resolve(&outer)?, own));
         }
-        let mut local = classified.local_predicate(alias);
-        let read = match rel {
-            Rel::Temp(source) => Read::Temp(source),
-            // Index nested loop whenever the table has an index on its
-            // first join column, whatever the size of the outer side.
-            Rel::Base(table, entry) => match keys
-                .first()
-                .and_then(|&(_, own)| entry.indexes.iter().position(|i| i.column == own))
-            {
-                Some(index) => Read::Lookup { table: table.to_string(), index },
-                None => {
-                    let (hint, profile) = (&tref.hint, db.profile());
-                    let plan = plan_access(entry, alias, local.as_ref(), hint, profile);
-                    // What the probes decided is not checked again.
-                    if let Some(recheck) = plan.recheck() {
-                        local = local.and_then(|pred| recheck.apply(pred));
-                    }
-                    Read::Access { table: table.to_string(), plan }
-                }
-            },
-        };
         let own_row = Layout::single(alias.clone(), schema.clone());
-        let local = program(db, local.as_ref(), &own_row, ctes, params)?;
+        let (read, local) = match rel {
+            Rel::Temp(source) => {
+                let local = classified.local_predicate(alias);
+                let local = bound(db, local.as_ref(), &own_row, ctes, params)?;
+                (Read::Temp(source), FilterProgram::new(local))
+            }
+            Rel::Base(table, entry, body) => {
+                // A merged body's filter is checked first, bound against
+                // the body's row; then the input's own conjuncts that it
+                // does not already hold — the rewriter pushes a query's
+                // local predicate into its guard body and leaves it in the
+                // query too.
+                let mut written = body.as_ref().and_then(|b| b.filter.clone());
+                let own = classified.local.get(alias).map_or(&[][..], Vec::as_slice);
+                let own: Vec<Expr> = match &written {
+                    Some(p) => {
+                        let held = p.conjuncts();
+                        own.iter().filter(|c| !held.contains(&&c.strip_alias(alias))).cloned().collect()
+                    }
+                    None => own.to_vec(),
+                };
+                let mut own = (!own.is_empty()).then(|| Expr::all(own));
+                // Index nested loop whenever the table has an index on its
+                // first join column, whatever the size of the outer side.
+                let read = match keys
+                    .first()
+                    .and_then(|&(_, own)| entry.indexes.iter().position(|i| i.column == own))
+                {
+                    Some(index) => Read::Lookup { table, index },
+                    None => {
+                        // The body's filter and hint are the access path's,
+                        // as the rewrite chose them; without a filter the
+                        // input's own conjuncts are.
+                        let hint = body.as_ref().map_or(&tref.hint, |b| &b.hint);
+                        let (path_alias, pred) = match (&body, written.is_some()) {
+                            (Some(b), true) => (&b.alias, &mut written),
+                            _ => (alias, &mut own),
+                        };
+                        let plan = plan_access(entry, path_alias, pred.as_ref(), hint, db.profile());
+                        // What the probes decided is not checked again.
+                        if let Some(recheck) = plan.recheck() {
+                            *pred = pred.take().and_then(|p| recheck.apply(p));
+                        }
+                        Read::Access { table, plan }
+                    }
+                };
+                let own = bound(db, own.as_ref(), &own_row, ctes, params)?;
+                let local = match (&body, written) {
+                    (Some(body), Some(written)) => {
+                        let body_row = Layout::single(body.alias.clone(), schema.clone());
+                        conjoin(bound(db, Some(&written), &body_row, ctes, params)?, own)
+                    }
+                    _ => own,
+                };
+                (read, FilterProgram::new(local))
+            }
+        };
         inputs.push(Input { alias: alias.clone(), schema: schema.clone(), local, read, keys });
     }
 
     let residual = (!classified.residual.is_empty()).then(|| Expr::all(classified.residual));
     let (output, schema) = plan_output(query, &layout, name)?;
-    let residual = program(db, residual.as_ref(), &layout, ctes, params)?;
+    let residual = FilterProgram::new(bound(db, residual.as_ref(), &layout, ctes, params)?);
     ctes.truncate(outer_scope);
     Ok(QueryPlan { ctes: cte_plans, inputs, residual, output, schema, limit: query.limit })
 }
 
-/// Bind an optional predicate against `layout` and compile it. A scalar
-/// subquery in it is planned here, against the WITH results its query sees.
-fn program(
+/// Both of two bound filters; a constant-false one alone, so a read under
+/// a deny-all guard still reads nothing.
+fn conjoin(a: Option<BoundExpr>, b: Option<BoundExpr>) -> Option<BoundExpr> {
+    let is_false = |e: &BoundExpr| matches!(e.unshared(), BoundExpr::Literal(Value::Bool(false)));
+    match (a, b) {
+        (Some(a), Some(b)) if !is_false(&a) && !is_false(&b) => {
+            let mut parts = Vec::new();
+            for e in [a, b] {
+                match e {
+                    BoundExpr::And(v) => parts.extend(v),
+                    e => parts.push(e),
+                }
+            }
+            Some(BoundExpr::And(parts))
+        }
+        (Some(a), _) if is_false(&a) => Some(a),
+        (a, b) => b.or(a),
+    }
+}
+
+/// Bind an optional predicate against `layout`. A scalar subquery in it is
+/// planned here, against the WITH results its query sees.
+fn bound(
     db: &Database,
     pred: Option<&Expr>,
     layout: &Layout,
-    ctes: &mut Vec<(String, Arc<TableSchema>)>,
+    ctes: &mut Vec<(String, InScope)>,
     params: &HashSet<String>,
-) -> DbResult<FilterProgram> {
+) -> DbResult<Option<BoundExpr>> {
     let mut subplan = |q: &SelectQuery, names: &HashSet<String>| {
         let plan = plan_query(db, q, "", ctes, names)?;
         Ok(Subplan(Arc::new(plan)))
     };
-    let bound = pred.map(|p| bind(p, layout, params, &mut subplan)).transpose()?;
-    Ok(FilterProgram::new(bound))
+    pred.map(|p| bind(p, layout, params, &mut subplan)).transpose()
 }
 
 /// Resolve the SELECT list against the joined row: which slots make up an
@@ -1144,8 +1313,10 @@ pub struct RelationPlan {
     pub access: AccessPlan,
     /// Human-readable access description.
     pub access_desc: String,
-    /// Estimated rows fetched from the heap (NaN where the plan cannot
-    /// say: temps, and lookups driven by the outer side).
+    /// Estimated rows fetched from the heap; for a relation reached by
+    /// index nested loop, per outer row (table rows ÷ the index's distinct
+    /// keys). NaN only for a temp or derived relation, which has no
+    /// statistics.
     pub est_rows: f64,
     /// Estimated fraction of the table fetched (the paper's ρ/|r|).
     pub est_fraction: f64,
@@ -1201,6 +1372,7 @@ mod tests {
     use crate::catalog::Database;
     use crate::schema::TableSchema;
     use crate::value::DataType;
+    use crate::plan::TableRef;
 
     fn setup(profile: DbProfile) -> Database {
         let mut db = Database::new(profile);
@@ -1652,6 +1824,64 @@ mod tests {
         want.sort();
         assert!(!want.is_empty());
         assert_eq!(got, want);
+    }
+
+    /// Which WITH bodies are merged into their reader and which stay
+    /// temps, by shape and by how often the whole query reads them.
+    #[test]
+    fn a_with_body_is_merged_only_when_read_once_as_a_filtered_base_read() {
+        let db = setup(DbProfile::MySqlLike);
+        let temps = |q: &SelectQuery| {
+            let e = db.explain(q).unwrap();
+            e.ctes.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>()
+        };
+        let parse = |sql: &str| crate::sql::parse(sql).unwrap();
+        let v = "WITH v AS (SELECT * FROM w USE INDEX () WHERE owner = 3)";
+        // Read once — from FROM, a derived table, a later WITH body or a
+        // scalar subquery — it is the read of `w`.
+        for reader in [
+            "SELECT * FROM v WHERE v.wifi_ap = 1003",
+            "SELECT * FROM (SELECT * FROM v) AS d",
+            ", u AS (SELECT id FROM v) SELECT * FROM u",
+            "SELECT * FROM w WHERE id = (SELECT id FROM v WHERE wifi_ap = 1003)",
+        ] {
+            let sql = format!("{v} {reader}");
+            assert!(!temps(&parse(&sql)).contains(&"v".to_string()), "{sql}");
+        }
+        // Read twice, or shaped otherwise, it is materialized.
+        for sql in [
+            format!("{v} SELECT * FROM v AS a, v AS b WHERE a.id = b.id"),
+            format!("{v} SELECT * FROM v WHERE id = (SELECT MAX(id) FROM v)"),
+            "WITH v AS (SELECT * FROM w WHERE owner = 3 LIMIT 5) SELECT * FROM v".into(),
+            "WITH v AS (SELECT id, owner FROM w) SELECT * FROM v".into(),
+            "WITH v AS (SELECT owner, COUNT(*) AS n FROM w GROUP BY owner) SELECT * FROM v".into(),
+            "WITH u AS (SELECT * FROM w WHERE owner = 3), v AS (SELECT * FROM u) \
+             SELECT * FROM v, u WHERE v.id = u.id"
+                .into(),
+        ] {
+            assert!(temps(&parse(&sql)).contains(&"v".to_string()), "{sql}");
+        }
+        // An inner WITH of the same name shadows it: the outer `v` is read
+        // once, by the inner body, and the inner one twice.
+        let inner = SelectQuery::star_from("v")
+            .from_tables(vec![TableRef::named("v"), TableRef::aliased("v", "b")])
+            .with_clause("v", SelectQuery::star_from("v"));
+        let shadowed = SelectQuery::star_from("d")
+            .from_tables(vec![TableRef {
+                source: TableSource::Derived(Box::new(inner)),
+                alias: "d".into(),
+                hint: IndexHint::None,
+            }])
+            .with_clause("v", parse("SELECT * FROM w WHERE owner = 3"));
+        let e = db.explain(&shadowed).unwrap();
+        assert!(e.ctes.is_empty(), "{e}");
+        // And a merged read returns the temp's rows.
+        let rows = |sql: &str| db.run_query(&parse(sql)).unwrap().rows;
+        let once = rows(&format!("{v} SELECT * FROM v WHERE v.wifi_ap = 1003"));
+        let twice = rows(&format!("{v} SELECT * FROM v, v AS b WHERE v.id = b.id AND v.wifi_ap = 1003"));
+        let halves: Vec<Vec<Value>> = twice.into_iter().map(|r| r[..4].to_vec()).collect();
+        assert!(!halves.is_empty());
+        assert_eq!(once, halves);
     }
 
     #[test]

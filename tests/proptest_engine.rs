@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sieve::minidb::expr::{
     bind, no_subqueries, BoundExpr, CmpOp, ColumnRef, EvalContext, Expr, FilterProgram, Layout,
 };
-use sieve::minidb::plan::{IndexHint, TableRef};
+use sieve::minidb::plan::{IndexHint, TableRef, TableSource};
 use sieve::minidb::sql::{parse, render_query};
 use sieve::minidb::table::ROWS_PER_PAGE;
 use sieve::minidb::value::{DataType, Value};
@@ -439,6 +439,44 @@ fn reported(e: &ExplainOutput) -> Vec<&RelationPlan> {
     all
 }
 
+/// `t` under `pred` — alone, joined with `u` on an indexed column and on
+/// one that is not — or its WITH result `v` (`cte`) joined with `u` either
+/// way round, or read twice; or, from `shape` 6 on, `cte` as a derived
+/// table joined with `u`.
+fn shaped_query(shape: usize, pred: Expr, cte: &SelectQuery) -> SelectQuery {
+    let from = |tables: &[&str]| tables.iter().map(|t| TableRef::named(*t)).collect::<Vec<_>>();
+    match shape {
+        0 => SelectQuery::star_from("t").filter(pred),
+        1 => SelectQuery::star_from("u")
+            .from_tables(from(&["u", "t"]))
+            .filter(Expr::and(cols_eq(("u", "ua"), ("t", "a")), pred)),
+        2 => SelectQuery::star_from("u")
+            .from_tables(from(&["u", "t"]))
+            .filter(Expr::and(cols_eq(("t", "id"), ("u", "ua")), pred)),
+        // Read once, `v` is the read of `t` it filters.
+        3 => SelectQuery::star_from("v")
+            .from_tables(from(&["v", "u"]))
+            .with_clause("v", cte.clone())
+            .filter(cols_eq(("v", "a"), ("u", "ua"))),
+        4 => SelectQuery::star_from("v")
+            .from_tables(from(&["u", "v"]))
+            .with_clause("v", cte.clone())
+            .filter(cols_eq(("u", "ua"), ("v", "a"))),
+        // Read twice, it is materialized and scanned.
+        5 => SelectQuery::star_from("v")
+            .from_tables(vec![TableRef::aliased("v", "x"), TableRef::aliased("v", "y")])
+            .with_clause("v", cte.clone())
+            .filter(cols_eq(("x", "id"), ("y", "id"))),
+        _ => {
+            let source = TableSource::Derived(Box::new(cte.clone()));
+            let derived = TableRef { source, alias: "v".into(), hint: IndexHint::None };
+            SelectQuery::star_from("u")
+                .from_tables(vec![TableRef::named("u"), derived])
+                .filter(cols_eq(("u", "ua"), ("v", "a")))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -455,34 +493,15 @@ proptest! {
     fn explain_agrees_with_the_counters_of_a_run(
         pred in arb_pred(),
         rows in 500i64..5000,
-        shape in 0usize..5,
+        shape in 0usize..6,
         cte_filtered in any::<bool>(),
     ) {
-        let from = |tables: &[&str]| tables.iter().map(|t| TableRef::named(*t)).collect::<Vec<_>>();
         let cte = if cte_filtered {
             SelectQuery::star_from("t").filter(pred.clone())
         } else {
             SelectQuery::star_from("t")
         };
-        let q = match shape {
-            0 => SelectQuery::star_from("t").filter(pred),
-            // `t` joined on an indexed column, and on one that is not.
-            1 => SelectQuery::star_from("u")
-                .from_tables(from(&["u", "t"]))
-                .filter(Expr::and(cols_eq(("u", "ua"), ("t", "a")), pred)),
-            2 => SelectQuery::star_from("u")
-                .from_tables(from(&["u", "t"]))
-                .filter(Expr::and(cols_eq(("t", "id"), ("u", "ua")), pred)),
-            // A WITH result joined with a base table, either way round.
-            3 => SelectQuery::star_from("v")
-                .from_tables(from(&["v", "u"]))
-                .with_clause("v", cte.clone())
-                .filter(cols_eq(("v", "a"), ("u", "ua"))),
-            _ => SelectQuery::star_from("v")
-                .from_tables(from(&["u", "v"]))
-                .with_clause("v", cte.clone())
-                .filter(cols_eq(("u", "ua"), ("v", "a"))),
-        };
+        let q = shaped_query(shape, pred, &cte);
         let opts = ExecOptions::default();
         for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
             let db = build_pair(rows, profile);
@@ -520,6 +539,100 @@ proptest! {
             prop_assert_eq!(ran.seq_pages_read, scan_pages, "{:?}:\n{}", profile, explain);
         }
     }
+
+    /// EXPLAIN estimates every base-table read — scanned, probed, joined
+    /// through an index, or a WITH body read once — and prints NaN only for
+    /// a temp: a WITH result read twice, or a derived table.
+    #[test]
+    fn only_a_temp_is_explained_without_an_estimate(
+        pred in arb_pred(),
+        rows in 500i64..3000,
+        shape in 0usize..7,
+        cte_filtered in any::<bool>(),
+    ) {
+        let cte = if cte_filtered {
+            SelectQuery::star_from("t").filter(pred.clone())
+        } else {
+            SelectQuery::star_from("t")
+        };
+        let q = shaped_query(shape, pred, &cte);
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let explain = build_pair(rows, profile).explain(&q).unwrap();
+            for r in reported(&explain) {
+                let temp = matches!(r.access_desc.as_str(), "SeqScan(temp)" | "SeqScan(derived)");
+                prop_assert_eq!(r.est_rows.is_nan(), temp, "{:?}:\n{}", profile, explain);
+                prop_assert!(temp || r.est_rows <= r.table_rows as f64, "{profile:?}:\n{explain}");
+            }
+        }
+    }
+
+    /// A WITH body read once is planned as its reader's read of the base
+    /// table — under the body's hint, the body's filter first, the reader's
+    /// conjuncts it already holds left out — and returns exactly what the
+    /// same body returns written as a derived table, which stays
+    /// materialized: read alone or joined, through the join key's index or
+    /// hashed, with the reader repeating the body's conjuncts as a
+    /// rewritten query does, on both profiles.
+    #[test]
+    fn a_with_body_read_once_returns_its_derived_tables_rows(
+        body_pred in arb_pred(),
+        own_pred in arb_pred(),
+        hint in 0usize..3,
+        shape in 0usize..3,
+        filtered in any::<bool>(),
+        repeat in any::<bool>(),
+        rows in 500i64..3000,
+    ) {
+        let hint = match hint {
+            0 => IndexHint::None,
+            1 => IndexHint::Force(vec!["a".into(), "c".into()]),
+            _ => IndexHint::IgnoreAll,
+        };
+        let mut body = SelectQuery::star_from("t").from_tables(vec![TableRef::named("t").with_hint(hint)]);
+        let mut own = vec![qualified(&own_pred, "v")];
+        if filtered {
+            if repeat {
+                own.extend(body_pred.conjuncts().into_iter().map(|c| qualified(c, "v")));
+            }
+            body = body.filter(body_pred);
+        }
+        let (from, join): (&[&str], _) = match shape {
+            0 => (&["v"], None),
+            // `v` joined through its index on `a`, and hashed on `b`.
+            1 => (&["u", "v"], Some(cols_eq(("u", "ua"), ("v", "a")))),
+            _ => (&["v", "u"], Some(cols_eq(("v", "b"), ("u", "k")))),
+        };
+        let reading = |v: TableRef| {
+            let from = from.iter().map(|t| if *t == "v" { v.clone() } else { TableRef::named(*t) });
+            SelectQuery::star_from("v")
+                .from_tables(from.collect())
+                .filter(Expr::all(own.iter().cloned().chain(join.clone()).collect()))
+        };
+        let merged = reading(TableRef::named("v")).with_clause("v", body.clone());
+        let source = TableSource::Derived(Box::new(body));
+        let derived = reading(TableRef { source, alias: "v".into(), hint: IndexHint::None });
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let db = build_pair(rows, profile);
+            let explain = db.explain(&merged).unwrap();
+            prop_assert!(explain.ctes.is_empty(), "{profile:?}:\n{explain}");
+            prop_assert!(explain.relations.iter().any(|r| r.alias == "v" && r.table == "t"), "{explain}");
+            let mut got = db.run_query(&merged).unwrap().rows;
+            let mut want = db.run_query(&derived).unwrap().rows;
+            got.sort();
+            want.sort();
+            prop_assert_eq!(got, want, "{:?}:\n{}", profile, explain);
+        }
+    }
+}
+
+/// `e` with every bare column qualified by `alias`.
+fn qualified(e: &Expr, alias: &str) -> Expr {
+    e.map(&mut |node| match node {
+        Expr::Column(c) if c.table.is_none() => {
+            Some(Expr::Column(ColumnRef::qualified(alias, c.column.clone())))
+        }
+        _ => None,
+    })
 }
 
 
