@@ -122,7 +122,12 @@ fn execute_all<B: SqlBackend>(
 /// (5) The querier's Q1-mid rewrite pinned, its guard body read once and
 /// so merged into the base-table read (`merge.merged_us`), against the
 /// same body written as a derived table, which is materialized first
-/// (`merge.derived_us`); gated on equal rows.
+/// (`merge.derived_us`); gated on equal rows. (6) A grant: the querier's
+/// cold rewrite right after a fresh owner grants it access, which places
+/// the grant into its cached expression (`grant.placed_us`), against the
+/// same read after `invalidate_all`, which generates it
+/// (`grant.generated_us`); gated on the placed expression equalling the
+/// generated one.
 fn hotpath(env: &EnvConfig) -> Record {
     let rss_before = rss_kib();
     let campus = build_campus(DbProfile::MySqlLike, env);
@@ -383,7 +388,67 @@ fn hotpath(env: &EnvConfig) -> Record {
             derived_rows.len()
         ),
     );
+    drop(db);
+    grant(&mut rec, &campus, env, &point, &qm);
     rec
+}
+
+/// `hotpath`'s (6): owners who share nothing with the querier grant it
+/// access one by one, and each grant's first read is timed — alternately
+/// as it comes, placed, and after `invalidate_all`, generated.
+fn grant(
+    rec: &mut Record,
+    campus: &Campus,
+    env: &EnvConfig,
+    point: &SelectQuery,
+    qm: &QueryMetadata,
+) {
+    let sieve = &campus.sieve;
+    let held: Vec<i64> = {
+        let (store, groups) = (sieve.store(), sieve.groups());
+        store.relevant(WIFI_TABLE, qm, &groups).iter().map(|p| p.owner).collect()
+    };
+    let owners = campus.dataset.devices.iter().map(|d| d.id);
+    let mut fresh = owners.filter(|o| *o != qm.querier && !held.contains(o));
+    let mut grant_one = || {
+        let owner = fresh.next().expect("an owner who grants the querier nothing yet");
+        let policy = Policy::new(owner, WIFI_TABLE, QuerierSpec::User(qm.querier), PURPOSE, vec![]);
+        sieve.add_policy(policy).expect("grant");
+    };
+    let read = || drop(black_box(sieve.rewrite(point, qm).expect("rewrite")));
+    let samples = env.pick(8, 32);
+    let extensions = sieve.cache_stats().extensions;
+    let (mut placed, mut generated) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        grant_one();
+        placed.push(block_us(1, read));
+        grant_one();
+        sieve.invalidate_all();
+        generated.push(block_us(1, read));
+    }
+    // The last grant placed, then the same policies generated cold.
+    grant_one();
+    let placed_expr = sieve.guarded_expression(qm, WIFI_TABLE).expect("placed expression");
+    let placements = sieve.cache_stats().extensions - extensions;
+    sieve.invalidate_all();
+    let generated_expr = sieve.guarded_expression(qm, WIFI_TABLE).expect("generated expression");
+    let (placed_us, generated_us) = (Stat::of(placed), Stat::of(generated));
+    rec.put("grant.samples", samples);
+    rec.put("grant.guards", generated_expr.guards.len());
+    rec.put("grant.placed_us", placed_us);
+    rec.put("grant.generated_us", generated_us);
+    rec.put("grant.speedup", generated_us.median / placed_us.median);
+    rec.gate(
+        "placed_equals_generated",
+        placements as usize == samples + 1 && placed_expr == generated_expr,
+        format!(
+            "every fresh owner's grant must be placed ({placements} of {}) and the placed \
+             expression ({} guards) must equal the one generated over the same policies ({} guards)",
+            samples + 1,
+            placed_expr.guards.len(),
+            generated_expr.guards.len()
+        ),
+    );
 }
 
 /// What the campus's data holds resident, by size arithmetic over what the

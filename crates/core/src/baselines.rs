@@ -108,7 +108,7 @@ impl<B: SqlBackend> SieveService<B> {
         match enforcement {
             Enforcement::Sieve => {
                 let out = self.rewrite(query, qm)?;
-                let pins = out.fragments.iter().flat_map(|f| f.partitions.iter().cloned());
+                let pins = out.fragments.iter().flat_map(|f| f.partitions().cloned());
                 Ok((out.query, pins.collect()))
             }
             Enforcement::NoPolicies => Ok((query.clone(), Vec::new())),

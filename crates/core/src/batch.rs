@@ -25,7 +25,10 @@
 
 use crate::cost::CostModel;
 use crate::filter::GroupDirectory;
-use crate::guard::{guards_over, GuardSelectionStrategy, GuardableConditions, GuardedExpression};
+use crate::guard::{
+    guards_over, CarriedConditions, GuardSelectionStrategy, GuardableConditions,
+    GuardedExpression,
+};
 use crate::policy::{Policy, QueryMetadata, UserId};
 use crate::rewrite::collect_protected;
 use crate::store::PolicyStore;
@@ -58,10 +61,11 @@ pub fn group_requests<'r>(
 }
 
 /// Generate the guarded expressions of one `(purpose, relation)` group,
-/// one per querier, and the group's report (`partition_reuses` is the
-/// caller's to fill). Conditions are collected once, over every policy
-/// some member needs; a single-key lookup is a group of one, collecting
-/// over its own relevant set.
+/// one per querier with the conditions its policies carry (for a later
+/// placement; `None` where nothing can be placed), and the group's report
+/// (`partition_reuses` is the caller's to fill). Conditions are collected
+/// once, over every policy some member needs; a single-key lookup is a
+/// group of one, collecting over its own relevant set.
 pub(crate) fn generate_group(
     store: &PolicyStore,
     groups: &GroupDirectory,
@@ -70,7 +74,7 @@ pub(crate) fn generate_group(
     strategy: GuardSelectionStrategy,
     (purpose, relation): (&str, &str),
     queriers: &[&QueryMetadata],
-) -> (Vec<GuardedExpression>, BatchGroupReport) {
+) -> (Vec<(GuardedExpression, Option<CarriedConditions>)>, BatchGroupReport) {
     let relevant: Vec<Vec<&Policy>> =
         queriers.iter().map(|qm| store.relevant(relation, qm, groups)).collect();
     let mut union: Vec<&Policy> = relevant.iter().flatten().copied().collect();
@@ -80,11 +84,15 @@ pub(crate) fn generate_group(
     let exprs = queriers
         .iter()
         .zip(&relevant)
-        .map(|(qm, relevant)| GuardedExpression {
-            relation: relation.to_string(),
-            querier: qm.querier,
-            purpose: qm.purpose.clone(),
-            guards: guards_over(&conditions, relevant, entry, cost, strategy),
+        .map(|(qm, relevant)| {
+            let expr = GuardedExpression {
+                relation: relation.to_string(),
+                querier: qm.querier,
+                purpose: qm.purpose.clone(),
+                guards: guards_over(&conditions, relevant, entry, cost, strategy),
+            };
+            let placeable = strategy == GuardSelectionStrategy::CostOptimal;
+            (expr, placeable.then(|| conditions.carried_by(relevant)).flatten())
         })
         .collect();
     let report = BatchGroupReport {
@@ -130,10 +138,10 @@ pub struct BatchPrepareReport {
     /// Guarded expressions generated across all groups.
     pub generated: usize,
     /// `(querier, purpose, relation)` keys whose cached expression was
-    /// kept: already current, brought current by a racing build, or
-    /// re-folded (pending branches appended, fragment recompiled) without
-    /// regenerating. Either way the first post-batch rewrite per key is a
-    /// pure hit.
+    /// kept: already current, brought current by a racing build, re-folded
+    /// (pending branches appended) or extended (pending policies placed),
+    /// its fragment recompiled without running Algorithm 1. Either way the
+    /// first post-batch rewrite per key is a pure hit.
     pub reused: usize,
     /// Sum of [`BatchGroupReport::partition_reuses`] across groups.
     pub partition_reuses: usize,
@@ -265,7 +273,7 @@ mod tests {
         let (shared, report) = group(&[&queriers[0], &queriers[1]]);
         assert_eq!(report.slice_policies, 13, "the other relation and purpose stay outside");
         assert_eq!((report.queriers, report.generated), (2, 2));
-        for (qm, ge) in queriers.iter().zip(&shared) {
+        for (qm, (ge, carried)) in queriers.iter().zip(&shared) {
             let relevant = corpus.relevant("wifi_dataset", qm, &groups);
             let expect: BTreeSet<PolicyId> = relevant.iter().map(|p| p.id).collect();
             assert_eq!(ge.covered_policies(), expect, "exactly-once cover of the relevant set");
@@ -275,7 +283,10 @@ mod tests {
             // policies: the same expression.
             let (own, report) = group(&[qm]);
             assert_eq!(report.slice_policies, relevant.len());
-            assert_eq!(own[0], *ge, "querier {}", qm.querier);
+            assert_eq!(own[0].0, *ge, "querier {}", qm.querier);
+            let carried = carried.as_ref().map(|c| (c.len(), c.last));
+            assert_eq!(own[0].1.as_ref().map(|c| (c.len(), c.last)), carried);
+            assert!(carried.is_some(), "every policy here carries its owner condition");
         }
     }
 }

@@ -14,7 +14,9 @@
 //! exactly the keys it affects outdated, and stale entries are rebuilt
 //! lazily per the configured [`crate::dynamic::RegenerationPolicy`]
 //! (paper Section 6) by the service's one cold builder, under the
-//! single-flight claim [`GuardCache::begin_generation`] hands out.
+//! single-flight claim [`GuardCache::begin_generation`] hands out —
+//! regenerated, or, when the new policies can join the expression
+//! exactly ([`crate::guard::placement`]), placed into it.
 //!
 //! **Concurrency.** The map is split into [`SHARD_COUNT`] shards, each
 //! behind its own `RwLock`; a warm hit takes only its shard's *read*
@@ -34,7 +36,7 @@
 //! fragments, whose ∆ partitions are freed automatically by their RAII
 //! [`crate::delta::PartitionHandle`]s once no in-flight query pins them.
 
-use crate::guard::GuardedExpression;
+use crate::guard::{CarriedConditions, GuardedExpression};
 use crate::policy::{PolicyId, UserId};
 use crate::rewrite::{CompiledRelation, DeltaMode};
 use parking_lot::RwLock;
@@ -52,7 +54,10 @@ pub type GuardCacheKey = (UserId, String, String);
 /// The counters are kept consistent with a ground-truth trace (asserted in
 /// `tests/guard_cache.rs`): every expression-level lookup is exactly one
 /// of `hits`, `misses` (no entry existed — cold, or previously evicted),
-/// or `regenerations` (an outdated entry was replaced in place). Entries
+/// or `regenerations` (an outdated entry was replaced in place, by a
+/// generation or by placing its pending policies — the latter also
+/// counted in `extensions`, so `generations()` still counts every
+/// replaced expression whichever way it was built). Entries
 /// dropped by LRU eviction are counted in `evictions`, so generated-but-
 /// no-longer-cached work is visible instead of silently skewing the
 /// hit/miss ratio. Under concurrent drivers the counters are exact in
@@ -66,6 +71,9 @@ pub struct GuardCacheStats {
     pub misses: u64,
     /// Lookups that regenerated an existing outdated entry.
     pub regenerations: u64,
+    /// The part of `regenerations` that placed the entry's pending
+    /// policies into its expression instead of running Algorithm 1.
+    pub extensions: u64,
     /// Entries marked outdated by policy insertions.
     pub invalidations: u64,
     /// Entries dropped by LRU eviction (their next lookup is a miss even
@@ -97,10 +105,19 @@ impl GuardCacheStats {
 /// One cache entry: the expression as generated, and what queries
 /// actually run under — the effective expression (base + pending-policy
 /// fallback branches) with its compiled fragment, always present.
+///
+/// `base` is always what Algorithm 1 returns over the policies it covers,
+/// whether it was generated or placed; `carried` is what a placement
+/// checks a new policy against, kept as fingerprints rather than the
+/// conditions themselves so that extending it per grant is cheap.
 #[derive(Debug)]
 pub struct CachedGuard {
-    /// The expression as generated (no pending branches).
+    /// The expression as generated or placed (no pending branches).
     pub base: Arc<GuardedExpression>,
+    /// The guard conditions `base`'s policies carry, for placement;
+    /// `None` when nothing can be placed into `base` (an owner-only
+    /// selection, or a policy with no guardable condition).
+    pub carried: Option<Arc<CarriedConditions>>,
     /// `base` plus per-owner branches for the first `folded` pending
     /// policies, with its compiled rewrite fragment — one artefact,
     /// replaced whole.
@@ -124,10 +141,16 @@ pub struct CachedGuard {
 }
 
 impl CachedGuard {
-    /// Fresh entry for a newly generated and compiled expression.
-    pub fn new(compiled: CompiledRelation, epoch: u64) -> Self {
+    /// Fresh entry for a newly generated (or placed) and compiled
+    /// expression.
+    pub fn new(
+        compiled: CompiledRelation,
+        carried: Option<Arc<CarriedConditions>>,
+        epoch: u64,
+    ) -> Self {
         CachedGuard {
             base: Arc::clone(&compiled.expr),
+            carried,
             compiled,
             folded: 0,
             outdated: false,
@@ -141,6 +164,12 @@ impl CachedGuard {
     /// under `delta_mode` — nothing to fold, nothing to recompile.
     pub fn is_current(&self, delta_mode: DeltaMode) -> bool {
         self.folded == self.pending.len() && self.compiled.fragment.delta_mode == delta_mode
+    }
+
+    /// True iff this is still the entry a build read `base` and `pending`
+    /// from: not replaced, and no policy swept into it since.
+    pub fn unchanged_since(&self, base: &Arc<GuardedExpression>, pending: &[PolicyId]) -> bool {
+        Arc::ptr_eq(&self.base, base) && self.pending == pending
     }
 }
 
@@ -161,6 +190,7 @@ struct StatCells {
     hits: AtomicU64,
     misses: AtomicU64,
     regenerations: AtomicU64,
+    extensions: AtomicU64,
     invalidations: AtomicU64,
     evictions: AtomicU64,
     fragment_builds: AtomicU64,
@@ -170,9 +200,10 @@ struct StatCells {
 
 type Shard = HashMap<GuardCacheKey, CachedGuard>;
 
-/// One [`GuardCache::insert_generated`] entry: the key and its freshly
-/// generated expression with the compiled rewrite fragment.
-pub type CompiledEntry = (GuardCacheKey, CompiledRelation);
+/// One [`GuardCache::insert_generated`] entry: the key, its freshly
+/// generated expression with the compiled rewrite fragment, and the
+/// conditions the expression's policies carry (see [`CachedGuard`]).
+pub type CompiledEntry = (GuardCacheKey, CompiledRelation, Option<Arc<CarriedConditions>>);
 
 /// The cache proper: sharded keyed entries plus counters.
 #[derive(Debug)]
@@ -257,6 +288,7 @@ impl GuardCache {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             regenerations: self.stats.regenerations.load(Ordering::Relaxed),
+            extensions: self.stats.extensions.load(Ordering::Relaxed),
             invalidations: self.stats.invalidations.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             fragment_builds: self.stats.fragment_builds.load(Ordering::Relaxed),
@@ -339,12 +371,12 @@ impl GuardCache {
         // so each key is counted once.
         let mut index: HashMap<GuardCacheKey, usize> = HashMap::new();
         let mut deduped: Vec<CompiledEntry> = Vec::new();
-        for (key, compiled) in items {
-            match index.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => deduped[*e.get()].1 = compiled,
+        for item in items {
+            match index.entry(item.0.clone()) {
+                std::collections::hash_map::Entry::Occupied(e) => deduped[*e.get()] = item,
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(deduped.len());
-                    deduped.push((key, compiled));
+                    deduped.push(item);
                 }
             }
         }
@@ -355,9 +387,9 @@ impl GuardCache {
         }
         for (shard_idx, batch) in by_shard {
             let mut shard = self.shards[shard_idx].write();
-            let batch_keys: Vec<GuardCacheKey> = batch.iter().map(|(k, _)| k.clone()).collect();
-            for (key, compiled) in batch {
-                let mut entry = CachedGuard::new(compiled, epoch);
+            let batch_keys: Vec<GuardCacheKey> = batch.iter().map(|(k, ..)| k.clone()).collect();
+            for (key, compiled, carried) in batch {
+                let mut entry = CachedGuard::new(compiled, carried, epoch);
                 entry.last_used = AtomicU64::new(self.tick());
                 self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
                 let replaced = shard.insert(key, entry).is_some();
@@ -369,6 +401,31 @@ impl GuardCache {
             }
             self.evict_lru(&mut shard, &batch_keys);
         }
+    }
+
+    /// Publish a placed expression in place of `key`'s entry — only if
+    /// that entry is still the one the placement read `base` and `pending`
+    /// from ([`CachedGuard::unchanged_since`]): a policy swept into it
+    /// meanwhile would otherwise be dropped with the pending list it was
+    /// appended to. Counts one regeneration, one extension and one
+    /// fragment build. False, publishing nothing, if the entry was swept,
+    /// evicted or replaced (the caller builds again).
+    pub fn insert_placed(
+        &self,
+        (key, compiled, carried): CompiledEntry,
+        (base, pending): (&Arc<GuardedExpression>, &[PolicyId]),
+        epoch: u64,
+    ) -> bool {
+        let mut shard = self.shard_of(&key).write();
+        let Some(entry) = shard.get_mut(&key).filter(|e| e.unchanged_since(base, pending)) else {
+            return false;
+        };
+        *entry = CachedGuard::new(compiled, carried, epoch);
+        entry.last_used = AtomicU64::new(self.tick());
+        self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
+        self.stats.extensions.fetch_add(1, Ordering::Relaxed);
+        self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Evict least-recently-used entries until the shard fits its cap,
@@ -463,7 +520,7 @@ mod tests {
     }
 
     fn item(querier: i64, relation: &str) -> CompiledEntry {
-        (key(querier, relation), compiled(relation))
+        (key(querier, relation), compiled(relation), None)
     }
 
     #[test]
@@ -585,6 +642,28 @@ mod tests {
     }
 
     #[test]
+    fn placed_entry_publishes_only_over_the_entry_it_read() {
+        let c = GuardCache::new();
+        c.insert_generated(vec![item(1, "r")], 0);
+        c.invalidate_where(7, |_| true);
+        let base = c.read(&key(1, "r"), |e| Arc::clone(&e.base)).unwrap();
+        // A second grant swept in after the placement read `[7]`: the
+        // publish must refuse, or grant 8 would be lost.
+        c.invalidate_where(8, |_| true);
+        assert!(!c.insert_placed(item(1, "r"), (&base, &[7]), 0));
+        assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![7, 8]);
+        assert!(c.insert_placed(item(1, "r"), (&base, &[7, 8]), 0));
+        let e = c.read(&key(1, "r"), |e| (e.outdated, e.pending.len())).unwrap();
+        assert_eq!(e, (false, 0));
+        let s = c.stats();
+        assert_eq!((s.misses, s.regenerations, s.extensions), (1, 1, 1));
+        assert_eq!((s.generations(), s.fragment_builds), (2, 2));
+        // Gone entirely: nothing to publish over.
+        c.clear();
+        assert!(!c.insert_placed(item(1, "r"), (&base, &[]), 0));
+    }
+
+    #[test]
     fn entries_record_their_generation_epoch() {
         let c = GuardCache::new();
         c.insert_generated(vec![item(1, "r")], 3);
@@ -616,7 +695,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.insert_generated(vec![(k.clone(), compiled("r"))], 0);
+                        c.insert_generated(vec![(k.clone(), compiled("r"), None)], 0);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

@@ -111,6 +111,13 @@ impl PartitionHandle {
     }
 }
 
+/// Two leases are equal when they name the same partition.
+impl PartialEq for PartitionHandle {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
 impl std::fmt::Debug for PartitionHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("PartitionHandle").field(&self.inner.key).finish()

@@ -13,6 +13,16 @@
 //! guard cardinality, and `r_pq = r_q / r_p` the number of queries posed
 //! per policy insertion. Theorem 2 shows regeneration should happen
 //! immediately once the k-th policy arrives.
+//!
+//! `C_G` is what a regeneration costs when it runs Algorithm 1. A grant
+//! that shares no guard condition with the policies the expression covers
+//! (and overlaps none of their ranges) does not pay it: the service places
+//! it into the cached expression, exactly where a regeneration would put
+//! it ([`crate::guard::placement`]), for the price of one guard's
+//! estimate and one new branch compiled. Only the grants that could
+//! change the cover — a shared condition, an overlapping range — pay
+//! `C_G`, so Equation 19's `k̃` is pessimistic for a stream of unrelated
+//! grants.
 
 use crate::cost::CostModel;
 

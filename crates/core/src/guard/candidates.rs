@@ -22,11 +22,14 @@
 //! a collection over those policies alone yields — which is how
 //! [`generate_candidates`] is defined.
 
+use super::placement::CarriedConditions;
 use crate::cost::CostModel;
 use crate::policy::{CondPredicate, ObjectCondition, Policy, PolicyId};
 use minidb::catalog::TableEntry;
 use minidb::RangeBound;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// A candidate guard: a guardable condition plus the policies it covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +95,8 @@ pub fn is_guardable(oc: &ObjectCondition, entry: &TableEntry) -> bool {
 #[derive(Debug, Default)]
 pub(crate) struct GuardableConditions {
     conds: Vec<(ObjectCondition, f64)>,
+    /// Per condition, the [`fingerprint`] of its collapse key.
+    prints: Vec<u64>,
     /// Per collected policy, ascending by id: the span of `carried` that
     /// lists its conditions (indices into `conds`, in the policy's order) —
     /// restriction costs a binary search per policy, not a pass over the
@@ -118,12 +123,15 @@ impl GuardableConditions {
                 if !is_guardable(&oc, entry) {
                     continue;
                 }
-                let key = format!("{}\u{1}{:?}", oc.attr, oc.pred);
-                let i = *index.entry(key).or_insert_with(|| {
-                    let est = estimate_condition_rows(&oc, entry);
-                    out.conds.push((oc, est));
-                    out.conds.len() as u32 - 1
-                });
+                let i = match index.entry(condition_key(&oc)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        out.prints.push(fingerprint(e.key()));
+                        let est = estimate_condition_rows(&oc, entry);
+                        out.conds.push((oc, est));
+                        *e.insert(out.conds.len() as u32 - 1)
+                    }
+                };
                 out.carried.push(i);
             }
             out.spans.push((p.id, start..out.carried.len()));
@@ -135,6 +143,33 @@ impl GuardableConditions {
     /// Number of distinct guardable conditions collected.
     pub(crate) fn len(&self) -> usize {
         self.conds.len()
+    }
+
+    /// What a later placement must know of `policies` (each of which
+    /// should be in the collection): the fingerprints of the conditions
+    /// they carry, with the ranges among them by attribute. `None` when
+    /// one of them carries no guardable condition: its guard is an owner
+    /// fallback, which Algorithm 1 appends after every guard it selects,
+    /// so no grant can be placed by utility in front of it.
+    pub(crate) fn carried_by(&self, policies: &[&Policy]) -> Option<CarriedConditions> {
+        let mut out = CarriedConditions::default();
+        let mut seen = vec![false; self.conds.len()];
+        for p in policies {
+            let span = self.spans.binary_search_by_key(&p.id, |(id, _)| *id).ok()?;
+            let carried = &self.carried[self.spans[span].1.clone()];
+            if carried.is_empty() {
+                return None;
+            }
+            for &i in carried {
+                let i = i as usize;
+                if !std::mem::replace(&mut seen[i], true) {
+                    let oc = &self.conds[i].0;
+                    out.insert(self.prints[i], oc, range_span(oc));
+                }
+            }
+            out.last = out.last.max(p.id);
+        }
+        Some(out)
     }
 
     /// The candidate set `CG` for `policies` (each of which should be in
@@ -208,6 +243,31 @@ pub fn generate_candidates(
     cost: &CostModel,
 ) -> Vec<CandidateGuard> {
     GuardableConditions::collect(policies, entry).candidates_for(policies, entry, cost)
+}
+
+/// The key identical conditions collapse under — the condition's debug
+/// rendering, which is injective for the guardable (constant) shapes.
+pub(super) fn condition_key(oc: &ObjectCondition) -> String {
+    format!("{}\u{1}{:?}", oc.attr, oc.pred)
+}
+
+/// A 64-bit digest of a [`condition_key`] (fixed-key SipHash, so equal
+/// keys digest equally in every process).
+pub(super) fn fingerprint(key: &str) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// A range condition's span on the number line the merge sweep compares
+/// on: `(low, high)`, possibly empty (`low > high`), or `None` for a
+/// condition that is not a range.
+pub(super) fn range_span(oc: &ObjectCondition) -> Option<(f64, f64)> {
+    let (low, high) = match &oc.pred {
+        CondPredicate::Range { low, high } => (low, high),
+        _ => return None,
+    };
+    Some((low_val(low), high_val(high)))
 }
 
 /// Numeric position of a range's low bound (−∞ for unbounded).

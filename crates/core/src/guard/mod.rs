@@ -3,8 +3,18 @@
 //! `G(P) = G_1 ∨ … ∨ G_n` where each `G_i = oc_g ∧ P_Gi` pairs a cheap,
 //! index-supported *guard* predicate with the *partition* of policies it
 //! filters for. Partitions are disjoint and cover the policy set.
+//!
+//! An expression is generated once per `(querier, purpose, relation)` and
+//! then kept current as grants arrive. A grant that shares no guard
+//! condition with the policies the expression covers, and whose ranges
+//! overlap none of theirs, cannot change what Algorithm 1 selects for
+//! them: it only adds its own best guard, at the position the greedy
+//! cover's heap would pop it. [`placement`] inserts that guard there, so
+//! the placed expression is the generated one, equal guard for guard and
+//! in order; any other grant makes the caller regenerate.
 
 pub mod candidates;
+pub mod placement;
 pub mod selection;
 
 use crate::cost::CostModel;
@@ -15,6 +25,8 @@ use std::collections::{BTreeSet, HashMap};
 
 pub(crate) use candidates::GuardableConditions;
 pub use candidates::{generate_candidates, CandidateGuard};
+pub use placement::CarriedConditions;
+pub(crate) use placement::place_grants;
 pub use selection::{owner_fallback_guards, select_guards};
 
 /// One guarded expression `G_i`.

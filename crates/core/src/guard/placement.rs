@@ -1,0 +1,311 @@
+//! Placing a grant into a guarded expression instead of regenerating it
+//! (paper Section 6's regeneration, paid only when it changes something).
+//!
+//! A policy `p` inserted after an expression was generated over the set
+//! `P` can join that expression exactly — the result equal, guard for
+//! guard and in order, to Algorithm 1 run over `P ∪ {p}` — when two
+//! things hold:
+//!
+//! * none of `p`'s guardable conditions is carried by a policy of `P`
+//!   (compared by the key identical conditions collapse under when
+//!   candidates are collected), so no candidate of `P` gains `p` and no
+//!   candidate of `p` covers anything else;
+//! * no range of `p` overlaps a range on the same attribute (of `P` or
+//!   of `p` itself), so Theorem 1's sweep merges exactly what it merged
+//!   before: a non-empty range sorted between two ranges that merge
+//!   would overlap the first of them, and one sorted past a range it
+//!   does not overlap ends a chain that had already ended.
+//!
+//! Then the candidates of `P` are unchanged and keep their relative
+//! order (`p` has the highest id, so its conditions are seen last), and
+//! `p`'s candidates cover `{p}` alone. Selecting one of them shrinks
+//! only `p`'s others and selecting one of `P`'s never touches `p`'s, so
+//! the greedy cover selects `P`'s guards exactly as before, plus one
+//! guard for `p`: its highest-utility condition, taken when the heap
+//! would pop it — before the first guard of lower priority. Priority is
+//! utility, then the lower candidate index. Candidates are indexed
+//! non-ranges first, in the order first seen, then ranges; so on equal
+//! utility a non-range `p` goes after the non-range guards and before the
+//! range guards, and a range `p` goes after the non-range guards and
+//! cannot be ordered against a range guard without the sweep's order,
+//! which is not kept — that tie, like every other case, regenerates.
+
+use super::candidates::{
+    condition_key, estimate_condition_rows, fingerprint, is_guardable, range_span,
+};
+use super::{Guard, GuardedExpression};
+use crate::cost::CostModel;
+use crate::policy::{CondPredicate, ObjectCondition, Policy, PolicyId};
+use minidb::catalog::TableEntry;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+
+/// What placement needs to know of the policies an expression was
+/// generated over: fingerprints of the guardable conditions they carry,
+/// their ranges by attribute, and the highest policy id among them.
+///
+/// A fingerprint collision can only make a fresh condition look carried,
+/// which makes placement refuse and the expression regenerate: never a
+/// wrong expression.
+#[derive(Debug, Clone, Default)]
+pub struct CarriedConditions {
+    prints: HashSet<u64>,
+    ranges: HashMap<String, Vec<(f64, f64)>>,
+    pub(crate) last: PolicyId,
+}
+
+impl CarriedConditions {
+    /// Record one distinct carried condition (`span` is its
+    /// [`range_span`]). Its range is kept even if its fingerprint collides
+    /// with another's, so the overlap check never misses it.
+    pub(super) fn insert(&mut self, print: u64, oc: &ObjectCondition, span: Option<(f64, f64)>) {
+        self.prints.insert(print);
+        if let Some((low, high)) = span {
+            // A bound with no order (NaN) is kept as the whole line, so
+            // every range of its attribute counts as overlapping it.
+            let span = match low.is_nan() || high.is_nan() {
+                true => (f64::NEG_INFINITY, f64::INFINITY),
+                false => (low, high),
+            };
+            self.ranges.entry(oc.attr.clone()).or_default().push(span);
+        }
+    }
+
+    /// Number of distinct conditions carried.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.prints.len()
+    }
+}
+
+/// True iff two spans meet, by the sweep's own test (`max(low) <=
+/// min(high)`): an empty span meets nothing.
+fn meet(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0.max(b.0) <= a.1.min(b.1)
+}
+
+/// `base`, generated over the policies `carried` describes, with each of
+/// `grants` (ascending ids, all newer than those policies) placed where
+/// Algorithm 1 over all of them would put it, and the conditions the
+/// result carries. `None` when any grant cannot be placed exactly (module
+/// docs): the caller regenerates.
+pub(crate) fn place_grants(
+    base: &GuardedExpression,
+    carried: &CarriedConditions,
+    grants: &[&Policy],
+    entry: &TableEntry,
+    cost: &CostModel,
+) -> Option<(GuardedExpression, CarriedConditions)> {
+    let mut expr = base.clone();
+    let mut carried = carried.clone();
+    for p in grants {
+        place_one(&mut expr.guards, &mut carried, p, entry, cost)?;
+    }
+    Some((expr, carried))
+}
+
+/// One of a grant's candidate guards.
+struct Own {
+    condition: ObjectCondition,
+    key: String,
+    print: u64,
+    /// Its [`range_span`]: `Some` for a range.
+    span: Option<(f64, f64)>,
+}
+
+fn place_one(
+    guards: &mut Vec<Guard>,
+    carried: &mut CarriedConditions,
+    p: &Policy,
+    entry: &TableEntry,
+    cost: &CostModel,
+) -> Option<()> {
+    if p.id <= carried.last {
+        return None;
+    }
+    // `p`'s candidates, each condition once, in `p`'s order.
+    let mut own: Vec<Own> = Vec::new();
+    for condition in p.object_conditions() {
+        if !is_guardable(&condition, entry) {
+            continue;
+        }
+        let key = condition_key(&condition);
+        if own.iter().any(|o| o.key == key) {
+            continue;
+        }
+        let print = fingerprint(&key);
+        if carried.prints.contains(&print) {
+            return None;
+        }
+        let span = range_span(&condition);
+        if let Some(s) = span {
+            // An empty or unordered range could end a merge chain it
+            // sits in without overlapping anything.
+            let ordered = s.0 <= s.1;
+            let on_attr = carried.ranges.get(&condition.attr).into_iter().flatten().copied();
+            let mine = own.iter().filter(|o| o.condition.attr == condition.attr);
+            if !ordered || on_attr.chain(mine.filter_map(|o| o.span)).any(|t| meet(s, t)) {
+                return None;
+            }
+        }
+        own.push(Own { condition, key, print, span });
+    }
+
+    // Its best candidate: highest utility, ties to the lower candidate
+    // index — a non-range before any range; two tied ranges are ordered
+    // by the sweep, so they refuse.
+    let table_rows = entry.table.len() as f64;
+    let utility = |est: f64, n: usize| cost.guard_utility(est, n, table_rows);
+    let est: Vec<f64> = own.iter().map(|o| estimate_condition_rows(&o.condition, entry)).collect();
+    let top = est.iter().map(|&e| utility(e, 1)).max_by(f64::total_cmp)?;
+    let tied: Vec<usize> =
+        (0..own.len()).filter(|&i| utility(est[i], 1).total_cmp(&top).is_eq()).collect();
+    let best = match tied.iter().find(|&&i| own[i].span.is_none()) {
+        Some(&i) => i,
+        None if tied.len() == 1 => tied[0],
+        None => return None,
+    };
+    let is_range = own[best].span.is_some();
+
+    // Where the heap pops it: before the first guard it outranks.
+    let mut at = guards.len();
+    for (k, g) in guards.iter().enumerate() {
+        let g_range = matches!(g.condition.pred, CondPredicate::Range { .. });
+        let outranks = match utility(g.est_rows, g.partition_size()).total_cmp(&top) {
+            Ordering::Greater => false,
+            Ordering::Less => true,
+            Ordering::Equal => match (is_range, g_range) {
+                (false, false) | (true, false) => false,
+                (false, true) => true,
+                (true, true) => return None,
+            },
+        };
+        if outranks {
+            at = k;
+            break;
+        }
+    }
+    let guard = Guard {
+        condition: own[best].condition.clone(),
+        policies: vec![p.id],
+        est_rows: est[best],
+    };
+    guards.insert(at, guard);
+    for o in &own {
+        carried.insert(o.print, &o.condition, o.span);
+    }
+    carried.last = p.id;
+    Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::guard::tests::{mk_policy, wifi_db};
+    use crate::guard::{generate_guarded_expression, GuardSelectionStrategy, GuardableConditions};
+    use minidb::value::Value;
+
+    fn eq(attr: &str, v: i64) -> ObjectCondition {
+        ObjectCondition::new(attr, CondPredicate::Eq(Value::Int(v)))
+    }
+
+    fn hours(lo: u32, hi: u32) -> ObjectCondition {
+        ObjectCondition::new(
+            "ts_time",
+            CondPredicate::between(Value::Time(lo * 3600), Value::Time(hi * 3600)),
+        )
+    }
+
+    fn generate(policies: &[&Policy], entry: &TableEntry) -> GuardedExpression {
+        let cost = CostModel::default();
+        let strategy = GuardSelectionStrategy::CostOptimal;
+        generate_guarded_expression(
+            policies,
+            entry,
+            &cost,
+            strategy,
+            9999,
+            "Any",
+            "wifi_dataset",
+        )
+    }
+
+    /// Place `grant` into the expression over `old`; `None` if refused.
+    fn place(old: &[Policy], grant: &Policy, entry: &TableEntry) -> Option<GuardedExpression> {
+        let refs: Vec<&Policy> = old.iter().collect();
+        let carried = GuardableConditions::collect(&refs, entry).carried_by(&refs)?;
+        let base = generate(&refs, entry);
+        let cost = CostModel::default();
+        place_grants(&base, &carried, &[grant], entry, &cost).map(|(e, _)| e)
+    }
+
+    fn old_policies() -> Vec<Policy> {
+        (0..12)
+            .map(|i| {
+                let conds = match i % 3 {
+                    0 => vec![eq("wifi_ap", 1000 + i as i64 % 4)],
+                    1 => vec![hours(i as u32, i as u32 + 1)],
+                    _ => vec![],
+                };
+                mk_policy(i, i as i64 % 5, conds)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn placed_fresh_grants_equal_generation() {
+        let db = wifi_db(3000, 30);
+        let entry = db.table("wifi_dataset").unwrap();
+        let old = old_policies();
+        let grants = [
+            mk_policy(100, 17, vec![]),
+            mk_policy(101, 18, vec![eq("wifi_ap", 1009)]),
+            mk_policy(102, 19, vec![hours(20, 21)]),
+        ];
+        for grant in &grants {
+            let placed = place(&old, grant, entry).expect("a fresh grant places");
+            let mut all: Vec<&Policy> = old.iter().collect();
+            all.push(grant);
+            assert_eq!(placed, generate(&all, entry), "grant {}", grant.id);
+        }
+    }
+
+    #[test]
+    fn shared_or_overlapping_conditions_refuse() {
+        let db = wifi_db(3000, 30);
+        let entry = db.table("wifi_dataset").unwrap();
+        let old = old_policies();
+        // An owner already present, an AP already carried, a range
+        // overlapping a carried one, two overlapping ranges of its own,
+        // an empty range, and a grant no newer than the expression.
+        let refused = [
+            mk_policy(100, 3, vec![]),
+            mk_policy(101, 18, vec![eq("wifi_ap", 1001)]),
+            mk_policy(102, 19, vec![hours(1, 3)]),
+            mk_policy(103, 20, vec![hours(20, 22), hours(21, 23)]),
+            mk_policy(104, 21, vec![hours(22, 20)]),
+            mk_policy(5, 22, vec![]),
+        ];
+        for grant in &refused {
+            assert!(
+                place(&old, grant, entry).is_none(),
+                "grant {} placed",
+                grant.id
+            );
+        }
+    }
+
+    #[test]
+    fn carried_by_refuses_a_policy_outside_the_collection() {
+        let db = wifi_db(500, 10);
+        let entry = db.table("wifi_dataset").unwrap();
+        let mut p = mk_policy(1, 1, vec![]);
+        // Not in the collection: no span, no carried conditions.
+        let collected = GuardableConditions::collect(&[], entry);
+        assert!(collected.carried_by(&[&p]).is_none());
+        p.id = 2;
+        let collected = GuardableConditions::collect(&[&p], entry);
+        let carried = collected.carried_by(&[&p]).unwrap();
+        assert_eq!((carried.len(), carried.last), (1, 2));
+    }
+}

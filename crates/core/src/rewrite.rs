@@ -145,6 +145,12 @@ pub struct CompiledBranch {
     /// held once ([`Expr::shared`]) for every query and querier it is
     /// spliced into.
     pub partition: Expr,
+    /// The RAII lease on the ∆ partition a `delta` call names: the
+    /// partition stays resolvable while any clone of the branch (or of a
+    /// fragment or [`RewriteOutput`] holding it) is alive, and is freed
+    /// when the last one drops — no manual reclamation, no use-after-free
+    /// under concurrent invalidation. `None` for an inline DNF.
+    pub delta: Option<PartitionHandle>,
 }
 
 /// Hold a compiled expression once ([`Expr::shared`]): splicing it into a
@@ -174,14 +180,6 @@ pub struct GuardFragment {
     pub guard_attrs: Vec<String>,
     /// Σ ρ(G_i) at compile time.
     pub est_guard_rows: f64,
-    /// How many branches route their partition through ∆.
-    pub delta_guards: usize,
-    /// RAII leases on the ∆ partitions this fragment registered: the
-    /// partitions stay resolvable while any clone of the fragment (or of
-    /// a [`RewriteOutput`] built from it) is alive, and are freed when the
-    /// last one drops — no manual reclamation, no use-after-free under
-    /// concurrent invalidation.
-    pub partitions: Vec<PartitionHandle>,
     /// The inline-vs-∆ policy the fragment was compiled under; a cached
     /// fragment is stale when the middleware's option has changed.
     pub delta_mode: DeltaMode,
@@ -195,17 +193,21 @@ impl Default for GuardFragment {
             disjunction: deny_all_expr(),
             guard_attrs: Vec::new(),
             est_guard_rows: 0.0,
-            delta_guards: 0,
-            partitions: Vec::new(),
             delta_mode: DeltaMode::default(),
         }
     }
 }
 
 impl GuardFragment {
+    /// Leases on the ∆ partitions this fragment's branches call, in
+    /// branch order.
+    pub fn partitions(&self) -> impl Iterator<Item = &PartitionHandle> {
+        self.branches.iter().filter_map(|b| b.delta.as_ref())
+    }
+
     /// Keys of the ∆ partitions this fragment registered (observability).
     pub fn delta_keys(&self) -> Vec<PartitionKey> {
-        self.partitions.iter().map(|h| h.key()).collect()
+        self.partitions().map(|h| h.key()).collect()
     }
 }
 
@@ -235,6 +237,34 @@ pub struct FragmentCompileCache {
     pub reuses: usize,
 }
 
+impl FragmentCompileCache {
+    /// A memo holding `current`'s partitions when it was compiled under
+    /// `delta_mode` (else empty): recompiling an expression that keeps
+    /// some of `current`'s partitions — a placed grant, re-folded pending
+    /// branches — reuses their shared nodes, bound forms included, and
+    /// their ∆ registrations, so only the new partitions are built and
+    /// the engine binds only the new branches.
+    pub fn seeded(current: &CompiledRelation, delta_mode: DeltaMode) -> Self {
+        let mut memo = FragmentCompileCache::default();
+        if current.fragment.delta_mode == delta_mode {
+            let branches = current.expr.guards.iter().zip(&current.fragment.branches);
+            for (g, b) in branches {
+                let compiled = (b.partition.clone(), b.delta.clone());
+                memo.partitions.insert(memo_key(&g.policies), compiled);
+            }
+        }
+        memo
+    }
+}
+
+/// A partition's memo key: its policy ids, sorted and distinct.
+fn memo_key(policies: &[PolicyId]) -> Vec<PolicyId> {
+    let mut key = policies.to_vec();
+    key.sort_unstable();
+    key.dedup();
+    key
+}
+
 /// Compile a guarded expression into a reusable rewrite fragment: build
 /// each guard's partition expression (inlining the policy DNF or
 /// registering a ∆ partition per the cost model) exactly once — once per
@@ -253,21 +283,14 @@ pub fn compile_guard_fragment(
     let entry = backend.table_entry(&ge.relation)?;
     let schema = entry.schema();
     let mut branches = Vec::with_capacity(ge.guards.len());
-    let mut partitions = Vec::new();
-    let mut delta_guards = 0usize;
     for g in &ge.guards {
-        let mut memo_key: Vec<PolicyId> = g.policies.clone();
-        memo_key.sort_unstable();
-        memo_key.dedup();
+        let memo_key = memo_key(&g.policies);
         if let Some((expr, handle)) = memo.partitions.get(&memo_key) {
             memo.reuses += 1;
-            if let Some(h) = handle {
-                delta_guards += 1;
-                partitions.push(h.clone());
-            }
             branches.push(CompiledBranch {
                 condition: g.condition.to_expr(),
                 partition: expr.clone(),
+                delta: handle.clone(),
             });
             continue;
         }
@@ -289,23 +312,20 @@ pub fn compile_guard_fragment(
                 DeltaMode::Always => true,
                 DeltaMode::Auto => cost.prefer_delta(partition_policies.len(), distinct_owners),
             };
-        let (partition, shared_handle) = if use_delta {
-            delta_guards += 1;
+        let (partition, handle) = if use_delta {
             let handle = delta.register_partition(schema, &partition_policies)?;
-            let expr = share(delta_call_expr(handle.key(), schema));
-            partitions.push(handle.clone());
-            (expr, Some(handle))
+            (share(delta_call_expr(handle.key(), schema)), Some(handle))
         } else {
             (
                 share(Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect())),
                 None,
             )
         };
-        memo.partitions
-            .insert(memo_key, (partition.clone(), shared_handle));
+        memo.partitions.insert(memo_key, (partition.clone(), handle.clone()));
         branches.push(CompiledBranch {
             condition: g.condition.to_expr(),
             partition,
+            delta: handle,
         });
     }
     let mut guard_attrs: Vec<String> =
@@ -323,8 +343,6 @@ pub fn compile_guard_fragment(
         disjunction,
         guard_attrs,
         est_guard_rows: ge.total_guard_rows(),
-        delta_guards,
-        partitions,
         delta_mode,
     })
 }
@@ -579,7 +597,7 @@ impl Rewriter<'_> {
             }
             _ => fragment.disjunction.clone(),
         };
-        let delta_guards = fragment.delta_guards;
+        let delta_guards = fragment.partitions().count();
 
         // Assemble the WITH body per strategy.
         let (body_pred, hint) = match strategy {

@@ -42,13 +42,26 @@
 //! warm shard read missed) or a request batch's worth
 //! ([`SieveService::prepare_batch`]): claim every key via
 //! [`GuardCache::begin_generation`] — in key order, so claimers never wait
-//! in a cycle — re-check each, and decide what its entry lacks: a
-//! **generation** (no entry, a trailing backend epoch, or outdated and due
-//! per the regeneration policy) or a **re-fold** (pending owner branches
-//! to append under `Manual`/`OptimalRate`, or a `delta_mode` flip to
-//! recompile for). Generations run per `(purpose, relation)` group (see
-//! [`crate::batch`] for what a group shares); every expression is then
-//! `finish`ed — proved, compiled, the fragment proved — and published.
+//! in a cycle — re-check each, and decide what its entry lacks:
+//!
+//! * a **placement** — outdated and due per the regeneration policy, under
+//!   the backend epoch and `delta_mode` it was built under: its pending
+//!   policies join the cached expression where Algorithm 1 would put
+//!   them, if none shares a guard condition with (or has a range
+//!   overlapping) the policies it covers ([`crate::guard::placement`]);
+//!   any pending policy that does turns it into a generation;
+//! * a **generation** — no entry, a trailing backend epoch, an entry due
+//!   under a moved `delta_mode` or with nothing to place into (an
+//!   owner-only selection), or a placement that was not exact;
+//! * a **re-fold** — pending owner branches to append under
+//!   `Manual`/`OptimalRate`, or a `delta_mode` flip to recompile for.
+//!
+//! Generations run per `(purpose, relation)` group (see [`crate::batch`]
+//! for what a group shares); every expression is then `finish`ed —
+//! proved, compiled, the fragment proved — and published. A placement or
+//! re-fold compiles with the entry's own partitions already in its memo
+//! ([`FragmentCompileCache::seeded`]), so only the new branches are built
+//! and bound.
 //! Everything cold runs under the claims, so N sessions — and a batch
 //! beside them — missing the same `(querier, purpose, relation)` at once
 //! cost one generation, one compile, one set of ∆ registrations and one
@@ -65,9 +78,12 @@
 //! (its expression already covers the new policy), or it published
 //! before the append completed — in which case the sweep, which runs
 //! strictly after the append, finds the entry and marks it. A generation
-//! publishes by replacing the entry; a re-fold publishes into the entry
-//! it read, and only if that entry still has the same base and the same
-//! pending set — swept, evicted or replaced meanwhile, it retries. A
+//! publishes by replacing the entry. A placement or a re-fold read the
+//! entry's pending list before the build took the store lock, so a policy
+//! appended and swept in after that read is in neither the store the
+//! build saw nor the list it placed or folded: it publishes only over the
+//! entry it read — the same base and the same pending list — and,
+//! swept, evicted or replaced meanwhile, retries. A
 //! query that *starts* after `add_policy` returns can therefore never
 //! run under a guard that silently misses the policy; queries already in
 //! flight linearize before it, exactly like a query racing a policy
@@ -86,7 +102,7 @@ use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
 use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
 use crate::filter::{policy_applies, GroupDirectory};
-use crate::guard::{owner_fallback_guards, GuardedExpression};
+use crate::guard::{owner_fallback_guards, place_grants, CarriedConditions, GuardedExpression};
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
@@ -151,7 +167,7 @@ struct ColdBuild<'a> {
 
 impl ColdBuild<'_> {
     /// The tail of every cold build — single-key or batched, generated,
-    /// re-folded or recompiled: prove the expression, compile its fragment
+    /// placed, re-folded or recompiled: prove the expression, compile its fragment
     /// (sharing partitions through `memo`), prove the fragment. The only
     /// producer of cache entries, so none is ever half-built, and with
     /// `verify_rewrites` on none is unproven. Warm lookups never come
@@ -210,16 +226,32 @@ fn cache_key(qm: &QueryMetadata, relation: &str) -> GuardCacheKey {
     (qm.querier, qm.purpose.clone(), relation.to_string())
 }
 
+/// What a build reads of a cached entry it brings current.
+struct Outdated {
+    /// The entry's expression as generated or placed.
+    base: Arc<GuardedExpression>,
+    /// The policies swept into the entry since.
+    pending: Vec<PolicyId>,
+    /// What queries run under now: seeds the partition memo.
+    current: CompiledRelation,
+    /// The backend epoch the entry was built under.
+    epoch: u64,
+}
+
 /// What a non-current cache entry lacks.
 enum Build {
     /// No usable entry: generate from the store.
     Generate,
+    /// Entry due for regeneration under the backend epoch and `delta_mode`
+    /// it was built under: place the pending policies into `base` if that
+    /// is exact ([`crate::guard::placement`]), else generate.
+    Place(Outdated, Arc<CarriedConditions>),
     /// Entry below its regeneration threshold: rebuild the effective
     /// expression as `base` + a per-owner branch per pending policy
     /// (Section 6: queries between regenerations use G plus the k new
     /// policies) and recompile — which is also how a `delta_mode` flip
     /// recompiles without regenerating.
-    Refold(Arc<GuardedExpression>, Vec<PolicyId>),
+    Refold(Outdated),
 }
 
 /// Everything one service instance shares across its clones, sessions and
@@ -493,15 +525,9 @@ impl<B: SqlBackend> SieveService<B> {
         (self.inner.options.read().clone(), *self.inner.cost.read())
     }
 
-    /// True iff the entry must be regenerated before use: its backend
-    /// epoch trails (out-of-band data/schema mutation — a correctness
-    /// hazard that overrides the regeneration policy), or it is outdated
-    /// and due under the configured policy (Section 6's threshold for
-    /// `OptimalRate`).
+    /// True iff the outdated entry is due for regeneration under the
+    /// configured policy (Section 6's threshold for `OptimalRate`).
     fn regeneration_due(&self, c: &CachedGuard, opts: &SieveOptions, cost: &CostModel) -> bool {
-        if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst) {
-            return true;
-        }
         c.outdated
             && match opts.regeneration {
                 RegenerationPolicy::Immediate => true,
@@ -522,20 +548,38 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Read `key`'s entry: its compiled relation if it can serve as it is,
-    /// else what it lacks. One shard read lock.
+    /// else what it lacks. An entry whose backend epoch trails was built
+    /// against data (or a schema) mutated out of band since — a hazard
+    /// that overrides the regeneration policy — and regenerates; so does
+    /// one due under a moved `delta_mode` or with nothing to place into.
+    /// One shard read lock.
     fn lookup(
         &self,
         key: &GuardCacheKey,
         opts: &SieveOptions,
         cost: &CostModel,
     ) -> Result<CompiledRelation, Build> {
+        let delta_mode = opts.rewrite.delta_mode;
         let read = self.inner.cache.read(key, |c| {
-            if self.regeneration_due(c, opts, cost) {
+            let outdated = || Outdated {
+                base: Arc::clone(&c.base),
+                pending: c.pending.clone(),
+                current: c.compiled.clone(),
+                epoch: c.epoch,
+            };
+            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst) {
                 Err(Build::Generate)
-            } else if c.is_current(opts.rewrite.delta_mode) {
+            } else if self.regeneration_due(c, opts, cost) {
+                match &c.carried {
+                    Some(carried) if c.compiled.fragment.delta_mode == delta_mode => {
+                        Err(Build::Place(outdated(), Arc::clone(carried)))
+                    }
+                    _ => Err(Build::Generate),
+                }
+            } else if c.is_current(delta_mode) {
                 Ok(c.compiled.clone())
             } else {
-                Err(Build::Refold(Arc::clone(&c.base), c.pending.clone()))
+                Err(Build::Refold(outdated()))
             }
         });
         read.unwrap_or(Err(Build::Generate))
@@ -566,10 +610,10 @@ impl<B: SqlBackend> SieveService<B> {
     /// keys' compiled relations (in no order a caller of several could
     /// use) beside one report per `(purpose, relation)` group generated
     /// for (its `queriers` counting the keys that came here). The whole
-    /// build — generate or re-fold, then [`ColdBuild::finish`] — runs
-    /// under the keys' single-flight claims and publishes each entry once
-    /// (module docs). An error publishes nothing further and drops every
-    /// claim.
+    /// build — place, generate or re-fold, then [`ColdBuild::finish`] —
+    /// runs under the keys' single-flight claims and publishes each entry
+    /// once (module docs). An error publishes nothing further and drops
+    /// every claim.
     /// Superseded fragments free their ∆ partitions once the last
     /// in-flight query drops its pin.
     fn build(
@@ -595,6 +639,7 @@ impl<B: SqlBackend> SieveService<B> {
             // claim drops, then find its entry on the re-check.
             let _claims: Vec<_> = todo.iter().map(|&i| cache.begin_generation(&cache_keys[i])).collect();
             let mut generate: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+            let mut place = Vec::new();
             let mut refold = Vec::new();
             for i in std::mem::take(&mut todo) {
                 match self.lookup(&cache_keys[i], opts, cost) {
@@ -607,10 +652,11 @@ impl<B: SqlBackend> SieveService<B> {
                     Err(Build::Generate) => {
                         generate.entry((&keys[i].0.purpose, keys[i].1)).or_default().push(i)
                     }
-                    Err(Build::Refold(base, pending)) => refold.push((i, base, pending)),
+                    Err(Build::Place(o, carried)) => place.push((i, o, carried)),
+                    Err(Build::Refold(o)) => refold.push((i, o)),
                 }
             }
-            if generate.is_empty() && refold.is_empty() {
+            if generate.is_empty() && place.is_empty() && refold.is_empty() {
                 break;
             }
             // Store and groups stay read-locked across the build AND the
@@ -628,6 +674,42 @@ impl<B: SqlBackend> SieveService<B> {
                 opts,
                 cost,
             };
+            // What is persisted below: every expression published here.
+            let mut published: Vec<Arc<GuardedExpression>> = Vec::new();
+            for (i, o, carried) in place {
+                let (qm, relation) = keys[i];
+                let grants: Option<Vec<&Policy>> = o
+                    .pending
+                    .iter()
+                    .map(|id| store.get(*id).filter(|p| policy_applies(p, qm, &groups)))
+                    .collect();
+                // Placed under the epoch the entry was built under, or not
+                // at all: a mutation since may have moved the estimates it
+                // keeps.
+                let table = backend.table_entry(relation)?;
+                let placed = match grants {
+                    Some(grants) if o.epoch == epoch => {
+                        place_grants(&o.base, &carried, &grants, table, cost)
+                    }
+                    _ => None,
+                };
+                let Some((expr, carried)) = placed else {
+                    generate.entry((&qm.purpose, relation)).or_default().push(i);
+                    continue;
+                };
+                let mut memo = FragmentCompileCache::seeded(&o.current, opts.rewrite.delta_mode);
+                let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
+                let item = (cache_keys[i].clone(), done.clone(), Some(Arc::new(carried)));
+                if cache.insert_placed(item, (&o.base, &o.pending), epoch) {
+                    published.push(Arc::clone(&done.expr));
+                    compiled.push(done);
+                } else {
+                    // Swept, evicted or replaced mid-build: a grant swept
+                    // in meanwhile would be lost with the pending list it
+                    // joined — retry.
+                    todo.push(i);
+                }
+            }
             let mut generated: Vec<CompiledEntry> = Vec::new();
             for (group, members) in generate {
                 let entry = backend.table_entry(group.1)?;
@@ -644,33 +726,35 @@ impl<B: SqlBackend> SieveService<B> {
                 // One memo per group: its queriers share partition
                 // compilations (inline DNFs and ∆ registrations).
                 let mut memo = FragmentCompileCache::default();
-                for (&i, expr) in members.iter().zip(exprs) {
+                for (&i, (expr, carried)) in members.iter().zip(exprs) {
                     let done = cold.finish(keys[i].0, Arc::new(expr), &mut memo)?;
                     compiled.push(done.clone());
-                    generated.push((cache_keys[i].clone(), done));
+                    published.push(Arc::clone(&done.expr));
+                    generated.push((cache_keys[i].clone(), done, carried.map(Arc::new)));
                 }
                 report.partition_reuses = memo.reuses;
                 reports.push(report);
             }
-            for (i, base, pending) in refold {
+            for (i, o) in refold {
                 let (qm, relation) = keys[i];
-                let mut expr = (*base).clone();
+                let mut expr = (*o.base).clone();
                 expr.guards.extend(owner_fallback_guards(
-                    pending
+                    o.pending
                         .iter()
                         .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
                     backend.table_entry(relation)?,
                 ));
-                let done = cold.finish(qm, Arc::new(expr), &mut FragmentCompileCache::default())?;
-                let published = cache.write(&cache_keys[i], |c| {
-                    let same = Arc::ptr_eq(&c.base, &base) && c.pending == pending;
+                let mut memo = FragmentCompileCache::seeded(&o.current, opts.rewrite.delta_mode);
+                let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
+                let refolded = cache.write(&cache_keys[i], |c| {
+                    let same = c.unchanged_since(&o.base, &o.pending);
                     if same {
                         c.compiled = done.clone();
-                        c.folded = pending.len();
+                        c.folded = o.pending.len();
                     }
                     same
                 });
-                if published == Some(true) {
+                if refolded == Some(true) {
                     cache.record_hit();
                     cache.record_fragment_build();
                     compiled.push(done);
@@ -682,12 +766,13 @@ impl<B: SqlBackend> SieveService<B> {
             }
             drop(backend);
             if opts.persist {
-                // Mirror the generated expressions into the guard
-                // relations (Section 5.1), under the backend *write* lock.
+                // Mirror the generated and placed expressions into the
+                // guard relations (Section 5.1), under the backend *write*
+                // lock.
                 let mut backend = self.inner.backend.write();
                 let mut persist = self.inner.persist.lock();
-                for (_, c) in &generated {
-                    persist_guarded_expression(&mut *backend, &c.expr, false, &mut persist.guard_ids)?;
+                for expr in &published {
+                    persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
                 }
             }
             cache.insert_generated(generated, epoch);

@@ -296,8 +296,11 @@ impl Expr {
                 columns.push(c.clone());
             }
         });
+        // A shared child already knows whether it holds a subquery: asking
+        // it keeps wrapping a disjunction of shared partitions linear in
+        // the disjunction, not in every policy beneath it.
         let mut per_plan = false;
-        source.visit(&mut |e| per_plan |= matches!(e, Expr::ScalarSubquery(_)));
+        source.visit_subqueries(&mut |_| per_plan = true);
         Expr::Shared(Arc::new(SharedExpr {
             source,
             columns,
@@ -1565,5 +1568,21 @@ mod tests {
             Expr::And(v) => assert_eq!(v.len(), 3),
             other => panic!("expected flat AND, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shared_node_is_per_plan_iff_a_subquery_lies_beneath() {
+        let per_plan = |e: &Expr| e.as_shared().unwrap().per_plan;
+        let plain = Expr::shared(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(1)));
+        let sub = Expr::shared(Expr::Cmp {
+            op: CmpOp::Eq,
+            lhs: Box::new(Expr::Column(ColumnRef::bare("owner"))),
+            rhs: Box::new(Expr::ScalarSubquery(Box::new(SelectQuery::star_from("wifi")))),
+        });
+        assert!(!per_plan(&plain));
+        assert!(per_plan(&sub));
+        // One level up, the answer comes from the shared children.
+        assert!(!per_plan(&Expr::shared(Expr::any(vec![plain.clone(), plain.clone()]))));
+        assert!(per_plan(&Expr::shared(Expr::any(vec![plain, sub]))));
     }
 }

@@ -9,7 +9,7 @@
 
 mod support;
 
-use sieve::core::policy::QueryMetadata;
+use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::{backend::for_each_backend, Session, SieveOptions, SieveService};
 use sieve::minidb::{Database, Row, SelectQuery, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -139,6 +139,56 @@ fn interleaved_add_policy_is_never_served_stale() {
     // Quiesced: the final state is exactly the post oracle.
     assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), post);
     assert_eq!(oracle_for(&service, &qm), post);
+}
+
+/// A grant racing a placement is never lost. One writer grants fresh
+/// owners back to back while four readers of the same key keep bringing
+/// it current — each bare grant shares nothing with the querier's
+/// policies, so the builds place rather than regenerate. A grant swept
+/// into the entry after a build read its pending list must survive that
+/// build's publish: every read that starts after `add_policy` returns
+/// sees every row of every owner granted so far.
+#[test]
+fn grants_racing_placement_are_never_lost() {
+    const OWNERS: std::ops::Range<i64> = 20..80;
+    let service = loaded_service();
+    let qm = QueryMetadata::new(500, "Analytics");
+    let q = SelectQuery::star_from(REL);
+    // Rows per owner: a bare grant makes exactly these visible.
+    let all = sorted_rows(service.db().run_query(&q).unwrap());
+    let owned =
+        |rows: &[Row], owner: i64| rows.iter().filter(|r| r[1] == Value::Int(owner)).count();
+    service.execute(&q, &qm).unwrap();
+    let granted = std::sync::atomic::AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let service = service.clone();
+            let (q, qm, granted, done, all) = (&q, &qm, &granted, &done, &all);
+            s.spawn(move || {
+                let session = service.session(qm.clone());
+                while !done.load(Ordering::SeqCst) {
+                    let n = granted.load(Ordering::SeqCst);
+                    let rows = sorted_rows(session.execute(q).unwrap());
+                    for owner in OWNERS.start..OWNERS.start + n as i64 {
+                        assert_eq!(
+                            owned(&rows, owner),
+                            owned(all, owner),
+                            "reader {t}: owner {owner}'s grant returned, its rows are missing"
+                        );
+                    }
+                }
+            });
+        }
+        for owner in OWNERS {
+            let grant = Policy::new(owner, REL, QuerierSpec::User(500), "Analytics", vec![]);
+            service.add_policy(grant).unwrap();
+            granted.fetch_add(1, Ordering::SeqCst);
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), oracle_for(&service, &qm));
+    assert!(service.cache_stats().extensions > 0, "the builds placed grants");
 }
 
 /// `Prepared` lifecycle: while nothing changes, execute skips re-rewrites

@@ -201,18 +201,20 @@ fn selection_flip_regenerates_warm_keys() {
 /// trace. Catches double-counted misses, regenerations booked as misses,
 /// and generated-but-uncached skew: the invariants are
 /// `lookups = hits + misses + regenerations` and
-/// `SieveService::generations = misses + regenerations` — always.
+/// `SieveService::generations = misses + regenerations` — always, with a
+/// placed grant counted as a regeneration and, within it, an extension.
 #[test]
 fn counters_match_ground_truth_trace() {
     let sieve = loaded_sieve();
     let qm_a = QueryMetadata::new(500, "Analytics");
     let qm_b = QueryMetadata::new(501, "Analytics");
 
-    // Trace model (expression-level): expected (hits, misses, regens).
-    let mut expect = (0u64, 0u64, 0u64);
-    let check = |sieve: &SieveService, expect: &(u64, u64, u64), step: &str| {
+    // Trace model (expression-level): expected (hits, misses, regens,
+    // extensions).
+    let mut expect = (0u64, 0u64, 0u64, 0u64);
+    let check = |sieve: &SieveService, expect: &(u64, u64, u64, u64), step: &str| {
         let s = sieve.cache_stats();
-        assert_eq!((s.hits, s.misses, s.regenerations), *expect, "at {step}");
+        assert_eq!((s.hits, s.misses, s.regenerations, s.extensions), *expect, "at {step}");
         assert_eq!(s.generations(), sieve.generations(), "generations at {step}");
         assert_eq!(s.lookups(), s.hits + s.misses + s.regenerations, "lookups at {step}");
     };
@@ -231,13 +233,27 @@ fn counters_match_ground_truth_trace() {
     check(&sieve, &expect, "cold B");
 
     // Policy touching only A's key: A regenerates (entry existed), B stays
-    // warm.
+    // warm. It shares A's `wifi_ap = 1001` guard condition, so it cannot
+    // be placed: Algorithm 1 runs again.
     sieve.add_policy(policy(72, 500, "Analytics", 1001)).unwrap();
     run_sorted(&sieve, &qm_a);
     expect.2 += 1;
     run_sorted(&sieve, &qm_b);
     expect.0 += 1;
     check(&sieve, &expect, "regen A, warm B");
+
+    // A fresh owner's grant with no condition of its own shares nothing
+    // with A's policies: placed into A's expression, which is a
+    // regeneration and an extension — equal to what Algorithm 1 returns.
+    sieve.add_policy(Policy::new(73, REL, QuerierSpec::User(500), "Analytics", vec![])).unwrap();
+    let placed = run_sorted(&sieve, &qm_a);
+    expect.2 += 1;
+    expect.3 += 1;
+    check(&sieve, &expect, "placed A");
+    assert_eq!(placed, oracle(&sieve, &qm_a));
+    assert!(placed.iter().any(|r| r[1] == Value::Int(73)));
+    let placed_expr = sieve.guarded_expression(&qm_a, REL).unwrap();
+    expect.0 += 1;
 
     // invalidate_all drops entries: the next queries are misses again
     // (fresh generations, not regenerations).
@@ -246,8 +262,9 @@ fn counters_match_ground_truth_trace() {
     run_sorted(&sieve, &qm_b);
     expect.1 += 2;
     check(&sieve, &expect, "cold after clear");
+    assert_eq!(sieve.guarded_expression(&qm_a, REL).unwrap(), placed_expr, "placed == generated");
 
-    assert_eq!(sieve.cache_stats().invalidations, 1, "one key invalidated");
+    assert_eq!(sieve.cache_stats().invalidations, 2, "one key invalidated, twice");
     assert_eq!(sieve.cache_stats().evictions, 0, "cap never tripped");
 }
 
@@ -343,6 +360,7 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
                 }),
                 fragment: Arc::default(),
             },
+            None,
         )
     };
     let hot_key = entry(-1).0;
