@@ -8,7 +8,7 @@
 //! groups the requests with [`group_requests`] (scope-aware over the whole
 //! query tree, so protected reads inside subqueries join their group),
 //! drops the keys that are already warm, and builds the rest together:
-//! claimed, re-checked, generated or re-folded, finished and published
+//! claimed, re-checked, generated or placed, finished and published
 //! exactly as a single-key lookup's build is.
 //!
 //! What several queriers of one `(purpose, relation)` **share** is the
@@ -138,10 +138,10 @@ pub struct BatchPrepareReport {
     /// Guarded expressions generated across all groups.
     pub generated: usize,
     /// `(querier, purpose, relation)` keys whose cached expression was
-    /// kept: already current, brought current by a racing build, re-folded
-    /// (pending branches appended) or extended (pending policies placed),
-    /// its fragment recompiled without running Algorithm 1. Either way the
-    /// first post-batch rewrite per key is a pure hit.
+    /// kept: already current, brought current by a racing build, or
+    /// extended (pending policies placed, the fragment recompiled without
+    /// running Algorithm 1). Either way the first post-batch rewrite per
+    /// key is a pure hit.
     pub reused: usize,
     /// Sum of [`BatchGroupReport::partition_reuses`] across groups.
     pub partition_reuses: usize,

@@ -11,12 +11,12 @@
 //! hot path is one hash lookup plus cheap per-query assembly. Entries are
 //! invalidated precisely through
 //! [`crate::service::SieveService::add_policy`]: a new policy marks
-//! exactly the keys it affects outdated, and stale entries are rebuilt
-//! lazily per the configured [`crate::dynamic::RegenerationPolicy`]
-//! (paper Section 6) by the service's one cold builder, under the
-//! single-flight claim [`GuardCache::begin_generation`] hands out —
-//! regenerated, or, when the new policies can join the expression
-//! exactly ([`crate::guard::placement`]), placed into it.
+//! exactly the keys it affects stale by recording it as pending, and the
+//! next read of a stale entry brings it current (paper Section 6) through
+//! the service's one cold builder, under the single-flight claim
+//! [`GuardCache::begin_generation`] hands out: its pending policies are
+//! placed into the expression when they can join it exactly
+//! ([`crate::guard::placement`]), else it is regenerated.
 //!
 //! **Concurrency.** The map is split into [`SHARD_COUNT`] shards, each
 //! behind its own `RwLock`; a warm hit takes only its shard's *read*
@@ -38,7 +38,7 @@
 
 use crate::guard::{CarriedConditions, GuardedExpression};
 use crate::policy::{PolicyId, UserId};
-use crate::rewrite::{CompiledRelation, DeltaMode};
+use crate::rewrite::CompiledRelation;
 use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -79,9 +79,10 @@ pub struct GuardCacheStats {
     /// Entries dropped by LRU eviction (their next lookup is a miss even
     /// though they were generated before).
     pub evictions: u64,
-    /// Rewrite fragments compiled (the work warm queries skip).
+    /// Rewrite fragments compiled (the work warm queries skip). Every
+    /// generation or placement compiles one, so this is `generations()`.
     pub fragment_builds: u64,
-    /// Lookups served by an already-compiled fragment.
+    /// Lookups served by an already-compiled fragment: `hits`.
     pub fragment_hits: u64,
     /// Generations avoided by single-flight coalescing: lookups that
     /// found the key mid-generation by another thread, waited, and reused
@@ -102,31 +103,25 @@ impl GuardCacheStats {
     }
 }
 
-/// One cache entry: the expression as generated, and what queries
-/// actually run under — the effective expression (base + pending-policy
-/// fallback branches) with its compiled fragment, always present.
+/// One cache entry: the expression queries run under with its compiled
+/// fragment, and the policies that arrived since it was built.
 ///
-/// `base` is always what Algorithm 1 returns over the policies it covers,
-/// whether it was generated or placed; `carried` is what a placement
-/// checks a new policy against, kept as fingerprints rather than the
-/// conditions themselves so that extending it per grant is cheap.
+/// `compiled.expr` is always what Algorithm 1 returns over the policies
+/// it covers, whether it was generated or placed; `carried` is what a
+/// placement checks a new policy against, kept as fingerprints rather
+/// than the conditions themselves so that extending it per grant is
+/// cheap.
 #[derive(Debug)]
 pub struct CachedGuard {
-    /// The expression as generated or placed (no pending branches).
-    pub base: Arc<GuardedExpression>,
-    /// The guard conditions `base`'s policies carry, for placement;
-    /// `None` when nothing can be placed into `base` (an owner-only
-    /// selection, or a policy with no guardable condition).
+    /// The guard conditions `compiled.expr`'s policies carry, for
+    /// placement; `None` when nothing can be placed into it (an
+    /// owner-only selection, or a policy with no guardable condition).
     pub carried: Option<Arc<CarriedConditions>>,
-    /// `base` plus per-owner branches for the first `folded` pending
-    /// policies, with its compiled rewrite fragment — one artefact,
-    /// replaced whole.
+    /// The expression as generated or placed, with its compiled rewrite
+    /// fragment — one artefact, replaced whole.
     pub compiled: CompiledRelation,
-    /// How many of `pending` are reflected in `compiled`.
-    pub folded: usize,
-    /// True once a relevant policy arrived after generation.
-    pub outdated: bool,
-    /// Policies inserted since generation that apply to this key.
+    /// Policies inserted since the entry was built that apply to its key;
+    /// the entry is stale while this is non-empty.
     pub pending: Vec<PolicyId>,
     /// The middleware's backend write-epoch at generation time. An entry
     /// whose epoch trails the current one was generated against data (or
@@ -149,27 +144,18 @@ impl CachedGuard {
         epoch: u64,
     ) -> Self {
         CachedGuard {
-            base: Arc::clone(&compiled.expr),
             carried,
             compiled,
-            folded: 0,
-            outdated: false,
             pending: Vec::new(),
             epoch,
             last_used: AtomicU64::new(0),
         }
     }
 
-    /// True iff `compiled` covers every pending policy and was compiled
-    /// under `delta_mode` — nothing to fold, nothing to recompile.
-    pub fn is_current(&self, delta_mode: DeltaMode) -> bool {
-        self.folded == self.pending.len() && self.compiled.fragment.delta_mode == delta_mode
-    }
-
-    /// True iff this is still the entry a build read `base` and `pending`
+    /// True iff this is still the entry a build read `expr` and `pending`
     /// from: not replaced, and no policy swept into it since.
-    pub fn unchanged_since(&self, base: &Arc<GuardedExpression>, pending: &[PolicyId]) -> bool {
-        Arc::ptr_eq(&self.base, base) && self.pending == pending
+    pub fn unchanged_since(&self, expr: &Arc<GuardedExpression>, pending: &[PolicyId]) -> bool {
+        Arc::ptr_eq(&self.compiled.expr, expr) && self.pending == pending
     }
 }
 
@@ -193,8 +179,6 @@ struct StatCells {
     extensions: AtomicU64,
     invalidations: AtomicU64,
     evictions: AtomicU64,
-    fragment_builds: AtomicU64,
-    fragment_hits: AtomicU64,
     coalesced: AtomicU64,
 }
 
@@ -284,15 +268,18 @@ impl GuardCache {
 
     /// Counters snapshot.
     pub fn stats(&self) -> GuardCacheStats {
+        let hits = self.stats.hits.load(Ordering::Relaxed);
+        let misses = self.stats.misses.load(Ordering::Relaxed);
+        let regenerations = self.stats.regenerations.load(Ordering::Relaxed);
         GuardCacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            regenerations: self.stats.regenerations.load(Ordering::Relaxed),
+            hits,
+            misses,
+            regenerations,
             extensions: self.stats.extensions.load(Ordering::Relaxed),
             invalidations: self.stats.invalidations.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
-            fragment_builds: self.stats.fragment_builds.load(Ordering::Relaxed),
-            fragment_hits: self.stats.fragment_hits.load(Ordering::Relaxed),
+            fragment_builds: misses + regenerations,
+            fragment_hits: hits,
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
         }
     }
@@ -336,31 +323,11 @@ impl GuardCache {
         Some(f(entry))
     }
 
-    /// Run `f` over the entry for `key` under the shard's write lock
-    /// (publishing a re-folded or recompiled `compiled`). Touches the LRU
-    /// stamp.
-    pub fn write<R>(
-        &self,
-        key: &GuardCacheKey,
-        f: impl FnOnce(&mut CachedGuard) -> R,
-    ) -> Option<R> {
-        let mut shard = self.shard_of(key).write();
-        let entry = shard.get_mut(key)?;
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        Some(f(entry))
-    }
-
-    /// True iff an entry exists for `key` (does not touch the LRU stamp).
-    pub fn contains(&self, key: &GuardCacheKey) -> bool {
-        self.shard_of(key).read().contains_key(key)
-    }
-
     /// Publish (replacing) freshly generated and compiled entries — one
     /// on the single-key path, a whole batch on the multi-querier
     /// warm-population path. Each key counts exactly once as a miss (no
     /// prior entry) or a regeneration (an existing entry replaced),
-    /// decided against the pre-insert state, and as one
-    /// `fragment_builds`. Every touched shard is then LRU-evicted down
+    /// decided against the pre-insert state. Every touched shard is then LRU-evicted down
     /// to its cap without ever evicting a key of this call: a batch is
     /// populated for immediate use and must never evict itself, so a
     /// shard may transiently exceed its cap when a single batch is larger
@@ -391,7 +358,6 @@ impl GuardCache {
             for (key, compiled, carried) in batch {
                 let mut entry = CachedGuard::new(compiled, carried, epoch);
                 entry.last_used = AtomicU64::new(self.tick());
-                self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
                 let replaced = shard.insert(key, entry).is_some();
                 if replaced {
                     self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
@@ -404,27 +370,26 @@ impl GuardCache {
     }
 
     /// Publish a placed expression in place of `key`'s entry — only if
-    /// that entry is still the one the placement read `base` and `pending`
+    /// that entry is still the one the placement read `expr` and `pending`
     /// from ([`CachedGuard::unchanged_since`]): a policy swept into it
     /// meanwhile would otherwise be dropped with the pending list it was
-    /// appended to. Counts one regeneration, one extension and one
-    /// fragment build. False, publishing nothing, if the entry was swept,
-    /// evicted or replaced (the caller builds again).
+    /// appended to. Counts one regeneration and one extension. False,
+    /// publishing nothing, if the entry was swept, evicted or replaced
+    /// (the caller builds again).
     pub fn insert_placed(
         &self,
         (key, compiled, carried): CompiledEntry,
-        (base, pending): (&Arc<GuardedExpression>, &[PolicyId]),
+        (expr, pending): (&Arc<GuardedExpression>, &[PolicyId]),
         epoch: u64,
     ) -> bool {
         let mut shard = self.shard_of(&key).write();
-        let Some(entry) = shard.get_mut(&key).filter(|e| e.unchanged_since(base, pending)) else {
+        let Some(entry) = shard.get_mut(&key).filter(|e| e.unchanged_since(expr, pending)) else {
             return false;
         };
         *entry = CachedGuard::new(compiled, carried, epoch);
         entry.last_used = AtomicU64::new(self.tick());
         self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
         self.stats.extensions.fetch_add(1, Ordering::Relaxed);
-        self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -452,17 +417,7 @@ impl GuardCache {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a fragment-level hit.
-    pub fn record_fragment_hit(&self) {
-        self.stats.fragment_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a fragment build.
-    pub fn record_fragment_build(&self) {
-        self.stats.fragment_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mark every entry selected by `affects` outdated, recording `policy`
+    /// Mark every entry selected by `affects` stale by recording `policy`
     /// as pending on it. Walks the shards one write lock at a time.
     /// Returns the number of entries invalidated.
     pub fn invalidate_where(
@@ -475,7 +430,6 @@ impl GuardCache {
             let mut shard = s.write();
             for (key, entry) in shard.iter_mut() {
                 if affects(key) {
-                    entry.outdated = true;
                     entry.pending.push(policy);
                     n += 1;
                 }
@@ -541,9 +495,9 @@ mod tests {
         c.insert_generated(vec![item(1, "s")], 0);
         let n = c.invalidate_where(42, |(_, _, rel)| rel == "r");
         assert_eq!(n, 2);
-        assert!(c.read(&key(1, "r"), |e| e.outdated).unwrap());
+        assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![42]);
         assert_eq!(c.read(&key(2, "r"), |e| e.pending.clone()).unwrap(), vec![42]);
-        assert!(!c.read(&key(1, "s"), |e| e.outdated).unwrap());
+        assert!(c.read(&key(1, "s"), |e| e.pending.is_empty()).unwrap());
         assert_eq!(c.stats().invalidations, 2);
     }
 
@@ -646,21 +600,20 @@ mod tests {
         let c = GuardCache::new();
         c.insert_generated(vec![item(1, "r")], 0);
         c.invalidate_where(7, |_| true);
-        let base = c.read(&key(1, "r"), |e| Arc::clone(&e.base)).unwrap();
+        let expr = c.read(&key(1, "r"), |e| Arc::clone(&e.compiled.expr)).unwrap();
         // A second grant swept in after the placement read `[7]`: the
         // publish must refuse, or grant 8 would be lost.
         c.invalidate_where(8, |_| true);
-        assert!(!c.insert_placed(item(1, "r"), (&base, &[7]), 0));
+        assert!(!c.insert_placed(item(1, "r"), (&expr, &[7]), 0));
         assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![7, 8]);
-        assert!(c.insert_placed(item(1, "r"), (&base, &[7, 8]), 0));
-        let e = c.read(&key(1, "r"), |e| (e.outdated, e.pending.len())).unwrap();
-        assert_eq!(e, (false, 0));
+        assert!(c.insert_placed(item(1, "r"), (&expr, &[7, 8]), 0));
+        assert!(c.read(&key(1, "r"), |e| e.pending.is_empty()).unwrap());
         let s = c.stats();
         assert_eq!((s.misses, s.regenerations, s.extensions), (1, 1, 1));
         assert_eq!((s.generations(), s.fragment_builds), (2, 2));
         // Gone entirely: nothing to publish over.
         c.clear();
-        assert!(!c.insert_placed(item(1, "r"), (&base, &[]), 0));
+        assert!(!c.insert_placed(item(1, "r"), (&expr, &[]), 0));
     }
 
     #[test]
@@ -672,18 +625,6 @@ mod tests {
         c.insert_generated(vec![item(1, "r")], 5);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 5);
         assert_eq!(c.stats().regenerations, 1);
-    }
-
-    #[test]
-    fn fragment_freshness_tracks_pending_and_mode() {
-        let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
-        c.write(&key(1, "r"), |e| {
-            assert!(e.is_current(DeltaMode::Auto));
-            assert!(!e.is_current(DeltaMode::Always), "mode change stales");
-            e.pending.push(7);
-            assert!(!e.is_current(DeltaMode::Auto), "pending change stales");
-        });
     }
 
     #[test]

@@ -14,37 +14,16 @@
 //! per policy insertion. Theorem 2 shows regeneration should happen
 //! immediately once the k-th policy arrives.
 //!
-//! `C_G` is what a regeneration costs when it runs Algorithm 1. A grant
-//! that shares no guard condition with the policies the expression covers
-//! (and overlaps none of their ranges) does not pay it: the service places
-//! it into the cached expression, exactly where a regeneration would put
-//! it ([`crate::guard::placement`]), for the price of one guard's
-//! estimate and one new branch compiled. Only the grants that could
-//! change the cover — a shared condition, an overlapping range — pay
-//! `C_G`, so Equation 19's `k̃` is pessimistic for a stream of unrelated
-//! grants.
+//! This module keeps Equations 18–19 as the paper's model; the service
+//! does not defer. The first read after a grant brings the guard current:
+//! a grant that shares no guard condition with the policies the
+//! expression covers (and overlaps none of their ranges) is placed into
+//! the cached expression, exactly where a regeneration would put it
+//! ([`crate::guard::placement`]), for the price of one guard's estimate
+//! and one new branch compiled; any other grant regenerates, paying
+//! `C_G`.
 
 use crate::cost::CostModel;
-
-/// When the middleware regenerates a stale guarded expression.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[derive(Default)]
-pub enum RegenerationPolicy {
-    /// Regenerate as soon as a query finds the expression outdated
-    /// (the trigger-based behaviour of Section 5.1).
-    #[default]
-    Immediate,
-    /// Regenerate after `k̃` pending insertions (Equation 19), evaluating
-    /// queries in between against the stale guards plus the pending
-    /// policies appended as extra owner-guard branches.
-    OptimalRate {
-        /// Queries posed per policy insertion (`r_pq`).
-        queries_per_insertion: f64,
-    },
-    /// Never regenerate automatically (caller drives it).
-    Manual,
-}
-
 
 /// Equation 19: the optimal number of policy insertions before
 /// regenerating, given the average guard cardinality `rho_guard`.
@@ -59,7 +38,7 @@ pub fn optimal_regeneration_interval(
 
 /// Equation 18's objective: total cost of query evaluation plus guard
 /// regeneration over `n_policies` insertions with interval `k`. Used by
-/// tests and the ablation bench to verify `k̃` minimizes the total.
+/// [`empirical_best_interval`] to check `k̃` against the true minimum.
 pub fn total_cost_for_interval(
     cost: &CostModel,
     rho_guard: f64,

@@ -1,7 +1,6 @@
 //! Middleware configuration: [`SieveOptions`] and the [`RetryPolicy`] the
 //! service applies to retryable backend failures.
 
-use crate::dynamic::RegenerationPolicy;
 use crate::guard::GuardSelectionStrategy;
 use crate::rewrite::RewriteOptions;
 use std::time::Duration;
@@ -55,8 +54,6 @@ pub struct SieveOptions {
     pub selection: GuardSelectionStrategy,
     /// Rewrite knobs (inline-vs-∆, pushdown, forced strategy).
     pub rewrite: RewriteOptions,
-    /// When stale guarded expressions are regenerated.
-    pub regeneration: RegenerationPolicy,
     /// Query timeout (the paper's Experiment 3 uses 30 s).
     pub timeout: Option<Duration>,
     /// Mirror policies and guards into the `rP`/`rOC`/`rGE`/`rGG`/`rGP`

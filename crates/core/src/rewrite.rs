@@ -238,20 +238,16 @@ pub struct FragmentCompileCache {
 }
 
 impl FragmentCompileCache {
-    /// A memo holding `current`'s partitions when it was compiled under
-    /// `delta_mode` (else empty): recompiling an expression that keeps
-    /// some of `current`'s partitions — a placed grant, re-folded pending
-    /// branches — reuses their shared nodes, bound forms included, and
-    /// their ∆ registrations, so only the new partitions are built and
-    /// the engine binds only the new branches.
-    pub fn seeded(current: &CompiledRelation, delta_mode: DeltaMode) -> Self {
+    /// A memo holding `current`'s partitions: recompiling, under the
+    /// `delta_mode` `current` was compiled under, an expression that
+    /// keeps some of them — a placed grant — reuses their shared nodes,
+    /// bound forms included, and their ∆ registrations, so only the new
+    /// partitions are built and the engine binds only the new branches.
+    pub fn seeded(current: &CompiledRelation) -> Self {
         let mut memo = FragmentCompileCache::default();
-        if current.fragment.delta_mode == delta_mode {
-            let branches = current.expr.guards.iter().zip(&current.fragment.branches);
-            for (g, b) in branches {
-                let compiled = (b.partition.clone(), b.delta.clone());
-                memo.partitions.insert(memo_key(&g.policies), compiled);
-            }
+        let branches = current.expr.guards.iter().zip(&current.fragment.branches);
+        for (g, b) in branches {
+            memo.partitions.insert(memo_key(&g.policies), (b.partition.clone(), b.delta.clone()));
         }
         memo
     }

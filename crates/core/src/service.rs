@@ -42,24 +42,22 @@
 //! warm shard read missed) or a request batch's worth
 //! ([`SieveService::prepare_batch`]): claim every key via
 //! [`GuardCache::begin_generation`] — in key order, so claimers never wait
-//! in a cycle — re-check each, and decide what its entry lacks:
+//! in a cycle — re-check each, and bring it current one of two ways:
 //!
-//! * a **placement** — outdated and due per the regeneration policy, under
-//!   the backend epoch and `delta_mode` it was built under: its pending
-//!   policies join the cached expression where Algorithm 1 would put
-//!   them, if none shares a guard condition with (or has a range
-//!   overlapping) the policies it covers ([`crate::guard::placement`]);
-//!   any pending policy that does turns it into a generation;
-//! * a **generation** — no entry, a trailing backend epoch, an entry due
-//!   under a moved `delta_mode` or with nothing to place into (an
-//!   owner-only selection), or a placement that was not exact;
-//! * a **re-fold** — pending owner branches to append under
-//!   `Manual`/`OptimalRate`, or a `delta_mode` flip to recompile for.
+//! * a **placement** — pending policies on an entry built under the
+//!   current backend epoch and `delta_mode`: they join the cached
+//!   expression where Algorithm 1 would put them, if none shares a guard
+//!   condition with (or has a range overlapping) the policies it covers
+//!   ([`crate::guard::placement`]); any pending policy that does turns it
+//!   into a generation;
+//! * a **generation** — no entry, a trailing backend epoch, a moved
+//!   `delta_mode`, nothing to place into (an owner-only selection), or a
+//!   placement that was not exact.
 //!
 //! Generations run per `(purpose, relation)` group (see [`crate::batch`]
 //! for what a group shares); every expression is then `finish`ed —
-//! proved, compiled, the fragment proved — and published. A placement or
-//! re-fold compiles with the entry's own partitions already in its memo
+//! proved, compiled, the fragment proved — and published. A placement
+//! compiles with the entry's own partitions already in its memo
 //! ([`FragmentCompileCache::seeded`]), so only the new branches are built
 //! and bound.
 //! Everything cold runs under the claims, so N sessions — and a batch
@@ -78,12 +76,12 @@
 //! (its expression already covers the new policy), or it published
 //! before the append completed — in which case the sweep, which runs
 //! strictly after the append, finds the entry and marks it. A generation
-//! publishes by replacing the entry. A placement or a re-fold read the
-//! entry's pending list before the build took the store lock, so a policy
-//! appended and swept in after that read is in neither the store the
-//! build saw nor the list it placed or folded: it publishes only over the
-//! entry it read — the same base and the same pending list — and,
-//! swept, evicted or replaced meanwhile, retries. A
+//! publishes by replacing the entry. A placement read the entry's pending
+//! list before the build took the store lock, so a policy appended and
+//! swept in after that read is in neither the store the build saw nor the
+//! list it placed: it publishes only over the entry it read — the same
+//! expression and the same pending list — and, swept, evicted or replaced
+//! meanwhile, retries. A
 //! query that *starts* after `add_policy` returns can therefore never
 //! run under a guard that silently misses the policy; queries already in
 //! flight linearize before it, exactly like a query racing a policy
@@ -97,12 +95,11 @@
 use crate::analyze;
 use crate::backend::{BackendError, SqlBackend, StatementId};
 use crate::batch::{BatchGroupReport, BatchPrepareReport};
-use crate::cache::{CachedGuard, CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
+use crate::cache::{CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
-use crate::dynamic::{optimal_regeneration_interval, RegenerationPolicy};
 use crate::filter::{policy_applies, GroupDirectory};
-use crate::guard::{owner_fallback_guards, place_grants, CarriedConditions, GuardedExpression};
+use crate::guard::{place_grants, CarriedConditions, GuardedExpression};
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
@@ -166,8 +163,8 @@ struct ColdBuild<'a> {
 }
 
 impl ColdBuild<'_> {
-    /// The tail of every cold build — single-key or batched, generated,
-    /// placed, re-folded or recompiled: prove the expression, compile its fragment
+    /// The tail of every cold build — single-key or batched, generated or
+    /// placed: prove the expression, compile its fragment
     /// (sharing partitions through `memo`), prove the fragment. The only
     /// producer of cache entries, so none is ever half-built, and with
     /// `verify_rewrites` on none is unproven. Warm lookups never come
@@ -228,30 +225,23 @@ fn cache_key(qm: &QueryMetadata, relation: &str) -> GuardCacheKey {
 
 /// What a build reads of a cached entry it brings current.
 struct Outdated {
-    /// The entry's expression as generated or placed.
-    base: Arc<GuardedExpression>,
-    /// The policies swept into the entry since.
+    /// The policies swept into the entry since it was built.
     pending: Vec<PolicyId>,
-    /// What queries run under now: seeds the partition memo.
+    /// What queries run under now: placed into, and seeds the partition
+    /// memo.
     current: CompiledRelation,
     /// The backend epoch the entry was built under.
     epoch: u64,
 }
 
-/// What a non-current cache entry lacks.
+/// How a stale cache entry is brought current.
 enum Build {
     /// No usable entry: generate from the store.
     Generate,
-    /// Entry due for regeneration under the backend epoch and `delta_mode`
-    /// it was built under: place the pending policies into `base` if that
-    /// is exact ([`crate::guard::placement`]), else generate.
+    /// Pending policies on an entry built under the current backend epoch
+    /// and `delta_mode`: place them into its expression if that is exact
+    /// ([`crate::guard::placement`]), else generate.
     Place(Outdated, Arc<CarriedConditions>),
-    /// Entry below its regeneration threshold: rebuild the effective
-    /// expression as `base` + a per-owner branch per pending policy
-    /// (Section 6: queries between regenerations use G plus the k new
-    /// policies) and recompile — which is also how a `delta_mode` flip
-    /// recompiles without regenerating.
-    Refold(Outdated),
 }
 
 /// Everything one service instance shares across its clones, sessions and
@@ -410,8 +400,9 @@ impl<B: SqlBackend> SieveService<B> {
     /// strategy between runs). Bumps the revision so prepared statements
     /// re-prepare under the new options; a moved `selection` also drops
     /// every cached guarded expression, as each was selected under the old
-    /// one (`delta_mode` needs no such sweep: entries recompile for it
-    /// without regenerating).
+    /// one. A moved `delta_mode` needs no sweep: the next read of an entry
+    /// compiled under another mode regenerates it, which also heals a
+    /// build that read the old options and published after this returns.
     pub fn with_options_mut<R>(&self, f: impl FnOnce(&mut SieveOptions) -> R) -> R {
         let mut options = self.inner.options.write();
         let selection = options.selection;
@@ -525,61 +516,29 @@ impl<B: SqlBackend> SieveService<B> {
         (self.inner.options.read().clone(), *self.inner.cost.read())
     }
 
-    /// True iff the outdated entry is due for regeneration under the
-    /// configured policy (Section 6's threshold for `OptimalRate`).
-    fn regeneration_due(&self, c: &CachedGuard, opts: &SieveOptions, cost: &CostModel) -> bool {
-        c.outdated
-            && match opts.regeneration {
-                RegenerationPolicy::Immediate => true,
-                RegenerationPolicy::Manual => false,
-                RegenerationPolicy::OptimalRate {
-                    queries_per_insertion,
-                } => {
-                    let guards = c.base.guards.len().max(1) as f64;
-                    let rho_avg = c.base.total_guard_rows() / guards;
-                    let k = optimal_regeneration_interval(
-                        cost,
-                        rho_avg,
-                        queries_per_insertion,
-                    );
-                    c.pending.len() as f64 >= k
-                }
-            }
-    }
-
     /// Read `key`'s entry: its compiled relation if it can serve as it is,
-    /// else what it lacks. An entry whose backend epoch trails was built
-    /// against data (or a schema) mutated out of band since — a hazard
-    /// that overrides the regeneration policy — and regenerates; so does
-    /// one due under a moved `delta_mode` or with nothing to place into.
-    /// One shard read lock.
-    fn lookup(
-        &self,
-        key: &GuardCacheKey,
-        opts: &SieveOptions,
-        cost: &CostModel,
-    ) -> Result<CompiledRelation, Build> {
-        let delta_mode = opts.rewrite.delta_mode;
+    /// else how to bring it current. An entry whose backend epoch trails
+    /// was built against data (or a schema) mutated out of band since, and
+    /// one compiled under another `delta_mode` holds the other mode's
+    /// partitions: both regenerate, as does one with pending policies and
+    /// nothing to place them into. One shard read lock.
+    fn lookup(&self, key: &GuardCacheKey, opts: &SieveOptions) -> Result<CompiledRelation, Build> {
         let read = self.inner.cache.read(key, |c| {
-            let outdated = || Outdated {
-                base: Arc::clone(&c.base),
-                pending: c.pending.clone(),
-                current: c.compiled.clone(),
-                epoch: c.epoch,
-            };
-            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst) {
+            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst)
+                || c.compiled.fragment.delta_mode != opts.rewrite.delta_mode
+            {
                 Err(Build::Generate)
-            } else if self.regeneration_due(c, opts, cost) {
-                match &c.carried {
-                    Some(carried) if c.compiled.fragment.delta_mode == delta_mode => {
-                        Err(Build::Place(outdated(), Arc::clone(carried)))
-                    }
-                    _ => Err(Build::Generate),
-                }
-            } else if c.is_current(delta_mode) {
+            } else if c.pending.is_empty() {
                 Ok(c.compiled.clone())
+            } else if let Some(carried) = &c.carried {
+                let o = Outdated {
+                    pending: c.pending.clone(),
+                    current: c.compiled.clone(),
+                    epoch: c.epoch,
+                };
+                Err(Build::Place(o, Arc::clone(carried)))
             } else {
-                Err(Build::Refold(outdated()))
+                Err(Build::Generate)
             }
         });
         read.unwrap_or(Err(Build::Generate))
@@ -596,9 +555,8 @@ impl<B: SqlBackend> SieveService<B> {
         opts: &SieveOptions,
         cost: &CostModel,
     ) -> SieveResult<CompiledRelation> {
-        if let Ok(compiled) = self.lookup(&cache_key(qm, relation), opts, cost) {
+        if let Ok(compiled) = self.lookup(&cache_key(qm, relation), opts) {
             self.inner.cache.record_hit();
-            self.inner.cache.record_fragment_hit();
             return Ok(compiled);
         }
         let (mut compiled, _) = self.build(&[(qm, relation)], opts, cost)?;
@@ -610,7 +568,7 @@ impl<B: SqlBackend> SieveService<B> {
     /// keys' compiled relations (in no order a caller of several could
     /// use) beside one report per `(purpose, relation)` group generated
     /// for (its `queriers` counting the keys that came here). The whole
-    /// build — place, generate or re-fold, then [`ColdBuild::finish`] —
+    /// build — place or generate, then [`ColdBuild::finish`] —
     /// runs under the keys' single-flight claims and publishes each entry
     /// once (module docs). An error publishes nothing further and drops
     /// every claim.
@@ -640,23 +598,20 @@ impl<B: SqlBackend> SieveService<B> {
             let _claims: Vec<_> = todo.iter().map(|&i| cache.begin_generation(&cache_keys[i])).collect();
             let mut generate: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
             let mut place = Vec::new();
-            let mut refold = Vec::new();
             for i in std::mem::take(&mut todo) {
-                match self.lookup(&cache_keys[i], opts, cost) {
+                match self.lookup(&cache_keys[i], opts) {
                     Ok(fresh) => {
                         cache.record_coalesced();
                         cache.record_hit();
-                        cache.record_fragment_hit();
                         compiled.push(fresh);
                     }
                     Err(Build::Generate) => {
                         generate.entry((&keys[i].0.purpose, keys[i].1)).or_default().push(i)
                     }
                     Err(Build::Place(o, carried)) => place.push((i, o, carried)),
-                    Err(Build::Refold(o)) => refold.push((i, o)),
                 }
             }
-            if generate.is_empty() && place.is_empty() && refold.is_empty() {
+            if generate.is_empty() && place.is_empty() {
                 break;
             }
             // Store and groups stay read-locked across the build AND the
@@ -689,7 +644,7 @@ impl<B: SqlBackend> SieveService<B> {
                 let table = backend.table_entry(relation)?;
                 let placed = match grants {
                     Some(grants) if o.epoch == epoch => {
-                        place_grants(&o.base, &carried, &grants, table, cost)
+                        place_grants(&o.current.expr, &carried, &grants, table, cost)
                     }
                     _ => None,
                 };
@@ -697,10 +652,10 @@ impl<B: SqlBackend> SieveService<B> {
                     generate.entry((&qm.purpose, relation)).or_default().push(i);
                     continue;
                 };
-                let mut memo = FragmentCompileCache::seeded(&o.current, opts.rewrite.delta_mode);
+                let mut memo = FragmentCompileCache::seeded(&o.current);
                 let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
                 let item = (cache_keys[i].clone(), done.clone(), Some(Arc::new(carried)));
-                if cache.insert_placed(item, (&o.base, &o.pending), epoch) {
+                if cache.insert_placed(item, (&o.current.expr, &o.pending), epoch) {
                     published.push(Arc::clone(&done.expr));
                     compiled.push(done);
                 } else {
@@ -734,35 +689,6 @@ impl<B: SqlBackend> SieveService<B> {
                 }
                 report.partition_reuses = memo.reuses;
                 reports.push(report);
-            }
-            for (i, o) in refold {
-                let (qm, relation) = keys[i];
-                let mut expr = (*o.base).clone();
-                expr.guards.extend(owner_fallback_guards(
-                    o.pending
-                        .iter()
-                        .filter_map(|pid| store.get(*pid).map(|p| (*pid, p.owner))),
-                    backend.table_entry(relation)?,
-                ));
-                let mut memo = FragmentCompileCache::seeded(&o.current, opts.rewrite.delta_mode);
-                let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
-                let refolded = cache.write(&cache_keys[i], |c| {
-                    let same = c.unchanged_since(&o.base, &o.pending);
-                    if same {
-                        c.compiled = done.clone();
-                        c.folded = o.pending.len();
-                    }
-                    same
-                });
-                if refolded == Some(true) {
-                    cache.record_hit();
-                    cache.record_fragment_build();
-                    compiled.push(done);
-                } else {
-                    // Swept, evicted or replaced mid-build: our fragment
-                    // drops here, freeing its partitions — retry.
-                    todo.push(i);
-                }
             }
             drop(backend);
             if opts.persist {
@@ -906,10 +832,9 @@ impl<B: SqlBackend> SieveService<B> {
         backend.close_prepared(id);
     }
 
-    /// The guarded expression for (querier, purpose, relation), generating
-    /// or refreshing it per the regeneration policy. Returns the
-    /// expression actually used for enforcement (stale + pending branches
-    /// under `OptimalRate`/`Manual` when below the regeneration threshold).
+    /// The guarded expression queries for (querier, purpose, relation) run
+    /// under, generated, or brought current by placing or regenerating,
+    /// if the cache did not hold it current.
     pub fn guarded_expression(
         &self,
         qm: &QueryMetadata,
@@ -954,7 +879,7 @@ impl<B: SqlBackend> SieveService<B> {
             .flat_map(|((_, relation), qms)| qms.iter().map(move |qm| (*qm, relation.as_str())));
         let keys: Vec<(&QueryMetadata, &str)> = keys.collect();
         let is_cold = |(qm, relation): &(&QueryMetadata, &str)| {
-            self.lookup(&cache_key(qm, relation), &opts, &cost).is_err()
+            self.lookup(&cache_key(qm, relation), &opts).is_err()
         };
         let cold: Vec<_> = keys.iter().copied().filter(is_cold).collect();
         let mut report = BatchPrepareReport {
@@ -1117,33 +1042,6 @@ mod tests {
         let n1 = sieve.execute(&q, &qm).unwrap().len();
         assert!(n1 > n0);
         assert_eq!(sieve.generations(), gens_before + 1);
-    }
-
-    #[test]
-    fn manual_regeneration_still_enforces_pending() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
-        sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
-        let qm = QueryMetadata::new(500, "Analytics");
-        let q = SelectQuery::star_from("wifi_dataset");
-        let n0 = sieve.execute(&q, &qm).unwrap().len();
-        sieve
-            .add_policy(Policy::new(
-                71,
-                "wifi_dataset",
-                QuerierSpec::User(500),
-                "Analytics",
-                vec![ObjectCondition::new(
-                    "wifi_ap",
-                    CondPredicate::Eq(Value::Int(1001)),
-                )],
-            ))
-            .unwrap();
-        let gens = sieve.generations();
-        // No regeneration, but the pending policy must still be enforced
-        // (appended as an extra guard branch).
-        let n1 = sieve.execute(&q, &qm).unwrap().len();
-        assert_eq!(sieve.generations(), gens);
-        assert!(n1 > n0);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Guard-cache correctness: warm queries must be *exactly* as correct as
-//! cold ones, across invalidation, regeneration policies, ∆ partition
+//! cold ones, across invalidation, placement and regeneration, ∆ partition
 //! reclamation, and option flips.
 //!
 //! The cache under test (sieve_core::cache::GuardCache) stores both the
 //! generated guarded expression and its compiled rewrite fragment per
 //! (querier, purpose, relation); `add_policy` invalidates precisely the
-//! affected keys, and stale entries regenerate lazily per the configured
-//! RegenerationPolicy.
+//! affected keys, and the next read of a stale entry places its pending
+//! grants or regenerates it.
 
 mod support;
 
 use sieve::core::backend::for_each_backend;
-use sieve::core::dynamic::RegenerationPolicy;
 use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::rewrite::DeltaMode;
 use sieve::core::{GuardSelectionStrategy, SieveOptions, SieveService};
@@ -103,29 +102,6 @@ fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
 }
 
 #[test]
-fn manual_regeneration_serves_pending_from_cache_and_matches_oracle() {
-    let sieve = loaded_sieve();
-    sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
-    let qm = QueryMetadata::new(500, "Analytics");
-    let n0 = run_sorted(&sieve, &qm).len();
-    let gens = sieve.generations();
-
-    sieve.add_policy(policy(61, 500, "Analytics", 1001)).unwrap();
-    // No regeneration under Manual, but the pending policy is enforced via
-    // a rebuilt effective expression + fragment.
-    let rows = run_sorted(&sieve, &qm);
-    assert_eq!(sieve.generations(), gens);
-    assert!(rows.len() > n0);
-    assert_eq!(rows, oracle(&sieve, &qm));
-
-    // The pending-augmented fragment is itself cached across repeats.
-    let builds = sieve.cache_stats().fragment_builds;
-    run_sorted(&sieve, &qm);
-    run_sorted(&sieve, &qm);
-    assert_eq!(sieve.cache_stats().fragment_builds, builds);
-}
-
-#[test]
 fn delta_partitions_do_not_leak_across_repeat_queries() {
     let sieve = loaded_sieve();
     // Force every partition through ∆ so fragments register partitions.
@@ -170,7 +146,7 @@ fn delta_mode_flip_recompiles_fragment_and_stays_correct() {
     );
     assert_eq!(inline_rows, delta_rows);
     assert_eq!(delta_rows, oracle(&sieve, &qm));
-    assert_eq!(sieve.generations(), 1, "mode change must not regenerate");
+    assert_eq!(sieve.generations(), 2, "mode change regenerates");
 }
 
 /// A `selection` flip on a warm key must reach the next query: every
@@ -200,9 +176,10 @@ fn selection_flip_regenerates_warm_keys() {
 /// policy insertions and check every counter against a hand-maintained
 /// trace. Catches double-counted misses, regenerations booked as misses,
 /// and generated-but-uncached skew: the invariants are
-/// `lookups = hits + misses + regenerations` and
-/// `SieveService::generations = misses + regenerations` — always, with a
-/// placed grant counted as a regeneration and, within it, an extension.
+/// `lookups = hits + misses + regenerations`,
+/// `SieveService::generations = misses + regenerations = fragment_builds`
+/// and `fragment_hits = hits` — always, with a placed grant counted as a
+/// regeneration and, within it, an extension.
 #[test]
 fn counters_match_ground_truth_trace() {
     let sieve = loaded_sieve();
@@ -217,6 +194,8 @@ fn counters_match_ground_truth_trace() {
         assert_eq!((s.hits, s.misses, s.regenerations, s.extensions), *expect, "at {step}");
         assert_eq!(s.generations(), sieve.generations(), "generations at {step}");
         assert_eq!(s.lookups(), s.hits + s.misses + s.regenerations, "lookups at {step}");
+        assert_eq!(s.fragment_builds, s.generations(), "fragment builds at {step}");
+        assert_eq!(s.fragment_hits, s.hits, "fragment hits at {step}");
     };
 
     run_sorted(&sieve, &qm_a); // cold → miss
@@ -300,10 +279,9 @@ fn batch_prepare_counters_match_trace() {
     assert_eq!(s.hits, 2);
 }
 
-/// A batch brings *every* key current, not only the ones due for a
-/// regeneration: an entry that lacks a re-fold — a `delta_mode` flipped
-/// under it, or a pending policy under `Manual` — is re-folded by the
-/// batch, so no request's first rewrite afterwards compiles a fragment.
+/// A batch brings *every* key current: entries whose `delta_mode` was
+/// flipped under them are regenerated by the batch, so no request's first
+/// rewrite afterwards compiles a fragment.
 #[test]
 fn batch_prepare_refolds_entries_that_are_not_due() {
     let q = SelectQuery::star_from(REL);
@@ -311,28 +289,21 @@ fn batch_prepare_refolds_entries_that_are_not_due() {
         .iter()
         .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
         .collect();
-    for what in ["delta_mode flip", "pending policy under Manual"] {
-        let sieve = loaded_sieve();
-        sieve.prepare_batch(&requests).unwrap();
-        if what == "delta_mode flip" {
-            sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
-        } else {
-            sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
-            sieve.add_policy(policy(71, 500, "Analytics", 1001)).unwrap();
-        }
-        let report = sieve.prepare_batch(&requests).unwrap();
-        assert_eq!((report.generated, report.reused), (0, 2), "{what}: nothing regenerates");
-        let before = sieve.cache_stats();
-        for (qm, query) in &requests {
-            sieve.rewrite(query, qm).unwrap();
-        }
-        let after = sieve.cache_stats();
-        assert_eq!(after.fragment_builds, before.fragment_builds, "{what}: rewrites compile nothing");
-        assert_eq!(after.fragment_hits, before.fragment_hits + 2, "{what}: rewrites are warm");
-        assert_eq!(sieve.generations(), 2, "{what}");
-        for (qm, _) in &requests {
-            assert_eq!(run_sorted(&sieve, qm), oracle(&sieve, qm), "{what}: querier {}", qm.querier);
-        }
+    let sieve = loaded_sieve();
+    sieve.prepare_batch(&requests).unwrap();
+    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+    let report = sieve.prepare_batch(&requests).unwrap();
+    assert_eq!((report.generated, report.reused), (2, 0), "a mode flip regenerates");
+    let before = sieve.cache_stats();
+    for (qm, query) in &requests {
+        sieve.rewrite(query, qm).unwrap();
+    }
+    let after = sieve.cache_stats();
+    assert_eq!(after.fragment_builds, before.fragment_builds, "rewrites compile nothing");
+    assert_eq!(after.fragment_hits, before.fragment_hits + 2, "rewrites are warm");
+    assert_eq!(sieve.generations(), 4);
+    for (qm, _) in &requests {
+        assert_eq!(run_sorted(&sieve, qm), oracle(&sieve, qm), "querier {}", qm.querier);
     }
 }
 

@@ -7,7 +7,10 @@
 //! Grants mix every case the placement decides on: fresh owners with no
 //! condition of their own (always placed), owners the querier already
 //! holds, shared `wifi_ap` equalities, `ts_time` ranges that may or may
-//! not overlap the querier's, and group grants.
+//! not overlap the querier's, and group grants. Any step may first flip
+//! `delta_mode` between `Auto` and `Always`: the read after it must
+//! regenerate, never place, since the cached fragment was compiled under
+//! the other mode.
 
 mod support;
 
@@ -16,6 +19,7 @@ use proptest::prelude::*;
 use sieve::core::cost::CostModel;
 use sieve::core::guard::{generate_guarded_expression, GuardSelectionStrategy};
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
+use sieve::core::rewrite::DeltaMode;
 use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::DataType;
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema, Value};
@@ -126,7 +130,7 @@ proptest! {
     #[test]
     fn placement_equals_generation(
         held in collection::vec(collection::vec(arb_condition(), 0..3), 1..HELD as usize + 1),
-        grants in collection::vec(arb_grant(), 1..12),
+        grants in collection::vec((arb_grant(), any::<bool>()), 1..12),
     ) {
         let qm = QueryMetadata::new(QUERIER, "Analytics");
         let q = SelectQuery::star_from(REL);
@@ -139,7 +143,15 @@ proptest! {
                 service.add_policy(p).unwrap();
             }
             service.execute(&q, &qm).unwrap();
-            for (step, grant) in grants.iter().enumerate() {
+            for (step, (grant, flip)) in grants.iter().enumerate() {
+                if *flip {
+                    service.with_options_mut(|o| {
+                        o.rewrite.delta_mode = match o.rewrite.delta_mode {
+                            DeltaMode::Auto => DeltaMode::Always,
+                            _ => DeltaMode::Auto,
+                        }
+                    });
+                }
                 let extensions = service.cache_stats().extensions;
                 service.add_policy(grant_policy(grant, step as i64)).unwrap();
                 let rows = sorted_rows(service.execute(&q, &qm).unwrap());
@@ -160,7 +172,12 @@ proptest! {
                     &cached, &cold,
                     "{:?} step {} ({:?}): cached != generated", profile, step, grant
                 );
-                if matches!(grant, Grant::Fresh) {
+                if *flip {
+                    prop_assert_eq!(
+                        service.cache_stats().extensions, extensions,
+                        "{:?} step {}: a grant after a mode flip regenerates", profile, step
+                    );
+                } else if matches!(grant, Grant::Fresh) {
                     prop_assert_eq!(
                         service.cache_stats().extensions, extensions + 1,
                         "{:?} step {}: a fresh owner's bare grant is placed", profile, step
