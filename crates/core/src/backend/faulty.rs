@@ -20,9 +20,10 @@
 //! Faults fire at the *dispatch* surface (`exec`, `exec_timed`, `prepare`,
 //! `execute_prepared`) — and, when [`FaultConfig::fault_catalog`] is on,
 //! at `table_entry`, which is what guard generation and `prepare_batch`
-//! read, so mid-batch failure paths can be exercised too. The
-//! administrative surface (DDL, UDF install, row loading) is never
-//! faulted: tests need a reliable way to build fixtures.
+//! read, so mid-batch failure paths can be exercised too. UDF
+//! installation is never faulted, nor is loading fixtures through
+//! [`FaultInjectingBackend::inner_mut`]: tests need a reliable way to
+//! build them.
 //!
 //! Two scheduling modes compose:
 //!
@@ -40,9 +41,7 @@
 use super::{BackendError, BackendResult, SqlBackend, StatementId};
 use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
-use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
-use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
 use minidb::{Database, DbProfile, TableEntry};
 use parking_lot::Mutex;
@@ -405,18 +404,6 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
 
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         self.inner.install_udf(name, udf)
-    }
-
-    fn create_relation(&mut self, schema: TableSchema) -> BackendResult<()> {
-        self.inner.create_relation(schema)
-    }
-
-    fn create_relation_index(&mut self, table: &str, column: &str) -> BackendResult<()> {
-        self.inner.create_relation_index(table, column)
-    }
-
-    fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
-        self.inner.insert_row(table, row)
     }
 
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {

@@ -15,11 +15,11 @@
 //!   consume (a server backend would materialize these from
 //!   `information_schema` + `pg_stats`/`mysql.innodb_index_stats`);
 //! * **UDF installation** ([`SqlBackend::install_udf`]) for the ∆
-//!   operator and Baseline U (the paper's `CREATE FUNCTION` step);
-//! * **administrative DDL/DML** ([`SqlBackend::create_relation`],
-//!   [`SqlBackend::create_relation_index`], [`SqlBackend::insert_row`])
-//!   for the `rP`/`rOC`/`rGE`/`rGG`/`rGP` policy relations of
-//!   Section 5.1.
+//!   operator and Baseline U (the paper's `CREATE FUNCTION` step).
+//!
+//! No method here writes a row or a table: the middleware reads the
+//! database it guards and changes it only when its caller asks
+//! ([`crate::SieveService::with_backend_mut`]).
 //!
 //! Two backends ship:
 //!
@@ -43,19 +43,17 @@
 //! recovers from by preparing again, once.
 //!
 //! What a real `tokio-postgres` backend needs is recorded in the README
-//! ("Execution backends"); network crates are unavailable in this build
-//! environment.
+//! (the "Backends" item of "The request path"); network crates are
+//! unavailable in this build environment.
 //!
 //! Queries travel as SQL text; the administrative surface (catalog reads,
-//! DDL, UDF installation) uses the backend's native channel, as the
-//! paper's middleware does during setup.
+//! UDF installation) uses the backend's native channel, as the paper's
+//! middleware does during setup.
 
 use minidb::error::{DbError, DbResult};
 use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
-use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
-use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
 use minidb::{Database, DbProfile, TableEntry};
 use std::fmt;
@@ -221,17 +219,6 @@ pub trait SqlBackend: Send + Sync {
     /// paper's equivalent is `CREATE FUNCTION` issued at deploy time.
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>);
 
-    /// Create a relation (idempotence is the caller's concern). Used for
-    /// the policy persistence tables of Section 5.1.
-    fn create_relation(&mut self, schema: TableSchema) -> BackendResult<()>;
-
-    /// Create a secondary index over `column` of `table`.
-    fn create_relation_index(&mut self, table: &str, column: &str) -> BackendResult<()>;
-
-    /// Insert one row through the administrative channel (policy/guard
-    /// mirroring — not the measured query path).
-    fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId>;
-
     /// Prepare `query` server-side — ship it and plan it, once — returning
     /// a statement id to execute by thereafter.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId>;
@@ -281,15 +268,6 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         (**self).install_udf(name, udf)
     }
-    fn create_relation(&mut self, schema: TableSchema) -> BackendResult<()> {
-        (**self).create_relation(schema)
-    }
-    fn create_relation_index(&mut self, table: &str, column: &str) -> BackendResult<()> {
-        (**self).create_relation_index(table, column)
-    }
-    fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
-        (**self).insert_row(table, row)
-    }
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         (**self).prepare(query)
     }
@@ -333,15 +311,6 @@ impl SqlBackend for Database {
     }
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         self.register_udf(name, udf)
-    }
-    fn create_relation(&mut self, schema: TableSchema) -> BackendResult<()> {
-        self.create_table(schema).map_err(BackendError::from)
-    }
-    fn create_relation_index(&mut self, table: &str, column: &str) -> BackendResult<()> {
-        self.create_index(table, column).map_err(BackendError::from)
-    }
-    fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
-        self.insert(table, row).map_err(BackendError::from)
     }
     /// Plans the query and pins the plan in the engine's statement table.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
@@ -389,6 +358,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minidb::schema::TableSchema;
     use minidb::value::{DataType, Value};
 
     fn tiny_db() -> Database {

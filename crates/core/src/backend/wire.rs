@@ -13,18 +13,15 @@
 //! above all render fidelity of guard-CTE-bearing rewrites, is already
 //! exercised here and property-tested in `tests/proptest_wire.rs`.
 //!
-//! The administrative surface (catalog reads, DDL for the policy tables,
-//! UDF installation) stays native, as a server deployment would use its
-//! own client-library calls for setup rather than the measured query
-//! path.
+//! The administrative surface (catalog reads, UDF installation) stays
+//! native, as a server deployment would use its own client-library calls
+//! for setup rather than the measured query path.
 
 use super::{statement_result, BackendError, BackendResult, SqlBackend, StatementId};
 use minidb::error::DbResult;
 use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
-use minidb::schema::TableSchema;
 use minidb::stats::ExecStats;
-use minidb::table::{Row, RowId};
 use minidb::udf::Udf;
 use minidb::{Database, DbProfile, TableEntry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,15 +143,6 @@ impl SqlBackend for WireSqlBackend {
     }
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         self.db.register_udf(name, udf)
-    }
-    fn create_relation(&mut self, schema: TableSchema) -> BackendResult<()> {
-        self.db.create_table(schema).map_err(BackendError::from)
-    }
-    fn create_relation_index(&mut self, table: &str, column: &str) -> BackendResult<()> {
-        self.db.create_index(table, column).map_err(BackendError::from)
-    }
-    fn insert_row(&mut self, table: &str, row: Row) -> BackendResult<RowId> {
-        self.db.insert(table, row).map_err(BackendError::from)
     }
     /// The server-side prepare: the query crosses the wire as its full
     /// text, as [`SqlBackend::exec`]'s does, and the engine plans what it

@@ -15,10 +15,9 @@
 //!   middleware refused the query" ([`SieveError::Rewrite`]) from "the
 //!   engine failed under it" ([`SieveError::Backend`]) from "recovery was
 //!   attempted and gave up" ([`SieveError::RetriesExhausted`]).
-//! * Panics in the query path are converted, not propagated: a worker
-//!   thread that dies mid-batch or a broken internal invariant surfaces as
-//!   [`SieveError::Poisoned`] / [`SieveError::Internal`], leaving the
-//!   service usable and its ∆/cache bookkeeping intact.
+//! * A broken internal invariant is converted, not propagated as a
+//!   panic: it surfaces as [`SieveError::Internal`], leaving the service
+//!   usable and its ∆/cache bookkeeping intact.
 
 use crate::backend::BackendError;
 use minidb::error::DbError;
@@ -42,10 +41,6 @@ pub enum SieveError {
         /// The error from the final attempt.
         last: BackendError,
     },
-    /// A worker thread panicked or an internal lock/invariant broke in the
-    /// query path. The panic is contained: the service stays usable and no
-    /// partial result escapes.
-    Poisoned(&'static str),
     /// An internal invariant did not hold. Fail-closed conversion of what
     /// would otherwise be a panic; indicates a middleware bug.
     Internal(&'static str),
@@ -97,9 +92,6 @@ impl fmt::Display for SieveError {
             SieveError::Backend(e) => write!(f, "backend error: {e}"),
             SieveError::RetriesExhausted { attempts, last } => {
                 write!(f, "backend error after {attempts} attempts: {last}")
-            }
-            SieveError::Poisoned(what) => {
-                write!(f, "query path poisoned ({what})")
             }
             SieveError::Internal(what) => {
                 write!(f, "internal invariant violated ({what})")

@@ -32,13 +32,15 @@
 //! wire as the paper's middleware does against a real server).
 //! [`baselines`] implements the paper's comparison
 //! strategies and [`semantics`] the reference oracle both are tested
-//! against. [`dynamic`] adds the Section 6 machinery for evolving policy
-//! sets, and [`store`] persists policies and guards as regular relations
-//! (`rP`, `rOC`, `rGE`, `rGG`, `rGP`). [`deny`] folds deny policies into
-//! the allow-only model the enforcement path assumes. [`batch`] amortizes
-//! guard generation across batches of concurrent queriers — shared
-//! candidate generation per `(purpose, relation)` group, per-querier set
-//! cover (parallelized across threads under the service).
+//! against. [`dynamic`] is the paper's Section 6 model of when to
+//! regenerate guards (Equations 18–19); the service brings a stale guard
+//! current at its next read instead. [`store`] is the in-memory policy
+//! registry: policies and guards live in the middleware, and the database
+//! it guards is never written to on their account. [`deny`] folds deny
+//! policies into the allow-only model the enforcement path assumes.
+//! [`batch`] amortizes guard generation across batches of concurrent
+//! queriers — shared candidate generation per `(purpose, relation)` group,
+//! per-querier set cover.
 
 #![warn(missing_docs)]
 // The query path must fail closed with typed errors, never panic: gate
@@ -83,8 +85,8 @@ pub use filter::{policy_applies, relevant_policies, GroupDirectory};
 pub use guard::{Guard, GuardSelectionStrategy, GuardedExpression};
 pub use options::{RetryPolicy, SieveOptions};
 pub use policy::{
-    Action, CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata,
-    UserId, OWNER_ATTR, PURPOSE_ANY,
+    CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata, UserId,
+    OWNER_ATTR, PURPOSE_ANY,
 };
 pub use service::{RecoveryStats, SieveService};
 pub use session::{Prepared, Session};

@@ -56,9 +56,6 @@ pub struct SieveOptions {
     pub rewrite: RewriteOptions,
     /// Query timeout (the paper's Experiment 3 uses 30 s).
     pub timeout: Option<Duration>,
-    /// Mirror policies and guards into the `rP`/`rOC`/`rGE`/`rGG`/`rGP`
-    /// relations (Section 5.1).
-    pub persist: bool,
     /// Retry/backoff policy for retryable backend failures.
     pub retry: RetryPolicy,
     /// Run the static soundness verifier ([`crate::analyze`]) on every

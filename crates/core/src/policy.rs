@@ -3,8 +3,9 @@
 //! A policy `p = ⟨OC, QC, AC⟩` consists of *object conditions* (a
 //! conjunction over attributes of the protected relation, always including
 //! the owner condition `oc_owner`), *querier conditions* (who may ask, for
-//! what purpose — the Purpose-Based Access Control model), and an *action*
-//! (allow; deny policies are factored into allows per the paper).
+//! what purpose — the Purpose-Based Access Control model), and an *action*.
+//! Every policy here allows: a deny is factored into the allows it narrows
+//! before it is added ([`crate::deny`]).
 
 use minidb::expr::{CmpOp, ColumnRef, Expr};
 use minidb::plan::SelectQuery;
@@ -29,15 +30,6 @@ pub enum QuerierSpec {
     User(UserId),
     /// Every member of a group (`qc_querier = ⟨QM_querier, =, group(u)⟩`).
     Group(GroupId),
-}
-
-/// Policy action. Deny policies are pre-factored into allow policies
-/// (Section 3.1), so only `Allow` reaches enforcement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Action {
-    /// Grant access to the matching tuples.
-    #[default]
-    Allow,
 }
 
 /// The predicate of one object condition.
@@ -211,8 +203,6 @@ pub struct Policy {
     pub querier: QuerierSpec,
     /// Query purpose the grant applies to (`"Any"` is the wildcard).
     pub purpose: String,
-    /// Action (always allow).
-    pub action: Action,
     /// Object conditions *beyond* `oc_owner`.
     pub conditions: Vec<ObjectCondition>,
     /// Additional querier conditions over query-context attributes
@@ -221,8 +211,6 @@ pub struct Policy {
     /// the day, can easily be added as querier conditions"). Each entry
     /// `(attr, value)` must match the query metadata's context exactly.
     pub querier_context: Vec<(String, Value)>,
-    /// Logical insertion timestamp (used by the Section 6 dynamic model).
-    pub inserted_at: u64,
 }
 
 /// Name of the owner column mandated by the data model ("this ownership is
@@ -248,10 +236,8 @@ impl Policy {
             relation: relation.into(),
             querier,
             purpose: purpose.into(),
-            action: Action::Allow,
             conditions,
             querier_context: Vec::new(),
-            inserted_at: 0,
         }
     }
 

@@ -30,9 +30,14 @@
 //!
 //! Lock order (outer → inner): `build claim → store → groups → backend →
 //! cache shard`. Options, cost model and the protected set are
-//! snapshotted and released before any of those is taken; the persist
-//! state (inside the backend *write* lock), the ∆ registry and the sql
-//! cache are leaves. Cache closures never take other locks.
+//! snapshotted and released before any of those is taken; the ∆ registry
+//! is a leaf. Cache closures never take other locks.
+//!
+//! The service takes the backend *write* lock only for a caller's
+//! [`SieveService::with_backend_mut`] and writes nothing to the backend
+//! itself, apart from installing the ∆ UDF at construction: policies and
+//! guards live in memory, so a policy insert or a cold build leaves
+//! [`Database::version`] — and every statement pinned under it — alone.
 //!
 //! # Single-flight build
 //!
@@ -107,22 +112,14 @@ use crate::rewrite::{
     CompiledRelation, FragmentCompileCache, RewriteOutput,
 };
 use crate::error::{SieveError, SieveResult};
-use crate::store::{
-    create_policy_tables, persist_guarded_expression, persist_policy, GuardTableIds,
-    PolicyStore,
-};
+use crate::store::PolicyStore;
 use minidb::exec::ExecOptions;
 use minidb::plan::SelectQuery;
 use minidb::{Database, QueryResult};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-pub(crate) struct PersistState {
-    pub(crate) guard_ids: GuardTableIds,
-    pub(crate) oc_id: i64,
-}
 
 /// Internal atomics behind [`RecoveryStats`].
 #[derive(Default)]
@@ -263,7 +260,6 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     pub(crate) delta: Arc<DeltaRegistry>,
     pub(crate) cache: GuardCache,
     pub(crate) protected: RwLock<HashSet<String>>,
-    pub(crate) persist: Mutex<PersistState>,
     pub(crate) recovery: RecoveryCounters,
 }
 
@@ -301,14 +297,11 @@ impl SieveService<Database> {
 }
 
 impl<B: SqlBackend> SieveService<B> {
-    /// Wrap an arbitrary execution backend. Installs the ∆ UDF; creates
-    /// the policy relations when persistence is on.
+    /// Wrap an arbitrary execution backend. Installs the ∆ UDF, the one
+    /// write the service makes to a backend on its own.
     pub fn with_backend(mut backend: B, options: SieveOptions) -> SieveResult<Self> {
         let delta = DeltaRegistry::new();
         delta.install(&mut backend);
-        if options.persist {
-            create_policy_tables(&mut backend)?;
-        }
         Ok(SieveService {
             inner: Arc::new(ServiceShared {
                 backend: RwLock::new(backend),
@@ -321,10 +314,6 @@ impl<B: SqlBackend> SieveService<B> {
                 delta,
                 cache: GuardCache::new(),
                 protected: RwLock::new(HashSet::new()),
-                persist: Mutex::new(PersistState {
-                    guard_ids: GuardTableIds::default(),
-                    oc_id: 0,
-                }),
                 recovery: RecoveryCounters::default(),
             }),
         })
@@ -427,10 +416,10 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.store.read().iter().cloned().collect()
     }
 
-    /// Register a policy. Marks affected guarded expressions outdated and
-    /// (optionally) persists to the policy relations. See the module docs
-    /// for why a query starting after this returns can never miss the
-    /// policy.
+    /// Register a policy in the in-memory store and mark the guarded
+    /// expressions it affects outdated; the backend is not touched. See the
+    /// module docs for why a query starting after this returns can never
+    /// miss the policy.
     pub fn add_policy(&self, policy: Policy) -> SieveResult<PolicyId> {
         let (id, stored) = {
             let mut store = self.inner.store.write();
@@ -442,18 +431,6 @@ impl<B: SqlBackend> SieveService<B> {
             (id, stored)
         };
         self.inner.protected.write().insert(stored.relation.clone());
-        // Persist failure must not short-circuit: the policy is already
-        // committed to the store, so the invalidation sweep and revision
-        // bump below have to run regardless or cached guards would keep
-        // serving a view the store contradicts. The error is surfaced
-        // after enforcement state is consistent.
-        let persisted = if self.inner.options.read().persist {
-            let mut backend = self.inner.backend.write();
-            let mut persist = self.inner.persist.lock();
-            persist_policy(&mut *backend, &stored, &mut persist.oc_id)
-        } else {
-            Ok(())
-        };
         // Outdate exactly the cached expressions the policy affects (the
         // precise invalidation path of Section 6's delta machinery).
         {
@@ -468,7 +445,7 @@ impl<B: SqlBackend> SieveService<B> {
                 });
         }
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
-        persisted.map(|()| id)
+        Ok(id)
     }
 
     /// Bulk registration.
@@ -629,8 +606,6 @@ impl<B: SqlBackend> SieveService<B> {
                 opts,
                 cost,
             };
-            // What is persisted below: every expression published here.
-            let mut published: Vec<Arc<GuardedExpression>> = Vec::new();
             for (i, o, carried) in place {
                 let (qm, relation) = keys[i];
                 let grants: Option<Vec<&Policy>> = o
@@ -656,7 +631,6 @@ impl<B: SqlBackend> SieveService<B> {
                 let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
                 let item = (cache_keys[i].clone(), done.clone(), Some(Arc::new(carried)));
                 if cache.insert_placed(item, (&o.current.expr, &o.pending), epoch) {
-                    published.push(Arc::clone(&done.expr));
                     compiled.push(done);
                 } else {
                     // Swept, evicted or replaced mid-build: a grant swept
@@ -684,23 +658,12 @@ impl<B: SqlBackend> SieveService<B> {
                 for (&i, (expr, carried)) in members.iter().zip(exprs) {
                     let done = cold.finish(keys[i].0, Arc::new(expr), &mut memo)?;
                     compiled.push(done.clone());
-                    published.push(Arc::clone(&done.expr));
                     generated.push((cache_keys[i].clone(), done, carried.map(Arc::new)));
                 }
                 report.partition_reuses = memo.reuses;
                 reports.push(report);
             }
             drop(backend);
-            if opts.persist {
-                // Mirror the generated and placed expressions into the
-                // guard relations (Section 5.1), under the backend *write*
-                // lock.
-                let mut backend = self.inner.backend.write();
-                let mut persist = self.inner.persist.lock();
-                for expr in &published {
-                    persist_guarded_expression(&mut *backend, expr, false, &mut persist.guard_ids)?;
-                }
-            }
             cache.insert_generated(generated, epoch);
         }
         Ok((compiled, reports))

@@ -148,7 +148,9 @@ pub enum ErrorCode {
     BackendFatal = 10,
     /// The retry budget ran out (`SieveError::RetriesExhausted`).
     RetriesExhausted = 11,
-    /// A worker panicked or a lock poisoned inside the service.
+    /// A worker panicked or a lock poisoned inside the service. No
+    /// server of this version sends it (the service runs no worker
+    /// threads); it stays decodable so the code table keeps its numbers.
     Poisoned = 12,
     /// Internal middleware invariant violation.
     Internal = 13,
@@ -242,7 +244,6 @@ impl WireError {
                 ErrorCode::RetriesExhausted,
                 format!("{attempts} attempts; last: {last}"),
             ),
-            SieveError::Poisoned(what) => WireError::new(ErrorCode::Poisoned, *what),
             SieveError::Internal(what) => WireError::new(ErrorCode::Internal, *what),
             SieveError::SoundnessRefuted { .. } => {
                 WireError::new(ErrorCode::SoundnessRefuted, e.to_string())

@@ -6,7 +6,7 @@
 //! generated guarded expression and its compiled rewrite fragment per
 //! (querier, purpose, relation); `add_policy` invalidates precisely the
 //! affected keys, and the next read of a stale entry places its pending
-//! grants or regenerates it.
+//! grants or regenerates it. None of that writes to the guarded database.
 
 mod support;
 
@@ -415,4 +415,45 @@ fn repeated_sql_text_reuses_parsed_ast() {
     assert_eq!(a, b);
     let n = a.rows[0][0].as_int().unwrap();
     assert_eq!(n, oracle(&sieve, &qm).len() as i64);
+}
+
+/// The middleware never writes to the database it guards. A policy
+/// insert, a cold generation, a placed grant, a batch, a group change and
+/// an option change leave the database's version and its tables as they
+/// were — so a statement one querier holds is never re-prepared because
+/// another querier's guard was built.
+#[test]
+fn guard_work_never_writes_the_guarded_database() {
+    let sieve = loaded_sieve();
+    let version = sieve.db().version();
+    let tables: Vec<String> = sieve.db().table_names().into_iter().map(String::from).collect();
+    let q = SelectQuery::star_from(REL);
+    let qm_a = QueryMetadata::new(500, "Analytics");
+
+    // A holds a statement; B's first read is a cold generation.
+    let held = sieve.session(qm_a.clone()).prepare(q.clone()).unwrap();
+    let misses = sieve.cache_stats().misses;
+    run_sorted(&sieve, &QueryMetadata::new(501, "Analytics"));
+    assert_eq!(sieve.cache_stats().misses, misses + 1, "B's first read generated");
+    assert_eq!(sorted_rows(held.execute().unwrap()), oracle(&sieve, &qm_a));
+    assert_eq!(held.reprepares(), 0, "B's cold build left A's statement current");
+
+    // A fresh owner's bare grant is placed into A's expression.
+    sieve.add_policy(Policy::new(73, REL, QuerierSpec::User(500), "Analytics", vec![])).unwrap();
+    let extensions = sieve.cache_stats().extensions;
+    assert_eq!(run_sorted(&sieve, &qm_a), oracle(&sieve, &qm_a));
+    assert_eq!(sieve.cache_stats().extensions, extensions + 1, "the grant was placed");
+
+    let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501, 502, 503]
+        .iter()
+        .map(|&u| (QueryMetadata::new(u, "Safety"), q.clone()))
+        .collect();
+    sieve.prepare_batch(&requests).unwrap();
+    sieve.with_groups_mut(|g| g.add_member(7, 500));
+    sieve.with_options_mut(|o| o.selection = GuardSelectionStrategy::OwnerOnly);
+    assert_eq!(run_sorted(&sieve, &qm_a), oracle(&sieve, &qm_a));
+
+    assert_eq!(sieve.db().version(), version, "the database was written to");
+    let after: Vec<String> = sieve.db().table_names().into_iter().map(String::from).collect();
+    assert_eq!(after, tables);
 }

@@ -186,9 +186,9 @@ fn held_statement_tracks<B: SqlBackend>(
         match change.clone() {
             Change::Insert(owner, ap) => service.with_backend_mut(|b| {
                 let row = vec![Value::Int(1_000_000 + done as i64), Value::Int(owner), Value::Int(ap), Value::Time(0)];
-                b.insert_row(REL, row).map(|_| ()).unwrap()
+                db_mut(b).insert(REL, row).map(|_| ()).unwrap()
             }),
-            Change::CreateIndex => service.with_backend_mut(|b| b.create_relation_index(REL, "id").unwrap()),
+            Change::CreateIndex => service.with_backend_mut(|b| db_mut(b).create_index(REL, "id").unwrap()),
             Change::Analyze => service.with_backend_mut(|b| db_mut(b).analyze(REL).unwrap()),
             Change::AddPolicy(owner, ap) => service.add_policy(policy(owner, 500, "Analytics", ap)).map(|_| ()).unwrap(),
             Change::JoinGroup(group) => service.with_groups_mut(|g| g.add_member(group, 500)),

@@ -7,7 +7,7 @@ mod support;
 use sieve::core::baselines::Baseline;
 use sieve::core::policy::QueryMetadata;
 use sieve::core::{Enforcement, SieveOptions, SieveService};
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, Value};
+use sieve::minidb::{Database, DbProfile, Row, SelectQuery};
 use sieve::workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::query_gen::generate_query;
@@ -113,59 +113,6 @@ fn mall_shops_see_only_granted_rows() {
     // A random non-shop querier is denied.
     let stranger = QueryMetadata::new(4_242, "Sales");
     assert!(sieve.execute(&q, &stranger).unwrap().is_empty());
-}
-
-#[test]
-fn persistence_mirrors_policies_into_relations() {
-    let mut db = Database::new(DbProfile::MySqlLike);
-    let ds = generate_tippers(
-        &mut db,
-        &TippersConfig {
-            seed: 99,
-            scale: 0.002,
-            days: 20,
-        },
-    )
-    .unwrap();
-    let policies = generate_policies(&ds, &PolicyGenConfig::default());
-    let n = policies.len();
-    let sieve = SieveService::new(
-        db,
-        SieveOptions {
-            persist: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    sieve.with_groups_mut(|g| *g = ds.groups.clone());
-    sieve.add_policies(policies).unwrap();
-
-    // The rP relation is queryable through plain SQL, as in the paper.
-    let res = sieve
-        .db()
-        .run_sql("SELECT COUNT(*) AS n FROM sieve_policies")
-        .unwrap();
-    assert_eq!(res.rows[0][0], Value::Int(n as i64));
-
-    // Load back and compare against the registered corpus.
-    let loaded = sieve::core::store::load_policies(&*sieve.db()).unwrap();
-    assert_eq!(loaded.len(), n);
-    let registered = sieve.policies();
-    for (a, b) in loaded.iter().zip(registered.iter()) {
-        assert_eq!(a, b);
-    }
-
-    // Executing a query persists the generated guarded expression.
-    let faculty = ds.devices_of(UserProfile::Faculty).next().unwrap().id;
-    let qm = QueryMetadata::new(faculty, "Analytics");
-    sieve
-        .execute(&SelectQuery::star_from(WIFI_TABLE), &qm)
-        .unwrap();
-    let ge = sieve
-        .db()
-        .run_sql("SELECT COUNT(*) AS n FROM sieve_guard_expressions")
-        .unwrap();
-    assert!(ge.rows[0][0].as_int().unwrap() >= 1);
 }
 
 #[test]
