@@ -13,8 +13,7 @@
 //!   plan saves an execute (`engine.plan_us` / `run_pinned_us` /
 //!   `execute_us`) and what a statement pays for a guard bound once
 //!   (`engine.rewrite_us` / `bind_fragment_us`);
-//! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one
-//!   against batched;
+//! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one;
 //! * `concurrent` — one shared service under 1/2/4/8 threads, and readers
 //!   beside a policy writer;
 //! * `faults` — what the retry layer costs when nothing fails, and how
@@ -86,20 +85,6 @@ fn heavy_probe(campus: &Campus, class: QueryClass, seed: u64) -> (QueryMetadata,
     let low = sieve_workload::Selectivity::Low;
     let q = sieve_workload::query_gen::generate_query(&campus.dataset, class, low, seed);
     (QueryMetadata::new(querier, PURPOSE), policies, q)
-}
-
-fn execute_all<B: SqlBackend>(
-    service: &SieveService<B>,
-    requests: &[(QueryMetadata, SelectQuery)],
-) -> Vec<Vec<Row>> {
-    requests
-        .iter()
-        .map(|(qm, q)| {
-            let mut rows = service.execute(q, qm).expect("execute").rows;
-            rows.sort();
-            rows
-        })
-        .collect()
 }
 
 /// The engine alone, no middleware: (1) filter-loop throughput — a forced
@@ -479,15 +464,10 @@ fn memory_accounting(rec: &mut Record, campus: &Campus, rss_before: Option<u64>)
     }
 }
 
-/// Cold preparation of one request batch from ≥ 100 distinct queriers on
-/// one relation, two schedules: `SieveService::rewrite` per request (every
-/// querier pays its own lookup, condition collection and set cover — each
-/// a `rewrite.cold_us` sample), and `prepare_batch` (the same cold build
-/// over all keys at once, the collection shared per `(purpose, relation)`
-/// group; the rewrites that follow are warm). Both then execute every
-/// request; the batch must leave every querier the sequential schedule's
-/// guarded expression and return its rows: batching changes the schedule,
-/// never the result.
+/// Cold preparation of ≥ 100 distinct queriers on one relation, one by
+/// one: `SieveService::rewrite` per request on an emptied guard cache, so
+/// every querier pays its own lookup, condition collection and set cover
+/// — each a `rewrite.cold_us` sample.
 fn multiquerier(env: &EnvConfig) -> Record {
     let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("multiquerier", env);
@@ -498,67 +478,22 @@ fn multiquerier(env: &EnvConfig) -> Record {
         requests.len()
     );
     let service = &campus.sieve;
-    let reps = env.pick(3, 5);
-    // One cold schedule per rep: `prepare` warms the cache (or not), then
-    // every request is rewritten, each rewrite one sample. Returns the
-    // schedule's total and `prepare` alone (ms), the rewrites (µs) and the
-    // generations one rep caused.
-    let schedule = |prepare: &mut dyn FnMut()| {
-        let (mut total_ms, mut prepare_ms, mut rewrite_us) = (Vec::new(), Vec::new(), Vec::new());
-        let mut generations = 0;
-        for _ in 0..reps {
-            service.invalidate_all();
-            let before = service.generations();
-            let prepared_us = block_us(1, &mut *prepare);
-            let first = rewrite_us.len();
-            for (qm, q) in &requests {
-                rewrite_us.push(block_us(1, || drop(service.rewrite(q, qm).expect("rewrite"))));
-            }
-            total_ms.push((prepared_us + rewrite_us[first..].iter().sum::<f64>()) / 1e3);
-            prepare_ms.push(prepared_us / 1e3);
-            generations = service.generations() - before;
+    let (mut total_ms, mut cold_us, mut generations) = (Vec::new(), Vec::new(), 0);
+    for _ in 0..env.pick(3, 5) {
+        service.invalidate_all();
+        let before = service.generations();
+        let first = cold_us.len();
+        for (qm, q) in &requests {
+            cold_us.push(block_us(1, || drop(service.rewrite(q, qm).expect("rewrite"))));
         }
-        (Stat::of(total_ms), Stat::of(prepare_ms), Stat::of(rewrite_us), generations)
-    };
-    // What the last rep left every querier running under (warm reads).
-    let expressions = || -> Vec<_> {
-        let of = |qm| service.guarded_expression(qm, WIFI_TABLE).expect("guarded expression");
-        requests.iter().map(|(qm, _)| of(qm)).collect()
-    };
-
-    let (seq_ms, _, cold_us, seq_generations) = schedule(&mut || ());
-    let seq_expressions = expressions();
-    let seq_rows = execute_all(service, &requests);
+        total_ms.push(cold_us[first..].iter().sum::<f64>() / 1e3);
+        generations = service.generations() - before;
+    }
     rec.put("queriers", requests.len());
     rec.put("policies", campus.policies.len());
-    rec.put("sequential.prepare_ms", seq_ms);
-    rec.put("sequential.rewrite.cold_us", cold_us);
-    rec.put("sequential.generations", seq_generations);
-
-    let mut report = None;
-    let (total_ms, batch_ms, warm_us, generations) = schedule(&mut || {
-        report = Some(service.prepare_batch(&requests).expect("prepare_batch"));
-    });
-    let differing = expressions().iter().zip(&seq_expressions).filter(|(b, s)| b != s).count();
-    assert!(
-        execute_all(service, &requests) == seq_rows,
-        "batched results diverged from sequential execution"
-    );
-    rec.put("batch.prepare_ms", total_ms);
-    rec.put("batch.prepare_batch_ms", batch_ms);
-    rec.put("batch.rewrite.warm_us", warm_us);
-    rec.put("batch.generations", generations);
-    rec.put("batch.speedup", seq_ms.median / total_ms.median);
-    rec.put("batch.results_identical", true);
-    let groups = report.expect("the batch schedule ran").groups;
-    rec.put("groups", groups.len());
-    rec.put("group_slice_policies", groups.iter().map(|g| g.slice_policies).sum::<usize>());
-    rec.put("shared_candidates", groups.iter().map(|g| g.shared_candidates).sum::<usize>());
-    rec.gate(
-        "batched_expressions_identical",
-        differing == 0,
-        format!("{differing} of {} batched expressions differ from the single path's", requests.len()),
-    );
+    rec.put("sequential.prepare_ms", Stat::of(total_ms));
+    rec.put("sequential.rewrite.cold_us", Stat::of(cold_us));
+    rec.put("sequential.generations", generations);
     rec
 }
 

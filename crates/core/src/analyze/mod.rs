@@ -506,7 +506,7 @@ mod tests {
                 &map,
                 &CostModel::default(),
                 mode,
-                &mut Default::default(),
+                &Default::default(),
             )
             .expect("compile");
             assert_eq!(

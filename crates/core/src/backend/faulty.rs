@@ -19,8 +19,8 @@
 //!
 //! Faults fire at the *dispatch* surface (`exec`, `exec_timed`, `prepare`,
 //! `execute_prepared`) — and, when [`FaultConfig::fault_catalog`] is on,
-//! at `table_entry`, which is what guard generation and `prepare_batch`
-//! read, so mid-batch failure paths can be exercised too. UDF
+//! at `table_entry`, which is what a cold guard build reads, so its
+//! failure paths can be exercised too. UDF
 //! installation is never faulted, nor is loading fixtures through
 //! [`FaultInjectingBackend::inner_mut`]: tests need a reliable way to
 //! build them.
@@ -86,7 +86,7 @@ pub struct FaultConfig {
     /// Added latency per injectable call (slow-backend simulation).
     pub latency: Option<Duration>,
     /// Also inject at `table_entry` (catalog reads feed guard generation
-    /// and `prepare_batch`; off by default so only the dispatch path
+    /// and fragment compilation; off by default so only the dispatch path
     /// faults).
     pub fault_catalog: bool,
 }

@@ -72,7 +72,7 @@ pub use wire::WireSqlBackend;
 ///
 /// * [`BackendError::is_retryable`] — the same call may succeed if simply
 ///   re-issued (possibly on a fresh connection). The service retries these
-///   under its [`crate::RetryPolicy`].
+///   with bounded backoff.
 /// * [`BackendError::needs_reprepare`] — server-side statement state was
 ///   lost; a [`crate::session::Prepared`] must rebuild its plan (prepare a
 ///   fresh statement id) before the query can run again.

@@ -184,9 +184,10 @@ struct StatCells {
 
 type Shard = HashMap<GuardCacheKey, CachedGuard>;
 
-/// One [`GuardCache::insert_generated`] entry: the key, its freshly
-/// generated expression with the compiled rewrite fragment, and the
-/// conditions the expression's policies carry (see [`CachedGuard`]).
+/// What [`GuardCache::insert_generated`] and [`GuardCache::insert_placed`]
+/// publish: the key, its expression with the compiled rewrite fragment,
+/// and the conditions the expression's policies carry (see
+/// [`CachedGuard`]).
 pub type CompiledEntry = (GuardCacheKey, CompiledRelation, Option<Arc<CarriedConditions>>);
 
 /// The cache proper: sharded keyed entries plus counters.
@@ -323,49 +324,29 @@ impl GuardCache {
         Some(f(entry))
     }
 
-    /// Publish (replacing) freshly generated and compiled entries — one
-    /// on the single-key path, a whole batch on the multi-querier
-    /// warm-population path. Each key counts exactly once as a miss (no
-    /// prior entry) or a regeneration (an existing entry replaced),
-    /// decided against the pre-insert state. Every touched shard is then LRU-evicted down
-    /// to its cap without ever evicting a key of this call: a batch is
-    /// populated for immediate use and must never evict itself, so a
-    /// shard may transiently exceed its cap when a single batch is larger
-    /// than it, and the next capping insert restores the bound. Displaced
-    /// fragments free their ∆ partitions via their RAII handles.
-    pub fn insert_generated(&self, items: Vec<CompiledEntry>, epoch: u64) {
-        // Dedup repeated keys (last write wins, as serial inserts would)
-        // so each key is counted once.
-        let mut index: HashMap<GuardCacheKey, usize> = HashMap::new();
-        let mut deduped: Vec<CompiledEntry> = Vec::new();
-        for item in items {
-            match index.entry(item.0.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => deduped[*e.get()] = item,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(deduped.len());
-                    deduped.push(item);
-                }
+    /// Publish (replacing) a freshly generated and compiled entry. It
+    /// counts as a miss if the key had no entry and as a regeneration if it
+    /// replaced one. Past its cap, the shard then drops its
+    /// least-recently-used entry, never this one: it was stamped last.
+    /// Displaced fragments free their ∆ partitions via their RAII handles.
+    pub fn insert_generated(&self, (key, compiled, carried): CompiledEntry, epoch: u64) {
+        let mut shard = self.shard_of(&key).write();
+        let mut entry = CachedGuard::new(compiled, carried, epoch);
+        entry.last_used = AtomicU64::new(self.tick());
+        let counter = match shard.insert(key, entry) {
+            Some(_) => &self.stats.regenerations,
+            None => &self.stats.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if shard.len() > SHARD_CAP {
+            let victim = shard
+                .iter()
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone());
+            if let Some(k) = victim {
+                shard.remove(&k);
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        // Group by shard so each shard is locked exactly once.
-        let mut by_shard: HashMap<usize, Vec<CompiledEntry>> = HashMap::new();
-        for item in deduped {
-            by_shard.entry(Self::shard_index(&item.0)).or_default().push(item);
-        }
-        for (shard_idx, batch) in by_shard {
-            let mut shard = self.shards[shard_idx].write();
-            let batch_keys: Vec<GuardCacheKey> = batch.iter().map(|(k, ..)| k.clone()).collect();
-            for (key, compiled, carried) in batch {
-                let mut entry = CachedGuard::new(compiled, carried, epoch);
-                entry.last_used = AtomicU64::new(self.tick());
-                let replaced = shard.insert(key, entry).is_some();
-                if replaced {
-                    self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.evict_lru(&mut shard, &batch_keys);
         }
     }
 
@@ -391,25 +372,6 @@ impl GuardCache {
         self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
         self.stats.extensions.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Evict least-recently-used entries until the shard fits its cap,
-    /// never evicting a key in `keep`.
-    fn evict_lru(&self, shard: &mut Shard, keep: &[GuardCacheKey]) {
-        while shard.len() > SHARD_CAP.max(keep.len()) {
-            let victim = shard
-                .iter()
-                .filter(|(k, _)| !keep.contains(k))
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    shard.remove(&k);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
     }
 
     /// Count a hit on the guarded-expression level.
@@ -480,7 +442,7 @@ mod tests {
     #[test]
     fn insert_and_hit_counting() {
         let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
+        c.insert_generated(item(1, "r"), 0);
         assert_eq!(c.stats().misses, 1);
         assert!(c.read(&key(1, "r"), |_| ()).is_some());
         c.record_hit();
@@ -490,9 +452,9 @@ mod tests {
     #[test]
     fn invalidate_where_marks_matching_entries() {
         let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
-        c.insert_generated(vec![item(2, "r")], 0);
-        c.insert_generated(vec![item(1, "s")], 0);
+        c.insert_generated(item(1, "r"), 0);
+        c.insert_generated(item(2, "r"), 0);
+        c.insert_generated(item(1, "s"), 0);
         let n = c.invalidate_where(42, |(_, _, rel)| rel == "r");
         assert_eq!(n, 2);
         assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![42]);
@@ -508,7 +470,7 @@ mod tests {
         // shed the overflow as evictions, and keep every *recently used*
         // key resident.
         for i in 0..(GUARD_CACHE_CAP as i64 * 2) {
-            c.insert_generated(vec![item(i, "r")], 0);
+            c.insert_generated(item(i, "r"), 0);
         }
         assert!(c.len() <= GUARD_CACHE_CAP, "len {} > cap", c.len());
         let s = c.stats();
@@ -520,12 +482,12 @@ mod tests {
     fn lru_on_access_protects_hot_keys_from_churn() {
         let c = GuardCache::new();
         let hot = key(-1, "hot");
-        c.insert_generated(vec![item(-1, "hot")], 0);
+        c.insert_generated(item(-1, "hot"), 0);
         // Churn an order of magnitude more one-shot keys than the cache
         // holds, touching the hot key between insertions. FIFO or
         // LRU-on-*insert* would rotate it out; LRU-on-access must not.
         for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-            c.insert_generated(vec![item(i, "churn")], 0);
+            c.insert_generated(item(i, "churn"), 0);
             assert!(
                 c.read(&hot, |_| ()).is_some(),
                 "hot key evicted after {i} churn insertions"
@@ -535,59 +497,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_counts_each_entry_once() {
-        let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
-        // Bulk over one existing + two new keys: per-key miss/regeneration
-        // accounting against the pre-insert state.
-        c.insert_generated(vec![item(1, "r"), item(2, "r"), item(3, "r")], 0);
-        let s = c.stats();
-        assert_eq!(s.misses, 3, "1 cold insert + 2 new bulk keys");
-        assert_eq!(s.regenerations, 1, "key 1 replaced in place");
-        assert_eq!(s.evictions, 0);
-        assert_eq!(s.generations(), 4);
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn bulk_insert_larger_than_cap_lands_whole() {
-        let c = GuardCache::new();
-        // A batch bigger than the whole cache: every batch entry must land
-        // (transient overflow) — a batch is populated for immediate use.
-        let batch: Vec<_> = (0..(GUARD_CACHE_CAP as i64 + 512)).map(|i| item(i, "r")).collect();
-        let n = batch.len();
-        c.insert_generated(batch, 0);
-        assert_eq!(c.stats().misses, n as u64);
-        for i in 0..(GUARD_CACHE_CAP as i64 + 512) {
-            assert!(c.read(&key(i, "r"), |_| ()).is_some(), "batch key {i} missing");
-        }
-        // The next capping single insert restores its shard's bound.
-        c.insert_generated(vec![item(-7, "r")], 0);
-        assert!(c.stats().evictions > 0);
-    }
-
-    #[test]
-    fn bulk_insert_dedups_repeated_keys() {
-        let c = GuardCache::new();
-        // The same key three times plus one distinct: two entries, two
-        // misses, no phantom counts.
-        c.insert_generated(
-            vec![item(1, "r"), item(1, "r"), item(1, "r"), item(2, "r")],
-            0,
-        );
-        assert_eq!(c.len(), 2);
-        let s = c.stats();
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.regenerations, 0);
-        assert_eq!(s.generations(), 2);
-    }
-
-    #[test]
     fn regeneration_of_existing_key_is_not_a_miss() {
         let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
+        c.insert_generated(item(1, "r"), 0);
         c.invalidate_where(9, |_| true);
-        c.insert_generated(vec![item(1, "r")], 0);
+        c.insert_generated(item(1, "r"), 0);
         let s = c.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.regenerations, 1);
@@ -598,7 +512,7 @@ mod tests {
     #[test]
     fn placed_entry_publishes_only_over_the_entry_it_read() {
         let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 0);
+        c.insert_generated(item(1, "r"), 0);
         c.invalidate_where(7, |_| true);
         let expr = c.read(&key(1, "r"), |e| Arc::clone(&e.compiled.expr)).unwrap();
         // A second grant swept in after the placement read `[7]`: the
@@ -619,10 +533,10 @@ mod tests {
     #[test]
     fn entries_record_their_generation_epoch() {
         let c = GuardCache::new();
-        c.insert_generated(vec![item(1, "r")], 3);
+        c.insert_generated(item(1, "r"), 3);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 3);
         // Regeneration at a later epoch replaces the stamp.
-        c.insert_generated(vec![item(1, "r")], 5);
+        c.insert_generated(item(1, "r"), 5);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 5);
         assert_eq!(c.stats().regenerations, 1);
     }
@@ -636,7 +550,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.insert_generated(vec![(k.clone(), compiled("r"), None)], 0);
+                        c.insert_generated((k.clone(), compiled("r"), None), 0);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

@@ -26,15 +26,16 @@ use std::fmt;
 /// Error returned by the SIEVE middleware's public API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SieveError {
-    /// The middleware could not produce a guarded query: parse failure,
-    /// unknown relation/column during rewrite, an unsupported baseline
-    /// shape, or a policy-store problem. Nothing was dispatched.
+    /// The middleware could not produce a guarded query: parse failure, a
+    /// client query that calls a UDF, unknown relation/column during
+    /// rewrite, an unsupported baseline shape, or a policy-store problem.
+    /// Nothing was dispatched.
     Rewrite(DbError),
-    /// The backend failed and the failure is not retryable (or retries are
-    /// disabled). Inspect the [`BackendError`] for the classification.
+    /// The backend failed and the failure is not retryable. Inspect the
+    /// [`BackendError`] for the classification.
     Backend(BackendError),
-    /// The backend kept failing retryably until the retry budget
-    /// ([`crate::RetryPolicy`]) ran out.
+    /// The backend kept failing retryably until the service's retry budget
+    /// (three retries with backoff, one second in all) ran out.
     RetriesExhausted {
         /// Total attempts made (initial try + retries).
         attempts: u32,

@@ -13,14 +13,12 @@
 //! left-sorted candidates stops looking past the first non-overlapping
 //! candidate (Corollaries 1.1 and 1.2).
 //!
-//! There is one pipeline, in two halves. Collecting, collapsing and
-//! estimating (`GuardableConditions::collect`) depends only on the
-//! policies collected over, so a build for several queriers of one
-//! `(purpose, relation)` does it once over all their policies. Restricting
-//! to one querier's policies and merging **their** ranges
-//! (`GuardableConditions::candidates_for`) is per querier, and yields what
-//! a collection over those policies alone yields — which is how
-//! [`generate_candidates`] is defined.
+//! There is one pipeline, in two halves: collecting, collapsing and
+//! estimating (`GuardableConditions::collect`), then merging the ranges
+//! (`GuardableConditions::candidates_for`) — which is how
+//! [`generate_candidates`] is defined. The service keeps the collection of
+//! a generation to fingerprint what its policies carry
+//! (`GuardableConditions::carried_by`), for a later placement.
 
 use super::placement::CarriedConditions;
 use crate::cost::CostModel;
@@ -84,14 +82,10 @@ pub fn is_guardable(oc: &ObjectCondition, entry: &TableEntry) -> bool {
     )
 }
 
-/// The querier-independent half of candidate generation: the guardable
-/// conditions of a policy list, identical ones collapsed, each with its
-/// histogram estimate `ρ(oc_g)` (which does not depend on who asks), and
-/// per policy the conditions it carries. Collected over one querier's
-/// relevant set on the single-key path, or **once** over the policies of
-/// all the queriers of a `(purpose, relation)` that share a build; either
-/// way [`GuardableConditions::candidates_for`] turns it into one
-/// querier's candidate set.
+/// The first half of candidate generation: the guardable conditions of a
+/// policy list, identical ones collapsed, each with its histogram estimate
+/// `ρ(oc_g)`, and per policy the conditions it carries.
+/// [`GuardableConditions::candidates_for`] turns it into a candidate set.
 #[derive(Debug, Default)]
 pub(crate) struct GuardableConditions {
     conds: Vec<(ObjectCondition, f64)>,
@@ -140,11 +134,6 @@ impl GuardableConditions {
         out
     }
 
-    /// Number of distinct guardable conditions collected.
-    pub(crate) fn len(&self) -> usize {
-        self.conds.len()
-    }
-
     /// What a later placement must know of `policies` (each of which
     /// should be in the collection): the fingerprints of the conditions
     /// they carry, with the ranges among them by attribute. `None` when
@@ -174,14 +163,10 @@ impl GuardableConditions {
 
     /// The candidate set `CG` for `policies` (each of which should be in
     /// the collection; one that is not gets no candidate and falls to
-    /// `select_guards`' owner fallback): restrict, then run Theorem 1's merge
-    /// sweep over **their** ranges only. Restriction walks `policies` in
-    /// the order given and emits each condition where it is first seen,
-    /// covering exactly the given policies that carry it — the list a
-    /// collection over `policies` alone would hold — so the result does
-    /// not depend on what else was collected alongside: a querier's
-    /// candidates out of a group's shared collection are its candidates
-    /// out of its own.
+    /// `select_guards`' owner fallback): walk `policies` in the order given,
+    /// emitting each condition where it is first seen and covering exactly
+    /// the given policies that carry it, then run Theorem 1's merge sweep
+    /// over their ranges.
     pub(crate) fn candidates_for(
         &self,
         policies: &[&Policy],

@@ -133,10 +133,9 @@ pub fn generate_guarded_expression(
     }
 }
 
-/// The guards of `policies`' expression, over conditions collected from
-/// `policies` themselves or from any superset (a batch group's slice):
-/// the candidate pipeline restricts to `policies` before it merges and
-/// selects, so the guards are the same either way.
+/// The guards of `policies`' expression, over the conditions collected
+/// from them: Theorem 1's merges and Algorithm 1's cover, or one guard per
+/// owner.
 pub(crate) fn guards_over(
     conditions: &GuardableConditions,
     policies: &[&Policy],

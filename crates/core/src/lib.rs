@@ -38,9 +38,6 @@
 //! registry: policies and guards live in the middleware, and the database
 //! it guards is never written to on their account. [`deny`] folds deny
 //! policies into the allow-only model the enforcement path assumes.
-//! [`batch`] amortizes guard generation across batches of concurrent
-//! queriers — shared candidate generation per `(purpose, relation)` group,
-//! per-querier set cover.
 
 #![warn(missing_docs)]
 // The query path must fail closed with typed errors, never panic: gate
@@ -53,7 +50,6 @@
 pub mod analyze;
 pub mod backend;
 pub mod baselines;
-pub mod batch;
 pub mod cache;
 pub mod cost;
 pub mod delta;
@@ -77,13 +73,12 @@ pub use backend::{
     SqlBackend, WireSqlBackend,
 };
 pub use baselines::Enforcement;
-pub use batch::{BatchGroupReport, BatchPrepareReport};
 pub use error::{SieveError, SieveResult};
 pub use cache::{GuardCache, GuardCacheStats};
 pub use cost::{AccessStrategy, CostModel, StrategyCosts};
 pub use filter::{policy_applies, relevant_policies, GroupDirectory};
 pub use guard::{Guard, GuardSelectionStrategy, GuardedExpression};
-pub use options::{RetryPolicy, SieveOptions};
+pub use options::SieveOptions;
 pub use policy::{
     CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata, UserId,
     OWNER_ATTR, PURPOSE_ANY,

@@ -221,40 +221,34 @@ pub struct CompiledRelation {
     pub fragment: Arc<GuardFragment>,
 }
 
-/// Cross-querier memo for batched fragment compilation. Guard partitions
-/// are sets of policies, and across the queriers of one
-/// `prepare_batch` group the same partition recurs constantly (every
-/// member of a group grant gets an identical branch). Keyed by the sorted
-/// policy-id set, the memo compiles each **distinct** partition once —
-/// inline DNF construction or ∆ registration — and later queriers clone
-/// the compiled expression (and share the ∆ partition through another
-/// RAII handle) instead of redoing the work.
+/// Compiled guard partitions a fragment compilation starts from, keyed
+/// by the sorted policy-id set of each: a partition found here is reused —
+/// its shared node, bound forms included, and its ∆ registration — instead
+/// of being built again. A generation starts from an empty one; a
+/// placement from [`FragmentCompileCache::seeded`].
 #[derive(Debug, Default)]
 pub struct FragmentCompileCache {
     partitions: HashMap<Vec<PolicyId>, (Expr, Option<PartitionHandle>)>,
-    /// Partition compilations skipped because an identical policy set was
-    /// already compiled in this batch group (observability).
-    pub reuses: usize,
 }
 
 impl FragmentCompileCache {
-    /// A memo holding `current`'s partitions: recompiling, under the
+    /// A seed holding `current`'s partitions: recompiling, under the
     /// `delta_mode` `current` was compiled under, an expression that
     /// keeps some of them — a placed grant — reuses their shared nodes,
     /// bound forms included, and their ∆ registrations, so only the new
     /// partitions are built and the engine binds only the new branches.
     pub fn seeded(current: &CompiledRelation) -> Self {
-        let mut memo = FragmentCompileCache::default();
+        let mut seed = FragmentCompileCache::default();
         let branches = current.expr.guards.iter().zip(&current.fragment.branches);
         for (g, b) in branches {
-            memo.partitions.insert(memo_key(&g.policies), (b.partition.clone(), b.delta.clone()));
+            seed.partitions.insert(partition_key(&g.policies), (b.partition.clone(), b.delta.clone()));
         }
-        memo
+        seed
     }
 }
 
-/// A partition's memo key: its policy ids, sorted and distinct.
-fn memo_key(policies: &[PolicyId]) -> Vec<PolicyId> {
+/// A partition's key in a seed: its policy ids, sorted and distinct.
+fn partition_key(policies: &[PolicyId]) -> Vec<PolicyId> {
     let mut key = policies.to_vec();
     key.sort_unstable();
     key.dedup();
@@ -263,10 +257,8 @@ fn memo_key(policies: &[PolicyId]) -> Vec<PolicyId> {
 
 /// Compile a guarded expression into a reusable rewrite fragment: build
 /// each guard's partition expression (inlining the policy DNF or
-/// registering a ∆ partition per the cost model) exactly once — once per
-/// `memo`, so callers compiling many queriers' expressions share distinct
-/// partitions by passing the same [`FragmentCompileCache`], and one-shot
-/// callers pass a fresh one.
+/// registering a ∆ partition per the cost model), unless `seed` already
+/// holds it.
 pub fn compile_guard_fragment(
     backend: &dyn SqlBackend,
     delta: &Arc<DeltaRegistry>,
@@ -274,15 +266,13 @@ pub fn compile_guard_fragment(
     by_id: &HashMap<PolicyId, &Policy>,
     cost: &CostModel,
     delta_mode: DeltaMode,
-    memo: &mut FragmentCompileCache,
+    seed: &FragmentCompileCache,
 ) -> SieveResult<GuardFragment> {
     let entry = backend.table_entry(&ge.relation)?;
     let schema = entry.schema();
     let mut branches = Vec::with_capacity(ge.guards.len());
     for g in &ge.guards {
-        let memo_key = memo_key(&g.policies);
-        if let Some((expr, handle)) = memo.partitions.get(&memo_key) {
-            memo.reuses += 1;
+        if let Some((expr, handle)) = seed.partitions.get(&partition_key(&g.policies)) {
             branches.push(CompiledBranch {
                 condition: g.condition.to_expr(),
                 partition: expr.clone(),
@@ -317,7 +307,6 @@ pub fn compile_guard_fragment(
                 None,
             )
         };
-        memo.partitions.insert(memo_key, (partition.clone(), handle.clone()));
         branches.push(CompiledBranch {
             condition: g.condition.to_expr(),
             partition,
@@ -355,9 +344,8 @@ pub fn compile_relations(
 ) -> SieveResult<HashMap<String, CompiledRelation>> {
     let mut out = HashMap::new();
     for (rel, ge) in guarded {
-        let mut memo = FragmentCompileCache::default();
-        let fragment =
-            compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode, &mut memo)?;
+        let seed = FragmentCompileCache::default();
+        let fragment = compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode, &seed)?;
         out.insert(
             rel.clone(),
             CompiledRelation {

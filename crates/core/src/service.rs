@@ -4,12 +4,11 @@
 //! *simultaneously*; [`SieveService`] is that deployment shape in code.
 //! It is `Send + Sync` and cheaply clonable (all state behind one `Arc`),
 //! and the **entire read/query path** — [`SieveService::rewrite`],
-//! [`SieveService::execute`], [`SieveService::execute_sql`],
-//! [`SieveService::prepare_batch`] — takes `&self`, so any number of
-//! connection threads drive one service concurrently. Mutation
-//! ([`SieveService::add_policy`], [`SieveService::with_backend_mut`], …)
-//! also goes through `&self`, serialized by the write sides of the
-//! internal locks.
+//! [`SieveService::execute`], [`SieveService::execute_sql`] — takes
+//! `&self`, so any number of connection threads drive one service
+//! concurrently. Mutation ([`SieveService::add_policy`],
+//! [`SieveService::with_backend_mut`], …) also goes through `&self`,
+//! serialized by the write sides of the internal locks.
 //!
 //! # Internal locking
 //!
@@ -42,12 +41,11 @@
 //! # Single-flight build
 //!
 //! A cache entry is one artefact — the expression queries run under plus
-//! its compiled fragment — and the service has exactly one way to bring
-//! keys current (`build`), whether it is handed one key (a lookup whose
-//! warm shard read missed) or a request batch's worth
-//! ([`SieveService::prepare_batch`]): claim every key via
-//! [`GuardCache::begin_generation`] — in key order, so claimers never wait
-//! in a cycle — re-check each, and bring it current one of two ways:
+//! its compiled fragment — and the service has exactly one way to bring a
+//! `(querier, purpose, relation)` key current (`build`), taken when a
+//! lookup's warm shard read missed: claim the key via
+//! [`GuardCache::begin_generation`], re-check it, and bring it current one
+//! of two ways:
 //!
 //! * a **placement** — pending policies on an entry built under the
 //!   current backend epoch and `delta_mode`: they join the cached
@@ -57,19 +55,18 @@
 //!   into a generation;
 //! * a **generation** — no entry, a trailing backend epoch, a moved
 //!   `delta_mode`, nothing to place into (an owner-only selection), or a
-//!   placement that was not exact.
+//!   placement that was not exact. It runs Algorithm 1 over the querier's
+//!   relevant policies.
 //!
-//! Generations run per `(purpose, relation)` group (see [`crate::batch`]
-//! for what a group shares); every expression is then `finish`ed —
-//! proved, compiled, the fragment proved — and published. A placement
-//! compiles with the entry's own partitions already in its memo
-//! ([`FragmentCompileCache::seeded`]), so only the new branches are built
-//! and bound.
-//! Everything cold runs under the claims, so N sessions — and a batch
-//! beside them — missing the same `(querier, purpose, relation)` at once
-//! cost one generation, one compile, one set of ∆ registrations and one
-//! proof; the rest park until the claim drops, re-check, and leave with the
-//! published entry (counted in [`GuardCacheStats::coalesced`]).
+//! Either expression is then `finish`ed — proved, compiled, the fragment
+//! proved — and published. A placement compiles with the entry's own
+//! partitions already in its seed ([`FragmentCompileCache::seeded`]), so
+//! only the new branches are built and bound.
+//! Everything cold runs under the claim, so N sessions missing the same
+//! key at once cost one generation, one compile, one set of ∆
+//! registrations and one proof; the rest park until the claim drops,
+//! re-check, and leave with the published entry (counted in
+//! [`GuardCacheStats::coalesced`]).
 //!
 //! # Consistency under concurrent `add_policy`
 //!
@@ -99,12 +96,14 @@
 
 use crate::analyze;
 use crate::backend::{BackendError, SqlBackend, StatementId};
-use crate::batch::{BatchGroupReport, BatchPrepareReport};
-use crate::cache::{CompiledEntry, GuardCache, GuardCacheKey, GuardCacheStats};
+use crate::cache::{GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
 use crate::filter::{policy_applies, GroupDirectory};
-use crate::guard::{place_grants, CarriedConditions, GuardedExpression};
+use crate::guard::{
+    guards_over, place_grants, CarriedConditions, GuardSelectionStrategy, GuardableConditions,
+    GuardedExpression,
+};
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
@@ -113,13 +112,27 @@ use crate::rewrite::{
 };
 use crate::error::{SieveError, SieveResult};
 use crate::store::PolicyStore;
+use crate::visitor::calls_udf;
+use minidb::catalog::TableEntry;
+use minidb::error::DbError;
 use minidb::exec::ExecOptions;
 use minidb::plan::SelectQuery;
 use minidb::{Database, QueryResult};
 use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Retries of a retryable backend operation after its first attempt.
+const MAX_RETRIES: u32 = 3;
+/// The backoff before retry `n` is `BASE_BACKOFF × 2^(n−1)`, capped at
+/// [`MAX_BACKOFF`].
+const BASE_BACKOFF: Duration = Duration::from_micros(200);
+/// Upper bound on one backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_millis(5);
+/// Wall-clock budget across all attempts of one operation.
+const RETRY_BUDGET: Duration = Duration::from_secs(1);
 
 /// Internal atomics behind [`RecoveryStats`].
 #[derive(Default)]
@@ -160,9 +173,32 @@ struct ColdBuild<'a> {
 }
 
 impl ColdBuild<'_> {
-    /// The tail of every cold build — single-key or batched, generated or
-    /// placed: prove the expression, compile its fragment
-    /// (sharing partitions through `memo`), prove the fragment. The only
+    /// Algorithm 1 over the policies relevant to `qm` on `relation`: the
+    /// guarded expression, with the guard conditions its policies carry
+    /// for a later placement (`None` where nothing can be placed: an
+    /// owner-only selection, or a policy with no guardable condition).
+    fn generate(
+        &self,
+        qm: &QueryMetadata,
+        relation: &str,
+        table: &TableEntry,
+    ) -> (GuardedExpression, Option<CarriedConditions>) {
+        let relevant = self.store.relevant(relation, qm, self.groups);
+        let conditions = GuardableConditions::collect(&relevant, table);
+        let selection = self.opts.selection;
+        let expr = GuardedExpression {
+            relation: relation.to_string(),
+            querier: qm.querier,
+            purpose: qm.purpose.clone(),
+            guards: guards_over(&conditions, &relevant, table, self.cost, selection),
+        };
+        let placeable = selection == GuardSelectionStrategy::CostOptimal;
+        (expr, placeable.then(|| conditions.carried_by(&relevant)).flatten())
+    }
+
+    /// The tail of every cold build, generated or placed: prove the
+    /// expression, compile its fragment (reusing the partitions `seed`
+    /// holds), prove the fragment. The only
     /// producer of cache entries, so none is ever half-built, and with
     /// `verify_rewrites` on none is unproven. Warm lookups never come
     /// here, so steady-state verification overhead is zero. Refuted
@@ -172,7 +208,7 @@ impl ColdBuild<'_> {
         &self,
         qm: &QueryMetadata,
         expr: Arc<GuardedExpression>,
-        memo: &mut FragmentCompileCache,
+        seed: &FragmentCompileCache,
     ) -> SieveResult<CompiledRelation> {
         let refuted = |verdict| match verdict {
             analyze::Verdict::Refuted { witness } => Err(SieveError::SoundnessRefuted {
@@ -204,7 +240,7 @@ impl ColdBuild<'_> {
             &by_id,
             self.cost,
             self.opts.rewrite.delta_mode,
-            memo,
+            seed,
         )?;
         if let Some(allowed) = &allowed {
             refuted(analyze::verify_fragment(&fragment, &expr, &by_id, allowed))?;
@@ -224,8 +260,8 @@ fn cache_key(qm: &QueryMetadata, relation: &str) -> GuardCacheKey {
 struct Outdated {
     /// The policies swept into the entry since it was built.
     pending: Vec<PolicyId>,
-    /// What queries run under now: placed into, and seeds the partition
-    /// memo.
+    /// What queries run under now: placed into, and the seed of the
+    /// placement's fragment compilation.
     current: CompiledRelation,
     /// The backend epoch the entry was built under.
     epoch: u64,
@@ -351,20 +387,6 @@ impl<B: SqlBackend> SieveService<B> {
     /// statements re-prepare when it moves).
     pub fn revision(&self) -> u64 {
         self.inner.revision.load(Ordering::SeqCst)
-    }
-
-    /// Calibrate the cost model against a loaded table (Section 5.4).
-    pub fn calibrate(&self, table: &str, sample_rows: usize) -> SieveResult<()> {
-        let policies: Vec<Policy> =
-            self.inner.store.read().iter().take(64).cloned().collect();
-        let refs: Vec<&Policy> = policies.iter().collect();
-        let model = {
-            let backend = self.inner.backend.read();
-            crate::cost::calibrate(&*backend, table, &refs, sample_rows)?
-        };
-        *self.inner.cost.write() = model;
-        self.invalidate_all();
-        Ok(())
     }
 
     /// Read access to the group directory (holds its read lock).
@@ -524,7 +546,7 @@ impl<B: SqlBackend> SieveService<B> {
     /// The one way a `(querier, purpose, relation)` key is brought current
     /// and read: the compiled relation (effective expression + rewrite
     /// fragment) queries run under. Warm, that is one shard read lock;
-    /// cold, it is [`Self::build`] over this one key.
+    /// cold, it is [`Self::build`].
     fn current_relation(
         &self,
         qm: &QueryMetadata,
@@ -536,61 +558,37 @@ impl<B: SqlBackend> SieveService<B> {
             self.inner.cache.record_hit();
             return Ok(compiled);
         }
-        let (mut compiled, _) = self.build(&[(qm, relation)], opts, cost)?;
-        compiled.pop().ok_or(SieveError::Internal("build returned no entry"))
+        self.build(qm, relation, opts, cost)
     }
 
-    /// The one cold path: bring every key current — one for a lookup, a
-    /// request batch's worth for [`Self::prepare_batch`] — and return the
-    /// keys' compiled relations (in no order a caller of several could
-    /// use) beside one report per `(purpose, relation)` group generated
-    /// for (its `queriers` counting the keys that came here). The whole
-    /// build — place or generate, then [`ColdBuild::finish`] —
-    /// runs under the keys' single-flight claims and publishes each entry
-    /// once (module docs). An error publishes nothing further and drops
-    /// every claim.
+    /// The one cold path: bring `relation`'s key for `qm` current and
+    /// return its compiled relation. The whole build — place or generate,
+    /// then [`ColdBuild::finish`] — runs under the key's single-flight
+    /// claim and publishes the entry once (module docs). An error
+    /// publishes nothing and drops the claim.
     /// Superseded fragments free their ∆ partitions once the last
     /// in-flight query drops its pin.
     fn build(
         &self,
-        keys: &[(&QueryMetadata, &str)],
+        qm: &QueryMetadata,
+        relation: &str,
         opts: &SieveOptions,
         cost: &CostModel,
-    ) -> SieveResult<(Vec<CompiledRelation>, Vec<BatchGroupReport>)> {
+    ) -> SieveResult<CompiledRelation> {
         let cache = &self.inner.cache;
-        let cache_keys: Vec<GuardCacheKey> =
-            keys.iter().map(|(qm, relation)| cache_key(qm, relation)).collect();
-        let mut compiled = Vec::new();
-        let mut reports = Vec::new();
-        // Claims are taken in key order: a single-key build holds one
-        // claim and waits for no other, and two multi-key builds meet in
-        // the same order, so claimers never wait in a cycle.
-        let mut todo: Vec<usize> = (0..keys.len()).collect();
-        todo.sort_by(|&a, &b| cache_keys[a].cmp(&cache_keys[b]));
-        // A key claimed twice would park on itself.
-        todo.dedup_by(|a, b| cache_keys[*a] == cache_keys[*b]);
-        while !todo.is_empty() {
+        let key = cache_key(qm, relation);
+        loop {
             // Single-flight: losers of a race park here until the winner's
             // claim drops, then find its entry on the re-check.
-            let _claims: Vec<_> = todo.iter().map(|&i| cache.begin_generation(&cache_keys[i])).collect();
-            let mut generate: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-            let mut place = Vec::new();
-            for i in std::mem::take(&mut todo) {
-                match self.lookup(&cache_keys[i], opts) {
-                    Ok(fresh) => {
-                        cache.record_coalesced();
-                        cache.record_hit();
-                        compiled.push(fresh);
-                    }
-                    Err(Build::Generate) => {
-                        generate.entry((&keys[i].0.purpose, keys[i].1)).or_default().push(i)
-                    }
-                    Err(Build::Place(o, carried)) => place.push((i, o, carried)),
+            let _claim = cache.begin_generation(&key);
+            let how = match self.lookup(&key, opts) {
+                Ok(fresh) => {
+                    cache.record_coalesced();
+                    cache.record_hit();
+                    return Ok(fresh);
                 }
-            }
-            if generate.is_empty() && place.is_empty() {
-                break;
-            }
+                Err(how) => how,
+            };
             // Store and groups stay read-locked across the build AND the
             // publish — the consistency argument with `add_policy` and
             // `with_groups_mut` (module docs) depends on it.
@@ -606,8 +604,8 @@ impl<B: SqlBackend> SieveService<B> {
                 opts,
                 cost,
             };
-            for (i, o, carried) in place {
-                let (qm, relation) = keys[i];
+            let table = backend.table_entry(relation)?;
+            if let Build::Place(o, carried) = how {
                 let grants: Option<Vec<&Policy>> = o
                     .pending
                     .iter()
@@ -616,57 +614,31 @@ impl<B: SqlBackend> SieveService<B> {
                 // Placed under the epoch the entry was built under, or not
                 // at all: a mutation since may have moved the estimates it
                 // keeps.
-                let table = backend.table_entry(relation)?;
                 let placed = match grants {
                     Some(grants) if o.epoch == epoch => {
                         place_grants(&o.current.expr, &carried, &grants, table, cost)
                     }
                     _ => None,
                 };
-                let Some((expr, carried)) = placed else {
-                    generate.entry((&qm.purpose, relation)).or_default().push(i);
-                    continue;
-                };
-                let mut memo = FragmentCompileCache::seeded(&o.current);
-                let done = cold.finish(qm, Arc::new(expr), &mut memo)?;
-                let item = (cache_keys[i].clone(), done.clone(), Some(Arc::new(carried)));
-                if cache.insert_placed(item, (&o.current.expr, &o.pending), epoch) {
-                    compiled.push(done);
-                } else {
+                if let Some((expr, carried)) = placed {
+                    let seed = FragmentCompileCache::seeded(&o.current);
+                    let done = cold.finish(qm, Arc::new(expr), &seed)?;
+                    let item = (key.clone(), done.clone(), Some(Arc::new(carried)));
+                    if cache.insert_placed(item, (&o.current.expr, &o.pending), epoch) {
+                        return Ok(done);
+                    }
                     // Swept, evicted or replaced mid-build: a grant swept
                     // in meanwhile would be lost with the pending list it
-                    // joined — retry.
-                    todo.push(i);
+                    // joined — build again.
+                    continue;
                 }
             }
-            let mut generated: Vec<CompiledEntry> = Vec::new();
-            for (group, members) in generate {
-                let entry = backend.table_entry(group.1)?;
-                let queriers: Vec<&QueryMetadata> = members.iter().map(|&i| keys[i].0).collect();
-                let (exprs, mut report) = crate::batch::generate_group(
-                    &store,
-                    &groups,
-                    entry,
-                    cost,
-                    opts.selection,
-                    group,
-                    &queriers,
-                );
-                // One memo per group: its queriers share partition
-                // compilations (inline DNFs and ∆ registrations).
-                let mut memo = FragmentCompileCache::default();
-                for (&i, (expr, carried)) in members.iter().zip(exprs) {
-                    let done = cold.finish(keys[i].0, Arc::new(expr), &mut memo)?;
-                    compiled.push(done.clone());
-                    generated.push((cache_keys[i].clone(), done, carried.map(Arc::new)));
-                }
-                report.partition_reuses = memo.reuses;
-                reports.push(report);
-            }
+            let (expr, carried) = cold.generate(qm, relation, table);
+            let done = cold.finish(qm, Arc::new(expr), &FragmentCompileCache::default())?;
             drop(backend);
-            cache.insert_generated(generated, epoch);
+            cache.insert_generated((key, done.clone(), carried.map(Arc::new)), epoch);
+            return Ok(done);
         }
-        Ok((compiled, reports))
     }
 
     /// Rewrite a query for a querier without executing it (Section 5.6's
@@ -681,7 +653,16 @@ impl<B: SqlBackend> SieveService<B> {
     /// names resolved against the query's WITH scope first (a CTE that
     /// shadows a protected name is not a base-table read). There is no
     /// nesting depth at which enforcement is skipped.
+    ///
+    /// A query that calls a UDF anywhere is refused with
+    /// [`SieveError::Rewrite`] before any guard work: the engine's one UDF
+    /// is ∆, which reads whichever policy partition its arguments name,
+    /// so a client call could probe other queriers' policies.
     pub fn rewrite(&self, query: &SelectQuery, qm: &QueryMetadata) -> SieveResult<RewriteOutput> {
+        if calls_udf(query) {
+            let refusal = "a client query may not call a UDF".to_string();
+            return Err(SieveError::Rewrite(DbError::Unsupported(refusal)));
+        }
         let (opts, cost) = self.snapshot_config();
         let rels = {
             let protected = self.inner.protected.read();
@@ -716,10 +697,11 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.recovery.reprepares.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Run a backend operation under the configured [`crate::RetryPolicy`]:
-    /// retryable errors ([`BackendError::is_retryable`]) are re-issued with
-    /// deterministic exponential backoff until the attempt or time budget
-    /// runs out; everything else fails closed on the first attempt.
+    /// Run a backend operation, re-issuing retryable errors
+    /// ([`BackendError::is_retryable`]) up to [`MAX_RETRIES`] times with
+    /// deterministic exponential backoff (no jitter, so fault schedules
+    /// replay identically under a fixed seed) while [`RETRY_BUDGET`] lasts;
+    /// everything else fails closed on the first attempt.
     ///
     /// A [`BackendError::ConnectionLost`] additionally bumps the backend
     /// epoch — server-side statement state is gone, so every
@@ -731,7 +713,6 @@ impl<B: SqlBackend> SieveService<B> {
         &self,
         mut op: impl FnMut(&B) -> Result<T, BackendError>,
     ) -> SieveResult<T> {
-        let retry = self.inner.options.read().retry;
         let start = std::time::Instant::now();
         let mut attempts: u32 = 0;
         loop {
@@ -747,8 +728,8 @@ impl<B: SqlBackend> SieveService<B> {
                 self.inner.recovery.reconnects.fetch_add(1, Ordering::Relaxed);
                 self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
             }
-            let budget_ok = retry.budget.map(|b| start.elapsed() < b).unwrap_or(true);
-            if !err.is_retryable() || attempts > retry.max_retries || !budget_ok {
+            let budget_ok = start.elapsed() < RETRY_BUDGET;
+            if !err.is_retryable() || attempts > MAX_RETRIES || !budget_ok {
                 if err.is_retryable() {
                     self.inner.recovery.exhausted.fetch_add(1, Ordering::Relaxed);
                 }
@@ -762,7 +743,7 @@ impl<B: SqlBackend> SieveService<B> {
                 });
             }
             self.inner.recovery.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(retry.backoff_for(attempts));
+            std::thread::sleep((BASE_BACKOFF * (1 << (attempts - 1))).min(MAX_BACKOFF));
         }
     }
 
@@ -814,60 +795,6 @@ impl<B: SqlBackend> SieveService<B> {
     /// before any guard work.
     pub fn execute_sql(&self, sql: &str, qm: &QueryMetadata) -> SieveResult<QueryResult> {
         self.execute(&minidb::sql::parse(sql)?, qm)
-    }
-
-    /// Bring the guard cache current for a batch of concurrent queriers
-    /// (the ROADMAP's batched multi-querier evaluation): every key the
-    /// requests read, over the whole query tree, that is not already warm
-    /// goes through the one cold build together. Keys of one `(purpose,
-    /// relation)` share the guardable-condition collection with its
-    /// histogram estimates and one partition memo; restriction, Theorem
-    /// 1's merges and the set cover run per querier.
-    ///
-    /// Batching changes the work schedule, not the result: each entry is
-    /// the one a single-key lookup would have built, so rewriting or
-    /// executing afterwards returns exactly what sequential
-    /// [`SieveService::execute`] calls would.
-    pub fn prepare_batch(
-        &self,
-        requests: &[(QueryMetadata, SelectQuery)],
-    ) -> SieveResult<BatchPrepareReport> {
-        let (opts, cost) = self.snapshot_config();
-        let grouped = {
-            let protected = self.inner.protected.read();
-            crate::batch::group_requests(requests, &protected)
-        };
-        let keys = grouped
-            .iter()
-            .flat_map(|((_, relation), qms)| qms.iter().map(move |qm| (*qm, relation.as_str())));
-        let keys: Vec<(&QueryMetadata, &str)> = keys.collect();
-        let is_cold = |(qm, relation): &(&QueryMetadata, &str)| {
-            self.lookup(&cache_key(qm, relation), &opts).is_err()
-        };
-        let cold: Vec<_> = keys.iter().copied().filter(is_cold).collect();
-        let mut report = BatchPrepareReport {
-            groups: self.build(&cold, &opts, &cost)?.1,
-            ..Default::default()
-        };
-        for g in &mut report.groups {
-            g.queriers = grouped[&(g.purpose.clone(), g.relation.clone())].len();
-            report.generated += g.generated;
-            report.partition_reuses += g.partition_reuses;
-        }
-        report.reused = keys.len() - report.generated;
-        Ok(report)
-    }
-
-    /// Execute a batch of queries under SIEVE enforcement, amortizing
-    /// guard generation across queriers via
-    /// [`SieveService::prepare_batch`]. Results are in request order and
-    /// identical to calling [`SieveService::execute`] per request.
-    pub fn execute_batch(
-        &self,
-        requests: &[(QueryMetadata, SelectQuery)],
-    ) -> SieveResult<Vec<QueryResult>> {
-        self.prepare_batch(requests)?;
-        requests.iter().map(|(qm, q)| self.execute(q, qm)).collect()
     }
 }
 
@@ -1027,12 +954,13 @@ mod tests {
         assert!(rows.iter().all(|r| r[1] == Value::Int(42)));
     }
 
-    /// Batch × verification × ∆: with `verify_rewrites` on, a batch whose
-    /// queriers share a group grant (so the memo shares partitions — as ∆
-    /// registrations under `Always`) goes through the same `finish` as a
-    /// single-key build and serves exactly the oracle's rows.
+    /// Verification × ∆: with `verify_rewrites` on, four queriers that
+    /// share a group grant (so their expressions hold identical partitions
+    /// — ∆ registrations under `Always`) each go through the proving
+    /// `finish` of their own cold build and are served exactly the
+    /// oracle's rows.
     #[test]
-    fn batch_prepare_with_verification_matches_oracle_and_sequential() {
+    fn group_members_with_verification_match_oracle() {
         for mode in [crate::rewrite::DeltaMode::Auto, crate::rewrite::DeltaMode::Always] {
             let sieve = loaded_service(DbProfile::MySqlLike);
             sieve.with_options_mut(|o| {
@@ -1056,25 +984,43 @@ mod tests {
                     .unwrap();
             }
             let q = SelectQuery::star_from("wifi_dataset");
-            let requests: Vec<(QueryMetadata, SelectQuery)> = members
-                .iter()
-                .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-                .collect();
-            let report = sieve.prepare_batch(&requests).unwrap();
-            assert_eq!(report.generated, members.len());
-            assert!(report.partition_reuses > 0, "{mode:?}: memo must share partitions");
-            let batch = sieve.execute_batch(&requests).unwrap();
-            assert_eq!(sieve.generations(), members.len() as u64, "{mode:?}: batch entries served");
-            sieve.invalidate_all();
-            for ((qm, q), res) in requests.iter().zip(batch) {
-                let mut got = res.rows;
+            for &u in &members {
+                let qm = QueryMetadata::new(u, "Analytics");
+                let mut got = sieve.execute(&q, &qm).unwrap().rows;
                 got.sort();
                 assert!(!got.is_empty());
-                assert_eq!(got, oracle_rows(&sieve, qm), "{mode:?}: querier {} vs oracle", qm.querier);
-                let mut sequential = sieve.execute(q, qm).unwrap().rows;
-                sequential.sort();
-                assert_eq!(got, sequential, "{mode:?}: querier {} vs execute", qm.querier);
+                assert_eq!(got, oracle_rows(&sieve, &qm), "{mode:?}: querier {u} vs oracle");
             }
+            assert_eq!(sieve.generations(), members.len() as u64, "{mode:?}: one build per key");
+        }
+    }
+
+    /// A generation covers exactly the querier's relevant policies, in
+    /// disjoint partitions, and keeps what they carry for a placement —
+    /// for a querier with its own and group grants, one with group grants
+    /// only, and one with none.
+    #[test]
+    fn generation_covers_exactly_the_relevant_policies() {
+        let sieve = loaded_service(DbProfile::MySqlLike);
+        sieve.with_groups_mut(|g| g.add_member(7, 500));
+        for owner in 40..50i64 {
+            let at_1002 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1002)));
+            let grant = Policy::new(owner, "wifi_dataset", QuerierSpec::Group(7), "Analytics", vec![at_1002]);
+            sieve.add_policy(grant).unwrap();
+        }
+        sieve.with_groups_mut(|g| g.add_member(7, 777));
+        for querier in [500i64, 777, 999] {
+            let qm = QueryMetadata::new(querier, "Analytics");
+            let ge = sieve.guarded_expression(&qm, "wifi_dataset").unwrap();
+            let expect: std::collections::BTreeSet<PolicyId> =
+                sieve.store().relevant("wifi_dataset", &qm, &sieve.groups()).iter().map(|p| p.id).collect();
+            assert_eq!(ge.covered_policies(), expect, "querier {querier}: exactly the relevant set");
+            let total: usize = ge.guards.iter().map(|g| g.partition_size()).sum();
+            assert_eq!(total, expect.len(), "querier {querier}: partitions disjoint");
+            let key = cache_key(&qm, "wifi_dataset");
+            let carried = sieve.inner.cache.read(&key, |c| c.carried.as_ref().map(|c| c.last));
+            let last = expect.iter().max().copied().unwrap_or_default();
+            assert_eq!(carried.unwrap(), Some(last), "querier {querier}: placeable");
         }
     }
 

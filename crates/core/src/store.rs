@@ -129,4 +129,31 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(store.len(), 3);
     }
+
+    /// [`PolicyStore::relevant`]'s index never changes the answer: a group
+    /// grant, per-user grants and, outside the slice, another relation and
+    /// another purpose, for members, non-members and strangers.
+    #[test]
+    fn relevant_matches_the_full_store_filter() {
+        let mut store = PolicyStore::new();
+        for owner in 0..10i64 {
+            let at_1001 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1001)));
+            let group = QuerierSpec::Group(7);
+            store.add(Policy::new(owner, "wifi_dataset", group, "Analytics", vec![at_1001]));
+        }
+        for (owner, user) in [(11i64, 500i64), (12, 501), (13, 500)] {
+            store.add(Policy::new(owner, "wifi_dataset", QuerierSpec::User(user), "Any", vec![]));
+        }
+        store.add(Policy::new(9, "other", QuerierSpec::User(500), "Analytics", vec![]));
+        store.add(Policy::new(9, "wifi_dataset", QuerierSpec::User(500), "Safety", vec![]));
+        let mut groups = GroupDirectory::new();
+        groups.add_member(7, 500);
+        groups.add_member(7, 777);
+        for querier in [500i64, 501, 777, 999] {
+            let qm = QueryMetadata::new(querier, "Analytics");
+            let expect =
+                crate::filter::relevant_policies(store.iter(), "wifi_dataset", &qm, &groups);
+            assert_eq!(store.relevant("wifi_dataset", &qm, &groups), expect, "querier {querier}");
+        }
+    }
 }

@@ -21,6 +21,23 @@ pub fn contains_subquery(e: &Expr) -> bool {
     found
 }
 
+/// True iff the query calls a UDF anywhere: in its WHERE, a WITH body, a
+/// derived table or a scalar subquery, at any depth. (A SELECT list holds
+/// only columns and aggregates over columns, and there is no HAVING.)
+pub fn calls_udf(query: &SelectQuery) -> bool {
+    let mut found = false;
+    if let Some(p) = &query.predicate {
+        p.visit(&mut |e| match e {
+            Expr::Udf { .. } => found = true,
+            Expr::ScalarSubquery(q) => found |= calls_udf(q),
+            _ => {}
+        });
+    }
+    found
+        || query.with.iter().any(|wc| calls_udf(&wc.query))
+        || query.from.iter().any(|t| matches!(&t.source, TableSource::Derived(q) if calls_udf(q)))
+}
+
 /// Walk every base-table read of a protected relation in the query tree,
 /// resolving names against the WITH scope first (a CTE shadowing a
 /// protected name is a reference to the CTE, not to the base table).
@@ -130,5 +147,26 @@ mod tests {
         };
         assert!(contains_subquery(&e));
         assert!(!contains_subquery(&Expr::Literal(Value::Bool(true))));
+    }
+
+    #[test]
+    fn calls_udf_sees_every_depth() {
+        let call = "delta(1, id, 3, 1002, ts_time)";
+        let calling = [
+            format!("SELECT id FROM w WHERE {call}"),
+            format!("SELECT id FROM w WHERE owner = 1 AND NOT ({call} OR id > 2)"),
+            format!("SELECT id FROM (SELECT * FROM w WHERE {call}) AS d"),
+            format!("WITH c AS (SELECT * FROM w WHERE {call}) SELECT id FROM c"),
+            format!("SELECT id FROM w WHERE owner = (SELECT MAX(owner) FROM w WHERE {call})"),
+            format!(
+                "SELECT id FROM (SELECT * FROM w WHERE owner = \
+                 (SELECT MIN(owner) FROM (SELECT * FROM w WHERE {call}) AS e)) AS d"
+            ),
+        ];
+        for sql in &calling {
+            assert!(calls_udf(&minidb::sql::parse(sql).unwrap()), "{sql}");
+        }
+        let plain = "SELECT id FROM (SELECT * FROM w WHERE owner = (SELECT MAX(owner) FROM w)) AS d";
+        assert!(!calls_udf(&minidb::sql::parse(plain).unwrap()));
     }
 }

@@ -59,9 +59,9 @@ impl TableEntry {
     /// Append one row, maintaining the indexes.
     fn insert(&mut self, row: Row) -> RowId {
         let id = self.table.insert(row);
-        let row_ref = self.table.row(id).clone();
+        let row = self.table.row(id);
         for idx in &mut self.indexes {
-            idx.insert(id, &row_ref);
+            idx.insert(id, row);
         }
         id
     }
@@ -163,13 +163,23 @@ impl Database {
         Ok(())
     }
 
+    /// Make room for `additional` more rows in `table`, so that inserting
+    /// them one by one never moves its storage.
+    pub fn reserve(&mut self, table: &str, additional: usize) -> DbResult<()> {
+        self.entry_mut(table)?.table.reserve(additional);
+        Ok(())
+    }
+
     /// Insert one row, maintaining indexes.
     pub fn insert(&mut self, table: &str, row: Row) -> DbResult<RowId> {
         self.touch();
         Ok(self.entry_mut(table)?.insert(row))
     }
 
-    /// Bulk insert rows, maintaining indexes.
+    /// Bulk insert rows, maintaining indexes. Room for the rows the
+    /// iterator promises is made once, up front: loading a table into
+    /// storage grown by doubling would leave a trail of freed buffers of up
+    /// to half its size behind.
     pub fn insert_all(
         &mut self,
         table: &str,
@@ -177,6 +187,8 @@ impl Database {
     ) -> DbResult<()> {
         self.touch();
         let entry = self.entry_mut(table)?;
+        let rows = rows.into_iter();
+        entry.table.reserve(rows.size_hint().0);
         for row in rows {
             entry.insert(row);
         }

@@ -63,6 +63,11 @@ impl Index {
             entries.entry(row[column].clone()).or_default().push(id);
             len += 1;
         }
+        // Posting lists grew by doubling; an index over a loaded table is
+        // read far more than it grows, so it keeps no spare capacity.
+        for postings in entries.values_mut() {
+            postings.shrink_to_fit();
+        }
         Index {
             name: name.into(),
             column,

@@ -79,6 +79,11 @@ impl Table {
         id
     }
 
+    /// Make room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
     /// Bulk-append rows.
     pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) {
         for r in rows {

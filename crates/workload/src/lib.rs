@@ -14,7 +14,7 @@
 //! * [`query_gen`] — the SmartBench-style Q1/Q2/Q3 templates at three
 //!   selectivity classes.
 //! * [`traffic`] — multi-querier traffic batches (one query per distinct
-//!   querier) feeding `sieve_core`'s batched evaluation.
+//!   querier).
 
 #![warn(missing_docs)]
 

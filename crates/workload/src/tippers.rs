@@ -235,8 +235,16 @@ pub fn generate(db: &mut Database, config: &TippersConfig) -> DbResult<TippersDa
     }
 
     // --- connectivity events ----------------------------------------------
+    // Events go straight into the table, which first makes room for the
+    // most the loop below can emit (every day present, every day at the
+    // top of its range): loading never copies the table, and the room
+    // past the last event is address space, not memory touched.
+    let most: usize = devices
+        .iter()
+        .map(|d| config.days as usize * ((d.profile.events_per_day() * 1.5) as usize).max(1))
+        .sum();
+    db.reserve(WIFI_TABLE, most)?;
     let mut event_id: i64 = 0;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
     for d in &devices {
         let (day_start, day_end) = d.profile.day_window();
         for day in 0..config.days {
@@ -265,19 +273,19 @@ pub fn generate(db: &mut Database, config: &TippersConfig) -> DbResult<TippersDa
                     }
                     _ => AP_BASE + rng.gen_range(0..NUM_APS) as i64,
                 };
-                rows.push(vec![
+                let event = vec![
                     Value::Int(event_id),
                     Value::Int(ap),
                     Value::Int(d.id),
                     Value::Time(t.min(86_399)),
                     Value::Date(date),
-                ]);
+                ];
+                db.insert(WIFI_TABLE, event)?;
                 event_id += 1;
             }
         }
     }
-    let events = rows.len() as u64;
-    db.insert_all(WIFI_TABLE, rows)?;
+    let events = event_id as u64;
 
     // --- indexes + statistics ----------------------------------------------
     for col in ["owner", "wifi_ap", "ts_time", "ts_date"] {

@@ -1,7 +1,7 @@
 //! Multi-querier traffic generation: a deterministic batch of
 //! `(QueryMetadata, SelectQuery)` requests from many *distinct* queriers,
-//! the input shape of `sieve_core`'s batched evaluation
-//! (`SieveService::prepare_batch` / `SieveService::execute_batch`).
+//! each of which the service serves on its own — what `bench
+//! multiquerier` prepares cold and `bench concurrent` replays warm.
 //!
 //! Each querier poses one query drawn from the SmartBench templates
 //! ([`crate::query_gen`]), cycling through the Q1/Q2/Q3 classes and the

@@ -317,79 +317,6 @@ fn prepared_pins_and_recycles_wire_statements() {
     );
 }
 
-/// Batch ≡ single: `prepare_batch` leaves every key the guarded expression
-/// a lone lookup on a fresh service generates, field for field — and the
-/// rows the oracle allows.
-#[test]
-fn prepare_batch_builds_the_single_paths_expressions() {
-    let q = SelectQuery::star_from(REL);
-    // 16 queriers, twelve of them with no policy at all (deny-all guards).
-    let requests: Vec<(QueryMetadata, SelectQuery)> = (500i64..516)
-        .map(|u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
-    let batched = loaded_service();
-    let report = batched.prepare_batch(&requests).unwrap();
-    assert_eq!((report.generated, report.reused), (requests.len(), 0));
-    assert_eq!(batched.generations(), requests.len() as u64);
-    let single = loaded_service();
-    for (qm, query) in &requests {
-        assert_eq!(
-            batched.guarded_expression(qm, REL).unwrap(),
-            single.guarded_expression(qm, REL).unwrap(),
-            "querier {}",
-            qm.querier
-        );
-        let rows = sorted_rows(batched.execute(query, qm).unwrap());
-        assert_eq!(rows, oracle_for(&batched, qm), "batch diverged from oracle");
-    }
-    assert_eq!(batched.generations(), requests.len() as u64, "the batch's entries were served");
-}
-
-/// The case where merging a group's union and merging a querier's own
-/// ranges differ: two queriers whose `ts_time` windows overlap enough for
-/// Theorem 1 to merge them *with each other*. Each querier's expression
-/// must still carry its own window — the batch restricts before it merges.
-#[test]
-fn prepare_batch_merges_ranges_per_querier_not_per_group() {
-    use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec};
-    let loaded = || {
-        let service =
-            SieveService::new(support::wifi_db(3000, 80, true), SieveOptions::default()).unwrap();
-        for (querier, from) in [(700i64, 9 * 3600u32), (701, 9 * 3600 + 300)] {
-            for owner in 0..10i64 {
-                let window = CondPredicate::between(Value::Time(from), Value::Time(from + 1800));
-                service
-                    .add_policy(Policy::new(
-                        owner,
-                        REL,
-                        QuerierSpec::User(querier),
-                        "Analytics",
-                        vec![ObjectCondition::new("ts_time", window)],
-                    ))
-                    .unwrap();
-            }
-        }
-        service
-    };
-    let q = SelectQuery::star_from(REL);
-    let requests: Vec<(QueryMetadata, SelectQuery)> = [700i64, 701]
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
-    let batched = loaded();
-    batched.prepare_batch(&requests).unwrap();
-    let single = loaded();
-    for (qm, _) in &requests {
-        let expr = single.guarded_expression(qm, REL).unwrap();
-        assert!(
-            expr.guards.iter().any(|g| g.condition.attr == "ts_time" && g.partition_size() == 10),
-            "fixture: querier {} must be guarded by its window",
-            qm.querier
-        );
-        assert_eq!(batched.guarded_expression(qm, REL).unwrap(), expr, "querier {}", qm.querier);
-    }
-}
-
 /// 4 threads × 8 `execute_sql` of one text: every call parses the text
 /// and returns the oracle's count.
 #[test]

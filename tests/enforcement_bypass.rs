@@ -80,20 +80,6 @@ fn for_sieves(mut f: impl FnMut(&'static str, SieveService<DynBackend>)) {
     });
 }
 
-/// A database identical to the sieve's, except the protected table holds
-/// exactly the querier's visible rows. Running the *original* query here
-/// yields the expected output for any query shape.
-fn visible_database(sieve: &SieveService<DynBackend>, qm: &QueryMetadata) -> Database {
-    let schema = TableSchema::clone(sieve.backend().table_entry(REL).unwrap().schema());
-    let mut vdb = Database::new(DbProfile::MySqlLike);
-    vdb.create_table(schema).unwrap();
-    for row in support::oracle_rows(sieve, REL, qm) {
-        vdb.insert(REL, row).unwrap();
-    }
-    load_boards(&mut vdb);
-    vdb
-}
-
 /// Assert the sieve's output equals the visible-database oracle for the
 /// same (unrewritten) query. Returns the row count for non-vacuousness
 /// checks at the call site.
@@ -105,7 +91,7 @@ fn assert_enforced(
 ) -> usize {
     let mut got = sieve.execute(q, qm).expect("sieve execute").rows;
     got.sort();
-    let vdb = visible_database(sieve, qm);
+    let vdb = support::visible_database(sieve, REL, qm);
     let mut expect = vdb.run_query(q).expect("oracle execute").rows;
     expect.sort();
     assert_eq!(got, expect, "enforcement bypass via {backend} for query {q:?}");
@@ -604,7 +590,7 @@ proptest! {
         for_sieves(|name, sieve| {
             let mut got = sieve.execute(&q, &qm).expect("sieve execute").rows;
             got.sort();
-            let vdb = visible_database(&sieve, &qm);
+            let vdb = support::visible_database(&sieve, REL, &qm);
             let mut expect = vdb.run_query(&q).expect("oracle execute").rows;
             expect.sort();
             assert_eq!(&got, &expect, "nesting {nesting:?} via backend {name}");

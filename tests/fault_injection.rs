@@ -165,45 +165,41 @@ fn rewrite_failure_fails_closed() {
     );
 }
 
-/// A catalog fault mid-`prepare_batch` fails the whole batch closed; the
-/// next batch succeeds and serves oracle-exact rows.
+/// A catalog fault fails a cold build closed with the typed error; the
+/// build dropped its claim, so the next read of the key builds at once
+/// instead of parking behind it, heals, and serves oracle-exact rows.
 #[test]
-fn prepare_batch_fails_closed_mid_batch() {
+fn cold_build_fails_closed_on_a_catalog_fault() {
     let config = FaultConfig {
         fault_catalog: true,
         ..FaultConfig::default()
     };
     let service = faulty_service(loaded_db(), config);
     let q = SelectQuery::star_from(REL);
-    let requests: Vec<(QueryMetadata, SelectQuery)> = QUERIERS
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
+    let qm = QueryMetadata::new(QUERIERS[0], "Analytics");
 
     service.backend().script([Fault::Transient]);
     // Catalog reads feed guard generation and are deliberately not
-    // retried: the batch surfaces the typed error.
-    let err = service.prepare_batch(&requests).unwrap_err();
+    // retried: the build surfaces the typed error and publishes nothing.
+    let err = service.rewrite(&q, &qm).unwrap_err();
     assert!(matches!(
         err,
         SieveError::Backend(BackendError::Transient(_))
     ));
-    // The failed batch dropped every claim it held: a single-key lookup
-    // of one of its keys builds at once instead of parking behind it.
+    assert_eq!(service.generations(), 0, "a failed build published an entry");
     let (done, lookup) = std::sync::mpsc::channel();
-    let (single, (qm, query)) = (service.clone(), requests[0].clone());
-    std::thread::spawn(move || done.send(single.rewrite(&query, &qm).is_ok()));
+    let (single, query, reader) = (service.clone(), q.clone(), qm.clone());
+    std::thread::spawn(move || done.send(single.rewrite(&query, &reader).is_ok()));
     assert_eq!(
         lookup.recv_timeout(std::time::Duration::from_secs(10)),
         Ok(true),
-        "a claim outlived the failed batch"
+        "a claim outlived the failed build"
     );
 
-    // Script drained — the batch heals and enforcement is exact.
-    service.prepare_batch(&requests).unwrap();
-    for (qm, query) in &requests {
-        let expect = oracle_for(&service, qm);
-        assert_eq!(sorted_rows(service.execute(query, qm).unwrap()), expect);
+    // Script drained: enforcement is exact for every querier.
+    for &u in &QUERIERS {
+        let qm = QueryMetadata::new(u, "Analytics");
+        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), oracle_for(&service, &qm));
     }
 }
 

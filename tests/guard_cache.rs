@@ -247,66 +247,6 @@ fn counters_match_ground_truth_trace() {
     assert_eq!(sieve.cache_stats().evictions, 0, "cap never tripped");
 }
 
-/// Batched preparation must book exactly one generation per key — no
-/// double counting through the bulk-insert path — and the follow-up
-/// per-query lookups are hits.
-#[test]
-fn batch_prepare_counters_match_trace() {
-    let sieve = loaded_sieve();
-    let q = SelectQuery::star_from(REL);
-    let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501]
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
-    let report = sieve.prepare_batch(&requests).unwrap();
-    assert_eq!(report.generated, 2);
-    assert_eq!(report.reused, 0);
-    let s = sieve.cache_stats();
-    assert_eq!((s.hits, s.misses, s.regenerations), (0, 2, 0));
-    assert_eq!(sieve.generations(), 2);
-
-    // Re-preparing the same batch generates nothing.
-    let report = sieve.prepare_batch(&requests).unwrap();
-    assert_eq!(report.generated, 0);
-    assert_eq!(report.reused, 2);
-    assert_eq!(sieve.generations(), 2);
-
-    // Executing the batch hits the warm cache.
-    let results = sieve.execute_batch(&requests).unwrap();
-    assert_eq!(results.len(), 2);
-    let s = sieve.cache_stats();
-    assert_eq!(s.misses, 2, "no extra generations at execute time");
-    assert_eq!(s.hits, 2);
-}
-
-/// A batch brings *every* key current: entries whose `delta_mode` was
-/// flipped under them are regenerated by the batch, so no request's first
-/// rewrite afterwards compiles a fragment.
-#[test]
-fn batch_prepare_refolds_entries_that_are_not_due() {
-    let q = SelectQuery::star_from(REL);
-    let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501]
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
-    let sieve = loaded_sieve();
-    sieve.prepare_batch(&requests).unwrap();
-    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
-    let report = sieve.prepare_batch(&requests).unwrap();
-    assert_eq!((report.generated, report.reused), (2, 0), "a mode flip regenerates");
-    let before = sieve.cache_stats();
-    for (qm, query) in &requests {
-        sieve.rewrite(query, qm).unwrap();
-    }
-    let after = sieve.cache_stats();
-    assert_eq!(after.fragment_builds, before.fragment_builds, "rewrites compile nothing");
-    assert_eq!(after.fragment_hits, before.fragment_hits + 2, "rewrites are warm");
-    assert_eq!(sieve.generations(), 4);
-    for (qm, _) in &requests {
-        assert_eq!(run_sorted(&sieve, qm), oracle(&sieve, qm), "querier {}", qm.querier);
-    }
-}
-
 /// Eviction under the cap is LRU-on-*access*: a key that keeps getting
 /// read survives churn of arbitrarily many one-shot keys (FIFO or
 /// LRU-on-insert would rotate it out), while total occupancy stays
@@ -335,9 +275,9 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
         )
     };
     let hot_key = entry(-1).0;
-    cache.insert_generated(vec![entry(-1)], 0);
+    cache.insert_generated(entry(-1), 0);
     for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-        cache.insert_generated(vec![entry(i)], 0);
+        cache.insert_generated(entry(i), 0);
         // The read IS the touch: this is what keeps the key alive.
         assert!(
             cache.read(&hot_key, |_| ()).is_some(),
@@ -418,8 +358,8 @@ fn repeated_sql_text_reuses_parsed_ast() {
 }
 
 /// The middleware never writes to the database it guards. A policy
-/// insert, a cold generation, a placed grant, a batch, a group change and
-/// an option change leave the database's version and its tables as they
+/// insert, cold generations, a placed grant, a group change and an
+/// option change leave the database's version and its tables as they
 /// were — so a statement one querier holds is never re-prepared because
 /// another querier's guard was built.
 #[test]
@@ -444,11 +384,9 @@ fn guard_work_never_writes_the_guarded_database() {
     assert_eq!(run_sorted(&sieve, &qm_a), oracle(&sieve, &qm_a));
     assert_eq!(sieve.cache_stats().extensions, extensions + 1, "the grant was placed");
 
-    let requests: Vec<(QueryMetadata, SelectQuery)> = [500i64, 501, 502, 503]
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Safety"), q.clone()))
-        .collect();
-    sieve.prepare_batch(&requests).unwrap();
+    for u in [500i64, 501, 502, 503] {
+        sieve.rewrite(&q, &QueryMetadata::new(u, "Safety")).unwrap();
+    }
     sieve.with_groups_mut(|g| g.add_member(7, 500));
     sieve.with_options_mut(|o| o.selection = GuardSelectionStrategy::OwnerOnly);
     assert_eq!(run_sorted(&sieve, &qm_a), oracle(&sieve, &qm_a));

@@ -15,11 +15,12 @@ mod support;
 use sieve::client::{ClientError, RemoteConnection};
 use sieve::core::backend::{for_each_backend, FaultConfig, FaultInjectingBackend};
 use sieve::core::policy::QueryMetadata;
-use sieve::core::{SieveOptions, SieveService};
+use sieve::core::rewrite::{DeltaMode, RewriteOptions};
+use sieve::core::{SieveError, SieveOptions, SieveService};
 use sieve::minidb::{Database, Row};
 use sieve::protocol::frame::{read_frame, write_frame};
 use sieve::protocol::{
-    ClientMessage, ErrorCode, ProtocolError, ServerMessage, PROTOCOL_VERSION,
+    ClientMessage, ErrorCode, ProtocolError, ServerMessage, WireError, PROTOCOL_VERSION,
 };
 use sieve::server::{loopback, SieveServer, TokenAuthenticator};
 use std::io::Write;
@@ -305,6 +306,52 @@ fn placeholder_in_client_sql_is_refused_before_guard_work() {
     assert_eq!(generations_after, generations, "no guard was built");
     let expect = sorted_rows(service.session(qm(500)).execute_sql(QUERY).unwrap());
     assert_eq!(sorted_rows(next.unwrap()), expect);
+}
+
+/// A client may not call ∆. Querier 501's guard registers ∆ partition 1
+/// over its own policies (owners 0–19 at AP 1002); querier 500 asking
+/// that partition about a synthetic owner-3 tuple at AP 1002 would learn
+/// 501's policies one tuple at a time. The call is refused as a `Rewrite`
+/// error before any guard work — in process, by a prepared statement and
+/// over the wire alike — with a message that names no partition.
+#[test]
+fn client_delta_call_is_refused_before_guard_work() {
+    const PROBE: &str = "SELECT id FROM wifi_dataset WHERE delta(1, id, 3, 1002, ts_time)";
+    let options = SieveOptions {
+        rewrite: RewriteOptions { delta_mode: DeltaMode::Always, ..RewriteOptions::default() },
+        ..SieveOptions::default()
+    };
+    let service = SieveService::new(support::wifi_db(4000, 80, true), options).unwrap();
+    register_corpus(&service);
+    service.session(qm(501)).execute_sql(QUERY).unwrap();
+    assert!(service.delta_len() > 0, "fixture: 501's guard registers ∆ partitions");
+    let generations = service.generations();
+
+    let refused = service.execute_sql(PROBE, &qm(500)).unwrap_err();
+    let SieveError::Rewrite(_) = &refused else { panic!("expected Rewrite, got {refused:?}") };
+    let message = refused.to_string();
+    assert!(!message.contains("partition"), "the refusal names a partition: {message}");
+    assert!(service.session(qm(500)).prepare_sql(PROBE).is_err());
+    assert_eq!(service.generations(), generations, "no guard was built in process");
+
+    let server = SieveServer::new(service.clone(), authenticator());
+    let (listener, connector) = loopback();
+    let handle = server.serve(listener);
+    let conn =
+        RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
+    let remote = conn.session(qm(500)).execute_sql(PROBE);
+    conn.close().unwrap();
+    drop(connector);
+    handle.join();
+
+    match remote {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, ErrorCode::Rewrite);
+            assert_eq!(e.message, WireError::from_sieve(&refused).message);
+        }
+        other => panic!("expected Rewrite, got {other:?}"),
+    }
+    assert_eq!(service.generations(), generations, "no guard was built over the wire");
 }
 
 /// A bad token is refused with `AuthFailed` and the connection closes.

@@ -153,62 +153,6 @@ fn distinct_keys_generate_independently() {
     );
 }
 
-/// A batch is a claimer like any other: 8 threads rewrite the batch's own
-/// keys from behind a barrier while the main thread prepares them. Every
-/// key is generated and compiled exactly once — by whoever claimed it
-/// first — and every other lookup waits, coalesces, and leaves warm.
-#[test]
-fn batch_and_single_key_builds_share_the_claims() {
-    const THREADS: usize = 8;
-    let q = SelectQuery::star_from(REL);
-    let requests: Vec<(QueryMetadata, SelectQuery)> = QUERIERS
-        .iter()
-        .map(|&u| (QueryMetadata::new(u, "Analytics"), q.clone()))
-        .collect();
-    let keys = requests.len();
-    let oracle = loaded_service();
-    let expect: Vec<_> =
-        requests.iter().map(|(qm, q)| sorted_rows(oracle.execute(q, qm).unwrap())).collect();
-    for round in 0..20 {
-        let service = loaded_service();
-        service.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
-        let barrier = Barrier::new(THREADS + 1);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let (service, barrier, requests, expect) = (&service, &barrier, &requests, &expect);
-                scope.spawn(move || {
-                    barrier.wait();
-                    // Stagger the starting key so claims collide everywhere.
-                    for k in (0..keys).map(|k| (k + t) % keys) {
-                        let (qm, q) = &requests[k];
-                        service.rewrite(q, qm).unwrap();
-                        assert_eq!(sorted_rows(service.execute(q, qm).unwrap()), expect[k]);
-                    }
-                });
-            }
-            barrier.wait();
-            service.prepare_batch(&requests).unwrap();
-        });
-        let stats = service.cache_stats();
-        assert_eq!(service.generations() as usize, keys, "round {round}: one generation per key");
-        assert_eq!(stats.fragment_builds as usize, keys, "round {round}: one compile per key");
-        // Every thread lookup is a hit or one of the `keys` misses; a
-        // batch key books a miss, a coalesced hit, or (already warm) nothing.
-        let lookups = (stats.hits + stats.misses) as usize;
-        let by_threads = 2 * THREADS * keys;
-        assert!(
-            (by_threads..=by_threads + keys).contains(&lookups),
-            "round {round}: {lookups} lookups booked"
-        );
-        assert!(stats.coalesced <= stats.hits, "round {round}: a coalesced lookup is a hit");
-        let guards: usize = requests
-            .iter()
-            .map(|(qm, _)| service.guarded_expression(qm, REL).unwrap().guards.len())
-            .sum();
-        assert_eq!(service.delta_len(), guards, "round {round}: leaked ∆ partitions");
-    }
-}
-
 /// 16 threads send 16 different texts for one querier whose fragment is
 /// cold. Every reply is the oracle's rows under that text's predicate, on
 /// both backends; in process, where the plans hold the fragment's own

@@ -97,6 +97,33 @@ pub fn oracle_rows<B: SqlBackend>(
     rows
 }
 
+/// The visible database: a copy of the service's tables and indexes in
+/// which `relation` holds exactly the rows [`oracle_rows`] lets `qm` see.
+/// The original, unrewritten query run here gives its expected answer
+/// whatever its shape (joins, aggregates, nesting).
+pub fn visible_database<B: SqlBackend>(
+    service: &SieveService<B>,
+    relation: &str,
+    qm: &QueryMetadata,
+) -> Database {
+    let visible = oracle_rows(service, relation, qm);
+    let backend = service.backend();
+    let db = backend.minidb().expect("the backend runs an in-process engine");
+    let mut out = Database::new(db.profile());
+    for name in db.table_names() {
+        let entry = db.table(name).unwrap();
+        out.create_table(TableSchema::clone(entry.schema())).unwrap();
+        let rows = if name == relation { &visible[..] } else { entry.table.rows() };
+        for row in rows {
+            out.insert(name, row.clone()).unwrap();
+        }
+        for index in &entry.indexes {
+            out.create_index(name, &index.column_name).unwrap();
+        }
+    }
+    out
+}
+
 /// Every enforcement mechanism — SIEVE and baselines P, I, U — returns
 /// exactly the oracle's answer to `query`, a `SELECT *` over one
 /// protected relation: the rows the unpoliced engine returns for it that

@@ -7,7 +7,7 @@ mod support;
 use sieve::core::baselines::Baseline;
 use sieve::core::policy::QueryMetadata;
 use sieve::core::{Enforcement, SieveOptions, SieveService};
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery};
+use sieve::minidb::{Database, DbProfile, SelectQuery};
 use sieve::workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::query_gen::generate_query;
@@ -115,12 +115,13 @@ fn mall_shops_see_only_granted_rows() {
     assert!(sieve.execute(&q, &stranger).unwrap().is_empty());
 }
 
+/// Multi-querier traffic — 40 distinct queriers, Q1/Q2/Q3 at every
+/// selectivity — executed request by request: each reply is the oracle's
+/// (the query run over the querier's visible database), each
+/// `(querier, purpose, relation)` key is generated once, and a second pass
+/// is warm.
 #[test]
-fn batched_execution_equals_sequential_over_campus_traffic() {
-    // The tentpole's correctness bar: prepare_batch/execute_batch over a
-    // multi-querier traffic batch returns row-for-row what per-request
-    // execute returns, while generating each (querier, purpose, relation)
-    // expression exactly once through the shared phase.
+fn multi_querier_traffic_matches_oracle() {
     let (sieve, ds) = campus(DbProfile::MySqlLike);
     let requests = sieve::workload::traffic::multi_querier_traffic(
         &ds,
@@ -131,35 +132,19 @@ fn batched_execution_equals_sequential_over_campus_traffic() {
         },
     );
     assert_eq!(requests.len(), 40);
-
-    // Sequential reference on a cold cache.
-    sieve.invalidate_all();
-    let seq_gens_before = sieve.generations();
-    let mut sequential: Vec<Vec<Row>> = Vec::with_capacity(requests.len());
+    let mut answered = 0;
     for (qm, q) in &requests {
-        let mut rows = sieve.execute(q, qm).unwrap().rows;
-        rows.sort();
-        sequential.push(rows);
+        let got = support::sorted_rows(sieve.execute(q, qm).unwrap());
+        let vdb = support::visible_database(&sieve, WIFI_TABLE, qm);
+        let expect = support::sorted_rows(vdb.run_query(q).unwrap());
+        assert_eq!(got, expect, "querier {} diverged from the oracle", qm.querier);
+        answered += usize::from(!got.is_empty());
     }
-    let seq_generations = sieve.generations() - seq_gens_before;
-
-    // Batched run on a cold cache.
-    sieve.invalidate_all();
-    let gens_before = sieve.generations();
-    let results = sieve.execute_batch(&requests).unwrap();
-    assert_eq!(results.len(), requests.len());
-    for (got, expect) in results.into_iter().zip(&sequential) {
-        let mut rows = got.rows;
-        rows.sort();
-        assert_eq!(&rows, expect, "batched result diverged from sequential");
+    assert!(answered > 0, "the traffic must see something");
+    let generations = sieve.generations();
+    assert_eq!(generations, requests.len() as u64, "one generation per key");
+    for (qm, q) in &requests {
+        sieve.execute(q, qm).unwrap();
     }
-    assert_eq!(
-        sieve.generations() - gens_before,
-        seq_generations,
-        "batch must generate exactly once per key"
-    );
-    // Re-running the same batch is fully warm: nothing regenerates.
-    let gens = sieve.generations();
-    sieve.execute_batch(&requests).unwrap();
-    assert_eq!(sieve.generations(), gens);
+    assert_eq!(sieve.generations(), generations, "a second pass is warm");
 }
