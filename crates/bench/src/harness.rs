@@ -216,7 +216,7 @@ impl Run {
     pub fn of(runs: &[ExecStats]) -> Run {
         Run {
             kcost: Stat::of(runs.iter().map(|s| s.simulated_cost / 1e3).collect()).median,
-            wall_ms: Stat::of(runs.iter().map(ExecStats::wall_ms).collect()),
+            wall_ms: Stat::of(runs.iter().map(|s| s.wall.as_secs_f64() * 1e3).collect()),
         }
     }
 }

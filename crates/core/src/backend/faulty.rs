@@ -17,7 +17,7 @@
 //!   errors (the service's retry loop absorbs these).
 //! * **Timeouts** ([`Fault::Timeout`]) — non-retryable budget exhaustion.
 //!
-//! Faults fire at the *dispatch* surface (`exec`, `exec_timed`, `prepare`,
+//! Faults fire at the *dispatch* surface (`exec_timed`, `prepare`,
 //! `execute_prepared`) — and, when [`FaultConfig::fault_catalog`] is on,
 //! at `table_entry`, which is what a cold guard build reads, so its
 //! failure paths can be exercised too. UDF
@@ -43,7 +43,7 @@ use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::udf::Udf;
-use minidb::{Database, DbProfile, TableEntry};
+use minidb::{Database, TableEntry};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -359,28 +359,13 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
         self.inner.name()
     }
 
-    fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult> {
-        if let Some(e) = self.inject(None) {
-            return Err(e);
-        }
-        self.inner.exec(query, opts)
-    }
-
     fn exec_timed(
         &self,
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> (BackendResult<QueryResult>, ExecStats) {
-        let t0 = std::time::Instant::now();
         if let Some(e) = self.inject(None) {
-            return (
-                Err(e),
-                ExecStats {
-                    counters: Default::default(),
-                    wall: t0.elapsed(),
-                    simulated_cost: 0.0,
-                },
-            );
+            return (Err(e), ExecStats::default());
         }
         self.inner.exec_timed(query, opts)
     }
@@ -396,10 +381,6 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
 
     fn has_relation(&self, name: &str) -> bool {
         self.inner.has_relation(name)
-    }
-
-    fn engine_profile(&self) -> DbProfile {
-        self.inner.engine_profile()
     }
 
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
@@ -436,7 +417,7 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
 mod tests {
     use super::*;
     use minidb::value::{DataType, Value};
-    use minidb::TableSchema;
+    use minidb::{DbProfile, TableSchema};
 
     fn tiny() -> Database {
         let mut db = Database::new(DbProfile::MySqlLike);
@@ -452,7 +433,7 @@ mod tests {
         let backend = FaultInjectingBackend::new(tiny(), FaultConfig::default());
         let q = SelectQuery::star_from("t");
         for _ in 0..50 {
-            assert_eq!(backend.exec(&q, &ExecOptions::default()).unwrap().len(), 5);
+            assert_eq!(backend.exec_timed(&q, &ExecOptions::default()).0.unwrap().len(), 5);
         }
         assert_eq!(backend.fault_counts().total(), 0);
         assert_eq!(backend.injectable_calls(), 50);
@@ -464,17 +445,11 @@ mod tests {
         backend.script([Fault::Transient, Fault::Timeout, Fault::ConnectionDrop]);
         let q = SelectQuery::star_from("t");
         let opts = ExecOptions::default();
-        assert!(matches!(
-            backend.exec(&q, &opts),
-            Err(BackendError::Transient(_))
-        ));
-        assert!(matches!(backend.exec(&q, &opts), Err(BackendError::Timeout)));
-        assert!(matches!(
-            backend.exec(&q, &opts),
-            Err(BackendError::ConnectionLost(_))
-        ));
+        assert!(matches!(backend.exec_timed(&q, &opts).0, Err(BackendError::Transient(_))));
+        assert!(matches!(backend.exec_timed(&q, &opts).0, Err(BackendError::Timeout)));
+        assert!(matches!(backend.exec_timed(&q, &opts).0, Err(BackendError::ConnectionLost(_))));
         // Script drained — calls pass through again.
-        assert!(backend.exec(&q, &opts).is_ok());
+        assert!(backend.exec_timed(&q, &opts).0.is_ok());
         let counts = backend.fault_counts();
         assert_eq!((counts.transients, counts.timeouts, counts.drops), (1, 1, 1));
     }
@@ -486,7 +461,7 @@ mod tests {
                 FaultInjectingBackend::new(tiny(), FaultConfig::seeded(seed, 0.5));
             let q = SelectQuery::star_from("t");
             (0..40)
-                .map(|_| backend.exec(&q, &ExecOptions::default()).is_ok())
+                .map(|_| backend.exec_timed(&q, &ExecOptions::default()).0.is_ok())
                 .collect::<Vec<_>>()
         };
         assert_eq!(outcomes(42), outcomes(42));
@@ -503,7 +478,7 @@ mod tests {
         backend.set_enabled(false);
         let q = SelectQuery::star_from("t");
         for _ in 0..10 {
-            assert!(backend.exec(&q, &ExecOptions::default()).is_ok());
+            assert!(backend.exec_timed(&q, &ExecOptions::default()).0.is_ok());
         }
         assert_eq!(backend.fault_counts().total(), 0);
     }

@@ -5,10 +5,10 @@
 //! PostgreSQL, Section 7). [`SqlBackend`] is that seam in code — the
 //! exact surface the middleware needs from an engine, and nothing more:
 //!
-//! * **query execution**, one-shot ([`SqlBackend::exec`] /
-//!   [`SqlBackend::exec_timed`]) or by prepared statement
-//!   ([`SqlBackend::prepare`] / [`SqlBackend::execute_prepared`] /
-//!   [`SqlBackend::close_prepared`]), under [`ExecOptions`] (a timeout);
+//! * **query execution**, one-shot ([`SqlBackend::exec_timed`], which
+//!   reports that run's own counters and wall time) or by prepared
+//!   statement ([`SqlBackend::prepare`] / [`SqlBackend::execute_prepared`]
+//!   / [`SqlBackend::close_prepared`]), under [`ExecOptions`] (a timeout);
 //! * **catalog introspection** ([`SqlBackend::table_entry`],
 //!   [`SqlBackend::has_relation`]) — schemas, indexes, and histograms,
 //!   which guard candidate generation and [`crate::cost::calibrate`]
@@ -55,7 +55,7 @@ use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::udf::Udf;
-use minidb::{Database, DbProfile, TableEntry};
+use minidb::{Database, TableEntry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -166,13 +166,6 @@ fn statement_result(id: StatementId, res: DbResult<QueryResult>) -> BackendResul
     })
 }
 
-/// Lift an engine `(result, stats)` pair into the backend error type.
-fn timed_from_db(
-    (res, stats): (DbResult<QueryResult>, ExecStats),
-) -> (BackendResult<QueryResult>, ExecStats) {
-    (res.map_err(BackendError::from), stats)
-}
-
 /// Identifier of a server-side prepared statement, scoped to one backend
 /// instance. Ids are never reused within an instance.
 pub type StatementId = u64;
@@ -192,11 +185,10 @@ pub trait SqlBackend: Send + Sync {
     /// Short identifier for diagnostics and bench labels.
     fn name(&self) -> &'static str;
 
-    /// Execute a query once: plan it, run the plan, keep nothing.
-    fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult>;
-
-    /// Execute a query and report `(result, stats)` — wall time plus the
-    /// engine's simulated cost clock.
+    /// Execute a query once — plan it, run the plan, keep nothing — and
+    /// report that run: its own counters, wall time and simulated cost.
+    /// The one one-shot verb; a caller that wants only the rows drops the
+    /// report.
     fn exec_timed(
         &self,
         query: &SelectQuery,
@@ -210,10 +202,6 @@ pub trait SqlBackend: Send + Sync {
 
     /// True iff a relation with this name exists.
     fn has_relation(&self, name: &str) -> bool;
-
-    /// Optimizer profile of the engine (drives hint/bitmap behaviour as
-    /// in the paper's Experiment 4).
-    fn engine_profile(&self) -> DbProfile;
 
     /// Install a UDF (the ∆ operator; Baseline U's policy UDF). The
     /// paper's equivalent is `CREATE FUNCTION` issued at deploy time.
@@ -246,9 +234,6 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult> {
-        (**self).exec(query, opts)
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,
@@ -261,9 +246,6 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     }
     fn has_relation(&self, name: &str) -> bool {
         (**self).has_relation(name)
-    }
-    fn engine_profile(&self) -> DbProfile {
-        (**self).engine_profile()
     }
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         (**self).install_udf(name, udf)
@@ -290,24 +272,19 @@ impl SqlBackend for Database {
     fn name(&self) -> &'static str {
         "minidb"
     }
-    fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult> {
-        self.run_query_opts(query, opts).map_err(BackendError::from)
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> (BackendResult<QueryResult>, ExecStats) {
-        timed_from_db(self.run_timed(query, opts))
+        let (res, stats) = self.run_timed(query, opts);
+        (res.map_err(BackendError::from), stats)
     }
     fn table_entry(&self, name: &str) -> BackendResult<&TableEntry> {
         self.table(name).map_err(BackendError::from)
     }
     fn has_relation(&self, name: &str) -> bool {
         self.has_table(name)
-    }
-    fn engine_profile(&self) -> DbProfile {
-        self.profile()
     }
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         self.register_udf(name, udf)
@@ -360,6 +337,7 @@ mod tests {
     use super::*;
     use minidb::schema::TableSchema;
     use minidb::value::{DataType, Value};
+    use minidb::DbProfile;
 
     fn tiny_db() -> Database {
         let mut db = Database::new(DbProfile::MySqlLike);
@@ -381,9 +359,8 @@ mod tests {
         assert_eq!(backend.name(), "minidb");
         assert!(backend.has_relation("t"));
         assert!(!backend.has_relation("nope"));
-        let res = backend
-            .exec(&SelectQuery::star_from("t"), &ExecOptions::default())
-            .unwrap();
+        let res =
+            backend.exec_timed(&SelectQuery::star_from("t"), &ExecOptions::default()).0.unwrap();
         assert_eq!(res.len(), 10);
         assert_eq!(backend.table_entry("t").unwrap().schema().arity(), 2);
     }

@@ -23,7 +23,7 @@ use minidb::exec::{ExecOptions, QueryResult};
 use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::udf::Udf;
-use minidb::{Database, DbProfile, TableEntry};
+use minidb::{Database, TableEntry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,10 +102,6 @@ impl SqlBackend for WireSqlBackend {
     fn name(&self) -> &'static str {
         "wire-sql"
     }
-    fn exec(&self, query: &SelectQuery, opts: &ExecOptions) -> BackendResult<QueryResult> {
-        let parsed = self.ship(query)?;
-        self.db.run_query_opts(&parsed, opts).map_err(BackendError::from)
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,
@@ -116,16 +112,7 @@ impl SqlBackend for WireSqlBackend {
         let t0 = std::time::Instant::now();
         let parsed = match self.ship(query) {
             Ok(p) => p,
-            Err(e) => {
-                return (
-                    Err(BackendError::from(e)),
-                    ExecStats {
-                        counters: Default::default(),
-                        wall: t0.elapsed(),
-                        simulated_cost: 0.0,
-                    },
-                )
-            }
+            Err(e) => return (Err(BackendError::from(e)), ExecStats::default()),
         };
         let dispatch: Duration = t0.elapsed();
         let (res, mut stats) = self.db.run_timed(&parsed, opts);
@@ -138,17 +125,14 @@ impl SqlBackend for WireSqlBackend {
     fn has_relation(&self, name: &str) -> bool {
         self.db.has_table(name)
     }
-    fn engine_profile(&self) -> DbProfile {
-        self.db.profile()
-    }
     fn install_udf(&mut self, name: &str, udf: Arc<dyn Udf>) {
         self.db.register_udf(name, udf)
     }
     /// The server-side prepare: the query crosses the wire as its full
-    /// text, as [`SqlBackend::exec`]'s does, and the engine plans what it
-    /// parsed once; the returned statement executes that plan by id and no
-    /// SQL text crosses the wire again. A query the text cannot carry (a
-    /// NaN literal) is refused here as it is by `exec`.
+    /// text, as [`SqlBackend::exec_timed`]'s does, and the engine plans what
+    /// it parsed once; the returned statement executes that plan by id and
+    /// no SQL text crosses the wire again. A query the text cannot carry (a
+    /// NaN literal) is refused here as it is by `exec_timed`.
     fn prepare(&self, query: &SelectQuery) -> BackendResult<StatementId> {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         Ok(self.db.prepare_statement(&self.ship(query)?)?)
@@ -172,7 +156,7 @@ impl SqlBackend for WireSqlBackend {
 mod tests {
     use super::*;
     use minidb::value::{DataType, Value};
-    use minidb::TableSchema;
+    use minidb::{DbProfile, TableSchema};
 
     fn db() -> Database {
         let mut db = Database::new(DbProfile::MySqlLike);
@@ -192,7 +176,7 @@ mod tests {
         let backend = WireSqlBackend::new(db());
         assert_eq!(backend.round_trips(), 0);
         let q = SelectQuery::star_from("t");
-        let res = backend.exec(&q, &ExecOptions::default()).unwrap();
+        let res = backend.exec_timed(&q, &ExecOptions::default()).0.unwrap();
         assert_eq!(res.len(), 20);
         assert_eq!(backend.round_trips(), 1);
         let (res, stats) = backend.exec_timed(&q, &ExecOptions::default());
@@ -210,7 +194,7 @@ mod tests {
     fn prepared_statements_skip_the_text_path() {
         let backend = WireSqlBackend::new(db());
         let opts = ExecOptions::default();
-        let direct = backend.exec(&owner_is(2), &opts).unwrap().rows;
+        let direct = backend.exec_timed(&owner_is(2), &opts).0.unwrap().rows;
         let trips_after_exec = backend.round_trips();
 
         // One prepare is one round trip of the full text.
@@ -234,7 +218,7 @@ mod tests {
         assert_eq!(backend.prepares(), 2);
         assert_eq!(backend.open_statements(), 2);
         let other_rows = backend.execute_prepared(other, &opts).unwrap().rows;
-        assert_eq!(other_rows, backend.exec(&owner_is(3), &opts).unwrap().rows);
+        assert_eq!(other_rows, backend.exec_timed(&owner_is(3), &opts).0.unwrap().rows);
         assert_eq!(other_rows.len(), 5);
         assert_ne!(other_rows, direct);
         assert_eq!(backend.execute_prepared(id, &opts).unwrap().rows, direct);
@@ -252,7 +236,7 @@ mod tests {
         let backend = db();
         let q = owner_is(2);
         let opts = ExecOptions::default();
-        let direct = backend.exec(&q, &opts).unwrap();
+        let direct = backend.exec_timed(&q, &opts).0.unwrap();
         let id = backend.prepare(&q).unwrap();
         assert_eq!(backend.open_statements(), 1);
         for _ in 0..5 {
@@ -278,7 +262,7 @@ mod tests {
         let q = owner_is(2);
         let direct = db.run_query(&q).unwrap().rows;
         let backend = WireSqlBackend::new(db);
-        let wired = backend.exec(&q, &ExecOptions::default()).unwrap().rows;
+        let wired = backend.exec_timed(&q, &ExecOptions::default()).0.unwrap().rows;
         assert_eq!(direct, wired);
         assert_eq!(wired.len(), 5);
     }

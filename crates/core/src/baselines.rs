@@ -15,9 +15,10 @@
 //!
 //! This module also owns how an experiment runs them: [`Enforcement`]
 //! names a mechanism (SIEVE, a baseline, or no policies at all) and
-//! [`SieveService::run_timed`] executes and times one query under it.
-//! Nothing on the serving path (`service.rs`, sessions, the wire server)
-//! names a baseline.
+//! [`SieveService::run_timed`] executes and times one query under it,
+//! through [`SqlBackend::exec_timed`], reporting that run's own counters
+//! and simulated cost. Nothing on the serving path (`service.rs`,
+//! sessions, the wire server) names a baseline.
 
 use crate::backend::SqlBackend;
 use crate::delta::{delta_call_expr, DeltaRegistry, PartitionHandle};
@@ -30,7 +31,6 @@ use minidb::expr::Expr;
 use minidb::plan::{IndexHint, SelectQuery, TableRef, TableSource, WithClause};
 use minidb::stats::ExecStats;
 use minidb::{QueryResult, SelectItem};
-use std::time::Duration;
 
 /// Which baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,13 +60,10 @@ pub enum Enforcement {
 impl<B: SqlBackend> SieveService<B> {
     /// Execute and time a query under any enforcement mechanism; the
     /// experiment harness's single entry point. Safe to call from any
-    /// thread and the rows are always right, but the returned statistics
-    /// come from the backend's one shared sink, which every timed
-    /// execution resets and then snapshots: the counters (and so the
-    /// simulated cost) of runs that overlap interleave. Time one query at
-    /// a time per service. The ∆ partitions of the prepared query are
-    /// pinned locally across the execution, so a concurrent invalidation
-    /// cannot fail the run.
+    /// thread: the returned statistics are the run's own, whatever else
+    /// the service runs meanwhile. The ∆ partitions of the prepared query
+    /// are pinned locally across the execution, so a concurrent
+    /// invalidation cannot fail the run.
     pub fn run_timed(
         &self,
         enforcement: Enforcement,
@@ -77,11 +74,7 @@ impl<B: SqlBackend> SieveService<B> {
         // the stats are those of the *last* attempt: recovery time is the
         // caller's to observe via wall-clock, not folded into engine
         // counters from failed attempts.
-        let mut stats = ExecStats {
-            counters: Default::default(),
-            wall: Duration::ZERO,
-            simulated_cost: 0.0,
-        };
+        let mut stats = ExecStats::default();
         let res = self.prepare_pinned(enforcement, query, qm).and_then(|(prepared, _pins)| {
             let opts = self.exec_options();
             self.with_backend_retry(|b| {
@@ -167,7 +160,7 @@ pub fn rewrite_baseline_p(
     policies: &[&Policy],
 ) -> SelectQuery {
     let dnf = crate::policy::policy_expression(policies);
-    attach_policy_filter(original, relation, dnf, IndexHint::None)
+    attach_policy_filter(original, relation, dnf)
 }
 
 /// BaselineI: `WITH rel_pol AS (SELECT * FROM rel FORCE INDEX (owner)
@@ -247,21 +240,13 @@ pub fn rewrite_baseline_u(
         parts.push(crate::policy::policy_expression(&derived));
     }
     let filter = Expr::any(parts);
-    Ok((
-        attach_policy_filter(original, relation, filter, IndexHint::None),
-        handles,
-    ))
+    Ok((attach_policy_filter(original, relation, filter), handles))
 }
 
 /// AND a policy filter onto the conjuncts applying to `relation`,
 /// qualifying bare columns with the relation's alias when the query has
 /// several FROM entries.
-fn attach_policy_filter(
-    original: &SelectQuery,
-    relation: &str,
-    filter: Expr,
-    hint: IndexHint,
-) -> SelectQuery {
+fn attach_policy_filter(original: &SelectQuery, relation: &str, filter: Expr) -> SelectQuery {
     let mut out = original.clone();
     // Find the alias under which the relation appears.
     let alias = out
@@ -277,13 +262,6 @@ fn attach_policy_filter(
         Some(p) => Expr::and(p, filter),
         None => filter,
     });
-    if hint != IndexHint::None {
-        for t in &mut out.from {
-            if matches!(&t.source, TableSource::Named(n) if n == relation) {
-                t.hint = hint.clone();
-            }
-        }
-    }
     out
 }
 

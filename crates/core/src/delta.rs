@@ -127,7 +127,7 @@ impl std::fmt::Debug for PartitionHandle {
 impl Drop for HandleInner {
     fn drop(&mut self) {
         if let Some(registry) = self.registry.upgrade() {
-            registry.remove(&[self.key]);
+            registry.remove(self.key);
         }
     }
 }
@@ -155,15 +155,7 @@ impl DeltaRegistry {
     /// backend). On a real server this step is the paper's
     /// `CREATE FUNCTION` issued at deploy time.
     pub fn install(self: &Arc<Self>, backend: &mut dyn SqlBackend) {
-        backend.install_udf(DELTA_UDF, self.udf());
-    }
-
-    /// The ∆ UDF as a registrable value, for callers that wire the engine
-    /// directly rather than through [`DeltaRegistry::install`].
-    pub fn udf(self: &Arc<Self>) -> Arc<dyn Udf> {
-        Arc::new(DeltaUdf {
-            registry: Arc::clone(self),
-        })
+        backend.install_udf(DELTA_UDF, Arc::new(DeltaUdf { registry: Arc::clone(self) }));
     }
 
     /// Compile and register a partition of policies against a relation
@@ -226,38 +218,12 @@ impl DeltaRegistry {
         })
     }
 
-    /// Force-drop **all** registered partitions, including ones whose
-    /// [`PartitionHandle`]s are still alive — a hard reset for tests and
-    /// diagnostics, NOT part of the normal lifecycle (the middleware
-    /// frees partitions exclusively through handle drops, so in-flight
-    /// queries keep theirs resolvable). A query executed against a
-    /// cleared-but-still-pinned fragment fails with "unknown partition";
-    /// the pinning handles' later drops are harmless no-ops.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write();
-        inner.partitions.clear();
-    }
-
-    /// Drop specific partitions. Normally driven by [`PartitionHandle`]
-    /// drops (a fragment that is regenerated or evicted frees exactly the
-    /// partitions its ∆ calls referenced, once no in-flight query pins
-    /// them); idempotent, so a manual `remove` followed by a handle drop
-    /// is harmless.
-    pub fn remove(&self, keys: &[PartitionKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.write();
-        for k in keys {
-            inner.partitions.remove(k);
-        }
-    }
-
-    /// The highest partition key issued so far. Keys are monotonically
-    /// increasing, so two watermarks bracket the registrations made in
-    /// between (used to reclaim baseline-rewrite partitions).
-    pub fn watermark(&self) -> PartitionKey {
-        self.inner.read().next_key
+    /// Drop a partition: what the last [`PartitionHandle`] of it does as
+    /// it drops (a fragment that is regenerated or evicted frees exactly
+    /// the partitions its ∆ calls referenced, once no in-flight query pins
+    /// them).
+    fn remove(&self, key: PartitionKey) {
+        self.inner.write().partitions.remove(&key);
     }
 
     /// Number of live partitions.
@@ -292,7 +258,7 @@ impl Udf for DeltaUdf {
         // Context filtering: fetch only the tuple owner's policies. This
         // lookup stands in for the paper's indexed rP ⋈ rOC cursor and is
         // charged as one probe.
-        ctx.stats.index_probes(1);
+        ctx.tally.index_probes(1);
         let owner = match args.get(part.owner_slot).and_then(Value::as_int) {
             Some(o) => o,
             None => return Ok(Value::Bool(false)),
@@ -301,10 +267,10 @@ impl Udf for DeltaUdf {
             return Ok(Value::Bool(false));
         };
         for cp in policies {
-            ctx.stats.policies(1);
+            ctx.tally.policies(1);
             let mut ok = true;
             for (slot, check) in &cp.conds {
-                ctx.stats.predicates(1);
+                ctx.tally.predicates(1);
                 let v = args
                     .get(*slot)
                     .ok_or_else(|| DbError::TypeError("delta: missing attribute arg".into()))?;
@@ -341,7 +307,7 @@ mod tests {
     use super::*;
     use crate::policy::{ObjectCondition, QuerierSpec};
     use minidb::value::DataType;
-    use minidb::StatsSink;
+    use minidb::Tally;
 
     fn schema() -> TableSchema {
         TableSchema::of(
@@ -372,8 +338,8 @@ mod tests {
         let udf = DeltaUdf {
             registry: Arc::clone(reg),
         };
-        let stats = StatsSink::new();
-        let ctx = UdfContext { stats: &stats };
+        let tally = Tally::default();
+        let ctx = UdfContext { tally: &tally };
         let mut args = vec![Value::Int(key)];
         args.extend_from_slice(row);
         udf.invoke(&args, &ctx).unwrap().as_bool().unwrap()
@@ -418,8 +384,8 @@ mod tests {
         let udf = DeltaUdf {
             registry: Arc::clone(&reg),
         };
-        let stats = StatsSink::new();
-        let ctx = UdfContext { stats: &stats };
+        let tally = Tally::default();
+        let ctx = UdfContext { tally: &tally };
         let args = vec![
             Value::Int(key),
             Value::Int(0),
@@ -429,7 +395,7 @@ mod tests {
         ];
         udf.invoke(&args, &ctx).unwrap();
         // Only owner 3's single policy was checked, not all 50.
-        assert_eq!(stats.snapshot().policy_evals, 1);
+        assert_eq!(tally.counters().policy_evals, 1);
     }
 
     #[test]
@@ -464,19 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_partitions() {
-        let reg = DeltaRegistry::new();
-        let p = policy(1, 1);
-        let handle = reg.register_partition(&schema(), &[&p]).unwrap();
-        assert_eq!(reg.len(), 1);
-        reg.clear();
-        assert!(reg.is_empty());
-        // The handle's eventual drop re-removes the key: idempotent.
-        drop(handle);
-        assert!(reg.is_empty());
-    }
-
-    #[test]
     fn dropping_the_last_handle_frees_the_partition() {
         let reg = DeltaRegistry::new();
         let p1 = policy(1, 1200);
@@ -496,17 +449,5 @@ mod tests {
             k2,
             &[Value::Int(0), Value::Int(2), Value::Int(1300), Value::Time(0)]
         ));
-    }
-
-    #[test]
-    fn watermarks_bracket_registrations() {
-        let reg = DeltaRegistry::new();
-        let p = policy(1, 1200);
-        let before = reg.watermark();
-        let h1 = reg.register_partition(&schema(), &[&p]).unwrap();
-        let h2 = reg.register_partition(&schema(), &[&p]).unwrap();
-        let after = reg.watermark();
-        let bracketed: Vec<PartitionKey> = ((before + 1)..=after).collect();
-        assert_eq!(bracketed, vec![h1.key(), h2.key()]);
     }
 }

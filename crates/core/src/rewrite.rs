@@ -65,7 +65,7 @@
 
 use crate::backend::SqlBackend;
 use crate::cost::{AccessStrategy, CostModel};
-use crate::delta::{delta_call_expr, DeltaRegistry, PartitionHandle, PartitionKey};
+use crate::delta::{delta_call_expr, DeltaRegistry, PartitionHandle};
 use crate::guard::GuardedExpression;
 use crate::policy::{Policy, PolicyId};
 use crate::error::{SieveError, SieveResult};
@@ -203,11 +203,6 @@ impl GuardFragment {
     /// branch order.
     pub fn partitions(&self) -> impl Iterator<Item = &PartitionHandle> {
         self.branches.iter().filter_map(|b| b.delta.as_ref())
-    }
-
-    /// Keys of the ∆ partitions this fragment registered (observability).
-    pub fn delta_keys(&self) -> Vec<PartitionKey> {
-        self.partitions().map(|h| h.key()).collect()
     }
 }
 

@@ -14,9 +14,10 @@
 //!
 //! State is split so the warm path shares everything:
 //!
-//! * policy store, group directory, cost model, options, protected set —
-//!   each behind its own `RwLock` (read-mostly; `add_policy` takes the
-//!   store's write lock only to append);
+//! * policy store, group directory, options, protected set — each behind
+//!   its own `RwLock` (read-mostly; `add_policy` takes the store's write
+//!   lock only to append); the cost model is fixed at construction and
+//!   held by value, with no lock;
 //! * the [`GuardCache`] is sharded — a warm hit takes one shard's *read*
 //!   lock (see [`crate::cache`]);
 //! * the backend sits behind a `RwLock<B>`: queries execute under the
@@ -28,9 +29,9 @@
 //!   partition a concurrent query still references.
 //!
 //! Lock order (outer → inner): `build claim → store → groups → backend →
-//! cache shard`. Options, cost model and the protected set are
-//! snapshotted and released before any of those is taken; the ∆ registry
-//! is a leaf. Cache closures never take other locks.
+//! cache shard`. Options and the protected set are snapshotted and
+//! released before any of those is taken; the ∆ registry is a leaf. Cache
+//! closures never take other locks.
 //!
 //! The service takes the backend *write* lock only for a caller's
 //! [`SieveService::with_backend_mut`] and writes nothing to the backend
@@ -285,13 +286,13 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     /// guards generated before an out-of-band write are detectably stale.
     pub(crate) backend_epoch: AtomicU64,
     /// Policy/configuration revision: bumped by `add_policy`, `protect`,
-    /// option/cost/group mutation and `invalidate_all`. A
+    /// option/group mutation and `invalidate_all`. A
     /// [`crate::session::Prepared`] plan records the revision it was
     /// built under and transparently re-prepares when it trails.
     pub(crate) revision: AtomicU64,
     pub(crate) store: RwLock<PolicyStore>,
     pub(crate) groups: RwLock<GroupDirectory>,
-    pub(crate) cost: RwLock<CostModel>,
+    pub(crate) cost: CostModel,
     pub(crate) options: RwLock<SieveOptions>,
     pub(crate) delta: Arc<DeltaRegistry>,
     pub(crate) cache: GuardCache,
@@ -345,7 +346,7 @@ impl<B: SqlBackend> SieveService<B> {
                 revision: AtomicU64::new(0),
                 store: RwLock::new(PolicyStore::new()),
                 groups: RwLock::new(GroupDirectory::new()),
-                cost: RwLock::new(CostModel::default()),
+                cost: CostModel::default(),
                 options: RwLock::new(options),
                 delta,
                 cache: GuardCache::new(),
@@ -512,7 +513,7 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     fn snapshot_config(&self) -> (SieveOptions, CostModel) {
-        (self.inner.options.read().clone(), *self.inner.cost.read())
+        (self.inner.options.read().clone(), self.inner.cost)
     }
 
     /// Read `key`'s entry: its compiled relation if it can serve as it is,
@@ -751,7 +752,7 @@ impl<B: SqlBackend> SieveService<B> {
     pub fn execute(&self, query: &SelectQuery, qm: &QueryMetadata) -> SieveResult<QueryResult> {
         let rewritten = self.rewrite(query, qm)?;
         let opts = self.exec_options();
-        self.with_backend_retry(|b| b.exec(&rewritten.query, &opts))
+        self.with_backend_retry(|b| b.exec_timed(&rewritten.query, &opts).0)
     }
 
     /// Have the backend plan an already-rewritten query once and hold the

@@ -1,8 +1,10 @@
 //! The database catalog and top-level façade.
 //!
 //! A [`Database`] owns tables, their secondary indexes and histograms, the
-//! UDF registry, the optimizer profile (MySQL-like vs PostgreSQL-like), and
-//! the statistics sink. SIEVE is layered strictly on top of this façade —
+//! UDF registry, the optimizer profile (MySQL-like vs PostgreSQL-like) and
+//! the cost weights. Counters belong to a run, not to the database:
+//! [`Database::run_timed`] reports its own. SIEVE is layered strictly on
+//! top of this façade —
 //! it only uses the public surface a middleware would have against a real
 //! DBMS: run a query, run EXPLAIN, register a UDF, read table statistics.
 
@@ -14,13 +16,14 @@ use crate::index::Index;
 use crate::plan::SelectQuery;
 use crate::planner::DbProfile;
 use crate::schema::TableSchema;
-use crate::stats::{CostWeights, ExecStats, StatsSink};
+use crate::stats::{CostWeights, ExecStats};
 use crate::table::{Row, RowId, Table};
 use crate::udf::{Udf, UdfRegistry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A table plus its access structures.
 #[derive(Debug, Clone)]
@@ -82,7 +85,6 @@ pub struct Database {
     udfs: UdfRegistry,
     weights: CostWeights,
     profile: DbProfile,
-    stats: StatsSink,
     /// Stamp of the current state; see [`Database::version`].
     version: u64,
     /// The plans of the open statements by id; ids are never reused.
@@ -97,7 +99,6 @@ impl Database {
             udfs: UdfRegistry::new(),
             weights: CostWeights::default(),
             profile,
-            stats: StatsSink::new(),
             version: NEXT_VERSION.fetch_add(1, Ordering::Relaxed),
             statements: RwLock::new(HashMap::new()),
         }
@@ -136,11 +137,6 @@ impl Database {
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.touch();
         self.weights = weights;
-    }
-
-    /// The shared statistics sink.
-    pub fn stats(&self) -> &StatsSink {
-        &self.stats
     }
 
     /// Create an empty table. Errors if the name is taken.
@@ -294,30 +290,27 @@ impl Database {
     /// plan. Refused with [`DbError::StalePlan`] unless this is the state
     /// it was prepared on.
     pub fn run_prepared(&self, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
-        crate::exec::run(self, prepared, opts)
+        crate::exec::run(self, prepared, opts).0
     }
 
-    /// Execute a query with default options.
+    /// [`Database::run_timed`] under default options, its report dropped.
     pub fn run_query(&self, query: &SelectQuery) -> DbResult<QueryResult> {
-        self.run_query_opts(query, &ExecOptions::default())
+        self.run_timed(query, &ExecOptions::default()).0
     }
 
-    /// Execute a query once with options (e.g. a timeout): prepare, run.
-    pub fn run_query_opts(
-        &self,
-        query: &SelectQuery,
-        opts: &ExecOptions,
-    ) -> DbResult<QueryResult> {
-        crate::exec::execute(self, query, opts)
-    }
-
-    /// Execute and return `(result, stats)` using the simulated+wall clocks.
+    /// Execute a query once under `opts` (e.g. a timeout) — prepare, run —
+    /// and report the run: its own counters (partial ones when it fails),
+    /// wall time, and the simulated cost under this database's weights.
     pub fn run_timed(
         &self,
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> (DbResult<QueryResult>, ExecStats) {
-        crate::stats::timed(&self.stats, &self.weights, || self.run_query_opts(query, opts))
+        let start = Instant::now();
+        let (res, counters) = crate::exec::execute(self, query, opts);
+        let wall = start.elapsed();
+        let simulated_cost = counters.simulated_cost(&self.weights);
+        (res, ExecStats { counters, wall, simulated_cost })
     }
 
     /// EXPLAIN: the access-path decisions the planner would make, with
@@ -374,17 +367,15 @@ impl Database {
 
 impl Clone for Database {
     /// Deep-copies tables, indexes and histograms; registered UDFs are
-    /// shared (`Arc`), and the clone gets a **fresh** statistics sink so
-    /// measurements never bleed between instances, and an empty statement
-    /// table. Used by the experiment harness to run one loaded dataset
-    /// under several configurations.
+    /// shared (`Arc`), and the clone gets an empty statement table. Used
+    /// by the experiment harness to run one loaded dataset under several
+    /// configurations.
     fn clone(&self) -> Self {
         Database {
             tables: self.tables.clone(),
             udfs: self.udfs.clone(),
             weights: self.weights,
             profile: self.profile,
-            stats: StatsSink::new(),
             // The same state, so the same stamp, until either changes.
             version: self.version,
             statements: RwLock::new(HashMap::new()),
@@ -438,8 +429,7 @@ mod tests {
         db.create_index("t", "owner").unwrap();
         db.insert("t", vec![Value::Int(100), Value::Int(99)]).unwrap();
         let entry = db.table("t").unwrap();
-        let stats = StatsSink::new();
-        let hits = entry.index_on("owner").unwrap().lookup(&Value::Int(99), &stats);
+        let hits = entry.index_on("owner").unwrap().lookup(&Value::Int(99), &Default::default());
         assert_eq!(hits.len(), 1);
     }
 

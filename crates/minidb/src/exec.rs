@@ -8,12 +8,16 @@
 //! planner merged it into its reader's base-table read), then the body —
 //! the first input through its access plan, left-deep joins in FROM order
 //! (index nested-loop, hash or cross, as the plan says), the residual
-//! filter, GROUP BY/aggregates or projection, and LIMIT. [`execute`] is the
-//! two in a row, for a query run once. The executor is a materializing
-//! interpreter of the plan and decides nothing itself: a run plans nothing
-//! — a correlated subquery's body was planned with the predicate that
-//! holds it — and leaves nothing in the plan. All data movement is charged
-//! to the database's [`StatsSink`].
+//! filter, GROUP BY/aggregates or projection, and LIMIT. `execute` is the
+//! two in a row, for a query run once ([`Database::run_timed`]). The
+//! executor is a materializing interpreter of the plan and decides nothing
+//! itself: a run plans nothing — a correlated subquery's body was planned
+//! with the predicate that holds it — and leaves nothing in the plan. All
+//! data movement is charged to the run's own [`Tally`], created on its
+//! stack and handed by `&` to every operator, filter and UDF of the run,
+//! correlated subqueries included; the run returns the [`Counters`] beside
+//! its result, partial ones when it fails. Two runs never share a tally,
+//! so runs that overlap on one database count apart.
 
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
@@ -23,7 +27,7 @@ use crate::plan::{AggFunc, SelectQuery};
 use crate::planner::{
     plan_query, AccessPlan, AggOut, IndexProbe, Input, Output, QueryPlan, Read, Subplan, TempSource,
 };
-use crate::stats::StatsSink;
+use crate::stats::{Counters, Tally};
 use crate::table::{Row, RowId, ROWS_PER_PAGE};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -113,30 +117,47 @@ pub(crate) fn prepare(db: &Database, query: &SelectQuery) -> DbResult<PreparedQu
     Ok(PreparedQuery { plan: Arc::new(plan), version: db.version() })
 }
 
-/// Run a prepared query on the database it was planned for.
-pub(crate) fn run(db: &Database, prepared: &PreparedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+/// Run a prepared query on the database it was planned for, and report
+/// what the run charged.
+pub(crate) fn run(
+    db: &Database,
+    prepared: &PreparedQuery,
+    opts: &ExecOptions,
+) -> (DbResult<QueryResult>, Counters) {
     if !prepared.planned_on(db) {
-        return Err(DbError::StalePlan);
+        return (Err(DbError::StalePlan), Counters::default());
     }
+    let tally = Tally::default();
     let exec = Exec {
         db,
+        tally: &tally,
         temps: Arc::new(HashMap::new()),
         deadline: opts.timeout.map(|t| Instant::now() + t),
         params: Arc::new(HashMap::new()),
     };
-    Ok(QueryResult {
-        rows: exec.run(&prepared.plan)?,
+    let res = exec.run(&prepared.plan).map(|rows| QueryResult {
+        rows,
         columns: prepared.plan.schema.columns.iter().map(|c| c.name.clone()).collect(),
-    })
+    });
+    (res, tally.counters())
 }
 
 /// Execute a query once: prepare it, then run that.
-pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
-    run(db, &prepare(db, query)?, opts)
+pub(crate) fn execute(
+    db: &Database,
+    query: &SelectQuery,
+    opts: &ExecOptions,
+) -> (DbResult<QueryResult>, Counters) {
+    match prepare(db, query) {
+        Ok(prepared) => run(db, &prepared, opts),
+        Err(e) => (Err(e), Counters::default()),
+    }
 }
 
 struct Exec<'a> {
     db: &'a Database,
+    /// The run's tally, shared by reference with every sub-executor.
+    tally: &'a Tally,
     /// Materialized WITH results, shared by reference with every
     /// sub-executor (correlated subqueries spawn one per outer row).
     temps: Temps,
@@ -156,10 +177,6 @@ impl QueryRunner for Exec<'_> {
 }
 
 impl<'a> Exec<'a> {
-    fn stats(&self) -> &StatsSink {
-        self.db.stats()
-    }
-
     fn check_deadline(&self) -> DbResult<()> {
         if let Some(d) = self.deadline {
             if Instant::now() > d {
@@ -171,7 +188,7 @@ impl<'a> Exec<'a> {
 
     fn eval_ctx(&'a self) -> EvalContext<'a> {
         EvalContext {
-            stats: self.stats(),
+            tally: self.tally,
             udfs: self.db.udfs(),
             runner: Some(self),
             params: &self.params,
@@ -182,6 +199,7 @@ impl<'a> Exec<'a> {
     fn with_temps(&self, temps: Temps) -> Exec<'a> {
         Exec {
             db: self.db,
+            tally: self.tally,
             temps,
             deadline: self.deadline,
             params: Arc::clone(&self.params),
@@ -244,7 +262,7 @@ impl<'a> Exec<'a> {
         if let Some(limit) = plan.limit {
             rows.truncate(limit);
         }
-        self.stats().outputs(rows.len() as u64);
+        self.tally.outputs(rows.len() as u64);
         Ok(rows)
     }
 
@@ -270,8 +288,8 @@ impl<'a> Exec<'a> {
                 // Constant-false predicates (e.g. a guarded expression
                 // with no guards — default deny) read nothing.
                 if !input.local.drops_all() {
-                    self.stats().seq_pages(rows.len().div_ceil(ROWS_PER_PAGE) as u64);
-                    self.stats().tuples(rows.len() as u64);
+                    self.tally.seq_pages(rows.len().div_ceil(ROWS_PER_PAGE) as u64);
+                    self.tally.tuples(rows.len() as u64);
                     self.filter_batched(rows, &input.local, &ctx, &mut out)?;
                 }
             }
@@ -311,7 +329,7 @@ impl<'a> Exec<'a> {
         let mut set = RowIdSet::new(entry.table.len());
         for p in probes {
             self.check_deadline()?;
-            p.run_into(entry, self.stats(), &mut set);
+            p.run_into(entry, self.tally, &mut set);
         }
         Ok(set)
     }
@@ -326,7 +344,7 @@ impl<'a> Exec<'a> {
         ctx: &EvalContext<'_>,
     ) -> DbResult<Vec<Row>> {
         self.check_deadline()?;
-        let fetched = entry.table.fetch(&ids.ids(), self.stats());
+        let fetched = entry.table.fetch(&ids.ids(), self.tally);
         if let FilterProgram::KeepAll = program {
             return Ok(fetched.into_iter().map(|(_, r)| r.clone()).collect());
         }
@@ -353,9 +371,8 @@ impl<'a> Exec<'a> {
                 // Same accounting as `Table::scan` (every page once,
                 // sequentially, one tuple read per row), but filtering
                 // directly over the contiguous row slice in batches.
-                let stats = self.stats();
-                stats.seq_pages(entry.table.page_count());
-                stats.tuples(entry.table.len() as u64);
+                self.tally.seq_pages(entry.table.page_count());
+                self.tally.tuples(entry.table.len() as u64);
                 let mut out = Vec::new();
                 self.filter_batched(entry.table.rows(), program, ctx, &mut out)?;
                 Ok(out)
@@ -369,7 +386,6 @@ impl<'a> Exec<'a> {
                 self.fetch_set(entry, &ids, program, ctx)
             }
             AccessPlan::IndexOr { probes, bitmap, .. } => {
-                let stats = self.stats();
                 if *bitmap {
                     // PostgreSQL-style: OR the row-id bitmaps, fetch once.
                     let ids = self.probe_set(entry, probes)?;
@@ -383,8 +399,8 @@ impl<'a> Exec<'a> {
                     let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
                     for p in probes {
                         self.check_deadline()?;
-                        let ids = p.run(entry, stats);
-                        let fetched = entry.table.fetch(&ids, stats);
+                        let ids = p.run(entry, self.tally);
+                        let fetched = entry.table.fetch(&ids, self.tally);
                         if let FilterProgram::KeepAll = program {
                             // Exact union: keep every not-yet-seen row.
                             for (id, row) in fetched {
@@ -424,12 +440,11 @@ impl<'a> Exec<'a> {
     /// Join the rows accumulated so far with one more input, on the keys
     /// and by the method its plan names.
     fn join(&self, outer_rows: Vec<Row>, input: &Input) -> DbResult<Vec<Row>> {
-        let stats = self.stats();
         // Every extra join key must agree; one evaluation charged per key
         // compared.
         let keys_match = |extra: &[(usize, usize)], orow: &[Value], irow: &[Value]| {
             extra.iter().all(|&(outer, own)| {
-                stats.predicates(1);
+                self.tally.predicates(1);
                 orow[outer] == irow[own]
             })
         };
@@ -445,11 +460,11 @@ impl<'a> Exec<'a> {
                     if i % 512 == 0 {
                         self.check_deadline()?;
                     }
-                    let ids = idx.postings(&orow[outer], stats);
+                    let ids = idx.postings(&orow[outer], self.tally);
                     if ids.is_empty() {
                         continue;
                     }
-                    for (_, irow) in entry.table.fetch(ids, stats) {
+                    for (_, irow) in entry.table.fetch(ids, self.tally) {
                         if input.local.matches(irow, &ctx)? && keys_match(extra, orow, irow) {
                             out.push(concat_rows(orow, irow));
                         }
@@ -848,9 +863,9 @@ mod tests {
              (SELECT m.user_id FROM membership m WHERE m.user_id = w.owner LIMIT 1)",
         )
         .unwrap();
-        db.stats().reset();
         crate::planner::PLANNED.with(|n| n.set(0));
-        let res = db.run_query(&q).unwrap();
+        let (res, stats) = db.run_timed(&q, &ExecOptions::default());
+        let res = res.unwrap();
         assert_eq!(crate::planner::PLANNED.with(|n| n.get()), 2, "outer query + one subquery");
         assert_eq!(res.len(), 100);
         assert!(res.rows.iter().all(|r| r[2] == Value::Int(1001)));
@@ -858,8 +873,8 @@ mod tests {
         // decides; each is checked against the subquery, which scans the 50
         // memberships (a page) and outputs one.
         assert_eq!(
-            db.stats().snapshot(),
-            crate::stats::Counters {
+            stats.counters,
+            Counters {
                 seq_pages_read: 100,
                 rand_pages_read: 4,
                 tuples_read: 5100,
@@ -876,8 +891,66 @@ mod tests {
     fn timeout_fires() {
         let db = sample_db(DbProfile::MySqlLike);
         let q = SelectQuery::star_from("wifi");
-        let res = db.run_query_opts(&q, &ExecOptions::with_timeout(Duration::ZERO));
+        let res = db.run_timed(&q, &ExecOptions::with_timeout(Duration::ZERO)).0;
         assert_eq!(res.unwrap_err(), DbError::Timeout);
+    }
+
+    /// Two threads time queries on one database at once — a scan and an
+    /// index probe — and every run reports exactly the counters that query
+    /// reports run alone.
+    #[test]
+    fn concurrent_runs_report_their_own_counters() {
+        const RUNS: usize = 500;
+        let db = sample_db(DbProfile::MySqlLike);
+        let owner_7 = Expr::col_eq(ColumnRef::bare("owner"), Value::Int(7));
+        let scan = SelectQuery {
+            from: vec![TableRef::named("wifi").with_hint(IndexHint::IgnoreAll)],
+            ..SelectQuery::star_from("wifi")
+        }
+        .filter(owner_7.clone());
+        let probe = SelectQuery::star_from("wifi").filter(owner_7);
+        let opts = ExecOptions::default();
+        let counters = |q: &SelectQuery| db.run_timed(q, &opts).1.counters;
+        let (scan_alone, probe_alone) = (counters(&scan), counters(&probe));
+        assert!(scan_alone.seq_pages_read > 0 && scan_alone.index_probes == 0, "{scan_alone:?}");
+        assert!(probe_alone.index_probes > 0 && probe_alone.seq_pages_read == 0, "{probe_alone:?}");
+        let mismatches =
+            |q: &SelectQuery, alone: Counters| (0..RUNS).filter(|_| counters(q) != alone).count();
+        let start = std::sync::Barrier::new(2);
+        let mismatched = std::thread::scope(|s| {
+            let scans = s.spawn(|| {
+                start.wait();
+                mismatches(&scan, scan_alone)
+            });
+            let probes = s.spawn(|| {
+                start.wait();
+                mismatches(&probe, probe_alone)
+            });
+            (scans.join().unwrap(), probes.join().unwrap())
+        });
+        let what = format!("(scan, probe) runs of {RUNS} each not reporting their own counters");
+        assert_eq!(mismatched, (0, 0), "{what}");
+    }
+
+    /// A run leaves nothing in its plan: running one prepared plan again
+    /// returns the rows and charges the counters of its first run.
+    #[test]
+    fn a_second_run_of_one_plan_repeats_the_first() {
+        let db = sample_db(DbProfile::PostgresLike);
+        let opts = ExecOptions::default();
+        for sql in [
+            "SELECT * FROM wifi WHERE owner = 3 OR wifi_ap = 1001",
+            "SELECT * FROM membership m, wifi w WHERE m.group_id = 2 AND m.user_id = w.owner",
+            "WITH c AS (SELECT * FROM wifi WHERE owner < 5) \
+             SELECT * FROM c, c AS d WHERE c.id = d.id",
+            "SELECT * FROM wifi w WHERE w.wifi_ap = 1001 AND w.owner = \
+             (SELECT m.user_id FROM membership m WHERE m.user_id = w.owner LIMIT 1)",
+        ] {
+            let prepared = db.prepare_query(&crate::sql::parse(sql).unwrap()).unwrap();
+            let first = run(&db, &prepared, &opts);
+            assert!(first.0.as_ref().is_ok_and(|r| !r.is_empty()), "{sql}: {first:?}");
+            assert_eq!(run(&db, &prepared, &opts), first, "{sql}");
+        }
     }
 
     #[test]
@@ -955,11 +1028,10 @@ mod tests {
             ..SelectQuery::star_from("wifi")
         }
         .filter(pred);
-        db.stats().reset();
-        let res = db.run_query(&q).unwrap();
-        assert_eq!(res.len(), 40);
+        let (res, stats) = db.run_timed(&q, &ExecOptions::default());
+        assert_eq!(res.unwrap().len(), 40);
         // The probe union is exact: no per-row predicate re-evaluation.
-        assert_eq!(db.stats().snapshot().predicate_evals, 0);
+        assert_eq!(stats.counters.predicate_evals, 0);
     }
 
     /// `owner = NaN` holds on every row (`Value`'s order calls NaN equal to

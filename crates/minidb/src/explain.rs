@@ -153,7 +153,8 @@ mod tests {
     /// A relation joined through its index is reported as what runs — an
     /// index nested loop on the join column, not a scan of the whole table
     /// — read straight from FROM or behind a WITH whose columns the join
-    /// condition names unqualified; and EXPLAIN itself moves no counter.
+    /// condition names unqualified. EXPLAIN moves no counter by
+    /// construction: it has no run, so no tally to charge.
     #[test]
     fn explain_reports_the_join_that_runs() {
         let mut db = db();
@@ -167,9 +168,7 @@ mod tests {
             "WITH c AS (SELECT * FROM g WHERE grp = 1) SELECT * FROM c, w WHERE owner = uid",
         ] {
             let q = crate::sql::parse(sql).unwrap();
-            db.stats().reset();
             let e = db.explain(&q).unwrap();
-            assert_eq!(db.stats().snapshot(), Default::default(), "{sql}: EXPLAIN executed something");
             let w = &e.relations[1];
             assert_eq!(w.join.as_deref(), Some("IndexNestedLoop(owner)"), "{sql}:\n{e}");
             assert_eq!(w.access_desc, "IndexLookup(owner)", "{sql}");
@@ -177,9 +176,9 @@ mod tests {
             assert_eq!(e.relations[0].join, None);
             assert!(e.to_string().contains("w (w): IndexLookup(owner)"), "{e}");
             // And that is what runs: one probe per outer row, `w` never scanned.
-            let res = db.run_query(&q).unwrap();
-            assert_eq!(res.len(), 5 * 20);
-            let ran = db.stats().snapshot();
+            let (res, stats) = db.run_timed(&q, &Default::default());
+            assert_eq!(res.unwrap().len(), 5 * 20);
+            let ran = stats.counters;
             assert_eq!(ran.index_probes, 5, "{sql}");
             assert_eq!(ran.tuples_read, if e.ctes.is_empty() { 25 + 100 } else { 25 + 5 + 100 }, "{sql}");
         }

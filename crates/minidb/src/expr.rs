@@ -12,7 +12,7 @@ use crate::error::{DbError, DbResult};
 use crate::plan::SelectQuery;
 use crate::planner::Subplan;
 use crate::schema::TableSchema;
-use crate::stats::StatsSink;
+use crate::stats::Tally;
 use crate::table::Row;
 use crate::udf::{UdfContext, UdfRegistry};
 use crate::value::Value;
@@ -712,11 +712,11 @@ pub fn no_subqueries(_: &SelectQuery, _: &HashSet<String>) -> DbResult<Subplan> 
     Err(DbError::Unsupported("scalar subquery outside a planned query".into()))
 }
 
-/// Evaluation context: statistics, UDFs, subquery runner, and any outer
+/// Evaluation context: the run's tally, UDFs, subquery runner, and any outer
 /// correlation parameters already in scope.
 pub struct EvalContext<'a> {
-    /// Stats sink charged by predicate evaluations and UDF work.
-    pub stats: &'a StatsSink,
+    /// The run's tally, charged by predicate evaluations and UDF work.
+    pub tally: &'a Tally,
     /// Registered UDFs.
     pub udfs: &'a UdfRegistry,
     /// Subquery runner (None disables scalar subqueries).
@@ -980,7 +980,7 @@ impl BoundExpr {
                 for a in args {
                     vals.push(a.eval(row, ctx)?);
                 }
-                let udf_ctx = UdfContext { stats: ctx.stats };
+                let udf_ctx = UdfContext { tally: ctx.tally };
                 Cow::Owned(ctx.udfs.invoke(name, &vals, &udf_ctx)?)
             }
             BoundExpr::ScalarSubquery { plan, outer_refs } => {
@@ -1052,7 +1052,7 @@ impl BoundExpr {
                 // (NULL → false), so arms first, tail after selects the
                 // same rows as the branches in their written order.
                 let v = &row[*slot];
-                ctx.stats.predicates(1);
+                ctx.tally.predicates(1);
                 if !v.is_null() {
                     let first = arms.partition_point(|(k, _)| k < v);
                     for (_, rest) in arms[first..].iter().take_while(|(k, _)| k == v) {
@@ -1077,7 +1077,7 @@ impl BoundExpr {
             // computed first, what `eval_cow` makes of it.
             BoundExpr::Cmp { op, lhs, rhs } => {
                 let test = |a: &Value, b: &Value| {
-                    ctx.stats.predicates(1);
+                    ctx.tally.predicates(1);
                     op.apply(a, b)
                 };
                 Ok(match (lhs.fast_ref(row), rhs.fast_ref(row)) {
@@ -1092,7 +1092,7 @@ impl BoundExpr {
                 negated,
             } => {
                 let test = |v: &Value, lo: &Value, hi: &Value| {
-                    ctx.stats.predicates(1);
+                    ctx.tally.predicates(1);
                     let null = v.is_null() || lo.is_null() || hi.is_null();
                     !null && (v >= lo && v <= hi) != *negated
                 };
@@ -1110,7 +1110,7 @@ impl BoundExpr {
                 negated,
             } => {
                 let test = |v: &Value| -> DbResult<bool> {
-                    ctx.stats.predicates(1);
+                    ctx.tally.predicates(1);
                     if v.is_null() {
                         return Ok(false);
                     }
@@ -1137,7 +1137,7 @@ impl BoundExpr {
             } => {
                 // Charged as the list it was: one evaluation.
                 let test = |v: &Value| {
-                    ctx.stats.predicates(1);
+                    ctx.tally.predicates(1);
                     !v.is_null() && keys.binary_search(v).is_ok() != *negated
                 };
                 Ok(match expr.fast_ref(row) {
@@ -1147,7 +1147,7 @@ impl BoundExpr {
             }
             BoundExpr::IsNull { expr, negated } => {
                 let test = |v: &Value| {
-                    ctx.stats.predicates(1);
+                    ctx.tally.predicates(1);
                     v.is_null() != *negated
                 };
                 Ok(match expr.fast_ref(row) {
@@ -1396,16 +1396,11 @@ mod tests {
     }
 
     fn ctx<'a>(
-        stats: &'a StatsSink,
+        tally: &'a Tally,
         udfs: &'a UdfRegistry,
         params: &'a HashMap<String, Value>,
     ) -> EvalContext<'a> {
-        EvalContext {
-            stats,
-            udfs,
-            runner: None,
-            params,
-        }
+        EvalContext { tally, udfs, runner: None, params }
     }
 
     #[test]
@@ -1413,15 +1408,15 @@ mod tests {
         let l = layout();
         let e = Expr::col_eq(ColumnRef::qualified("w", "owner"), Value::Int(7));
         let b = bind(&e, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         let row = vec![Value::Int(7), Value::Int(1200), Value::Time(3600)];
         assert!(b.eval_bool(&row, &c).unwrap());
         let row2 = vec![Value::Int(8), Value::Int(1200), Value::Time(3600)];
         assert!(!b.eval_bool(&row2, &c).unwrap());
-        assert_eq!(stats.snapshot().predicate_evals, 2);
+        assert_eq!(tally.counters().predicate_evals, 2);
     }
 
     #[test]
@@ -1449,14 +1444,14 @@ mod tests {
             Expr::col_eq(ColumnRef::bare("wifi_ap"), Value::Int(9)),
         ]);
         let b = bind(&e, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         // First conjunct false: second must not be evaluated.
         let row = vec![Value::Int(0), Value::Int(9), Value::Time(0)];
         assert!(!b.eval_bool(&row, &c).unwrap());
-        assert_eq!(stats.snapshot().predicate_evals, 1);
+        assert_eq!(tally.counters().predicate_evals, 1);
     }
 
     #[test]
@@ -1467,13 +1462,13 @@ mod tests {
             Expr::col_eq(ColumnRef::bare("wifi_ap"), Value::Int(9)),
         ]);
         let b = bind(&e, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         let row = vec![Value::Int(1), Value::Int(0), Value::Time(0)];
         assert!(b.eval_bool(&row, &c).unwrap());
-        assert_eq!(stats.snapshot().predicate_evals, 1);
+        assert_eq!(tally.counters().predicate_evals, 1);
     }
 
     #[test]
@@ -1486,10 +1481,10 @@ mod tests {
             negated: false,
         };
         let b = bind(&between, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         let at_nine = vec![Value::Int(0), Value::Int(0), Value::Time(9 * 3600)];
         let at_noon = vec![Value::Int(0), Value::Int(0), Value::Time(12 * 3600)];
         assert!(b.eval_bool(&at_nine, &c).unwrap());
@@ -1510,10 +1505,10 @@ mod tests {
         let l = layout();
         let e = Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Ne, Value::Int(5));
         let b = bind(&e, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         let row = vec![Value::Null, Value::Int(0), Value::Time(0)];
         assert!(!b.eval_bool(&row, &c).unwrap());
     }
@@ -1533,12 +1528,12 @@ mod tests {
             args: vec![Expr::Column(ColumnRef::bare("owner"))],
         };
         let b = bind(&e, &l, &Default::default(), &mut no_subqueries).unwrap();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let params = HashMap::new();
-        let c = ctx(&stats, &udfs, &params);
+        let c = ctx(&tally, &udfs, &params);
         let row = vec![Value::Int(4), Value::Int(0), Value::Time(0)];
         assert!(b.eval_bool(&row, &c).unwrap());
-        assert_eq!(stats.snapshot().udf_invocations, 1);
+        assert_eq!(tally.counters().udf_invocations, 1);
     }
 
     #[test]

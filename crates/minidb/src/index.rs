@@ -6,7 +6,7 @@
 //! lists. Each probe charges one index descent; fetching the rows
 //! themselves is charged by [`crate::table::Table::fetch`].
 
-use crate::stats::StatsSink;
+use crate::stats::Tally;
 use crate::table::{Row, RowId};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -111,8 +111,8 @@ impl Index {
 
     /// Posting list of `key` (empty when absent), borrowed. One probe
     /// charged.
-    pub fn postings(&self, key: &Value, stats: &StatsSink) -> &[RowId] {
-        stats.index_probes(1);
+    pub fn postings(&self, key: &Value, tally: &Tally) -> &[RowId] {
+        tally.index_probes(1);
         self.entries.get(key).map_or(&[], Vec::as_slice)
     }
 
@@ -123,9 +123,9 @@ impl Index {
         &'a self,
         low: &'a RangeBound,
         high: &'a RangeBound,
-        stats: &StatsSink,
+        tally: &Tally,
     ) -> impl Iterator<Item = &'a [RowId]> + 'a {
-        stats.index_probes(1);
+        tally.index_probes(1);
         self.entries_between(low, high)
     }
 
@@ -157,13 +157,13 @@ impl Index {
     }
 
     /// Point lookup: rows with `col = key`. One probe charged.
-    pub fn lookup(&self, key: &Value, stats: &StatsSink) -> Vec<RowId> {
-        self.postings(key, stats).to_vec()
+    pub fn lookup(&self, key: &Value, tally: &Tally) -> Vec<RowId> {
+        self.postings(key, tally).to_vec()
     }
 
     /// Range scan between two bounds. One probe charged.
-    pub fn range(&self, low: &RangeBound, high: &RangeBound, stats: &StatsSink) -> Vec<RowId> {
-        self.range_postings(low, high, stats).flatten().copied().collect()
+    pub fn range(&self, low: &RangeBound, high: &RangeBound, tally: &Tally) -> Vec<RowId> {
+        self.range_postings(low, high, tally).flatten().copied().collect()
     }
 
     /// IN-list lookup: one probe per list element, the ids ascending and
@@ -171,9 +171,9 @@ impl Index {
     /// one value, disjoint unless a key is listed twice: put in order of
     /// their first ids they are concatenated where they do not interleave
     /// and merged where they do, never sorted.
-    pub fn lookup_in(&self, keys: &[Value], stats: &StatsSink) -> Vec<RowId> {
+    pub fn lookup_in(&self, keys: &[Value], tally: &Tally) -> Vec<RowId> {
         let mut runs: Vec<&[RowId]> =
-            keys.iter().map(|k| self.postings(k, stats)).filter(|run| !run.is_empty()).collect();
+            keys.iter().map(|k| self.postings(k, tally)).filter(|run| !run.is_empty()).collect();
         runs.sort_unstable_by_key(|run| run[0]);
         // Runs that start alike are one key's list, met twice.
         runs.dedup_by_key(|run| run[0]);
@@ -277,36 +277,36 @@ mod tests {
         for i in 0..100i64 {
             t.insert(vec![Value::Int(i), Value::Int(i % 10)]);
         }
-        let stats = StatsSink::new();
-        let idx = Index::build("idx_owner", 1, "owner", t.scan(&stats));
+        let tally = Tally::default();
+        let idx = Index::build("idx_owner", 1, "owner", t.scan(&tally));
         (t, idx)
     }
 
     #[test]
     fn point_lookup_finds_all_matches() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
-        let hits = idx.lookup(&Value::Int(3), &stats);
+        let tally = Tally::default();
+        let hits = idx.lookup(&Value::Int(3), &tally);
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|&id| id % 10 == 3));
-        assert_eq!(stats.snapshot().index_probes, 1);
+        assert_eq!(tally.counters().index_probes, 1);
     }
 
     #[test]
     fn missing_key_is_empty() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
-        assert!(idx.lookup(&Value::Int(42), &stats).is_empty());
+        let tally = Tally::default();
+        assert!(idx.lookup(&Value::Int(42), &tally).is_empty());
     }
 
     #[test]
     fn range_scan_inclusive_exclusive() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         let hits = idx.range(
             &RangeBound::Inclusive(Value::Int(2)),
             &RangeBound::Exclusive(Value::Int(4)),
-            &stats,
+            &tally,
         );
         assert_eq!(hits.len(), 20); // owners 2 and 3
     }
@@ -314,19 +314,19 @@ mod tests {
     #[test]
     fn empty_and_inverted_ranges() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         assert!(idx
             .range(
                 &RangeBound::Exclusive(Value::Int(5)),
                 &RangeBound::Exclusive(Value::Int(5)),
-                &stats
+                &tally
             )
             .is_empty());
         assert!(idx
             .range(
                 &RangeBound::Inclusive(Value::Int(9)),
                 &RangeBound::Inclusive(Value::Int(1)),
-                &stats
+                &tally
             )
             .is_empty());
     }
@@ -334,10 +334,10 @@ mod tests {
     #[test]
     fn in_list_dedups_and_counts_probes() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
-        let hits = idx.lookup_in(&[Value::Int(1), Value::Int(1), Value::Int(2)], &stats);
+        let tally = Tally::default();
+        let hits = idx.lookup_in(&[Value::Int(1), Value::Int(1), Value::Int(2)], &tally);
         assert_eq!(hits.len(), 20);
-        assert_eq!(stats.snapshot().index_probes, 3);
+        assert_eq!(tally.counters().index_probes, 3);
 
         // Whatever the runs do — interleave (the fixture's owners alternate
         // row by row), repeat, stay apart, come up empty — the ids are what
@@ -346,7 +346,7 @@ mod tests {
         for k in [0, 0, 0, 1, 1, 2, 1, 2, 0, 3, 3, 2] {
             t.insert(vec![Value::Int(k)]);
         }
-        let idx = Index::build("idx_k", 0, "k", t.scan(&StatsSink::new()));
+        let idx = Index::build("idx_k", 0, "k", t.scan(&Tally::default()));
         for keys in [
             vec![],
             vec![7],
@@ -357,13 +357,14 @@ mod tests {
             vec![3, 2, 1, 0, 0, 7, 7],
         ] {
             let keys: Vec<Value> = keys.into_iter().map(Value::Int).collect();
-            let stats = StatsSink::new();
-            let mut expected: Vec<RowId> = keys.iter().flat_map(|k| idx.lookup(k, &stats)).collect();
+            let tally = Tally::default();
+            let mut expected: Vec<RowId> =
+                keys.iter().flat_map(|k| idx.lookup(k, &tally)).collect();
             expected.sort_unstable();
             expected.dedup();
-            let stats = StatsSink::new();
-            assert_eq!(idx.lookup_in(&keys, &stats), expected, "{keys:?}");
-            assert_eq!(stats.snapshot().index_probes, keys.len() as u64, "{keys:?}");
+            let tally = Tally::default();
+            assert_eq!(idx.lookup_in(&keys, &tally), expected, "{keys:?}");
+            assert_eq!(tally.counters().index_probes, keys.len() as u64, "{keys:?}");
         }
     }
 
@@ -399,8 +400,8 @@ mod tests {
         let (mut t, mut idx) = indexed_table();
         let id = t.insert(vec![Value::Int(100), Value::Int(55)]);
         idx.insert(id, t.row(id));
-        let stats = StatsSink::new();
-        assert_eq!(idx.lookup(&Value::Int(55), &stats), vec![id]);
+        let tally = Tally::default();
+        assert_eq!(idx.lookup(&Value::Int(55), &tally), vec![id]);
         assert_eq!(idx.len(), 101);
     }
 }

@@ -14,7 +14,8 @@
 //!   (ignores hints, supports BitmapOr), reproducing the behavioural
 //!   difference Experiment 4 of the paper measures.
 //! * [`stats`] — a deterministic simulated cost clock (pages, tuples,
-//!   predicate evaluations, UDF invocations) alongside wall time.
+//!   predicate evaluations, UDF invocations), counted per run, alongside
+//!   wall time.
 //! * [`sql`] — a from-scratch SQL subset parser and renderer so the
 //!   middleware can intercept and rewrite textual queries as in the paper.
 
@@ -45,7 +46,7 @@ pub use index::RangeBound;
 pub use plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource, WithClause};
 pub use planner::{AccessPlan, DbProfile};
 pub use schema::{Column, TableSchema};
-pub use stats::{CostWeights, Counters, ExecStats, StatsSink};
+pub use stats::{CostWeights, Counters, ExecStats, Tally};
 pub use table::{Row, RowId};
 pub use udf::{Udf, UdfContext, UdfRegistry};
 pub use value::{DataType, Value};

@@ -57,7 +57,7 @@ use crate::expr::{bind, BoundExpr, CmpOp, ColumnRef, Expr, FilterProgram, Layout
 use crate::index::{RangeBound, RowIdSet};
 use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableSource};
 use crate::schema::{Column, TableSchema};
-use crate::stats::StatsSink;
+use crate::stats::Tally;
 use crate::table::RowId;
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
@@ -185,34 +185,34 @@ impl IndexProbe {
     }
 
     /// Run the probe, returning matching row ids.
-    pub fn run(&self, entry: &TableEntry, stats: &StatsSink) -> Vec<RowId> {
+    pub fn run(&self, entry: &TableEntry, tally: &Tally) -> Vec<RowId> {
         let idx = match entry.index_on(self.column()) {
             Some(i) => i,
             None => return Vec::new(),
         };
         match self {
-            IndexProbe::Point { key, .. } => idx.lookup(key, stats),
-            IndexProbe::Range { low, high, .. } => idx.range(low, high, stats),
-            IndexProbe::InList { keys, .. } => idx.lookup_in(keys, stats),
+            IndexProbe::Point { key, .. } => idx.lookup(key, tally),
+            IndexProbe::Range { low, high, .. } => idx.range(low, high, tally),
+            IndexProbe::InList { keys, .. } => idx.lookup_in(keys, tally),
         }
     }
 
     /// Run the probe into a row-id set, walking the posting lists in
     /// place. Charges the same probes as [`IndexProbe::run`].
-    pub fn run_into(&self, entry: &TableEntry, stats: &StatsSink, set: &mut RowIdSet) {
+    pub fn run_into(&self, entry: &TableEntry, tally: &Tally, set: &mut RowIdSet) {
         let Some(idx) = entry.index_on(self.column()) else {
             return;
         };
         match self {
-            IndexProbe::Point { key, .. } => set.insert_all(idx.postings(key, stats)),
+            IndexProbe::Point { key, .. } => set.insert_all(idx.postings(key, tally)),
             IndexProbe::Range { low, high, .. } => {
-                for ids in idx.range_postings(low, high, stats) {
+                for ids in idx.range_postings(low, high, tally) {
                     set.insert_all(ids);
                 }
             }
             IndexProbe::InList { keys, .. } => {
                 for k in keys {
-                    set.insert_all(idx.postings(k, stats));
+                    set.insert_all(idx.postings(k, tally));
                 }
             }
         }

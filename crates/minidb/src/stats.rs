@@ -4,17 +4,17 @@
 //! `c_r` (cost of reading a tuple from disk), `c_e` (cost of evaluating a
 //! tuple against one policy's object conditions) and UDF invocation/execution
 //! costs. Wall-clock time on a laptop is noisy and hardware-specific, so in
-//! addition to real timing the engine maintains a *deterministic simulated
+//! addition to real timing the engine keeps a *deterministic simulated
 //! cost counter*: every page read, tuple scan, predicate evaluation and UDF
-//! invocation bumps the counters below. Benchmarks report both clocks: the
+//! invocation of a run bumps that run's own [`Tally`], a local of the run
+//! that nothing else sees, and the run reports its [`Counters`]
+//! ([`crate::Database::run_timed`]). Benchmarks report both clocks: the
 //! `exp` driver's shape comparisons (`results/EXP_*.json`) use the
 //! simulated clock — it repeats exactly, so the records diff — and carry
 //! wall time as context, and the gated benchmark's `--trace 1` run reports
 //! the counters per operation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::cell::Cell;
 
 /// Cost-unit weights for the simulated clock. One unit ~ one in-memory
 /// predicate evaluation. Defaults follow the calibration in
@@ -55,7 +55,7 @@ impl Default for CostWeights {
     }
 }
 
-/// Raw event counters accumulated during one query execution.
+/// Raw event counters of one query run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Pages read sequentially (table scans).
@@ -86,127 +86,89 @@ impl Counters {
             + self.udf_invocations as f64 * w.udf_invoke
             + self.index_probes as f64 * w.index_probe
     }
-
-    /// Element-wise sum of two counter sets.
-    pub fn merge(&mut self, other: &Counters) {
-        self.seq_pages_read += other.seq_pages_read;
-        self.rand_pages_read += other.rand_pages_read;
-        self.tuples_read += other.tuples_read;
-        self.predicate_evals += other.predicate_evals;
-        self.policy_evals += other.policy_evals;
-        self.udf_invocations += other.udf_invocations;
-        self.index_probes += other.index_probes;
-        self.tuples_output += other.tuples_output;
-    }
 }
 
-/// The lock-free counter block behind a [`StatsSink`]. Plain relaxed
-/// atomics: operators on concurrent executor threads record into the same
-/// sink without serializing on a mutex (the sink sits on the query hot
-/// path — under the concurrent `SieveService` every parallel query bumps
-/// these counters).
+/// The [`Counters`] of one run as it goes. A run creates its tally on its
+/// own stack and hands it by `&` to every operator, filter and UDF it
+/// drives, correlated subqueries included; what it recorded is
+/// [`Tally::counters`]. Plain cells, neither `Clone` nor `Sync`: a tally
+/// is never shared between runs or threads, so runs that overlap count
+/// apart.
 #[derive(Default)]
-struct AtomicCounters {
-    seq_pages_read: AtomicU64,
-    rand_pages_read: AtomicU64,
-    tuples_read: AtomicU64,
-    predicate_evals: AtomicU64,
-    policy_evals: AtomicU64,
-    udf_invocations: AtomicU64,
-    index_probes: AtomicU64,
-    tuples_output: AtomicU64,
+pub struct Tally {
+    seq_pages_read: Cell<u64>,
+    rand_pages_read: Cell<u64>,
+    tuples_read: Cell<u64>,
+    predicate_evals: Cell<u64>,
+    policy_evals: Cell<u64>,
+    udf_invocations: Cell<u64>,
+    index_probes: Cell<u64>,
+    tuples_output: Cell<u64>,
 }
 
-/// A shareable statistics sink. Cloning shares the underlying counters, so
-/// every operator in a plan (and every UDF it invokes) can record into the
-/// same sink cheaply. Counters are relaxed atomics: recording from many
-/// threads never blocks; a [`StatsSink::snapshot`] taken while queries are
-/// in flight sees each counter at some recent value (per-query attribution
-/// under concurrency is the caller's concern — time a dedicated sink, or
-/// quiesce first).
-#[derive(Clone, Default)]
-pub struct StatsSink {
-    inner: Arc<AtomicCounters>,
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get() + n);
 }
 
-impl StatsSink {
-    /// Fresh sink with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Tally {
     /// Record `n` sequentially-read pages.
     pub fn seq_pages(&self, n: u64) {
-        self.inner.seq_pages_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.seq_pages_read, n);
     }
 
     /// Record `n` randomly-read pages.
     pub fn rand_pages(&self, n: u64) {
-        self.inner.rand_pages_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.rand_pages_read, n);
     }
 
     /// Record `n` tuples materialized.
     pub fn tuples(&self, n: u64) {
-        self.inner.tuples_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.tuples_read, n);
     }
 
     /// Record `n` predicate evaluations.
     pub fn predicates(&self, n: u64) {
-        self.inner.predicate_evals.fetch_add(n, Ordering::Relaxed);
+        bump(&self.predicate_evals, n);
     }
 
     /// Record `n` policy evaluations.
     pub fn policies(&self, n: u64) {
-        self.inner.policy_evals.fetch_add(n, Ordering::Relaxed);
+        bump(&self.policy_evals, n);
     }
 
     /// Record one UDF invocation.
     pub fn udf_invocation(&self) {
-        self.inner.udf_invocations.fetch_add(1, Ordering::Relaxed);
+        bump(&self.udf_invocations, 1);
     }
 
     /// Record `n` index probes.
     pub fn index_probes(&self, n: u64) {
-        self.inner.index_probes.fetch_add(n, Ordering::Relaxed);
+        bump(&self.index_probes, n);
     }
 
     /// Record `n` output tuples.
     pub fn outputs(&self, n: u64) {
-        self.inner.tuples_output.fetch_add(n, Ordering::Relaxed);
+        bump(&self.tuples_output, n);
     }
 
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> Counters {
-        let c = &*self.inner;
+    /// What was recorded so far.
+    pub fn counters(&self) -> Counters {
         Counters {
-            seq_pages_read: c.seq_pages_read.load(Ordering::Relaxed),
-            rand_pages_read: c.rand_pages_read.load(Ordering::Relaxed),
-            tuples_read: c.tuples_read.load(Ordering::Relaxed),
-            predicate_evals: c.predicate_evals.load(Ordering::Relaxed),
-            policy_evals: c.policy_evals.load(Ordering::Relaxed),
-            udf_invocations: c.udf_invocations.load(Ordering::Relaxed),
-            index_probes: c.index_probes.load(Ordering::Relaxed),
-            tuples_output: c.tuples_output.load(Ordering::Relaxed),
+            seq_pages_read: self.seq_pages_read.get(),
+            rand_pages_read: self.rand_pages_read.get(),
+            tuples_read: self.tuples_read.get(),
+            predicate_evals: self.predicate_evals.get(),
+            policy_evals: self.policy_evals.get(),
+            udf_invocations: self.udf_invocations.get(),
+            index_probes: self.index_probes.get(),
+            tuples_output: self.tuples_output.get(),
         }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        let c = &*self.inner;
-        c.seq_pages_read.store(0, Ordering::Relaxed);
-        c.rand_pages_read.store(0, Ordering::Relaxed);
-        c.tuples_read.store(0, Ordering::Relaxed);
-        c.predicate_evals.store(0, Ordering::Relaxed);
-        c.policy_evals.store(0, Ordering::Relaxed);
-        c.udf_invocations.store(0, Ordering::Relaxed);
-        c.index_probes.store(0, Ordering::Relaxed);
-        c.tuples_output.store(0, Ordering::Relaxed);
     }
 }
 
-/// The result of timing one query execution: wall time plus the simulated
-/// clock derived from the counters.
-#[derive(Debug, Clone)]
+/// The report of one timed query run: its counters, its wall time, and
+/// the simulated clock derived from the counters.
+#[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Event counters for the execution.
     pub counters: Counters,
@@ -216,54 +178,28 @@ pub struct ExecStats {
     pub simulated_cost: f64,
 }
 
-impl ExecStats {
-    /// Wall time in milliseconds as a float.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall.as_secs_f64() * 1e3
-    }
-}
-
-/// Helper to time a closure and combine with a sink snapshot.
-pub fn timed<R>(sink: &StatsSink, weights: &CostWeights, f: impl FnOnce() -> R) -> (R, ExecStats) {
-    sink.reset();
-    let start = Instant::now();
-    let out = f();
-    let wall = start.elapsed();
-    let counters = sink.snapshot();
-    (
-        out,
-        ExecStats {
-            counters,
-            wall,
-            simulated_cost: counters.simulated_cost(weights),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_merge() {
-        let sink = StatsSink::new();
-        sink.seq_pages(3);
-        sink.tuples(10);
-        sink.predicates(20);
-        sink.udf_invocation();
-        let snap = sink.snapshot();
-        assert_eq!(snap.seq_pages_read, 3);
-        assert_eq!(snap.tuples_read, 10);
-        assert_eq!(snap.predicate_evals, 20);
-        assert_eq!(snap.udf_invocations, 1);
-
-        let mut other = Counters {
-            rand_pages_read: 5,
-            ..Default::default()
-        };
-        other.merge(&snap);
-        assert_eq!(other.rand_pages_read, 5);
-        assert_eq!(other.tuples_read, 10);
+    fn a_tally_accumulates_its_counters() {
+        let tally = Tally::default();
+        tally.seq_pages(3);
+        tally.tuples(10);
+        tally.predicates(20);
+        tally.predicates(2);
+        tally.udf_invocation();
+        assert_eq!(
+            tally.counters(),
+            Counters {
+                seq_pages_read: 3,
+                tuples_read: 10,
+                predicate_evals: 22,
+                udf_invocations: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
@@ -275,28 +211,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.simulated_cost(&w), 2.0 * w.seq_page + 10.0 * w.predicate_eval);
-    }
-
-    #[test]
-    fn timed_resets_and_snapshots() {
-        let sink = StatsSink::new();
-        sink.tuples(999); // stale counts must not leak into the timing
-        let w = CostWeights::default();
-        let (out, stats) = timed(&sink, &w, || {
-            sink.tuples(7);
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(stats.counters.tuples_read, 7);
-        assert!(stats.wall_ms() >= 0.0);
-    }
-
-    #[test]
-    fn shared_sink_across_clones() {
-        let a = StatsSink::new();
-        let b = a.clone();
-        a.index_probes(4);
-        b.index_probes(1);
-        assert_eq!(a.snapshot().index_probes, 5);
     }
 }

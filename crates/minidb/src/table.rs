@@ -9,7 +9,7 @@
 //! scan is expected to be more costly than the sequential access").
 
 use crate::schema::TableSchema;
-use crate::stats::StatsSink;
+use crate::stats::Tally;
 use crate::value::Value;
 
 /// Number of rows per simulated page. A WiFi-connectivity row is ~40 bytes
@@ -104,9 +104,9 @@ impl Table {
 
     /// Sequential scan: charges every page once (sequential) plus one tuple
     /// read per row, then yields all rows.
-    pub fn scan<'a>(&'a self, stats: &StatsSink) -> impl Iterator<Item = (RowId, &'a Row)> + 'a {
-        stats.seq_pages(self.page_count());
-        stats.tuples(self.rows.len() as u64);
+    pub fn scan<'a>(&'a self, tally: &Tally) -> impl Iterator<Item = (RowId, &'a Row)> + 'a {
+        tally.seq_pages(self.page_count());
+        tally.tuples(self.rows.len() as u64);
         self.rows
             .iter()
             .enumerate()
@@ -117,16 +117,12 @@ impl Table {
     /// page read per *distinct* page touched — a sorted, deduplicated page
     /// walk, the same effect PostgreSQL gets from a bitmap heap scan — plus
     /// one tuple read per row.
-    pub fn fetch<'a>(
-        &'a self,
-        row_ids: &[RowId],
-        stats: &StatsSink,
-    ) -> Vec<(RowId, &'a Row)> {
+    pub fn fetch<'a>(&'a self, row_ids: &[RowId], tally: &Tally) -> Vec<(RowId, &'a Row)> {
         let mut pages: Vec<u64> = row_ids.iter().map(|&r| Self::page_of(r)).collect();
         pages.sort_unstable();
         pages.dedup();
-        stats.rand_pages(pages.len() as u64);
-        stats.tuples(row_ids.len() as u64);
+        tally.rand_pages(pages.len() as u64);
+        tally.tuples(row_ids.len() as u64);
         row_ids
             .iter()
             .map(|&id| (id, &self.rows[id as usize]))
@@ -167,10 +163,10 @@ mod tests {
     #[test]
     fn scan_charges_sequential_pages() {
         let t = table_with_rows(ROWS_PER_PAGE * 3 + 10);
-        let stats = StatsSink::new();
-        let n = t.scan(&stats).count();
+        let tally = Tally::default();
+        let n = t.scan(&tally).count();
         assert_eq!(n, ROWS_PER_PAGE * 3 + 10);
-        let c = stats.snapshot();
+        let c = tally.counters();
         assert_eq!(c.seq_pages_read, 4);
         assert_eq!(c.tuples_read, (ROWS_PER_PAGE * 3 + 10) as u64);
         assert_eq!(c.rand_pages_read, 0);
@@ -179,12 +175,12 @@ mod tests {
     #[test]
     fn fetch_charges_distinct_pages_only() {
         let t = table_with_rows(ROWS_PER_PAGE * 4);
-        let stats = StatsSink::new();
+        let tally = Tally::default();
         // Three rows on page 0, one on page 2: two distinct pages.
         let ids = vec![0, 1, 2, (ROWS_PER_PAGE * 2) as RowId];
-        let rows = t.fetch(&ids, &stats);
+        let rows = t.fetch(&ids, &tally);
         assert_eq!(rows.len(), 4);
-        let c = stats.snapshot();
+        let c = tally.counters();
         assert_eq!(c.rand_pages_read, 2);
         assert_eq!(c.tuples_read, 4);
         assert_eq!(c.seq_pages_read, 0);
@@ -200,8 +196,8 @@ mod tests {
     #[test]
     fn fetch_preserves_requested_order() {
         let t = table_with_rows(10);
-        let stats = StatsSink::new();
-        let rows = t.fetch(&[5, 2, 7], &stats);
+        let tally = Tally::default();
+        let rows = t.fetch(&[5, 2, 7], &tally);
         let ids: Vec<RowId> = rows.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5, 2, 7]);
     }

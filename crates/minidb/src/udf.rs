@@ -4,19 +4,19 @@
 //! the engine, exactly as the paper layers it on MySQL/PostgreSQL. The
 //! registry charges the fixed invocation overhead (`UDF_inv`) on every call;
 //! whatever work the UDF body does (policy fetches, per-policy evaluation —
-//! the paper's `UDF_exec`) is charged by the body itself through the stats
-//! sink it receives.
+//! the paper's `UDF_exec`) the body charges itself, to the calling run's
+//! [`Tally`] it receives in its [`UdfContext`].
 
 use crate::error::{DbError, DbResult};
-use crate::stats::StatsSink;
+use crate::stats::Tally;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Context handed to a UDF invocation.
 pub struct UdfContext<'a> {
-    /// Stats sink for the executing query; UDF bodies charge their work here.
-    pub stats: &'a StatsSink,
+    /// The calling run's tally; UDF bodies charge their work here.
+    pub tally: &'a Tally,
 }
 
 /// A user-defined scalar function.
@@ -68,7 +68,7 @@ impl UdfRegistry {
     /// Invoke by name, charging the invocation overhead.
     pub fn invoke(&self, name: &str, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
         let f = self.get(name)?;
-        ctx.stats.udf_invocation();
+        ctx.tally.udf_invocation();
         f.invoke(args, ctx)
     }
 }
@@ -97,24 +97,24 @@ mod tests {
                 Ok(Value::Int(n * 2))
             }),
         );
-        let stats = StatsSink::new();
-        let ctx = UdfContext { stats: &stats };
+        let tally = Tally::default();
+        let ctx = UdfContext { tally: &tally };
         let out = reg.invoke("DOUBLE_IT", &[Value::Int(21)], &ctx).unwrap();
         assert_eq!(out, Value::Int(42));
-        assert_eq!(stats.snapshot().udf_invocations, 1);
+        assert_eq!(tally.counters().udf_invocations, 1);
     }
 
     #[test]
     fn unknown_udf_errors() {
         let reg = UdfRegistry::new();
-        let stats = StatsSink::new();
-        let ctx = UdfContext { stats: &stats };
+        let tally = Tally::default();
+        let ctx = UdfContext { tally: &tally };
         assert_eq!(
             reg.invoke("nope", &[], &ctx),
             Err(DbError::UnknownUdf("nope".into()))
         );
         // A failed lookup must not charge an invocation.
-        assert_eq!(stats.snapshot().udf_invocations, 0);
+        assert_eq!(tally.counters().udf_invocations, 0);
     }
 
     #[test]

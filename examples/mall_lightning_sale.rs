@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {name}: rows={:>6} wall={:>7.2} ms simulated_kcost={:>9.1}",
             res.map(|r| r.len()).unwrap_or(0),
-            stats.wall_ms(),
+            stats.wall.as_secs_f64() * 1e3,
             stats.simulated_cost / 1e3
         );
     }

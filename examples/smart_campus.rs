@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "  {name} rows={:>6}  wall={:>8.2} ms  simulated_kcost={:>10.1}  \
                  (pages seq/rand {}/{}, policy evals {})",
                 r.len(),
-                stats.wall_ms(),
+                stats.wall.as_secs_f64() * 1e3,
                 stats.simulated_cost / 1e3,
                 stats.counters.seq_pages_read,
                 stats.counters.rand_pages_read,

@@ -12,7 +12,9 @@ mod support;
 use sieve::core::cost::AccessStrategy;
 use sieve::core::policy::QueryMetadata;
 use sieve::core::{Session, SieveOptions, SieveService};
-use sieve::minidb::{Counters, Database, DbProfile, ExplainOutput, RelationPlan, Row, SelectQuery};
+use sieve::minidb::{
+    Counters, Database, DbProfile, ExecOptions, ExplainOutput, RelationPlan, Row, SelectQuery,
+};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::query_gen::generate_query;
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
@@ -50,13 +52,12 @@ fn run(session: &Session, query: &SelectQuery) -> Run {
     let service = session.service();
     let rewritten = session.rewrite(query).unwrap();
     let explained = service.db().explain(&rewritten.query).unwrap();
-    service.db().stats().reset();
-    let rows = support::sorted_rows(session.execute(query).unwrap());
+    let (res, stats) = service.db().run_timed(&rewritten.query, &ExecOptions::default());
     Run {
         strategy: rewritten.relations[0].strategy,
         access: merged_read(&explained).access_desc.clone(),
-        rows,
-        counters: service.db().stats().snapshot(),
+        rows: support::sorted_rows(res.unwrap()),
+        counters: stats.counters,
     }
 }
 

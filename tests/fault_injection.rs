@@ -320,7 +320,7 @@ fn connection_drop_recovers_prepared_statements() {
     backend.prepare(&q).unwrap();
     assert_eq!(backend.inner().open_statements(), 1);
     backend.script([Fault::ConnectionDrop]);
-    assert!(backend.exec(&q, &Default::default()).is_err());
+    assert!(backend.exec_timed(&q, &Default::default()).0.is_err());
     assert_eq!(backend.inner().open_statements(), 0);
 }
 

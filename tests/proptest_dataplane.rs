@@ -281,11 +281,10 @@ proptest! {
 
         // Rows, tuples read and predicates evaluated of one run.
         let run = |db: &Database, q: &SelectQuery| {
-            db.stats().reset();
-            let mut got = db.run_query(q).unwrap().rows;
+            let (res, stats) = db.run_timed(q, &ExecOptions::default());
+            let mut got = res.unwrap().rows;
             got.sort();
-            let counters = db.stats().snapshot();
-            (got, counters.tuples_read, counters.predicate_evals)
+            (got, stats.counters.tuples_read, stats.counters.predicate_evals)
         };
         let (reference, _, scan_evals) = run(&db_m, &scan_query(&pred));
         let single: Vec<u64> = columns
@@ -345,11 +344,12 @@ proptest! {
         for q in [&scan, &forced] {
             for (name, backend) in &backends {
                 if *name == "wire-sql" && has_nan(&pred) {
-                    prop_assert!(backend.exec(q, &opts).is_err(), "a NaN crossed the wire as text");
+                    let refused = backend.exec_timed(q, &opts).0.is_err();
+                    prop_assert!(refused, "a NaN crossed the wire as text");
                     prop_assert!(backend.prepare(q).is_err(), "a NaN was prepared across the wire");
                     continue;
                 }
-                let mut got = backend.exec(q, &opts).unwrap().rows;
+                let mut got = backend.exec_timed(q, &opts).0.unwrap().rows;
                 got.sort();
                 prop_assert_eq!(&got, &reference, "backend {} diverged", name);
                 let id = backend.prepare(q).unwrap();
