@@ -389,10 +389,7 @@ fn grant(
     qm: &QueryMetadata,
 ) {
     let sieve = &campus.sieve;
-    let held: Vec<i64> = {
-        let (store, groups) = (sieve.store(), sieve.groups());
-        store.relevant(WIFI_TABLE, qm, &groups).iter().map(|p| p.owner).collect()
-    };
+    let held: Vec<i64> = sieve.store().relevant(WIFI_TABLE, qm).iter().map(|p| p.owner).collect();
     let owners = campus.dataset.devices.iter().map(|d| d.id);
     let mut fresh = owners.filter(|o| *o != qm.querier && !held.contains(o));
     let mut grant_one = || {

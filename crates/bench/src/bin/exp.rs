@@ -480,7 +480,7 @@ fn postgres(env: &EnvConfig) -> Record {
     ];
     // Engine and groups out of the middleware: every cell below is a fresh
     // service over its own copy.
-    let groups = campus.sieve.groups().clone();
+    let groups = campus.sieve.store().groups().clone();
     let backend = |profile, wire| -> DynBackend {
         let mut db = campus.sieve.db().clone();
         db.set_profile(profile);

@@ -72,10 +72,8 @@ fn check_point(
             return;
         }
     };
-    let relevant: Vec<&Policy> = {
-        let groups = sieve.groups();
-        relevant_policies(all_policies.iter(), relation, qm, &groups)
-    };
+    let relevant: Vec<&Policy> =
+        relevant_policies(all_policies.iter(), relation, qm, sieve.store().groups());
     let verdict = analyze::verify_guarded_expression(&ge, by_id, &relevant);
     match &verdict {
         Verdict::Refuted { witness } => report.findings.push(Finding {
@@ -179,8 +177,7 @@ fn audit_mall(env: &EnvConfig) -> AnalysisReport {
             .map(|&s| MallDataset::shop_querier(s))
             .filter(|&q| {
                 let qm = QueryMetadata::new(q, purpose);
-                let groups = sieve.groups();
-                !relevant_policies(policies.iter(), MALL_TABLE, &qm, &groups).is_empty()
+                !relevant_policies(policies.iter(), MALL_TABLE, &qm, sieve.store().groups()).is_empty()
             })
             .collect();
         eligible.sort_unstable();

@@ -128,7 +128,7 @@ impl Campus {
     /// `policies` (the store's contents in id order).
     pub fn relevant(&self, qm: &QueryMetadata) -> Vec<&Policy> {
         let store = self.sieve.store();
-        let relevant = store.relevant(sieve_workload::WIFI_TABLE, qm, &self.sieve.groups());
+        let relevant = store.relevant(sieve_workload::WIFI_TABLE, qm);
         let at = |p: &&Policy| self.policies.binary_search_by_key(&p.id, |q| q.id);
         relevant.iter().map(|p| &self.policies[at(p).expect("`policies` mirrors the store")]).collect()
     }
@@ -674,7 +674,7 @@ mod tests {
             campus.policies.iter(),
             sieve_workload::WIFI_TABLE,
             &qm,
-            &campus.sieve.groups(),
+            campus.sieve.store().groups(),
         );
         assert_eq!(campus.relevant(&qm), scan);
     }
@@ -694,7 +694,7 @@ mod tests {
         let relevant = campus.relevant(&qm);
         let half = policy_subset(&relevant, relevant.len() / 2, 3);
         assert_eq!(half[..2], policy_subset(&relevant, 2, 3)[..], "one seed draws cumulatively");
-        let groups = campus.sieve.groups().clone();
+        let groups = campus.sieve.store().groups().clone();
         let fresh = || {
             let db = campus.sieve.db().clone();
             fresh_service_kcost(db, &groups, &half, Enforcement::Sieve, &q, &qm, &tiny_env())

@@ -49,9 +49,10 @@ use std::collections::HashMap;
 
 /// Verify the no-widening invariant for a guarded expression: the full
 /// inline expression `⋁ᵢ (oc_gᵢ ∧ ⋁ OC_p)` must imply the allowed-policy
-/// disjunction. This is the generation-time check — it covers every
-/// rewrite built from the expression, because the rewriter only ever
-/// *conjoins* further predicates (pushdown narrows, never widens).
+/// disjunction. It covers every rewrite built from the expression,
+/// because the rewriter only ever *conjoins* further predicates (pushdown
+/// narrows, never widens). The audit tooling's check: a cold build proves
+/// [`verify_fragment`] instead, the same disjunction in the form that runs.
 pub fn verify_guarded_expression(
     ge: &GuardedExpression,
     by_id: &HashMap<PolicyId, &Policy>,

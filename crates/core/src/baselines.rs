@@ -111,10 +111,8 @@ impl<B: SqlBackend> SieveService<B> {
                 // only; a protected relation read through nesting would
                 // escape them, so they fail closed instead of silently
                 // under-enforcing. Sieve enforcement mediates all depths.
-                let (top, nested) = {
-                    let protected = self.inner.protected.read();
-                    classify_protected_refs(query, &protected)
-                };
+                let store = self.inner.store.read();
+                let (top, nested) = classify_protected_refs(query, store.protected());
                 if !nested.is_empty() {
                     return Err(SieveError::Rewrite(DbError::Unsupported(format!(
                         "baseline {which:?} mediates only top-level FROM references; \
@@ -123,12 +121,10 @@ impl<B: SqlBackend> SieveService<B> {
                     ))));
                 }
                 let mut handles: Vec<PartitionHandle> = Vec::new();
-                let store = self.inner.store.read();
-                let groups = self.inner.groups.read();
                 let backend = self.inner.backend.read();
                 let mut rewritten = query.clone();
                 for rel in top {
-                    let relevant = store.relevant(&rel, qm, &groups);
+                    let relevant = store.relevant(&rel, qm);
                     rewritten = match which {
                         Baseline::P => rewrite_baseline_p(&rewritten, &rel, &relevant),
                         Baseline::I => rewrite_baseline_i(&rewritten, &rel, &relevant),

@@ -26,7 +26,12 @@
 //! serves ("millions of queriers, mostly warm") never serializes on a
 //! single lock. Writers (publish, invalidation, eviction) take one
 //! shard's write lock at a time; `add_policy`'s invalidation sweep walks
-//! the shards sequentially without ever holding two locks at once.
+//! the shards sequentially without ever holding two locks at once. The
+//! cache itself does not order a sweep against a build: the service runs
+//! every sweep under its policy store's write lock and every build, from
+//! its read of an entry to [`GuardCache::publish`], under the read lock,
+//! so a publish never drops a policy swept in after the build read the
+//! entry.
 //!
 //! **Eviction.** Each shard holds at most `GUARD_CACHE_CAP /
 //! SHARD_COUNT` entries; past the bound the shard evicts its
@@ -36,7 +41,7 @@
 //! fragments, whose ∆ partitions are freed automatically by their RAII
 //! [`crate::delta::PartitionHandle`]s once no in-flight query pins them.
 
-use crate::guard::{CarriedConditions, GuardedExpression};
+use crate::guard::CarriedConditions;
 use crate::policy::{PolicyId, UserId};
 use crate::rewrite::CompiledRelation;
 use parking_lot::RwLock;
@@ -135,30 +140,6 @@ pub struct CachedGuard {
     last_used: AtomicU64,
 }
 
-impl CachedGuard {
-    /// Fresh entry for a newly generated (or placed) and compiled
-    /// expression.
-    pub fn new(
-        compiled: CompiledRelation,
-        carried: Option<Arc<CarriedConditions>>,
-        epoch: u64,
-    ) -> Self {
-        CachedGuard {
-            carried,
-            compiled,
-            pending: Vec::new(),
-            epoch,
-            last_used: AtomicU64::new(0),
-        }
-    }
-
-    /// True iff this is still the entry a build read `expr` and `pending`
-    /// from: not replaced, and no policy swept into it since.
-    pub fn unchanged_since(&self, expr: &Arc<GuardedExpression>, pending: &[PolicyId]) -> bool {
-        Arc::ptr_eq(&self.compiled.expr, expr) && self.pending == pending
-    }
-}
-
 /// Number of shards. Sixteen read-write locks are plenty for the core
 /// counts this tree targets while keeping the per-shard LRU scans short.
 pub const SHARD_COUNT: usize = 16;
@@ -184,8 +165,7 @@ struct StatCells {
 
 type Shard = HashMap<GuardCacheKey, CachedGuard>;
 
-/// What [`GuardCache::insert_generated`] and [`GuardCache::insert_placed`]
-/// publish: the key, its expression with the compiled rewrite fragment,
+/// What [`GuardCache::publish`] publishes: the key, its expression with the compiled rewrite fragment,
 /// and the conditions the expression's policies carry (see
 /// [`CachedGuard`]).
 pub type CompiledEntry = (GuardCacheKey, CompiledRelation, Option<Arc<CarriedConditions>>);
@@ -324,20 +304,33 @@ impl GuardCache {
         Some(f(entry))
     }
 
-    /// Publish (replacing) a freshly generated and compiled entry. It
-    /// counts as a miss if the key had no entry and as a regeneration if it
-    /// replaced one. Past its cap, the shard then drops its
-    /// least-recently-used entry, never this one: it was stamped last.
-    /// Displaced fragments free their ∆ partitions via their RAII handles.
-    pub fn insert_generated(&self, (key, compiled, carried): CompiledEntry, epoch: u64) {
+    /// Publish (replacing) a freshly generated or placed (`placed`) and
+    /// compiled entry. It counts as a miss if the key had no entry and as a
+    /// regeneration if it replaced one; a placement also counts as an
+    /// extension. Past its cap, the shard then drops its least-recently-used
+    /// entry, never this one: it was stamped last. Displaced fragments free
+    /// their ∆ partitions via their RAII handles.
+    ///
+    /// The caller guarantees no policy was swept into the entry it replaces
+    /// since it read it: the service publishes under the policy store's
+    /// read lock, and every sweep runs under its write lock.
+    pub fn publish(&self, (key, compiled, carried): CompiledEntry, epoch: u64, placed: bool) {
         let mut shard = self.shard_of(&key).write();
-        let mut entry = CachedGuard::new(compiled, carried, epoch);
-        entry.last_used = AtomicU64::new(self.tick());
+        let entry = CachedGuard {
+            carried,
+            compiled,
+            pending: Vec::new(),
+            epoch,
+            last_used: AtomicU64::new(self.tick()),
+        };
         let counter = match shard.insert(key, entry) {
             Some(_) => &self.stats.regenerations,
             None => &self.stats.misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        if placed {
+            self.stats.extensions.fetch_add(1, Ordering::Relaxed);
+        }
         if shard.len() > SHARD_CAP {
             let victim = shard
                 .iter()
@@ -348,30 +341,6 @@ impl GuardCache {
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Publish a placed expression in place of `key`'s entry — only if
-    /// that entry is still the one the placement read `expr` and `pending`
-    /// from ([`CachedGuard::unchanged_since`]): a policy swept into it
-    /// meanwhile would otherwise be dropped with the pending list it was
-    /// appended to. Counts one regeneration and one extension. False,
-    /// publishing nothing, if the entry was swept, evicted or replaced
-    /// (the caller builds again).
-    pub fn insert_placed(
-        &self,
-        (key, compiled, carried): CompiledEntry,
-        (expr, pending): (&Arc<GuardedExpression>, &[PolicyId]),
-        epoch: u64,
-    ) -> bool {
-        let mut shard = self.shard_of(&key).write();
-        let Some(entry) = shard.get_mut(&key).filter(|e| e.unchanged_since(expr, pending)) else {
-            return false;
-        };
-        *entry = CachedGuard::new(compiled, carried, epoch);
-        entry.last_used = AtomicU64::new(self.tick());
-        self.stats.regenerations.fetch_add(1, Ordering::Relaxed);
-        self.stats.extensions.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Count a hit on the guarded-expression level.
@@ -442,7 +411,7 @@ mod tests {
     #[test]
     fn insert_and_hit_counting() {
         let c = GuardCache::new();
-        c.insert_generated(item(1, "r"), 0);
+        c.publish(item(1, "r"), 0, false);
         assert_eq!(c.stats().misses, 1);
         assert!(c.read(&key(1, "r"), |_| ()).is_some());
         c.record_hit();
@@ -452,9 +421,9 @@ mod tests {
     #[test]
     fn invalidate_where_marks_matching_entries() {
         let c = GuardCache::new();
-        c.insert_generated(item(1, "r"), 0);
-        c.insert_generated(item(2, "r"), 0);
-        c.insert_generated(item(1, "s"), 0);
+        c.publish(item(1, "r"), 0, false);
+        c.publish(item(2, "r"), 0, false);
+        c.publish(item(1, "s"), 0, false);
         let n = c.invalidate_where(42, |(_, _, rel)| rel == "r");
         assert_eq!(n, 2);
         assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![42]);
@@ -470,7 +439,7 @@ mod tests {
         // shed the overflow as evictions, and keep every *recently used*
         // key resident.
         for i in 0..(GUARD_CACHE_CAP as i64 * 2) {
-            c.insert_generated(item(i, "r"), 0);
+            c.publish(item(i, "r"), 0, false);
         }
         assert!(c.len() <= GUARD_CACHE_CAP, "len {} > cap", c.len());
         let s = c.stats();
@@ -482,12 +451,12 @@ mod tests {
     fn lru_on_access_protects_hot_keys_from_churn() {
         let c = GuardCache::new();
         let hot = key(-1, "hot");
-        c.insert_generated(item(-1, "hot"), 0);
+        c.publish(item(-1, "hot"), 0, false);
         // Churn an order of magnitude more one-shot keys than the cache
         // holds, touching the hot key between insertions. FIFO or
         // LRU-on-*insert* would rotate it out; LRU-on-access must not.
         for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-            c.insert_generated(item(i, "churn"), 0);
+            c.publish(item(i, "churn"), 0, false);
             assert!(
                 c.read(&hot, |_| ()).is_some(),
                 "hot key evicted after {i} churn insertions"
@@ -499,44 +468,31 @@ mod tests {
     #[test]
     fn regeneration_of_existing_key_is_not_a_miss() {
         let c = GuardCache::new();
-        c.insert_generated(item(1, "r"), 0);
+        c.publish(item(1, "r"), 0, false);
         c.invalidate_where(9, |_| true);
-        c.insert_generated(item(1, "r"), 0);
+        c.publish(item(1, "r"), 0, false);
         let s = c.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.regenerations, 1);
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.generations(), 2);
-    }
-
-    #[test]
-    fn placed_entry_publishes_only_over_the_entry_it_read() {
-        let c = GuardCache::new();
-        c.insert_generated(item(1, "r"), 0);
-        c.invalidate_where(7, |_| true);
-        let expr = c.read(&key(1, "r"), |e| Arc::clone(&e.compiled.expr)).unwrap();
-        // A second grant swept in after the placement read `[7]`: the
-        // publish must refuse, or grant 8 would be lost.
-        c.invalidate_where(8, |_| true);
-        assert!(!c.insert_placed(item(1, "r"), (&expr, &[7]), 0));
-        assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![7, 8]);
-        assert!(c.insert_placed(item(1, "r"), (&expr, &[7, 8]), 0));
+        // A placement is a regeneration that also counts as an extension,
+        // and publishes a current entry.
+        c.invalidate_where(10, |_| true);
+        c.publish(item(1, "r"), 0, true);
         assert!(c.read(&key(1, "r"), |e| e.pending.is_empty()).unwrap());
         let s = c.stats();
-        assert_eq!((s.misses, s.regenerations, s.extensions), (1, 1, 1));
-        assert_eq!((s.generations(), s.fragment_builds), (2, 2));
-        // Gone entirely: nothing to publish over.
-        c.clear();
-        assert!(!c.insert_placed(item(1, "r"), (&expr, &[]), 0));
+        assert_eq!((s.misses, s.regenerations, s.extensions), (1, 2, 1));
+        assert_eq!((s.generations(), s.fragment_builds), (3, 3));
     }
 
     #[test]
     fn entries_record_their_generation_epoch() {
         let c = GuardCache::new();
-        c.insert_generated(item(1, "r"), 3);
+        c.publish(item(1, "r"), 3, false);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 3);
         // Regeneration at a later epoch replaces the stamp.
-        c.insert_generated(item(1, "r"), 5);
+        c.publish(item(1, "r"), 5, false);
         assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 5);
         assert_eq!(c.stats().regenerations, 1);
     }
@@ -550,7 +506,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.insert_generated((k.clone(), compiled("r"), None), 0);
+                        c.publish((k.clone(), compiled("r"), None), 0, false);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

@@ -71,14 +71,6 @@ impl GroupDirectory {
         out
     }
 
-    /// Members of a group.
-    pub fn members_of(&self, group: GroupId) -> &[UserId] {
-        self.group_members
-            .get(&group)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// True iff `user` is (transitively) a member of `group`.
     pub fn is_member(&self, user: UserId, group: GroupId) -> bool {
         self.groups_of(user).contains(&group)

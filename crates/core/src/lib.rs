@@ -35,8 +35,10 @@
 //! against. [`dynamic`] is the paper's Section 6 model of when to
 //! regenerate guards (Equations 18–19); the service brings a stale guard
 //! current at its next read instead. [`store`] is the in-memory policy
-//! registry: policies and guards live in the middleware, and the database
-//! it guards is never written to on their account. [`deny`] folds deny
+//! state — policies, group directory and protected relations behind one
+//! lock in the service, so every write to it is ordered against every
+//! cold build: policies and guards live in the middleware, and the
+//! database it guards is never written to on their account. [`deny`] folds deny
 //! policies into the allow-only model the enforcement path assumes.
 
 #![warn(missing_docs)]

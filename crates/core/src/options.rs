@@ -14,7 +14,7 @@ pub struct SieveOptions {
     /// Query timeout (the paper's Experiment 3 uses 30 s).
     pub timeout: Option<Duration>,
     /// Run the static soundness verifier ([`crate::analyze`]) on every
-    /// *cold* guard generation and fragment compilation, hard-failing
+    /// *cold* build's compiled fragment, generated or placed, hard-failing
     /// the query path with [`crate::SieveError::SoundnessRefuted`] when
     /// a rewritten predicate provably admits a row outside the allowed
     /// policies. `Unknown` verdicts are findings for the audit tooling,

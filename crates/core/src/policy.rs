@@ -73,20 +73,6 @@ impl CondPredicate {
             high: RangeBound::Unbounded,
         }
     }
-
-    /// `attr <= v`.
-    pub fn le(v: Value) -> Self {
-        CondPredicate::Range {
-            low: RangeBound::Unbounded,
-            high: RangeBound::Inclusive(v),
-        }
-    }
-
-    /// True iff the predicate is a constant shape that can serve as a guard
-    /// (Section 3.2: guards are simple predicates with constant values).
-    pub fn is_constant(&self) -> bool {
-        !matches!(self, CondPredicate::Derived(_))
-    }
 }
 
 /// One object condition: an attribute plus its predicate.

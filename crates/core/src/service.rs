@@ -14,10 +14,12 @@
 //!
 //! State is split so the warm path shares everything:
 //!
-//! * policy store, group directory, options, protected set — each behind
-//!   its own `RwLock` (read-mostly; `add_policy` takes the store's write
-//!   lock only to append); the cost model is fixed at construction and
-//!   held by value, with no lock;
+//! * the policy state — policies, group directory, protected relations —
+//!   is one [`PolicyStore`] behind one `RwLock`, as the paper keeps it in
+//!   relations the DBMS orders writes to (Section 5.1). Every write to it
+//!   (`add_policy`, `with_groups_mut`, `protect`) takes the write lock;
+//!   options sit behind their own `RwLock`; the cost model is fixed at
+//!   construction and held by value, with no lock;
 //! * the [`GuardCache`] is sharded — a warm hit takes one shard's *read*
 //!   lock (see [`crate::cache`]);
 //! * the backend sits behind a `RwLock<B>`: queries execute under the
@@ -28,10 +30,10 @@
 //!   ([`crate::delta::PartitionHandle`]) so invalidation can never free a
 //!   partition a concurrent query still references.
 //!
-//! Lock order (outer → inner): `build claim → store → groups → backend →
-//! cache shard`. Options and the protected set are snapshotted and
-//! released before any of those is taken; the ∆ registry is a leaf. Cache
-//! closures never take other locks.
+//! Lock order (outer → inner): `build claim → store → backend → cache
+//! shard`. Options are snapshotted and released before any of those is
+//! taken; the ∆ registry is a leaf. Cache closures never take other locks,
+//! and no thread holds two guards of the store lock at once.
 //!
 //! The service takes the backend *write* lock only for a caller's
 //! [`SieveService::with_backend_mut`] and writes nothing to the backend
@@ -45,8 +47,8 @@
 //! its compiled fragment — and the service has exactly one way to bring a
 //! `(querier, purpose, relation)` key current (`build`), taken when a
 //! lookup's warm shard read missed: claim the key via
-//! [`GuardCache::begin_generation`], re-check it, and bring it current one
-//! of two ways:
+//! [`GuardCache::begin_generation`], take the store's read lock, re-check
+//! the key, and bring it current one of two ways:
 //!
 //! * a **placement** — pending policies on an entry built under the
 //!   current backend epoch and `delta_mode`: they join the cached
@@ -59,8 +61,9 @@
 //!   placement that was not exact. It runs Algorithm 1 over the querier's
 //!   relevant policies.
 //!
-//! Either expression is then `finish`ed — proved, compiled, the fragment
-//! proved — and published. A placement compiles with the entry's own
+//! Either expression is then `finish`ed — its fragment compiled and, with
+//! `verify_rewrites` on, proved — and published once
+//! ([`GuardCache::publish`]). A placement compiles with the entry's own
 //! partitions already in its seed ([`FragmentCompileCache::seeded`]), so
 //! only the new branches are built and bound.
 //! Everything cold runs under the claim, so N sessions missing the same
@@ -71,22 +74,17 @@
 //!
 //! # Consistency under concurrent `add_policy`
 //!
-//! A build has one publish point and holds the store's and the group
-//! directory's *read* locks from before it reads a policy until after
-//! that publish. `add_policy` appends under the store's *write* lock,
-//! then sweeps the cache marking affected keys outdated. The lock forces
-//! one of two orders: either the build read the store after the append
-//! (its expression already covers the new policy), or it published
-//! before the append completed — in which case the sweep, which runs
-//! strictly after the append, finds the entry and marks it. A generation
-//! publishes by replacing the entry. A placement read the entry's pending
-//! list before the build took the store lock, so a policy appended and
-//! swept in after that read is in neither the store the build saw nor the
-//! list it placed: it publishes only over the entry it read — the same
-//! expression and the same pending list — and, swept, evicted or replaced
-//! meanwhile, retries. A
-//! query that *starts* after `add_policy` returns can therefore never
-//! run under a guard that silently misses the policy; queries already in
+//! A build holds the store's *read* lock from its re-check of the key to
+//! its publish. `add_policy` appends the policy *and* sweeps the cache —
+//! marking the keys it affects outdated — under the store's *write* lock;
+//! `with_groups_mut` swaps the directory and clears the cache under it.
+//! So no policy-state write lands inside a build: either the build read
+//! the store after the write (its expression already covers it), or it
+//! published before the write began, and the sweep finds the entry. A
+//! placement publishes over the entry it read, and no grant can have been
+//! swept into that entry in between. A query that *starts* after
+//! `add_policy` (or `with_groups_mut`) returns can therefore never run
+//! under a guard that silently misses the change; queries already in
 //! flight linearize before it, exactly like a query racing a policy
 //! insert on a single thread.
 //!
@@ -100,7 +98,7 @@ use crate::backend::{BackendError, SqlBackend, StatementId};
 use crate::cache::{GuardCache, GuardCacheKey, GuardCacheStats};
 use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
-use crate::filter::{policy_applies, GroupDirectory};
+use crate::filter::GroupDirectory;
 use crate::guard::{
     guards_over, place_grants, CarriedConditions, GuardSelectionStrategy, GuardableConditions,
     GuardedExpression,
@@ -120,7 +118,7 @@ use minidb::exec::ExecOptions;
 use minidb::plan::SelectQuery;
 use minidb::{Database, QueryResult};
 use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -163,10 +161,9 @@ pub struct RecoveryStats {
 }
 
 /// What a cold build reads: borrows of the locks its caller holds (taken
-/// store → groups → backend) and of the caller's config snapshot.
+/// store → backend) and of the caller's config snapshot.
 struct ColdBuild<'a> {
     store: &'a PolicyStore,
-    groups: &'a GroupDirectory,
     backend: &'a dyn SqlBackend,
     delta: &'a Arc<DeltaRegistry>,
     opts: &'a SieveOptions,
@@ -184,7 +181,7 @@ impl ColdBuild<'_> {
         relation: &str,
         table: &TableEntry,
     ) -> (GuardedExpression, Option<CarriedConditions>) {
-        let relevant = self.store.relevant(relation, qm, self.groups);
+        let relevant = self.store.relevant(relation, qm);
         let conditions = GuardableConditions::collect(&relevant, table);
         let selection = self.opts.selection;
         let expr = GuardedExpression {
@@ -197,10 +194,11 @@ impl ColdBuild<'_> {
         (expr, placeable.then(|| conditions.carried_by(&relevant)).flatten())
     }
 
-    /// The tail of every cold build, generated or placed: prove the
-    /// expression, compile its fragment (reusing the partitions `seed`
-    /// holds), prove the fragment. The only
-    /// producer of cache entries, so none is ever half-built, and with
+    /// The tail of every cold build, generated or placed: compile the
+    /// expression's fragment (reusing the partitions `seed` holds) and
+    /// prove it — the form that runs, each ∆ call resolved to its
+    /// partition's DNF ([`analyze::verify_fragment`]). The only producer of
+    /// cache entries, so none is ever half-built, and with
     /// `verify_rewrites` on none is unproven. Warm lookups never come
     /// here, so steady-state verification overhead is zero. Refuted
     /// hard-fails (the rewrite would widen); Unknown is audit-tooling
@@ -211,14 +209,6 @@ impl ColdBuild<'_> {
         expr: Arc<GuardedExpression>,
         seed: &FragmentCompileCache,
     ) -> SieveResult<CompiledRelation> {
-        let refuted = |verdict| match verdict {
-            analyze::Verdict::Refuted { witness } => Err(SieveError::SoundnessRefuted {
-                relation: expr.relation.clone(),
-                querier: qm.querier,
-                witness: analyze::render_witness(&witness),
-            }),
-            _ => Ok(()),
-        };
         // Only the policies the expression names: every one is in the
         // store (policies are never removed).
         let by_id: HashMap<PolicyId, &Policy> = expr
@@ -227,13 +217,6 @@ impl ColdBuild<'_> {
             .flat_map(|g| &g.policies)
             .filter_map(|id| Some((*id, self.store.get(*id)?)))
             .collect();
-        let allowed = self
-            .opts
-            .verify_rewrites
-            .then(|| self.store.relevant(&expr.relation, qm, self.groups));
-        if let Some(allowed) = &allowed {
-            refuted(analyze::verify_guarded_expression(&expr, &by_id, allowed))?;
-        }
         let fragment = compile_guard_fragment(
             self.backend,
             self.delta,
@@ -243,8 +226,16 @@ impl ColdBuild<'_> {
             self.opts.rewrite.delta_mode,
             seed,
         )?;
-        if let Some(allowed) = &allowed {
-            refuted(analyze::verify_fragment(&fragment, &expr, &by_id, allowed))?;
+        if self.opts.verify_rewrites {
+            let allowed = self.store.relevant(&expr.relation, qm);
+            let verdict = analyze::verify_fragment(&fragment, &expr, &by_id, &allowed);
+            if let analyze::Verdict::Refuted { witness } = verdict {
+                return Err(SieveError::SoundnessRefuted {
+                    relation: expr.relation.clone(),
+                    querier: qm.querier,
+                    witness: analyze::render_witness(&witness),
+                });
+            }
         }
         Ok(CompiledRelation {
             expr,
@@ -290,13 +281,13 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     /// [`crate::session::Prepared`] plan records the revision it was
     /// built under and transparently re-prepares when it trails.
     pub(crate) revision: AtomicU64,
+    /// Policies, group directory and protected relations: one lock, so
+    /// every policy-state write is ordered against every cold build.
     pub(crate) store: RwLock<PolicyStore>,
-    pub(crate) groups: RwLock<GroupDirectory>,
     pub(crate) cost: CostModel,
     pub(crate) options: RwLock<SieveOptions>,
     pub(crate) delta: Arc<DeltaRegistry>,
     pub(crate) cache: GuardCache,
-    pub(crate) protected: RwLock<HashSet<String>>,
     pub(crate) recovery: RecoveryCounters,
 }
 
@@ -345,12 +336,10 @@ impl<B: SqlBackend> SieveService<B> {
                 backend_epoch: AtomicU64::new(0),
                 revision: AtomicU64::new(0),
                 store: RwLock::new(PolicyStore::new()),
-                groups: RwLock::new(GroupDirectory::new()),
                 cost: CostModel::default(),
                 options: RwLock::new(options),
                 delta,
                 cache: GuardCache::new(),
-                protected: RwLock::new(HashSet::new()),
                 recovery: RecoveryCounters::default(),
             }),
         })
@@ -390,20 +379,18 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.revision.load(Ordering::SeqCst)
     }
 
-    /// Read access to the group directory (holds its read lock).
-    pub fn groups(&self) -> RwLockReadGuard<'_, GroupDirectory> {
-        self.inner.groups.read()
-    }
-
     /// Run `f` with mutable access to the group directory, then drop
     /// every cached guarded expression and bump the revision: a membership
     /// change alters which group policies apply to a querier, so guards
     /// generated under the old directory would keep narrowing (or
-    /// widening) what the querier sees. Generators hold the directory's
-    /// read lock across their cache publish, so every entry built from
-    /// the old membership is in the cache by the time the sweep runs.
+    /// widening) what the querier sees. Both run under the policy store's
+    /// write lock, which a build holds for reading across its publish, so
+    /// every entry built from the old membership is in the cache by the
+    /// time the cache is cleared. Read the directory through
+    /// [`SieveService::store`].
     pub fn with_groups_mut<R>(&self, f: impl FnOnce(&mut GroupDirectory) -> R) -> R {
-        let out = f(&mut self.inner.groups.write());
+        let mut store = self.inner.store.write();
+        let out = f(store.groups_mut());
         self.invalidate_all();
         out
     }
@@ -428,8 +415,9 @@ impl<B: SqlBackend> SieveService<B> {
         out
     }
 
-    /// Read access to the policy store (holds its read lock; take it
-    /// before [`SieveService::groups`], never after).
+    /// Read access to the policy store — policies, group directory and
+    /// protected relations (holds its read lock: do not call back into the
+    /// service while holding the guard).
     pub fn store(&self) -> RwLockReadGuard<'_, PolicyStore> {
         self.inner.store.read()
     }
@@ -444,29 +432,22 @@ impl<B: SqlBackend> SieveService<B> {
     /// module docs for why a query starting after this returns can never
     /// miss the policy.
     pub fn add_policy(&self, policy: Policy) -> SieveResult<PolicyId> {
-        let (id, stored) = {
-            let mut store = self.inner.store.write();
-            let id = store.add(policy);
-            let stored = store
-                .get(id)
-                .ok_or(SieveError::Internal("policy vanished under write lock"))?
-                .clone();
-            (id, stored)
-        };
-        self.inner.protected.write().insert(stored.relation.clone());
+        let mut store = self.inner.store.write();
+        let id = store.add(policy);
+        let store = &*store;
+        let stored = store
+            .get(id)
+            .ok_or(SieveError::Internal("policy vanished under write lock"))?;
         // Outdate exactly the cached expressions the policy affects (the
-        // precise invalidation path of Section 6's delta machinery).
-        {
-            let groups = self.inner.groups.read();
-            self.inner
-                .cache
-                .invalidate_where(id, |(querier, purpose, relation)| {
-                    *relation == stored.relation && {
-                        let qm = QueryMetadata::new(*querier, purpose.clone());
-                        policy_applies(&stored, &qm, &groups)
-                    }
-                });
-        }
+        // precise invalidation path of Section 6's delta machinery), still
+        // under the write lock: no build is between its read and its
+        // publish while the sweep runs.
+        self.inner
+            .cache
+            .invalidate_where(id, |(querier, purpose, relation)| {
+                *relation == stored.relation
+                    && store.applies(stored, &QueryMetadata::new(*querier, purpose.clone()))
+            });
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
         Ok(id)
     }
@@ -508,7 +489,7 @@ impl<B: SqlBackend> SieveService<B> {
     /// [`SieveService::add_policy`] protects the policy's relation
     /// implicitly.
     pub fn protect(&self, relation: impl Into<String>) {
-        self.inner.protected.write().insert(relation.into());
+        self.inner.store.write().protect(relation.into());
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -565,8 +546,8 @@ impl<B: SqlBackend> SieveService<B> {
     /// The one cold path: bring `relation`'s key for `qm` current and
     /// return its compiled relation. The whole build — place or generate,
     /// then [`ColdBuild::finish`] — runs under the key's single-flight
-    /// claim and publishes the entry once (module docs). An error
-    /// publishes nothing and drops the claim.
+    /// claim and the policy store's read lock, and publishes the entry once
+    /// (module docs). An error publishes nothing and drops the claim.
     /// Superseded fragments free their ∆ partitions once the last
     /// in-flight query drops its pin.
     fn build(
@@ -578,68 +559,57 @@ impl<B: SqlBackend> SieveService<B> {
     ) -> SieveResult<CompiledRelation> {
         let cache = &self.inner.cache;
         let key = cache_key(qm, relation);
-        loop {
-            // Single-flight: losers of a race park here until the winner's
-            // claim drops, then find its entry on the re-check.
-            let _claim = cache.begin_generation(&key);
-            let how = match self.lookup(&key, opts) {
-                Ok(fresh) => {
-                    cache.record_coalesced();
-                    cache.record_hit();
-                    return Ok(fresh);
-                }
-                Err(how) => how,
-            };
-            // Store and groups stay read-locked across the build AND the
-            // publish — the consistency argument with `add_policy` and
-            // `with_groups_mut` (module docs) depends on it.
-            let store = self.inner.store.read();
-            let groups = self.inner.groups.read();
-            let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
-            let backend = self.inner.backend.read();
-            let cold = ColdBuild {
-                store: &store,
-                groups: &groups,
-                backend: &*backend,
-                delta: &self.inner.delta,
-                opts,
-                cost,
-            };
-            let table = backend.table_entry(relation)?;
-            if let Build::Place(o, carried) = how {
+        // Single-flight: losers of a race park here until the winner's
+        // claim drops, then find its entry on the re-check.
+        let _claim = cache.begin_generation(&key);
+        // The store stays read-locked from the re-check to the publish, so
+        // no policy-state write lands in between — the consistency argument
+        // with `add_policy` and `with_groups_mut` (module docs).
+        let store = self.inner.store.read();
+        let how = match self.lookup(&key, opts) {
+            Ok(fresh) => {
+                cache.record_coalesced();
+                cache.record_hit();
+                return Ok(fresh);
+            }
+            Err(how) => how,
+        };
+        let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
+        let backend = self.inner.backend.read();
+        let cold = ColdBuild {
+            store: &store,
+            backend: &*backend,
+            delta: &self.inner.delta,
+            opts,
+            cost,
+        };
+        let table = backend.table_entry(relation)?;
+        // Placed under the epoch the entry was built under, or not at all: a
+        // mutation since may have moved the estimates it keeps.
+        let placement = match how {
+            Build::Place(o, carried) if o.epoch == epoch => {
                 let grants: Option<Vec<&Policy>> = o
                     .pending
                     .iter()
-                    .map(|id| store.get(*id).filter(|p| policy_applies(p, qm, &groups)))
+                    .map(|id| store.get(*id).filter(|p| store.applies(p, qm)))
                     .collect();
-                // Placed under the epoch the entry was built under, or not
-                // at all: a mutation since may have moved the estimates it
-                // keeps.
-                let placed = match grants {
-                    Some(grants) if o.epoch == epoch => {
-                        place_grants(&o.current.expr, &carried, &grants, table, cost)
-                    }
-                    _ => None,
-                };
-                if let Some((expr, carried)) = placed {
-                    let seed = FragmentCompileCache::seeded(&o.current);
-                    let done = cold.finish(qm, Arc::new(expr), &seed)?;
-                    let item = (key.clone(), done.clone(), Some(Arc::new(carried)));
-                    if cache.insert_placed(item, (&o.current.expr, &o.pending), epoch) {
-                        return Ok(done);
-                    }
-                    // Swept, evicted or replaced mid-build: a grant swept
-                    // in meanwhile would be lost with the pending list it
-                    // joined — build again.
-                    continue;
-                }
+                let placed = grants
+                    .and_then(|grants| place_grants(&o.current.expr, &carried, &grants, table, cost));
+                placed.map(|(expr, carried)| {
+                    (expr, Some(carried), FragmentCompileCache::seeded(&o.current))
+                })
             }
+            _ => None,
+        };
+        let placed = placement.is_some();
+        let (expr, carried, seed) = placement.unwrap_or_else(|| {
             let (expr, carried) = cold.generate(qm, relation, table);
-            let done = cold.finish(qm, Arc::new(expr), &FragmentCompileCache::default())?;
-            drop(backend);
-            cache.insert_generated((key, done.clone(), carried.map(Arc::new)), epoch);
-            return Ok(done);
-        }
+            (expr, carried, FragmentCompileCache::default())
+        });
+        let done = cold.finish(qm, Arc::new(expr), &seed)?;
+        drop(backend);
+        cache.publish((key, done.clone(), carried.map(Arc::new)), epoch, placed);
+        Ok(done)
     }
 
     /// Rewrite a query for a querier without executing it (Section 5.6's
@@ -665,10 +635,7 @@ impl<B: SqlBackend> SieveService<B> {
             return Err(SieveError::Rewrite(DbError::Unsupported(refusal)));
         }
         let (opts, cost) = self.snapshot_config();
-        let rels = {
-            let protected = self.inner.protected.read();
-            collect_protected(query, &protected)
-        };
+        let rels = collect_protected(query, self.inner.store.read().protected());
         let mut compiled: HashMap<String, CompiledRelation> = HashMap::new();
         for rel in rels {
             let cr = self.current_relation(qm, &rel, &opts, &cost)?;
@@ -869,7 +836,7 @@ mod tests {
     fn oracle_rows(sieve: &SieveService, qm: &QueryMetadata) -> Vec<minidb::Row> {
         let policies = sieve.policies();
         let relevant: Vec<&Policy> =
-            relevant_policies(policies.iter(), "wifi_dataset", qm, &sieve.groups());
+            relevant_policies(policies.iter(), "wifi_dataset", qm, sieve.store().groups());
         let mut rows =
             crate::semantics::visible_rows(&*sieve.db(), "wifi_dataset", &relevant).unwrap();
         rows.sort();
@@ -1014,7 +981,7 @@ mod tests {
             let qm = QueryMetadata::new(querier, "Analytics");
             let ge = sieve.guarded_expression(&qm, "wifi_dataset").unwrap();
             let expect: std::collections::BTreeSet<PolicyId> =
-                sieve.store().relevant("wifi_dataset", &qm, &sieve.groups()).iter().map(|p| p.id).collect();
+                sieve.store().relevant("wifi_dataset", &qm).iter().map(|p| p.id).collect();
             assert_eq!(ge.covered_policies(), expect, "querier {querier}: exactly the relevant set");
             let total: usize = ge.guards.iter().map(|g| g.partition_size()).sum();
             assert_eq!(total, expect.len(), "querier {querier}: partitions disjoint");
@@ -1022,6 +989,58 @@ mod tests {
             let carried = sieve.inner.cache.read(&key, |c| c.carried.as_ref().map(|c| c.last));
             let last = expect.iter().max().copied().unwrap_or_default();
             assert_eq!(carried.unwrap(), Some(last), "querier {querier}: placeable");
+        }
+    }
+
+    /// Fail-closed verification: with `verify_rewrites` on, a cold build
+    /// whose expression holds a policy outside the querier's relevant set
+    /// is refused with the leaking row as witness — as an inline partition
+    /// and as a ∆ partition — and keeps no ∆ registration. The same build
+    /// over one of the querier's own policies passes in each form.
+    #[test]
+    fn finish_refuses_a_partition_outside_the_relevant_set() {
+        use crate::guard::Guard;
+        use crate::rewrite::DeltaMode;
+        for (mode, delta) in [(DeltaMode::Never, false), (DeltaMode::Always, true)] {
+            let sieve = loaded_service(DbProfile::MySqlLike);
+            // Id 21: owner 30's rows at AP 1003, granted to querier 501.
+            let at_1003 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1003)));
+            let foreign =
+                Policy::new(30, "wifi_dataset", QuerierSpec::User(501), "Analytics", vec![at_1003.clone()]);
+            assert_eq!(sieve.add_policy(foreign).unwrap(), 21);
+            let mut opts = SieveOptions { verify_rewrites: true, ..SieveOptions::default() };
+            opts.rewrite.delta_mode = mode;
+            let qm = QueryMetadata::new(500, "Analytics");
+            let at_1001 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1001)));
+            let build = |condition: ObjectCondition, policy: PolicyId| {
+                let expr = GuardedExpression {
+                    relation: "wifi_dataset".into(),
+                    querier: qm.querier,
+                    purpose: qm.purpose.clone(),
+                    guards: vec![Guard { condition, policies: vec![policy], est_rows: 400.0 }],
+                };
+                let (store, backend) = (sieve.inner.store.read(), sieve.inner.backend.read());
+                let cold = ColdBuild {
+                    store: &store,
+                    backend: &*backend,
+                    delta: &sieve.inner.delta,
+                    opts: &opts,
+                    cost: &sieve.inner.cost,
+                };
+                cold.finish(&qm, Arc::new(expr), &FragmentCompileCache::default())
+            };
+            let own = build(at_1001, 1).unwrap();
+            assert_eq!(own.fragment.branches[0].delta.is_some(), delta, "{mode:?}: partition form");
+            drop(own);
+            let live = sieve.delta_len();
+            match build(at_1003, 21) {
+                Err(SieveError::SoundnessRefuted { relation, querier, witness }) => {
+                    assert_eq!((relation.as_str(), querier), ("wifi_dataset", 500), "{mode:?}");
+                    assert!(witness.contains("owner=30"), "{mode:?}: witness {witness}");
+                }
+                other => panic!("{mode:?}: expected SoundnessRefuted, got {other:?}"),
+            }
+            assert_eq!(sieve.delta_len(), live, "{mode:?}: a refused build keeps no ∆ partition");
         }
     }
 

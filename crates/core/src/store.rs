@@ -1,10 +1,18 @@
-//! The in-memory policy registry, standing in for the paper's `rP` / `rOC` relations (Section 5.1).
+//! The in-memory policy state, standing in for the paper's `rP` / `rOC` relations (Section 5.1).
+//!
+//! One value holds everything that decides which policies apply to a
+//! query: the policies, the group directory their group grants resolve
+//! through, and the set of access-controlled relations. The service keeps
+//! it behind one `RwLock`, so a write to any of the three is ordered
+//! against every cold build as the DBMS orders inserts into its policy
+//! relations against guard regeneration (Section 6).
 
 use crate::filter::{policy_applies, GroupDirectory};
 use crate::policy::{Policy, PolicyId, QuerierSpec, QueryMetadata};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// In-memory policy registry: id assignment and lookups.
+/// In-memory policy state: the policies with id assignment and lookups,
+/// the group directory, and the protected relations.
 #[derive(Debug, Default)]
 pub struct PolicyStore {
     policies: BTreeMap<PolicyId, Policy>,
@@ -13,6 +21,10 @@ pub struct PolicyStore {
     /// store: the prefilter of [`PolicyStore::relevant`].
     by_querier: HashMap<QuerierSpec, Vec<PolicyId>>,
     next_id: PolicyId,
+    groups: GroupDirectory,
+    /// Access-controlled relations: every relation a policy names, plus
+    /// those declared by [`PolicyStore::protect`].
+    protected: HashSet<String>,
 }
 
 impl PolicyStore {
@@ -21,10 +33,11 @@ impl PolicyStore {
         Self::default()
     }
 
-    /// Register a policy: assigns its id.
+    /// Register a policy: assigns its id and protects its relation.
     pub fn add(&mut self, mut p: Policy) -> PolicyId {
         self.next_id += 1;
         p.id = self.next_id;
+        self.protected.insert(p.relation.clone());
         self.by_querier.entry(p.querier.clone()).or_default().push(p.id);
         self.policies.insert(p.id, p);
         self.next_id
@@ -50,6 +63,32 @@ impl PolicyStore {
         self.policies.is_empty()
     }
 
+    /// The group directory group grants resolve through.
+    pub fn groups(&self) -> &GroupDirectory {
+        &self.groups
+    }
+
+    /// Mutable access to the group directory.
+    pub fn groups_mut(&mut self) -> &mut GroupDirectory {
+        &mut self.groups
+    }
+
+    /// The access-controlled relations.
+    pub fn protected(&self) -> &HashSet<String> {
+        &self.protected
+    }
+
+    /// Declare `relation` access-controlled.
+    pub fn protect(&mut self, relation: String) {
+        self.protected.insert(relation);
+    }
+
+    /// True iff `p` applies to `qm` under this store's group directory
+    /// ([`policy_applies`]).
+    pub fn applies(&self, p: &Policy, qm: &QueryMetadata) -> bool {
+        policy_applies(p, qm, &self.groups)
+    }
+
     /// `P_QM` for a relation, in id order — what
     /// [`crate::filter::relevant_policies`] returns over [`Self::iter`],
     /// without the scan: the index narrows to the policies granted to the
@@ -57,14 +96,9 @@ impl PolicyStore {
     /// [`policy_applies`] makes the final call, so the lookup cannot
     /// diverge from the scan on any applicability rule (purpose wildcards,
     /// querier context, whatever comes next).
-    pub fn relevant(
-        &self,
-        relation: &str,
-        qm: &QueryMetadata,
-        groups: &GroupDirectory,
-    ) -> Vec<&Policy> {
+    pub fn relevant(&self, relation: &str, qm: &QueryMetadata) -> Vec<&Policy> {
         let specs = std::iter::once(QuerierSpec::User(qm.querier))
-            .chain(groups.groups_of(qm.querier).into_iter().map(QuerierSpec::Group));
+            .chain(self.groups.groups_of(qm.querier).into_iter().map(QuerierSpec::Group));
         let mut ids: Vec<PolicyId> = specs
             .filter_map(|spec| self.by_querier.get(&spec))
             .flatten()
@@ -73,7 +107,7 @@ impl PolicyStore {
         ids.sort_unstable();
         ids.iter()
             .filter_map(|id| self.policies.get(id))
-            .filter(|p| p.relation == relation && policy_applies(p, qm, groups))
+            .filter(|p| p.relation == relation && self.applies(p, qm))
             .collect()
     }
 }
@@ -128,6 +162,7 @@ mod tests {
         let ids: Vec<PolicyId> = sample_policies().into_iter().map(|p| store.add(p)).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(store.len(), 3);
+        assert!(store.protected().contains("wifi_dataset"), "a policy protects its relation");
     }
 
     /// [`PolicyStore::relevant`]'s index never changes the answer: a group
@@ -146,14 +181,13 @@ mod tests {
         }
         store.add(Policy::new(9, "other", QuerierSpec::User(500), "Analytics", vec![]));
         store.add(Policy::new(9, "wifi_dataset", QuerierSpec::User(500), "Safety", vec![]));
-        let mut groups = GroupDirectory::new();
-        groups.add_member(7, 500);
-        groups.add_member(7, 777);
+        store.groups_mut().add_member(7, 500);
+        store.groups_mut().add_member(7, 777);
         for querier in [500i64, 501, 777, 999] {
             let qm = QueryMetadata::new(querier, "Analytics");
             let expect =
-                crate::filter::relevant_policies(store.iter(), "wifi_dataset", &qm, &groups);
-            assert_eq!(store.relevant("wifi_dataset", &qm, &groups), expect, "querier {querier}");
+                crate::filter::relevant_policies(store.iter(), "wifi_dataset", &qm, store.groups());
+            assert_eq!(store.relevant("wifi_dataset", &qm), expect, "querier {querier}");
         }
     }
 }

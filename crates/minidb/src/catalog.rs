@@ -133,12 +133,6 @@ impl Database {
         &self.weights
     }
 
-    /// Override cost weights.
-    pub fn set_weights(&mut self, weights: CostWeights) {
-        self.touch();
-        self.weights = weights;
-    }
-
     /// Create an empty table. Errors if the name is taken.
     pub fn create_table(&mut self, schema: TableSchema) -> DbResult<()> {
         self.touch();

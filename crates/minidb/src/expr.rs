@@ -673,13 +673,6 @@ impl Layout {
         }
     }
 
-    /// Positions (global range) of an entry by alias.
-    pub fn entry_range(&self, alias: &str) -> Option<std::ops::Range<usize>> {
-        self.entries.iter().enumerate().find_map(|(i, (a, s))| {
-            (a == alias).then(|| self.offsets[i]..self.offsets[i] + s.arity())
-        })
-    }
-
     /// Fully-qualified output column names, in layout order.
     pub fn qualified_names(&self) -> Vec<String> {
         let mut out = Vec::with_capacity(self.width);

@@ -171,15 +171,6 @@ impl Histogram {
         est.min(self.total as f64)
     }
 
-    /// Selectivity (fraction of rows) of an equality predicate.
-    pub fn selectivity_eq(&self, v: &Value) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.estimate_eq(v) / self.total as f64
-        }
-    }
-
     /// Selectivity (fraction of rows) of a range predicate.
     pub fn selectivity_range(&self, low: &RangeBound, high: &RangeBound) -> f64 {
         if self.total == 0 {

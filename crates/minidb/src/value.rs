@@ -72,19 +72,6 @@ impl Value {
         Value::Str(Arc::new(s.as_ref().to_owned()))
     }
 
-    /// The data type of this value, or `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Int(_) => Some(DataType::Int),
-            Value::Str(_) => Some(DataType::Str),
-            Value::Time(_) => Some(DataType::Time),
-            Value::Date(_) => Some(DataType::Date),
-            Value::Double(_) => Some(DataType::Double),
-        }
-    }
-
     /// True iff the value is SQL NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

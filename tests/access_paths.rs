@@ -71,7 +71,7 @@ fn guarded_reads_take_the_path_the_query_asks_for() {
         .filter(|d| d.profile != UserProfile::Visitor)
         .max_by_key(|d| {
             let qm = QueryMetadata::new(d.id, "Analytics");
-            sieve::core::filter::relevant_policies(policies.iter(), WIFI_TABLE, &qm, &service.groups()).len()
+            sieve::core::filter::relevant_policies(policies.iter(), WIFI_TABLE, &qm, service.store().groups()).len()
         })
         .unwrap()
         .id;

@@ -9,8 +9,8 @@
 
 mod support;
 
-use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
-use sieve::core::{backend::for_each_backend, Session, SieveOptions, SieveService};
+use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata, PURPOSE_ANY};
+use sieve::core::{backend::for_each_backend, GroupDirectory, Session, SieveOptions, SieveService};
 use sieve::minidb::{Database, Row, SelectQuery, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -191,6 +191,89 @@ fn grants_racing_placement_are_never_lost() {
     assert!(service.cache_stats().extensions > 0, "the builds placed grants");
 }
 
+/// A membership change racing cold and warm builds is never served stale.
+/// Querier 600 holds one grant of its own and, through groups 10..58, one
+/// group grant per owner 20..68. Each round a writer swaps in
+/// directories, back to back, that drop 600 from one more of those groups
+/// each time, while readers of 600's keys keep reading: two on one purpose
+/// (warm between swaps), two on a fresh purpose per read (every read a
+/// cold build). A read that starts after `with_groups_mut` returns may not
+/// see a row of any owner whose group 600 has left, and no read sees a row
+/// no grant of 600 ever held.
+#[test]
+fn group_membership_swaps_are_never_served_stale() {
+    const QUERIER: i64 = 600;
+    const GROUPS: std::ops::Range<i64> = 10..58;
+    let owner_of = |group: i64| group + 10;
+    let directory = |left: i64| {
+        let mut dir = GroupDirectory::new();
+        for g in GROUPS {
+            dir.add_member(g, 601);
+            if g >= GROUPS.start + left {
+                dir.add_member(g, QUERIER);
+            }
+        }
+        dir
+    };
+    let service = loaded_service();
+    let own = Policy::new(5, REL, QuerierSpec::User(QUERIER), PURPOSE_ANY, vec![]);
+    service.add_policy(own).unwrap();
+    for g in GROUPS {
+        let grant = Policy::new(owner_of(g), REL, QuerierSpec::Group(g), PURPOSE_ANY, vec![]);
+        service.add_policy(grant).unwrap();
+    }
+    let q = SelectQuery::star_from(REL);
+    let all = sorted_rows(service.db().run_query(&q).unwrap());
+    let owned =
+        |rows: &[Row], owner: i64| rows.iter().filter(|r| r[1] == Value::Int(owner)).count();
+    let granted =
+        |r: &Row| r[1] == Value::Int(5) || GROUPS.map(owner_of).any(|o| r[1] == Value::Int(o));
+    let qm = QueryMetadata::new(QUERIER, "Analytics");
+    for round in 0..8 {
+        service.with_groups_mut(|g| *g = directory(0));
+        let left = std::sync::atomic::AtomicI64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let service = service.clone();
+                let (q, left, done, all) = (&q, &left, &done, &all);
+                s.spawn(move || {
+                    for read in 0u64.. {
+                        if done.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        let purpose = match t % 2 {
+                            0 => "Analytics".to_string(),
+                            _ => format!("p{round}.{t}.{read}"),
+                        };
+                        let gone = left.load(Ordering::SeqCst);
+                        let qm = QueryMetadata::new(QUERIER, purpose);
+                        let rows = sorted_rows(service.execute(q, &qm).unwrap());
+                        assert_eq!(owned(&rows, 5), owned(all, 5), "reader {t}: its own grant");
+                        for g in GROUPS.start..GROUPS.start + gone {
+                            assert_eq!(
+                                owned(&rows, owner_of(g)),
+                                0,
+                                "round {round}, reader {t}: group {g} was left, its grant served"
+                            );
+                        }
+                        assert!(rows.iter().all(granted), "reader {t}: a row no grant held");
+                    }
+                });
+            }
+            for n in 1..=GROUPS.end - GROUPS.start {
+                service.with_groups_mut(|g| *g = directory(n));
+                left.store(n, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        // Quiesced: every group left, only the querier's own grant.
+        let rows = sorted_rows(service.execute(&q, &qm).unwrap());
+        assert_eq!(rows, oracle_for(&service, &qm), "round {round}");
+        assert_eq!(rows.len(), owned(&all, 5), "round {round}");
+    }
+}
+
 /// `Prepared` lifecycle: while nothing changes, execute skips re-rewrites
 /// entirely; a backend-epoch bump (out-of-band insert) or a revision bump
 /// (add_policy) transparently re-prepares, and the replayed results are
@@ -320,7 +403,7 @@ fn prepared_pins_and_recycles_wire_statements() {
 /// 4 threads × 8 `execute_sql` of one text: every call parses the text
 /// and returns the oracle's count.
 #[test]
-fn concurrent_execute_sql_shares_the_parsed_ast() {
+fn concurrent_execute_sql_matches_the_oracle() {
     let service = loaded_service();
     let sql = "SELECT COUNT(*) AS n FROM wifi_dataset WHERE wifi_ap = 1001";
     let expect = {

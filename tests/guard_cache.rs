@@ -275,9 +275,9 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
         )
     };
     let hot_key = entry(-1).0;
-    cache.insert_generated(entry(-1), 0);
+    cache.publish(entry(-1), 0, false);
     for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-        cache.insert_generated(entry(i), 0);
+        cache.publish(entry(i), 0, false);
         // The read IS the touch: this is what keeps the key alive.
         assert!(
             cache.read(&hot_key, |_| ()).is_some(),
@@ -346,7 +346,7 @@ fn group_membership_change_invalidates_cached_guards() {
 }
 
 #[test]
-fn repeated_sql_text_reuses_parsed_ast() {
+fn repeated_sql_text_returns_the_same_rows() {
     let sieve = loaded_sieve();
     let qm = QueryMetadata::new(500, "Analytics");
     let sql = "SELECT COUNT(*) AS n FROM wifi_dataset WHERE wifi_ap = 1001";

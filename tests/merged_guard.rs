@@ -42,7 +42,7 @@ fn querier(service: &SieveService, ds: &TippersDataset) -> QueryMetadata {
         .filter(|d| d.profile != UserProfile::Visitor)
         .max_by_key(|d| {
             let qm = QueryMetadata::new(d.id, "Analytics");
-            sieve::core::filter::relevant_policies(policies.iter(), WIFI_TABLE, &qm, &service.groups()).len()
+            sieve::core::filter::relevant_policies(policies.iter(), WIFI_TABLE, &qm, service.store().groups()).len()
         })
         .unwrap()
         .id;

@@ -15,7 +15,7 @@ use sieve::core::cost::CostModel;
 use sieve::core::guard::{
     candidates::generate_candidates, generate_guarded_expression, GuardSelectionStrategy,
 };
-use sieve::core::filter::{relevant_policies, GroupDirectory};
+use sieve::core::filter::relevant_policies;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata, PURPOSE_ANY,
 };
@@ -148,8 +148,8 @@ proptest! {
         for p in grants {
             store.add(p);
         }
-        let mut groups = GroupDirectory::new();
         for op in ops {
+            let groups = store.groups_mut();
             match op {
                 GroupOp::Member(g, u) => groups.add_member(g, u),
                 GroupOp::Subsume(c, p) => groups.add_subsumption(c, p),
@@ -162,8 +162,8 @@ proptest! {
                 for qm in [bare, on_campus] {
                     for relation in ["wifi_dataset", "other"] {
                         prop_assert_eq!(
-                            store.relevant(relation, &qm, &groups),
-                            relevant_policies(store.iter(), relation, &qm, &groups),
+                            store.relevant(relation, &qm),
+                            relevant_policies(store.iter(), relation, &qm, store.groups()),
                             "querier {} / {} / {}", querier, purpose, relation
                         );
                     }

@@ -160,8 +160,8 @@ proptest! {
 
                 let cached = service.guarded_expression(&qm, REL).unwrap();
                 let cold = {
-                    let (store, groups, db) = (service.store(), service.groups(), service.db());
-                    let relevant = store.relevant(REL, &qm, &groups);
+                    let (store, db) = (service.store(), service.db());
+                    let relevant = store.relevant(REL, &qm);
                     let (entry, cost) = (db.table(REL).unwrap(), CostModel::default());
                     let strategy = GuardSelectionStrategy::CostOptimal;
                     generate_guarded_expression(

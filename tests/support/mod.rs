@@ -91,7 +91,7 @@ pub fn oracle_rows<B: SqlBackend>(
 ) -> Vec<Row> {
     let policies = service.policies();
     let relevant: Vec<&Policy> =
-        sieve::core::filter::relevant_policies(policies.iter(), relation, qm, &service.groups());
+        sieve::core::filter::relevant_policies(policies.iter(), relation, qm, service.store().groups());
     let mut rows = visible_rows(&*service.backend(), relation, &relevant).unwrap();
     rows.sort();
     rows
