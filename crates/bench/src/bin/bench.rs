@@ -115,7 +115,7 @@ fn heavy_probe(campus: &Campus, class: QueryClass, seed: u64) -> (QueryMetadata,
 /// generated one.
 fn hotpath(env: &EnvConfig) -> Record {
     let rss_before = rss_kib();
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("hotpath", env);
     memory_accounting(&mut rec, &campus, rss_before);
     // The first Q2-low statement the querier sees rows of, as the
@@ -466,7 +466,7 @@ fn memory_accounting(rec: &mut Record, campus: &Campus, rss_before: Option<u64>)
 /// every querier pays its own lookup, condition collection and set cover
 /// — each a `rewrite.cold_us` sample.
 fn multiquerier(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("multiquerier", env);
     let requests = traffic(&campus, env.pick(100, 150));
     assert!(
@@ -515,7 +515,7 @@ fn multiquerier(env: &EnvConfig) -> Record {
 /// `session.execute_us`. With `nproc` 1 or 2 the thread rows measure
 /// contention overhead, not parallel speed-up.
 fn concurrent(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("concurrent", env);
     let requests = traffic(&campus, env.pick(100, 150));
     let service = &campus.sieve;
@@ -635,7 +635,7 @@ fn rate0<B: SqlBackend>(inner: B) -> FaultInjectingBackend<B> {
 ///    time until all recover, and exactly one re-prepare per handle per
 ///    round — the single-flight plan rebuild admits no re-prepare storm.
 fn faults(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("faults", env);
     let (qm, policies, q) = heavy_probe(&campus, QueryClass::Q1, 7);
     let base_db: minidb::Database = campus.sieve.db().clone();
@@ -727,31 +727,31 @@ fn faults(env: &EnvConfig) -> Record {
 /// machine-checked guard, and (2) a warm rewrite must cost the same with
 /// it on — gated: any delta is verifier work leaking onto the warm path.
 fn analyze(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("analyze", env);
-    let (qm, policies, q) = heavy_probe(&campus, QueryClass::Q1, 7);
-    let service = &campus.sieve;
-    let rewrite = || drop(service.rewrite(&q, &qm).expect("rewrite"));
+    let sides = [("verify_off", false), ("verify_on", true)];
+    // One campus per side, alike but for the option, which is fixed when
+    // its service is built.
+    let campuses = sides.map(|(_, verify_rewrites)| {
+        build_campus(DbProfile::MySqlLike, env, SieveOptions { verify_rewrites, ..Default::default() })
+    });
+    let (qm, policies, q) = heavy_probe(&campuses[0], QueryClass::Q1, 7);
+    let rewrite = |campus: &Campus| drop(campus.sieve.rewrite(&q, &qm).expect("rewrite"));
     let (cold_reps, warm_reps) = (env.pick(5, 15), env.pick(30, 100));
     rec.put("querier_policies", policies);
 
-    let sides = [("verify_off", false), ("verify_on", true)];
-    let cold_us = sides.map(|(_, verify)| {
-        service.with_options_mut(|o| o.verify_rewrites = verify);
+    let cold_us = campuses.each_ref().map(|campus| {
         let samples = (0..cold_reps).map(|_| {
-            service.invalidate_all();
-            block_us(1, rewrite)
+            campus.sieve.invalidate_all();
+            block_us(1, || rewrite(campus))
         });
         Stat::of(samples.collect())
     });
-    // The entry generated last serves every warm rewrite: the option is
-    // read on the cold path only, so flipping it between interleaved
-    // blocks (both sides see the same noise) never misses the cache.
+    // Each side's last cold entry serves its warm rewrites, measured in
+    // interleaved blocks so both sides see the same noise.
     let mut warm_us = [Vec::new(), Vec::new()];
     for _ in 0..OVERHEAD_GATE_PAIRS {
-        for (samples, (_, verify)) in warm_us.iter_mut().zip(sides) {
-            service.with_options_mut(|o| o.verify_rewrites = verify);
-            samples.push(block_us(warm_reps, rewrite));
+        for (samples, campus) in warm_us.iter_mut().zip(&campuses) {
+            samples.push(block_us(warm_reps, || rewrite(campus)));
         }
     }
     for (i, (side, _)) in sides.iter().enumerate() {

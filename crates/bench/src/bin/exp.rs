@@ -32,7 +32,7 @@ use minidb::expr::{ColumnRef, Expr};
 use minidb::{Database, DbProfile, Row, SelectQuery, Value as DbValue};
 use sieve_bench::harness::{
     asked_for, build_campus, fresh_service_kcost, pick_queriers, policy_subset, queriers_with_policies,
-    sweep_sizes, synthetic_wifi, time_enforcement, EnvConfig, Fields, Record, Run, Stat, Value,
+    sweep_sizes, synthetic_wifi, time_enforcement, Campus, EnvConfig, Fields, Record, Run, Stat, Value,
 };
 use sieve_bench::table::{mean, std_dev};
 use sieve_core::baselines::Baseline;
@@ -101,7 +101,7 @@ fn speedup_gt_1_and_grows(speedups: &[f64]) -> bool {
 }
 
 fn guard_gen(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("guard_gen", env);
     // A copy: a read guard held across Table 7 would deadlock the cold
     // builds there, which write the guard relations.
@@ -327,9 +327,9 @@ fn index_choice(env: &EnvConfig) -> Record {
     // low / medium / high guard cardinalities of Figure 4.
     let classes: [(i64, i64); 3] = [(12, 2), (30, 3), (60, 4)];
     let service = |(owners, aps): (i64, i64), forced: Option<AccessStrategy>| {
-        let options = SieveOptions { timeout: Some(env.timeout), ..Default::default() };
+        let rewrite = RewriteOptions { forced_strategy: forced, ..Default::default() };
+        let options = SieveOptions { timeout: Some(env.timeout), rewrite, ..Default::default() };
         let sieve = SieveService::new(base.clone(), options).expect("sieve init");
-        sieve.with_options_mut(|o| o.rewrite.forced_strategy = forced);
         let policy = |owner, ap| {
             let at_ap = ObjectCondition::new("wifi_ap", CondPredicate::Eq(DbValue::Int(1000 + ap)));
             Policy::new(owner, SYNTHETIC, QuerierSpec::User(SYNTHETIC_QUERIER), PURPOSE, vec![at_ap])
@@ -379,7 +379,7 @@ fn index_choice(env: &EnvConfig) -> Record {
 
 fn query_perf(env: &EnvConfig) -> Record {
     const QUERIERS_PER_PROFILE: usize = 2;
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("query_perf", env);
     rec.put("queriers_per_profile", QUERIERS_PER_PROFILE);
 
@@ -458,7 +458,7 @@ fn query_perf(env: &EnvConfig) -> Record {
 }
 
 fn postgres(env: &EnvConfig) -> Record {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let mut rec = Record::new("postgres", env);
     // The paper picks 5 queriers with ≥ 300 policies; here, the five with
     // the most, whatever the scale leaves them.
@@ -585,7 +585,6 @@ fn mall(env: &EnvConfig) -> Record {
 
 fn ablation(env: &EnvConfig) -> Record {
     use GuardSelectionStrategy::{CostOptimal, OwnerOnly};
-    let campus = build_campus(DbProfile::MySqlLike, env);
     let mut rec = Record::new("ablation", env);
     // (variant, guard selection, inline/∆, predicate pushdown off)
     let variants = [
@@ -600,25 +599,27 @@ fn ablation(env: &EnvConfig) -> Record {
         ("q1_high_kcost", QueryClass::Q1, Selectivity::High),
         ("q2_mid_kcost", QueryClass::Q2, Selectivity::Mid),
     ];
+    // One campus per variant, its service built under the variant's
+    // options; the first (full SIEVE) also picks the queriers and serves
+    // the merge report below.
+    let build = |(_, selection, delta_mode, no_pushdown): (&str, _, _, _)| {
+        let rewrite = RewriteOptions { delta_mode, no_predicate_pushdown: no_pushdown, ..Default::default() };
+        build_campus(DbProfile::MySqlLike, env, SieveOptions { selection, rewrite, ..Default::default() })
+    };
+    let campus = build(variants[0]);
     let queriers = pick_queriers(&campus, UserProfile::Faculty, PURPOSE, 2);
-    // One campus for every variant: `with_options_mut` invalidates what a
-    // changed option made stale.
-    let mut table: Vec<[f64; 3]> = Vec::new();
-    for (_, selection, delta_mode, no_pushdown) in variants {
-        campus.sieve.with_options_mut(|o| {
-            o.selection = selection;
-            o.rewrite.delta_mode = delta_mode;
-            o.rewrite.no_predicate_pushdown = no_pushdown;
-        });
-        table.push(cells.map(|(_, class, sel)| {
+    let kcosts = |campus: &Campus| {
+        cells.map(|(_, class, sel)| {
             let kcost = |&querier: &i64| {
                 let q = generate_query(&campus.dataset, class, sel, 5 + querier as u64);
                 let qm = QueryMetadata::new(querier, PURPOSE);
                 Some(time_enforcement(&campus.sieve, Enforcement::Sieve, &q, &qm, 2)?.kcost)
             };
             avg(&queriers.iter().filter_map(kcost).collect::<Vec<f64>>())
-        }));
-    }
+        })
+    };
+    let mut table = vec![kcosts(&campus)];
+    table.extend(variants[1..].iter().map(|&variant| kcosts(&build(variant))));
     let rows = variants.iter().zip(&table).map(|(variant, kcosts)| {
         let mut row = vec![cell("variant", variant.0)];
         row.extend(cells.iter().zip(kcosts).map(|(c, kcost)| cell(c.0, *kcost)));

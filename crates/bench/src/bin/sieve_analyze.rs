@@ -108,7 +108,7 @@ fn check_point(
 
 /// Audit the TIPPERS campus scenario.
 fn audit_tippers(env: &EnvConfig) -> AnalysisReport {
-    let campus = build_campus(DbProfile::MySqlLike, env);
+    let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
     let policies = campus.policies.clone();
     let refs: Vec<&Policy> = policies.iter().collect();
     let by_id: HashMap<PolicyId, &Policy> = policies.iter().map(|p| (p.id, p)).collect();

@@ -87,8 +87,9 @@ pub struct Campus {
     pub policies: Vec<Policy>,
 }
 
-/// Build the campus environment.
-pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
+/// Build the campus environment, its service running under `options`
+/// with the run's query timeout.
+pub fn build_campus(profile: DbProfile, env: &EnvConfig, options: SieveOptions) -> Campus {
     let mut db = Database::new(profile);
     let dataset = generate_tippers(
         &mut db,
@@ -100,14 +101,8 @@ pub fn build_campus(profile: DbProfile, env: &EnvConfig) -> Campus {
     )
     .expect("tippers generation");
     let policies = generate_policies(&dataset, &PolicyGenConfig::default());
-    let sieve = SieveService::new(
-        db,
-        SieveOptions {
-            timeout: Some(env.timeout),
-            ..Default::default()
-        },
-    )
-    .expect("sieve init");
+    let options = SieveOptions { timeout: Some(env.timeout), ..options };
+    let sieve = SieveService::new(db, options).expect("sieve init");
     sieve.with_groups_mut(|g| *g = dataset.groups.clone());
     sieve
         .add_policies(policies.iter().cloned())
@@ -663,7 +658,7 @@ mod tests {
 
     #[test]
     fn campus_builds_and_queriers_have_policies() {
-        let campus = build_campus(DbProfile::MySqlLike, &tiny_env());
+        let campus = build_campus(DbProfile::MySqlLike, &tiny_env(), SieveOptions::default());
         assert!(campus.policies.len() > 100);
         let faculty = pick_queriers(&campus, UserProfile::Faculty, "Analytics", 2);
         assert!(!faculty.is_empty());
@@ -681,7 +676,7 @@ mod tests {
 
     #[test]
     fn timing_produces_numbers() {
-        let campus = build_campus(DbProfile::MySqlLike, &tiny_env());
+        let campus = build_campus(DbProfile::MySqlLike, &tiny_env(), SieveOptions::default());
         let querier = pick_queriers(&campus, UserProfile::Grad, "Analytics", 1)[0];
         let qm = QueryMetadata::new(querier, "Analytics");
         let q = SelectQuery::star_from(sieve_workload::WIFI_TABLE);

@@ -353,12 +353,6 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
 }
 
 impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
-    fn name(&self) -> &'static str {
-        // Keep the inner name: bench labels and oracle plumbing identify
-        // the engine, not the chaos harness around it.
-        self.inner.name()
-    }
-
     fn exec_timed(
         &self,
         query: &SelectQuery,

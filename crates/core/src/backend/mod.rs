@@ -182,9 +182,6 @@ pub type StatementId = u64;
 /// queries executing through `&self` — an engine that cannot cross or be
 /// shared between threads cannot back a concurrent middleware.
 pub trait SqlBackend: Send + Sync {
-    /// Short identifier for diagnostics and bench labels.
-    fn name(&self) -> &'static str;
-
     /// Execute a query once — plan it, run the plan, keep nothing — and
     /// report that run: its own counters, wall time and simulated cost.
     /// The one one-shot verb; a caller that wants only the rows drops the
@@ -231,9 +228,6 @@ pub trait SqlBackend: Send + Sync {
 }
 
 impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,
@@ -269,9 +263,6 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
 /// `&Database` call site — oracles, tests, experiment binaries — coerce
 /// straight into the trait surface.
 impl SqlBackend for Database {
-    fn name(&self) -> &'static str {
-        "minidb"
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,
@@ -356,7 +347,6 @@ mod tests {
     fn database_is_a_backend() {
         let db = tiny_db();
         let backend: &dyn SqlBackend = &db;
-        assert_eq!(backend.name(), "minidb");
         assert!(backend.has_relation("t"));
         assert!(!backend.has_relation("nope"));
         let res =
@@ -368,7 +358,6 @@ mod tests {
     #[test]
     fn boxed_backend_delegates() {
         let boxed: DynBackend = Box::new(tiny_db());
-        assert_eq!(boxed.name(), "minidb");
         let (res, stats) =
             boxed.exec_timed(&SelectQuery::star_from("t"), &ExecOptions::default());
         assert_eq!(res.unwrap().len(), 10);

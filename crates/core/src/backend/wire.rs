@@ -99,9 +99,6 @@ impl WireSqlBackend {
 }
 
 impl SqlBackend for WireSqlBackend {
-    fn name(&self) -> &'static str {
-        "wire-sql"
-    }
     fn exec_timed(
         &self,
         query: &SelectQuery,

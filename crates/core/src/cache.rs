@@ -16,7 +16,11 @@
 //! the service's one cold builder, under the single-flight claim
 //! [`GuardCache::begin_generation`] hands out: its pending policies are
 //! placed into the expression when they can join it exactly
-//! ([`crate::guard::placement`]), else it is regenerated.
+//! ([`crate::guard::placement`]), else it is regenerated. An entry is
+//! stale for one other reason only: a trailing backend epoch
+//! ([`CachedGuard::epoch`]). Options are not among them: a service's
+//! [`crate::SieveOptions`] are fixed at construction, so every entry was
+//! built under the ones in force.
 //!
 //! **Concurrency.** The map is split into [`SHARD_COUNT`] shards, each
 //! behind its own `RwLock`; a warm hit takes only its shard's *read*

@@ -19,8 +19,9 @@
 //! threads and that tests, examples and experiments drive directly.
 //! Per-querier [`session::Session`] handles capture the metadata once,
 //! and [`session::Prepared`] statements pin a compiled rewrite for
-//! repeated zero-middleware execution. Out-of-band mutation goes through
-//! the `with_db_mut` / `with_backend_mut` / `with_options_mut` /
+//! repeated zero-middleware execution. A service's
+//! [`options::SieveOptions`] are fixed when it is built. Out-of-band
+//! mutation goes through the `with_db_mut` / `with_backend_mut` /
 //! `with_groups_mut` closures, which bump the staleness counters cached
 //! guards and prepared plans are checked against.
 //!

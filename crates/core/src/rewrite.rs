@@ -180,9 +180,6 @@ pub struct GuardFragment {
     pub guard_attrs: Vec<String>,
     /// Σ ρ(G_i) at compile time.
     pub est_guard_rows: f64,
-    /// The inline-vs-∆ policy the fragment was compiled under; a cached
-    /// fragment is stale when the middleware's option has changed.
-    pub delta_mode: DeltaMode,
 }
 
 /// The fragment of no guards: the empty disjunction, which denies all.
@@ -193,7 +190,6 @@ impl Default for GuardFragment {
             disjunction: deny_all_expr(),
             guard_attrs: Vec::new(),
             est_guard_rows: 0.0,
-            delta_mode: DeltaMode::default(),
         }
     }
 }
@@ -227,11 +223,13 @@ pub struct FragmentCompileCache {
 }
 
 impl FragmentCompileCache {
-    /// A seed holding `current`'s partitions: recompiling, under the
-    /// `delta_mode` `current` was compiled under, an expression that
-    /// keeps some of them — a placed grant — reuses their shared nodes,
-    /// bound forms included, and their ∆ registrations, so only the new
-    /// partitions are built and the engine binds only the new branches.
+    /// A seed holding `current`'s partitions: recompiling an expression
+    /// that keeps some of them — a placed grant — reuses their shared
+    /// nodes, bound forms included, and their ∆ registrations, so only the
+    /// new partitions are built and the engine binds only the new branches.
+    /// A reused partition keeps the inline-or-∆ form it was compiled in,
+    /// which is the form a recompilation makes: a service compiles every
+    /// fragment under its one `delta_mode`, fixed at construction.
     pub fn seeded(current: &CompiledRelation) -> Self {
         let mut seed = FragmentCompileCache::default();
         let branches = current.expr.guards.iter().zip(&current.fragment.branches);
@@ -323,7 +321,6 @@ pub fn compile_guard_fragment(
         disjunction,
         guard_attrs,
         est_guard_rows: ge.total_guard_rows(),
-        delta_mode,
     })
 }
 

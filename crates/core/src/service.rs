@@ -18,8 +18,8 @@
 //!   is one [`PolicyStore`] behind one `RwLock`, as the paper keeps it in
 //!   relations the DBMS orders writes to (Section 5.1). Every write to it
 //!   (`add_policy`, `with_groups_mut`, `protect`) takes the write lock;
-//!   options sit behind their own `RwLock`; the cost model is fixed at
-//!   construction and held by value, with no lock;
+//!   the options and the cost model are fixed at construction and held by
+//!   value, with no lock;
 //! * the [`GuardCache`] is sharded — a warm hit takes one shard's *read*
 //!   lock (see [`crate::cache`]);
 //! * the backend sits behind a `RwLock<B>`: queries execute under the
@@ -31,8 +31,7 @@
 //!   partition a concurrent query still references.
 //!
 //! Lock order (outer → inner): `build claim → store → backend → cache
-//! shard`. Options are snapshotted and released before any of those is
-//! taken; the ∆ registry is a leaf. Cache closures never take other locks,
+//! shard`; the ∆ registry is a leaf. Cache closures never take other locks,
 //! and no thread holds two guards of the store lock at once.
 //!
 //! The service takes the backend *write* lock only for a caller's
@@ -51,15 +50,14 @@
 //! the key, and bring it current one of two ways:
 //!
 //! * a **placement** — pending policies on an entry built under the
-//!   current backend epoch and `delta_mode`: they join the cached
-//!   expression where Algorithm 1 would put them, if none shares a guard
-//!   condition with (or has a range overlapping) the policies it covers
+//!   current backend epoch: they join the cached expression where
+//!   Algorithm 1 would put them, if none shares a guard condition with (or
+//!   has a range overlapping) the policies it covers
 //!   ([`crate::guard::placement`]); any pending policy that does turns it
 //!   into a generation;
-//! * a **generation** — no entry, a trailing backend epoch, a moved
-//!   `delta_mode`, nothing to place into (an owner-only selection), or a
-//!   placement that was not exact. It runs Algorithm 1 over the querier's
-//!   relevant policies.
+//! * a **generation** — no entry, a trailing backend epoch, nothing to
+//!   place into (an owner-only selection), or a placement that was not
+//!   exact. It runs Algorithm 1 over the querier's relevant policies.
 //!
 //! Either expression is then `finish`ed — its fragment compiled and, with
 //! `verify_rewrites` on, proved — and published once
@@ -161,7 +159,7 @@ pub struct RecoveryStats {
 }
 
 /// What a cold build reads: borrows of the locks its caller holds (taken
-/// store → backend) and of the caller's config snapshot.
+/// store → backend) and of the service's fixed configuration.
 struct ColdBuild<'a> {
     store: &'a PolicyStore,
     backend: &'a dyn SqlBackend,
@@ -263,9 +261,9 @@ struct Outdated {
 enum Build {
     /// No usable entry: generate from the store.
     Generate,
-    /// Pending policies on an entry built under the current backend epoch
-    /// and `delta_mode`: place them into its expression if that is exact
-    /// ([`crate::guard::placement`]), else generate.
+    /// Pending policies on an entry built under the current backend epoch:
+    /// place them into its expression if that is exact ([`crate::guard::placement`]),
+    /// else generate.
     Place(Outdated, Arc<CarriedConditions>),
 }
 
@@ -276,8 +274,8 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     /// Backend write-epoch: bumped on every mutable backend access, so
     /// guards generated before an out-of-band write are detectably stale.
     pub(crate) backend_epoch: AtomicU64,
-    /// Policy/configuration revision: bumped by `add_policy`, `protect`,
-    /// option/group mutation and `invalidate_all`. A
+    /// Policy revision: bumped by `add_policy`, `protect`, group mutation
+    /// and `invalidate_all`. A
     /// [`crate::session::Prepared`] plan records the revision it was
     /// built under and transparently re-prepares when it trails.
     pub(crate) revision: AtomicU64,
@@ -285,7 +283,7 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     /// every policy-state write is ordered against every cold build.
     pub(crate) store: RwLock<PolicyStore>,
     pub(crate) cost: CostModel,
-    pub(crate) options: RwLock<SieveOptions>,
+    pub(crate) options: SieveOptions,
     pub(crate) delta: Arc<DeltaRegistry>,
     pub(crate) cache: GuardCache,
     pub(crate) recovery: RecoveryCounters,
@@ -337,7 +335,7 @@ impl<B: SqlBackend> SieveService<B> {
                 revision: AtomicU64::new(0),
                 store: RwLock::new(PolicyStore::new()),
                 cost: CostModel::default(),
-                options: RwLock::new(options),
+                options,
                 delta,
                 cache: GuardCache::new(),
                 recovery: RecoveryCounters::default(),
@@ -392,26 +390,6 @@ impl<B: SqlBackend> SieveService<B> {
         let mut store = self.inner.store.write();
         let out = f(store.groups_mut());
         self.invalidate_all();
-        out
-    }
-
-    /// Run `f` with mutable access to the options (e.g. to force a
-    /// strategy between runs). Bumps the revision so prepared statements
-    /// re-prepare under the new options; a moved `selection` also drops
-    /// every cached guarded expression, as each was selected under the old
-    /// one. A moved `delta_mode` needs no sweep: the next read of an entry
-    /// compiled under another mode regenerates it, which also heals a
-    /// build that read the old options and published after this returns.
-    pub fn with_options_mut<R>(&self, f: impl FnOnce(&mut SieveOptions) -> R) -> R {
-        let mut options = self.inner.options.write();
-        let selection = options.selection;
-        let out = f(&mut options);
-        self.inner.revision.fetch_add(1, Ordering::SeqCst);
-        let reselect = options.selection != selection;
-        drop(options);
-        if reselect {
-            self.invalidate_all();
-        }
         out
     }
 
@@ -493,21 +471,14 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn snapshot_config(&self) -> (SieveOptions, CostModel) {
-        (self.inner.options.read().clone(), self.inner.cost)
-    }
-
     /// Read `key`'s entry: its compiled relation if it can serve as it is,
     /// else how to bring it current. An entry whose backend epoch trails
-    /// was built against data (or a schema) mutated out of band since, and
-    /// one compiled under another `delta_mode` holds the other mode's
-    /// partitions: both regenerate, as does one with pending policies and
-    /// nothing to place them into. One shard read lock.
-    fn lookup(&self, key: &GuardCacheKey, opts: &SieveOptions) -> Result<CompiledRelation, Build> {
+    /// was built against data (or a schema) mutated out of band since: it
+    /// regenerates, as does one with pending policies and nothing to place
+    /// them into. One shard read lock.
+    fn lookup(&self, key: &GuardCacheKey) -> Result<CompiledRelation, Build> {
         let read = self.inner.cache.read(key, |c| {
-            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst)
-                || c.compiled.fragment.delta_mode != opts.rewrite.delta_mode
-            {
+            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst) {
                 Err(Build::Generate)
             } else if c.pending.is_empty() {
                 Ok(c.compiled.clone())
@@ -529,18 +500,12 @@ impl<B: SqlBackend> SieveService<B> {
     /// and read: the compiled relation (effective expression + rewrite
     /// fragment) queries run under. Warm, that is one shard read lock;
     /// cold, it is [`Self::build`].
-    fn current_relation(
-        &self,
-        qm: &QueryMetadata,
-        relation: &str,
-        opts: &SieveOptions,
-        cost: &CostModel,
-    ) -> SieveResult<CompiledRelation> {
-        if let Ok(compiled) = self.lookup(&cache_key(qm, relation), opts) {
+    fn current_relation(&self, qm: &QueryMetadata, relation: &str) -> SieveResult<CompiledRelation> {
+        if let Ok(compiled) = self.lookup(&cache_key(qm, relation)) {
             self.inner.cache.record_hit();
             return Ok(compiled);
         }
-        self.build(qm, relation, opts, cost)
+        self.build(qm, relation)
     }
 
     /// The one cold path: bring `relation`'s key for `qm` current and
@@ -550,13 +515,7 @@ impl<B: SqlBackend> SieveService<B> {
     /// (module docs). An error publishes nothing and drops the claim.
     /// Superseded fragments free their ∆ partitions once the last
     /// in-flight query drops its pin.
-    fn build(
-        &self,
-        qm: &QueryMetadata,
-        relation: &str,
-        opts: &SieveOptions,
-        cost: &CostModel,
-    ) -> SieveResult<CompiledRelation> {
+    fn build(&self, qm: &QueryMetadata, relation: &str) -> SieveResult<CompiledRelation> {
         let cache = &self.inner.cache;
         let key = cache_key(qm, relation);
         // Single-flight: losers of a race park here until the winner's
@@ -566,7 +525,7 @@ impl<B: SqlBackend> SieveService<B> {
         // no policy-state write lands in between — the consistency argument
         // with `add_policy` and `with_groups_mut` (module docs).
         let store = self.inner.store.read();
-        let how = match self.lookup(&key, opts) {
+        let how = match self.lookup(&key) {
             Ok(fresh) => {
                 cache.record_coalesced();
                 cache.record_hit();
@@ -580,8 +539,8 @@ impl<B: SqlBackend> SieveService<B> {
             store: &store,
             backend: &*backend,
             delta: &self.inner.delta,
-            opts,
-            cost,
+            opts: &self.inner.options,
+            cost: &self.inner.cost,
         };
         let table = backend.table_entry(relation)?;
         // Placed under the epoch the entry was built under, or not at all: a
@@ -593,8 +552,9 @@ impl<B: SqlBackend> SieveService<B> {
                     .iter()
                     .map(|id| store.get(*id).filter(|p| store.applies(p, qm)))
                     .collect();
-                let placed = grants
-                    .and_then(|grants| place_grants(&o.current.expr, &carried, &grants, table, cost));
+                let placed = grants.and_then(|grants| {
+                    place_grants(&o.current.expr, &carried, &grants, table, cold.cost)
+                });
                 placed.map(|(expr, carried)| {
                     (expr, Some(carried), FragmentCompileCache::seeded(&o.current))
                 })
@@ -634,19 +594,18 @@ impl<B: SqlBackend> SieveService<B> {
             let refusal = "a client query may not call a UDF".to_string();
             return Err(SieveError::Rewrite(DbError::Unsupported(refusal)));
         }
-        let (opts, cost) = self.snapshot_config();
         let rels = collect_protected(query, self.inner.store.read().protected());
         let mut compiled: HashMap<String, CompiledRelation> = HashMap::new();
         for rel in rels {
-            let cr = self.current_relation(qm, &rel, &opts, &cost)?;
+            let cr = self.current_relation(qm, &rel)?;
             compiled.insert(rel, cr);
         }
         let backend = self.inner.backend.read();
-        rewrite_query(&*backend, query, &compiled, &cost, &opts.rewrite)
+        rewrite_query(&*backend, query, &compiled, &self.inner.cost, &self.inner.options.rewrite)
     }
 
     pub(crate) fn exec_options(&self) -> ExecOptions {
-        ExecOptions { timeout: self.inner.options.read().timeout }
+        ExecOptions { timeout: self.inner.options.timeout }
     }
 
     /// Snapshot of the recovery counters (retries, reconnects,
@@ -752,8 +711,7 @@ impl<B: SqlBackend> SieveService<B> {
         qm: &QueryMetadata,
         relation: &str,
     ) -> SieveResult<GuardedExpression> {
-        let (opts, cost) = self.snapshot_config();
-        let compiled = self.current_relation(qm, relation, &opts, &cost)?;
+        let compiled = self.current_relation(qm, relation)?;
         Ok((*compiled.expr).clone())
     }
 
@@ -786,7 +744,7 @@ mod tests {
         assert_send_sync::<SieveService<crate::backend::DynBackend>>();
     }
 
-    fn loaded_service(profile: DbProfile) -> SieveService {
+    fn loaded_service(profile: DbProfile, options: SieveOptions) -> SieveService {
         let mut db = Database::new(profile);
         db.create_table(TableSchema::of(
             "wifi_dataset",
@@ -814,7 +772,7 @@ mod tests {
             db.create_index("wifi_dataset", col).unwrap();
         }
         db.analyze("wifi_dataset").unwrap();
-        let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+        let sieve = SieveService::new(db, options).unwrap();
         // Owners 0..20 allow querier 500 to see their data at AP 1001.
         for owner in 0..20i64 {
             sieve
@@ -846,7 +804,7 @@ mod tests {
     #[test]
     fn sieve_matches_oracle_end_to_end() {
         for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
-            let sieve = loaded_service(profile);
+            let sieve = loaded_service(profile, SieveOptions::default());
             let qm = QueryMetadata::new(500, "Analytics");
             let q = SelectQuery::star_from("wifi_dataset");
             let mut got = sieve.execute(&q, &qm).unwrap().rows;
@@ -859,7 +817,7 @@ mod tests {
 
     #[test]
     fn unauthorized_querier_sees_nothing() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let qm = QueryMetadata::new(501, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         assert!(sieve.execute(&q, &qm).unwrap().is_empty());
@@ -867,7 +825,7 @@ mod tests {
 
     #[test]
     fn wrong_purpose_sees_nothing() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let qm = QueryMetadata::new(500, "Marketing");
         let q = SelectQuery::star_from("wifi_dataset");
         assert!(sieve.execute(&q, &qm).unwrap().is_empty());
@@ -875,7 +833,7 @@ mod tests {
 
     #[test]
     fn cache_regenerates_on_policy_insert() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let n0 = sieve.execute(&q, &qm).unwrap().len();
@@ -904,7 +862,7 @@ mod tests {
 
     #[test]
     fn group_policies_via_directory() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         sieve.with_groups_mut(|g| g.add_member(9, 777));
         sieve
             .add_policy(Policy::new(
@@ -930,11 +888,9 @@ mod tests {
     #[test]
     fn group_members_with_verification_match_oracle() {
         for mode in [crate::rewrite::DeltaMode::Auto, crate::rewrite::DeltaMode::Always] {
-            let sieve = loaded_service(DbProfile::MySqlLike);
-            sieve.with_options_mut(|o| {
-                o.verify_rewrites = true;
-                o.rewrite.delta_mode = mode;
-            });
+            let mut options = SieveOptions { verify_rewrites: true, ..SieveOptions::default() };
+            options.rewrite.delta_mode = mode;
+            let sieve = loaded_service(DbProfile::MySqlLike, options);
             let members = [600i64, 601, 602, 603];
             sieve.with_groups_mut(|g| members.iter().for_each(|&u| g.add_member(9, u)));
             for owner in 20..30i64 {
@@ -969,7 +925,7 @@ mod tests {
     /// only, and one with none.
     #[test]
     fn generation_covers_exactly_the_relevant_policies() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         sieve.with_groups_mut(|g| g.add_member(7, 500));
         for owner in 40..50i64 {
             let at_1002 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1002)));
@@ -1002,7 +958,7 @@ mod tests {
         use crate::guard::Guard;
         use crate::rewrite::DeltaMode;
         for (mode, delta) in [(DeltaMode::Never, false), (DeltaMode::Always, true)] {
-            let sieve = loaded_service(DbProfile::MySqlLike);
+            let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
             // Id 21: owner 30's rows at AP 1003, granted to querier 501.
             let at_1003 = ObjectCondition::new("wifi_ap", CondPredicate::Eq(Value::Int(1003)));
             let foreign =
@@ -1065,7 +1021,7 @@ mod tests {
 
     #[test]
     fn out_of_band_insert_regenerates_stale_guards() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let n0 = sieve.execute(&q, &qm).unwrap().len();
@@ -1107,7 +1063,7 @@ mod tests {
 
     #[test]
     fn backend_mut_bumps_epoch_like_db_mut() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let e0 = sieve.backend_epoch();
         sieve.with_backend_mut(|_| ());
         sieve.with_db_mut(|_| ());
@@ -1116,7 +1072,7 @@ mod tests {
 
     #[test]
     fn sql_entry_point() {
-        let sieve = loaded_service(DbProfile::MySqlLike);
+        let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
         let qm = QueryMetadata::new(500, "Analytics");
         let res = sieve
             .execute_sql(

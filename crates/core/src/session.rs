@@ -17,7 +17,7 @@
 //! costing, just the plan run under the shared read lock. Staleness is
 //! detected by two service-level counters captured at prepare time: the
 //! **backend epoch** (out-of-band data/schema mutation) and the
-//! **revision** (policy/option/cost/group changes). When either moves,
+//! **revision** (policy, protection and group changes). When either moves,
 //! the next `execute` transparently re-prepares — through the guard
 //! cache: two warm lookups and one planning, not a regeneration.
 

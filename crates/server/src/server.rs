@@ -294,6 +294,11 @@ impl<B: SqlBackend> Connection<B> {
                 if self.querier.is_none() {
                     return self.not_authenticated(conn);
                 }
+                // Identity first: a foreign querier is refused as such even
+                // on a full connection.
+                let Some(session) = self.session_for(conn, metadata)? else {
+                    return Ok(Flow::Continue);
+                };
                 if self.prepared.len() >= MAX_STATEMENTS_PER_CONNECTION {
                     let full = format!(
                         "{MAX_STATEMENTS_PER_CONNECTION} statements open on this connection"
@@ -304,9 +309,6 @@ impl<B: SqlBackend> Connection<B> {
                     )?;
                     return Ok(Flow::Continue);
                 }
-                let Some(session) = self.session_for(conn, metadata)? else {
-                    return Ok(Flow::Continue);
-                };
                 match session.prepare_sql(&sql) {
                     Ok(prepared) => {
                         let statement = self.next_statement;

@@ -11,6 +11,7 @@ mod support;
 
 use sieve::core::cost::AccessStrategy;
 use sieve::core::policy::QueryMetadata;
+use sieve::core::rewrite::RewriteOptions;
 use sieve::core::{Session, SieveOptions, SieveService};
 use sieve::minidb::{
     Counters, Database, DbProfile, ExecOptions, ExplainOutput, RelationPlan, Row, SelectQuery,
@@ -20,12 +21,12 @@ use sieve::workload::query_gen::generate_query;
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
 use sieve::workload::{QueryClass, Selectivity, TippersDataset, UserProfile, WIFI_TABLE};
 
-fn campus() -> (SieveService, TippersDataset) {
+fn campus(options: SieveOptions) -> (SieveService, TippersDataset) {
     let mut db = Database::new(DbProfile::MySqlLike);
     let config = TippersConfig { scale: 0.01, ..TippersConfig::default() };
     let ds = generate_tippers(&mut db, &config).unwrap();
     let policies = generate_policies(&ds, &PolicyGenConfig::default());
-    let service = SieveService::new(db, SieveOptions::default()).unwrap();
+    let service = SieveService::new(db, options).unwrap();
     service.with_groups_mut(|g| *g = ds.groups.clone());
     service.add_policies(policies).unwrap();
     service.protect(WIFI_TABLE);
@@ -63,7 +64,7 @@ fn run(session: &Session, query: &SelectQuery) -> Run {
 
 #[test]
 fn guarded_reads_take_the_path_the_query_asks_for() {
-    let (service, ds) = campus();
+    let (service, ds) = campus(SieveOptions::default());
     let policies = service.policies();
     let querier = ds
         .devices
@@ -118,12 +119,15 @@ fn guarded_reads_take_the_path_the_query_asks_for() {
     assert_eq!(r2.access, "IndexScan(owner, recheck 3 of 4)");
     assert_eq!((r2.counters.index_probes, r2.counters.tuples_read), (8, 561));
 
-    // Guard-driven reads of the same two statements: each fetched row is
-    // compared with the guard heads once, not guard by guard (25 guards:
-    // 25.7 and 25.0 evaluations per tuple before keyed dispatch).
-    service.with_options_mut(|o| o.rewrite.forced_strategy = Some(AccessStrategy::IndexGuards));
+    // Guard-driven reads of the same two statements, on a campus whose
+    // service forces them: each fetched row is compared with the guard
+    // heads once, not guard by guard (25 guards: 25.7 and 25.0 evaluations
+    // per tuple before keyed dispatch).
+    let rewrite = RewriteOptions { forced_strategy: Some(AccessStrategy::IndexGuards), ..Default::default() };
+    let (forced, _) = campus(SieveOptions { rewrite, ..Default::default() });
+    let forced = forced.session(qm);
     for q in [&q1, &q2] {
-        let r = run(&session, q);
+        let r = run(&forced, q);
         assert_eq!(r.rows, expected(q));
         assert_eq!(r.strategy, AccessStrategy::IndexGuards);
         assert!(r.access.starts_with("IndexUnion("), "{}", r.access);

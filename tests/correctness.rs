@@ -9,12 +9,12 @@ use sieve::core::cost::AccessStrategy;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::rewrite::DeltaMode;
+use sieve::core::rewrite::{DeltaMode, RewriteOptions};
 use sieve::core::{Enforcement, SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema};
 
-fn build_sieve(profile: DbProfile) -> SieveService {
+fn build_sieve(profile: DbProfile, options: SieveOptions) -> SieveService {
     let mut db = Database::new(profile);
     db.create_table(TableSchema::of(
         "wifi_dataset",
@@ -45,7 +45,7 @@ fn build_sieve(profile: DbProfile) -> SieveService {
     }
     db.analyze("wifi_dataset").unwrap();
 
-    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    let sieve = SieveService::new(db, options).unwrap();
     sieve.with_groups_mut(|g| g.add_member(5, 500)); // querier 500 in group 5
     // A mixed policy corpus: user- and group-targeted, equality, range,
     // IN-list, and varied purposes.
@@ -105,7 +105,7 @@ fn run_sorted(
 #[test]
 fn all_mechanisms_equal_oracle_on_both_profiles() {
     for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
-        let sieve = build_sieve(profile);
+        let sieve = build_sieve(profile, SieveOptions::default());
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let expect =
@@ -127,11 +127,8 @@ fn every_strategy_and_delta_mode_is_equivalent() {
         Some(AccessStrategy::IndexGuards),
     ] {
         for delta in [DeltaMode::Auto, DeltaMode::Never, DeltaMode::Always] {
-            let sieve = build_sieve(DbProfile::MySqlLike);
-            sieve.with_options_mut(|o| {
-                o.rewrite.forced_strategy = strategy;
-                o.rewrite.delta_mode = delta;
-            });
+            let rewrite = RewriteOptions { forced_strategy: strategy, delta_mode: delta, ..Default::default() };
+            let sieve = build_sieve(DbProfile::MySqlLike, SieveOptions { rewrite, ..Default::default() });
             let got = run_sorted(&sieve, Enforcement::Sieve, &q, &qm);
             match &reference {
                 None => reference = Some(got),
@@ -147,7 +144,7 @@ fn every_strategy_and_delta_mode_is_equivalent() {
 
 #[test]
 fn query_predicates_compose_with_policies() {
-    let sieve = build_sieve(DbProfile::PostgresLike);
+    let sieve = build_sieve(DbProfile::PostgresLike, SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = sieve::minidb::sql::parse(
         "SELECT * FROM wifi_dataset WHERE wifi_ap IN (1001, 1002) \
@@ -171,7 +168,7 @@ fn aggregation_happens_after_enforcement() {
     // Policies must be enforced before non-monotonic operations
     // (Section 3.1): a COUNT under enforcement must count only visible
     // rows, never leak the raw count.
-    let sieve = build_sieve(DbProfile::MySqlLike);
+    let sieve = build_sieve(DbProfile::MySqlLike, SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let visible = oracle(&sieve, &qm).len() as i64;
     let res = sieve
@@ -184,7 +181,7 @@ fn aggregation_happens_after_enforcement() {
 
 #[test]
 fn group_by_respects_enforcement() {
-    let sieve = build_sieve(DbProfile::MySqlLike);
+    let sieve = build_sieve(DbProfile::MySqlLike, SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let res = sieve
         .execute_sql(

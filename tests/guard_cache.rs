@@ -1,6 +1,6 @@
 //! Guard-cache correctness: warm queries must be *exactly* as correct as
-//! cold ones, across invalidation, placement and regeneration, ∆ partition
-//! reclamation, and option flips.
+//! cold ones, across invalidation, placement and regeneration, and ∆
+//! partition reclamation.
 //!
 //! The cache under test (sieve_core::cache::GuardCache) stores both the
 //! generated guarded expression and its compiled rewrite fragment per
@@ -13,13 +13,12 @@ mod support;
 use sieve::core::backend::for_each_backend;
 use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::rewrite::DeltaMode;
-use sieve::core::{GuardSelectionStrategy, SieveOptions, SieveService};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Row, SelectQuery, Value};
 use support::{oracle_rows, policy, sorted_rows, REL};
 
-fn loaded_sieve() -> SieveService {
-    let sieve =
-        SieveService::new(support::wifi_db(4000, 80, true), SieveOptions::default()).unwrap();
+fn loaded_sieve(options: SieveOptions) -> SieveService {
+    let sieve = SieveService::new(support::wifi_db(4000, 80, true), options).unwrap();
     for owner in 0..20i64 {
         sieve.add_policy(policy(owner, 500, "Analytics", 1001)).unwrap();
     }
@@ -35,13 +34,19 @@ fn oracle(sieve: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
     oracle_rows(sieve, REL, qm)
 }
 
+fn delta_always() -> SieveOptions {
+    let mut options = SieveOptions::default();
+    options.rewrite.delta_mode = DeltaMode::Always;
+    options
+}
+
 fn run_sorted(sieve: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
     sorted_rows(sieve.execute(&SelectQuery::star_from(REL), qm).unwrap())
 }
 
 #[test]
 fn warm_queries_hit_both_cache_levels() {
-    let sieve = loaded_sieve();
+    let sieve = loaded_sieve(SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     run_sorted(&sieve, &qm);
     let s0 = sieve.cache_stats();
@@ -60,7 +65,7 @@ fn warm_queries_hit_both_cache_levels() {
 
 #[test]
 fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
-    let sieve = loaded_sieve();
+    let sieve = loaded_sieve(SieveOptions::default());
     let qm_a = QueryMetadata::new(500, "Analytics");
     let qm_b = QueryMetadata::new(501, "Analytics");
     let qm_c = QueryMetadata::new(500, "Safety");
@@ -103,9 +108,8 @@ fn add_policy_invalidates_only_affected_key_and_matches_cold_and_oracle() {
 
 #[test]
 fn delta_partitions_do_not_leak_across_repeat_queries() {
-    let sieve = loaded_sieve();
     // Force every partition through ∆ so fragments register partitions.
-    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+    let sieve = loaded_sieve(delta_always());
     let qm = QueryMetadata::new(500, "Analytics");
     let baseline_rows = run_sorted(&sieve, &qm);
     assert_eq!(baseline_rows, oracle(&sieve, &qm));
@@ -131,47 +135,6 @@ fn delta_partitions_do_not_leak_across_repeat_queries() {
     assert_eq!(sieve.delta_len(), 0);
 }
 
-#[test]
-fn delta_mode_flip_recompiles_fragment_and_stays_correct() {
-    let sieve = loaded_sieve();
-    let qm = QueryMetadata::new(500, "Analytics");
-    let inline_rows = run_sorted(&sieve, &qm);
-    let builds = sieve.cache_stats().fragment_builds;
-    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
-    let delta_rows = run_sorted(&sieve, &qm);
-    assert_eq!(
-        sieve.cache_stats().fragment_builds,
-        builds + 1,
-        "mode change must recompile the fragment"
-    );
-    assert_eq!(inline_rows, delta_rows);
-    assert_eq!(delta_rows, oracle(&sieve, &qm));
-    assert_eq!(sieve.generations(), 2, "mode change regenerates");
-}
-
-/// A `selection` flip on a warm key must reach the next query: every
-/// cached expression was selected under the old strategy (here one
-/// `wifi_ap` guard over the 20 policies, against `OwnerOnly`'s guard per
-/// owner), so the flip drops them and the key regenerates — same rows.
-#[test]
-fn selection_flip_regenerates_warm_keys() {
-    let db = support::wifi_db(2000, 20, false);
-    for_each_backend(&db, &SieveOptions::default(), |name, service| {
-        support::register_corpus(&service);
-        let qm = QueryMetadata::new(500, "Analytics");
-        let q = SelectQuery::star_from(REL);
-        let expect = oracle_rows(&service, REL, &qm);
-        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect, "{name}: warm-up");
-        assert_eq!(service.guarded_expression(&qm, REL).unwrap().guards.len(), 1, "{name}");
-        assert_eq!(service.generations(), 1, "{name}");
-
-        service.with_options_mut(|o| o.selection = GuardSelectionStrategy::OwnerOnly);
-        assert_eq!(service.guarded_expression(&qm, REL).unwrap().guards.len(), 20, "{name}");
-        assert_eq!(service.generations(), 2, "{name}");
-        assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect, "{name}: after flip");
-    });
-}
-
 /// Ground-truth counter audit: drive a known sequence of queries and
 /// policy insertions and check every counter against a hand-maintained
 /// trace. Catches double-counted misses, regenerations booked as misses,
@@ -182,7 +145,7 @@ fn selection_flip_regenerates_warm_keys() {
 /// regeneration and, within it, an extension.
 #[test]
 fn counters_match_ground_truth_trace() {
-    let sieve = loaded_sieve();
+    let sieve = loaded_sieve(SieveOptions::default());
     let qm_a = QueryMetadata::new(500, "Analytics");
     let qm_b = QueryMetadata::new(501, "Analytics");
 
@@ -298,8 +261,7 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
 /// with evicted keys.
 #[test]
 fn eviction_frees_delta_partitions_of_dropped_fragments() {
-    let sieve = loaded_sieve();
-    sieve.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+    let sieve = loaded_sieve(delta_always());
     let qm = QueryMetadata::new(500, "Analytics");
     run_sorted(&sieve, &qm);
     assert!(sieve.delta_len() > 0, "∆ partitions registered");
@@ -347,7 +309,7 @@ fn group_membership_change_invalidates_cached_guards() {
 
 #[test]
 fn repeated_sql_text_returns_the_same_rows() {
-    let sieve = loaded_sieve();
+    let sieve = loaded_sieve(SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let sql = "SELECT COUNT(*) AS n FROM wifi_dataset WHERE wifi_ap = 1001";
     let a = sieve.execute_sql(sql, &qm).unwrap();
@@ -358,13 +320,12 @@ fn repeated_sql_text_returns_the_same_rows() {
 }
 
 /// The middleware never writes to the database it guards. A policy
-/// insert, cold generations, a placed grant, a group change and an
-/// option change leave the database's version and its tables as they
-/// were — so a statement one querier holds is never re-prepared because
+/// insert, cold generations, a placed grant and a group change leave the
+/// database's version and its tables as they were — so a statement one querier holds is never re-prepared because
 /// another querier's guard was built.
 #[test]
 fn guard_work_never_writes_the_guarded_database() {
-    let sieve = loaded_sieve();
+    let sieve = loaded_sieve(SieveOptions::default());
     let version = sieve.db().version();
     let tables: Vec<String> = sieve.db().table_names().into_iter().map(String::from).collect();
     let q = SelectQuery::star_from(REL);
@@ -388,7 +349,6 @@ fn guard_work_never_writes_the_guarded_database() {
         sieve.rewrite(&q, &QueryMetadata::new(u, "Safety")).unwrap();
     }
     sieve.with_groups_mut(|g| g.add_member(7, 500));
-    sieve.with_options_mut(|o| o.selection = GuardSelectionStrategy::OwnerOnly);
     assert_eq!(run_sorted(&sieve, &qm_a), oracle(&sieve, &qm_a));
 
     assert_eq!(sieve.db().version(), version, "the database was written to");

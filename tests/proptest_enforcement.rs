@@ -3,8 +3,8 @@
 //! row set (sound and secure, Section 3.1), for random queriers and
 //! purposes — including queriers with zero policies (default deny). And a
 //! prepared statement held across any run of data, index, statistics,
-//! policy, group and option changes keeps returning it, from a plan that
-//! is pinned again at most once per change.
+//! policy and group changes, under any forced access strategy, keeps
+//! returning it, from a plan that is pinned again at most once per change.
 
 mod support;
 
@@ -14,6 +14,7 @@ use sieve::core::policy::{
 };
 use sieve::core::backend::WireSqlBackend;
 use sieve::core::cost::AccessStrategy;
+use sieve::core::rewrite::RewriteOptions;
 use sieve::core::{SieveOptions, SieveService, SqlBackend};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{CmpOp, ColumnRef, Database, DbProfile, Expr, SelectQuery, TableSchema};
@@ -138,37 +139,42 @@ enum Change {
     Analyze,
     AddPolicy(i64, i64),
     JoinGroup(i64),
-    ForceStrategy(Option<AccessStrategy>),
 }
 
-fn arb_change() -> impl Strategy<Value = Change> {
-    let strategy = prop_oneof![
+/// The access strategy a case's service is built to force, if any.
+fn arb_forced() -> impl Strategy<Value = Option<AccessStrategy>> {
+    prop_oneof![
         Just(None),
         Just(Some(AccessStrategy::LinearScan)),
         Just(Some(AccessStrategy::IndexQuery)),
         Just(Some(AccessStrategy::IndexGuards)),
-    ];
+    ]
+}
+
+fn arb_change() -> impl Strategy<Value = Change> {
     prop_oneof![
         (0i64..30, 1000i64..1010).prop_map(|(owner, ap)| Change::Insert(owner, ap)),
         Just(Change::CreateIndex),
         Just(Change::Analyze),
         (20i64..40, 1000i64..1010).prop_map(|(owner, ap)| Change::AddPolicy(owner, ap)),
         (0i64..3).prop_map(Change::JoinGroup),
-        strategy.prop_map(Change::ForceStrategy),
     ]
 }
 
-/// Apply `changes` one by one to a service over `backend`; after each, the
-/// statement prepared before any of them returns what the oracle and a
-/// fresh one-shot execute return on the world as it now is.
+/// Apply `changes` one by one to a service over `backend` (labelled `name`
+/// in failures) that forces `forced`; after each, the statement prepared
+/// before any of them returns what the oracle and a fresh one-shot execute
+/// return on the world as it now is.
 fn held_statement_tracks<B: SqlBackend>(
+    name: &str,
     backend: B,
     db_mut: fn(&mut B) -> &mut Database,
+    forced: Option<AccessStrategy>,
     changes: &[Change],
     narrow: bool,
 ) {
-    let name = backend.name();
-    let service = SieveService::with_backend(backend, SieveOptions::default()).unwrap();
+    let rewrite = RewriteOptions { forced_strategy: forced, ..Default::default() };
+    let service = SieveService::with_backend(backend, SieveOptions { rewrite, ..Default::default() }).unwrap();
     support::register_corpus(&service);
     // Groups 0..3 each grant an access point the corpus does not.
     for group in 0..3i64 {
@@ -192,11 +198,10 @@ fn held_statement_tracks<B: SqlBackend>(
             Change::Analyze => service.with_backend_mut(|b| db_mut(b).analyze(REL).unwrap()),
             Change::AddPolicy(owner, ap) => service.add_policy(policy(owner, 500, "Analytics", ap)).map(|_| ()).unwrap(),
             Change::JoinGroup(group) => service.with_groups_mut(|g| g.add_member(group, 500)),
-            Change::ForceStrategy(forced) => service.with_options_mut(|o| o.rewrite.forced_strategy = forced),
         }
         let mut expect = oracle_rows(&service, REL, session.metadata());
         expect.retain(|row| !narrow || row[1] < Value::Int(25));
-        let context = format!("{name}, after {:?}", &changes[..=done]);
+        let context = format!("{name} forcing {forced:?}, after {:?}", &changes[..=done]);
         prop_assert_eq!(&sorted_rows(held.execute().unwrap()), &expect, "held statement, {}", context);
         prop_assert_eq!(&sorted_rows(session.execute(&query).unwrap()), &expect, "fresh execute, {}", context);
         prop_assert!(held.reprepares() <= done as u64 + 1, "{} re-prepares, {}", held.reprepares(), context);
@@ -210,9 +215,11 @@ proptest! {
     fn held_prepared_statement_equals_oracle_after_any_changes(
         changes in proptest::collection::vec(arb_change(), 1..10),
         narrow in any::<bool>(),
+        forced in arb_forced(),
     ) {
         let db = support::wifi_db(4500, 40, true);
-        held_statement_tracks(db.clone(), |db| db, &changes, narrow);
-        held_statement_tracks(WireSqlBackend::new(db), WireSqlBackend::db_mut, &changes, narrow);
+        held_statement_tracks("minidb", db.clone(), |db| db, forced, &changes, narrow);
+        let wire = WireSqlBackend::new(db);
+        held_statement_tracks("wire-sql", wire, WireSqlBackend::db_mut, forced, &changes, narrow);
     }
 }

@@ -7,10 +7,9 @@
 //! Grants mix every case the placement decides on: fresh owners with no
 //! condition of their own (always placed), owners the querier already
 //! holds, shared `wifi_ap` equalities, `ts_time` ranges that may or may
-//! not overlap the querier's, and group grants. Any step may first flip
-//! `delta_mode` between `Auto` and `Always`: the read after it must
-//! regenerate, never place, since the cached fragment was compiled under
-//! the other mode.
+//! not overlap the querier's, and group grants. Each case runs under a
+//! `delta_mode` it draws, `Auto` or `Always`, fixed when its service is
+//! built, so placement is covered with inline and with ∆ partitions.
 
 mod support;
 
@@ -130,12 +129,15 @@ proptest! {
     #[test]
     fn placement_equals_generation(
         held in collection::vec(collection::vec(arb_condition(), 0..3), 1..HELD as usize + 1),
-        grants in collection::vec((arb_grant(), any::<bool>()), 1..12),
+        grants in collection::vec(arb_grant(), 1..12),
+        delta_mode in prop_oneof![Just(DeltaMode::Auto), Just(DeltaMode::Always)],
     ) {
         let qm = QueryMetadata::new(QUERIER, "Analytics");
         let q = SelectQuery::star_from(REL);
+        let mut options = SieveOptions::default();
+        options.rewrite.delta_mode = delta_mode;
         for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
-            let service = SieveService::new(db(profile), SieveOptions::default()).unwrap();
+            let service = SieveService::new(db(profile), options.clone()).unwrap();
             service.with_groups_mut(|g| g.add_member(GROUP, QUERIER));
             for (owner, conds) in held.iter().enumerate() {
                 let to = QuerierSpec::User(QUERIER);
@@ -143,20 +145,12 @@ proptest! {
                 service.add_policy(p).unwrap();
             }
             service.execute(&q, &qm).unwrap();
-            for (step, (grant, flip)) in grants.iter().enumerate() {
-                if *flip {
-                    service.with_options_mut(|o| {
-                        o.rewrite.delta_mode = match o.rewrite.delta_mode {
-                            DeltaMode::Auto => DeltaMode::Always,
-                            _ => DeltaMode::Auto,
-                        }
-                    });
-                }
+            for (step, grant) in grants.iter().enumerate() {
                 let extensions = service.cache_stats().extensions;
                 service.add_policy(grant_policy(grant, step as i64)).unwrap();
                 let rows = sorted_rows(service.execute(&q, &qm).unwrap());
                 let expect = oracle_rows(&service, REL, &qm);
-                prop_assert_eq!(&rows, &expect, "{:?} step {}: rows", profile, step);
+                prop_assert_eq!(&rows, &expect, "{:?} {:?} step {}: rows", profile, delta_mode, step);
 
                 let cached = service.guarded_expression(&qm, REL).unwrap();
                 let cold = {
@@ -172,15 +166,11 @@ proptest! {
                     &cached, &cold,
                     "{:?} step {} ({:?}): cached != generated", profile, step, grant
                 );
-                if *flip {
-                    prop_assert_eq!(
-                        service.cache_stats().extensions, extensions,
-                        "{:?} step {}: a grant after a mode flip regenerates", profile, step
-                    );
-                } else if matches!(grant, Grant::Fresh) {
+                if matches!(grant, Grant::Fresh) {
                     prop_assert_eq!(
                         service.cache_stats().extensions, extensions + 1,
-                        "{:?} step {}: a fresh owner's bare grant is placed", profile, step
+                        "{:?} {:?} step {}: a fresh owner's bare grant is placed",
+                        profile, delta_mode, step
                     );
                 }
             }

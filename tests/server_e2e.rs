@@ -488,6 +488,10 @@ fn statements_per_connection_are_bounded_and_released() {
     let server = SieveServer::new(service, authenticator());
     let (listener, connector) = loopback();
     let handle = server.serve(listener);
+    // Rebound after `handle`, so a failed assertion drops the connector
+    // first: the accept loop ends and the unwind's join of `handle`
+    // returns instead of hanging.
+    let connector = connector;
     let open = || server.service().backend().open_statements();
 
     let mut conn = connector.connect().unwrap();
@@ -511,6 +515,16 @@ fn statements_per_connection_are_bounded_and_released() {
         other => panic!("expected TooManyStatements, got {other:?}"),
     }
     assert_eq!(open(), CAP, "a refused Prepare pins nothing");
+    // Identity is checked before the bound: a foreign querier on the full
+    // connection is refused as a mismatch, and counted as one.
+    let rejections = || server.stats().identity_rejections.load(std::sync::atomic::Ordering::Relaxed);
+    let before = rejections();
+    match request(ClientMessage::Prepare { metadata: qm(501), sql: QUERY.into() }) {
+        ServerMessage::Error(e) => assert_eq!(e.code, ErrorCode::IdentityMismatch),
+        other => panic!("expected IdentityMismatch, got {other:?}"),
+    }
+    assert_eq!(rejections(), before + 1);
+    assert_eq!(open(), CAP);
     // Still usable: a held statement runs, a closed one frees its slot.
     let expect = server.service().session(qm(500)).execute_sql(QUERY).unwrap();
     match request(ClientMessage::ExecutePrepared { statement: statements[0] }) {

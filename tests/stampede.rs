@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use support::{oracle_rows, policy, sorted_rows, wifi_db, QUERIERS, REL};
 
-fn loaded_service() -> SieveService {
-    let service = SieveService::new(wifi_db(3000, 80, false), SieveOptions::default()).unwrap();
+fn loaded_service(options: SieveOptions) -> SieveService {
+    let service = SieveService::new(wifi_db(3000, 80, false), options).unwrap();
     for (k, &querier) in QUERIERS.iter().enumerate() {
         for owner in 0..30i64 {
             service
@@ -37,13 +37,13 @@ fn loaded_service() -> SieveService {
 #[test]
 fn cold_miss_stampede_generates_exactly_once() {
     const K: usize = 16;
-    let service = loaded_service();
+    let service = loaded_service(SieveOptions::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
 
     // Oracle from a throwaway service (leaves the test service cold).
     let expect = sorted_rows(
-        loaded_service().session(qm.clone()).execute_sql("SELECT * FROM wifi_dataset").unwrap(),
+        loaded_service(SieveOptions::default()).session(qm.clone()).execute_sql("SELECT * FROM wifi_dataset").unwrap(),
     );
     assert!(!expect.is_empty());
 
@@ -99,8 +99,9 @@ fn cold_miss_stampede_compiles_exactly_once() {
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
     for round in 0..10 {
-        let service = loaded_service();
-        service.with_options_mut(|o| o.rewrite.delta_mode = DeltaMode::Always);
+        let mut options = SieveOptions::default();
+        options.rewrite.delta_mode = DeltaMode::Always;
+        let service = loaded_service(options);
         let barrier = Barrier::new(K);
         std::thread::scope(|scope| {
             for _ in 0..K {
@@ -125,7 +126,7 @@ fn cold_miss_stampede_compiles_exactly_once() {
 #[test]
 fn distinct_keys_generate_independently() {
     const PER_KEY: usize = 6;
-    let service = loaded_service();
+    let service = loaded_service(SieveOptions::default());
     let q = SelectQuery::star_from(REL);
     assert_eq!(service.generations(), 0);
     let barrier = Arc::new(Barrier::new(PER_KEY * QUERIERS.len()));
