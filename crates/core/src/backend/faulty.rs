@@ -30,9 +30,9 @@
 //! * a **scripted queue** ([`FaultInjectingBackend::script`]) consumed
 //!   first — unit tests inject exact sequences ("one drop, then two
 //!   transients");
-//! * a **random schedule** driven by [`FaultConfig::fault_rate`] and the
-//!   weighted fault mix, from an inline SplitMix64 stream seeded by
-//!   [`FaultConfig::seed`].
+//! * a **random schedule** driven by [`FaultConfig::fault_rate`] and a
+//!   fixed fault mix (drops, evictions and transients, 1 : 1 : 2), from
+//!   an inline SplitMix64 stream seeded by [`FaultConfig::seed`].
 //!
 //! [`FaultInjectingBackend::set_enabled`] turns injection off wholesale —
 //! chaos tests use it to enter a recovery phase and assert the service
@@ -48,7 +48,6 @@ use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,48 +66,31 @@ pub enum Fault {
     Timeout,
 }
 
+/// The random schedule's fault mix: each fault with its relative weight,
+/// in draw order. Fixed, so a seed replays the same faults in every run;
+/// a timeout is only ever scripted.
+const FAULT_MIX: [(Fault, u32); 3] = [
+    (Fault::ConnectionDrop, 1),
+    (Fault::EvictStatement, 1),
+    (Fault::Transient, 2),
+];
+
 /// Configuration of the injected fault schedule. Deterministic: identical
 /// config + identical call sequence ⇒ identical faults.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultConfig {
     /// Seed of the SplitMix64 stream driving random injection.
     pub seed: u64,
     /// Probability (0.0–1.0) that an injectable call faults.
     pub fault_rate: f64,
-    /// Relative weight of [`Fault::ConnectionDrop`] in the random mix.
-    pub drop_weight: u32,
-    /// Relative weight of [`Fault::EvictStatement`].
-    pub evict_weight: u32,
-    /// Relative weight of [`Fault::Transient`].
-    pub transient_weight: u32,
-    /// Relative weight of [`Fault::Timeout`].
-    pub timeout_weight: u32,
-    /// Added latency per injectable call (slow-backend simulation).
-    pub latency: Option<Duration>,
     /// Also inject at `table_entry` (catalog reads feed guard generation
     /// and fragment compilation; off by default so only the dispatch path
     /// faults).
     pub fault_catalog: bool,
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            fault_rate: 0.0,
-            drop_weight: 1,
-            evict_weight: 1,
-            transient_weight: 2,
-            timeout_weight: 0,
-            latency: None,
-            fault_catalog: false,
-        }
-    }
-}
-
 impl FaultConfig {
-    /// A seeded config with the given random fault rate and the default
-    /// fault mix.
+    /// A seeded config with the given random fault rate.
     pub fn seeded(seed: u64, fault_rate: f64) -> Self {
         FaultConfig {
             seed,
@@ -162,7 +144,6 @@ impl SplitMix64 {
 #[derive(Debug)]
 struct FaultState {
     rng: SplitMix64,
-    config: FaultConfig,
     /// Scripted faults, consumed before any random draw.
     script: VecDeque<Fault>,
     /// Statement ids this wrapper vended and has not seen closed — the
@@ -175,6 +156,7 @@ struct FaultState {
 #[derive(Debug)]
 pub struct FaultInjectingBackend<B> {
     inner: B,
+    config: FaultConfig,
     state: Mutex<FaultState>,
     enabled: AtomicBool,
     drops: AtomicU64,
@@ -194,7 +176,6 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
             inner,
             state: Mutex::new(FaultState {
                 rng: SplitMix64(config.seed),
-                config,
                 script: VecDeque::new(),
                 vended: HashSet::new(),
             }),
@@ -204,6 +185,7 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
             transients: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             injectable_calls: AtomicU64::new(0),
+            config,
         }
     }
 
@@ -250,45 +232,24 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
     }
 
     /// Decide whether this call faults, and with what. Scripted faults
-    /// first; then a weighted random draw at `fault_rate`.
-    fn draw(st: &mut FaultState) -> Option<Fault> {
+    /// first; then a draw from [`FAULT_MIX`] at `fault_rate`.
+    fn draw(&self, st: &mut FaultState) -> Option<Fault> {
         if let Some(f) = st.script.pop_front() {
             return Some(f);
         }
-        if st.config.fault_rate <= 0.0 || st.rng.next_f64() >= st.config.fault_rate {
+        let rate = self.config.fault_rate;
+        if rate <= 0.0 || st.rng.next_f64() >= rate {
             return None;
         }
-        let (dw, ew, tw, ow) = (
-            st.config.drop_weight,
-            st.config.evict_weight,
-            st.config.transient_weight,
-            st.config.timeout_weight,
-        );
-        let total = dw + ew + tw + ow;
-        if total == 0 {
-            return None;
-        }
+        let total: u32 = FAULT_MIX.iter().map(|(_, weight)| weight).sum();
         let mut pick = (st.rng.next_u64() % u64::from(total)) as u32;
-        for (fault, weight) in [
-            (Fault::ConnectionDrop, dw),
-            (Fault::EvictStatement, ew),
-            (Fault::Transient, tw),
-            (Fault::Timeout, ow),
-        ] {
+        for (fault, weight) in FAULT_MIX {
             if pick < weight {
                 return Some(fault);
             }
             pick -= weight;
         }
         None
-    }
-
-    /// Simulated per-call latency, slept outside the state lock.
-    fn add_latency(&self) {
-        let latency = self.state.lock().config.latency;
-        if let Some(d) = latency {
-            std::thread::sleep(d);
-        }
     }
 
     /// Apply a drawn fault at an injection point. `statement` carries the
@@ -342,12 +303,11 @@ impl<B: SqlBackend> FaultInjectingBackend<B> {
     /// open because the drop had been drawn but not yet carried out.
     fn inject(&self, statement: Option<StatementId>) -> Option<BackendError> {
         self.injectable_calls.fetch_add(1, Ordering::Relaxed);
-        self.add_latency();
         if !self.enabled.load(Ordering::SeqCst) {
             return None;
         }
         let mut st = self.state.lock();
-        let fault = Self::draw(&mut st)?;
+        let fault = self.draw(&mut st)?;
         Some(self.fire(&mut st, fault, statement))
     }
 }
@@ -365,7 +325,7 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
     }
 
     fn table_entry(&self, name: &str) -> BackendResult<&TableEntry> {
-        if self.state.lock().config.fault_catalog {
+        if self.config.fault_catalog {
             if let Some(e) = self.inject(None) {
                 return Err(e);
             }

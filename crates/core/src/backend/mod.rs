@@ -82,9 +82,10 @@ pub use wire::WireSqlBackend;
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendError {
     /// The connection to the engine dropped. All server-side session
-    /// state — prepared statements above all — is gone; the service bumps
-    /// its backend epoch on observing this so prepared plans re-prepare.
-    /// Retryable: the next call reconnects.
+    /// state — prepared statements above all — is gone; a statement run
+    /// again answers [`BackendError::UnknownStatement`], and its prepared
+    /// plan re-prepares. Data and policies are untouched, so the service
+    /// only counts a reconnect. Retryable: the next call reconnects.
     ConnectionLost(String),
     /// The call exceeded its deadline (the engine's statement timeout or
     /// the service's per-query budget). Not retryable: the budget is

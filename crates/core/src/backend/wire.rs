@@ -59,8 +59,8 @@ impl WireSqlBackend {
     }
 
     /// Mutable engine access (data loading). Under a middleware, reach it
-    /// via [`crate::SieveService::with_backend_mut`] so the write bumps
-    /// the epoch.
+    /// via [`crate::SieveService::with_backend_mut`] so the write clears
+    /// the guard cache.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }

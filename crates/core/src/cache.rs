@@ -16,11 +16,13 @@
 //! the service's one cold builder, under the single-flight claim
 //! [`GuardCache::begin_generation`] hands out: its pending policies are
 //! placed into the expression when they can join it exactly
-//! ([`crate::guard::placement`]), else it is regenerated. An entry is
-//! stale for one other reason only: a trailing backend epoch
-//! ([`CachedGuard::epoch`]). Options are not among them: a service's
-//! [`crate::SieveOptions`] are fixed at construction, so every entry was
-//! built under the ones in force.
+//! ([`crate::guard::placement`]), else it is regenerated. Pending policies
+//! are the one staleness rule: an out-of-band write to the backend
+//! ([`crate::service::SieveService::with_backend_mut`]) or to the group
+//! directory clears the cache instead of marking entries, and a
+//! service's [`crate::SieveOptions`] are fixed at construction, so every
+//! entry without pending policies was built from the data, membership and
+//! options in force.
 //!
 //! **Concurrency.** The map is split into [`SHARD_COUNT`] shards, each
 //! behind its own `RwLock`; a warm hit takes only its shard's *read*
@@ -31,11 +33,12 @@
 //! single lock. Writers (publish, invalidation, eviction) take one
 //! shard's write lock at a time; `add_policy`'s invalidation sweep walks
 //! the shards sequentially without ever holding two locks at once. The
-//! cache itself does not order a sweep against a build: the service runs
-//! every sweep under its policy store's write lock and every build, from
-//! its read of an entry to [`GuardCache::publish`], under the read lock,
-//! so a publish never drops a policy swept in after the build read the
-//! entry.
+//! cache itself does not order a sweep or a clear against a build: the
+//! service runs every build, from its read of an entry to
+//! [`GuardCache::publish`], under the read locks of its policy store and
+//! its backend, and every sweep or clear under the write lock of the one
+//! it follows, so a publish never drops a policy swept in after the build
+//! read the entry, and never lands an entry built before a clear.
 //!
 //! **Eviction.** Each shard holds at most `GUARD_CACHE_CAP /
 //! SHARD_COUNT` entries; past the bound the shard evicts its
@@ -76,7 +79,8 @@ pub type GuardCacheKey = (UserId, String, String);
 pub struct GuardCacheStats {
     /// Lookups that found a fresh guarded expression.
     pub hits: u64,
-    /// Lookups that generated an expression because no entry existed.
+    /// Lookups that generated an expression because no entry existed:
+    /// cold, evicted, or cleared by an out-of-band write.
     pub misses: u64,
     /// Lookups that regenerated an existing outdated entry.
     pub regenerations: u64,
@@ -132,12 +136,6 @@ pub struct CachedGuard {
     /// Policies inserted since the entry was built that apply to its key;
     /// the entry is stale while this is non-empty.
     pub pending: Vec<PolicyId>,
-    /// The middleware's backend write-epoch at generation time. An entry
-    /// whose epoch trails the current one was generated against data (or
-    /// a schema) that may have been mutated out-of-band, so it must be
-    /// regenerated before use — its row estimates, owner-fallback guards
-    /// and compiled ∆ partitions are all suspect.
-    pub epoch: u64,
     /// LRU stamp: the cache's access clock at the entry's last touch
     /// (insert, read or write). Atomic so warm hits can bump it under the
     /// shard's *read* lock.
@@ -316,15 +314,16 @@ impl GuardCache {
     /// their ∆ partitions via their RAII handles.
     ///
     /// The caller guarantees no policy was swept into the entry it replaces
-    /// since it read it: the service publishes under the policy store's
-    /// read lock, and every sweep runs under its write lock.
-    pub fn publish(&self, (key, compiled, carried): CompiledEntry, epoch: u64, placed: bool) {
+    /// since it read it, and no clear ran since it read what it built the
+    /// entry from: the service publishes under the read locks of its policy
+    /// store and its backend, and every sweep or clear runs under one of
+    /// their write locks.
+    pub fn publish(&self, (key, compiled, carried): CompiledEntry, placed: bool) {
         let mut shard = self.shard_of(&key).write();
         let entry = CachedGuard {
             carried,
             compiled,
             pending: Vec::new(),
-            epoch,
             last_used: AtomicU64::new(self.tick()),
         };
         let counter = match shard.insert(key, entry) {
@@ -415,7 +414,7 @@ mod tests {
     #[test]
     fn insert_and_hit_counting() {
         let c = GuardCache::new();
-        c.publish(item(1, "r"), 0, false);
+        c.publish(item(1, "r"), false);
         assert_eq!(c.stats().misses, 1);
         assert!(c.read(&key(1, "r"), |_| ()).is_some());
         c.record_hit();
@@ -425,9 +424,9 @@ mod tests {
     #[test]
     fn invalidate_where_marks_matching_entries() {
         let c = GuardCache::new();
-        c.publish(item(1, "r"), 0, false);
-        c.publish(item(2, "r"), 0, false);
-        c.publish(item(1, "s"), 0, false);
+        c.publish(item(1, "r"), false);
+        c.publish(item(2, "r"), false);
+        c.publish(item(1, "s"), false);
         let n = c.invalidate_where(42, |(_, _, rel)| rel == "r");
         assert_eq!(n, 2);
         assert_eq!(c.read(&key(1, "r"), |e| e.pending.clone()).unwrap(), vec![42]);
@@ -443,7 +442,7 @@ mod tests {
         // shed the overflow as evictions, and keep every *recently used*
         // key resident.
         for i in 0..(GUARD_CACHE_CAP as i64 * 2) {
-            c.publish(item(i, "r"), 0, false);
+            c.publish(item(i, "r"), false);
         }
         assert!(c.len() <= GUARD_CACHE_CAP, "len {} > cap", c.len());
         let s = c.stats();
@@ -455,12 +454,12 @@ mod tests {
     fn lru_on_access_protects_hot_keys_from_churn() {
         let c = GuardCache::new();
         let hot = key(-1, "hot");
-        c.publish(item(-1, "hot"), 0, false);
+        c.publish(item(-1, "hot"), false);
         // Churn an order of magnitude more one-shot keys than the cache
         // holds, touching the hot key between insertions. FIFO or
         // LRU-on-*insert* would rotate it out; LRU-on-access must not.
         for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-            c.publish(item(i, "churn"), 0, false);
+            c.publish(item(i, "churn"), false);
             assert!(
                 c.read(&hot, |_| ()).is_some(),
                 "hot key evicted after {i} churn insertions"
@@ -472,9 +471,9 @@ mod tests {
     #[test]
     fn regeneration_of_existing_key_is_not_a_miss() {
         let c = GuardCache::new();
-        c.publish(item(1, "r"), 0, false);
+        c.publish(item(1, "r"), false);
         c.invalidate_where(9, |_| true);
-        c.publish(item(1, "r"), 0, false);
+        c.publish(item(1, "r"), false);
         let s = c.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.regenerations, 1);
@@ -483,22 +482,11 @@ mod tests {
         // A placement is a regeneration that also counts as an extension,
         // and publishes a current entry.
         c.invalidate_where(10, |_| true);
-        c.publish(item(1, "r"), 0, true);
+        c.publish(item(1, "r"), true);
         assert!(c.read(&key(1, "r"), |e| e.pending.is_empty()).unwrap());
         let s = c.stats();
         assert_eq!((s.misses, s.regenerations, s.extensions), (1, 2, 1));
         assert_eq!((s.generations(), s.fragment_builds), (3, 3));
-    }
-
-    #[test]
-    fn entries_record_their_generation_epoch() {
-        let c = GuardCache::new();
-        c.publish(item(1, "r"), 3, false);
-        assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 3);
-        // Regeneration at a later epoch replaces the stamp.
-        c.publish(item(1, "r"), 5, false);
-        assert_eq!(c.read(&key(1, "r"), |e| e.epoch).unwrap(), 5);
-        assert_eq!(c.stats().regenerations, 1);
     }
 
     #[test]
@@ -510,7 +498,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200i64 {
                         let k = key(t * 1000 + i, "r");
-                        c.publish((k.clone(), compiled("r"), None), 0, false);
+                        c.publish((k.clone(), compiled("r"), None), false);
                         assert!(c.read(&k, |_| ()).is_some());
                         c.record_hit();
                     }

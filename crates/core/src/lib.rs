@@ -22,8 +22,8 @@
 //! repeated zero-middleware execution. A service's
 //! [`options::SieveOptions`] are fixed when it is built. Out-of-band
 //! mutation goes through the `with_db_mut` / `with_backend_mut` /
-//! `with_groups_mut` closures, which bump the staleness counters cached
-//! guards and prepared plans are checked against.
+//! `with_groups_mut` closures, which clear the guard cache and bump the
+//! revision prepared plans are checked against.
 //!
 //! A query plus its metadata is rewritten ([`rewrite`]) with
 //! `WITH` clauses, index hints and inline-vs-∆ choices, and executed on a

@@ -22,10 +22,11 @@
 //!   value, with no lock;
 //! * the [`GuardCache`] is sharded — a warm hit takes one shard's *read*
 //!   lock (see [`crate::cache`]);
-//! * the backend sits behind a `RwLock<B>`: queries execute under the
-//!   read lock (engines execute through `&self`), out-of-band mutation
-//!   takes the write lock and bumps the **backend epoch**, so guards
-//!   generated before the write are detectably stale;
+//! * the backend sits behind a `RwLock<B>`: queries and cold builds run
+//!   under the read lock (engines execute through `&self`); an
+//!   out-of-band write ([`SieveService::with_backend_mut`]) takes the
+//!   write lock and clears the guard cache before it runs, so no guard
+//!   built from the old data or schema outlives it;
 //! * ∆ partitions are reference-counted
 //!   ([`crate::delta::PartitionHandle`]) so invalidation can never free a
 //!   partition a concurrent query still references.
@@ -46,18 +47,17 @@
 //! its compiled fragment — and the service has exactly one way to bring a
 //! `(querier, purpose, relation)` key current (`build`), taken when a
 //! lookup's warm shard read missed: claim the key via
-//! [`GuardCache::begin_generation`], take the store's read lock, re-check
-//! the key, and bring it current one of two ways:
+//! [`GuardCache::begin_generation`], take the read locks of the store and
+//! the backend, re-check the key, and bring it current one of two ways:
 //!
-//! * a **placement** — pending policies on an entry built under the
-//!   current backend epoch: they join the cached expression where
-//!   Algorithm 1 would put them, if none shares a guard condition with (or
-//!   has a range overlapping) the policies it covers
-//!   ([`crate::guard::placement`]); any pending policy that does turns it
-//!   into a generation;
-//! * a **generation** — no entry, a trailing backend epoch, nothing to
-//!   place into (an owner-only selection), or a placement that was not
-//!   exact. It runs Algorithm 1 over the querier's relevant policies.
+//! * a **placement** — pending policies on a cached entry: they join the
+//!   cached expression where Algorithm 1 would put them, if none shares a
+//!   guard condition with (or has a range overlapping) the policies it
+//!   covers ([`crate::guard::placement`]); any pending policy that does
+//!   turns it into a generation;
+//! * a **generation** — no entry, nothing to place into (an owner-only
+//!   selection), or a placement that was not exact. It runs Algorithm 1
+//!   over the querier's relevant policies.
 //!
 //! Either expression is then `finish`ed — its fragment compiled and, with
 //! `verify_rewrites` on, proved — and published once
@@ -70,21 +70,22 @@
 //! re-check, and leave with the published entry (counted in
 //! [`GuardCacheStats::coalesced`]).
 //!
-//! # Consistency under concurrent `add_policy`
+//! # Consistency under concurrent writes
 //!
-//! A build holds the store's *read* lock from its re-check of the key to
-//! its publish. `add_policy` appends the policy *and* sweeps the cache —
-//! marking the keys it affects outdated — under the store's *write* lock;
-//! `with_groups_mut` swaps the directory and clears the cache under it.
-//! So no policy-state write lands inside a build: either the build read
-//! the store after the write (its expression already covers it), or it
-//! published before the write began, and the sweep finds the entry. A
+//! A build holds the store's and the backend's *read* locks from its
+//! re-check of the key to its publish. `add_policy` appends the policy
+//! *and* sweeps the cache — marking the keys it affects outdated — under
+//! the store's *write* lock; `with_groups_mut` swaps the directory and
+//! clears the cache under it, and `with_backend_mut` clears the cache
+//! under the backend's write lock before it runs its closure. So no write
+//! lands inside a build: either the build read the store and the backend
+//! after the write (its expression already covers it), or it published
+//! before the write began, and the sweep or the clear finds the entry. A
 //! placement publishes over the entry it read, and no grant can have been
-//! swept into that entry in between. A query that *starts* after
-//! `add_policy` (or `with_groups_mut`) returns can therefore never run
-//! under a guard that silently misses the change; queries already in
-//! flight linearize before it, exactly like a query racing a policy
-//! insert on a single thread.
+//! swept into that entry in between. A query that *starts* after one of
+//! these writes returns can therefore never run under a guard that
+//! silently misses it; queries already in flight linearize before it,
+//! exactly like a query racing a policy insert on a single thread.
 //!
 //! Per-querier state lives in [`crate::session::Session`] handles (the
 //! object a wire server would hand each connection), and
@@ -148,8 +149,10 @@ pub struct RecoveryStats {
     /// Retry attempts issued after a retryable backend error (each sleep
     /// of the backoff schedule counts once).
     pub retries: u64,
-    /// Connection-loss events observed; each one bumps the backend epoch
-    /// so every prepared plan re-prepares against the fresh connection.
+    /// Connection-loss events observed. Guards survive them: a lost
+    /// connection changes neither data nor policy, and a statement the new
+    /// connection does not know answers `UnknownStatement`, which
+    /// re-prepares it.
     pub reconnects: u64,
     /// Prepared-plan rebuilds (staleness- or error-triggered) across all
     /// sessions of this service.
@@ -253,17 +256,14 @@ struct Outdated {
     /// What queries run under now: placed into, and the seed of the
     /// placement's fragment compilation.
     current: CompiledRelation,
-    /// The backend epoch the entry was built under.
-    epoch: u64,
 }
 
 /// How a stale cache entry is brought current.
 enum Build {
     /// No usable entry: generate from the store.
     Generate,
-    /// Pending policies on an entry built under the current backend epoch:
-    /// place them into its expression if that is exact ([`crate::guard::placement`]),
-    /// else generate.
+    /// Pending policies on a cached entry: place them into its expression
+    /// if that is exact ([`crate::guard::placement`]), else generate.
     Place(Outdated, Arc<CarriedConditions>),
 }
 
@@ -271,11 +271,8 @@ enum Build {
 /// prepared statements.
 pub(crate) struct ServiceShared<B: SqlBackend> {
     pub(crate) backend: RwLock<B>,
-    /// Backend write-epoch: bumped on every mutable backend access, so
-    /// guards generated before an out-of-band write are detectably stale.
-    pub(crate) backend_epoch: AtomicU64,
-    /// Policy revision: bumped by `add_policy`, `protect`, group mutation
-    /// and `invalidate_all`. A
+    /// Policy revision: bumped by `add_policy`, `protect` and
+    /// `invalidate_all` (so by group and backend writes too). A
     /// [`crate::session::Prepared`] plan records the revision it was
     /// built under and transparently re-prepares when it trails.
     pub(crate) revision: AtomicU64,
@@ -331,7 +328,6 @@ impl<B: SqlBackend> SieveService<B> {
         Ok(SieveService {
             inner: Arc::new(ServiceShared {
                 backend: RwLock::new(backend),
-                backend_epoch: AtomicU64::new(0),
                 revision: AtomicU64::new(0),
                 store: RwLock::new(PolicyStore::new()),
                 cost: CostModel::default(),
@@ -356,19 +352,16 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Run `f` with mutable backend access. Takes the backend write lock
-    /// — waits for in-flight queries — and bumps the backend epoch: any
-    /// cached guard generated before this access is treated as stale and
-    /// regenerated on its next use.
+    /// — waits for in-flight queries and builds — and drops every cached
+    /// guarded expression, bumping the revision: row estimates, owner
+    /// fallbacks and ∆ partitions may all depend on what `f` changes, so
+    /// each key is generated afresh on its next use. A build holds the
+    /// backend read lock across its publish, so no entry built from the
+    /// old data lands after the clear.
     pub fn with_backend_mut<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
         let mut backend = self.inner.backend.write();
-        self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
-        self.inner.revision.fetch_add(1, Ordering::SeqCst);
+        self.invalidate_all();
         f(&mut backend)
-    }
-
-    /// The current backend write-epoch (observability/tests).
-    pub fn backend_epoch(&self) -> u64 {
-        self.inner.backend_epoch.load(Ordering::SeqCst)
     }
 
     /// The current policy/configuration revision (observability; prepared
@@ -471,27 +464,25 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Read `key`'s entry: its compiled relation if it can serve as it is,
-    /// else how to bring it current. An entry whose backend epoch trails
-    /// was built against data (or a schema) mutated out of band since: it
-    /// regenerates, as does one with pending policies and nothing to place
-    /// them into. One shard read lock.
+    /// Read `key`'s entry: its compiled relation if it has no pending
+    /// policies, else how to bring it current — placed into, or
+    /// regenerated when there is nothing to place them into. One shard
+    /// read lock.
     fn lookup(&self, key: &GuardCacheKey) -> Result<CompiledRelation, Build> {
         let read = self.inner.cache.read(key, |c| {
-            if c.epoch != self.inner.backend_epoch.load(Ordering::SeqCst) {
-                Err(Build::Generate)
-            } else if c.pending.is_empty() {
-                Ok(c.compiled.clone())
-            } else if let Some(carried) = &c.carried {
-                let o = Outdated {
-                    pending: c.pending.clone(),
-                    current: c.compiled.clone(),
-                    epoch: c.epoch,
-                };
-                Err(Build::Place(o, Arc::clone(carried)))
-            } else {
-                Err(Build::Generate)
+            if c.pending.is_empty() {
+                return Ok(c.compiled.clone());
             }
+            Err(match &c.carried {
+                Some(carried) => {
+                    let o = Outdated {
+                        pending: c.pending.clone(),
+                        current: c.compiled.clone(),
+                    };
+                    Build::Place(o, Arc::clone(carried))
+                }
+                None => Build::Generate,
+            })
         });
         read.unwrap_or(Err(Build::Generate))
     }
@@ -511,20 +502,22 @@ impl<B: SqlBackend> SieveService<B> {
     /// The one cold path: bring `relation`'s key for `qm` current and
     /// return its compiled relation. The whole build — place or generate,
     /// then [`ColdBuild::finish`] — runs under the key's single-flight
-    /// claim and the policy store's read lock, and publishes the entry once
-    /// (module docs). An error publishes nothing and drops the claim.
-    /// Superseded fragments free their ∆ partitions once the last
-    /// in-flight query drops its pin.
+    /// claim and the read locks of the policy store and the backend, and
+    /// publishes the entry once (module docs). An error publishes nothing
+    /// and drops the claim. Superseded fragments free their ∆ partitions
+    /// once the last in-flight query drops its pin.
     fn build(&self, qm: &QueryMetadata, relation: &str) -> SieveResult<CompiledRelation> {
         let cache = &self.inner.cache;
         let key = cache_key(qm, relation);
         // Single-flight: losers of a race park here until the winner's
         // claim drops, then find its entry on the re-check.
         let _claim = cache.begin_generation(&key);
-        // The store stays read-locked from the re-check to the publish, so
-        // no policy-state write lands in between — the consistency argument
-        // with `add_policy` and `with_groups_mut` (module docs).
+        // The store and the backend stay read-locked from the re-check to
+        // the publish, so no write lands in between — the consistency
+        // argument with `add_policy`, `with_groups_mut` and
+        // `with_backend_mut` (module docs).
         let store = self.inner.store.read();
+        let backend = self.inner.backend.read();
         let how = match self.lookup(&key) {
             Ok(fresh) => {
                 cache.record_coalesced();
@@ -533,8 +526,6 @@ impl<B: SqlBackend> SieveService<B> {
             }
             Err(how) => how,
         };
-        let epoch = self.inner.backend_epoch.load(Ordering::SeqCst);
-        let backend = self.inner.backend.read();
         let cold = ColdBuild {
             store: &store,
             backend: &*backend,
@@ -543,10 +534,8 @@ impl<B: SqlBackend> SieveService<B> {
             cost: &self.inner.cost,
         };
         let table = backend.table_entry(relation)?;
-        // Placed under the epoch the entry was built under, or not at all: a
-        // mutation since may have moved the estimates it keeps.
         let placement = match how {
-            Build::Place(o, carried) if o.epoch == epoch => {
+            Build::Place(o, carried) => {
                 let grants: Option<Vec<&Policy>> = o
                     .pending
                     .iter()
@@ -559,7 +548,7 @@ impl<B: SqlBackend> SieveService<B> {
                     (expr, Some(carried), FragmentCompileCache::seeded(&o.current))
                 })
             }
-            _ => None,
+            Build::Generate => None,
         };
         let placed = placement.is_some();
         let (expr, carried, seed) = placement.unwrap_or_else(|| {
@@ -567,8 +556,7 @@ impl<B: SqlBackend> SieveService<B> {
             (expr, carried, FragmentCompileCache::default())
         });
         let done = cold.finish(qm, Arc::new(expr), &seed)?;
-        drop(backend);
-        cache.publish((key, done.clone(), carried.map(Arc::new)), epoch, placed);
+        cache.publish((key, done.clone(), carried.map(Arc::new)), placed);
         Ok(done)
     }
 
@@ -630,12 +618,13 @@ impl<B: SqlBackend> SieveService<B> {
     /// replay identically under a fixed seed) while [`RETRY_BUDGET`] lasts;
     /// everything else fails closed on the first attempt.
     ///
-    /// A [`BackendError::ConnectionLost`] additionally bumps the backend
-    /// epoch — server-side statement state is gone, so every
-    /// [`crate::session::Prepared`] plan must detectably re-prepare — and
-    /// counts as a reconnect. Each attempt takes the backend read lock
-    /// individually and drops it before sleeping, so the retry loop never
-    /// starves writers (or other queries) during its backoff.
+    /// A [`BackendError::ConnectionLost`] counts as a reconnect and
+    /// nothing more: cached guards stay, and a statement the new
+    /// connection does not know answers [`BackendError::UnknownStatement`],
+    /// on which [`crate::session::Prepared`] re-prepares. Each attempt
+    /// takes the backend read lock individually and drops it before
+    /// sleeping, so the retry loop never starves writers (or other
+    /// queries) during its backoff.
     pub(crate) fn with_backend_retry<T>(
         &self,
         mut op: impl FnMut(&B) -> Result<T, BackendError>,
@@ -653,7 +642,6 @@ impl<B: SqlBackend> SieveService<B> {
             attempts += 1;
             if matches!(err, BackendError::ConnectionLost(_)) {
                 self.inner.recovery.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
             }
             let budget_ok = start.elapsed() < RETRY_BUDGET;
             if !err.is_retryable() || attempts > MAX_RETRIES || !budget_ok {
@@ -1031,9 +1019,9 @@ mod tests {
         assert_eq!(sieve.generations(), gens);
         // Out-of-band mutation through with_db_mut: new rows for owner 0 at
         // the allowed AP. The cached guard (and its ∆/fragment state) was
-        // generated against the old data; the epoch bump must force lazy
-        // regeneration, and the new rows must be visible.
-        let epoch_before = sieve.backend_epoch();
+        // generated against the old data; the write must clear it, and the
+        // new rows must be visible.
+        let revision_before = sieve.revision();
         sieve.with_db_mut(|db| {
             for i in 0..5i64 {
                 db.insert(
@@ -1048,13 +1036,17 @@ mod tests {
                 .unwrap();
             }
         });
-        assert!(sieve.backend_epoch() > epoch_before);
+        assert!(sieve.revision() > revision_before);
+        assert!(
+            sieve.inner.cache.is_empty(),
+            "an out-of-band write clears the cache"
+        );
         let n1 = sieve.execute(&q, &qm).unwrap().len();
         assert_eq!(n1, n0 + 5, "out-of-band rows must be enforced & visible");
         assert_eq!(
             sieve.generations(),
             gens + 1,
-            "stale-epoch entry must regenerate exactly once"
+            "a cleared entry must be generated exactly once"
         );
         // And only once: the regenerated entry is fresh again.
         sieve.execute(&q, &qm).unwrap();
@@ -1062,12 +1054,18 @@ mod tests {
     }
 
     #[test]
-    fn backend_mut_bumps_epoch_like_db_mut() {
+    fn backend_mut_clears_the_cache_like_db_mut() {
         let sieve = loaded_service(DbProfile::MySqlLike, SieveOptions::default());
-        let e0 = sieve.backend_epoch();
+        let qm = QueryMetadata::new(500, "Analytics");
+        let q = SelectQuery::star_from("wifi_dataset");
+        let r0 = sieve.revision();
+        sieve.execute(&q, &qm).unwrap();
         sieve.with_backend_mut(|_| ());
+        assert!(sieve.inner.cache.is_empty());
+        sieve.execute(&q, &qm).unwrap();
         sieve.with_db_mut(|_| ());
-        assert_eq!(sieve.backend_epoch(), e0 + 2);
+        assert!(sieve.inner.cache.is_empty());
+        assert_eq!(sieve.revision(), r0 + 2);
     }
 
     #[test]

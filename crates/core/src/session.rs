@@ -15,11 +15,13 @@
 //! for it, so repeated [`Prepared::execute`] calls skip *all* middleware
 //! work and all planning — no cache lookup, no rewrite, no binding or
 //! costing, just the plan run under the shared read lock. Staleness is
-//! detected by two service-level counters captured at prepare time: the
-//! **backend epoch** (out-of-band data/schema mutation) and the
-//! **revision** (policy, protection and group changes). When either moves,
-//! the next `execute` transparently re-prepares — through the guard
-//! cache: two warm lookups and one planning, not a regeneration.
+//! detected by one service-level counter captured at prepare time, the
+//! **revision**, which every policy, protection, group and out-of-band
+//! backend write moves. When it moves, the next `execute` transparently
+//! re-prepares — through the guard cache: warm lookups and one planning
+//! after a policy change, a generation after a write that cleared the
+//! cache. A statement the backend no longer knows (a lost connection)
+//! answers `UnknownStatement`, which re-prepares it too.
 
 use crate::backend::{SqlBackend, StatementId};
 use crate::guard::GuardedExpression;
@@ -121,7 +123,7 @@ impl<B: SqlBackend> Drop for StatementPin<B> {
     }
 }
 
-/// A rewritten plan plus the validity stamps it was built under. Shared
+/// A rewritten plan plus the revision it was built under. Shared
 /// as one `Arc`, so a warm execute pins statement + fragments (and through
 /// them the ∆ partitions) with a single refcount bump.
 struct Plan<B: SqlBackend> {
@@ -130,7 +132,6 @@ struct Plan<B: SqlBackend> {
     statement: StatementPin<B>,
     /// Pins the plan's ∆ partitions for as long as the plan is held.
     _fragments: Vec<Arc<GuardFragment>>,
-    backend_epoch: u64,
     revision: u64,
 }
 
@@ -142,21 +143,20 @@ impl<B: SqlBackend> Plan<B> {
         qm: &QueryMetadata,
         source: &SelectQuery,
     ) -> SieveResult<Arc<Self>> {
-        // Stamps are captured *before* the rewrite: if a writer bumps
-        // either counter mid-rewrite, the plan is already marked stale and
+        // The stamp is captured *before* the rewrite: if a writer bumps
+        // the revision mid-rewrite, the plan is already marked stale and
         // the next execute re-prepares — conservative, never wrong.
-        let backend_epoch = service.backend_epoch();
         let revision = service.revision();
         let out = service.rewrite(source, qm)?;
         let id = service.prepare_statement(&out.query)?;
         let statement = StatementPin { service: service.clone(), id };
-        Ok(Arc::new(Plan { statement, _fragments: out.fragments, backend_epoch, revision }))
+        Ok(Arc::new(Plan { statement, _fragments: out.fragments, revision }))
     }
 }
 
 /// A statement prepared for one querier: the compiled rewrite is pinned
-/// and re-executed without touching the guard cache. Stale plans (backend
-/// epoch or service revision moved) transparently re-prepare on the next
+/// and re-executed without touching the guard cache. Stale plans (the
+/// service revision moved) transparently re-prepare on the next
 /// [`Prepared::execute`]. Shareable across threads (`&self` API).
 pub struct Prepared<B: SqlBackend = Database> {
     service: SieveService<B>,
@@ -178,7 +178,7 @@ impl<B: SqlBackend> Prepared<B> {
     }
 
     /// How many times the plan was rebuilt after the initial prepare
-    /// (observability: an epoch/revision bump shows up here).
+    /// (observability: a revision bump shows up here).
     pub fn reprepares(&self) -> u64 {
         self.reprepares.load(Ordering::Relaxed)
     }
@@ -189,10 +189,9 @@ impl<B: SqlBackend> Prepared<B> {
         self.plan.lock().statement.id
     }
 
-    /// True iff the plan's validity stamps still match the service.
+    /// True iff the plan's revision is still the service's.
     fn plan_fresh(&self, p: &Plan<B>) -> bool {
-        p.backend_epoch == self.service.backend_epoch()
-            && p.revision == self.service.revision()
+        p.revision == self.service.revision()
     }
 
     /// Replace the plan with one built from the current service state.

@@ -5,10 +5,12 @@
 //! prepared-statement reuse interleaved — must return **exactly** the
 //! rows the single-threaded oracle returns. Enforcement under contention
 //! is not allowed to leak a row, drop a row, or serve a guard that
-//! predates a returned `add_policy`.
+//! predates a returned `add_policy`, group swap or out-of-band write.
 
 mod support;
 
+use sieve::core::cost::CostModel;
+use sieve::core::guard::{generate_guarded_expression, GuardSelectionStrategy};
 use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata, PURPOSE_ANY};
 use sieve::core::{backend::for_each_backend, GroupDirectory, Session, SieveOptions, SieveService};
 use sieve::minidb::{Database, Row, SelectQuery, Value};
@@ -191,6 +193,78 @@ fn grants_racing_placement_are_never_lost() {
     assert!(service.cache_stats().extensions > 0, "the builds placed grants");
 }
 
+/// An out-of-band write racing grants and reads is never served stale. One
+/// thread grants querier 500 fresh owners and reads after each grant, so
+/// its builds place or generate; meanwhile writes insert rows across every
+/// owner and access point and re-analyze the table, back to back. After
+/// each write returns, the key serves exactly what Algorithm 1 generates
+/// over the policies it covers on the table as it now is, estimates
+/// included: an entry built from the data before the write would carry
+/// the old estimates.
+#[test]
+fn out_of_band_writes_are_never_served_stale() {
+    const OWNERS: std::ops::Range<i64> = 20..80;
+    const MIN_WRITES: i64 = 24;
+    let service = loaded_service();
+    let qm = QueryMetadata::new(500, "Analytics");
+    let q = SelectQuery::star_from(REL);
+    service.execute(&q, &qm).unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let session = service.session(qm.clone());
+            for owner in OWNERS {
+                let grant = Policy::new(owner, REL, QuerierSpec::User(500), "Analytics", vec![]);
+                service.add_policy(grant).unwrap();
+                session.execute(&q).unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for write in 0i64.. {
+            if write >= MIN_WRITES && done.load(Ordering::SeqCst) {
+                break;
+            }
+            service.with_db_mut(|db| {
+                for i in 0..40i64 {
+                    let id = 1_000_000 + write * 40 + i;
+                    let ap = 1000 + (write + i) % 10;
+                    let row = vec![
+                        Value::Int(id),
+                        Value::Int(i * 2),
+                        Value::Int(ap),
+                        Value::Time(0),
+                    ];
+                    db.insert(REL, row).unwrap();
+                }
+                db.analyze(REL).unwrap();
+            });
+            let served = service.guarded_expression(&qm, REL).unwrap();
+            let generated = {
+                let (store, db) = (service.store(), service.db());
+                let mut ids: Vec<_> = served
+                    .guards
+                    .iter()
+                    .flat_map(|g| g.policies.clone())
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let covered: Vec<&Policy> = ids.iter().map(|id| store.get(*id).unwrap()).collect();
+                let (entry, cost) = (db.table(REL).unwrap(), CostModel::default());
+                let strategy = GuardSelectionStrategy::CostOptimal;
+                generate_guarded_expression(&covered, entry, &cost, strategy, 500, "Analytics", REL)
+            };
+            assert_eq!(
+                served, generated,
+                "write {write}: a guard built before the write was served"
+            );
+        }
+    });
+    assert_eq!(
+        sorted_rows(service.execute(&q, &qm).unwrap()),
+        oracle_for(&service, &qm)
+    );
+}
+
 /// A membership change racing cold and warm builds is never served stale.
 /// Querier 600 holds one grant of its own and, through groups 10..58, one
 /// group grant per owner 20..68. Each round a writer swaps in
@@ -275,11 +349,11 @@ fn group_membership_swaps_are_never_served_stale() {
 }
 
 /// `Prepared` lifecycle: while nothing changes, execute skips re-rewrites
-/// entirely; a backend-epoch bump (out-of-band insert) or a revision bump
-/// (add_policy) transparently re-prepares, and the replayed results are
-/// correct each time.
+/// entirely; a revision bump — an out-of-band insert or an add_policy —
+/// transparently re-prepares, and the replayed results are correct each
+/// time.
 #[test]
-fn prepared_statement_reprepares_on_epoch_and_revision_bumps() {
+fn prepared_statement_reprepares_on_revision_bumps() {
     let service = loaded_service();
     let session = service.session(QueryMetadata::new(500, "Analytics"));
     let q = SelectQuery::star_from(REL);
@@ -290,8 +364,9 @@ fn prepared_statement_reprepares_on_epoch_and_revision_bumps() {
     prepared.execute().unwrap();
     assert_eq!(prepared.reprepares(), 0, "fresh plan must be replayed as-is");
 
-    // Out-of-band data load → backend epoch bump → transparent re-prepare
-    // AND the new rows enforced + visible.
+    // Out-of-band data load → revision bump → transparent re-prepare AND
+    // the new rows enforced + visible.
+    let revision = service.revision();
     service.with_db_mut(|db| {
         for i in 0..5i64 {
             db.insert(
@@ -306,6 +381,7 @@ fn prepared_statement_reprepares_on_epoch_and_revision_bumps() {
             .unwrap();
         }
     });
+    assert_eq!(service.revision(), revision + 1);
     let n1 = prepared.execute().unwrap().len();
     assert_eq!(n1, n0 + 5, "re-prepared plan must see the out-of-band rows");
     assert_eq!(prepared.reprepares(), 1);
@@ -426,7 +502,7 @@ fn concurrent_execute_sql_matches_the_oracle() {
 
 /// The `with_*_mut` closures are the only out-of-band mutation path and
 /// need no exclusive ownership: with clones and sessions alive they still
-/// run, the epoch bump is visible through every handle, and a session
+/// run, the revision bump is visible through every handle, and a session
 /// created before the write sees the rows it added.
 #[test]
 fn mut_closures_run_with_live_clones_and_sessions() {
@@ -435,7 +511,7 @@ fn mut_closures_run_with_live_clones_and_sessions() {
     let session = clone.session(QueryMetadata::new(500, "Analytics"));
     let q = SelectQuery::star_from(REL);
     let n0 = session.execute(&q).unwrap().len();
-    let epoch = clone.backend_epoch();
+    let revision = clone.revision();
     service.with_db_mut(|db| {
         db.insert(
             REL,
@@ -443,7 +519,7 @@ fn mut_closures_run_with_live_clones_and_sessions() {
         )
         .unwrap();
     });
-    assert_eq!(clone.backend_epoch(), epoch + 1);
+    assert_eq!(clone.revision(), revision + 1);
     let rows = sorted_rows(session.execute(&q).unwrap());
     assert_eq!(rows.len(), n0 + 1);
     assert_eq!(rows, oracle_for(&service, session.metadata()));

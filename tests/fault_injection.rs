@@ -57,17 +57,17 @@ fn oracle_for<B: SqlBackend>(
 // ---------------------------------------------------------------------
 
 /// A scripted connection drop is absorbed by the retry loop: the query
-/// still returns the oracle rows, the reconnect is counted, and the
-/// backend epoch moves so prepared plans re-prepare.
+/// still returns the oracle rows and the reconnect is counted. The cached
+/// guards survive it — a lost connection changes neither data nor policy
+/// — so the next read generates nothing.
 #[test]
-fn connection_drop_is_retried_and_bumps_epoch() {
+fn connection_drop_is_retried_and_keeps_guards() {
     let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let expect = oracle_for(&service, &qm);
     let q = SelectQuery::star_from(REL);
     assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect);
 
-    let epoch = service.backend_epoch();
     service.backend().script([Fault::ConnectionDrop]);
     let rows = sorted_rows(service.execute(&q, &qm).unwrap());
     assert_eq!(rows, expect, "retried query must still match the oracle");
@@ -75,9 +75,12 @@ fn connection_drop_is_retried_and_bumps_epoch() {
     assert_eq!(stats.reconnects, 1);
     assert!(stats.retries >= 1);
     assert_eq!(stats.exhausted, 0);
-    assert!(
-        service.backend_epoch() > epoch,
-        "a lost connection must bump the backend epoch"
+    let generations = service.generations();
+    assert_eq!(sorted_rows(service.execute(&q, &qm).unwrap()), expect);
+    assert_eq!(
+        service.generations(),
+        generations,
+        "a lost connection regenerated guards"
     );
 }
 
@@ -280,8 +283,8 @@ fn evicted_statement_reprepares_exactly_once() {
 }
 
 /// A connection drop wipes the whole statement registry; the prepared
-/// handle recovers through the epoch bump and the statement count returns
-/// to exactly one.
+/// handle recovers through the `UnknownStatement` its retry meets, and the
+/// statement count returns to exactly one.
 #[test]
 fn connection_drop_recovers_prepared_statements() {
     use sieve::core::backend::WireSqlBackend;

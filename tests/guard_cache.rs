@@ -238,9 +238,9 @@ fn guard_cache_churn_keeps_hot_keys_via_lru_on_access() {
         )
     };
     let hot_key = entry(-1).0;
-    cache.publish(entry(-1), 0, false);
+    cache.publish(entry(-1), false);
     for i in 0..(GUARD_CACHE_CAP as i64 * 4) {
-        cache.publish(entry(i), 0, false);
+        cache.publish(entry(i), false);
         // The read IS the touch: this is what keeps the key alive.
         assert!(
             cache.read(&hot_key, |_| ()).is_some(),

@@ -16,13 +16,13 @@ use sieve::client::{ClientError, RemoteConnection};
 use sieve::core::backend::{for_each_backend, FaultConfig, FaultInjectingBackend};
 use sieve::core::policy::QueryMetadata;
 use sieve::core::rewrite::{DeltaMode, RewriteOptions};
-use sieve::core::{SieveError, SieveOptions, SieveService};
+use sieve::core::{SieveError, SieveOptions, SieveService, SqlBackend};
 use sieve::minidb::{Database, Row};
 use sieve::protocol::frame::{read_frame, write_frame};
 use sieve::protocol::{
     ClientMessage, ErrorCode, ProtocolError, ServerMessage, WireError, PROTOCOL_VERSION,
 };
-use sieve::server::{loopback, SieveServer, TokenAuthenticator};
+use sieve::server::{loopback, LoopbackConnector, ServerHandle, SieveServer, TokenAuthenticator};
 use std::io::Write;
 use std::sync::Arc;
 use support::{policy, register_corpus, sorted_rows, QUERIERS};
@@ -44,6 +44,15 @@ fn authenticator() -> TokenAuthenticator {
 
 fn qm(querier: i64) -> QueryMetadata {
     QueryMetadata::new(querier, "Analytics")
+}
+
+/// Serve `server` over a fresh loopback transport. Bound as `let (handle,
+/// connector) = serve(&server);`, the connector is the later local and
+/// drops first when a failed assertion unwinds the test: the accept loop
+/// ends, and the handle's join on drop returns instead of hanging.
+fn serve<B: SqlBackend + 'static>(server: &SieveServer<B>) -> (ServerHandle, LoopbackConnector) {
+    let (listener, connector) = loopback();
+    (server.serve(listener), connector)
 }
 
 // ---------------------------------------------------------------------
@@ -70,8 +79,7 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
             .collect();
 
         let server = SieveServer::new(service, authenticator());
-        let (listener, connector) = loopback();
-        let handle = server.serve(listener);
+        let (handle, connector) = serve(&server);
 
         std::thread::scope(|scope| {
             for round in 0..2 {
@@ -140,8 +148,7 @@ fn remote_results_row_identical_under_fault_injection() {
     service.backend().set_enabled(true);
 
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     let oks = Arc::new(std::sync::atomic::AtomicU64::new(0));
     std::thread::scope(|scope| {
@@ -203,8 +210,7 @@ fn remote_prepared_follows_policy_changes() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     register_corpus(&service);
     let server = SieveServer::new(service.clone(), authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     let conn =
         RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
@@ -244,8 +250,7 @@ fn embedded_querier_mismatch_is_rejected_fail_closed() {
     let expect_own =
         sorted_rows(service.session(qm(500)).execute_sql(QUERY).unwrap());
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     let conn =
         RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
@@ -285,8 +290,7 @@ fn placeholder_in_client_sql_is_refused_before_guard_work() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     register_corpus(&service);
     let server = SieveServer::new(service.clone(), authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     let conn =
         RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
@@ -335,8 +339,7 @@ fn client_delta_call_is_refused_before_guard_work() {
     assert_eq!(service.generations(), generations, "no guard was built in process");
 
     let server = SieveServer::new(service.clone(), authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
     let conn =
         RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
     let remote = conn.session(qm(500)).execute_sql(PROBE);
@@ -359,8 +362,7 @@ fn client_delta_call_is_refused_before_guard_work() {
 fn unknown_token_rejected() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     match RemoteConnection::establish(connector.connect().unwrap(), "not-a-token") {
         Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::AuthFailed),
@@ -378,8 +380,7 @@ fn unknown_token_rejected() {
 fn protocol_perimeter_holds_on_raw_frames() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     // Execute before Auth → NotAuthenticated, then the server hangs up.
     {
@@ -449,8 +450,7 @@ fn unknown_statement_handle_rejected() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     register_corpus(&service);
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
+    let (handle, connector) = serve(&server);
 
     let mut conn = connector.connect().unwrap();
     write_frame(&mut conn, &ClientMessage::Hello { version: PROTOCOL_VERSION }.encode())
@@ -486,12 +486,7 @@ fn statements_per_connection_are_bounded_and_released() {
     let service = SieveService::new(loaded_db(), SieveOptions::default()).unwrap();
     register_corpus(&service);
     let server = SieveServer::new(service, authenticator());
-    let (listener, connector) = loopback();
-    let handle = server.serve(listener);
-    // Rebound after `handle`, so a failed assertion drops the connector
-    // first: the accept loop ends and the unwind's join of `handle`
-    // returns instead of hanging.
-    let connector = connector;
+    let (handle, connector) = serve(&server);
     let open = || server.service().backend().open_statements();
 
     let mut conn = connector.connect().unwrap();
