@@ -31,7 +31,7 @@
 //! otherwise.
 
 use minidb::exec::ExecOptions;
-use minidb::expr::{bind, no_subqueries, ColumnRef, Expr, FilterProgram, Layout};
+use minidb::expr::{bind, no_subqueries, ColumnRef, Expr, FilterProgram, Layout, SharedExpr};
 use minidb::plan::{IndexHint, TableRef, TableSource};
 use minidb::{AccessPlan, DbProfile, Row, SelectQuery, TableEntry, Value};
 use sieve_bench::harness::{
@@ -39,12 +39,14 @@ use sieve_bench::harness::{
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
 };
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec, QueryMetadata};
+use sieve_core::rewrite::GuardFragment;
 use sieve_core::{
     CondPredicate, Fault, FaultConfig, FaultInjectingBackend, Prepared, SieveOptions,
     SieveService, SqlBackend, WireSqlBackend,
 };
 use sieve_workload::traffic::{multi_querier_traffic, TrafficConfig};
 use sieve_workload::{QueryClass, WIFI_TABLE};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -108,11 +110,13 @@ fn heavy_probe(campus: &Campus, class: QueryClass, seed: u64) -> (QueryMetadata,
 /// so merged into the base-table read (`merge.merged_us`), against the
 /// same body written as a derived table, which is materialized first
 /// (`merge.derived_us`); gated on equal rows. (6) A grant: the querier's
-/// cold rewrite right after a fresh owner grants it access, which places
-/// the grant into its cached expression (`grant.placed_us`), against the
-/// same read after `invalidate_all`, which generates it
-/// (`grant.generated_us`); gated on the placed expression equalling the
-/// generated one.
+/// cold rewrite and the plan of the rewritten query right after a fresh
+/// owner grants it access, which places the grant into its cached
+/// expression (`grant.placed_us`), against the same read after
+/// `invalidate_all`, which generates it (`grant.generated_us`); gated on
+/// the placed expression equalling the generated one, and on the placed
+/// read's plan binding the new disjunction, arm and partition and nothing
+/// else (`grant.binds`).
 fn hotpath(env: &EnvConfig) -> Record {
     let rss_before = rss_kib();
     let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
@@ -379,8 +383,10 @@ fn hotpath(env: &EnvConfig) -> Record {
 }
 
 /// `hotpath`'s (6): owners who share nothing with the querier grant it
-/// access one by one, and each grant's first read is timed — alternately
-/// as it comes, placed, and after `invalidate_all`, generated.
+/// access one by one, and each grant's first read — the rewrite and the
+/// plan of the rewritten query, where the guard is bound — is timed:
+/// alternately as it comes, placed, and after `invalidate_all`, generated.
+/// One more placed read counts the shared-node binds its plan made.
 fn grant(
     rec: &mut Record,
     campus: &Campus,
@@ -397,19 +403,30 @@ fn grant(
         let policy = Policy::new(owner, WIFI_TABLE, QuerierSpec::User(qm.querier), PURPOSE, vec![]);
         sieve.add_policy(policy).expect("grant");
     };
-    let read = || drop(black_box(sieve.rewrite(point, qm).expect("rewrite")));
+    let read = || {
+        let out = sieve.rewrite(point, qm).expect("rewrite");
+        drop(black_box(sieve.db().prepare_query(&out.query).expect("plan")));
+        out
+    };
     let samples = env.pick(8, 32);
     let extensions = sieve.cache_stats().extensions;
     let (mut placed, mut generated) = (Vec::new(), Vec::new());
     for _ in 0..samples {
         grant_one();
-        placed.push(block_us(1, read));
+        placed.push(block_us(1, || drop(read())));
         grant_one();
         sieve.invalidate_all();
-        generated.push(block_us(1, read));
+        generated.push(block_us(1, || drop(read())));
     }
-    // The last grant placed, then the same policies generated cold.
+    // The last grant placed — its read's binds counted against the
+    // fragment it was placed into — then the same policies generated cold.
+    let warm = read();
     grant_one();
+    let placed_read = read();
+    let before: HashMap<usize, usize> = shared_binds(&warm.fragments[0]).collect();
+    let binds: usize = shared_binds(&placed_read.fragments[0])
+        .map(|(node, n)| n - before.get(&node).unwrap_or(&0))
+        .sum();
     let placed_expr = sieve.guarded_expression(qm, WIFI_TABLE).expect("placed expression");
     let placements = sieve.cache_stats().extensions - extensions;
     sieve.invalidate_all();
@@ -420,6 +437,7 @@ fn grant(
     rec.put("grant.placed_us", placed_us);
     rec.put("grant.generated_us", generated_us);
     rec.put("grant.speedup", generated_us.median / placed_us.median);
+    rec.put("grant.binds", binds);
     rec.gate(
         "placed_equals_generated",
         placements as usize == samples + 1 && placed_expr == generated_expr,
@@ -431,6 +449,24 @@ fn grant(
             generated_expr.guards.len()
         ),
     );
+    rec.gate(
+        "grant_binds_one_branch",
+        binds == 3,
+        format!(
+            "the plan after a placed grant must bind the new disjunction, the new branch's arm \
+             and its partition once each and nothing of the kept branches (3 binds, got {binds})"
+        ),
+    );
+}
+
+/// Every shared node of a fragment — its disjunction, each branch's arm
+/// and partition — as `(node address, binds so far)`.
+fn shared_binds(fragment: &GuardFragment) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let arms = fragment.branches.iter().flat_map(|b| [&b.arm, &b.partition]);
+    std::iter::once(&fragment.disjunction)
+        .chain(arms)
+        .filter_map(|e| e.as_shared())
+        .map(|node| (node as *const SharedExpr as usize, node.binds()))
 }
 
 /// What the campus's data holds resident, by size arithmetic over what the

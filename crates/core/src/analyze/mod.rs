@@ -38,13 +38,14 @@ pub mod report;
 pub use implication::{check_containment, check_implication, DEFAULT_NODE_BUDGET};
 pub use report::{render_witness, AnalysisReport, CheckRecord, Finding, FindingKind, Verdict};
 
-use crate::delta::DELTA_UDF;
+use crate::delta::{PartitionKey, DELTA_UDF};
 use crate::guard::GuardedExpression;
 use crate::policy::{ObjectCondition, Policy, PolicyId};
 use crate::rewrite::GuardFragment;
 use domain::AbstractState;
 use eval::{assert_lit, atom_of, to_cubes, AssertOutcome, Atom};
 use minidb::expr::Expr;
+use minidb::Value;
 use std::collections::HashMap;
 
 /// Verify the no-widening invariant for a guarded expression: the full
@@ -68,11 +69,12 @@ pub fn verify_guarded_expression(
     check_containment(&ge.to_expr(by_id), allowed, DEFAULT_NODE_BUDGET)
 }
 
-/// Verify a compiled guard fragment. Inline branches are checked as
-/// compiled; `delta(key, …)` partition calls are resolved to the policy
-/// DNF of the corresponding guard's partition (that is exactly the set
-/// the ∆ operator evaluates per tuple), so the check covers both
-/// compilation strategies.
+/// Verify a compiled guard fragment in the form that runs: its
+/// disjunction, over the arms it is made of. Inline partitions are checked
+/// as compiled; a `delta(key, …)` call is resolved to the policy DNF of
+/// the branch whose partition `key` names (that is exactly the set the ∆
+/// operator evaluates per tuple), so the check covers both compilation
+/// strategies — and a fragment spliced from another.
 pub fn verify_fragment(
     fragment: &GuardFragment,
     ge: &GuardedExpression,
@@ -88,30 +90,35 @@ pub fn verify_fragment(
             ),
         };
     }
-    let mut branches = Vec::with_capacity(fragment.branches.len());
+    let mut partitions: HashMap<PartitionKey, Expr> = HashMap::new();
     for (branch, guard) in fragment.branches.iter().zip(&ge.guards) {
-        let partition = match branch.partition.unshared() {
-            Expr::Udf { name, .. } if name == DELTA_UDF => {
-                if guard.policies.iter().any(|id| !by_id.contains_key(id)) {
-                    return Verdict::Unknown {
-                        reason: "∆ partition references a policy missing from the store"
-                            .to_string(),
-                    };
-                }
-                Expr::any(
-                    guard
-                        .policies
-                        .iter()
-                        .filter_map(|id| by_id.get(id))
-                        .map(|p| p.to_expr())
-                        .collect(),
-                )
-            }
-            other => other.clone(),
-        };
-        branches.push(Expr::and(branch.condition.clone(), partition));
+        let Some(handle) = &branch.delta else { continue };
+        if guard.policies.iter().any(|id| !by_id.contains_key(id)) {
+            return Verdict::Unknown {
+                reason: "∆ partition references a policy missing from the store".to_string(),
+            };
+        }
+        let dnf = guard.policies.iter().filter_map(|id| by_id.get(id)).map(|p| p.to_expr());
+        partitions.insert(handle.key(), Expr::any(dnf.collect()));
     }
-    check_containment(&Expr::any(branches), allowed, DEFAULT_NODE_BUDGET)
+    let mut unresolved = false;
+    let running = fragment.disjunction.map(&mut |e| match e {
+        Expr::Udf { name, args } if name == DELTA_UDF => {
+            let dnf = match args.first() {
+                Some(Expr::Literal(Value::Int(key))) => partitions.get(key).cloned(),
+                _ => None,
+            };
+            unresolved |= dnf.is_none();
+            dnf
+        }
+        _ => None,
+    });
+    if unresolved {
+        return Verdict::Unknown {
+            reason: "a ∆ call names no partition of the fragment".to_string(),
+        };
+    }
+    check_containment(&running, allowed, DEFAULT_NODE_BUDGET)
 }
 
 /// True when the expression provably admits no row under engine
@@ -507,7 +514,6 @@ mod tests {
                 &map,
                 &CostModel::default(),
                 mode,
-                &Default::default(),
             )
             .expect("compile");
             assert_eq!(

@@ -101,6 +101,7 @@ pub struct PartitionHandle {
 
 struct HandleInner {
     key: PartitionKey,
+    policies: usize,
     registry: std::sync::Weak<DeltaRegistry>,
 }
 
@@ -108,6 +109,11 @@ impl PartitionHandle {
     /// The partition key embedded in rewritten queries.
     pub fn key(&self) -> PartitionKey {
         self.inner.key
+    }
+
+    /// How many policies the partition was compiled from.
+    pub fn policies(&self) -> usize {
+        self.inner.policies
     }
 }
 
@@ -213,6 +219,7 @@ impl DeltaRegistry {
         Ok(PartitionHandle {
             inner: Arc::new(HandleInner {
                 key,
+                policies: policies.len(),
                 registry: Arc::downgrade(self),
             }),
         })

@@ -84,24 +84,39 @@ fn meet(a: (f64, f64), b: (f64, f64)) -> bool {
     a.0.max(b.0) <= a.1.min(b.1)
 }
 
+/// What placing grants into an expression made.
+#[derive(Debug)]
+pub(crate) struct Placed {
+    /// The expression with every grant's guard in place.
+    pub(crate) expr: GuardedExpression,
+    /// The conditions `expr`'s policies carry.
+    pub(crate) carried: CarriedConditions,
+    /// Where the grants' guards went: their positions in `expr`,
+    /// ascending. Every other guard is the base expression's, in order.
+    pub(crate) at: Vec<usize>,
+}
+
 /// `base`, generated over the policies `carried` describes, with each of
 /// `grants` (ascending ids, all newer than those policies) placed where
-/// Algorithm 1 over all of them would put it, and the conditions the
-/// result carries. `None` when any grant cannot be placed exactly (module
-/// docs): the caller regenerates.
+/// Algorithm 1 over all of them would put it. `None` when any grant cannot
+/// be placed exactly (module docs): the caller regenerates.
 pub(crate) fn place_grants(
     base: &GuardedExpression,
     carried: &CarriedConditions,
     grants: &[&Policy],
     entry: &TableEntry,
     cost: &CostModel,
-) -> Option<(GuardedExpression, CarriedConditions)> {
+) -> Option<Placed> {
     let mut expr = base.clone();
     let mut carried = carried.clone();
+    let mut at: Vec<usize> = Vec::with_capacity(grants.len());
     for p in grants {
-        place_one(&mut expr.guards, &mut carried, p, entry, cost)?;
+        let k = place_one(&mut expr.guards, &mut carried, p, entry, cost)?;
+        at.iter_mut().filter(|a| **a >= k).for_each(|a| *a += 1);
+        at.push(k);
     }
-    Some((expr, carried))
+    at.sort_unstable();
+    Some(Placed { expr, carried, at })
 }
 
 /// One of a grant's candidate guards.
@@ -113,13 +128,14 @@ struct Own {
     span: Option<(f64, f64)>,
 }
 
+/// Place `p`'s guard into `guards`, returning where it went.
 fn place_one(
     guards: &mut Vec<Guard>,
     carried: &mut CarriedConditions,
     p: &Policy,
     entry: &TableEntry,
     cost: &CostModel,
-) -> Option<()> {
+) -> Option<usize> {
     if p.id <= carried.last {
         return None;
     }
@@ -195,7 +211,7 @@ fn place_one(
         carried.insert(o.print, &o.condition, o.span);
     }
     carried.last = p.id;
-    Some(())
+    Some(at)
 }
 
 #[cfg(test)]
@@ -236,7 +252,7 @@ mod tests {
         let carried = GuardableConditions::collect(&refs, entry).carried_by(&refs)?;
         let base = generate(&refs, entry);
         let cost = CostModel::default();
-        place_grants(&base, &carried, &[grant], entry, &cost).map(|(e, _)| e)
+        place_grants(&base, &carried, &[grant], entry, &cost).map(|placed| placed.expr)
     }
 
     fn old_policies() -> Vec<Policy> {
@@ -267,6 +283,27 @@ mod tests {
             let mut all: Vec<&Policy> = old.iter().collect();
             all.push(grant);
             assert_eq!(placed, generate(&all, entry), "grant {}", grant.id);
+        }
+        // All three at once, in every order of ids: each lands where
+        // Algorithm 1 puts it, and `at` names their guards, ascending,
+        // however a later one's insertion shifted an earlier one's.
+        let refs: Vec<&Policy> = old.iter().collect();
+        let carried = GuardableConditions::collect(&refs, entry).carried_by(&refs).unwrap();
+        let base = generate(&refs, entry);
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let mut batch: Vec<Policy> = order.iter().map(|&i| grants[i].clone()).collect();
+            for (id, p) in (100..).zip(&mut batch) {
+                p.id = id;
+            }
+            let batch: Vec<&Policy> = batch.iter().collect();
+            let placed = place_grants(&base, &carried, &batch, entry, &CostModel::default())
+                .expect("fresh grants place");
+            let all: Vec<&Policy> = refs.iter().chain(&batch).copied().collect();
+            assert_eq!(placed.expr, generate(&all, entry), "order {order:?}");
+            let at: Vec<usize> = (0..placed.expr.guards.len())
+                .filter(|&i| placed.expr.guards[i].policies[0] >= 100)
+                .collect();
+            assert_eq!(placed.at, at, "order {order:?}");
         }
     }
 

@@ -49,10 +49,16 @@
 //! partition registration happen here), and [`rewrite_query`] assembles a
 //! concrete query from cached fragments — per-query work is only the
 //! strategy choice and predicate pushdown. The fragment holds its guard
-//! disjunction, and each partition, as one shared node
+//! disjunction, each branch's partition and each branch's arm — its
+//! `condition AND partition` — as one shared node
 //! ([`minidb::expr::Expr::Shared`]): a rewrite splices it by refcount and
 //! the engine binds it once, so neither the rewrite nor the plan of a
-//! request is sized by the querier's policies.
+//! request is sized by the querier's policies. The disjunction is a list
+//! of arm refcounts, and binding it takes each arm's bound form as it
+//! stands. So a grant placed into a cached expression costs one branch:
+//! [`splice_guard_fragment`] compiles the new guard's branch and splices
+//! it into the cached fragment, every other branch kept by refcount, and
+//! the next plan binds the new arm and the new disjunction only.
 //!
 //! Mediation is **complete over the query tree**: protected relations are
 //! guarded wherever they are read — the top-level `FROM`, derived tables,
@@ -66,11 +72,12 @@
 use crate::backend::SqlBackend;
 use crate::cost::{AccessStrategy, CostModel};
 use crate::delta::{delta_call_expr, DeltaRegistry, PartitionHandle};
-use crate::guard::GuardedExpression;
+use crate::guard::{Guard, GuardedExpression};
 use crate::policy::{Policy, PolicyId};
 use crate::error::{SieveError, SieveResult};
 use minidb::expr::Expr;
 use minidb::plan::{IndexHint, SelectQuery, TableRef, TableSource, WithClause};
+use minidb::schema::TableSchema;
 use minidb::planner::{classify_predicate, conjunctive_path};
 use minidb::Value;
 use std::collections::{HashMap, HashSet};
@@ -136,7 +143,8 @@ pub struct RewriteOutput {
 
 /// One guard branch compiled to engine expressions: the guard predicate
 /// and its partition filter (inline policy DNF or a ∆ call), kept apart so
-/// the per-query assembler can interleave a pushed query predicate.
+/// the per-query assembler can interleave a pushed query predicate, and
+/// their conjunction, the arm the fragment's disjunction is made of.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledBranch {
     /// The guard predicate `oc_g`.
@@ -145,6 +153,10 @@ pub struct CompiledBranch {
     /// held once ([`Expr::shared`]) for every query and querier it is
     /// spliced into.
     pub partition: Expr,
+    /// `condition AND partition`, held once ([`Expr::shared`]), built
+    /// when the branch is compiled: every disjunction the branch stands in
+    /// holds it by refcount, and the engine binds it once for all of them.
+    pub arm: Expr,
     /// The RAII lease on the ∆ partition a `delta` call names: the
     /// partition stays resolvable while any clone of the branch (or of a
     /// fragment or [`RewriteOutput`] holding it) is alive, and is freed
@@ -156,10 +168,11 @@ pub struct CompiledBranch {
 /// Hold a compiled expression once ([`Expr::shared`]): splicing it into a
 /// query is a refcount and the engine binds it once. A conjunction stays as
 /// it is — the `AND` it is spliced into flattens it into itself, which is
-/// the shape the SQL parser reads back.
+/// the shape the SQL parser reads back — and so does a node already held
+/// once.
 fn share(e: Expr) -> Expr {
     match e {
-        Expr::And(_) => e,
+        Expr::And(_) | Expr::Shared(_) => e,
         other => Expr::shared(other),
     }
 }
@@ -169,12 +182,14 @@ fn share(e: Expr) -> Expr {
 /// Building this is the per-query cost the guard cache eliminates.
 #[derive(Debug, Clone)]
 pub struct GuardFragment {
-    /// Compiled branches, in guard order.
-    pub branches: Vec<CompiledBranch>,
-    /// The whole guard disjunction `OR_i (cond_i AND partition_i)` over
-    /// `branches`, held once ([`Expr::shared`]): the WITH body of every rewrite
-    /// that pushes no query predicate into the branches splices this node,
-    /// and the engine binds it — key tables and all — for the first.
+    /// Compiled branches, in guard order. A fragment spliced from another
+    /// holds the branches it kept by refcount.
+    pub branches: Vec<Arc<CompiledBranch>>,
+    /// The whole guard disjunction `OR_i arm_i` over `branches`, held once
+    /// ([`Expr::shared`]): the WITH body of every rewrite that pushes no
+    /// query predicate into the branches splices this node, and the engine
+    /// binds it — key tables and all — for the first, taking each arm's
+    /// bound form as it stands.
     pub disjunction: Expr,
     /// Distinct guard attributes (sorted) — the FORCE INDEX column list.
     pub guard_attrs: Vec<String>,
@@ -212,46 +227,49 @@ pub struct CompiledRelation {
     pub fragment: Arc<GuardFragment>,
 }
 
-/// Compiled guard partitions a fragment compilation starts from, keyed
-/// by the sorted policy-id set of each: a partition found here is reused —
-/// its shared node, bound forms included, and its ∆ registration — instead
-/// of being built again. A generation starts from an empty one; a
-/// placement from [`FragmentCompileCache::seeded`].
-#[derive(Debug, Default)]
-pub struct FragmentCompileCache {
-    partitions: HashMap<Vec<PolicyId>, (Expr, Option<PartitionHandle>)>,
+/// Compile one guard: its condition, its partition — the policy DNF
+/// inline, or a ∆ partition registered, per `delta_mode` and the cost
+/// model — and their arm. `by_id` holds the guard's policies.
+fn compile_branch(
+    schema: &TableSchema,
+    delta: &Arc<DeltaRegistry>,
+    g: &Guard,
+    by_id: &HashMap<PolicyId, &Policy>,
+    cost: &CostModel,
+    delta_mode: DeltaMode,
+) -> SieveResult<Arc<CompiledBranch>> {
+    let partition_policies: Vec<&Policy> =
+        g.policies.iter().filter_map(|id| by_id.get(id).copied()).collect();
+    let has_derived = partition_policies.iter().any(|p| p.has_derived_condition());
+    let distinct_owners = {
+        let mut owners: Vec<i64> = partition_policies.iter().map(|p| p.owner).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        owners.len()
+    };
+    let use_delta = !has_derived
+        && match delta_mode {
+            DeltaMode::Never => false,
+            DeltaMode::Always => true,
+            DeltaMode::Auto => cost.prefer_delta(partition_policies.len(), distinct_owners),
+        };
+    let (partition, handle) = if use_delta {
+        let handle = delta.register_partition(schema, &partition_policies)?;
+        (share(delta_call_expr(handle.key(), schema)), Some(handle))
+    } else {
+        (
+            share(Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect())),
+            None,
+        )
+    };
+    let condition = g.condition.to_expr();
+    let arm = Expr::shared(Expr::and(condition.clone(), partition.clone()));
+    Ok(Arc::new(CompiledBranch { condition, partition, arm, delta: handle }))
 }
 
-impl FragmentCompileCache {
-    /// A seed holding `current`'s partitions: recompiling an expression
-    /// that keeps some of them — a placed grant — reuses their shared
-    /// nodes, bound forms included, and their ∆ registrations, so only the
-    /// new partitions are built and the engine binds only the new branches.
-    /// A reused partition keeps the inline-or-∆ form it was compiled in,
-    /// which is the form a recompilation makes: a service compiles every
-    /// fragment under its one `delta_mode`, fixed at construction.
-    pub fn seeded(current: &CompiledRelation) -> Self {
-        let mut seed = FragmentCompileCache::default();
-        let branches = current.expr.guards.iter().zip(&current.fragment.branches);
-        for (g, b) in branches {
-            seed.partitions.insert(partition_key(&g.policies), (b.partition.clone(), b.delta.clone()));
-        }
-        seed
-    }
-}
-
-/// A partition's key in a seed: its policy ids, sorted and distinct.
-fn partition_key(policies: &[PolicyId]) -> Vec<PolicyId> {
-    let mut key = policies.to_vec();
-    key.sort_unstable();
-    key.dedup();
-    key
-}
-
-/// Compile a guarded expression into a reusable rewrite fragment: build
-/// each guard's partition expression (inlining the policy DNF or
-/// registering a ∆ partition per the cost model), unless `seed` already
-/// holds it.
+/// Compile a guarded expression into a reusable rewrite fragment: every
+/// guard's branch spliced into the empty fragment
+/// ([`splice_guard_fragment`]). `by_id` holds the expression's policies.
 pub fn compile_guard_fragment(
     backend: &dyn SqlBackend,
     delta: &Arc<DeltaRegistry>,
@@ -259,66 +277,56 @@ pub fn compile_guard_fragment(
     by_id: &HashMap<PolicyId, &Policy>,
     cost: &CostModel,
     delta_mode: DeltaMode,
-    seed: &FragmentCompileCache,
 ) -> SieveResult<GuardFragment> {
-    let entry = backend.table_entry(&ge.relation)?;
-    let schema = entry.schema();
-    let mut branches = Vec::with_capacity(ge.guards.len());
-    for g in &ge.guards {
-        if let Some((expr, handle)) = seed.partitions.get(&partition_key(&g.policies)) {
-            branches.push(CompiledBranch {
-                condition: g.condition.to_expr(),
-                partition: expr.clone(),
-                delta: handle.clone(),
-            });
-            continue;
-        }
-        let partition_policies: Vec<&Policy> = g
-            .policies
-            .iter()
-            .filter_map(|id| by_id.get(id).copied())
-            .collect();
-        let has_derived = partition_policies.iter().any(|p| p.has_derived_condition());
-        let distinct_owners = {
-            let mut owners: Vec<i64> = partition_policies.iter().map(|p| p.owner).collect();
-            owners.sort_unstable();
-            owners.dedup();
-            owners.len()
-        };
-        let use_delta = !has_derived
-            && match delta_mode {
-                DeltaMode::Never => false,
-                DeltaMode::Always => true,
-                DeltaMode::Auto => cost.prefer_delta(partition_policies.len(), distinct_owners),
-            };
-        let (partition, handle) = if use_delta {
-            let handle = delta.register_partition(schema, &partition_policies)?;
-            (share(delta_call_expr(handle.key(), schema)), Some(handle))
-        } else {
-            (
-                share(Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect())),
-                None,
-            )
-        };
-        branches.push(CompiledBranch {
-            condition: g.condition.to_expr(),
-            partition,
-            delta: handle,
-        });
+    let every: Vec<usize> = (0..ge.guards.len()).collect();
+    let empty = GuardFragment::default();
+    splice_guard_fragment(backend, delta, &empty, ge, &every, by_id, cost, delta_mode)
+}
+
+/// Splice the guards a placement added into the fragment it placed them
+/// into: `ge` is `current`'s expression with guards inserted at `placed`
+/// (ascending positions in `ge`). Only those guards' branches are compiled
+/// (inlining the policy DNF or registering a ∆ partition per the cost
+/// model), so `by_id` need hold only their policies; every other branch is
+/// `current`'s, in order, held by refcount — its arm and partition, bound
+/// forms and ∆ lease included. So the next plan binds the new arms and the
+/// new disjunction, nothing else. Branch for branch, the result is what
+/// [`compile_guard_fragment`] makes of `ge` under the same `delta_mode` (a
+/// ∆ partition under another key).
+#[allow(clippy::too_many_arguments)]
+pub fn splice_guard_fragment(
+    backend: &dyn SqlBackend,
+    delta: &Arc<DeltaRegistry>,
+    current: &GuardFragment,
+    ge: &GuardedExpression,
+    placed: &[usize],
+    by_id: &HashMap<PolicyId, &Policy>,
+    cost: &CostModel,
+    delta_mode: DeltaMode,
+) -> SieveResult<GuardFragment> {
+    if current.branches.len() + placed.len() != ge.guards.len() {
+        return Err(SieveError::Internal("splice: the placed guards do not fit the fragment"));
     }
-    let mut guard_attrs: Vec<String> =
-        ge.guards.iter().map(|g| g.condition.attr.clone()).collect();
+    let schema = backend.table_entry(&ge.relation)?.schema();
+    let (mut kept, mut new) = (current.branches.iter(), placed.iter().peekable());
+    let mut branches = Vec::with_capacity(ge.guards.len());
+    for (i, g) in ge.guards.iter().enumerate() {
+        let branch = match new.next_if_eq(&&i) {
+            Some(_) => compile_branch(schema, delta, g, by_id, cost, delta_mode)?,
+            None => kept.next().map(Arc::clone).ok_or(SieveError::Internal(
+                "splice: a placed position is out of order",
+            ))?,
+        };
+        branches.push(branch);
+    }
+    let mut guard_attrs = current.guard_attrs.clone();
+    guard_attrs.extend(placed.iter().map(|&i| ge.guards[i].condition.attr.clone()));
     guard_attrs.sort_unstable();
     guard_attrs.dedup();
-    let disjunction = share(Expr::any(
-        branches
-            .iter()
-            .map(|b| Expr::and(b.condition.clone(), b.partition.clone()))
-            .collect(),
-    ));
+    let arms = branches.iter().map(|b| b.arm.clone()).collect();
     Ok(GuardFragment {
         branches,
-        disjunction,
+        disjunction: share(Expr::any(arms)),
         guard_attrs,
         est_guard_rows: ge.total_guard_rows(),
     })
@@ -336,8 +344,7 @@ pub fn compile_relations(
 ) -> SieveResult<HashMap<String, CompiledRelation>> {
     let mut out = HashMap::new();
     for (rel, ge) in guarded {
-        let seed = FragmentCompileCache::default();
-        let fragment = compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode, &seed)?;
+        let fragment = compile_guard_fragment(backend, delta, ge, by_id, cost, delta_mode)?;
         out.insert(
             rel.clone(),
             CompiledRelation {
@@ -566,7 +573,7 @@ impl Rewriter<'_> {
         // around it, one small conjunction per guard.
         let guard_or = match (&local_bare, strategy) {
             (Some(q), AccessStrategy::IndexGuards) if !self.opts.no_predicate_pushdown => {
-                let pushed = |b: &CompiledBranch| {
+                let pushed = |b: &Arc<CompiledBranch>| {
                     Expr::all(vec![b.condition.clone(), q.clone(), b.partition.clone()])
                 };
                 Expr::any(fragment.branches.iter().map(pushed).collect())

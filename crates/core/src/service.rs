@@ -61,9 +61,14 @@
 //!
 //! Either expression is then `finish`ed — its fragment compiled and, with
 //! `verify_rewrites` on, proved — and published once
-//! ([`GuardCache::publish`]). A placement compiles with the entry's own
-//! partitions already in its seed ([`FragmentCompileCache::seeded`]), so
-//! only the new branches are built and bound.
+//! ([`GuardCache::publish`]). Both compile through
+//! [`splice_guard_fragment`]: a generation splices every guard's branch
+//! into the empty fragment; a placement reports where each grant's guard
+//! went, and only those branches are compiled, from only the grants'
+//! policies, and spliced into the entry's fragment. Every other branch is
+//! the entry's own, held by refcount with its bound arm and partition and
+//! its ∆ lease, so the next plan binds the new arms and the new
+//! disjunction and nothing else.
 //! Everything cold runs under the claim, so N sessions missing the same
 //! key at once cost one generation, one compile, one set of ∆
 //! registrations and one proof; the rest park until the claim drops,
@@ -99,14 +104,14 @@ use crate::cost::CostModel;
 use crate::delta::DeltaRegistry;
 use crate::filter::GroupDirectory;
 use crate::guard::{
-    guards_over, place_grants, CarriedConditions, GuardSelectionStrategy, GuardableConditions,
-    GuardedExpression,
+    guards_over, place_grants, CarriedConditions, Guard, GuardSelectionStrategy,
+    GuardableConditions, GuardedExpression,
 };
 use crate::options::SieveOptions;
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::rewrite::{
-    collect_protected, compile_guard_fragment, rewrite_query,
-    CompiledRelation, FragmentCompileCache, RewriteOutput,
+    collect_protected, rewrite_query, splice_guard_fragment, CompiledRelation, GuardFragment,
+    RewriteOutput,
 };
 use crate::error::{SieveError, SieveResult};
 use crate::store::PolicyStore;
@@ -195,9 +200,25 @@ impl ColdBuild<'_> {
         (expr, placeable.then(|| conditions.carried_by(&relevant)).flatten())
     }
 
+    /// The stored policies of `guards`: every one is in the store
+    /// (policies are never removed).
+    fn policies<'g>(
+        &self,
+        guards: impl IntoIterator<Item = &'g Guard>,
+    ) -> HashMap<PolicyId, &Policy> {
+        guards
+            .into_iter()
+            .flat_map(|g| &g.policies)
+            .filter_map(|id| Some((*id, self.store.get(*id)?)))
+            .collect()
+    }
+
     /// The tail of every cold build, generated or placed: compile the
-    /// expression's fragment (reusing the partitions `seed` holds) and
-    /// prove it — the form that runs, each ∆ call resolved to its
+    /// branches of `expr`'s guards at `at` and splice them into `into`
+    /// ([`splice_guard_fragment`]) — a generation splices every guard into
+    /// the empty fragment, a placement the grants' guards into the
+    /// fragment they were placed into — and prove the result: the whole
+    /// fragment, its disjunction as it runs, each ∆ call resolved to its
     /// partition's DNF ([`analyze::verify_fragment`]). The only producer of
     /// cache entries, so none is ever half-built, and with
     /// `verify_rewrites` on none is unproven. Warm lookups never come
@@ -208,26 +229,22 @@ impl ColdBuild<'_> {
         &self,
         qm: &QueryMetadata,
         expr: Arc<GuardedExpression>,
-        seed: &FragmentCompileCache,
+        into: &GuardFragment,
+        at: &[usize],
     ) -> SieveResult<CompiledRelation> {
-        // Only the policies the expression names: every one is in the
-        // store (policies are never removed).
-        let by_id: HashMap<PolicyId, &Policy> = expr
-            .guards
-            .iter()
-            .flat_map(|g| &g.policies)
-            .filter_map(|id| Some((*id, self.store.get(*id)?)))
-            .collect();
-        let fragment = compile_guard_fragment(
+        let by_id = self.policies(at.iter().filter_map(|&i| expr.guards.get(i)));
+        let fragment = splice_guard_fragment(
             self.backend,
             self.delta,
+            into,
             &expr,
+            at,
             &by_id,
             self.cost,
             self.opts.rewrite.delta_mode,
-            seed,
         )?;
         if self.opts.verify_rewrites {
+            let by_id = self.policies(&expr.guards);
             let allowed = self.store.relevant(&expr.relation, qm);
             let verdict = analyze::verify_fragment(&fragment, &expr, &by_id, &allowed);
             if let analyze::Verdict::Refuted { witness } = verdict {
@@ -253,8 +270,8 @@ fn cache_key(qm: &QueryMetadata, relation: &str) -> GuardCacheKey {
 struct Outdated {
     /// The policies swept into the entry since it was built.
     pending: Vec<PolicyId>,
-    /// What queries run under now: placed into, and the seed of the
-    /// placement's fragment compilation.
+    /// What queries run under now: its expression placed into, its
+    /// fragment spliced into.
     current: CompiledRelation,
 }
 
@@ -544,18 +561,22 @@ impl<B: SqlBackend> SieveService<B> {
                 let placed = grants.and_then(|grants| {
                     place_grants(&o.current.expr, &carried, &grants, table, cold.cost)
                 });
-                placed.map(|(expr, carried)| {
-                    (expr, Some(carried), FragmentCompileCache::seeded(&o.current))
-                })
+                placed.map(|placed| (placed, o.current.fragment))
             }
             Build::Generate => None,
         };
-        let placed = placement.is_some();
-        let (expr, carried, seed) = placement.unwrap_or_else(|| {
-            let (expr, carried) = cold.generate(qm, relation, table);
-            (expr, carried, FragmentCompileCache::default())
-        });
-        let done = cold.finish(qm, Arc::new(expr), &seed)?;
+        let (done, carried, placed) = match placement {
+            Some((placed, current)) => {
+                let done = cold.finish(qm, Arc::new(placed.expr), &current, &placed.at)?;
+                (done, Some(placed.carried), true)
+            }
+            None => {
+                let (expr, carried) = cold.generate(qm, relation, table);
+                let every: Vec<usize> = (0..expr.guards.len()).collect();
+                let done = cold.finish(qm, Arc::new(expr), &GuardFragment::default(), &every)?;
+                (done, carried, false)
+            }
+        };
         cache.publish((key, done.clone(), carried.map(Arc::new)), placed);
         Ok(done)
     }
@@ -971,7 +992,7 @@ mod tests {
                     opts: &opts,
                     cost: &sieve.inner.cost,
                 };
-                cold.finish(&qm, Arc::new(expr), &FragmentCompileCache::default())
+                cold.finish(&qm, Arc::new(expr), &GuardFragment::default(), &[0])
             };
             let own = build(at_1001, 1).unwrap();
             assert_eq!(own.fragment.branches[0].delta.is_some(), delta, "{mode:?}: partition form");

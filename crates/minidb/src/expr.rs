@@ -811,10 +811,12 @@ pub enum BoundExpr {
     KeyedOr {
         /// The column every arm's head tested.
         slot: usize,
-        /// One `(key, rest)` per branch that was `slot = key [AND rest…]`,
+        /// One `(key, branch)` per branch that is `slot = key [AND rest…]`,
         /// sorted by key in [`Value`]'s order — the order `=` and the
         /// B-tree index use, so `Int(1)` and `Double(1.0)` share an arm —
-        /// and, among equal keys, in the disjunction's order.
+        /// and, among equal keys, in the disjunction's order. The branch
+        /// is held whole, a shared one by refcount; its key decided its
+        /// head, so a row under it is checked against the rest only.
         arms: Vec<(Value, BoundExpr)>,
         /// Branches of any other shape, checked linearly after the arms.
         tail: Vec<BoundExpr>,
@@ -1048,10 +1050,13 @@ impl BoundExpr {
                 ctx.tally.predicates(1);
                 if !v.is_null() {
                     let first = arms.partition_point(|(k, _)| k < v);
-                    for (_, rest) in arms[first..].iter().take_while(|(k, _)| k == v) {
-                        if rest.eval_bool(row, ctx)? {
-                            return Ok(true);
+                    'arms: for (_, branch) in arms[first..].iter().take_while(|(k, _)| k == v) {
+                        for p in after_head(branch) {
+                            if !p.eval_bool(row, ctx)? {
+                                continue 'arms;
+                            }
                         }
+                        return Ok(true);
                     }
                 }
                 for p in tail {
@@ -1201,20 +1206,13 @@ fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
     }
 }
 
-/// Take the `slot = key` head off a branch [`dispatch_head`] accepted,
-/// leaving the rest of the branch where it was. A shared branch or head
-/// cannot be taken apart where it is; it is copied out first.
-fn split_head(branch: BoundExpr) -> (Value, BoundExpr) {
-    let (head, rest) = match branch.into_unshared() {
-        BoundExpr::And(mut parts) => (parts.remove(0), BoundExpr::And(parts)),
-        head => (head, BoundExpr::Literal(Value::Bool(true))),
-    };
-    match head.into_unshared() {
-        BoundExpr::Cmp { lhs, rhs, .. } => match (*lhs, *rhs) {
-            (BoundExpr::Literal(key), _) | (_, BoundExpr::Literal(key)) => (key, rest),
-            _ => unreachable!("dispatch_head accepted a comparison without a literal"),
-        },
-        _ => unreachable!("dispatch_head accepted a branch without a comparison head"),
+/// The conjuncts of a branch [`dispatch_head`] accepted that follow its
+/// `slot = key` head: what a row under that key is still checked against
+/// (none when the head is the whole branch).
+fn after_head(branch: &BoundExpr) -> &[BoundExpr] {
+    match branch.unshared() {
+        BoundExpr::And(parts) => &parts[1..],
+        _ => &[],
     }
 }
 
@@ -1227,14 +1225,6 @@ impl BoundExpr {
             e = inner;
         }
         e
-    }
-
-    /// [`BoundExpr::unshared`] by value: a shared root is copied out.
-    fn into_unshared(self) -> BoundExpr {
-        match self {
-            BoundExpr::Shared(inner) => inner.unshared().clone(),
-            other => other,
-        }
     }
 
     /// Build the key tables, in place, under the boolean connectives: every
@@ -1279,10 +1269,9 @@ impl BoundExpr {
                 let mut arms = Vec::with_capacity(n);
                 let mut tail = Vec::with_capacity(parts.len() - n);
                 for branch in parts.drain(..) {
-                    if dispatch_head(&branch).is_some_and(|(s, _)| s == slot) {
-                        arms.push(split_head(branch));
-                    } else {
-                        tail.push(branch);
+                    match dispatch_head(&branch) {
+                        Some((s, key)) if s == slot => arms.push((key.clone(), branch)),
+                        _ => tail.push(branch),
                     }
                 }
                 // Stable: arms under one key keep the disjunction's order.

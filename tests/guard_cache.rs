@@ -14,7 +14,9 @@ use sieve::core::backend::for_each_backend;
 use sieve::core::policy::{Policy, QuerierSpec, QueryMetadata};
 use sieve::core::rewrite::DeltaMode;
 use sieve::core::{SieveOptions, SieveService};
+use sieve::minidb::expr::Expr;
 use sieve::minidb::{Row, SelectQuery, Value};
+use std::sync::Arc;
 use support::{oracle_rows, policy, sorted_rows, REL};
 
 fn loaded_sieve(options: SieveOptions) -> SieveService {
@@ -354,4 +356,55 @@ fn guard_work_never_writes_the_guarded_database() {
     assert_eq!(sieve.db().version(), version, "the database was written to");
     let after: Vec<String> = sieve.db().table_names().into_iter().map(String::from).collect();
     assert_eq!(after, tables);
+}
+
+/// A grant placed into a warm entry is spliced into its fragment as one
+/// branch: every other branch keeps its arm and partition nodes — bound
+/// forms included — so the read after the grant binds the new branch's
+/// nodes and the new disjunction once each, and nothing of the rest. With
+/// inline partitions and with ∆ partitions.
+#[test]
+fn a_placed_read_binds_only_the_new_branch() {
+    let same = |a: &Expr, b: &Expr| match (a, b) {
+        (Expr::Shared(a), Expr::Shared(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    };
+    let binds = |e: &Expr| e.as_shared().expect("a shared node").binds();
+    let grant = |owner| Policy::new(owner, REL, QuerierSpec::User(500), "Analytics", vec![]);
+    for options in [SieveOptions::default(), delta_always()] {
+        let mode = options.rewrite.delta_mode;
+        let sieve = SieveService::new(support::wifi_db(4000, 80, true), options).unwrap();
+        for owner in 0..24i64 {
+            sieve.add_policy(grant(owner)).unwrap();
+        }
+        let (q, qm) = (SelectQuery::star_from(REL), QueryMetadata::new(500, "Analytics"));
+        let prepared = sieve.session(qm.clone()).prepare(q.clone()).unwrap();
+        prepared.execute().unwrap();
+        let before = Arc::clone(&sieve.rewrite(&q, &qm).unwrap().fragments[0]);
+        let bound: Vec<(usize, usize)> =
+            before.branches.iter().map(|b| (binds(&b.arm), binds(&b.partition))).collect();
+        assert!(bound.iter().all(|&b| b == (1, 1)), "{mode:?}: the warm prepare bound {bound:?}");
+
+        sieve.add_policy(grant(73)).unwrap();
+        let extensions = sieve.cache_stats().extensions;
+        assert_eq!(sorted_rows(prepared.execute().unwrap()), oracle(&sieve, &qm), "{mode:?}");
+        assert_eq!(sieve.cache_stats().extensions, extensions + 1, "{mode:?}: placed");
+        let after = Arc::clone(&sieve.rewrite(&q, &qm).unwrap().fragments[0]);
+
+        let (mut kept, mut fresh) = (before.branches.iter().zip(&bound).peekable(), Vec::new());
+        for branch in &after.branches {
+            match kept.next_if(|(k, _)| same(&k.arm, &branch.arm)) {
+                Some((k, &(arm, partition))) => {
+                    assert!(same(&k.partition, &branch.partition), "{mode:?}: partition copied");
+                    let now = (binds(&branch.arm), binds(&branch.partition));
+                    assert_eq!(now, (arm, partition), "{mode:?}: a kept branch was bound again");
+                }
+                None => fresh.push(branch),
+            }
+        }
+        assert!(kept.next().is_none(), "{mode:?}: a branch of the warm fragment was lost");
+        let [new] = fresh.as_slice() else { panic!("{mode:?}: {} new branches", fresh.len()) };
+        let new_binds = (binds(&new.arm), binds(&new.partition), binds(&after.disjunction));
+        assert_eq!(new_binds, (1, 1, 1), "{mode:?}: new arm, partition and disjunction");
+    }
 }

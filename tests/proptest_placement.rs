@@ -10,6 +10,11 @@
 //! not overlap the querier's, and group grants. Each case runs under a
 //! `delta_mode` it draws, `Auto` or `Always`, fixed when its service is
 //! built, so placement is covered with inline and with ∆ partitions.
+//!
+//! A placement compiles only the new guards' branches and splices them
+//! into the cached fragment, so after every read the cached fragment must
+//! also equal, branch for branch, the one `compile_guard_fragment` makes
+//! of the same expression from scratch.
 
 mod support;
 
@@ -18,9 +23,11 @@ use proptest::prelude::*;
 use sieve::core::cost::CostModel;
 use sieve::core::guard::{generate_guarded_expression, GuardSelectionStrategy};
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve::core::rewrite::DeltaMode;
+use sieve::core::delta::DeltaRegistry;
+use sieve::core::rewrite::{compile_guard_fragment, DeltaMode, GuardFragment};
 use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::DataType;
+use sieve::minidb::expr::Expr;
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema, Value};
 use support::{oracle_rows, sorted_rows, REL};
 
@@ -123,6 +130,34 @@ fn grant_policy(grant: &Grant, step: i64) -> Policy {
     }
 }
 
+/// `cached` equals `cold`, compiled from scratch from the same expression,
+/// branch for branch: conditions, inline partitions and arms by
+/// expression, ∆ partitions by form (the same call up to its partition
+/// key) and policy count; then the guard attributes and row estimate.
+fn assert_same_fragment(cached: &GuardFragment, cold: &GuardFragment, at: &str) {
+    assert_eq!(cached.branches.len(), cold.branches.len(), "{at}: branches");
+    for (i, (c, f)) in cached.branches.iter().zip(&cold.branches).enumerate() {
+        assert_eq!(c.condition, f.condition, "{at}: branch {i} condition");
+        match (&c.delta, &f.delta) {
+            (None, None) => {
+                assert_eq!(c.partition, f.partition, "{at}: branch {i} partition");
+                assert_eq!(c.arm, f.arm, "{at}: branch {i} arm");
+            }
+            (Some(c_lease), Some(f_lease)) => {
+                let call_args = |e: &Expr| match e.unshared() {
+                    Expr::Udf { name, args } => (name.clone(), args[1..].to_vec()),
+                    other => panic!("{at}: branch {i}: a ∆ partition compiled to {other:?}"),
+                };
+                assert_eq!(call_args(&c.partition), call_args(&f.partition), "{at}: branch {i} ∆ call");
+                assert_eq!(c_lease.policies(), f_lease.policies(), "{at}: branch {i} ∆ policies");
+            }
+            _ => panic!("{at}: branch {i}: inline in one fragment, ∆ in the other"),
+        }
+    }
+    assert_eq!(cached.guard_attrs, cold.guard_attrs, "{at}: guard attributes");
+    assert_eq!(cached.est_guard_rows, cold.est_guard_rows, "{at}: guard rows");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -166,6 +201,17 @@ proptest! {
                     &cached, &cold,
                     "{:?} step {} ({:?}): cached != generated", profile, step, grant
                 );
+
+                let fragment = &service.rewrite(&q, &qm).unwrap().fragments[0];
+                let compiled = {
+                    let (store, db) = (service.store(), service.db());
+                    let by_id = store.iter().map(|p| (p.id, p)).collect();
+                    let (registry, cost) = (DeltaRegistry::new(), CostModel::default());
+                    compile_guard_fragment(&*db, &registry, &cached, &by_id, &cost, delta_mode)
+                        .unwrap()
+                };
+                let at = format!("{profile:?} {delta_mode:?} step {step} ({grant:?})");
+                assert_same_fragment(fragment, &compiled, &at);
                 if matches!(grant, Grant::Fresh) {
                     prop_assert_eq!(
                         service.cache_stats().extensions, extensions + 1,
