@@ -38,9 +38,9 @@
 //! path again. IndexGuards forces the guards' columns, and every
 //! disjunct is probed; LinearScan says `USE INDEX ()`. Whichever drives
 //! the read, the engine checks a fetched row against the guard disjunction
-//! by key (`minidb::expr::BoundExpr::KeyedOr`): one lookup of the row's
-//! `owner` among the guard heads, then that guard's partition only — the
-//! per-tuple cost `α·|P_Gi|·c_e` of Equation 3, not `|G|` head
+//! by key (`minidb::expr::BoundExpr::KeyedOr`): one hash probe of the
+//! row's `owner` among the guard heads, then that guard's partition only
+//! — the per-tuple cost `α·|P_Gi|·c_e` of Equation 3, not `|G|` head
 //! comparisons first.
 //!
 //! Rewriting is split in two so the middleware's guard cache can amortize

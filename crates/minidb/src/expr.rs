@@ -19,6 +19,7 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -796,28 +797,26 @@ pub enum BoundExpr {
     InSet {
         /// Tested expression.
         expr: Box<BoundExpr>,
-        /// The list's literals, sorted in [`Value`]'s order — the order
-        /// `=` uses. A NULL stays in (it sorts first) and equals nothing.
+        /// The list's literals in [`Value`]'s order, but a number placed by
+        /// its `f64` image: among numbers beyond ±2⁵³ `Value`'s order is
+        /// not a total one, the images' is. A NULL stays in (it sorts
+        /// first) and equals nothing.
         keys: Vec<Value>,
         /// NOT IN if true.
         negated: bool,
     },
     /// A wide disjunction compiled for keyed dispatch; never produced by
     /// [`bind`], only by [`FilterProgram::new`] out of an [`BoundExpr::Or`].
-    /// A row is compared with the key table once and then checked against
-    /// the arms under its own key only — a tuple meets the partition of the
-    /// guard it satisfies, not every guard head in turn (the paper's
-    /// Equation 3 assumes as much).
+    /// A row's value finds its arms in the key table with one hash probe
+    /// and is then checked against those arms only — a tuple meets the
+    /// partition of the guard it satisfies, not every guard head in turn
+    /// (the paper's Equation 3 assumes as much).
     KeyedOr {
         /// The column every arm's head tested.
         slot: usize,
-        /// One `(key, branch)` per branch that is `slot = key [AND rest…]`,
-        /// sorted by key in [`Value`]'s order — the order `=` and the
-        /// B-tree index use, so `Int(1)` and `Double(1.0)` share an arm —
-        /// and, among equal keys, in the disjunction's order. The branch
-        /// is held whole, a shared one by refcount; its key decided its
-        /// head, so a row under it is checked against the rest only.
-        arms: Vec<(Value, BoundExpr)>,
+        /// The branches that are `slot = key [AND rest…]`, by key; boxed,
+        /// as every `BoundExpr` node is as wide as its widest variant.
+        table: Box<KeyTable>,
         /// Branches of any other shape, checked linearly after the arms.
         tail: Vec<BoundExpr>,
     },
@@ -1041,23 +1040,14 @@ impl BoundExpr {
                 }
                 Ok(false)
             }
-            BoundExpr::KeyedOr { slot, arms, tail } => {
-                // One search of the key table, charged as one evaluation.
-                // A NULL equals no key; two-valued like the `Or` it was
-                // (NULL → false), so arms first, tail after selects the
-                // same rows as the branches in their written order.
-                let v = &row[*slot];
+            BoundExpr::KeyedOr { slot, table, tail } => {
+                // One probe of the key table, charged as one evaluation.
+                // Two-valued like the `Or` it was (NULL → false), so arms
+                // first, tail after selects the same rows as the branches
+                // in their written order.
                 ctx.tally.predicates(1);
-                if !v.is_null() {
-                    let first = arms.partition_point(|(k, _)| k < v);
-                    'arms: for (_, branch) in arms[first..].iter().take_while(|(k, _)| k == v) {
-                        for p in after_head(branch) {
-                            if !p.eval_bool(row, ctx)? {
-                                continue 'arms;
-                            }
-                        }
-                        return Ok(true);
-                    }
+                if table.matches(&row[*slot], row, ctx)? {
+                    return Ok(true);
                 }
                 for p in tail {
                     if p.eval_bool(row, ctx)? {
@@ -1134,9 +1124,17 @@ impl BoundExpr {
                 negated,
             } => {
                 // Charged as the list it was: one evaluation.
+                // The search is by image; the keys of the row's image
+                // are then compared as written (see `key_image`).
                 let test = |v: &Value| {
                     ctx.tally.predicates(1);
-                    !v.is_null() && keys.binary_search(v).is_ok() != *negated
+                    if v.is_null() {
+                        return false;
+                    }
+                    let image = key_image(v);
+                    let first = keys.partition_point(|k| *key_image(k) < *image);
+                    let mut same_image = keys[first..].iter().take_while(|k| *key_image(k) == *image);
+                    same_image.any(|k| k == v) != *negated
                 };
                 Ok(match expr.fast_ref(row) {
                     Some(v) => test(v),
@@ -1161,8 +1159,11 @@ impl BoundExpr {
             | BoundExpr::ScalarSubquery { .. } => match &*self.eval_cow(row, ctx)? {
                 Value::Bool(b) => Ok(*b),
                 Value::Null => Ok(false),
+                // The type, never the value: the row may be one the querier
+                // is not allowed to see.
                 other => Err(DbError::TypeError(format!(
-                    "expected boolean predicate, got {other}"
+                    "expected boolean predicate, got {}",
+                    other.data_type().expect("NULL and booleans are answered above")
                 ))),
             },
         }
@@ -1172,12 +1173,13 @@ impl BoundExpr {
 /// Fewest `slot = key` branches on one column for which an `Or` is worth a
 /// key table. The table is built with the plan; a one-shot query builds it
 /// for a single run, so it has to pay for itself within one query.
-/// Measured on this engine: building it costs ≈ 100 ns a branch (0.85 µs
-/// at 8 branches, 8.7 µs at 90), a linear pass over the heads ≈ 20 ns a
-/// branch a row (0.19 µs at 8, 1.39 µs at 90), a dispatched row 40–50 ns
-/// at any width — from eight branches up the table is ahead by the seventh
-/// row that reaches the `Or`; below eight a row stands to gain under
-/// 100 ns.
+/// Measured on this engine (2 vCPUs, `owner = k AND wifi_ap = a` branches,
+/// ranges over three runs): building it costs 70–115 ns a branch
+/// (0.54–0.81 µs at 8 branches, 6.6–10.5 µs at 90), a linear pass over
+/// the heads ≈ 20 ns a branch a row (0.16–0.20 µs at 8, 1.75–2.4 µs at
+/// 90), a dispatched row 40–67 ns at any width, 21–37 ns when no arm has
+/// its key — from eight branches up the table is ahead by the sixth row
+/// that reaches the `Or`; below eight a row stands to gain under 100 ns.
 const DISPATCH_MIN_BRANCHES: usize = 8;
 
 /// `(slot, key)` when an `Or` branch — or, of a conjunction, its first
@@ -1216,6 +1218,126 @@ fn after_head(branch: &BoundExpr) -> &[BoundExpr] {
     }
 }
 
+/// The keyed arms of a [`BoundExpr::KeyedOr`] and the hash table that finds
+/// a row's arms in one probe.
+#[derive(Debug, Clone)]
+pub struct KeyTable {
+    /// One `(key, branch)` per branch that is `slot = key [AND rest…]`, in
+    /// the disjunction's order. The branch is held whole, a shared one by
+    /// refcount; its key decided its head, so a row under it is checked
+    /// against the rest only.
+    arms: Vec<(Value, BoundExpr)>,
+    /// Key image ([`key_image`]) → the first arm of that image.
+    first: HashMap<Value, usize, BuildHasherDefault<KeyHasher>>,
+    /// Each arm's successor among the arms of its image: with `first`, an
+    /// image's arms in the disjunction's order, grouped with no sort and no
+    /// branch moved.
+    next: Vec<Option<usize>>,
+}
+
+impl KeyTable {
+    /// The table of `arms`, `(key, branch)` in the disjunction's order:
+    /// walked backwards, each arm becomes its image's first and links the
+    /// one that was.
+    fn new(arms: Vec<(Value, BoundExpr)>) -> Self {
+        let mut first = HashMap::with_capacity_and_hasher(arms.len(), Default::default());
+        let mut next = vec![None; arms.len()];
+        for (at, (key, _)) in arms.iter().enumerate().rev() {
+            next[at] = first.insert(key_image(key).into_owned(), at);
+        }
+        KeyTable { arms, first, next }
+    }
+
+    /// Whether a row whose keyed column holds `v` satisfies an arm: one
+    /// whose key equals `v` and whose rest holds, tried in the disjunction's
+    /// order.
+    fn matches(&self, v: &Value, row: &[Value], ctx: &EvalContext<'_>) -> DbResult<bool> {
+        let holds = |(key, branch): &(Value, BoundExpr)| -> DbResult<bool> {
+            // One image can stand for keys that `=` tells apart.
+            if key != v {
+                return Ok(false);
+            }
+            for p in after_head(branch) {
+                if !p.eval_bool(row, ctx)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
+        if v.is_null() {
+            // A NULL equals no key.
+        } else if v.is_nan() {
+            // Equal to every number: each numeric arm, as written.
+            for arm in &self.arms {
+                if holds(arm)? {
+                    return Ok(true);
+                }
+            }
+        } else {
+            let mut at = self.first.get(&*key_image(v)).copied();
+            while let Some(i) = at {
+                if holds(&self.arms[i])? {
+                    return Ok(true);
+                }
+                at = self.next[i];
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// What a key is hashed and ordered under: a number by its `f64` image —
+/// the form in which `=` compares an `Int` with a `Double` — anything else
+/// as it is. Every key equal to a value has that value's image, so
+/// `Int(1)` and `Double(1.0)` share one. A key's image is never NaN (no
+/// NaN literal is a key), and images compare as `f64`s do, transitively;
+/// keys do not: beyond ±2⁵³ an `Int`'s image is inexact, and `Int(2⁵³ +
+/// 1)` equals `Double(2⁵³)`, which equals `Int(2⁵³)`, which it does not
+/// equal. So a key found by image is still compared with the row's value.
+fn key_image(v: &Value) -> Cow<'_, Value> {
+    match v {
+        Value::Int(i) => Cow::Owned(Value::Double(*i as f64)),
+        _ => Cow::Borrowed(v),
+    }
+}
+
+/// The key tables' hasher: FxHash's rotate-xor-multiply step over the
+/// words [`Value`]'s `Hash` writes, then murmur3's finishing mix. `std`'s
+/// SipHash costs a probe much of what hashing saves over a binary search;
+/// and a multiply carries entropy only upwards, while a small integer's
+/// `f64` image has all-zero low bits — without the mix every key would
+/// fall in one bucket group. Unlike SipHash it is not keyed, so literals
+/// can be chosen to collide; they are the statement's own, and colliding
+/// ones slow only that statement: a probe to the linear pass dispatch
+/// replaced, the build to quadratic in its literals.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
 impl BoundExpr {
     /// This expression with any [`BoundExpr::Shared`] wrapping taken off
     /// its root.
@@ -1244,7 +1366,7 @@ impl BoundExpr {
                 let Some(mut keys) = list.iter().map(literal).collect::<Option<Vec<Value>>>() else {
                     return;
                 };
-                keys.sort();
+                keys.sort_by(|a, b| key_image(a).cmp(&key_image(b)));
                 let taken = std::mem::replace(self, BoundExpr::Literal(Value::Null));
                 if let BoundExpr::InList { expr, negated, .. } = taken {
                     *self = BoundExpr::InSet { expr, keys, negated };
@@ -1274,9 +1396,8 @@ impl BoundExpr {
                         _ => tail.push(branch),
                     }
                 }
-                // Stable: arms under one key keep the disjunction's order.
-                arms.sort_by(|a, b| a.0.cmp(&b.0));
-                *self = BoundExpr::KeyedOr { slot, arms, tail };
+                let table = Box::new(KeyTable::new(arms));
+                *self = BoundExpr::KeyedOr { slot, table, tail };
             }
             _ => {}
         }

@@ -83,6 +83,19 @@ impl Value {
         matches!(self, Value::Double(d) if d.is_nan())
     }
 
+    /// The value's type; NULL has none.
+    pub fn data_type(&self) -> Option<DataType> {
+        Some(match self {
+            Value::Null => return None,
+            Value::Bool(_) => DataType::Bool,
+            Value::Int(_) => DataType::Int,
+            Value::Str(_) => DataType::Str,
+            Value::Time(_) => DataType::Time,
+            Value::Date(_) => DataType::Date,
+            Value::Double(_) => DataType::Double,
+        })
+    }
+
     /// Extract an integer, if this value is one.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -80,13 +80,28 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// Numbers around 2⁵³, where an `Int`'s `f64` image stops being exact:
+/// `Int(2⁵³ + 1)` equals `Double(2⁵³)`, which equals `Int(2⁵³)`, which it
+/// does not equal. (`2⁵³ + 2` is the first double above 2⁵³.)
+const AROUND_2_53: [Value; 6] = [
+    Value::Int((1 << 53) - 1),
+    Value::Int(1 << 53),
+    Value::Int((1 << 53) + 1),
+    Value::Double(((1i64 << 53) - 1) as f64),
+    Value::Double((1i64 << 53) as f64),
+    Value::Double(((1i64 << 53) + 2) as f64),
+];
+
 /// A key of column `k`, as a literal or a row value: small integers and
 /// halves, so that `Int(1)` meets `Double(1.0)` and `Double(1.5)` meets
-/// nothing integral.
+/// nothing integral; `-0.0`, which equals `Int(0)`; and the numbers
+/// around 2⁵³, whose equality is not transitive.
 fn arb_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         (0i64..6).prop_map(Value::Int),
         (0i64..12).prop_map(|h| Value::Double(h as f64 / 2.0)),
+        Just(Value::Double(-0.0)),
+        (0..AROUND_2_53.len()).prop_map(|i| AROUND_2_53[i].clone()),
     ]
 }
 
@@ -168,12 +183,14 @@ fn arb_tail_branch() -> impl Strategy<Value = Expr> {
     ]
 }
 
-/// Rows of `t(k, x, y)`: `k` and `x` are NULL now and then.
+/// Rows of `t(k, x, y)`: `k` and `x` are NULL now and then, and `k` is
+/// NaN now and then — equal to every number under `Value`'s order.
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     let nullable = |v: BoxedStrategy<Value>| prop_oneof![Just(Value::Null), v.clone(), v.clone(), v];
+    let k = prop_oneof![arb_key(), arb_key(), arb_key(), Just(Value::Double(f64::NAN))];
     proptest::collection::vec(
         (
-            nullable(arb_key().boxed()),
+            nullable(k.boxed()),
             nullable((0i64..4).prop_map(Value::Int).boxed()),
             (0i64..4).prop_map(Value::Int),
         )
@@ -218,10 +235,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Keyed dispatch selects exactly the rows of the disjunction it was
-    /// compiled from — duplicate keys, NULL row values, NULL literals,
-    /// `Int`/`Double` keys that are equal, branches with no equality head
-    /// and nested wide disjunctions included — wherever the disjunction
-    /// stands in the predicate.
+    /// compiled from — duplicate keys, NULL and NaN row values, NULL
+    /// literals, `Int`/`Double` keys that are equal, integers whose `f64`
+    /// image is inexact, branches with no equality head and nested wide
+    /// disjunctions included — wherever the disjunction stands in the
+    /// predicate.
     #[test]
     fn dispatched_or_selects_what_the_linear_or_selects(
         keyed in proptest::collection::vec(arb_keyed_branch(), 4..20),

@@ -357,6 +357,41 @@ fn client_delta_call_is_refused_before_guard_work() {
     assert_eq!(service.generations(), generations, "no guard was built over the wire");
 }
 
+/// A client predicate that is not boolean fails on the first row it meets,
+/// which may be a row the querier may not see (querier 500 sees AP 1001
+/// only; the scan meets AP 1000 first): the error names the value's type,
+/// never the value — in process and, code and text alike, over the wire.
+#[test]
+fn non_boolean_predicate_error_shows_no_row_value() {
+    const PROBE: &str = "SELECT * FROM wifi_dataset WHERE wifi_ap";
+    let service = SieveService::new(support::wifi_db(4000, 80, true), SieveOptions::default()).unwrap();
+    register_corpus(&service);
+    let shows_a_value = |message: &str| (1000..1010).any(|ap| message.contains(&ap.to_string()));
+
+    let refused = service.execute_sql(PROBE, &qm(500)).unwrap_err();
+    let message = refused.to_string();
+    assert!(message.contains("expected boolean predicate"), "{message}");
+    assert!(!shows_a_value(&message), "the error shows a row value: {message}");
+
+    let server = SieveServer::new(service.clone(), authenticator());
+    let (handle, connector) = serve(&server);
+    let conn =
+        RemoteConnection::establish(connector.connect().unwrap(), "token-500").unwrap();
+    let remote = conn.session(qm(500)).execute_sql(PROBE);
+    conn.close().unwrap();
+    drop(connector);
+    handle.join();
+
+    match remote {
+        Err(ClientError::Remote(e)) => {
+            let local = WireError::from_sieve(&refused);
+            assert_eq!((e.code, &e.message), (local.code, &local.message));
+            assert!(!shows_a_value(&e.message), "the error shows a row value: {}", e.message);
+        }
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+}
+
 /// A bad token is refused with `AuthFailed` and the connection closes.
 #[test]
 fn unknown_token_rejected() {
