@@ -11,13 +11,13 @@
 //! never to a wrong `Proven`.
 //!
 //! The ordering is [`Value`]'s own total `Ord` — exactly what
-//! [`minidb::expr::CmpOp::apply`] compares with once NULLs are excluded,
-//! so interval reasoning here matches engine comparisons bit for bit
-//! (including the Int/Double numeric interleaving and the cross-type
-//! rank order).
+//! [`minidb::expr::CmpOp::apply`] compares with once NULLs are excluded —
+//! and bounds compare, admit values and go empty as [`RangeBound`] says,
+//! as they do in the index: interval reasoning here matches engine
+//! comparisons bit for bit (including `Int` against `Double` by exact
+//! value, NaN above every number, and the cross-type rank order).
 
 use minidb::{RangeBound, Value};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A set of **non-null** values: disjoint ascending intervals minus a
@@ -31,77 +31,11 @@ pub struct ValueSet {
     excluded: Vec<Value>,
 }
 
-/// Lower-bound comparison: `Greater` means `a` starts later (is tighter).
-fn cmp_low(a: &RangeBound, b: &RangeBound) -> Ordering {
-    match (a, b) {
-        (RangeBound::Unbounded, RangeBound::Unbounded) => Ordering::Equal,
-        (RangeBound::Unbounded, _) => Ordering::Less,
-        (_, RangeBound::Unbounded) => Ordering::Greater,
-        (RangeBound::Inclusive(x), RangeBound::Inclusive(y))
-        | (RangeBound::Exclusive(x), RangeBound::Exclusive(y)) => x.cmp(y),
-        (RangeBound::Inclusive(x), RangeBound::Exclusive(y)) => x.cmp(y).then(Ordering::Less),
-        (RangeBound::Exclusive(x), RangeBound::Inclusive(y)) => x.cmp(y).then(Ordering::Greater),
-    }
-}
-
-/// Upper-bound comparison: `Less` means `a` ends earlier (is tighter).
-fn cmp_high(a: &RangeBound, b: &RangeBound) -> Ordering {
-    match (a, b) {
-        (RangeBound::Unbounded, RangeBound::Unbounded) => Ordering::Equal,
-        (RangeBound::Unbounded, _) => Ordering::Greater,
-        (_, RangeBound::Unbounded) => Ordering::Less,
-        (RangeBound::Inclusive(x), RangeBound::Inclusive(y))
-        | (RangeBound::Exclusive(x), RangeBound::Exclusive(y)) => x.cmp(y),
-        (RangeBound::Inclusive(x), RangeBound::Exclusive(y)) => x.cmp(y).then(Ordering::Greater),
-        (RangeBound::Exclusive(x), RangeBound::Inclusive(y)) => x.cmp(y).then(Ordering::Less),
-    }
-}
-
-/// `v` satisfies the lower bound.
-fn above_low(v: &Value, low: &RangeBound) -> bool {
-    match low {
-        RangeBound::Unbounded => true,
-        RangeBound::Inclusive(b) => v >= b,
-        RangeBound::Exclusive(b) => v > b,
-    }
-}
-
-/// `v` satisfies the upper bound.
-fn below_high(v: &Value, high: &RangeBound) -> bool {
-    match high {
-        RangeBound::Unbounded => true,
-        RangeBound::Inclusive(b) => v <= b,
-        RangeBound::Exclusive(b) => v < b,
-    }
-}
-
-/// An interval is *certainly* empty when its bounds provably admit no
-/// value: crossed bounds, or a touching pair with an exclusive side.
-/// (An open interval between adjacent representable values is empty too,
-/// but not *certainly* so — the conservative answer is "maybe".)
-fn interval_certainly_empty(low: &RangeBound, high: &RangeBound) -> bool {
-    let (lv, l_excl) = match low {
-        RangeBound::Unbounded => return false,
-        RangeBound::Inclusive(v) => (v, false),
-        RangeBound::Exclusive(v) => (v, true),
-    };
-    let (hv, h_excl) = match high {
-        RangeBound::Unbounded => return false,
-        RangeBound::Inclusive(v) => (v, false),
-        RangeBound::Exclusive(v) => (v, true),
-    };
-    match lv.cmp(hv) {
-        Ordering::Greater => true,
-        Ordering::Equal => l_excl || h_excl,
-        Ordering::Less => false,
-    }
-}
-
 /// Tighten exclusive bounds on *safely discrete* value types to their
 /// inclusive neighbor: `(> t)` ≡ `(≥ t+1)` for `Time`, `Date` and `Bool`,
 /// whose ranks in the engine's value order contain only themselves.
-/// **Not** applied to `Int`: the order interleaves `Int` and `Double`
-/// numerically (`Int(1) == Double(1.0)`), so `(Int(1), Int(2))` still
+/// **Not** applied to `Int`: the order interleaves `Int` and `Double` by
+/// exact value (`Int(1) == Double(1.0)`), so `(Int(1), Int(2))` still
 /// contains `Double(1.5)` and tightening it would be unsound.
 fn tighten_interval(low: RangeBound, high: RangeBound) -> (RangeBound, RangeBound) {
     fn succ_discrete(v: &Value) -> Option<Value> {
@@ -217,7 +151,7 @@ impl ValueSet {
         }
         self.intervals
             .iter()
-            .any(|(lo, hi)| above_low(v, lo) && below_high(v, hi))
+            .any(|(lo, hi)| RangeBound::contains(lo, hi, v))
     }
 
     /// Intersection (exact, given the inputs' invariants hold).
@@ -225,17 +159,9 @@ impl ValueSet {
         let mut intervals = Vec::new();
         for (alo, ahi) in &self.intervals {
             for (blo, bhi) in &other.intervals {
-                let lo = if cmp_low(alo, blo) == Ordering::Less {
-                    blo.clone()
-                } else {
-                    alo.clone()
-                };
-                let hi = if cmp_high(ahi, bhi) == Ordering::Greater {
-                    bhi.clone()
-                } else {
-                    ahi.clone()
-                };
-                if !interval_certainly_empty(&lo, &hi) {
+                let lo = if alo.cmp_low(blo).is_lt() { blo } else { alo }.clone();
+                let hi = if ahi.cmp_high(bhi).is_gt() { bhi } else { ahi }.clone();
+                if !RangeBound::is_empty(&lo, &hi) {
                     intervals.push((lo, hi));
                 }
             }
@@ -265,7 +191,7 @@ impl ValueSet {
         self.intervals = intervals
             .into_iter()
             .map(|(lo, hi)| tighten_interval(lo, hi))
-            .filter(|(lo, hi)| !interval_certainly_empty(lo, hi))
+            .filter(|(lo, hi)| !RangeBound::is_empty(lo, hi))
             .filter(|(lo, hi)| {
                 // A single-point interval killed by an exclusion.
                 if let (RangeBound::Inclusive(a), RangeBound::Inclusive(b)) = (lo, hi) {
@@ -281,7 +207,7 @@ impl ValueSet {
             .filter(|v| {
                 self.intervals
                     .iter()
-                    .any(|(lo, hi)| above_low(v, lo) && below_high(v, hi))
+                    .any(|(lo, hi)| RangeBound::contains(lo, hi, v))
             })
             .collect();
     }
@@ -291,7 +217,7 @@ impl ValueSet {
     pub fn is_certainly_empty(&self) -> bool {
         self.intervals
             .iter()
-            .all(|(lo, hi)| interval_certainly_empty(lo, hi))
+            .all(|(lo, hi)| RangeBound::is_empty(lo, hi))
     }
 
     /// A value certainly in the set, preferring bound endpoints and their

@@ -50,19 +50,7 @@ impl CondCheck {
             CondCheck::Ne(x) => v != x,
             CondCheck::In(xs) => xs.contains(v),
             CondCheck::NotIn(xs) => !xs.contains(v),
-            CondCheck::Range { low, high } => {
-                let lo_ok = match low {
-                    RangeBound::Unbounded => true,
-                    RangeBound::Inclusive(b) => v >= b,
-                    RangeBound::Exclusive(b) => v > b,
-                };
-                let hi_ok = match high {
-                    RangeBound::Unbounded => true,
-                    RangeBound::Inclusive(b) => v <= b,
-                    RangeBound::Exclusive(b) => v < b,
-                };
-                lo_ok && hi_ok
-            }
+            CondCheck::Range { low, high } => RangeBound::contains(low, high, v),
         }
     }
 }

@@ -153,7 +153,7 @@ impl GuardableConditions {
                 let i = i as usize;
                 if !std::mem::replace(&mut seen[i], true) {
                     let oc = &self.conds[i].0;
-                    out.insert(self.prints[i], oc, range_span(oc));
+                    out.insert(self.prints[i], oc);
                 }
             }
             out.last = out.last.max(p.id);
@@ -209,11 +209,7 @@ impl GuardableConditions {
             }
         }
         for (_, mut cands) in by_attr {
-            cands.sort_by(|a, b| {
-                low_key(&a.condition)
-                    .partial_cmp(&low_key(&b.condition))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            cands.sort_by(|a, b| bounds(&a.condition).0.cmp_low(bounds(&b.condition).0));
             let merged = sweep_merge(cands, entry, cost);
             rest.extend(merged);
         }
@@ -244,103 +240,20 @@ pub(super) fn fingerprint(key: &str) -> u64 {
     h.finish()
 }
 
-/// A range condition's span on the number line the merge sweep compares
-/// on: `(low, high)`, possibly empty (`low > high`), or `None` for a
-/// condition that is not a range.
-pub(super) fn range_span(oc: &ObjectCondition) -> Option<(f64, f64)> {
-    let (low, high) = match &oc.pred {
-        CondPredicate::Range { low, high } => (low, high),
-        _ => return None,
-    };
-    Some((low_val(low), high_val(high)))
-}
-
-/// Numeric position of a range's low bound (−∞ for unbounded).
-fn low_key(oc: &ObjectCondition) -> f64 {
+/// A range condition's bounds, `(low, high)`, or `None` for a condition
+/// that is not a range.
+pub(super) fn range_of(oc: &ObjectCondition) -> Option<(&RangeBound, &RangeBound)> {
     match &oc.pred {
-        CondPredicate::Range { low, .. } => match low {
-            RangeBound::Unbounded => f64::NEG_INFINITY,
-            RangeBound::Inclusive(v) | RangeBound::Exclusive(v) => {
-                v.numeric_key().unwrap_or(f64::NEG_INFINITY)
-            }
-        },
-        _ => f64::NEG_INFINITY,
+        CondPredicate::Range { low, high } => Some((low, high)),
+        _ => None,
     }
 }
 
 fn bounds(oc: &ObjectCondition) -> (&RangeBound, &RangeBound) {
-    match &oc.pred {
-        CondPredicate::Range { low, high } => (low, high),
-        _ => unreachable!("sweep_merge only sees ranges"),
+    match range_of(oc) {
+        Some(range) => range,
+        None => unreachable!("sweep_merge only sees ranges"),
     }
-}
-
-/// Take the earlier of two low bounds (for the union).
-fn min_low(a: &RangeBound, b: &RangeBound) -> RangeBound {
-    match (a, b) {
-        (RangeBound::Unbounded, _) | (_, RangeBound::Unbounded) => RangeBound::Unbounded,
-        _ => {
-            let (ka, kb) = (low_val(a), low_val(b));
-            if ka <= kb { a.clone() } else { b.clone() }
-        }
-    }
-}
-
-/// Take the later of two low bounds (for the intersection).
-fn max_low(a: &RangeBound, b: &RangeBound) -> RangeBound {
-    match (a, b) {
-        (RangeBound::Unbounded, other) | (other, RangeBound::Unbounded) => other.clone(),
-        _ => {
-            let (ka, kb) = (low_val(a), low_val(b));
-            if ka >= kb { a.clone() } else { b.clone() }
-        }
-    }
-}
-
-fn min_high(a: &RangeBound, b: &RangeBound) -> RangeBound {
-    match (a, b) {
-        (RangeBound::Unbounded, other) | (other, RangeBound::Unbounded) => other.clone(),
-        _ => {
-            let (ka, kb) = (high_val(a), high_val(b));
-            if ka <= kb { a.clone() } else { b.clone() }
-        }
-    }
-}
-
-fn max_high(a: &RangeBound, b: &RangeBound) -> RangeBound {
-    match (a, b) {
-        (RangeBound::Unbounded, _) | (_, RangeBound::Unbounded) => RangeBound::Unbounded,
-        _ => {
-            let (ka, kb) = (high_val(a), high_val(b));
-            if ka >= kb { a.clone() } else { b.clone() }
-        }
-    }
-}
-
-fn low_val(b: &RangeBound) -> f64 {
-    match b {
-        RangeBound::Unbounded => f64::NEG_INFINITY,
-        RangeBound::Inclusive(v) | RangeBound::Exclusive(v) => {
-            v.numeric_key().unwrap_or(f64::NEG_INFINITY)
-        }
-    }
-}
-
-fn high_val(b: &RangeBound) -> f64 {
-    match b {
-        RangeBound::Unbounded => f64::INFINITY,
-        RangeBound::Inclusive(v) | RangeBound::Exclusive(v) => {
-            v.numeric_key().unwrap_or(f64::INFINITY)
-        }
-    }
-}
-
-/// True iff two range conditions on the same attribute overlap.
-fn overlaps(a: &ObjectCondition, b: &ObjectCondition) -> bool {
-    let (a_lo, a_hi) = bounds(a);
-    let (b_lo, b_hi) = bounds(b);
-    // [a_lo, a_hi] ∩ [b_lo, b_hi] ≠ ∅ ⇔ max(lo) <= min(hi) numerically.
-    low_val(&max_low(a_lo, b_lo)) <= high_val(&min_high(a_hi, b_hi))
 }
 
 /// The sweep of Section 4.1: for each candidate, try merging with the
@@ -361,17 +274,22 @@ fn sweep_merge(
         };
         for slot in items.iter_mut().skip(i + 1) {
             let Some(next) = slot.as_ref() else { continue };
-            if !overlaps(&cur.condition, &next.condition) {
+            if !RangeBound::overlap(bounds(&cur.condition), bounds(&next.condition)) {
                 // Sorted by left bound ⇒ nothing later overlaps (Cor 1.2).
                 break;
             }
-            // Theorem 1 benefit test on the overlap.
+            // Theorem 1 benefit test on the overlap: the intersection
+            // takes the inner bounds, the union the outer ones, a tie in
+            // bound order `cur`'s.
             let (c_lo, c_hi) = bounds(&cur.condition);
             let (n_lo, n_hi) = bounds(&next.condition);
+            let (lo_cmp, hi_cmp) = (c_lo.cmp_low(n_lo), c_hi.cmp_high(n_hi));
             let attr = &cur.condition.attr;
-            let rho_inter =
-                estimate_range_rows(attr, &max_low(c_lo, n_lo), &min_high(c_hi, n_hi), entry);
-            let (low, high) = (min_low(c_lo, n_lo), max_high(c_hi, n_hi));
+            let inter_lo = if lo_cmp.is_ge() { c_lo } else { n_lo };
+            let inter_hi = if hi_cmp.is_le() { c_hi } else { n_hi };
+            let rho_inter = estimate_range_rows(attr, inter_lo, inter_hi, entry);
+            let low = if lo_cmp.is_le() { c_lo } else { n_lo }.clone();
+            let high = if hi_cmp.is_ge() { c_hi } else { n_hi }.clone();
             let rho_union = estimate_range_rows(attr, &low, &high, entry).max(f64::EPSILON);
             if rho_inter / rho_union > threshold {
                 // `slot` was checked non-empty above and nothing between

@@ -10,9 +10,10 @@
 //!   (compared by the key identical conditions collapse under when
 //!   candidates are collected), so no candidate of `P` gains `p` and no
 //!   candidate of `p` covers anything else;
-//! * no range of `p` overlaps a range on the same attribute (of `P` or
-//!   of `p` itself), so Theorem 1's sweep merges exactly what it merged
-//!   before: a non-empty range sorted between two ranges that merge
+//! * no range of `p` is empty or overlaps a range on the same attribute
+//!   (of `P` or of `p` itself) by the sweep's own test,
+//!   [`RangeBound::overlap`], so Theorem 1's sweep merges exactly what it
+//!   merged before: a non-empty range sorted between two ranges that merge
 //!   would overlap the first of them, and one sorted past a range it
 //!   does not overlap ends a chain that had already ended.
 //!
@@ -31,12 +32,13 @@
 //! which is not kept — that tie, like every other case, regenerates.
 
 use super::candidates::{
-    condition_key, estimate_condition_rows, fingerprint, is_guardable, range_span,
+    condition_key, estimate_condition_rows, fingerprint, is_guardable, range_of,
 };
 use super::{Guard, GuardedExpression};
 use crate::cost::CostModel;
 use crate::policy::{CondPredicate, ObjectCondition, Policy, PolicyId};
 use minidb::catalog::TableEntry;
+use minidb::RangeBound;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -50,24 +52,19 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, Default)]
 pub struct CarriedConditions {
     prints: HashSet<u64>,
-    ranges: HashMap<String, Vec<(f64, f64)>>,
+    ranges: HashMap<String, Vec<(RangeBound, RangeBound)>>,
     pub(crate) last: PolicyId,
 }
 
 impl CarriedConditions {
-    /// Record one distinct carried condition (`span` is its
-    /// [`range_span`]). Its range is kept even if its fingerprint collides
-    /// with another's, so the overlap check never misses it.
-    pub(super) fn insert(&mut self, print: u64, oc: &ObjectCondition, span: Option<(f64, f64)>) {
+    /// Record one distinct carried condition. Its range is kept even if
+    /// its fingerprint collides with another's, so the overlap check never
+    /// misses it.
+    pub(super) fn insert(&mut self, print: u64, oc: &ObjectCondition) {
         self.prints.insert(print);
-        if let Some((low, high)) = span {
-            // A bound with no order (NaN) is kept as the whole line, so
-            // every range of its attribute counts as overlapping it.
-            let span = match low.is_nan() || high.is_nan() {
-                true => (f64::NEG_INFINITY, f64::INFINITY),
-                false => (low, high),
-            };
-            self.ranges.entry(oc.attr.clone()).or_default().push(span);
+        if let Some((low, high)) = range_of(oc) {
+            let range = (low.clone(), high.clone());
+            self.ranges.entry(oc.attr.clone()).or_default().push(range);
         }
     }
 
@@ -76,12 +73,6 @@ impl CarriedConditions {
     pub(crate) fn len(&self) -> usize {
         self.prints.len()
     }
-}
-
-/// True iff two spans meet, by the sweep's own test (`max(low) <=
-/// min(high)`): an empty span meets nothing.
-fn meet(a: (f64, f64), b: (f64, f64)) -> bool {
-    a.0.max(b.0) <= a.1.min(b.1)
 }
 
 /// What placing grants into an expression made.
@@ -124,8 +115,6 @@ struct Own {
     condition: ObjectCondition,
     key: String,
     print: u64,
-    /// Its [`range_span`]: `Some` for a range.
-    span: Option<(f64, f64)>,
 }
 
 /// Place `p`'s guard into `guards`, returning where it went.
@@ -153,18 +142,20 @@ fn place_one(
         if carried.prints.contains(&print) {
             return None;
         }
-        let span = range_span(&condition);
-        if let Some(s) = span {
-            // An empty or unordered range could end a merge chain it
-            // sits in without overlapping anything.
-            let ordered = s.0 <= s.1;
-            let on_attr = carried.ranges.get(&condition.attr).into_iter().flatten().copied();
+        if let Some(range) = range_of(&condition) {
+            // An empty range could end a merge chain it sits in without
+            // overlapping anything; any other meets, by the sweep's own
+            // test, each range it could merge with.
+            let on_attr = carried.ranges.get(&condition.attr).into_iter().flatten();
             let mine = own.iter().filter(|o| o.condition.attr == condition.attr);
-            if !ordered || on_attr.chain(mine.filter_map(|o| o.span)).any(|t| meet(s, t)) {
+            let mut others =
+                on_attr.map(|(l, h)| (l, h)).chain(mine.filter_map(|o| range_of(&o.condition)));
+            if RangeBound::is_empty(range.0, range.1) || others.any(|t| RangeBound::overlap(range, t))
+            {
                 return None;
             }
         }
-        own.push(Own { condition, key, print, span });
+        own.push(Own { condition, key, print });
     }
 
     // Its best candidate: highest utility, ties to the lower candidate
@@ -176,12 +167,12 @@ fn place_one(
     let top = est.iter().map(|&e| utility(e, 1)).max_by(f64::total_cmp)?;
     let tied: Vec<usize> =
         (0..own.len()).filter(|&i| utility(est[i], 1).total_cmp(&top).is_eq()).collect();
-    let best = match tied.iter().find(|&&i| own[i].span.is_none()) {
+    let best = match tied.iter().find(|&&i| range_of(&own[i].condition).is_none()) {
         Some(&i) => i,
         None if tied.len() == 1 => tied[0],
         None => return None,
     };
-    let is_range = own[best].span.is_some();
+    let is_range = range_of(&own[best].condition).is_some();
 
     // Where the heap pops it: before the first guard it outranks.
     let mut at = guards.len();
@@ -208,7 +199,7 @@ fn place_one(
     };
     guards.insert(at, guard);
     for o in &own {
-        carried.insert(o.print, &o.condition, o.span);
+        carried.insert(o.print, &o.condition);
     }
     carried.last = p.id;
     Some(at)

@@ -49,19 +49,7 @@ pub fn eval_condition(
         CondPredicate::Ne(x) => v != x,
         CondPredicate::In(xs) => xs.contains(v),
         CondPredicate::NotIn(xs) => !xs.contains(v),
-        CondPredicate::Range { low, high } => {
-            let lo_ok = match low {
-                RangeBound::Unbounded => true,
-                RangeBound::Inclusive(b) => v >= b,
-                RangeBound::Exclusive(b) => v > b,
-            };
-            let hi_ok = match high {
-                RangeBound::Unbounded => true,
-                RangeBound::Inclusive(b) => v <= b,
-                RangeBound::Exclusive(b) => v < b,
-            };
-            lo_ok && hi_ok
-        }
+        CondPredicate::Range { low, high } => RangeBound::contains(low, high, v),
         CondPredicate::Derived(q) => match db.and_then(|b| b.minidb()) {
             Some(db) => eval_derived(v, q, schema, row, db),
             None => false,

@@ -527,4 +527,34 @@ mod tests {
         let e = db.explain(&q).unwrap();
         assert!((e.relations[0].est_rows - 10.0).abs() < f64::EPSILON);
     }
+
+    /// A NaN sorts above every number in `Value`'s order; building the
+    /// histogram puts it there too, so indexing a column that holds one
+    /// succeeds, and estimates over it stay finite.
+    #[test]
+    fn create_index_on_a_nan_column_succeeds_and_estimates_stay_finite() {
+        use crate::index::RangeBound;
+        let mut db = Database::new(DbProfile::MySqlLike);
+        db.create_table(TableSchema::of("d", &[("v", DataType::Double)])).unwrap();
+        for i in 0..100 {
+            let v = if i % 10 == 0 { f64::NAN } else { i as f64 / 4.0 };
+            db.insert("d", vec![Value::Double(v)]).unwrap();
+        }
+        db.create_index("d", "v").unwrap();
+        db.analyze("d").unwrap();
+        let h = db.table("d").unwrap().histogram("v").unwrap();
+        assert_eq!((h.total(), h.distinct()), (100, 91));
+        let (nan, two) = (Value::Double(f64::NAN), Value::Double(2.0));
+        for est in [
+            h.estimate_eq(&nan),
+            h.estimate_eq(&two),
+            h.estimate_in(&[nan.clone(), two.clone()]),
+            h.estimate_range(&RangeBound::Unbounded, &RangeBound::Unbounded),
+            h.estimate_range(&RangeBound::Inclusive(two.clone()), &RangeBound::Unbounded),
+            h.estimate_range(&RangeBound::Inclusive(two), &RangeBound::Inclusive(nan.clone())),
+            h.estimate_range(&RangeBound::Exclusive(nan), &RangeBound::Unbounded),
+        ] {
+            assert!(est.is_finite() && (0.0..=100.0).contains(&est), "{est}");
+        }
+    }
 }

@@ -1034,9 +1034,8 @@ mod tests {
         assert_eq!(stats.counters.predicate_evals, 0);
     }
 
-    /// `owner = NaN` holds on every row (`Value`'s order calls NaN equal to
-    /// every number). An index descent finds one key, so a forced index
-    /// read that trusted it returned a tenth of the rows; it scans instead.
+    /// A NaN equals only NaN in `Value`'s order, so `owner = NaN` holds on
+    /// no integer row: the scan and a forced read of the NaN key agree.
     #[test]
     fn forced_index_on_a_nan_key_returns_the_scans_rows() {
         let mut db = Database::new(DbProfile::MySqlLike);
@@ -1055,14 +1054,17 @@ mod tests {
             .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Double(f64::NAN)));
             (db.run_query(&q).unwrap().len(), db.explain(&q).unwrap().relations[0].access_desc.clone())
         };
-        assert_eq!(run(IndexHint::IgnoreAll), (100, "SeqScan".to_string()));
-        assert_eq!(run(IndexHint::Force(vec!["owner".into()])), (100, "SeqScan".to_string()));
+        assert_eq!(run(IndexHint::IgnoreAll), (0, "SeqScan".to_string()));
+        let forced = run(IndexHint::Force(vec!["owner".into()]));
+        assert_eq!(forced, (0, "IndexScan(owner, exact)".to_string()));
     }
 
     /// `Int(1) = Double(1.0)` in this engine (`Value`'s numeric order), so
     /// every operator that matches values — hash join, index nested-loop
     /// join, a join spelled as two inequalities, `COUNT(DISTINCT)`,
-    /// `GROUP BY` — has to treat them as one value.
+    /// `GROUP BY` — has to treat them as one value. Beyond 2⁵³, where an
+    /// `Int`'s `f64` image is inexact, `Double(2⁵³)` equals `Int(2⁵³)` and
+    /// no other integer, on a scan and through an index alike.
     #[test]
     fn mixed_int_double_keys_match_in_every_operator() {
         let mut db = Database::new(DbProfile::MySqlLike);
@@ -1093,5 +1095,38 @@ mod tests {
         let groups = db.run_sql("SELECT v, COUNT(*) AS n FROM z GROUP BY v").unwrap();
         let counts: Vec<&Value> = groups.rows.iter().map(|r| &r[1]).collect();
         assert_eq!(counts, [&Value::Int(1), &Value::Int(2), &Value::Int(1)]); // NULL, 1, 1.5
+
+        let two_53 = 1i64 << 53;
+        db.create_table(TableSchema::of("big", &[("k", DataType::Int)])).unwrap();
+        for k in two_53..two_53 + 3 {
+            db.insert("big", vec![Value::Int(k)]).unwrap();
+        }
+        db.create_index("big", "k").unwrap();
+        let (at, above) = (Value::Double(two_53 as f64), Value::Double((two_53 + 2) as f64));
+        let k = || Box::new(Expr::Column(ColumnRef::bare("k")));
+        let cmp = |op, v: &Value| Expr::col_cmp(ColumnRef::bare("k"), op, v.clone());
+        let in_list = Expr::InList {
+            expr: k(),
+            list: vec![Expr::Literal(at.clone()), Expr::Literal(above.clone())],
+            negated: false,
+        };
+        for (pred, rows) in [
+            (cmp(CmpOp::Eq, &at), 1),
+            (cmp(CmpOp::Eq, &above), 1),
+            (cmp(CmpOp::Le, &at), 1),
+            (cmp(CmpOp::Gt, &at), 2),
+            (cmp(CmpOp::Ge, &at), 3),
+            (cmp(CmpOp::Lt, &above), 2),
+            (in_list, 2),
+        ] {
+            for hint in [IndexHint::IgnoreAll, IndexHint::Force(vec!["k".into()])] {
+                let q = SelectQuery {
+                    from: vec![TableRef::named("big").with_hint(hint.clone())],
+                    ..SelectQuery::star_from("big")
+                }
+                .filter(pred.clone());
+                assert_eq!(db.run_query(&q).unwrap().len(), rows, "{pred:?} under {hint:?}");
+            }
+        }
     }
 }

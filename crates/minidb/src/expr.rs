@@ -797,10 +797,8 @@ pub enum BoundExpr {
     InSet {
         /// Tested expression.
         expr: Box<BoundExpr>,
-        /// The list's literals in [`Value`]'s order, but a number placed by
-        /// its `f64` image: among numbers beyond ±2⁵³ `Value`'s order is
-        /// not a total one, the images' is. A NULL stays in (it sorts
-        /// first) and equals nothing.
+        /// The list's literals in [`Value`]'s order. A NULL stays in (it
+        /// sorts first) and equals no row value that reaches the search.
         keys: Vec<Value>,
         /// NOT IN if true.
         negated: bool,
@@ -1124,17 +1122,9 @@ impl BoundExpr {
                 negated,
             } => {
                 // Charged as the list it was: one evaluation.
-                // The search is by image; the keys of the row's image
-                // are then compared as written (see `key_image`).
                 let test = |v: &Value| {
                     ctx.tally.predicates(1);
-                    if v.is_null() {
-                        return false;
-                    }
-                    let image = key_image(v);
-                    let first = keys.partition_point(|k| *key_image(k) < *image);
-                    let mut same_image = keys[first..].iter().take_while(|k| *key_image(k) == *image);
-                    same_image.any(|k| k == v) != *negated
+                    !v.is_null() && keys.binary_search(v).is_ok() != *negated
                 };
                 Ok(match expr.fast_ref(row) {
                     Some(v) => test(v),
@@ -1183,8 +1173,8 @@ impl BoundExpr {
 const DISPATCH_MIN_BRANCHES: usize = 8;
 
 /// `(slot, key)` when an `Or` branch — or, of a conjunction, its first
-/// conjunct — is `slot = key` for a literal key that has a place in
-/// [`Value`]'s order and can equal something: not NULL, not NaN.
+/// conjunct — is `slot = key` for a literal key that can equal something:
+/// not NULL.
 fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
     let head = match branch.unshared() {
         BoundExpr::And(parts) => parts.first()?,
@@ -1200,7 +1190,7 @@ fn dispatch_head(branch: &BoundExpr) -> Option<(usize, &Value)> {
     };
     match (&**lhs, &**rhs) {
         (BoundExpr::Slot(s), BoundExpr::Literal(v)) | (BoundExpr::Literal(v), BoundExpr::Slot(s))
-            if !v.is_null() && !v.is_nan() =>
+            if !v.is_null() =>
         {
             Some((*s, v))
         }
@@ -1222,29 +1212,31 @@ fn after_head(branch: &BoundExpr) -> &[BoundExpr] {
 /// a row's arms in one probe.
 #[derive(Debug, Clone)]
 pub struct KeyTable {
-    /// One `(key, branch)` per branch that is `slot = key [AND rest…]`, in
-    /// the disjunction's order. The branch is held whole, a shared one by
+    /// One branch per branch that is `slot = key [AND rest…]`, in the
+    /// disjunction's order. The branch is held whole, a shared one by
     /// refcount; its key decided its head, so a row under it is checked
     /// against the rest only.
-    arms: Vec<(Value, BoundExpr)>,
-    /// Key image ([`key_image`]) → the first arm of that image.
+    arms: Vec<BoundExpr>,
+    /// Key → the first arm of that key. Keys equal under [`Value`]'s
+    /// order (`Int(1)`, `Double(1.0)`) are one key: they hash alike.
     first: HashMap<Value, usize, BuildHasherDefault<KeyHasher>>,
-    /// Each arm's successor among the arms of its image: with `first`, an
-    /// image's arms in the disjunction's order, grouped with no sort and no
+    /// Each arm's successor among the arms of its key: with `first`, a
+    /// key's arms in the disjunction's order, grouped with no sort and no
     /// branch moved.
     next: Vec<Option<usize>>,
 }
 
 impl KeyTable {
     /// The table of `arms`, `(key, branch)` in the disjunction's order:
-    /// walked backwards, each arm becomes its image's first and links the
+    /// walked backwards, each arm becomes its key's first and links the
     /// one that was.
     fn new(arms: Vec<(Value, BoundExpr)>) -> Self {
         let mut first = HashMap::with_capacity_and_hasher(arms.len(), Default::default());
         let mut next = vec![None; arms.len()];
         for (at, (key, _)) in arms.iter().enumerate().rev() {
-            next[at] = first.insert(key_image(key).into_owned(), at);
+            next[at] = first.insert(key.clone(), at);
         }
+        let arms = arms.into_iter().map(|(_, branch)| branch).collect();
         KeyTable { arms, first, next }
     }
 
@@ -1252,61 +1244,27 @@ impl KeyTable {
     /// whose key equals `v` and whose rest holds, tried in the disjunction's
     /// order.
     fn matches(&self, v: &Value, row: &[Value], ctx: &EvalContext<'_>) -> DbResult<bool> {
-        let holds = |(key, branch): &(Value, BoundExpr)| -> DbResult<bool> {
-            // One image can stand for keys that `=` tells apart.
-            if key != v {
-                return Ok(false);
-            }
-            for p in after_head(branch) {
+        // NULL is no key: a NULL row finds no arm.
+        let mut at = self.first.get(v).copied();
+        'arms: while let Some(i) = at {
+            at = self.next[i];
+            for p in after_head(&self.arms[i]) {
                 if !p.eval_bool(row, ctx)? {
-                    return Ok(false);
+                    continue 'arms;
                 }
             }
-            Ok(true)
-        };
-        if v.is_null() {
-            // A NULL equals no key.
-        } else if v.is_nan() {
-            // Equal to every number: each numeric arm, as written.
-            for arm in &self.arms {
-                if holds(arm)? {
-                    return Ok(true);
-                }
-            }
-        } else {
-            let mut at = self.first.get(&*key_image(v)).copied();
-            while let Some(i) = at {
-                if holds(&self.arms[i])? {
-                    return Ok(true);
-                }
-                at = self.next[i];
-            }
+            return Ok(true);
         }
         Ok(false)
-    }
-}
-
-/// What a key is hashed and ordered under: a number by its `f64` image —
-/// the form in which `=` compares an `Int` with a `Double` — anything else
-/// as it is. Every key equal to a value has that value's image, so
-/// `Int(1)` and `Double(1.0)` share one. A key's image is never NaN (no
-/// NaN literal is a key), and images compare as `f64`s do, transitively;
-/// keys do not: beyond ±2⁵³ an `Int`'s image is inexact, and `Int(2⁵³ +
-/// 1)` equals `Double(2⁵³)`, which equals `Int(2⁵³)`, which it does not
-/// equal. So a key found by image is still compared with the row's value.
-fn key_image(v: &Value) -> Cow<'_, Value> {
-    match v {
-        Value::Int(i) => Cow::Owned(Value::Double(*i as f64)),
-        _ => Cow::Borrowed(v),
     }
 }
 
 /// The key tables' hasher: FxHash's rotate-xor-multiply step over the
 /// words [`Value`]'s `Hash` writes, then murmur3's finishing mix. `std`'s
 /// SipHash costs a probe much of what hashing saves over a binary search;
-/// and a multiply carries entropy only upwards, while a small integer's
-/// `f64` image has all-zero low bits — without the mix every key would
-/// fall in one bucket group. Unlike SipHash it is not keyed, so literals
+/// and a multiply carries entropy only upwards, while a key's entropy can
+/// sit anywhere in its word (a non-integral `Double`'s bits have all-zero
+/// low bits) — the mix spreads it over the word. Unlike SipHash it is not keyed, so literals
 /// can be chosen to collide; they are the statement's own, and colliding
 /// ones slow only that statement: a probe to the linear pass dispatch
 /// replaced, the build to quadratic in its literals.
@@ -1360,13 +1318,13 @@ impl BoundExpr {
             BoundExpr::Not(e) => e.build_key_tables(),
             BoundExpr::InList { list, .. } => {
                 let literal = |e: &BoundExpr| match e {
-                    BoundExpr::Literal(v) if !v.is_nan() => Some(v.clone()),
+                    BoundExpr::Literal(v) => Some(v.clone()),
                     _ => None,
                 };
                 let Some(mut keys) = list.iter().map(literal).collect::<Option<Vec<Value>>>() else {
                     return;
                 };
-                keys.sort_by(|a, b| key_image(a).cmp(&key_image(b)));
+                keys.sort();
                 let taken = std::mem::replace(self, BoundExpr::Literal(Value::Null));
                 if let BoundExpr::InList { expr, negated, .. } = taken {
                     *self = BoundExpr::InSet { expr, keys, negated };

@@ -61,12 +61,15 @@ impl Histogram {
         let mut keys: Vec<f64> = Vec::with_capacity(total as usize);
         for (v, c) in &freq {
             if let Some(k) = v.numeric_key() {
+                // Every NaN as the positive one, which `total_cmp` sorts
+                // above every number, where `Value`'s order puts it.
+                let k = if k.is_nan() { f64::NAN } else { k };
                 for _ in 0..*c {
                     keys.push(k);
                 }
             }
         }
-        keys.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        keys.sort_by(f64::total_cmp);
         let (min, max) = match (keys.first(), keys.last()) {
             (Some(a), Some(b)) => (*a, *b),
             _ => (0.0, 0.0),

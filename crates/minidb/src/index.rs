@@ -9,11 +9,18 @@
 use crate::stats::Tally;
 use crate::table::{Row, RowId};
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Which side of a range bound is included; mirrors the policy model's
 /// comparison-operator set for ranges.
+///
+/// The one place bound order is written: how two low (or two high)
+/// bounds compare, whether a value lies within a bound, and when an
+/// interval is empty or two of them overlap. The index, the analyzer's
+/// value domain, the guard merge sweep and grant placement all ask here,
+/// under [`Value`]'s one order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RangeBound {
     /// No bound on this side.
@@ -31,6 +38,90 @@ impl RangeBound {
             RangeBound::Inclusive(v) => Bound::Included(v),
             RangeBound::Exclusive(v) => Bound::Excluded(v),
         }
+    }
+
+    /// Two low bounds in the order of where they start: `Less` means
+    /// `self` admits more (`Unbounded` < `Inclusive(v)` < `Exclusive(v)`).
+    pub fn cmp_low(&self, other: &RangeBound) -> Ordering {
+        self.cmp_as(other, Ordering::Less)
+    }
+
+    /// Two high bounds in the order of where they end: `Greater` means
+    /// `self` admits more (`Exclusive(v)` < `Inclusive(v)` < `Unbounded`).
+    pub fn cmp_high(&self, other: &RangeBound) -> Ordering {
+        self.cmp_as(other, Ordering::Greater)
+    }
+
+    /// Bound order, `unbounded` being where `Unbounded` sorts (`Less` for
+    /// a low bound, `Greater` for a high one): an inclusive endpoint
+    /// reaches further out than an exclusive one at the same value.
+    fn cmp_as(&self, other: &RangeBound, unbounded: Ordering) -> Ordering {
+        use RangeBound::*;
+        match (self, other) {
+            (Unbounded, Unbounded) => Ordering::Equal,
+            (Unbounded, _) => unbounded,
+            (_, Unbounded) => unbounded.reverse(),
+            (Inclusive(x), Inclusive(y)) | (Exclusive(x), Exclusive(y)) => x.cmp(y),
+            (Inclusive(x), Exclusive(y)) => x.cmp(y).then(unbounded),
+            (Exclusive(x), Inclusive(y)) => x.cmp(y).then(unbounded.reverse()),
+        }
+    }
+
+    /// `v` lies on the admitted side of this bound taken as a low bound.
+    /// Every value lies above `Unbounded`, NULL included: callers that
+    /// mean SQL comparison rule NULL out first.
+    pub fn admits_above(&self, v: &Value) -> bool {
+        match self {
+            RangeBound::Unbounded => true,
+            RangeBound::Inclusive(b) => v >= b,
+            RangeBound::Exclusive(b) => v > b,
+        }
+    }
+
+    /// `v` lies on the admitted side of this bound taken as a high bound.
+    pub fn admits_below(&self, v: &Value) -> bool {
+        match self {
+            RangeBound::Unbounded => true,
+            RangeBound::Inclusive(b) => v <= b,
+            RangeBound::Exclusive(b) => v < b,
+        }
+    }
+
+    /// `v` lies within `[low, high]`, each side as its bound says.
+    pub fn contains(low: &RangeBound, high: &RangeBound, v: &Value) -> bool {
+        low.admits_above(v) && high.admits_below(v)
+    }
+
+    /// True iff the bounds admit no value by their order alone: crossed,
+    /// or touching with an exclusive side. An open interval between two
+    /// adjacent values of a discrete type (`(Int(1), Int(2))`) is not
+    /// empty by this test — a `Double` could lie between — and no caller
+    /// needs it to be.
+    pub fn is_empty(low: &RangeBound, high: &RangeBound) -> bool {
+        let (l, h) = match (low, high) {
+            (
+                RangeBound::Inclusive(l) | RangeBound::Exclusive(l),
+                RangeBound::Inclusive(h) | RangeBound::Exclusive(h),
+            ) => (l, h),
+            _ => return false,
+        };
+        match l.cmp(h) {
+            Ordering::Greater => true,
+            Ordering::Equal => {
+                matches!(low, RangeBound::Exclusive(_)) || matches!(high, RangeBound::Exclusive(_))
+            }
+            Ordering::Less => false,
+        }
+    }
+
+    /// True iff two intervals, `(low, high)` each, share a value by
+    /// [`RangeBound::is_empty`]'s test of their intersection — the later
+    /// low bound against the earlier high one. An empty interval overlaps
+    /// nothing.
+    pub fn overlap(a: (&RangeBound, &RangeBound), b: (&RangeBound, &RangeBound)) -> bool {
+        let low = if a.0.cmp_low(b.0).is_ge() { a.0 } else { b.0 };
+        let high = if a.1.cmp_high(b.1).is_le() { a.1 } else { b.1 };
+        !RangeBound::is_empty(low, high)
     }
 }
 
@@ -134,22 +225,9 @@ impl Index {
         low: &'a RangeBound,
         high: &'a RangeBound,
     ) -> impl Iterator<Item = &'a [RowId]> + 'a {
-        // An (Excluded(x), Excluded(x)) std range panics; an empty interval
-        // is a legal (if silly) policy predicate, so detect inverted /
-        // empty intervals up front.
-        let empty = match (low, high) {
-            (
-                RangeBound::Inclusive(a) | RangeBound::Exclusive(a),
-                RangeBound::Inclusive(b) | RangeBound::Exclusive(b),
-            ) => {
-                a > b
-                    || (a == b
-                        && (matches!(low, RangeBound::Exclusive(_))
-                            || matches!(high, RangeBound::Exclusive(_))))
-            }
-            _ => false,
-        };
-        (!empty)
+        // A std range over crossed or touching-exclusive bounds panics; an
+        // empty interval is a legal (if silly) policy predicate.
+        (!RangeBound::is_empty(low, high))
             .then(|| self.entries.range::<Value, _>((low.as_std(), high.as_std())))
             .into_iter()
             .flatten()
@@ -329,6 +407,31 @@ mod tests {
                 &tally
             )
             .is_empty());
+    }
+
+    #[test]
+    fn bound_order_tells_inclusive_from_exclusive() {
+        use RangeBound::{Exclusive, Inclusive, Unbounded};
+        let (one, two) = (Value::Int(1), Value::Double(2.0));
+        // Low bounds: where they start; high bounds: where they end.
+        let lows = [Unbounded, Inclusive(one.clone()), Exclusive(one.clone()), Inclusive(two.clone())];
+        let highs = [Exclusive(one.clone()), Inclusive(one.clone()), Exclusive(two.clone()), Unbounded];
+        for i in 0..4 {
+            for j in 0..4 {
+                assert_eq!(lows[i].cmp_low(&lows[j]), i.cmp(&j), "{:?} vs {:?}", lows[i], lows[j]);
+                assert_eq!(highs[i].cmp_high(&highs[j]), i.cmp(&j), "{:?} vs {:?}", highs[i], highs[j]);
+            }
+        }
+        assert!(Inclusive(one.clone()).admits_above(&Value::Double(1.0)));
+        assert!(!Exclusive(one.clone()).admits_above(&Value::Double(1.0)));
+        assert!(RangeBound::contains(&Exclusive(one.clone()), &Inclusive(two.clone()), &two));
+        // Touching ends overlap only where both include the point.
+        let closed = (&Inclusive(one.clone()), &Inclusive(two.clone()));
+        let from_two = |low| (low, &Unbounded);
+        assert!(RangeBound::overlap(closed, from_two(&Inclusive(Value::Int(2)))));
+        assert!(!RangeBound::overlap(closed, from_two(&Exclusive(Value::Int(2)))));
+        assert!(!RangeBound::overlap((&Exclusive(one.clone()), &Exclusive(one.clone())), (&Unbounded, &Unbounded)));
+        assert!(RangeBound::is_empty(&Inclusive(two), &Inclusive(one)));
     }
 
     #[test]

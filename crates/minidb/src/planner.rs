@@ -167,8 +167,9 @@ impl IndexProbe {
     /// the index stores NULL (it sorts below every value), but SQL
     /// comparisons against NULL are false — so a NULL probe key, or a
     /// range whose low end is unbounded (and therefore starts at the NULL
-    /// keys), leaves its conjunct to be checked. (A NaN key never gets
-    /// this far: no probe is derived from one.)
+    /// keys), leaves its conjunct to be checked. Every other key — NaN
+    /// and mixed `Int`/`Double` ones included — finds what the comparison
+    /// holds on: the index and the comparison share `Value`'s order.
     pub fn is_exact(&self) -> bool {
         match self {
             IndexProbe::Point { key, .. } => !key.is_null(),
@@ -352,10 +353,8 @@ fn narrowed(est: f64, probe_rows: f64, table_rows: f64) -> f64 {
 }
 
 /// Try to turn one expression into an index probe on `entry`, restricted to
-/// `allowed` columns when a FORCE INDEX hint names them. A NaN key or bound
-/// has no probe: `Value`'s order calls NaN equal to every number, so the
-/// comparison holds on every numeric row while a B-tree descent lands on
-/// one key.
+/// `allowed` columns when a FORCE INDEX hint names them. Any literal is a
+/// key: the B-tree is ordered by the `Value` order the comparison uses.
 fn probe_from_expr(
     e: &Expr,
     entry: &TableEntry,
@@ -380,7 +379,7 @@ fn probe_from_expr(
     };
 
     let key = |e: &Expr| match e {
-        Expr::Literal(v) if !v.is_nan() => Some(v.clone()),
+        Expr::Literal(v) => Some(v.clone()),
         _ => None,
     };
     match e.unshared() {
@@ -1610,33 +1609,52 @@ mod tests {
         assert_eq!(plan.describe(), "IndexScan(owner, recheck 1 of 1)");
     }
 
-    /// `Value`'s order calls NaN equal to every number, so `owner = NaN`
-    /// holds on every row while the B-tree lands on one key: a NaN key,
-    /// list member or bound yields no probe, and a forced read scans.
+    /// NaN has its place in `Value`'s order (equal to NaN alone, above
+    /// every number), so a NaN key, list member or bound probes like any
+    /// key, and a forced read returns the scan's rows.
     #[test]
-    fn nan_literal_is_never_probed() {
+    fn nan_literal_probes_like_any_key() {
         let db = setup(DbProfile::MySqlLike);
         let entry = db.table("w").unwrap();
         let nan = || Expr::Literal(Value::Double(f64::NAN));
         let hint = IndexHint::Force(vec!["owner".into()]);
-        for pred in [
-            Expr::col_eq(ColumnRef::bare("owner"), Value::Double(f64::NAN)),
-            Expr::InList {
-                expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
-                list: vec![Expr::Literal(Value::Int(3)), nan()],
-                negated: false,
-            },
-            Expr::Between {
-                expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
-                low: Box::new(nan()),
-                high: Box::new(Expr::Literal(Value::Int(3))),
-                negated: false,
-            },
-            Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Gt, Value::Double(f64::NAN)),
+        let rows = |pred: &Expr, hint: IndexHint| {
+            let q = SelectQuery {
+                from: vec![TableRef::named("w").with_hint(hint)],
+                ..SelectQuery::star_from("w")
+            }
+            .filter(pred.clone());
+            let mut rows = db.run_query(&q).unwrap().rows;
+            rows.sort();
+            rows
+        };
+        for (pred, matched) in [
+            (Expr::col_eq(ColumnRef::bare("owner"), Value::Double(f64::NAN)), 0),
+            (
+                Expr::InList {
+                    expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
+                    list: vec![Expr::Literal(Value::Int(3)), nan()],
+                    negated: false,
+                },
+                20,
+            ),
+            (
+                Expr::Between {
+                    expr: Box::new(Expr::Column(ColumnRef::bare("owner"))),
+                    low: Box::new(Expr::Literal(Value::Int(98))),
+                    high: Box::new(nan()),
+                    negated: false,
+                },
+                40,
+            ),
+            (Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Gt, Value::Double(f64::NAN)), 0),
         ] {
-            assert_eq!(probe_from_expr(&pred, entry, "w", None), None, "{pred:?}");
+            assert!(probe_from_expr(&pred, entry, "w", None).is_some(), "{pred:?}");
             let plan = plan_access(entry, "w", Some(&pred), &hint, DbProfile::MySqlLike);
-            assert_eq!(plan, AccessPlan::SeqScan, "{pred:?}");
+            assert_ne!(plan, AccessPlan::SeqScan, "{pred:?}");
+            let scanned = rows(&pred, IndexHint::IgnoreAll);
+            assert_eq!(scanned.len(), matched, "{pred:?}");
+            assert_eq!(rows(&pred, hint.clone()), scanned, "{pred:?}");
         }
     }
 

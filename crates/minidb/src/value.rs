@@ -77,12 +77,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// True iff the value has no place in the order: a NaN double compares
-    /// equal to every number, so it can be neither sorted nor searched for.
-    pub fn is_nan(&self) -> bool {
-        matches!(self, Value::Double(d) if d.is_nan())
-    }
-
     /// The value's type; NULL has none.
     pub fn data_type(&self) -> Option<DataType> {
         Some(match self {
@@ -249,9 +243,12 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order across all values: NULL first, then by type rank, then by
-    /// value. Within numerics, `Int` and `Double` compare numerically so a
-    /// mixed-type index key still behaves.
+    /// The one order of values, total: NULL first, then by type rank, then
+    /// by value. `Int` and `Double` share a rank and compare by exact
+    /// value — never through an `Int`'s `f64` image, which is inexact
+    /// beyond ±2⁵³ (SQLite's int/float compare) — so `Int(1) ==
+    /// Double(1.0)` and `Int(2⁵³ + 1) > Double(2⁵³)`. `-0.0 == 0.0`; NaN
+    /// equals NaN and sorts above every other number (PostgreSQL's rule).
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -260,9 +257,9 @@ impl Ord for Value {
             (_, Null) => Ordering::Greater,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Int(a), Double(b)) => cmp_f64(*a as f64, *b),
-            (Double(a), Int(b)) => cmp_f64(*a, *b as f64),
-            (Double(a), Double(b)) => cmp_f64(*a, *b),
+            (Int(a), Double(b)) => cmp_int_double(*a, *b),
+            (Double(a), Int(b)) => cmp_int_double(*b, *a).reverse(),
+            (Double(a), Double(b)) => cmp_double(*a, *b),
             (Str(a), Str(b)) => a.cmp(b),
             (Time(a), Time(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
@@ -272,33 +269,63 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
-    /// Agrees with `Eq`: `Int` and `Double` compare numerically (an `Int`
-    /// through its `f64` image), so both hash that image's bits under one
-    /// numeric tag — `Int(1)` and `Double(1.0)` land in the same hash-join
-    /// bucket, `DISTINCT` set entry and `GROUP BY` group. (NaN is outside
-    /// the contract: `cmp_f64` calls it equal to every number.)
+    /// Agrees with `Eq`: a `Double` holding an integer in `i64` range
+    /// (`-0.0` included) hashes as that `Int`, so `Int(1)` and
+    /// `Double(1.0)` land in the same hash-join bucket, `DISTINCT` set entry,
+    /// `GROUP BY` group and key-table slot; every NaN hashes alike.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.type_rank().hash(state);
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            Value::Int(i) => hash_f64(*i as f64, state),
+            Value::Int(i) => i.hash(state),
             Value::Str(s) => s.hash(state),
             Value::Time(t) => t.hash(state),
             Value::Date(d) => d.hash(state),
-            Value::Double(d) => hash_f64(*d, state),
+            Value::Double(d) => hash_double(*d, state),
         }
     }
 }
 
-fn hash_f64<H: std::hash::Hasher>(d: f64, state: &mut H) {
+/// A `Double`'s hash: an integer in `i64` range as that `Int`, every NaN
+/// alike. Kept out of line, so the `Int` keys of a key-table probe pay
+/// only for their own arm.
+#[inline(never)]
+fn hash_double<H: std::hash::Hasher>(d: f64, state: &mut H) {
     use std::hash::Hash;
-    // `-0.0 == 0.0`, so both hash as `0.0`.
-    (if d == 0.0 { 0.0f64 } else { d }).to_bits().hash(state);
+    match exact_int(d) {
+        Some(i) => i.hash(state),
+        None if d.is_nan() => f64::NAN.to_bits().hash(state),
+        None => d.to_bits().hash(state),
+    }
 }
 
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+/// 2⁶³, the first `f64` above every `i64`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// The integer `d` holds, when it holds one in `i64` range.
+fn exact_int(d: f64) -> Option<i64> {
+    (d.trunc() == d && (-TWO_63..TWO_63).contains(&d)).then_some(d as i64)
+}
+
+/// `a` against `b` by exact value: `b`'s integer part, when in `i64`
+/// range, is exact as an `i64`, and its fraction breaks a tie. Kept out
+/// of line: mixed pairs are rare, and `cmp` runs in every index descent.
+#[inline(never)]
+fn cmp_int_double(a: i64, b: f64) -> Ordering {
+    if b.is_nan() || b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    a.cmp(&(whole as i64)).then(cmp_double(whole, b))
+}
+
+/// `f64`'s own order, with NaN equal to NaN and above every number.
+fn cmp_double(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 impl Value {
@@ -418,6 +445,18 @@ mod tests {
         assert!(Value::Int(1) < Value::Double(1.5));
         assert!(Value::Double(0.5) < Value::Int(1));
         assert_eq!(Value::Int(2), Value::Double(2.0));
+        // By exact value, not through the `Int`'s `f64` image.
+        let two_53 = 1i64 << 53;
+        assert!(Value::Int(two_53 + 1) > Value::Double(two_53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Double(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Double(i64::MIN as f64));
+        assert!(Value::Double(-1.5) < Value::Int(-1));
+        // NaN equals NaN and sorts above every number, ∞ included.
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan, Value::Double(-f64::NAN));
+        assert!(nan > Value::Double(f64::INFINITY) && nan > Value::Int(i64::MAX));
+        assert!(nan < Value::Time(0));
+        assert_eq!(Value::Double(-0.0), Value::Int(0));
     }
 
     #[test]
@@ -455,7 +494,8 @@ mod tests {
             (Value::Int(1), Value::Double(1.0)),
             (Value::Int(0), Value::Double(-0.0)),
             (Value::Int(-7), Value::Double(-7.0)),
-            (Value::Int(i64::MAX), Value::Double(i64::MAX as f64)),
+            (Value::Int(i64::MIN), Value::Double(i64::MIN as f64)),
+            (Value::Double(f64::NAN), Value::Double(-f64::NAN)),
         ] {
             assert_eq!(a, b);
             assert_eq!(h(&a), h(&b), "{a} vs {b}");
@@ -463,5 +503,57 @@ mod tests {
         let set: std::collections::HashSet<Value> =
             [Value::Int(1), Value::Double(1.0), Value::Double(1.5)].into();
         assert_eq!(set.len(), 2);
+    }
+
+    /// Where a numeric order is easy to get wrong: 0, ±2⁵³ (beyond which
+    /// an `f64` no longer holds every integer) and the ends of `i64`.
+    const ANCHORS: [i64; 5] = [0, 1 << 53, -(1 << 53), i64::MIN, i64::MAX];
+
+    /// A number near `ANCHORS[anchor]`: an `Int` a few steps off, the
+    /// `Double` nearest that, a half-step `Double`, or one of ±∞, NaN and
+    /// -0.0.
+    fn near(anchor: usize, (kind, step): (usize, i64)) -> Value {
+        let at = ANCHORS[anchor].saturating_add(step);
+        match kind {
+            0 => Value::Int(at),
+            1 => Value::Double(at as f64),
+            2 => Value::Double(ANCHORS[anchor] as f64 + step as f64 / 2.0),
+            _ => Value::Double([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0][step.rem_euclid(4) as usize]),
+        }
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut s = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut s);
+        s.finish()
+    }
+
+    proptest::proptest! {
+        /// `Value`'s order is a total order on numbers: transitive and
+        /// antisymmetric over every triple drawn near one anchor, with
+        /// `==` exactly its `Equal` and equal values hashing alike.
+        #[test]
+        fn numeric_order_is_total_and_hash_agrees(
+            anchor in 0usize..ANCHORS.len(),
+            points in proptest::collection::vec((0usize..4, -3i64..4), 3..4),
+        ) {
+            let v: Vec<Value> = points.into_iter().map(|p| near(anchor, p)).collect();
+            for [x, y, z] in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+                let (x, y, z) = (&v[x], &v[y], &v[z]);
+                let (xy, yz) = (x.cmp(y), y.cmp(z));
+                if xy == yz || yz == Ordering::Equal {
+                    proptest::prop_assert_eq!(x.cmp(z), xy, "{:?}, {:?}, {:?}", x, y, z);
+                }
+            }
+            for (i, j) in [(0, 1), (1, 2), (0, 2)] {
+                let (a, b) = (&v[i], &v[j]);
+                proptest::prop_assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{:?} vs {:?}", a, b);
+                proptest::prop_assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{:?} vs {:?}", a, b);
+                if a == b {
+                    proptest::prop_assert_eq!(hash_of(a), hash_of(b), "{:?} vs {:?}", a, b);
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ use sieve::core::{Enforcement, SieveOptions, SieveService};
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{AggFunc, IndexHint, SelectItem, TableRef, TableSource};
 use sieve::minidb::value::DataType;
-use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
+use sieve::minidb::{Database, DbProfile, RangeBound, Row, SelectQuery, TableSchema, Value};
 use support::REL;
 
 fn boards_schema() -> TableSchema {
@@ -574,6 +574,46 @@ fn build_nested(n: &Nesting) -> SelectQuery {
         });
     }
     q
+}
+
+/// Two ranges that differ only in whether 10:00 is included merge into
+/// one guard, and the merged guard must start where the wider of them
+/// does: `[10:00, …]`, not `(10:00, …]`. A merge that picked a bound by
+/// its value alone kept owner 1's exclusive bound and hid owner 2's rows
+/// at exactly 10:00 — a guard narrower than the policies it stands for.
+#[test]
+fn merged_range_guard_keeps_the_wider_bound() {
+    let ten = Value::Time(10 * 3600);
+    let noon = Value::Time(12 * 3600);
+    let mut db = support::wifi_db(6000, 3, true);
+    for id in 0..6i64 {
+        let owner = 1 + id % 2;
+        db.insert(REL, vec![Value::Int(6000 + id), Value::Int(owner), Value::Int(1001), ten.clone()])
+            .unwrap();
+    }
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    for (owner, low) in [
+        (1, RangeBound::Exclusive(ten.clone())),
+        (2, RangeBound::Inclusive(ten.clone())),
+    ] {
+        let range = CondPredicate::Range { low, high: RangeBound::Inclusive(noon.clone()) };
+        let condition = ObjectCondition::new("ts_time", range);
+        sieve
+            .add_policy(Policy::new(owner, REL, QuerierSpec::User(500), "Analytics", vec![condition]))
+            .unwrap();
+    }
+    let qm = QueryMetadata::new(500, "Analytics");
+    let ge = sieve.guarded_expression(&qm, REL).unwrap();
+    let [guard] = ge.guards.as_slice() else { panic!("one merged guard expected: {ge:?}") };
+    let want = CondPredicate::Range {
+        low: RangeBound::Inclusive(ten.clone()),
+        high: RangeBound::Inclusive(noon),
+    };
+    assert_eq!(guard.condition.pred, want);
+    let got = support::sorted_rows(sieve.execute(&SelectQuery::star_from(REL), &qm).unwrap());
+    let expect = support::oracle_rows(&sieve, REL, &qm);
+    assert_eq!(got.iter().filter(|r| r[3] == ten).count(), 3, "owner 2's rows at 10:00");
+    assert_eq!(got, expect);
 }
 
 proptest! {

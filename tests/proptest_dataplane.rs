@@ -5,8 +5,9 @@
 //! that come back are identical to the full-scan oracle, and a
 //! conjunction read through indexes never evaluates more predicates than
 //! the scan. Coverage spans index availability (none / partial / full),
-//! stale histograms, NULL index keys, NaN literals, both optimizer
-//! profiles and both execution backends (in-process and wire-SQL).
+//! stale histograms, NULL index keys, NaN literals, integers beyond 2⁵³
+//! read through `Double` literals, both optimizer profiles and both
+//! execution backends (in-process and wire-SQL).
 
 use proptest::prelude::*;
 use sieve::core::backend::{SqlBackend, WireSqlBackend};
@@ -29,7 +30,9 @@ enum Indexing {
 
 /// Build the table. Column `c` carries NULLs (every 13th row), so index
 /// ranges with an unbounded low end include NULL keys — the case where
-/// eliding the residual filter would be unsound.
+/// eliding the residual filter would be unsound. Column `a` holds
+/// `i % 23`, except that where that is 22 it holds one of 2⁵³, 2⁵³ + 1 and
+/// 2⁵³ + 2, integers an `f64` tells apart only in part.
 fn build(rows: i64, profile: DbProfile, indexing: Indexing, stale_hist: bool) -> Database {
     let mut db = Database::new(profile);
     db.create_table(TableSchema::of(
@@ -48,7 +51,8 @@ fn build(rows: i64, profile: DbProfile, indexing: Indexing, stale_hist: bool) ->
         } else {
             Value::Time(((i * 557) % 86_400) as u32)
         };
-        db.insert("t", vec![Value::Int(i), Value::Int(i % 23), Value::Int(i % 7), c])
+        let a = if i % 23 == 22 { (1 << 53) + i % 3 } else { i % 23 };
+        db.insert("t", vec![Value::Int(i), Value::Int(a), Value::Int(i % 7), c])
             .unwrap();
     };
     // Stale-histogram case: index + analyze at 60% of the data, then keep
@@ -77,9 +81,42 @@ fn nan() -> Expr {
     Expr::Literal(Value::Double(f64::NAN))
 }
 
+/// Numbers around 2⁵³, where an `Int`'s `f64` image stops being exact:
+/// `Double(2⁵³)` equals `Int(2⁵³)` and neither of its neighbours, whose
+/// images it shares. (`2⁵³ + 2` is the first double above 2⁵³.)
+const AROUND_2_53: [Value; 6] = [
+    Value::Int((1 << 53) - 1),
+    Value::Int(1 << 53),
+    Value::Int((1 << 53) + 1),
+    Value::Double(((1i64 << 53) - 1) as f64),
+    Value::Double((1i64 << 53) as f64),
+    Value::Double(((1i64 << 53) + 2) as f64),
+];
+
+/// Leaves on `a` holding a number around 2⁵³ — a point key, an IN-list
+/// member, a range bound: a probe has to find the keys `=` and `<` find,
+/// no more, no fewer.
+fn arb_big_leaf() -> impl Strategy<Value = Expr> {
+    let a = || Box::new(Expr::Column(ColumnRef::bare("a")));
+    let big = || (0..AROUND_2_53.len()).prop_map(|i| AROUND_2_53[i].clone());
+    prop_oneof![
+        big().prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), v)),
+        (0i64..23, big()).prop_map(move |(x, v)| Expr::InList {
+            expr: a(),
+            list: vec![Expr::Literal(Value::Int(x)), Expr::Literal(v)],
+            negated: false,
+        }),
+        (big(), 0usize..4).prop_map(|(v, op)| Expr::col_cmp(
+            ColumnRef::bare("a"),
+            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op],
+            v
+        )),
+    ]
+}
+
 /// Leaves on `a` holding a NaN literal — a point key, an IN-list member, a
-/// range bound. `Value`'s order calls NaN equal to every number, so each
-/// holds on rows a B-tree descent to the NaN key would not find.
+/// range bound. NaN equals only NaN and sorts above every number, so each
+/// probes the index like any key.
 fn arb_nan_leaf() -> impl Strategy<Value = Expr> {
     let a = || Box::new(Expr::Column(ColumnRef::bare("a")));
     prop_oneof![
@@ -108,11 +145,12 @@ fn has_nan(pred: &Expr) -> bool {
 /// A guard-shaped predicate: a top-level OR whose disjuncts are small
 /// conjunctions — exactly what `compile_guard_fragment` emits. Leaves
 /// include NULL-sensitive shapes (`c <= lit` probes from the unbounded
-/// low end; `a = NULL` probes a NULL key) to stress residual elision, and
-/// NaN literals, which no probe may be derived from.
+/// low end; `a = NULL` probes a NULL key) to stress residual elision, NaN
+/// literals and numbers around 2⁵³.
 fn arb_guard_pred() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         arb_nan_leaf(),
+        arb_big_leaf(),
         (0i64..23).prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), Value::Int(v))),
         (0i64..7).prop_map(|v| Expr::col_eq(ColumnRef::bare("b"), Value::Int(v))),
         (0i64..23, 0i64..23).prop_map(|(x, y)| Expr::InList {
@@ -146,7 +184,8 @@ fn arb_guard_pred() -> impl Strategy<Value = Expr> {
 /// list members and point keys, and ranges on `c` open at the low end
 /// (where the index keeps that column's NULLs), are the cases in which an
 /// intersection that trusted its probes would return rows `WHERE` does
-/// not; a NaN literal on `a` the case in which a probe would miss rows.
+/// not; a NaN literal or a number around 2⁵³ on `a` the cases in which a
+/// probe and the scan order values differently if anything does.
 fn arb_conjunction() -> impl Strategy<Value = (Expr, Vec<&'static str>)> {
     let in_list = |col: &'static str, keys: Vec<Value>| Expr::InList {
         expr: Box::new(Expr::Column(ColumnRef::bare(col))),
@@ -164,6 +203,7 @@ fn arb_conjunction() -> impl Strategy<Value = (Expr, Vec<&'static str>)> {
         (0i64..23).prop_map(|v| Expr::col_eq(ColumnRef::bare("a"), Value::Int(v))),
         Just(Expr::col_eq(ColumnRef::bare("a"), Value::Null)),
         arb_nan_leaf(),
+        arb_big_leaf(),
     ];
     let on_b = prop_oneof![
         (0i64..7).prop_map(|v| Expr::col_eq(ColumnRef::bare("b"), Value::Int(v))),
@@ -264,7 +304,8 @@ proptest! {
 
     /// A conjunction hinted with every subset of its columns, and
     /// unhinted, returns the scan oracle's rows on both profiles — through
-    /// NULL keys, NaN literals, open-ended ranges and stale histograms —
+    /// NULL keys, NaN literals, numbers around 2⁵³, open-ended ranges and
+    /// stale histograms —
     /// an intersection never fetches more than the best single index the
     /// hint names would have, and no index read evaluates more predicates
     /// than the scan: a fetched row is checked against what its probes
