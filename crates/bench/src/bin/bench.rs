@@ -11,8 +11,9 @@
 //! * `hotpath` — the engine alone: filter-loop throughput, index union
 //!   against the scan it replaces, what pinning a
 //!   plan saves an execute (`engine.plan_us` / `run_pinned_us` /
-//!   `execute_us`) and what a statement pays for a guard bound once
-//!   (`engine.rewrite_us` / `bind_fragment_us`);
+//!   `execute_us`), what a statement pays for a guard bound once
+//!   (`engine.rewrite_us` / `bind_fragment_us`), and one guarded statement
+//!   with its partitions behind ∆ against inline (`delta.*`);
 //! * `multiquerier` — cold preparation of ≥ 100 queriers, one by one;
 //! * `concurrent` — one shared service under 1/2/4/8 threads, and readers
 //!   beside a policy writer;
@@ -39,7 +40,7 @@ use sieve_bench::harness::{
     EnvConfig, Record, Stat, OVERHEAD_GATE_PAIRS,
 };
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve_core::rewrite::GuardFragment;
+use sieve_core::rewrite::{DeltaMode, GuardFragment, RewriteOutput};
 use sieve_core::{
     CondPredicate, Fault, FaultConfig, FaultInjectingBackend, Prepared, SieveOptions,
     SieveService, SqlBackend, WireSqlBackend,
@@ -116,7 +117,8 @@ fn heavy_probe(campus: &Campus, class: QueryClass, seed: u64) -> (QueryMetadata,
 /// `invalidate_all`, which generates it (`grant.generated_us`); gated on
 /// the placed expression equalling the generated one, and on the placed
 /// read's plan binding the new disjunction, arm and partition and nothing
-/// else (`grant.binds`).
+/// else (`grant.binds`). (7) That statement with every partition behind ∆
+/// against every one inline ([`delta_against_inline`]).
 fn hotpath(env: &EnvConfig) -> Record {
     let rss_before = rss_kib();
     let campus = build_campus(DbProfile::MySqlLike, env, SieveOptions::default());
@@ -378,8 +380,70 @@ fn hotpath(env: &EnvConfig) -> Record {
         ),
     );
     drop(db);
+    delta_against_inline(&mut rec, &campus, env, &point, &qm);
     grant(&mut rec, &campus, env, &point, &qm);
     rec
+}
+
+/// `hotpath`'s (7): the point statement with every guard's partition
+/// behind ∆ (`DeltaMode::Always`) against every one inline (`Never`), each
+/// rewritten by a service of its own over a copy of the campus. One run of
+/// each reports its counters (`delta.udf_invocations`, `predicate_evals`),
+/// then the two rewritten statements run in interleaved blocks
+/// (`delta.exec_us`, `delta.inline_exec_us`); gated on ∆ running and
+/// returning the inline rows.
+fn delta_against_inline(
+    rec: &mut Record,
+    campus: &Campus,
+    env: &EnvConfig,
+    point: &SelectQuery,
+    qm: &QueryMetadata,
+) {
+    let under = |delta_mode| {
+        let mut options = SieveOptions::default();
+        options.rewrite.delta_mode = delta_mode;
+        let service = service_over(campus.sieve.db().clone(), campus, options);
+        // Held while the statement runs: it pins the ∆ partitions it calls.
+        let rewritten = service.rewrite(point, qm).expect("rewrite");
+        (service, rewritten)
+    };
+    let (delta, inline) = (under(DeltaMode::Always), under(DeltaMode::Never));
+    let opts = ExecOptions::default();
+    let run = |(service, rewritten): &(SieveService, RewriteOutput)| {
+        let (res, stats) = service.db().run_timed(&rewritten.query, &opts);
+        let mut rows = res.expect("guarded run").rows;
+        rows.sort();
+        (rows, stats.counters)
+    };
+    let ((delta_rows, delta_counters), (inline_rows, inline_counters)) = (run(&delta), run(&inline));
+    let (blocks, reps) = (env.pick(5, 9), env.pick(10, 50));
+    let (mut delta_blocks, mut inline_blocks) = (Vec::new(), Vec::new());
+    for _ in 0..blocks {
+        for ((service, rewritten), samples) in [(&delta, &mut delta_blocks), (&inline, &mut inline_blocks)] {
+            let db = service.db();
+            samples.push(block_us(reps, || {
+                black_box(db.run_query(&rewritten.query).expect("guarded run").len());
+            }));
+        }
+    }
+    let partitions = delta.1.fragments.iter().map(|f| f.partitions().count()).sum::<usize>();
+    rec.put("delta.partitions", partitions);
+    rec.put("delta.output_rows", delta_rows.len());
+    rec.put("delta.exec_us", Stat::of(delta_blocks));
+    rec.put("delta.inline_exec_us", Stat::of(inline_blocks));
+    rec.put("delta.udf_invocations", delta_counters.udf_invocations as usize);
+    rec.put("delta.predicate_evals", delta_counters.predicate_evals as usize);
+    rec.put("delta.inline_predicate_evals", inline_counters.predicate_evals as usize);
+    rec.gate(
+        "delta_rows_equal_inline",
+        delta_counters.udf_invocations > 0 && inline_counters.udf_invocations == 0 && delta_rows == inline_rows,
+        format!(
+            "every partition behind ∆ ({} calls) must return the inline rows ({} vs {})",
+            delta_counters.udf_invocations,
+            delta_rows.len(),
+            inline_rows.len()
+        ),
+    );
 }
 
 /// `hotpath`'s (6): owners who share nothing with the querier grant it
@@ -640,9 +704,8 @@ fn concurrent(env: &EnvConfig) -> Record {
 }
 
 /// A service over `backend` with the campus policy corpus.
-fn service_over<B: SqlBackend>(backend: B, campus: &Campus) -> SieveService<B> {
-    let service =
-        SieveService::with_backend(backend, SieveOptions::default()).expect("backend init");
+fn service_over<B: SqlBackend>(backend: B, campus: &Campus, options: SieveOptions) -> SieveService<B> {
+    let service = SieveService::with_backend(backend, options).expect("backend init");
     service.with_groups_mut(|g| *g = campus.dataset.groups.clone());
     service.add_policies(campus.policies.iter().cloned()).expect("policies");
     service
@@ -679,8 +742,8 @@ fn faults(env: &EnvConfig) -> Record {
     let wire = || rate0(WireSqlBackend::new(base_db.clone()));
     rec.put("querier_policies", policies);
 
-    let raw_service = service_over(base_db.clone(), &campus);
-    let faulty_service = service_over(rate0(base_db.clone()), &campus);
+    let raw_service = service_over(base_db.clone(), &campus, SieveOptions::default());
+    let faulty_service = service_over(rate0(base_db.clone()), &campus, SieveOptions::default());
     let raw = raw_service.session(qm.clone()).prepare(q.clone()).expect("raw prepare");
     let wrapped = faulty_service.session(qm.clone()).prepare(q.clone()).expect("faulty prepare");
     let result_rows = raw.execute().expect("raw warm-up").len();
@@ -704,7 +767,7 @@ fn faults(env: &EnvConfig) -> Record {
     rec.gate_overhead("warm_no_fault_overhead", &raw_us, &wrapped_us);
 
     let drop_rounds = env.pick(10usize, 30);
-    let service = service_over(wire(), &campus);
+    let service = service_over(wire(), &campus, SieveOptions::default());
     let prepared = service.session(qm.clone()).prepare(q.clone()).expect("prepare");
     prepared.execute().expect("warm-up");
     let warm_us = measure(3, warm_reps, || drop(prepared.execute().expect("warm exec")));
@@ -722,7 +785,7 @@ fn faults(env: &EnvConfig) -> Record {
     rec.put("drop_recovery.reprepares", stats.reprepares);
 
     let storm_rounds = env.pick(5usize, 15);
-    let service = service_over(wire(), &campus);
+    let service = service_over(wire(), &campus, SieveOptions::default());
     let handles: Vec<_> = (0..4)
         .map(|_| service.session(qm.clone()).prepare(q.clone()).expect("storm prepare"))
         .collect();

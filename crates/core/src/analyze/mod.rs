@@ -29,6 +29,12 @@
 //! ([`allow_shadowed_by_deny`]). The service wires the verifier into
 //! every cold guard generation behind `SieveOptions::verify_rewrites`,
 //! and the `sieve_analyze` binary audits whole scenario stores.
+//!
+//! What a cold build proves is the fragment that runs
+//! ([`verify_fragment`]): its disjunction, with each `delta(key, …)` call
+//! replaced by the expression the branch's ∆ lease keeps — the policy DNF
+//! ∆ bound and evaluates, not one rebuilt from the store — so the proof
+//! covers inline and ∆ branches by the same expression the engine runs.
 
 pub mod domain;
 pub mod eval;
@@ -71,41 +77,19 @@ pub fn verify_guarded_expression(
 
 /// Verify a compiled guard fragment in the form that runs: its
 /// disjunction, over the arms it is made of. Inline partitions are checked
-/// as compiled; a `delta(key, …)` call is resolved to the policy DNF of
-/// the branch whose partition `key` names (that is exactly the set the ∆
-/// operator evaluates per tuple), so the check covers both compilation
-/// strategies — and a fragment spliced from another.
-pub fn verify_fragment(
-    fragment: &GuardFragment,
-    ge: &GuardedExpression,
-    by_id: &HashMap<PolicyId, &Policy>,
-    allowed: &[&Policy],
-) -> Verdict {
-    if fragment.branches.len() != ge.guards.len() {
-        return Verdict::Unknown {
-            reason: format!(
-                "fragment has {} branches for {} guards",
-                fragment.branches.len(),
-                ge.guards.len()
-            ),
-        };
-    }
-    let mut partitions: HashMap<PartitionKey, Expr> = HashMap::new();
-    for (branch, guard) in fragment.branches.iter().zip(&ge.guards) {
-        let Some(handle) = &branch.delta else { continue };
-        if guard.policies.iter().any(|id| !by_id.contains_key(id)) {
-            return Verdict::Unknown {
-                reason: "∆ partition references a policy missing from the store".to_string(),
-            };
-        }
-        let dnf = guard.policies.iter().filter_map(|id| by_id.get(id)).map(|p| p.to_expr());
-        partitions.insert(handle.key(), Expr::any(dnf.collect()));
-    }
+/// as compiled; a `delta(key, …)` call is replaced by the expression its
+/// [`PartitionHandle`](crate::delta::PartitionHandle) keeps — the policy
+/// DNF ∆ bound and evaluates for that key — so the check covers both
+/// compilation strategies, and a fragment spliced from another, by what
+/// runs.
+pub fn verify_fragment(fragment: &GuardFragment, allowed: &[&Policy]) -> Verdict {
+    let partitions: HashMap<PartitionKey, &Expr> =
+        fragment.partitions().map(|h| (h.key(), h.partition())).collect();
     let mut unresolved = false;
     let running = fragment.disjunction.map(&mut |e| match e {
         Expr::Udf { name, args } if name == DELTA_UDF => {
             let dnf = match args.first() {
-                Some(Expr::Literal(Value::Int(key))) => partitions.get(key).cloned(),
+                Some(Expr::Literal(Value::Int(key))) => partitions.get(key).map(|&e| e.clone()),
                 _ => None,
             };
             unresolved |= dnf.is_none();
@@ -516,11 +500,7 @@ mod tests {
                 mode,
             )
             .expect("compile");
-            assert_eq!(
-                verify_fragment(&fragment, &ge, &map, &refs),
-                Verdict::Proven,
-                "mode {mode:?}"
-            );
+            assert_eq!(verify_fragment(&fragment, &refs), Verdict::Proven, "mode {mode:?}");
         }
     }
 

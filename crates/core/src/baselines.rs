@@ -207,8 +207,8 @@ pub fn rewrite_baseline_i(
     out
 }
 
-/// BaselineU: register all policies as a single ∆ partition and append a
-/// per-tuple UDF call to the WHERE clause. Returns the rewritten query
+/// BaselineU: register all policies' DNF as a single ∆ partition and
+/// append a per-tuple UDF call to the WHERE clause. Returns the rewritten query
 /// plus the RAII handles pinning the partitions it references — the query
 /// is executable for exactly as long as the handles are alive (the UDF
 /// must already be installed via [`DeltaRegistry::install`]).
@@ -228,7 +228,7 @@ pub fn rewrite_baseline_u(
     let mut parts = Vec::new();
     let mut handles = Vec::new();
     if !plain.is_empty() {
-        let handle = delta.register_partition(schema, &plain)?;
+        let handle = delta.register_partition(schema, crate::policy::policy_expression(&plain))?;
         parts.push(delta_call_expr(handle.key(), schema));
         handles.push(handle);
     }

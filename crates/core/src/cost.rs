@@ -131,28 +131,17 @@ impl CostModel {
         n
     }
 
-    /// Strategy costs of Section 5.5. `guard_rows_total = Σ ρ(G_i)`;
-    /// `query_fetches` is the cost of the query predicate's own index path
-    /// in fetched-row equivalents, as the engine's planner estimates it
+    /// Strategy costs of Section 5.5, the guard cardinality `Σ ρ(G_i)`
+    /// split by whether each guard's attribute is indexed. `query_fetches`
+    /// is the cost of the query predicate's own index path in fetched-row
+    /// equivalents, as the engine's planner estimates it
     /// ([`minidb::planner::ConjunctivePath::est_cost`]; `None` when no
-    /// index is usable — cost ∞). Assumes every guard is index-backed; see
-    /// [`CostModel::strategy_costs_split`] when some are not.
-    pub fn strategy_costs(
-        &self,
-        table_rows: f64,
-        guard_rows_total: f64,
-        query_fetches: Option<f64>,
-    ) -> StrategyCosts {
-        self.strategy_costs_split(table_rows, guard_rows_total, 0.0, query_fetches)
-    }
-
-    /// [`CostModel::strategy_costs`] with the guard cardinality split by
-    /// whether each guard's attribute is indexed. Guards on unindexed
-    /// attributes cannot drive index probes: as soon as any guard must be
-    /// answered by scanning, the IndexGuards strategy degrades to reading
-    /// the whole relation sequentially (the engine's FORCE-hint union
-    /// falls back to a scan when a disjunct has no usable index), so its
-    /// cost is the full scan rather than `Σ ρ(G_i) · c_r`.
+    /// index is usable — cost ∞). Guards on unindexed attributes cannot
+    /// drive index probes: as soon as any guard must be answered by
+    /// scanning, the IndexGuards strategy degrades to reading the whole
+    /// relation sequentially (the engine's FORCE-hint union falls back to a
+    /// scan when a disjunct has no usable index), so its cost is the full
+    /// scan rather than `Σ ρ(G_i) · c_r`.
     pub fn strategy_costs_split(
         &self,
         table_rows: f64,
@@ -320,13 +309,13 @@ mod tests {
     fn strategy_selection_crossover() {
         let m = CostModel::default();
         // Very selective query predicate → IndexQuery.
-        let c = m.strategy_costs(100_000.0, 5_000.0, Some(100.0));
+        let c = m.strategy_costs_split(100_000.0, 5_000.0, 0.0, Some(100.0));
         assert_eq!(c.best(), AccessStrategy::IndexQuery);
         // Broad query predicate but selective guards → IndexGuards.
-        let c = m.strategy_costs(100_000.0, 800.0, Some(60_000.0));
+        let c = m.strategy_costs_split(100_000.0, 800.0, 0.0, Some(60_000.0));
         assert_eq!(c.best(), AccessStrategy::IndexGuards);
         // Nothing selective → LinearScan.
-        let c = m.strategy_costs(100_000.0, 90_000.0, None);
+        let c = m.strategy_costs_split(100_000.0, 90_000.0, 0.0, None);
         assert_eq!(c.best(), AccessStrategy::LinearScan);
     }
 
@@ -342,10 +331,6 @@ mod tests {
         let c = m.strategy_costs_split(100_000.0, 700.0, 100.0, Some(100.0));
         assert_eq!(c.index_guards, c.linear_scan);
         assert_eq!(c.best(), AccessStrategy::IndexQuery);
-        // And the split with zero scanned rows matches the legacy shape.
-        let a = m.strategy_costs(100_000.0, 5_000.0, Some(100.0));
-        let b = m.strategy_costs_split(100_000.0, 5_000.0, 0.0, Some(100.0));
-        assert_eq!(a, b);
     }
 
     #[test]

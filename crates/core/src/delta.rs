@@ -4,11 +4,22 @@
 //! `∆(P_Gi, QM, t_t)` takes a policy partition, the query metadata, and a
 //! tuple; it *retrieves the subset of policies relevant to the tuple* —
 //! keyed by the tuple's owner, the context attribute of the data model —
-//! and evaluates only those. The win over inlining is that a tuple owned
-//! by `u` is never checked against other owners' policies; the price is
-//! the UDF invocation overhead per tuple (`UDF_inv`), which is why SIEVE
-//! only routes partitions past the cost-model crossover through ∆
-//! (Experiment 2.1: ≈120 policies in the paper's setup).
+//! and evaluates only those. The price is the UDF invocation overhead per
+//! tuple (`UDF_inv`), which is why SIEVE only routes partitions past the
+//! cost-model crossover through ∆ (Experiment 2.1: ≈120 policies in the
+//! paper's setup).
+//!
+//! ∆ has no evaluator of its own. A partition is the policy DNF an inline
+//! branch would splice (`crate::policy::policy_expression`), bound once
+//! against the relation's layout into the engine's
+//! [`FilterProgram`]: a disjunction of eight or more owner-headed policies
+//! becomes the engine's owner-keyed dispatch
+//! (`minidb::expr::BoundExpr::KeyedOr`), so a tuple owned by `u` is checked
+//! against `u`'s policies only, and the owner is matched under `Value`'s
+//! one order, exactly as inline. The [`PartitionHandle`] keeps the
+//! expression, and the static verifier proves that expression in place of
+//! the call (`crate::analyze::verify_fragment`): the proof is of what ∆
+//! runs.
 //!
 //! Like the paper's implementation, partitions are resolved through an id
 //! passed as the UDF's first argument ("the implementation … retrieve\[s\]
@@ -17,56 +28,24 @@
 //! are the tuple's attributes in schema order.
 
 use crate::backend::SqlBackend;
-use crate::policy::{CondPredicate, Policy, UserId};
 use minidb::error::{DbError, DbResult};
+use minidb::expr::{bind, no_subqueries, Expr, FilterProgram, Layout};
 use minidb::schema::TableSchema;
 use minidb::udf::{Udf, UdfContext};
 use minidb::value::Value;
-use minidb::RangeBound;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Name the ∆ UDF is registered under.
 pub const DELTA_UDF: &str = "delta";
 
-/// A compiled object condition: argument slot + check.
-#[derive(Debug, Clone)]
-enum CondCheck {
-    Eq(Value),
-    Ne(Value),
-    In(Vec<Value>),
-    NotIn(Vec<Value>),
-    Range { low: RangeBound, high: RangeBound },
-}
-
-impl CondCheck {
-    fn eval(&self, v: &Value) -> bool {
-        if v.is_null() {
-            return false;
-        }
-        match self {
-            CondCheck::Eq(x) => v == x,
-            CondCheck::Ne(x) => v != x,
-            CondCheck::In(xs) => xs.contains(v),
-            CondCheck::NotIn(xs) => !xs.contains(v),
-            CondCheck::Range { low, high } => RangeBound::contains(low, high, v),
-        }
-    }
-}
-
-/// One policy compiled against a relation schema: `(arg slot, check)`
-/// pairs over the UDF's argument layout.
-#[derive(Debug, Clone)]
-struct CompiledPolicy {
-    conds: Vec<(usize, CondCheck)>,
-}
-
-/// A registered partition: owner-keyed policy lists.
-#[derive(Debug, Default)]
+/// A registered partition: its policy DNF bound against the relation's
+/// layout, key tables built, and the width of the tuple it reads.
+#[derive(Debug)]
 struct CompiledPartition {
-    owner_slot: usize,
-    by_owner: HashMap<UserId, Vec<CompiledPolicy>>,
+    width: usize,
+    program: FilterProgram,
 }
 
 /// Partition key handed to the UDF as its first argument.
@@ -89,7 +68,7 @@ pub struct PartitionHandle {
 
 struct HandleInner {
     key: PartitionKey,
-    policies: usize,
+    partition: Expr,
     registry: std::sync::Weak<DeltaRegistry>,
 }
 
@@ -99,9 +78,10 @@ impl PartitionHandle {
         self.inner.key
     }
 
-    /// How many policies the partition was compiled from.
-    pub fn policies(&self) -> usize {
-        self.inner.policies
+    /// The policy DNF the partition was compiled from: what ∆ evaluates
+    /// per tuple, and what the static verifier proves in place of the call.
+    pub fn partition(&self) -> &Expr {
+        &self.inner.partition
     }
 }
 
@@ -152,62 +132,32 @@ impl DeltaRegistry {
         backend.install_udf(DELTA_UDF, Arc::new(DeltaUdf { registry: Arc::clone(self) }));
     }
 
-    /// Compile and register a partition of policies against a relation
-    /// schema, returning an RAII [`PartitionHandle`] — the partition lives
-    /// until the last clone of the handle drops. The UDF's argument layout
-    /// is `(key, col_0 … col_{n-1})` in schema order. Policies containing
-    /// derived (subquery) conditions are rejected — the rewriter keeps
-    /// those inline.
+    /// Bind a partition's policy DNF against a relation schema — the
+    /// expression an inline branch splices — and register it, returning an
+    /// RAII [`PartitionHandle`] that keeps the expression: the partition
+    /// lives until the last clone of the handle drops. The UDF's argument
+    /// layout is `(key, col_0 … col_{n-1})` in schema order. A policy with
+    /// a derived (subquery) condition does not bind here and is refused —
+    /// the rewriter keeps those inline.
     pub fn register_partition(
         self: &Arc<Self>,
-        schema: &TableSchema,
-        policies: &[&Policy],
+        schema: &Arc<TableSchema>,
+        partition: Expr,
     ) -> DbResult<PartitionHandle> {
-        let owner_col = schema
-            .column_index(crate::policy::OWNER_ATTR)
-            .ok_or_else(|| DbError::UnknownColumn("owner".into()))?;
-        let mut part = CompiledPartition {
-            owner_slot: owner_col + 1,
-            by_owner: HashMap::new(),
+        let layout = Layout::single(schema.name.clone(), Arc::clone(schema));
+        let bound = bind(&partition, &layout, &HashSet::new(), &mut no_subqueries)?;
+        let compiled = CompiledPartition {
+            width: schema.arity(),
+            program: FilterProgram::new(Some(bound)),
         };
-        for p in policies {
-            let mut conds = Vec::new();
-            // The owner condition is the partition key, not re-checked.
-            for oc in &p.conditions {
-                let slot = schema
-                    .column_index(&oc.attr)
-                    .ok_or_else(|| DbError::UnknownColumn(oc.attr.clone()))?
-                    + 1;
-                let check = match &oc.pred {
-                    CondPredicate::Eq(v) => CondCheck::Eq(v.clone()),
-                    CondPredicate::Ne(v) => CondCheck::Ne(v.clone()),
-                    CondPredicate::In(vs) => CondCheck::In(vs.clone()),
-                    CondPredicate::NotIn(vs) => CondCheck::NotIn(vs.clone()),
-                    CondPredicate::Range { low, high } => CondCheck::Range {
-                        low: low.clone(),
-                        high: high.clone(),
-                    },
-                    CondPredicate::Derived(_) => {
-                        return Err(DbError::Unsupported(
-                            "derived-value policies cannot be routed through ∆".into(),
-                        ))
-                    }
-                };
-                conds.push((slot, check));
-            }
-            part.by_owner
-                .entry(p.owner)
-                .or_default()
-                .push(CompiledPolicy { conds });
-        }
         let mut inner = self.inner.write();
         inner.next_key += 1;
         let key = inner.next_key;
-        inner.partitions.insert(key, Arc::new(part));
+        inner.partitions.insert(key, Arc::new(compiled));
         Ok(PartitionHandle {
             inner: Arc::new(HandleInner {
                 key,
-                policies: policies.len(),
+                partition,
                 registry: Arc::downgrade(self),
             }),
         })
@@ -238,47 +188,26 @@ struct DeltaUdf {
 
 impl Udf for DeltaUdf {
     fn invoke(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
-        let key = args
-            .first()
-            .and_then(Value::as_int)
-            .ok_or_else(|| DbError::TypeError("delta: first arg must be partition key".into()))?;
+        let Some((Value::Int(key), tuple)) = args.split_first() else {
+            return Err(DbError::TypeError("delta: first arg must be partition key".into()));
+        };
         let part = {
             let inner = self.registry.inner.read();
             inner
                 .partitions
-                .get(&key)
+                .get(key)
                 .cloned()
                 .ok_or_else(|| DbError::Unsupported(format!("delta: unknown partition {key}")))?
         };
-        // Context filtering: fetch only the tuple owner's policies. This
-        // lookup stands in for the paper's indexed rP ⋈ rOC cursor and is
-        // charged as one probe.
-        ctx.tally.index_probes(1);
-        let owner = match args.get(part.owner_slot).and_then(Value::as_int) {
-            Some(o) => o,
-            None => return Ok(Value::Bool(false)),
-        };
-        let Some(policies) = part.by_owner.get(&owner) else {
-            return Ok(Value::Bool(false));
-        };
-        for cp in policies {
-            ctx.tally.policies(1);
-            let mut ok = true;
-            for (slot, check) in &cp.conds {
-                ctx.tally.predicates(1);
-                let v = args
-                    .get(*slot)
-                    .ok_or_else(|| DbError::TypeError("delta: missing attribute arg".into()))?;
-                if !check.eval(v) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                return Ok(Value::Bool(true));
-            }
+        if tuple.len() != part.width {
+            return Err(DbError::TypeError("delta: the tuple does not fit the partition".into()));
         }
-        Ok(Value::Bool(false))
+        // Context filtering: a wide partition's key table finds the tuple
+        // owner's policies with one hash probe (a narrow one is checked in
+        // order, as inline). The lookup stands in for the paper's indexed
+        // rP ⋈ rOC cursor and is charged as one probe.
+        ctx.tally.index_probes(1);
+        Ok(Value::Bool(part.program.matches_alone(tuple, ctx.tally)?))
     }
 }
 
@@ -300,12 +229,12 @@ pub fn delta_call_expr(key: PartitionKey, schema: &TableSchema) -> minidb::Expr 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ObjectCondition, QuerierSpec};
+    use crate::policy::{policy_expression, CondPredicate, ObjectCondition, Policy, QuerierSpec};
     use minidb::value::DataType;
     use minidb::Tally;
 
-    fn schema() -> TableSchema {
-        TableSchema::of(
+    fn schema() -> Arc<TableSchema> {
+        Arc::new(TableSchema::of(
             "wifi_dataset",
             &[
                 ("id", DataType::Int),
@@ -313,7 +242,7 @@ mod tests {
                 ("wifi_ap", DataType::Int),
                 ("ts_time", DataType::Time),
             ],
-        )
+        ))
     }
 
     fn policy(owner: i64, ap: i64) -> Policy {
@@ -329,7 +258,13 @@ mod tests {
         )
     }
 
-    fn invoke(reg: &Arc<DeltaRegistry>, key: PartitionKey, row: &[Value]) -> bool {
+    fn register(reg: &Arc<DeltaRegistry>, policies: &[Policy]) -> PartitionHandle {
+        let refs: Vec<&Policy> = policies.iter().collect();
+        reg.register_partition(&schema(), policy_expression(&refs)).unwrap()
+    }
+
+    /// Invoke ∆ on `row` under partition `key`: its verdict and charges.
+    fn invoke(reg: &Arc<DeltaRegistry>, key: PartitionKey, row: &[Value]) -> (bool, minidb::Counters) {
         let udf = DeltaUdf {
             registry: Arc::clone(reg),
         };
@@ -337,60 +272,51 @@ mod tests {
         let ctx = UdfContext { tally: &tally };
         let mut args = vec![Value::Int(key)];
         args.extend_from_slice(row);
-        udf.invoke(&args, &ctx).unwrap().as_bool().unwrap()
+        let verdict = udf.invoke(&args, &ctx).unwrap().as_bool().unwrap();
+        (verdict, tally.counters())
+    }
+
+    fn row(owner: Value, ap: i64) -> [Value; 4] {
+        [Value::Int(0), owner, Value::Int(ap), Value::Time(0)]
     }
 
     #[test]
     fn owner_scoped_evaluation() {
         let reg = DeltaRegistry::new();
-        let p1 = policy(7, 1200);
-        let p2 = policy(8, 1300);
-        let handle = reg
-            .register_partition(&schema(), &[&p1, &p2])
-            .unwrap();
+        let handle = register(&reg, &[policy(7, 1200), policy(8, 1300)]);
         let key = handle.key();
         // Owner 7 at AP 1200 → allowed by p1.
-        assert!(invoke(
-            &reg,
-            key,
-            &[Value::Int(0), Value::Int(7), Value::Int(1200), Value::Time(0)]
-        ));
-        // Owner 7 at AP 1300 → p2 belongs to owner 8, never consulted.
-        assert!(!invoke(
-            &reg,
-            key,
-            &[Value::Int(0), Value::Int(7), Value::Int(1300), Value::Time(0)]
-        ));
+        assert!(invoke(&reg, key, &row(Value::Int(7), 1200)).0);
+        // Owner 7 at AP 1300 → p2 belongs to owner 8.
+        assert!(!invoke(&reg, key, &row(Value::Int(7), 1300)).0);
         // Unknown owner → deny.
-        assert!(!invoke(
-            &reg,
-            key,
-            &[Value::Int(0), Value::Int(99), Value::Int(1200), Value::Time(0)]
-        ));
+        assert!(!invoke(&reg, key, &row(Value::Int(99), 1200)).0);
+    }
+
+    #[test]
+    fn an_owner_held_as_a_double_is_that_owner() {
+        let reg = DeltaRegistry::new();
+        let narrow = register(&reg, &[policy(7, 1200)]);
+        let policies: Vec<Policy> = (0..50).map(|o| policy(o, 1200)).collect();
+        let keyed = register(&reg, &policies);
+        for key in [narrow.key(), keyed.key()] {
+            assert!(invoke(&reg, key, &row(Value::Double(7.0), 1200)).0);
+            assert!(!invoke(&reg, key, &row(Value::Double(7.5), 1200)).0);
+        }
     }
 
     #[test]
     fn policy_eval_counts_only_owner_policies() {
         let reg = DeltaRegistry::new();
         let policies: Vec<Policy> = (0..50).map(|o| policy(o, 1200)).collect();
-        let refs: Vec<&Policy> = policies.iter().collect();
-        let handle = reg.register_partition(&schema(), &refs).unwrap();
-        let key = handle.key();
-        let udf = DeltaUdf {
-            registry: Arc::clone(&reg),
-        };
-        let tally = Tally::default();
-        let ctx = UdfContext { tally: &tally };
-        let args = vec![
-            Value::Int(key),
-            Value::Int(0),
-            Value::Int(3),
-            Value::Int(1200),
-            Value::Time(0),
-        ];
-        udf.invoke(&args, &ctx).unwrap();
-        // Only owner 3's single policy was checked, not all 50.
-        assert_eq!(tally.counters().policy_evals, 1);
+        let handle = register(&reg, &policies);
+        let (verdict, charged) = invoke(&reg, handle.key(), &row(Value::Int(3), 1200));
+        assert!(verdict);
+        // One probe of the owner key table, then owner 3's one remaining
+        // condition: not 50 policies' worth.
+        assert_eq!(charged.index_probes, 1);
+        assert_eq!(charged.predicate_evals, 2);
+        assert_eq!(charged.policy_evals, 0);
     }
 
     #[test]
@@ -401,23 +327,27 @@ mod tests {
             "wifi_ap",
             CondPredicate::Derived(Box::new(minidb::SelectQuery::star_from("wifi_dataset"))),
         ));
-        assert!(reg.register_partition(&schema(), &[&p]).is_err());
+        assert!(reg.register_partition(&schema(), p.to_expr()).is_err());
+        assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn the_handle_keeps_the_partition_expression() {
+        let reg = DeltaRegistry::new();
+        let policies = [policy(7, 1200), policy(8, 1300)];
+        let handle = register(&reg, &policies);
+        assert_eq!(handle.partition(), &policy_expression(&[&policies[0], &policies[1]]));
     }
 
     #[test]
     fn installed_udf_reachable_through_database() {
         use minidb::{Database, DbProfile};
         let mut db = Database::new(DbProfile::MySqlLike);
-        db.create_table(schema()).unwrap();
-        db.insert(
-            "wifi_dataset",
-            vec![Value::Int(0), Value::Int(7), Value::Int(1200), Value::Time(0)],
-        )
-        .unwrap();
+        db.create_table(TableSchema::clone(&schema())).unwrap();
+        db.insert("wifi_dataset", row(Value::Int(7), 1200).to_vec()).unwrap();
         let reg = DeltaRegistry::new();
         reg.install(&mut db);
-        let p = policy(7, 1200);
-        let handle = reg.register_partition(&schema(), &[&p]).unwrap();
+        let handle = register(&reg, &[policy(7, 1200)]);
         let q = minidb::SelectQuery::star_from("wifi_dataset")
             .filter(delta_call_expr(handle.key(), &schema()));
         let res = db.run_query(&q).unwrap();
@@ -427,10 +357,8 @@ mod tests {
     #[test]
     fn dropping_the_last_handle_frees_the_partition() {
         let reg = DeltaRegistry::new();
-        let p1 = policy(1, 1200);
-        let p2 = policy(2, 1300);
-        let h1 = reg.register_partition(&schema(), &[&p1]).unwrap();
-        let h2 = reg.register_partition(&schema(), &[&p2]).unwrap();
+        let h1 = register(&reg, &[policy(1, 1200)]);
+        let h2 = register(&reg, &[policy(2, 1300)]);
         let k2 = h2.key();
         // A clone pins the partition past the original's drop.
         let h1_clone = h1.clone();
@@ -439,10 +367,6 @@ mod tests {
         drop(h1_clone);
         assert_eq!(reg.len(), 1, "last drop frees it");
         // The surviving partition still evaluates.
-        assert!(invoke(
-            &reg,
-            k2,
-            &[Value::Int(0), Value::Int(2), Value::Int(1300), Value::Time(0)]
-        ));
+        assert!(invoke(&reg, k2, &row(Value::Int(2), 1300)).0);
     }
 }

@@ -43,6 +43,14 @@
 //! — the per-tuple cost `α·|P_Gi|·c_e` of Equation 3, not `|G|` head
 //! comparisons first.
 //!
+//! Inline or ∆, a branch's partition is one expression: its policies' DNF
+//! (`policy_expression`), built once. Inline, the branch splices it;
+//! behind ∆ it is registered ([`DeltaRegistry::register_partition`]),
+//! where the engine binds that same expression and the UDF evaluates it
+//! per tuple with the engine's own evaluator and owner-keyed dispatch. So
+//! the two forms admit the same rows, and the verifier proves the
+//! expression the ∆ lease keeps.
+//!
 //! Rewriting is split in two so the middleware's guard cache can amortize
 //! the expensive half: [`compile_guard_fragment`] turns a guarded
 //! expression into engine expressions once (policy DNF construction and ∆
@@ -73,7 +81,7 @@ use crate::backend::SqlBackend;
 use crate::cost::{AccessStrategy, CostModel};
 use crate::delta::{delta_call_expr, DeltaRegistry, PartitionHandle};
 use crate::guard::{Guard, GuardedExpression};
-use crate::policy::{Policy, PolicyId};
+use crate::policy::{policy_expression, Policy, PolicyId};
 use crate::error::{SieveError, SieveResult};
 use minidb::expr::Expr;
 use minidb::plan::{IndexHint, SelectQuery, TableRef, TableSource, WithClause};
@@ -227,11 +235,12 @@ pub struct CompiledRelation {
     pub fragment: Arc<GuardFragment>,
 }
 
-/// Compile one guard: its condition, its partition — the policy DNF
-/// inline, or a ∆ partition registered, per `delta_mode` and the cost
-/// model — and their arm. `by_id` holds the guard's policies.
+/// Compile one guard: its condition, its partition — the policy DNF,
+/// built once and either spliced inline or registered behind ∆, per
+/// `delta_mode` and the cost model — and their arm. `by_id` holds the
+/// guard's policies.
 fn compile_branch(
-    schema: &TableSchema,
+    schema: &Arc<TableSchema>,
     delta: &Arc<DeltaRegistry>,
     g: &Guard,
     by_id: &HashMap<PolicyId, &Policy>,
@@ -253,14 +262,12 @@ fn compile_branch(
             DeltaMode::Always => true,
             DeltaMode::Auto => cost.prefer_delta(partition_policies.len(), distinct_owners),
         };
+    let dnf = policy_expression(&partition_policies);
     let (partition, handle) = if use_delta {
-        let handle = delta.register_partition(schema, &partition_policies)?;
+        let handle = delta.register_partition(schema, dnf)?;
         (share(delta_call_expr(handle.key(), schema)), Some(handle))
     } else {
-        (
-            share(Expr::any(partition_policies.iter().map(|p| p.to_expr()).collect())),
-            None,
-        )
+        (share(dnf), None)
     };
     let condition = g.condition.to_expr();
     let arm = Expr::shared(Expr::and(condition.clone(), partition.clone()));

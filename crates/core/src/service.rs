@@ -218,10 +218,11 @@ impl ColdBuild<'_> {
     /// ([`splice_guard_fragment`]) — a generation splices every guard into
     /// the empty fragment, a placement the grants' guards into the
     /// fragment they were placed into — and prove the result: the whole
-    /// fragment, its disjunction as it runs, each ∆ call resolved to its
-    /// partition's DNF ([`analyze::verify_fragment`]). The only producer of
-    /// cache entries, so none is ever half-built, and with
-    /// `verify_rewrites` on none is unproven. Warm lookups never come
+    /// fragment, its disjunction as it runs, each ∆ call replaced by the
+    /// expression its partition handle keeps
+    /// ([`analyze::verify_fragment`]). The only producer of cache entries,
+    /// so none is ever half-built, and with `verify_rewrites` on none is
+    /// unproven. Warm lookups never come
     /// here, so steady-state verification overhead is zero. Refuted
     /// hard-fails (the rewrite would widen); Unknown is audit-tooling
     /// territory, not a query failure.
@@ -244,9 +245,8 @@ impl ColdBuild<'_> {
             self.opts.rewrite.delta_mode,
         )?;
         if self.opts.verify_rewrites {
-            let by_id = self.policies(&expr.guards);
             let allowed = self.store.relevant(&expr.relation, qm);
-            let verdict = analyze::verify_fragment(&fragment, &expr, &by_id, &allowed);
+            let verdict = analyze::verify_fragment(&fragment, &allowed);
             if let analyze::Verdict::Refuted { witness } = verdict {
                 return Err(SieveError::SoundnessRefuted {
                     relation: expr.relation.clone(),

@@ -1,8 +1,8 @@
 //! The database catalog and top-level façade.
 //!
 //! A [`Database`] owns tables, their secondary indexes and histograms, the
-//! UDF registry, the optimizer profile (MySQL-like vs PostgreSQL-like) and
-//! the cost weights. Counters belong to a run, not to the database:
+//! UDF registry and the optimizer profile (MySQL-like vs PostgreSQL-like).
+//! Counters belong to a run, not to the database:
 //! [`Database::run_timed`] reports its own. SIEVE is layered strictly on
 //! top of this façade —
 //! it only uses the public surface a middleware would have against a real
@@ -83,7 +83,6 @@ static NEXT_STATEMENT: AtomicU64 = AtomicU64::new(1);
 pub struct Database {
     tables: HashMap<String, TableEntry>,
     udfs: UdfRegistry,
-    weights: CostWeights,
     profile: DbProfile,
     /// Stamp of the current state; see [`Database::version`].
     version: u64,
@@ -97,7 +96,6 @@ impl Database {
         Database {
             tables: HashMap::new(),
             udfs: UdfRegistry::new(),
-            weights: CostWeights::default(),
             profile,
             version: NEXT_VERSION.fetch_add(1, Ordering::Relaxed),
             statements: RwLock::new(HashMap::new()),
@@ -105,7 +103,7 @@ impl Database {
     }
 
     /// Stamp of this database's state — tables, rows, indexes, statistics,
-    /// profile, weights, UDFs — renewed by every `&mut self` change. A
+    /// profile, UDFs — renewed by every `&mut self` change. A
     /// [`PreparedQuery`] runs only on the stamp it was planned on.
     pub fn version(&self) -> u64 {
         self.version
@@ -126,11 +124,6 @@ impl Database {
     pub fn set_profile(&mut self, profile: DbProfile) {
         self.touch();
         self.profile = profile;
-    }
-
-    /// Cost weights of the simulated clock.
-    pub fn weights(&self) -> &CostWeights {
-        &self.weights
     }
 
     /// Create an empty table. Errors if the name is taken.
@@ -294,7 +287,7 @@ impl Database {
 
     /// Execute a query once under `opts` (e.g. a timeout) — prepare, run —
     /// and report the run: its own counters (partial ones when it fails),
-    /// wall time, and the simulated cost under this database's weights.
+    /// wall time, and the simulated cost under the default weights.
     pub fn run_timed(
         &self,
         query: &SelectQuery,
@@ -303,7 +296,7 @@ impl Database {
         let start = Instant::now();
         let (res, counters) = crate::exec::execute(self, query, opts);
         let wall = start.elapsed();
-        let simulated_cost = counters.simulated_cost(&self.weights);
+        let simulated_cost = counters.simulated_cost(&CostWeights::default());
         (res, ExecStats { counters, wall, simulated_cost })
     }
 
@@ -368,7 +361,6 @@ impl Clone for Database {
         Database {
             tables: self.tables.clone(),
             udfs: self.udfs.clone(),
-            weights: self.weights,
             profile: self.profile,
             // The same state, so the same stamp, until either changes.
             version: self.version,

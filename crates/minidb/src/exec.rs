@@ -105,7 +105,7 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// True iff `db` is in the state the plan was chosen on: catalog,
-    /// statistics, profile, weights and UDFs.
+    /// statistics, profile and UDFs.
     pub(crate) fn planned_on(&self, db: &Database) -> bool {
         self.version == db.version()
     }

@@ -1411,6 +1411,14 @@ impl FilterProgram {
         }
     }
 
+    /// Evaluate one row with nothing in scope but the tally it charges: no
+    /// UDFs, no subquery runner, no correlation parameters — all a program
+    /// bound with [`no_subqueries`] can need.
+    pub fn matches_alone(&self, row: &[Value], tally: &Tally) -> DbResult<bool> {
+        let (udfs, params) = (UdfRegistry::new(), HashMap::new());
+        self.matches(row, &EvalContext { tally, udfs: &udfs, runner: None, params: &params })
+    }
+
     /// Evaluate a batch, appending the indices of surviving items to the
     /// selection vector `sel`. `row_of` projects each batch item to its
     /// row (batches carry `&Row` or `(RowId, &Row)` depending on the

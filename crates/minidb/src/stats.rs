@@ -66,7 +66,9 @@ pub struct Counters {
     pub tuples_read: u64,
     /// Simple predicate evaluations (each comparison counts once).
     pub predicate_evals: u64,
-    /// Policy object-condition-set evaluations (one per policy per tuple).
+    /// Policy evaluations. Nothing charges it: ∆ evaluates its partition as
+    /// the engine evaluates any predicate, counted in `predicate_evals`.
+    /// Always 0; kept for readers of the counters.
     pub policy_evals: u64,
     /// UDF invocations.
     pub udf_invocations: u64,
@@ -100,7 +102,6 @@ pub struct Tally {
     rand_pages_read: Cell<u64>,
     tuples_read: Cell<u64>,
     predicate_evals: Cell<u64>,
-    policy_evals: Cell<u64>,
     udf_invocations: Cell<u64>,
     index_probes: Cell<u64>,
     tuples_output: Cell<u64>,
@@ -131,11 +132,6 @@ impl Tally {
         bump(&self.predicate_evals, n);
     }
 
-    /// Record `n` policy evaluations.
-    pub fn policies(&self, n: u64) {
-        bump(&self.policy_evals, n);
-    }
-
     /// Record one UDF invocation.
     pub fn udf_invocation(&self) {
         bump(&self.udf_invocations, 1);
@@ -158,7 +154,7 @@ impl Tally {
             rand_pages_read: self.rand_pages_read.get(),
             tuples_read: self.tuples_read.get(),
             predicate_evals: self.predicate_evals.get(),
-            policy_evals: self.policy_evals.get(),
+            policy_evals: 0,
             udf_invocations: self.udf_invocations.get(),
             index_probes: self.index_probes.get(),
             tuples_output: self.tuples_output.get(),

@@ -70,13 +70,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match res {
             Ok(r) => println!(
                 "  {name} rows={:>6}  wall={:>8.2} ms  simulated_kcost={:>10.1}  \
-                 (pages seq/rand {}/{}, policy evals {})",
+                 (pages seq/rand {}/{}, predicate evals {}, ∆ calls {})",
                 r.len(),
                 stats.wall.as_secs_f64() * 1e3,
                 stats.simulated_cost / 1e3,
                 stats.counters.seq_pages_read,
                 stats.counters.rand_pages_read,
-                stats.counters.policy_evals,
+                stats.counters.predicate_evals,
+                stats.counters.udf_invocations,
             ),
             Err(e) => println!("  {name} failed: {e}"),
         }

@@ -23,6 +23,7 @@ use sieve::core::baselines::Baseline;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
+use sieve::core::rewrite::DeltaMode;
 use sieve::core::{Enforcement, SieveOptions, SieveService};
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{AggFunc, IndexHint, SelectItem, TableRef, TableSource};
@@ -614,6 +615,29 @@ fn merged_range_guard_keeps_the_wider_bound() {
     let expect = support::oracle_rows(&sieve, REL, &qm);
     assert_eq!(got.iter().filter(|r| r[3] == ten).count(), 3, "owner 2's rows at 10:00");
     assert_eq!(got, expect);
+}
+
+/// Under `Value`'s one order a row whose owner is stored as `Double(3.0)`
+/// is owner 3's. Querier 500 may read owner 3's rows at AP 1001, so every
+/// mechanism admits the row, whether the partition runs inline or behind
+/// ∆: both evaluate the same bound policy DNF.
+#[test]
+fn delta_and_inline_admit_an_owner_held_as_a_double() {
+    let mut db = support::wifi_db(800, 40, true);
+    db.insert(REL, vec![Value::Int(800), Value::Double(3.0), Value::Int(1001), Value::Time(0)])
+        .unwrap();
+    for mode in [DeltaMode::Always, DeltaMode::Never] {
+        let mut options = SieveOptions::default();
+        options.rewrite.delta_mode = mode;
+        for_each_backend(&db, &options, |name, sieve| {
+            support::register_corpus(&sieve);
+            let qm = QueryMetadata::new(500, "Analytics");
+            let context = format!("{name} under {mode:?}");
+            let rows =
+                support::assert_mechanisms_match_oracle(&sieve, &SelectQuery::star_from(REL), &qm, &context);
+            assert_eq!(rows.len(), 41, "{context}: owners 1 and 11 at AP 1001, and the Double row");
+        });
+    }
 }
 
 proptest! {

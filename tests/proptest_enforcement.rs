@@ -14,7 +14,7 @@ use sieve::core::policy::{
 };
 use sieve::core::backend::WireSqlBackend;
 use sieve::core::cost::AccessStrategy;
-use sieve::core::rewrite::RewriteOptions;
+use sieve::core::rewrite::{DeltaMode, RewriteOptions};
 use sieve::core::{SieveOptions, SieveService, SqlBackend};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{CmpOp, ColumnRef, Database, DbProfile, Expr, SelectQuery, TableSchema};
@@ -37,7 +37,10 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
         .prop_map(|(policies, rows)| Corpus { policies, rows })
 }
 
-fn build(corpus: &Corpus, profile: DbProfile) -> SieveService {
+/// The case's database and service. Every 7th row's owner is stored as a
+/// `Double`: under `Value`'s one order it is the same owner as the `Int`,
+/// and every mechanism, inline or ∆, must read it as one.
+fn build(corpus: &Corpus, profile: DbProfile, delta_mode: DeltaMode) -> SieveService {
     let mut db = Database::new(profile);
     db.create_table(TableSchema::of(
         "t",
@@ -50,11 +53,12 @@ fn build(corpus: &Corpus, profile: DbProfile) -> SieveService {
     ))
     .unwrap();
     for i in 0..corpus.rows {
+        let owner = if i % 7 == 0 { Value::Double((i % 15) as f64) } else { Value::Int(i % 15) };
         db.insert(
             "t",
             vec![
                 Value::Int(i),
-                Value::Int(i % 15),
+                owner,
                 Value::Int(1000 + i % 5),
                 Value::Time(((i * 401) % 86_400) as u32),
             ],
@@ -65,7 +69,8 @@ fn build(corpus: &Corpus, profile: DbProfile) -> SieveService {
         db.create_index("t", col).unwrap();
     }
     db.analyze("t").unwrap();
-    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    let rewrite = RewriteOptions { delta_mode, ..Default::default() };
+    let sieve = SieveService::new(db, SieveOptions { rewrite, ..Default::default() }).unwrap();
     // The relation is access-controlled even when the corpus is empty
     // (default deny must hold with zero policies).
     sieve.protect("t");
@@ -121,13 +126,14 @@ proptest! {
         querier in 100i64..105,
         purpose_idx in 0usize..3,
         profile_pg in any::<bool>(),
+        delta_mode in prop_oneof![Just(DeltaMode::Auto), Just(DeltaMode::Always), Just(DeltaMode::Never)],
     ) {
         let profile = if profile_pg { DbProfile::PostgresLike } else { DbProfile::MySqlLike };
-        let sieve = build(&corpus, profile);
+        let sieve = build(&corpus, profile, delta_mode);
         let purpose = ["Analytics", "Safety", "Marketing"][purpose_idx];
         let qm = QueryMetadata::new(querier, purpose);
         let q = SelectQuery::star_from("t");
-        support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("on {profile:?}"));
+        support::assert_mechanisms_match_oracle(&sieve, &q, &qm, &format!("on {profile:?} under {delta_mode:?}"));
     }
 }
 

@@ -149,7 +149,7 @@ fn assert_same_fragment(cached: &GuardFragment, cold: &GuardFragment, at: &str) 
                     other => panic!("{at}: branch {i}: a ∆ partition compiled to {other:?}"),
                 };
                 assert_eq!(call_args(&c.partition), call_args(&f.partition), "{at}: branch {i} ∆ call");
-                assert_eq!(c_lease.policies(), f_lease.policies(), "{at}: branch {i} ∆ policies");
+                assert_eq!(c_lease.partition(), f_lease.partition(), "{at}: branch {i} ∆ partition");
             }
             _ => panic!("{at}: branch {i}: inline in one fragment, ∆ in the other"),
         }
